@@ -11,19 +11,18 @@ sweep      solve over an L-grid; write the sweep CSV and a JSON fit report
 All numeric output uses 17 significant digits and files carry a '#'
 comment header echoing the full parameter set and the tool version, so
 identical configurations produce byte-identical files.  `--config FILE`
-loads a JSON object whose keys mirror the flags one-to-one; explicit
-flags override the file.  Exit status: 0 ok, 2 validation error, 1
-numerical failure.  ROBINBEC_THREADS > 1 runs sweep points in a thread
-pool (rows stay ordered by sweep index).
+loads a JSON object whose keys mirror the flags of the subcommand
+one-to-one; explicit flags override the file.  Config values are
+converted and checked like the flags, and a key that is not a flag of
+the subcommand is rejected.  Exit status: 0 ok, 2 validation error
+(one-line diagnostic), 1 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,8 +69,13 @@ def _parse_l_grid(text: str) -> list[float]:
         raise ValidationError(
             f"L-grid must be start:stop:kind:count, got {text!r}"
         )
-    start, stop = float(parts[0]), float(parts[1])
-    kind, count = parts[2], int(parts[3])
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        kind, count = parts[2], int(parts[3])
+    except ValueError:
+        raise ValidationError(
+            f"L-grid bounds must be numbers and count an integer, got {text!r}"
+        ) from None
     if not (0.0 < start <= stop) or count < 1:
         raise ValidationError(f"bad L-grid bounds or count in {text!r}")
     if kind == "geometric":
@@ -179,20 +183,56 @@ _REQUIRED = {
 _KEY_ALIASES = {"lambda": "lam"}
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _flags(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action for every flag of one subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+
+
+def _config_scalar(key: str, val, convert, choices=None):
+    bad = ValidationError(f"config key {key!r}: invalid {convert.__name__} value {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+        raise bad
+    try:
+        val = convert(str(val))
+    except ValueError:
+        raise bad from None
+    if choices is not None and val not in choices:
+        raise ValidationError(f"config key {key!r} must be one of {sorted(choices)}, got {val!r}")
+    return val
+
+
+def _config_value(key: str, val, action: argparse.Action):
+    """A config value converted and checked as its flag would be."""
+    convert = action.type or str
+    if isinstance(action, argparse._AppendAction):
+        return [_config_scalar(key, v, convert) for v in (val if isinstance(val, list) else [val])]
+    return _config_scalar(key, val, convert, action.choices)
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Defaults < config file < explicit flags."""
     cfg = dict(_DEFAULTS[args.command])
     if args.config is not None:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read config file {args.config!r}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValidationError("config file must hold a JSON object")
+        flags = _flags(parser, args.command)
         for key, val in loaded.items():
             key = key.replace("-", "_")
             key = _KEY_ALIASES.get(key, key)
             if key in ("command", "config"):
                 continue
-            cfg[key] = val
+            if key not in flags:
+                raise ValidationError(
+                    f"unknown config key {key!r}: not a flag of {args.command}"
+                )
+            if val is not None:  # null leaves the default in place
+                cfg[key] = _config_value(key, val, flags[key])
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue
@@ -248,6 +288,15 @@ def _cmd_spectrum(cfg: dict) -> int:
     return 0
 
 
+def _parse_target(item) -> tuple[int, int]:
+    """'K:N' -> (K, N)."""
+    try:
+        k_str, n_str = str(item).split(":")
+        return int(k_str), int(n_str)
+    except ValueError:
+        raise ValidationError(f"--target must be K:N with integers K and N, got {item!r}") from None
+
+
 def _cmd_oracle(cfg: dict) -> int:
     box = BoxParams(sigma=float(cfg["sigma"]), L=float(cfg["L"]))
     model = ModelParams(box=box, beta=float(cfg["beta"]), mu=float(cfg["mu"]),
@@ -257,10 +306,7 @@ def _cmd_oracle(cfg: dict) -> int:
     name = cfg["check"]
     kwargs = {}
     if name == "exchange":
-        targets = []
-        for item in cfg["target"]:
-            k_str, n_str = str(item).split(":")
-            targets.append((int(k_str), int(n_str)))
+        targets = [_parse_target(item) for item in cfg["target"]]
         kwargs = {"j": int(cfg["j"]), "targets": targets}
     elif name in ("wall-occupation", "occupation-bound"):
         kwargs = {"k": int(cfg["mode"])}
@@ -300,12 +346,7 @@ def _cmd_profile(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     grid = _parse_l_grid(str(cfg["L_grid"]))
-    threads = int(os.environ.get("ROBINBEC_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            states = list(pool.map(lambda L: _thermo_point(cfg, L), grid))
-    else:
-        states = [_thermo_point(cfg, L) for L in grid]
+    states = [_thermo_point(cfg, L) for L in grid]
     echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model")}
     echo["lambda"] = cfg["lam"]
     echo["L_grid"] = cfg["L_grid"]
@@ -335,9 +376,10 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser)
         return _RUNNERS[args.command](cfg)
     except ValidationError as exc:
         print(f"robinbec: validation error: {exc}", file=sys.stderr)

@@ -169,7 +169,7 @@ class TruncationSpec:
     tail_budget: float
 
     def __post_init__(self):
-        if len(self.caps) != len(self.table.modes):
+        if len(self.caps) != len(self.table.epsilons):
             raise ValidationError("need exactly one cap per tabulated mode")
         if len(self.caps) < 2:
             raise ValidationError("truncation must include both wall modes (k = 0, 1)")
@@ -336,7 +336,7 @@ def _log_coupling_weight(model: ModelParams, ntil: np.ndarray) -> np.ndarray:
 
 
 def _wall_mode_ratio(spec: TruncationSpec, model: ModelParams, k: int, poly) -> float:
-    eps_k = spec.table.modes[k].epsilon
+    eps_k = float(spec.table.epsilons[k])
     n = np.arange(spec.caps[k] + 1)
     logw = -model.beta * (eps_k - model.mu) * n
     f = _poly_on_range(poly, n)
@@ -402,7 +402,7 @@ def grand_expectation(
 # ----------------------------------------------------------------------
 
 def _require_mu_below_ground(spec: TruncationSpec, model: ModelParams, strict=True):
-    eps0 = spec.table.modes[0].epsilon
+    eps0 = float(spec.table.epsilons[0])
     if strict and not model.mu < eps0:
         raise ValidationError(f"mu must satisfy mu < eps(0) = {eps0}, got {model.mu}")
     if not strict and not model.mu <= eps0:
@@ -474,7 +474,7 @@ def check_wall_mode_occupation(k, spec, model) -> float:
         raise ValidationError(f"mu must satisfy mu < -sigma^2 = {-s2}, got {model.mu}")
     _require_mu_below_ground(spec, model)
     occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
-    closed = 1.0 / math.expm1(model.beta * (spec.table.modes[k].epsilon - model.mu))
+    closed = 1.0 / math.expm1(model.beta * (spec.table.epsilons[k] - model.mu))
     return occ - closed
 
 
@@ -494,7 +494,7 @@ def check_moment_log_inequality(k, n, spec, model):
     if n < 0:
         raise ValidationError("n must be >= 0")
     _require_mu_below_ground(spec, model)
-    eps_k = spec.table.modes[k].epsilon
+    eps_k = float(spec.table.epsilons[k])
     L = model.box.L
     z = constrained_partition(spec, model)
     a = grand_expectation(
@@ -594,7 +594,7 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
     if name == "wall-occupation":
         k = kwargs["k"]
         residual = check_wall_mode_occupation(k, spec, model)
-        closed = 1.0 / math.expm1(model.beta * (spec.table.modes[k].epsilon - model.mu))
+        closed = 1.0 / math.expm1(model.beta * (spec.table.epsilons[k] - model.mu))
         lhs, rhs = closed + residual, closed
         budget = spec.relevant_budget([k])
         scale = max(1.0, abs(lhs), abs(rhs))

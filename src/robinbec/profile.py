@@ -52,7 +52,7 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
     if spectrum.params != state.params.box:
         raise ValidationError("spectrum and state describe different boxes")
     occ = np.asarray(state.occ, dtype=float)
-    if len(spectrum.modes) < len(occ):
+    if spectrum.k_max + 1 < len(occ):
         raise ValidationError("spectrum table does not cover all occupied modes")
     x = _symmetric_grid(state.params.box.L, int(grid_n))
     n_cond = np.zeros_like(x)

@@ -20,9 +20,12 @@ conditions
     k >= 2 odd:     p*cos(p*L/2) - s*sin(p*L/2) = 0,  eps = +p^2.
 
 The trig residuals are pole-free on the certified brackets above, so each
-root is found by plain bisection plus one guarded Newton step.  The
-bound-state brackets are [s, s/tanh(s*L/2)] for k = 0 and (delta, s] for
-k = 1 with delta shrunk until the residual goes negative.
+root is found by bisection to 1e-13 relative width plus one guarded
+Newton step.  `build_spectrum` bisects all k >= 2 brackets at once as
+numpy arrays, with the per-bracket stopping rule of the scalar solver
+`solve_mode`, so both give the same roots.  The bound-state brackets are
+[s, s/tanh(s*L/2)] for k = 0 and (delta, s] for k = 1 with delta shrunk
+until the residual goes negative.
 
 Eigenfunctions are cosh/sinh (bound) or cos/sin (scattering-like)
 profiles with L2 normalization
@@ -44,6 +47,8 @@ leading error term.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,26 +107,28 @@ class Mode:
     """One eigenpair of the Robin wall problem.
 
     `wavenumber` is q for the bound modes (eps = -q^2, k in {0, 1}) and p
-    for k >= 2 (eps = +p^2).  `norm_const` may underflow to 0.0 for very
-    large q*L; `log_norm` is always finite and is what evaluation uses.
-    `residual` is |phi'(L/2) + sigma*phi(L/2)| of the normalized mode and
-    `bracket_lo/hi` is the certified eigenvalue bracket in eps units.
+    for k >= 2 (eps = +p^2).  `log_norm` is the log of the L2
+    normalization constant, finite even when the constant itself would
+    underflow at very large q*L.  `residual` is |phi'(L/2) + sigma*phi(L/2)|
+    of the normalized mode and `bracket_lo/hi` is the certified eigenvalue
+    bracket in eps units.
     """
 
     k: int
     parity: str
     epsilon: float
     wavenumber: float
-    norm_const: float
     log_norm: float
     residual: float
     bracket_lo: float
     bracket_hi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Modes k = 0..k_max for one (sigma, L), strictly increasing in eps.
+    """Modes k = 0..k_max for one (sigma, L) as read-only arrays indexed by
+    k, strictly increasing in eps.  Mode k has parity EVEN for even k and
+    ODD for odd k.
 
     One representational exception: the wall pair eps(0) < eps(1) may tie
     in double precision once its exponentially small splitting drops
@@ -130,24 +137,65 @@ class SpectrumTable:
     """
 
     params: BoxParams
-    modes: tuple[Mode, ...]
+    epsilons: np.ndarray
+    wavenumbers: np.ndarray
+    log_norms: np.ndarray
+    residuals: np.ndarray
+    bracket_lo: np.ndarray
+    bracket_hi: np.ndarray
 
     def __post_init__(self):
-        for i, mode in enumerate(self.modes):
-            if mode.k != i:
-                raise ValidationError("mode indices must be contiguous from 0")
-        eps = [m.epsilon for m in self.modes]
-        for i, (a, b) in enumerate(zip(eps, eps[1:])):
-            if b < a or (b == a and i != 0):
-                raise ValidationError("eigenvalues must be strictly increasing")
+        arrays = (self.epsilons, self.wavenumbers, self.log_norms, self.residuals,
+                  self.bracket_lo, self.bracket_hi)
+        if self.epsilons.ndim != 1 or len(self.epsilons) == 0 or any(
+            a.shape != self.epsilons.shape for a in arrays
+        ):
+            raise ValidationError("spectrum arrays must be 1-D, nonempty and of equal length")
+        steps = np.diff(self.epsilons)
+        if np.any(steps[:1] < 0.0) or np.any(~(steps[1:] > 0.0)):
+            raise ValidationError("eigenvalues must be strictly increasing")
+        for a in arrays:
+            a.flags.writeable = False
 
     @property
     def k_max(self) -> int:
-        return len(self.modes) - 1
+        return len(self.epsilons) - 1
 
     @property
-    def epsilons(self) -> np.ndarray:
-        return np.array([m.epsilon for m in self.modes])
+    def modes(self) -> "ModeView":
+        return ModeView(self)
+
+
+class ModeView(Sequence):
+    """Read-only sequence of the table's modes; indexing builds the `Mode`."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: SpectrumTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.epsilons)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"mode index {k} outside 0..{len(self) - 1}")
+        t = self._table
+        return Mode(
+            k=k,
+            parity=EVEN if k % 2 == 0 else ODD,
+            epsilon=float(t.epsilons[k]),
+            wavenumber=float(t.wavenumbers[k]),
+            log_norm=float(t.log_norms[k]),
+            residual=float(t.residuals[k]),
+            bracket_lo=float(t.bracket_lo[k]),
+            bracket_hi=float(t.bracket_hi[k]),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +233,63 @@ def _bracketed_root(f, df, lo, hi, rtol=1e-13):
         if a <= y <= b and abs(f(y)) <= abs(fx):
             return y
     return x
+
+
+def _bracketed_roots(f, df, lo, hi, rtol=1e-13):
+    """`_bracketed_root` on every bracket [lo[i], hi[i]] at once.
+
+    `f(x, i)` and `df(x, i)` evaluate the residuals of brackets `i` (an
+    index array) at the points `x`.  Each bracket is bisected until it
+    meets the scalar stopping rule, then takes the same guarded Newton
+    step, so the roots equal the scalar solver's.  Each bisection pass
+    evaluates f once, on the brackets still open.
+    """
+    every = np.arange(len(lo))
+    flo, fhi = f(lo, every), f(hi, every)
+    bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise BracketFailure(
+            f"no sign change on [{float(lo[i])!r}, {float(hi[i])!r}]: "
+            f"f(lo)={float(flo[i])!r}, f(hi)={float(fhi[i])!r}"
+        )
+    root = np.where(flo == 0.0, lo, hi)
+    a, b = lo.copy(), hi.copy()
+    # open brackets: index i, ends (aa, bb), residual fbb at bb
+    i = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    aa, bb, fbb = a[i], b[i], fhi[i]
+    stopped = []
+    while i.size:
+        mid = 0.5 * (aa + bb)
+        go = ((bb - aa) > rtol * np.maximum(np.abs(aa), np.abs(bb))) & (aa < mid) & (mid < bb)
+        if not go.all():
+            end = ~go
+            a[i[end]], b[i[end]] = aa[end], bb[end]
+            stopped.append(i[end])
+            i, aa, bb, fbb, mid = i[go], aa[go], bb[go], fbb[go], mid[go]
+            if not i.size:
+                break
+        fm = f(mid, i)
+        hit = fm == 0.0
+        if hit.any():
+            root[i[hit]] = mid[hit]
+            keep = ~hit
+            i, aa, bb, fbb, mid, fm = i[keep], aa[keep], bb[keep], fbb[keep], mid[keep], fm[keep]
+        right = (fm > 0.0) == (fbb > 0.0)
+        aa = np.where(right, aa, mid)
+        bb = np.where(right, mid, bb)
+        fbb = np.where(right, fm, fbb)
+    i = np.concatenate(stopped) if stopped else np.zeros(0, dtype=int)
+    ai, bi = a[i], b[i]
+    x = 0.5 * (ai + bi)
+    root[i] = x
+    fx, d = f(x, i), df(x, i)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = x - fx / d
+    inside = np.flatnonzero((d != 0.0) & np.isfinite(d) & (ai <= y) & (y <= bi))
+    keep = np.abs(f(y[inside], i[inside])) <= np.abs(fx[inside])
+    root[i[inside[keep]]] = y[inside[keep]]
+    return root
 
 
 def _sech2(x):
@@ -337,7 +442,6 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
         parity=parity,
         epsilon=eps,
         wavenumber=q if k <= 1 else p,
-        norm_const=math.exp(log_norm),
         log_norm=log_norm,
         residual=residual,
         bracket_lo=bracket_lo,
@@ -345,13 +449,59 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
     )
 
 
+def _trig_residual(p, half, s, even):
+    """Vector form of the k >= 2 residuals in `solve_mode`; `even` marks
+    the even-k entries of p."""
+    sn, cs = np.sin(half * p), np.cos(half * p)
+    return np.where(even, p * sn + s * cs, p * cs - s * sn)
+
+
+def _trig_residual_slope(p, half, s, even):
+    """d/dp of `_trig_residual`."""
+    sn, cs = np.sin(half * p), np.cos(half * p)
+    return np.where(
+        even,
+        sn + p * half * cs - s * half * sn,
+        cs - p * half * sn - s * half * cs,
+    )
+
+
 def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     """Modes 0..k_max as a validated table (k_max = 0 gives just the even
-    bound state)."""
+    bound state).
+
+    The wall pair comes from `solve_mode`; the k >= 2 roots are bisected
+    together over their bracket arrays and equal `solve_mode`'s roots.
+    """
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValidationError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    modes = tuple(solve_mode(params, k) for k in range(int(k_max) + 1))
-    return SpectrumTable(params=params, modes=modes)
+    k_max = int(k_max)
+    s, L, half = params.s, params.L, params.half
+    bound = [solve_mode(params, k) for k in range(min(k_max, 1) + 1)]
+
+    k = np.arange(2, k_max + 1)
+    even = k % 2 == 0
+    plo, phi_b = (k - 1) * math.pi / L, k * math.pi / L
+    p = _bracketed_roots(
+        lambda x, i: _trig_residual(x, half, s, even[i]),
+        lambda x, i: _trig_residual_slope(x, half, s, even[i]),
+        plo, phi_b,
+    )
+    sin_pl = np.sin(p * L) / (p * L)
+    norm = math.sqrt(2.0 / L) / np.sqrt(1.0 + np.where(even, 1.0, -1.0) * sin_pl)
+
+    def column(field, tail):
+        return np.concatenate([[getattr(m, field) for m in bound], tail])
+
+    return SpectrumTable(
+        params=params,
+        epsilons=column("epsilon", p * p),
+        wavenumbers=column("wavenumber", p),
+        log_norms=column("log_norm", np.log(norm)),
+        residuals=column("residual", norm * np.abs(_trig_residual(p, half, s, even))),
+        bracket_lo=column("bracket_lo", plo * plo),
+        bracket_hi=column("bracket_hi", phi_b * phi_b),
+    )
 
 
 def eigenfunction_eval(mode: Mode, params: BoxParams, x):
@@ -365,10 +515,11 @@ def eigenfunction_eval(mode: Mode, params: BoxParams, x):
         raise OutOfDomain(f"|x| must be <= L/2 = {params.half}")
     if mode.k >= 2:
         p = mode.wavenumber
+        norm = math.exp(mode.log_norm)
         if mode.parity == EVEN:
-            vals = mode.norm_const * np.cos(p * arr)
+            vals = norm * np.cos(p * arr)
         else:
-            vals = mode.norm_const * np.sin(p * arr)
+            vals = norm * np.sin(p * arr)
     else:
         u = mode.wavenumber * arr
         if mode.parity == EVEN:
@@ -491,8 +642,7 @@ def write_spectrum_csv(table: SpectrumTable, path, comment_lines=()) -> None:
         for line in comment_lines:
             fh.write(f"# {line}\n")
         fh.write("k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi\n")
-        for m in table.modes:
-            fh.write(
-                f"{m.k},{m.parity},{m.epsilon:.17g},{m.wavenumber:.17g},"
-                f"{m.residual:.17g},{m.bracket_lo:.17g},{m.bracket_hi:.17g}\n"
-            )
+        for k, row in enumerate(zip(table.epsilons, table.wavenumbers, table.residuals,
+                                    table.bracket_lo, table.bracket_hi)):
+            parity = EVEN if k % 2 == 0 else ODD
+            fh.write(f"{k},{parity}," + ",".join(f"{v:.17g}" for v in row) + "\n")

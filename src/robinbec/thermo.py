@@ -11,12 +11,19 @@ with mode occupations given by one of two models:
                   for the quadratic Ntil coupling since it omits them;
                   modes k >= 2 take the self-consistent shift
                   occ_k = 1/(e^{beta (eps_k - mu + lam*rt)} - 1) with
-                  rt = (1/L) sum_{k>=2} occ_k solved as a fixed point
-                  (unique: the map is strictly decreasing in rt).
+                  rt = (1/L) sum_{k>=2} occ_k self-consistent (a unique
+                  fixed point: the map is strictly decreasing in rt).
+
+The free model is the lam = 0 case of the SCF one.  Writing
+nu = mu - lam*rt makes rt(nu) = (1/L) sum_{k>=2} bose(beta (eps_k - nu))
+explicit, and both mu(nu) = nu + lam*rt(nu) and the total density
+increase with nu, so the solve needs no fixed-point iteration: one
+bracketed Brent root finds nu*, where mu reaches eps(0), and a second
+solves the density equation in log(nu* - nu), in which the density stays
+smooth as mu approaches eps(0).
 
 The k-sum is cut at k_max with a certified Gaussian-tail bound using the
-lower bracket eps_k > ((k-1) pi / L)^2.  Total density is strictly
-increasing in mu on (-inf, eps(0)), so the outer solve is a bisection.
+lower bracket eps_k > ((k-1) pi / L)^2.
 
 Condensation diagnostics:
 
@@ -41,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import NumericalFailure, ValidationError
 from .spectrum import BoxParams, SpectrumTable, bound_state_gap, build_spectrum
@@ -188,50 +196,46 @@ def suggest_k_max(box: BoxParams, beta: float, cutoff_tol: float = 1e-10) -> int
 # ----------------------------------------------------------------------
 
 def _occ_free(eps, beta, mu):
-    with np.errstate(over="ignore"):  # expm1 -> inf -> occupation 0 is the right limit
+    # expm1 -> inf -> occupation 0 is the right limit; expm1 -> 0 only at
+    # mu = eps_k, which the callers evaluate only outside the physical range
+    with np.errstate(over="ignore", divide="ignore"):
         return 1.0 / np.expm1(beta * (eps - mu))
 
-def _solve_rho_tilde(eps_exc, beta, mu, lam, L, tol=1e-12):
-    """Unique fixed point of rt -> (1/L) sum bose(beta (eps_k - mu + lam rt))."""
-    if lam == 0.0:
-        return float(_occ_free(eps_exc, beta, mu).sum() / L)
 
-    def excited_density(rt):
-        return float(_occ_free(eps_exc, beta, mu - lam * rt).sum() / L)
+def _occupations(eps, beta, nu, lam, L):
+    """(occ, rho_tilde, mu) at excited-level shift nu = mu - lam*rho_tilde.
 
-    hi = excited_density(0.0)
-    if hi == 0.0:
-        return 0.0
-    lo = 0.0
-    # G(rt) = excited_density(rt) - rt is strictly decreasing; G(0) >= 0, G(hi) <= 0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if excited_density(mid) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    The k >= 2 occupations are bose(beta (eps_k - nu)), which fixes
+    rho_tilde and then mu; the wall pair takes bose(beta (eps_k - mu)),
+    a valid occupation only while mu < eps(0).
+    """
+    occ = np.empty_like(eps)
+    occ[2:] = _occ_free(eps[2:], beta, nu)
+    rho_tilde = float(occ[2:].sum() / L)
+    mu = nu + lam * rho_tilde
+    occ[:2] = _occ_free(eps[:2], beta, mu)
+    return occ, rho_tilde, mu
 
 
-def _occupations(eps, beta, mu, lam, L, model):
-    if model == FREE:
-        occ = _occ_free(eps, beta, mu)
-        rho_tilde = float(occ[2:].sum() / L)
-    else:
-        rho_tilde = _solve_rho_tilde(eps[2:], beta, mu, lam, L)
-        occ = np.empty_like(eps)
-        occ[:2] = _occ_free(eps[:2], beta, mu)
-        occ[2:] = _occ_free(eps[2:], beta, mu - lam * rho_tilde)
-    return occ, rho_tilde
+_BRENT_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
+
+
+def _brent(f, a, b):
+    """Root of f on the sign-change bracket [a, b] to full double precision."""
+    root, info = brentq(f, a, b, xtol=1e-300, rtol=_BRENT_RTOL, full_output=True, disp=False)
+    if not info.converged:
+        raise NumericalFailure(f"root search on [{a!r}, {b!r}] did not converge: {info.flag}")
+    return root
 
 
 def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None = None) -> ThermoState:
-    """Solve the density equation for mu_L by bisection on
-    (-inf, eps(0)); total density is strictly increasing in mu there.
+    """Solve the density equation for mu_L < eps(0) with two bracketed
+    Brent roots in nu = mu - lam*rho_tilde (see the module docstring).
 
     Raises CutoffTooSmall if the certified k_max tail exceeds
     inp.cutoff_tol.  The returned state satisfies
-    |rho_tilde + rho_cond_finite - rho| < 1e-10 * rho.
+    |rho_tilde + rho_cond_finite - rho| < 1e-10 * rho, and its
+    rho_tilde is (1/L) * sum_{k>=2} occ_k.
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
@@ -240,62 +244,66 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
     if spectrum.params != inp.box or spectrum.k_max < inp.k_max:
         raise ValidationError("spectrum table does not cover the requested input")
     eps = spectrum.epsilons[: inp.k_max + 1]
-    eps0 = eps[0]
+    eps0 = float(eps[0])
     tail = certified_density_tail(inp.box, inp.beta, eps0, inp.k_max)
     if tail > inp.cutoff_tol:
         raise CutoffTooSmall(
             f"certified k_max tail {tail:.3e} exceeds cutoff_tol {inp.cutoff_tol:.3e}"
         )
 
-    beta, lam, L, rho = inp.beta, inp.lam, inp.box.L, inp.rho
+    beta, L, rho = inp.beta, inp.box.L, inp.rho
+    lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
 
-    def density(mu):
-        occ, rho_tilde = _occupations(eps, beta, mu, lam, L, model)
-        return float(occ.sum() / L), occ, rho_tilde
+    def at(nu):
+        """(total density, mu) at nu."""
+        occ, rho_tilde, mu = _occupations(eps, beta, nu, lam, L)
+        return rho_tilde + float((occ[0] + occ[1]) / L), mu
 
-    mu_hi = eps0 - 1e-15 * abs(eps0)
-    if density(mu_hi)[0] < rho:
+    # nu* = eps0 - lam*rt(nu*) lies in [eps0 - shift, eps0], shift = lam*rt(eps0)
+    shift = at(eps0)[1] - eps0 if lam > 0.0 else 0.0
+    nu_star = eps0 - shift
+    if shift > 1e-14 * abs(eps0):  # else eps0 - shift is within rounding of nu*
+        nu_star = _brent(lambda nu: at(nu)[1] - eps0, eps0 - 2.0 * shift, eps0)
+
+    # near end of the bracket: the first gap below nu* that puts mu below eps(0)
+    gap = 1e-15 * abs(nu_star)
+    for _ in range(60):
+        total, mu = at(nu_star - gap)
+        if mu < eps0:
+            break
+        gap *= 2.0
+    else:
+        raise NumericalFailure("could not place nu below the level where mu reaches eps(0)")
+    if total < rho:
         raise ValidationError(
             f"target density {rho} is not reachable below eps(0); "
             "increase caps on the density or check parameters"
         )
     step = max(1.0, abs(eps0))
-    mu_lo = eps0 - step
     for _ in range(200):
-        if density(mu_lo)[0] < rho:
+        if at(nu_star - step)[0] < rho:
             break
         step *= 2.0
-        mu_lo = eps0 - step
     else:
         raise NumericalFailure("could not bracket mu from below")
 
-    lo, hi = mu_lo, mu_hi
-    mu = 0.5 * (lo + hi)
-    for _ in range(400):
-        mu = 0.5 * (lo + hi)
-        d = density(mu)[0]
-        if abs(d - rho) <= 1e-10 * rho:
-            break
-        if d > rho:
-            hi = mu
-        else:
-            lo = mu
-        if hi - lo <= 2e-16 * max(abs(lo), abs(hi)):
-            break
-    total, occ, rho_tilde = density(mu)
-    if abs(total - rho) > 1e-10 * rho:
-        raise NumericalFailure(
-            f"density residual {abs(total - rho):.3e} above 1e-10 * rho after bisection"
-        )
-    return ThermoState(
+    t = _brent(lambda t: at(nu_star - math.exp(t))[0] - rho, math.log(gap), math.log(step))
+    occ, rho_tilde, mu = _occupations(eps, beta, nu_star - math.exp(t), lam, L)
+    state = ThermoState(
         params=inp,
         model_tag=model,
-        mu=mu,
+        mu=float(mu),
         occ=occ,
         rho_tilde=rho_tilde,
         rho_cond_finite=float((occ[0] + occ[1]) / L),
         epsilons=eps,
     )
+    if not (mu < eps0 and state.density_residual <= 1e-10 * rho):
+        raise NumericalFailure(
+            f"density residual {state.density_residual:.3e} above 1e-10 * rho "
+            f"or mu = {mu!r} not below eps(0)"
+        )
+    return state
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from robinbec.cli import main
 
 
@@ -94,12 +96,11 @@ def test_sweep_command_with_fits(tmp_path):
     assert abs(fits["critical_density"] - 0.14274846129686652) < 1e-12
 
 
-def test_sweep_rows_ordered_and_deterministic(tmp_path, monkeypatch):
+def test_sweep_rows_ordered_and_deterministic(tmp_path):
     args = ["sweep", "--sigma", "-1", "--beta", "1", "--rho", "1",
             "--L-grid", "20:80:geometric:4"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(args + ["--out", str(a), "--fit-out", str(tmp_path / "a.json")]) == 0
-    monkeypatch.setenv("ROBINBEC_THREADS", "3")
     assert run(args + ["--out", str(b), "--fit-out", str(tmp_path / "b.json")]) == 0
     assert a.read_bytes() == b.read_bytes()
     Ls = [float(r.split(",")[0]) for r in a.read_text().splitlines()
@@ -167,3 +168,43 @@ def test_config_lambda_alias(tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["params"]["lambda"] == 1.0
+
+
+def _assert_one_line_rejection(rc, capsys, *needles):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err and err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+def test_malformed_exchange_target_is_validation_error(tmp_path, capsys):
+    rc = run(["oracle", "--check", "exchange", "--sigma", "-1", "--L", "10",
+              "--beta", "1", "--mu", "-1.5", "--lambda", "1", "--target", "0",
+              "--out", str(tmp_path / "o.json")])
+    _assert_one_line_rejection(rc, capsys, "--target", "'0'")
+
+
+def test_malformed_config_value_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma": -1.0, "L": 40.0, "k_max": "abc"}))
+    rc = run(["thermo", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+    _assert_one_line_rejection(rc, capsys, "k_max", "'abc'")
+
+
+def test_unknown_config_key_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simga": -1.0, "sigma": -1.0, "L": 20.0}))
+    rc = run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    _assert_one_line_rejection(rc, capsys, "simga", "spectrum")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["sweep", "--sigma", "-1", "--L-grid", "a:800:geometric:5"], "L-grid"),
+    (["thermo", "--sigma", "-1", "--L", "20", "--config", "missing.json"], "missing.json"),
+])
+def test_malformed_grid_or_config_file_is_validation_error(tmp_path, monkeypatch, capsys,
+                                                           argv, needle):
+    monkeypatch.chdir(tmp_path)
+    rc = run(argv + ["--out", "out"])
+    _assert_one_line_rejection(rc, capsys, needle)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import robinbec.spectrum as spectrum
 from robinbec.errors import ValidationError
 from robinbec.spectrum import (
     EVEN,
     ODD,
     BoxParams,
+    BracketFailure,
     NoSecondBoundState,
     OutOfDomain,
     bound_state_corrections,
@@ -98,6 +100,66 @@ def test_build_spectrum_shapes_and_ordering():
     for m in table.modes[2:]:
         assert m.bracket_lo < m.epsilon < m.bracket_hi
         assert m.parity == (EVEN if m.k % 2 == 0 else ODD)
+
+
+# L*|sigma| from just above the odd-bound-state threshold 2 up to 12800
+REFERENCE_BOXES = [(-1.0, 2.0 + 1e-9), (-3.0, 1.0), (-0.25, 40.0), (-1.0, 40.0),
+                   (-2.5, 80.0), (-0.5, 1600.0), (-1.0, 12800.0)]
+
+
+@pytest.mark.parametrize("sigma,L", REFERENCE_BOXES)
+def test_build_spectrum_matches_scalar_solver(sigma, L):
+    params = BoxParams(sigma=sigma, L=L)
+    k_max = int(1.4 * L) + 10  # about the certified density cutoff at beta = 1
+    table = build_spectrum(params, k_max)
+    ref = [solve_mode(params, k) for k in range(k_max + 1)]
+    for name, column in [("epsilon", table.epsilons), ("wavenumber", table.wavenumbers),
+                         ("log_norm", table.log_norms), ("residual", table.residuals)]:
+        expect = np.array([getattr(m, name) for m in ref])
+        np.testing.assert_allclose(column, expect, rtol=1e-13, atol=0.0, err_msg=name)
+    np.testing.assert_array_equal(table.bracket_lo, [m.bracket_lo for m in ref])
+    np.testing.assert_array_equal(table.bracket_hi, [m.bracket_hi for m in ref])
+    assert table.modes[k_max] == ref[k_max]
+
+
+def test_build_spectrum_bisection_passes(monkeypatch):
+    # each call of the vectorised residual is one pass over the open
+    # brackets; five are not bisection passes: the two bracket ends, the
+    # Newton point, its check and the residual of the roots
+    calls = []
+    real = spectrum._trig_residual
+
+    def counted(p, *args):
+        calls.append(len(p))
+        return real(p, *args)
+
+    monkeypatch.setattr(spectrum, "_trig_residual", counted)
+    passes = []
+    for k_max in (3, 60, 17915):
+        calls.clear()
+        build_spectrum(BoxParams(sigma=-1.0, L=12800.0), k_max)
+        assert max(calls) == k_max - 1
+        passes.append(len(calls) - 5)
+    assert max(passes) <= 50
+
+
+def test_vector_bracket_without_sign_change_raises():
+    lo = np.array([0.0, 2.0, 4.0])
+    hi = np.array([2.0, 3.0, 6.0])
+    with pytest.raises(BracketFailure, match=r"\[2\.0, 3\.0\]"):
+        spectrum._bracketed_roots(lambda x, i: (x - 1.0) * (x - 5.0), lambda x, i: 2.0 * x - 6.0,
+                                  lo, hi)
+
+
+def test_mode_view_is_read_only_and_indexable():
+    table = build_spectrum(BoxParams(sigma=-1.0, L=20.0), 10)
+    assert len(table.modes) == 11
+    assert table.modes[-1] == table.modes[10] == solve_mode(table.params, 10)
+    assert [m.k for m in table.modes[8:]] == [8, 9, 10]
+    with pytest.raises(IndexError):
+        table.modes[11]
+    with pytest.raises(ValueError):
+        table.epsilons[3] = 0.0
 
 
 def test_strong_coupling_bound_states():

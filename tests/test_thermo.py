@@ -118,18 +118,49 @@ def test_solve_mu_condensing_floor():
 
 
 def test_solve_mu_monotone_density_premise():
-    # total density increases strictly in mu on (-inf, eps(0))
+    # mu(nu) = nu + lam*rho_tilde(nu) and the total density increase
+    # strictly in nu = mu - lam*rho_tilde while mu < eps(0)
     inp = _input(L=20.0)
-    spectrum = build_spectrum(inp.box, inp.k_max)
+    eps = build_spectrum(inp.box, inp.k_max).epsilons
     from robinbec.thermo import _occupations
 
-    eps = spectrum.epsilons
-    prev = -1.0
-    for mu in np.linspace(-4.0, -1.01, 15):
-        occ, _ = _occupations(eps, inp.beta, float(mu), 1.0, inp.box.L, MEAN_FIELD_SCF)
+    prev_mu, prev_total = -math.inf, -1.0
+    for nu in np.linspace(-4.0, -1.2, 15):
+        occ, _, mu = _occupations(eps, inp.beta, float(nu), 1.0, inp.box.L)
         total = float(occ.sum() / inp.box.L)
-        assert total > prev
-        prev = total
+        assert prev_mu < mu < eps[0]
+        assert total > prev_total
+        prev_mu, prev_total = mu, total
+
+
+@pytest.mark.parametrize("model,limit", [(MEAN_FIELD_SCF, 59), (FREE, 42)])
+def test_solve_mu_occupation_evaluations(monkeypatch, model, limit):
+    # counts Bose-vector evaluations over the k >= 2 modes; a nested
+    # mu x rho_tilde bisection makes ~1,960 per SCF solve, and a plain mu
+    # bisection 42 for the free model at this point
+    import robinbec.thermo as thermo
+
+    inp = _input(L=12800.0, rho=1.5 * RHO_C_BETA1_SIGMA1, lam=1.0)
+    spectrum = build_spectrum(inp.box, inp.k_max)
+    sizes = []
+    real = thermo._occ_free
+    monkeypatch.setattr(thermo, "_occ_free", lambda eps, *a: sizes.append(len(eps)) or real(eps, *a))
+    st = solve_mu(inp, model=model, spectrum=spectrum)
+    assert sum(n > 2 for n in sizes) <= limit
+    assert st.density_residual <= 1e-12 * inp.rho
+
+
+@pytest.mark.parametrize("L,lam,rho", [(10.0, 1.0, 0.6), (250.0, 1.0, 1.0), (3200.0, 0.3, 2.0),
+                                       (400.0, 2.0, 0.05)])
+def test_scf_state_is_its_own_fixed_point(L, lam, rho):
+    inp = _input(L=L, rho=rho, lam=lam)
+    st = solve_mu(inp, model=MEAN_FIELD_SCF)
+    eps, occ = st.epsilons, st.occ
+    shifted = 1.0 / np.expm1(inp.beta * (eps[2:] - st.mu + lam * st.rho_tilde))
+    np.testing.assert_allclose(occ[2:], shifted, rtol=1e-13, atol=0.0)
+    assert abs(st.rho_tilde - occ[2:].sum() / L) <= 1e-15 * st.rho_tilde
+    walls = 1.0 / np.expm1(inp.beta * (eps[:2] - st.mu))
+    np.testing.assert_array_equal(occ[:2], walls)
 
 
 def test_solve_mu_cutoff_certificate():
