@@ -350,14 +350,13 @@ def _cmd_sweep(cfg: dict) -> int:
     echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model")}
     echo["lambda"] = cfg["lam"]
     echo["L_grid"] = cfg["L_grid"]
-    write_sweep_csv(states, cfg["out"], _echo_lines("sweep", echo))
+    gaps = write_sweep_csv(states, cfg["out"], _echo_lines("sweep", echo))
 
     fits: dict = {"tool": f"robinbec {__version__}", "n_states": len(states)}
     rho_c = critical_density(float(cfg["beta"]), float(cfg["sigma"]))
     fits["critical_density"] = rho_c
     if len(states) >= 5 and float(cfg["rho"]) > rho_c:
         fits["mu_asymptotics"] = mu_asymptotics_check(states).as_dict()
-    gaps = [equal_distribution_gap(st) for st in states]
     if sum(1 for g in gaps if g > 0.0) >= 3:
         fits["gap_decay_rate"] = fit_exponential_rate(grid, gaps)
     fit_out = cfg.get("fit_out") or str(cfg["out"]) + ".fit.json"
@@ -375,9 +374,43 @@ _RUNNERS = {
 }
 
 
+def _join_negative_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """'--sigma -1e-3' -> '--sigma=-1e-3' for every float flag.
+
+    argparse (3.10 to 3.13.0 checked) reads a token that starts with '-'
+    as an option unless it is a plain negative number like -1 or -0.5, so
+    an exponent form such as -1e-3 after a space was rejected.  The joined
+    form parses the same under every version, including those whose
+    argparse accepts the spaced form.
+    """
+    float_flags = {
+        opt
+        for command in _DEFAULTS
+        for action in _flags(parser, command).values()
+        if action.type is float
+        for opt in action.option_strings
+    }
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in float_flags and tok.startswith("-") and _is_float(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_negative_values(parser, argv))
     try:
         cfg = _merge_config(args, parser)
         return _RUNNERS[args.command](cfg)

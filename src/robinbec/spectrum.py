@@ -317,15 +317,17 @@ def _logcosh_vec(u):
     return au + np.log1p(np.exp(-2.0 * au)) - _LN2
 
 
-def _logsinh_abs_vec(u):
-    au = np.abs(np.asarray(u, dtype=float))
-    out = np.empty_like(au)
-    small = au < 350.0
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(np.sinh(au[small]))
-    big = ~small
-    out[big] = au[big] - _LN2 + np.log1p(-np.exp(-2.0 * au[big]))
-    return out
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e == a*b exactly (Dekker)."""
+    def split(v):
+        t = 134217729.0 * v  # 2^27 + 1
+        hi = t - (t - v)
+        return hi, v - hi
+
+    p = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _logsinh(v):
@@ -507,8 +509,12 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
 def eigenfunction_eval(mode: Mode, params: BoxParams, x):
     """Value of the normalized eigenfunction at x (scalar or array).
 
-    Bound modes are evaluated as exp(log_norm + log cosh/sinh) so the
-    result is finite even when the cosh/sinh factor alone would overflow.
+    Bound modes are evaluated as exp(log_norm + q|x| + log((1 +- e^{-2q|x|})/2))
+    so the result is finite even when the cosh/sinh factor alone would
+    overflow.  Near the walls log_norm and q|x| are both ~q L/2 and
+    cancel, so q|x| enters as its exact two-term product: rounding it, or
+    adding log(cosh) at that magnitude, cost up to 2.2e-13 relative in
+    phi^2 at L|sigma| = 1200.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > params.half * (1.0 + 1e-12)):
@@ -521,11 +527,15 @@ def eigenfunction_eval(mode: Mode, params: BoxParams, x):
         else:
             vals = norm * np.sin(p * arr)
     else:
-        u = mode.wavenumber * arr
-        if mode.parity == EVEN:
-            vals = np.exp(mode.log_norm + _logcosh_vec(u))
-        else:
-            vals = np.sign(u) * np.exp(mode.log_norm + _logsinh_abs_vec(u))
+        u, u_err = _two_product(mode.wavenumber, np.abs(arr))
+        with np.errstate(divide="ignore"):  # log(0) at x = 0 for the odd mode
+            if mode.parity == EVEN:
+                tail = np.log1p(np.exp(-2.0 * u)) - _LN2
+            else:
+                tail = np.log(-np.expm1(-2.0 * u)) - _LN2
+        vals = np.exp((mode.log_norm + u) + (u_err + tail))
+        if mode.parity == ODD:
+            vals = np.sign(arr) * vals
     if arr.ndim == 0:
         return float(vals)
     return vals

@@ -417,8 +417,13 @@ def fit_exponential_rate(L_values, y_values) -> float:
 SWEEP_HEADER = "L,mu,eps0,eps1,occ0_per_L,occ1_per_L,rho_tilde,gap,mu_plus_sigma2_times_L"
 
 
-def write_sweep_csv(states, path, comment_lines=()) -> None:
-    """One row per solved state, ordered as given, 17 significant digits."""
+def write_sweep_csv(states, path, comment_lines=()) -> list[float]:
+    """One row per solved state, ordered as given, 17 significant digits.
+
+    Returns the `gap` column (`equal_distribution_gap` of each state), so a
+    caller that also fits it need not evaluate it again.
+    """
+    gaps = []
     with open(path, "w", newline="\n") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
@@ -426,6 +431,7 @@ def write_sweep_csv(states, path, comment_lines=()) -> None:
         for st in states:
             L = st.params.box.L
             sig2 = st.params.box.sigma ** 2
+            gaps.append(equal_distribution_gap(st))
             row = (
                 L,
                 st.mu,
@@ -434,7 +440,8 @@ def write_sweep_csv(states, path, comment_lines=()) -> None:
                 st.occ[0] / L,
                 st.occ[1] / L,
                 st.rho_tilde,
-                equal_distribution_gap(st),
+                gaps[-1],
                 (st.mu + sig2) * L,
             )
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return gaps

@@ -108,6 +108,42 @@ def test_sweep_rows_ordered_and_deterministic(tmp_path):
     assert Ls == sorted(Ls)
 
 
+def test_sweep_evaluates_each_gap_once(tmp_path, monkeypatch):
+    import robinbec.cli as cli
+    import robinbec.thermo as thermo
+
+    calls = []
+    original = thermo.equal_distribution_gap
+
+    def counted(state):
+        calls.append(state.params.box.L)
+        return original(state)
+
+    monkeypatch.setattr(thermo, "equal_distribution_gap", counted)
+    monkeypatch.setattr(cli, "equal_distribution_gap", counted)
+    rc = run(["sweep", "--sigma", "-1", "--beta", "1", "--rho", "1",
+              "--L-grid", "20:320:geometric:5", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert len(calls) == 5
+    fits = json.loads((tmp_path / "s.csv.fit.json").read_text())
+    assert "gap_decay_rate" in fits
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--L", "3000", "--k-max", "3", "--sigma", "-1e-3"],
+    ["oracle", "--check", "occupation-bound", "--sigma", "-1", "--L", "10",
+     "--beta", "1", "--lambda", "1", "--mode", "2", "--mu", "-1.5e0"],
+    ["thermo", "--sigma", "-1", "--L", "40", "--lambda", "-0e0"],
+])
+def test_negative_exponent_value_after_space(tmp_path, argv):
+    # the last flag's value is negative, in exponent form, after a space
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    spaced, eq = tmp_path / "spaced.out", tmp_path / "eq.out"
+    assert run(argv + ["--out", str(spaced)]) == 0
+    assert run(joined + ["--out", str(eq)]) == 0
+    assert spaced.read_bytes() == eq.read_bytes()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sigma": -1.0, "L": 20.0, "k_max": 4}))

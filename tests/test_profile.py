@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,14 @@ from robinbec.profile import (
     write_profile_csv,
 )
 from robinbec.spectrum import BoxParams, build_spectrum
-from robinbec.thermo import FREE, MEAN_FIELD_SCF, ThermoInput, solve_mu, suggest_k_max
+from robinbec.thermo import (
+    FREE,
+    MEAN_FIELD_SCF,
+    ThermoInput,
+    critical_density,
+    solve_mu,
+    suggest_k_max,
+)
 
 
 def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0):
@@ -128,3 +140,96 @@ def test_profile_csv(tmp_path):
     assert len(lines) == 2 + 101
     first = lines[2].split(",")
     assert float(first[0]) == -10.0
+
+
+def _longdouble_columns(table, state, x):
+    """(n_cond, n_thermal) at x as a per-mode sum in np.longdouble, from the
+    table's double wavenumbers and log norms."""
+    ld = np.longdouble
+    ax = np.abs(x).astype(ld)
+    occ = state.occ
+    n_cond = np.zeros_like(ax)
+    with np.errstate(divide="ignore"):
+        for k, sign in ((0, 1.0), (1, -1.0)):
+            u = ld(table.wavenumbers[k]) * ax
+            log_phi = ld(table.log_norms[k]) + u + np.log1p(sign * np.exp(-2 * u)) - np.log(ld(2))
+            n_cond += ld(occ[k]) * np.exp(2 * log_phi)
+    n_thermal = np.zeros_like(ax)
+    for k in range(2, len(occ)):
+        px = ld(table.wavenumbers[k]) * ax
+        phi = np.cos(px) if k % 2 == 0 else np.sin(px)
+        n_thermal += ld(occ[k]) * np.exp(2 * ld(table.log_norms[k])) * phi * phi
+    return n_cond, n_thermal
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is plain double here")
+@pytest.mark.parametrize("sigma,beta,L,grid_n", [
+    (-1.4, 1.9, 220.0, 8801),
+    (-0.55, 1.0, 800.0, 32000),
+    (-1.5, 2.0, 200.0, 8000),
+    (-1.0, 1.2, 400.0, 16001),
+    (-0.7, 1.5, 60.0, 2401),
+    (-1.5, 2.0, 800.0, 32001),  # L|sigma| = 1200: wall-pair exponents near 600
+])
+def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n):
+    # condensing boxes; at beta sigma^2 > 3 the thermal density dips ~1e3
+    # below its bulk value near 1/|sigma| from each wall
+    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
+    table = build_spectrum(st.params.box, st.params.k_max)
+    prof = density_profile(table, st, grid_n)
+    for col in (prof.n_total, prof.n_cond, prof.n_thermal):
+        assert np.array_equal(col, col[::-1])  # exact mirror symmetry
+    half = slice(grid_n // 2, None)
+    ref_cond, ref_thermal = _longdouble_columns(table, st, prof.grid[half])
+    for got, ref in ((prof.n_total, ref_cond + ref_thermal),
+                     (prof.n_cond, ref_cond),
+                     (prof.n_thermal, ref_thermal)):
+        normal = ref >= np.finfo(float).tiny  # n_cond underflows mid-box at large L|sigma|
+        rel = np.abs(got[half] - ref)[normal] / ref[normal]
+        assert float(np.max(rel)) <= 2e-13
+
+
+def test_profile_csv_matches_per_row_format(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2 * 4096 + 3  # crosses the writer's block boundaries
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(4)]
+    cols[1][:8] = [0.0, -0.0, 5e-324, 1.0 / 3.0, 1e300, -np.inf, np.nan, 0.1]
+    prof = Profile(grid=cols[0], n_total=cols[1], n_cond=cols[2], n_thermal=cols[3],
+                   weights=np.ones(1))
+    path = tmp_path / "prof.csv"
+    write_profile_csv(prof, path, comment_lines=["L = 20", "model = free"])
+    ref = "# L = 20\n# model = free\nx,n_total,n_cond,n_thermal\n" + "".join(
+        f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n" for a, b, c, d in zip(*cols)
+    )
+    assert path.read_bytes() == ref.encode()
+
+
+def test_density_profile_memory_stays_flat():
+    st = _state(L=800.0, rho=1.5 * critical_density(1.0, -0.55), sigma=-0.55)
+    table = build_spectrum(st.params.box, st.params.k_max)
+    tracemalloc.start()
+    try:
+        density_profile(table, st, 32001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20  # the four output columns alone take 1 MB
+
+
+def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "robinbec.cli", "profile", "--sigma=-1", "--L=200",
+             "--beta=1.5", "--rho=0.6", "--grid-n=8001", "--fraction=0.9",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout.replace(str(out), "OUT"), out.read_bytes()))
+    assert runs[0] == runs[1]
