@@ -156,8 +156,9 @@ class TruncationSpec:
 
     using sum_{n > M} (n+1)^d x^n <= d! (M+2)^d x^(M+1)/(1-x)^(d+1) at
     d = 3, the highest per-mode polynomial degree the built-in checks
-    report.  `tail_budget` is the sum over modes.  Hand-built observables
-    of per-mode degree > 3 can exceed the envelope.  Expectations that
+    report (`run_check` rejects higher target and moment powers).
+    `tail_budget` is the sum over modes.  Hand-built observables of
+    per-mode degree > 3 can exceed the envelope.  Expectations that
     provably do not involve a mode (wall modes cancel out of k >= 2
     sector ratios and vice versa) may use `relevant_budget` instead of
     the global sum.
@@ -548,6 +549,7 @@ def check_occupation_bound(k, spec, model):
 CHECK_NAMES = ("exchange", "wall-occupation", "moment-inequality", "occupation-bound")
 
 _FLOAT_ATOL_FACTOR = 4e-13  # rounding allowance on top of the tail budget
+_ENVELOPE_DEGREE = 3  # the per-mode polynomial degree TruncationSpec's tails cover
 
 
 def _report(check, params, lhs, rhs, residual, budget, passed):
@@ -571,6 +573,9 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
       moment-inequality:          lhs >= rhs - (budget + atol) * scale
       occupation-bound:           lhs <= rhs + (budget + atol) * scale
     A vacuous occupation bound (c_k <= 0) is reported with pass = None.
+    Exchange target powers above 3 and moment powers above 2 raise
+    ValidationError: their per-mode degree exceeds the cubic envelope of
+    the truncation tail, so the budget would not certify the residual.
     """
     base = {
         "sigma": model.box.sigma,
@@ -584,6 +589,11 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
     if name == "exchange":
         j = kwargs["j"]
         targets = tuple(kwargs["targets"])
+        if any(n > _ENVELOPE_DEGREE for _, n in targets):
+            raise ValidationError(
+                f"exchange target powers must be <= {_ENVELOPE_DEGREE}, the per-mode "
+                f"degree the truncation tail certifies; got {[n for _, n in targets]}"
+            )
         lhs, rhs = exchange_identity_sides(j, targets, spec, model)
         involved = [j] + [k for k, _ in targets]
         budget = spec.relevant_budget(involved)
@@ -602,6 +612,11 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
         return _report(name, dict(base, k=k), lhs, rhs, residual, budget, passed)
     if name == "moment-inequality":
         k, n = kwargs["k"], kwargs.get("n", 0)
+        if n + 1 > _ENVELOPE_DEGREE:
+            raise ValidationError(
+                f"moment power must be <= {_ENVELOPE_DEGREE - 1} (N_k^(n+1) within the "
+                f"per-mode degree the truncation tail certifies); got {n}"
+            )
         lhs, rhs = check_moment_log_inequality(k, n, spec, model)
         budget = spec.relevant_budget([k])
         scale = max(1.0, abs(lhs), abs(rhs))

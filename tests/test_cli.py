@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import robinbec.cli as cli
 from robinbec.cli import main
 
 
@@ -244,3 +246,123 @@ def test_malformed_grid_or_config_file_is_validation_error(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     rc = run(argv + ["--out", "out"])
     _assert_one_line_rejection(rc, capsys, needle)
+
+
+@pytest.mark.parametrize("command", [
+    ["thermo", "--L", "20"],
+    ["profile", "--L", "20", "--grid-n", "101"],
+    ["sweep", "--L-grid", "20:40:linear:3"],
+])
+@pytest.mark.parametrize("bad,needle", [
+    (["--beta", "0"], "beta must be"),
+    (["--beta=-1"], "beta must be"),
+    (["--beta", "nan"], "beta must be"),
+    (["--cutoff-tol", "0"], "cutoff_tol must be"),
+])
+def test_bad_thermo_input_rejected_before_cutoff(tmp_path, capsys, command, bad, needle):
+    # the inputs are checked before the mode-sum cutoff is certified from them
+    rc = run(command + ["--sigma", "-1"] + bad + ["--out", str(tmp_path / "o")])
+    _assert_one_line_rejection(rc, capsys, needle)
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["spectrum", "--sigma", "-1", "--L", "20", "--out", "{missing}"], "{missing}"),
+    (["oracle", "--sigma", "-1", "--L", "10", "--mu", "-1.5", "--out", "{tmp}"], "{tmp}"),
+    (["sweep", "--sigma", "-1", "--L-grid", "20:40:linear:3", "--out", "{tmp}/s.csv",
+      "--fit-out", "{missing}"], "{missing}"),
+])
+def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, bad):
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
+    rc = run([a.format(**paths) for a in argv])
+    _assert_one_line_rejection(rc, capsys, bad.format(**paths))
+
+
+@pytest.mark.parametrize("argv,needle", [
+    # an exact wall-pair identity whose N_1^8 factor the cubic tail envelope
+    # does not cover: it reported pass = false (residual 4.8e-7, allowance 2.1e-8)
+    (["oracle", "--check", "exchange", "--sigma=-1", "--L", "10", "--mu=-2",
+      "--lambda", "0.5", "--k-top", "8", "--j", "0", "--target", "1:8"], "target powers"),
+    (["oracle", "--check", "moment-inequality", "--sigma", "-1", "--L", "10",
+      "--mu", "-1.5", "--mode", "3", "--power", "3"], "moment power"),
+])
+def test_oracle_power_beyond_certified_degree_is_validation_error(tmp_path, capsys, argv,
+                                                                  needle):
+    rc = run(argv + ["--out", str(tmp_path / "o.json")])
+    _assert_one_line_rejection(rc, capsys, needle)
+
+
+def _sample(param):
+    """A value of one schema parameter: (flag arguments, config value, merged value)."""
+    if param.repeat:
+        return ["2:3", "4:1"], ["2:3", "4:1"], ["2:3", "4:1"]
+    if param.choices is not None:
+        return [param.choices[-1]], param.choices[-1], param.choices[-1]
+    value = {float: 0.375, int: 7, str: "x:y"}[param.kind]
+    return [str(value)], value, value
+
+
+@pytest.mark.parametrize("command,name", [
+    (command, name) for command, spec in cli._SCHEMA.items()
+    for name in spec.params if name != "config"
+])
+def test_config_value_merges_like_its_flag(tmp_path, command, name):
+    params = cli._SCHEMA[command].params
+    param = params[name]
+    flag = cli._flag(name, param)
+    base = []
+    for other, p in params.items():
+        if p.required and other != name:
+            base += [cli._flag(other, p), "2.5" if p.kind is float else "1:2:linear:2"]
+    values, cfg_value, merged = _sample(param)
+
+    def merge(argv):
+        return cli._merge_config(cli._parser().parse_args(argv))
+
+    from_flags = merge([command] + base + [a for v in values for a in (flag, v)])
+    assert from_flags[name] == merged
+    for key in {name, flag[2:]}:  # e.g. k_max and k-max, lam and lambda
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: cfg_value}))
+        assert merge([command, "--config", str(cfg)] + base) == from_flags
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    argv = ["oracle", "--check", "exchange", "--sigma", "-1", "--L", "10", "--mu", "-1.5",
+            "--j", "2", "--target", "3:2", "--target", "4:1", "--k-top", "6"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(argv + ["--out", str(a)]) == 0
+
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("the parser is built again")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+    assert run(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["params"]["targets"] == [[3, 2], [4, 1]]
+
+
+def _flag_table_rows():
+    """One README table row per flag: the subcommands that take it, grouped
+    by their default."""
+    uses = {}
+    for command, spec in cli._SCHEMA.items():
+        for name, param in spec.params.items():
+            if param.required:
+                default = "**required**"
+            elif param.default is None:
+                default = "unset"
+            else:
+                values = param.default if param.repeat else [param.default]
+                default = "`" + ", ".join(map(str, values)) + "`"
+            uses.setdefault(cli._flag(name, param), {}).setdefault(default, []).append(command)
+    rows = []
+    for flag, by_default in uses.items():
+        cell = "; ".join(f"{', '.join(cmds)}: {d}" for d, cmds in by_default.items())
+        rows.append(f"| `{flag}` | {cell} |")
+    return rows
+
+
+def test_readme_flag_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    table = [line for line in readme if line.startswith("| `--")]
+    assert table == _flag_table_rows()
