@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -126,6 +127,15 @@ def _write(writer, data, path, *rest):
         raise ValidationError(f"cannot write output file {path!r}: {exc.strerror}") from None
 
 
+def _check_writable(path) -> None:
+    """Fail now, as `_write` would later, if `path` cannot be opened for
+    writing.  Leaves an existing file as it was and creates none."""
+    existed = os.path.lexists(path)
+    _write(lambda _, p: open(p, "a").close(), None, path)
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_spectrum(cfg: dict) -> int:
     box = BoxParams(sigma=cfg["sigma"], L=cfg["L"])
     table = build_spectrum(box, cfg["k_max"])
@@ -177,14 +187,14 @@ def _cmd_profile(cfg: dict) -> int:
     state = _thermo_point(cfg, cfg["L"])
     table = build_spectrum(state.params.box, state.params.k_max)
     prof = density_profile(table, state, cfg["grid_n"])
+    msg = f"wrote {cfg['out']} ({len(prof.grid)} points)"
+    if cfg["fraction"] is not None:  # before the write: a rejected run leaves no file
+        d = localization_radius(prof, cfg["fraction"])
+        msg += f" localization_radius({cfg['fraction']})={d:.17g}"
     echo = {k: cfg[k] for k in ("sigma", "L", "beta", "rho", "model", "grid_n")}
     echo["lambda"] = cfg["lam"]
     echo["k_max"] = state.params.k_max
     _write(write_profile_csv, prof, cfg["out"], _echo_lines("profile", echo))
-    msg = f"wrote {cfg['out']} ({len(prof.grid)} points)"
-    if cfg["fraction"] is not None:
-        d = localization_radius(prof, cfg["fraction"])
-        msg += f" localization_radius({cfg['fraction']})={d:.17g}"
     print(msg)
     return 0
 
@@ -194,6 +204,8 @@ def _cmd_sweep(cfg: dict) -> int:
     states = [_thermo_point(cfg, L) for L in grid]
     echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model", "L_grid")}
     echo["lambda"] = cfg["lam"]
+    fit_out = cfg["fit_out"] or cfg["out"] + ".fit.json"
+    _check_writable(fit_out)  # the fits need the CSV's gap column, so it is written first
     gaps = _write(write_sweep_csv, states, cfg["out"], _echo_lines("sweep", echo))
 
     fits: dict = {"tool": f"robinbec {__version__}", "n_states": len(states)}
@@ -203,7 +215,6 @@ def _cmd_sweep(cfg: dict) -> int:
         fits["mu_asymptotics"] = mu_asymptotics_check(states).as_dict()
     if sum(1 for g in gaps if g > 0.0) >= 3:
         fits["gap_decay_rate"] = fit_exponential_rate(grid, gaps)
-    fit_out = cfg["fit_out"] or cfg["out"] + ".fit.json"
     _write(_write_json, fits, fit_out)
     print(f"wrote {cfg['out']} and {fit_out}")
     return 0

@@ -18,8 +18,20 @@ through ntil, so their sector reduces to the constrained sums
 
 built by convolving per-mode geometric weight vectors; the coupling and
 the chemical potential then act as a 1-D reweighting in ntil.  That turns
-every diagonal observable into a short exact sum at cost
-O(K * (sum caps)^2) instead of prod(caps).
+every diagonal observable into a short exact sum instead of one over
+prod(caps) configurations.
+
+Cost, with n = 1 + sum_{k>=2} caps_k the DP length: a plain mode's
+weight vector is geometric, so convolving it is a doubling window sum of
+about 2 log2(cap_k + 1) length-n `logaddexp` calls, and one pass over
+the K modes costs O(n sum_k log(cap_k + 1)) with no (cap x n) stack.
+Only a mode that carries a polynomial factor of the observable (one or
+two per observable) is convolved densely, at O(cap_k n).  The pass runs
+from k_top down to 2 and keeps the partial sums over modes k..k_top at
+every r-th k; r is the smallest spacing whose stored vectors total at
+most 2n entries (`_SUFFIX_MEMORY`).  An expectation with factors in
+modes <= k_f restarts from the nearest stored suffix above k_f, so it
+convolves at most k_f + r - 2 modes (r when k_f < 2 + r) instead of K.
 
 Occupations are capped per mode; caps are chosen so each mode's neglected
 geometric tail (at the given beta, mu; the repulsive ntil coupling only
@@ -34,10 +46,9 @@ Ntil a function of the DP index, so it costs nothing extra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericalFailure, ValidationError
 from .spectrum import BoxParams, SpectrumTable
@@ -282,12 +293,24 @@ def truncation_from_caps(
 # constrained partition sums
 # ----------------------------------------------------------------------
 
+# Stored suffix vectors of one ConstrainedZ may total at most this many
+# times len(log_z) entries; the suffix spacing is the smallest that fits.
+_SUFFIX_MEMORY = 2
+
+
 @dataclass(frozen=True, eq=False)
 class ConstrainedZ:
     """log z[ntil] for the k >= 2 sector (no mu, no coupling: pure
-    exp(-beta sum eps_k n_k) summed at fixed ntil).  z[0] = 1."""
+    exp(-beta sum eps_k n_k) summed at fixed ntil).  z[0] = 1.
+
+    `suffixes[k]` is the same sum over modes k..k_top only, kept at
+    k = 2 + r, 2 + 2r, ... with r from `_suffix_spacing`, and at k_top + 1
+    (the empty product), so an expectation with factors in low modes
+    restarts from the nearest one above them instead of from k_top.
+    """
 
     log_z: np.ndarray
+    suffixes: dict = field(default_factory=dict)
 
     @property
     def z(self) -> np.ndarray:
@@ -295,14 +318,45 @@ class ConstrainedZ:
 
 
 def _log_conv(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Log-space linear convolution; loops over the shorter operand."""
+    """Log-space linear convolution; loops over the shorter operand and
+    accumulates in place, so it needs no (len(lb) x n) stack."""
     if len(lb) > len(la):
         la, lb = lb, la
-    n = len(la) + len(lb) - 1
-    stack = np.full((len(lb), n), -np.inf)
-    for j in range(len(lb)):
-        stack[j, j : j + len(la)] = lb[j] + la
-    return logsumexp(stack, axis=0)
+    out = np.full(len(la) + len(lb) - 1, -np.inf)
+    for j, lb_j in enumerate(lb):
+        seg = out[j : j + len(la)]
+        np.logaddexp(seg, lb_j + la, out=seg)
+    return out
+
+
+def _log_geometric_conv(la: np.ndarray, logx: float, cap: int) -> np.ndarray:
+    """`la` convolved with the geometric log-vector n * logx, n = 0..cap.
+
+    The window sums G_w[n] = log sum_{j<w} exp(j logx + la[n-j]), of
+    length len(la) + w - 1, double as G_2w[n] = logaddexp(G_w[n], w logx
+    + G_w[n-w]) and grow by one as G_{w+1}[n] = logaddexp(la[n], logx +
+    G_w[n-1]).  Walking the binary digits of cap + 1 from the top reaches
+    G_{cap+1} in at most 2 log2(cap + 1) length-n logaddexp calls; every
+    term is positive, so nothing cancels.
+    """
+    m = len(la)
+    g, w = la, 1
+    for bit in bin(cap + 1)[3:]:
+        n = len(g)  # n = m + w - 1 >= w
+        moved = w * logx + g
+        out = np.empty(n + w)
+        out[:w] = g[:w]
+        np.logaddexp(g[w:], moved[: n - w], out=out[w:n])
+        out[n:] = moved[n - w :]
+        g, w = out, 2 * w
+        if bit == "1":
+            moved = logx + g
+            out = np.empty(len(g) + 1)
+            out[0] = la[0]
+            np.logaddexp(la[1:], moved[: m - 1], out=out[1:m])
+            out[m:] = moved[m - 1 :]
+            g, w = out, w + 1
+    return g
 
 
 def _poly_on_range(coeffs, n: np.ndarray) -> np.ndarray:
@@ -313,23 +367,65 @@ def _poly_on_range(coeffs, n: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _excited_log_vectors(spec: TruncationSpec, model: ModelParams, factored=None):
+def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """log(sum(b * exp(a))) for weights b >= 0 (all 1 if omitted).
+
+    The shift is the largest `a` among the terms with b > 0, so a term
+    that carries no weight cannot set it; -inf when no term counts.
+    """
+    if b is not None:
+        keep = b > 0.0
+        a, b = a[keep], b[keep]
+    if a.size == 0:
+        return -math.inf
+    top = float(a.max())
+    if top == -math.inf:
+        return top
+    terms = np.exp(a - top)
+    if b is not None:
+        terms *= b
+    return top + math.log(terms.sum())
+
+
+def _suffix_spacing(caps) -> int:
+    """Smallest r such that the suffixes at k = 2 + r, 2 + 2r, ... <= k_top
+    total at most _SUFFIX_MEMORY * len(log_z) entries."""
+    lengths = np.cumsum([1] + list(caps[:1:-1]))[::-1]  # len(S_k) at k = 2..k_top+1
+    budget = _SUFFIX_MEMORY * lengths[0]
+    r = 1
+    while lengths[r:-1:r].sum() > budget:
+        r += 1
+    return r
+
+
+def _convolve_modes(log_z, spec, model, modes, factored):
+    """Convolve `log_z` with the weight vector of each mode in `modes`:
+    geometric unless `factored` gives the mode a polynomial factor."""
     eps = spec.table.epsilons
-    for k in range(2, len(spec.caps)):
-        n = np.arange(spec.caps[k] + 1)
-        logv = -model.beta * eps[k] * n
-        if factored and k in factored:
+    for k in modes:
+        logx = -model.beta * eps[k]
+        if k in factored:
+            n = np.arange(spec.caps[k] + 1)
             with np.errstate(divide="ignore"):
-                logv = logv + np.log(_poly_on_range(factored[k], n))
-        yield logv
+                logv = logx * n + np.log(_poly_on_range(factored[k], n))
+            log_z = _log_conv(log_z, logv)
+        else:
+            log_z = _log_geometric_conv(log_z, logx, spec.caps[k])
+    return log_z
 
 
 def constrained_partition(spec: TruncationSpec, model: ModelParams) -> ConstrainedZ:
-    """z[ntil] by convolving the per-mode geometric weight vectors."""
+    """z[ntil] by convolving the per-mode geometric weight vectors, from
+    k_top down to 2, keeping every `_suffix_spacing`-th partial result."""
+    r = _suffix_spacing(spec.caps)
+    eps = spec.table.epsilons
     log_z = np.zeros(1)
-    for logv in _excited_log_vectors(spec, model):
-        log_z = _log_conv(log_z, logv)
-    return ConstrainedZ(log_z=log_z)
+    suffixes = {spec.k_top + 1: log_z}
+    for k in range(spec.k_top, 1, -1):
+        log_z = _log_geometric_conv(log_z, -model.beta * eps[k], spec.caps[k])
+        if k > 2 and (k - 2) % r == 0:
+            suffixes[k] = log_z
+    return ConstrainedZ(log_z=log_z, suffixes=suffixes)
 
 
 def _log_coupling_weight(model: ModelParams, ntil: np.ndarray) -> np.ndarray:
@@ -340,11 +436,8 @@ def _wall_mode_ratio(spec: TruncationSpec, model: ModelParams, k: int, poly) -> 
     eps_k = float(spec.table.epsilons[k])
     n = np.arange(spec.caps[k] + 1)
     logw = -model.beta * (eps_k - model.mu) * n
-    f = _poly_on_range(poly, n)
-    if not np.any(f > 0.0):
-        return 0.0
-    num = logsumexp(logw, b=f)
-    den = logsumexp(logw)
+    num = _logsumexp(logw, _poly_on_range(poly, n))
+    den = _logsumexp(logw)
     return math.exp(num - den)
 
 
@@ -357,8 +450,9 @@ def grand_expectation(
     """Exact capped-space expectation of a diagonal observable.
 
     Wall-mode factors reduce to independent 1-D geometric sums; k >= 2
-    factors enter through a reweighted constrained partition sum.  A
-    precomputed `z` (for this spec and model) may be shared across calls.
+    factors enter through a reweighted constrained partition sum, rebuilt
+    from the nearest stored suffix of `z` above the highest factored mode.
+    A precomputed `z` (for this spec and model) may be shared across calls.
     """
     if spec.table.params != model.box:
         raise ValidationError("truncation table and model box must match")
@@ -379,20 +473,17 @@ def grand_expectation(
         return wall  # excited-sector ratio is exactly 1
     ntil = np.arange(len(z.log_z), dtype=float)
     logG = _log_coupling_weight(model, ntil)
-    log_den = logsumexp(z.log_z + logG)
+    log_den = _logsumexp(z.log_z + logG)
     if factored:
-        log_z_mod = np.zeros(1)
-        for logv in _excited_log_vectors(spec, model, factored):
-            log_z_mod = _log_conv(log_z_mod, logv)
+        start = min((k for k in z.suffixes if k > max(factored)), default=spec.k_top + 1)
+        log_z_mod = z.suffixes.get(start, np.zeros(1))
+        log_z_mod = _convolve_modes(log_z_mod, spec, model, range(start - 1, 1, -1), factored)
     else:
         log_z_mod = z.log_z
     if obs.ntilde_poly is not None:
-        b = _poly_on_range(obs.ntilde_poly, ntil)
-        if not np.any(b > 0.0):
-            return 0.0
-        log_num = logsumexp(log_z_mod + logG, b=b)
+        log_num = _logsumexp(log_z_mod + logG, _poly_on_range(obs.ntilde_poly, ntil))
     else:
-        log_num = logsumexp(log_z_mod + logG)
+        log_num = _logsumexp(log_z_mod + logG)
     if log_num == -np.inf:
         return 0.0
     return wall * math.exp(log_num - log_den)

@@ -278,6 +278,28 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, bad):
 
 
 @pytest.mark.parametrize("argv,needle", [
+    (["profile", "--sigma", "-1", "--L", "20", "--fraction", "0", "--out", "{tmp}/fr.csv"],
+     "fraction must be"),
+    (["sweep", "--sigma", "-1", "--L-grid", "20:40:linear:3", "--out", "{tmp}/s.csv",
+      "--fit-out", "{missing}"], "{missing}"),
+    (["sweep", "--sigma", "-1", "--L-grid", "20:40:linear:3", "--out", "{missing}",
+      "--fit-out", "{tmp}/f.json"], "{missing}"),
+])
+def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
+    rc = run([a.format(**paths) for a in argv])
+    _assert_one_line_rejection(rc, capsys, needle.format(**paths))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writability_check_keeps_an_existing_file(tmp_path):
+    kept = tmp_path / "f.json"
+    kept.write_text("old\n")
+    cli._check_writable(str(kept))
+    assert kept.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("argv,needle", [
     # an exact wall-pair identity whose N_1^8 factor the cubic tail envelope
     # does not cover: it reported pass = false (residual 4.8e-7, allowance 2.1e-8)
     (["oracle", "--check", "exchange", "--sigma=-1", "--L", "10", "--mu=-2",

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers_bruteforce import enum_constrained_z, enum_expectation, enum_expectation_split
 
+import robinbec.gibbs_oracle as gibbs_oracle
 from robinbec.errors import ValidationError
 from robinbec.gibbs_oracle import (
     BadMode,
     CapOverflow,
+    ConstrainedZ,
     DiagonalObservable,
     IndexClash,
     ModelParams,
@@ -109,6 +112,114 @@ def test_mismatched_precomputed_z_rejected():
     other = truncation_from_caps(table, model, (3, 3, 5, 5))
     with pytest.raises(ValidationError):
         grand_expectation(DiagonalObservable.mode_number(2), other, model, z=z)
+
+
+# ----------------------------------------------------------------------
+# DP kernels and suffix reuse
+# ----------------------------------------------------------------------
+
+# Largest relative change of a finite log entry, windowed against dense,
+# measured on the grid below: 1.8e-15 (log values from -5e4 to 5).
+KERNEL_RTOL = 4e-15
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 300])
+def test_windowed_geometric_kernel_matches_dense_conv(length):
+    rng = np.random.default_rng(length)
+    widths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 1023, 1024, 1025]
+    for width in widths:
+        for logx in (-50.0, -7.3, -1.0, -0.1, -1e-3):
+            la = rng.uniform(-40.0, 5.0, length)
+            if length > 2:  # -inf at the start, inside and (length 300) at the end
+                la[rng.integers(0, length, length // 5)] = -np.inf
+                la[0] = -np.inf
+            if length > 100:
+                la[-1] = -np.inf
+            got = gibbs_oracle._log_geometric_conv(la, logx, width - 1)
+            ref = gibbs_oracle._log_conv(la, logx * np.arange(width))
+            assert got.shape == ref.shape == (length + width - 1,)
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(got), finite)
+            err = np.abs(got[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+            assert np.all(err <= KERNEL_RTOL), (width, logx, err.max())
+
+
+def test_logsumexp_ignores_weightless_terms():
+    a = np.array([np.inf, 1e308, 0.0, 1.0])
+    b = np.array([0.0, 0.0, 1.0, 2.0])
+    assert math.isclose(gibbs_oracle._logsumexp(a, b), math.log(1.0 + 2.0 * math.e), rel_tol=1e-15)
+    assert gibbs_oracle._logsumexp(a, np.zeros(4)) == -math.inf
+    assert gibbs_oracle._logsumexp(np.full(3, -np.inf)) == -math.inf
+
+
+def _bench_like_setup():
+    # an oracle-checks sized truncation: 79 excited modes, 54 with cap 1 (r = 8)
+    return _setup(sigma=-1.2, L=25.0, beta=1.5, mu=-1.6, lam=0.7, k_top=80)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    for name in ("_log_conv", "_log_geometric_conv"):
+        fn = getattr(gibbs_oracle, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(gibbs_oracle, name, counted)
+    return calls
+
+
+def test_factored_expectation_convolves_at_most_r_modes(monkeypatch):
+    _, model, spec = _bench_like_setup()
+    r = gibbs_oracle._suffix_spacing(spec.caps)
+    assert 1 < r < spec.k_top - 1
+    z = constrained_partition(spec, model)
+    calls = _count_kernel_calls(monkeypatch)
+    for k in range(2, 2 + r):
+        calls.clear()
+        grand_expectation(DiagonalObservable.mode_number(k, 2), spec, model, z=z)
+        assert len(calls) == r and calls.count("_log_conv") == 1
+    calls.clear()
+    grand_expectation(DiagonalObservable.mode_number(spec.k_top), spec, model, z=z)
+    assert len(calls) == spec.k_top - 1  # no suffix above k_top: a full pass
+
+
+def test_suffix_restart_equals_a_from_scratch_pass():
+    _, model, spec = _bench_like_setup()
+    z = constrained_partition(spec, model)
+    scratch = ConstrainedZ(log_z=z.log_z)  # no suffixes: convolve from k_top
+    observables = [
+        DiagonalObservable.mode_number(2),
+        DiagonalObservable.mode_number(9, 2),
+        DiagonalObservable(factors=((3, number_poly(1)), (7, shifted_number_poly(2)))),
+        DiagonalObservable(factors=((0, number_poly(1)), (40, number_poly(3))),
+                           ntilde_poly=(0.0, 1.0)),
+        DiagonalObservable(factors=((spec.k_top - 1, number_poly(1)),)),
+    ]
+    for obs in observables:
+        fast = grand_expectation(obs, spec, model, z=z)
+        slow = grand_expectation(obs, spec, model, z=scratch)
+        assert abs(fast - slow) <= 4 * math.ulp(slow)
+
+
+def test_stored_suffixes_stay_within_the_memory_bound():
+    # dp_len ~ 48k: a dense (cap x n) stack for mode 2 alone would take 0.9 GB
+    table, model, _ = _setup(k_top=40)
+    caps = [1, 1] + [max(1, 2500 - 60 * k) for k in range(2, 41)]
+    spec = truncation_from_caps(table, model, caps)
+    entry = 8 * (sum(caps[2:]) + 1)  # bytes of one length-n float64 vector
+    tracemalloc.start()
+    try:
+        z = constrained_partition(spec, model)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = sum(v.nbytes for k, v in z.suffixes.items() if k <= spec.k_top)
+    assert 0 < stored <= gibbs_oracle._SUFFIX_MEMORY * entry
+    assert retained <= (1 + gibbs_oracle._SUFFIX_MEMORY) * entry + 65536
+    # working set: the input, the window sum, its shifted copy and the output
+    assert peak <= (4 + gibbs_oracle._SUFFIX_MEMORY) * entry + 65536
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,41 @@ def test_bound_state_asymptotic_rates():
         assert rate_gap >= 0.95 * s
 
 
+def _mp_bound_pair(sigma, L, extra_digits):
+    """(gap, |eps0 + sigma^2|, |eps1 + sigma^2|) from the bound-state
+    conditions q tanh(qL/2) = s and q coth(qL/2) = s, solved in mpmath
+    with L s / ln 10 digits more than `extra_digits`: the differences of
+    the two roots from s (and from each other) are ~e^{-L s}, so that many
+    digits cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(int(-sigma * L / math.log(10.0)) + extra_digits):
+        s, L = mpmath.mpf(-sigma), mpmath.mpf(L)
+        q0 = mpmath.findroot(lambda q: q * mpmath.tanh(q * L / 2) - s, s)
+        q1 = mpmath.findroot(lambda q: q * mpmath.coth(q * L / 2) - s, s)
+        return q0**2 - q1**2, q0**2 - s**2, s**2 - q1**2
+
+
+@pytest.mark.parametrize("sigma,L", [
+    (-1.0, 2.5), (-1.0, 3.9), (-1.0, 4.0), (-0.5, 12.0), (-1.5, 20.0), (-1.0, 60.0),
+    (-2.0, 100.0), (-1.0, 300.0), (-1.5, 400.0), (-2.0, 350.0), (-0.7, 1000.0),
+])
+def test_bound_pair_matches_mpmath_reference(sigma, L):
+    # L|sigma| from 2.5 (direct root subtraction) to 700 (gap ~ 1e-304)
+    mpmath = pytest.importorskip("mpmath")
+    ref = _mp_bound_pair(sigma, L, 60)
+    check = _mp_bound_pair(sigma, L, 40)
+    with mpmath.workdps(40):  # the reference keeps >= 30 digits
+        for r, c in zip(ref, check):
+            assert abs(r - c) <= mpmath.mpf("1e-30") * r
+    params = BoxParams(sigma=sigma, L=L)
+    got = (bound_state_gap(params), *bound_state_offsets(params))
+    # the log-space fixed point carries a relative error ~ L s eps from
+    # rounding its exponent -(s +- d) L (measured: 5.5e-14 at L s = 600)
+    tol = 1e-14 + -sigma * L * 2.3e-16
+    for g, r in zip(got, ref):
+        assert abs(g - float(r)) <= tol * float(r)
+
+
 def test_fd_neumann_sanity():
     # sigma = 0 reproduces the discrete Neumann values (4/h^2) sin^2(k pi h / 2L)
     L, n = 10.0, 101
