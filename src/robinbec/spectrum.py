@@ -19,13 +19,28 @@ conditions
     k >= 2 even:    p*sin(p*L/2) + s*cos(p*L/2) = 0,  eps = +p^2,
     k >= 2 odd:     p*cos(p*L/2) - s*sin(p*L/2) = 0,  eps = +p^2.
 
-The trig residuals are pole-free on the certified brackets above, so each
-root is found by bisection to 1e-13 relative width plus one guarded
-Newton step.  `build_spectrum` bisects all k >= 2 brackets at once as
-numpy arrays, with the per-bracket stopping rule of the scalar solver
-`solve_mode`, so both give the same roots.  The bound-state brackets are
-[s, s/tanh(s*L/2)] for k = 0 and (delta, s] for k = 1 with delta shrunk
-until the residual goes negative.
+For k >= 2 both trig conditions reduce to one phase equation on the same
+bracket ((k-1)*pi/L, k*pi/L):
+
+    g_k(p) = p*L + 2*arctan(s/p) - k*pi = 0.
+
+g is increasing and convex there, for every k >= 2 and any L*s:
+g'' = 4*s*p/(p^2 + s^2)^2 > 0, and g' = L - 2*s/(p^2 + s^2) > 0 because
+p > pi/L gives p^2 + s^2 - 2*s/L >= (s - 1/L)^2 + (pi^2 - 1)/L^2 > 0.  The
+bracket ends certify a sign change, g = 2*arctan(s/p) - pi < 0 at the lower
+end and g = 2*arctan(s/p) > 0 at the upper one, so Newton started at
+p = k*pi/L falls monotonically onto the root and never leaves the bracket.
+`build_spectrum` and `solve_mode` run this iteration on numpy arrays of k
+through one helper (3 to 5 passes from L*s = 0.1 to 12800), so the table
+and the scalar solver agree bit for bit.  Each root is checked to lie
+strictly inside its bracket, and its residual is taken from the raw trig
+condition above, an independent check on the phase form.  The root sits
+about 2*s/(p*L) below k*pi/L; when that is under an ulp of p
+(s < ~1e-16*p^2*L, so k > ~4e7 once L*s > 2) the root rounds onto the
+bracket end and raises BracketFailure.  The wall pair is
+bisected to 1e-13 relative width plus one guarded Newton step, on the
+brackets [s, s/tanh(s*L/2)] for k = 0 and (delta, s] for k = 1 with delta
+shrunk until the residual goes negative.
 
 Eigenfunctions are cosh/sinh (bound) or cos/sin (scattering-like)
 profiles with L2 normalization
@@ -60,6 +75,10 @@ EVEN = "even"
 ODD = "odd"
 
 _LN2 = math.log(2.0)
+# Newton passes allowed per k >= 2 root (3 to 5 are needed, the last one
+# confirming a step of at most _STEP_ULPS units in the last place)
+_NEWTON_PASSES = 8
+_STEP_ULPS = 4.0
 
 
 class OutOfDomain(ValidationError):
@@ -235,61 +254,80 @@ def _bracketed_root(f, df, lo, hi, rtol=1e-13):
     return x
 
 
-def _bracketed_roots(f, df, lo, hi, rtol=1e-13):
-    """`_bracketed_root` on every bracket [lo[i], hi[i]] at once.
+def _phase(p, L, s, kpi):
+    """g_k(p) = p*L + 2*arctan(s/p) - k*pi and its slope L - 2*s/(p^2 + s^2);
+    `kpi` holds k*pi for each entry of p."""
+    return (p * L - kpi) + 2.0 * np.arctan(s / p), L - 2.0 * s / (p * p + s * s)
 
-    `f(x, i)` and `df(x, i)` evaluate the residuals of brackets `i` (an
-    index array) at the points `x`.  Each bracket is bisected until it
-    meets the scalar stopping rule, then takes the same guarded Newton
-    step, so the roots equal the scalar solver's.  Each bisection pass
-    evaluates f once, on the brackets still open.
+
+def _phase_roots(k, L, s, lo, hi):
+    """Roots of g_k on the brackets (lo, hi) = ((k-1)*pi/L, k*pi/L) for the
+    integer array k >= 2.
+
+    Newton from the upper bracket end on every root at once; a root is
+    frozen once its step is at most _STEP_ULPS ulp, so each root depends
+    on its own k only and a length-1 call reproduces a table entry bit for
+    bit.  Raises BracketFailure if g does not change sign across a
+    bracket or a root ends outside it, NumericalFailure after
+    _NEWTON_PASSES passes.
     """
-    every = np.arange(len(lo))
-    flo, fhi = f(lo, every), f(hi, every)
-    bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0)))
+    kpi = k * math.pi
+    g_lo, _ = _phase(lo, L, s, kpi)
+    g, slope = _phase(hi, L, s, kpi)
+    bad = np.flatnonzero(~((g_lo < 0.0) & (g > 0.0)))
     if bad.size:
         i = bad[0]
         raise BracketFailure(
             f"no sign change on [{float(lo[i])!r}, {float(hi[i])!r}]: "
-            f"f(lo)={float(flo[i])!r}, f(hi)={float(fhi[i])!r}"
+            f"g(lo)={float(g_lo[i])!r}, g(hi)={float(g[i])!r}"
         )
-    root = np.where(flo == 0.0, lo, hi)
-    a, b = lo.copy(), hi.copy()
-    # open brackets: index i, ends (aa, bb), residual fbb at bb
-    i = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    aa, bb, fbb = a[i], b[i], fhi[i]
-    stopped = []
-    while i.size:
-        mid = 0.5 * (aa + bb)
-        go = ((bb - aa) > rtol * np.maximum(np.abs(aa), np.abs(bb))) & (aa < mid) & (mid < bb)
-        if not go.all():
-            end = ~go
-            a[i[end]], b[i[end]] = aa[end], bb[end]
-            stopped.append(i[end])
-            i, aa, bb, fbb, mid = i[go], aa[go], bb[go], fbb[go], mid[go]
-            if not i.size:
-                break
-        fm = f(mid, i)
-        hit = fm == 0.0
-        if hit.any():
-            root[i[hit]] = mid[hit]
-            keep = ~hit
-            i, aa, bb, fbb, mid, fm = i[keep], aa[keep], bb[keep], fbb[keep], mid[keep], fm[keep]
-        right = (fm > 0.0) == (fbb > 0.0)
-        aa = np.where(right, aa, mid)
-        bb = np.where(right, mid, bb)
-        fbb = np.where(right, fm, fbb)
-    i = np.concatenate(stopped) if stopped else np.zeros(0, dtype=int)
-    ai, bi = a[i], b[i]
-    x = 0.5 * (ai + bi)
-    root[i] = x
-    fx, d = f(x, i), df(x, i)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = x - fx / d
-    inside = np.flatnonzero((d != 0.0) & np.isfinite(d) & (ai <= y) & (y <= bi))
-    keep = np.abs(f(y[inside], i[inside])) <= np.abs(fx[inside])
-    root[i[inside[keep]]] = y[inside[keep]]
-    return root
+    p = hi.copy()
+    done = np.zeros(len(k), dtype=bool)
+    for _ in range(_NEWTON_PASSES):
+        step = np.where(done, 0.0, g / slope)
+        p -= step
+        done |= np.abs(step) <= _STEP_ULPS * np.spacing(p)
+        if done.all():
+            break
+        g, slope = _phase(p, L, s, kpi)
+    else:
+        todo = np.flatnonzero(~done)
+        raise NumericalFailure(
+            f"phase Newton left {todo.size} of {len(k)} roots unconverged after "
+            f"{_NEWTON_PASSES} passes, first k = {int(k[todo[0]])}"
+        )
+    bad = np.flatnonzero(~((lo < p) & (p < hi)))
+    if bad.size:
+        i = bad[0]
+        raise BracketFailure(
+            f"root {float(p[i])!r} of k = {int(k[i])} outside ({float(lo[i])!r}, {float(hi[i])!r})"
+        )
+    return p
+
+
+def _trig_residual(p, half, s, even):
+    """The k >= 2 trig conditions of the module docstring as arrays; `even`
+    marks the even-k entries of p."""
+    sn, cs = np.sin(half * p), np.cos(half * p)
+    return np.where(even, p * sn + s * cs, p * cs - s * sn)
+
+
+def _ladder(params: BoxParams, k):
+    """`Mode` fields of the k >= 2 modes as arrays over the integer array k."""
+    s, L = params.s, params.L
+    even = k % 2 == 0
+    lo, hi = (k - 1) * math.pi / L, k * math.pi / L
+    p = _phase_roots(k, L, s, lo, hi)
+    sin_pl = np.sin(p * L) / (p * L)
+    norm = math.sqrt(2.0 / L) / np.sqrt(1.0 + np.where(even, 1.0, -1.0) * sin_pl)
+    return {
+        "epsilon": p * p,
+        "wavenumber": p,
+        "log_norm": np.log(norm),
+        "residual": norm * np.abs(_trig_residual(p, params.half, s, even)),
+        "bracket_lo": lo * lo,
+        "bracket_hi": hi * hi,
+    }
 
 
 def _sech2(x):
@@ -366,12 +404,19 @@ def _bound_log_norm(parity, q, L):
 def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
     """Solve one eigenpair; see the module docstring for the equations.
 
-    Raises NoSecondBoundState for k = 1 when L*|sigma| <= 2 and
-    BracketFailure if a certified bracket fails its sign-change check.
+    The wall pair (k = 0, 1) is bisected to relative width `rtol`; a
+    k >= 2 mode is the length-1 case of `build_spectrum`'s phase Newton
+    iteration and equals the table's mode k exactly.  Raises
+    NoSecondBoundState for k = 1 when L*|sigma| <= 2 and BracketFailure if
+    a certified bracket fails its sign-change check.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValidationError(f"mode index must be a nonnegative integer, got {k!r}")
     k = int(k)
+    if k >= 2:
+        fields = _ladder(params, np.array([k]))
+        return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD,
+                    **{name: float(column[0]) for name, column in fields.items()})
     s, L, half = params.s, params.L, params.half
 
     if k == 0:
@@ -388,7 +433,7 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
         phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
         residual = abs(phi_wall * f(q))
         bracket_lo, bracket_hi = -hi * hi, -lo * lo
-    elif k == 1:
+    else:
         if not params.has_second_bound_state():
             raise NoSecondBoundState(
                 f"odd bound state needs L*|sigma| > 2, got {L * s}"
@@ -414,36 +459,12 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
         phi_wall = math.exp(log_norm + _logsinh(q * half))
         residual = abs(phi_wall * g(q))
         bracket_lo, bracket_hi = -hi * hi, -lo * lo
-    else:
-        if k % 2 == 0:
-            def r(p):
-                return p * math.sin(half * p) + s * math.cos(half * p)
-
-            def dr(p):
-                return math.sin(half * p) + p * half * math.cos(half * p) - s * half * math.sin(half * p)
-        else:
-            def r(p):
-                return p * math.cos(half * p) - s * math.sin(half * p)
-
-            def dr(p):
-                return math.cos(half * p) - p * half * math.sin(half * p) - s * half * math.cos(half * p)
-
-        plo, phi_b = (k - 1) * math.pi / L, k * math.pi / L
-        p = _bracketed_root(r, dr, plo, phi_b, rtol)
-        parity, eps = (EVEN if k % 2 == 0 else ODD), p * p
-        q = p
-        sin_pl = math.sin(p * L) / (p * L)
-        sign = 1.0 if parity == EVEN else -1.0
-        norm = math.sqrt(2.0 / L) / math.sqrt(1.0 + sign * sin_pl)
-        log_norm = math.log(norm)
-        residual = norm * abs(r(p))
-        bracket_lo, bracket_hi = plo * plo, phi_b * phi_b
 
     return Mode(
         k=k,
         parity=parity,
         epsilon=eps,
-        wavenumber=q if k <= 1 else p,
+        wavenumber=q,
         log_norm=log_norm,
         residual=residual,
         bracket_lo=bracket_lo,
@@ -451,58 +472,30 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
     )
 
 
-def _trig_residual(p, half, s, even):
-    """Vector form of the k >= 2 residuals in `solve_mode`; `even` marks
-    the even-k entries of p."""
-    sn, cs = np.sin(half * p), np.cos(half * p)
-    return np.where(even, p * sn + s * cs, p * cs - s * sn)
-
-
-def _trig_residual_slope(p, half, s, even):
-    """d/dp of `_trig_residual`."""
-    sn, cs = np.sin(half * p), np.cos(half * p)
-    return np.where(
-        even,
-        sn + p * half * cs - s * half * sn,
-        cs - p * half * sn - s * half * cs,
-    )
-
-
 def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     """Modes 0..k_max as a validated table (k_max = 0 gives just the even
     bound state).
 
-    The wall pair comes from `solve_mode`; the k >= 2 roots are bisected
-    together over their bracket arrays and equal `solve_mode`'s roots.
+    The wall pair comes from `solve_mode`; the k >= 2 modes come from one
+    phase Newton iteration over all of them (see the module docstring).
     """
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValidationError(f"k_max must be a nonnegative integer, got {k_max!r}")
     k_max = int(k_max)
-    s, L, half = params.s, params.L, params.half
     bound = [solve_mode(params, k) for k in range(min(k_max, 1) + 1)]
+    ladder = _ladder(params, np.arange(2, k_max + 1))
 
-    k = np.arange(2, k_max + 1)
-    even = k % 2 == 0
-    plo, phi_b = (k - 1) * math.pi / L, k * math.pi / L
-    p = _bracketed_roots(
-        lambda x, i: _trig_residual(x, half, s, even[i]),
-        lambda x, i: _trig_residual_slope(x, half, s, even[i]),
-        plo, phi_b,
-    )
-    sin_pl = np.sin(p * L) / (p * L)
-    norm = math.sqrt(2.0 / L) / np.sqrt(1.0 + np.where(even, 1.0, -1.0) * sin_pl)
-
-    def column(field, tail):
-        return np.concatenate([[getattr(m, field) for m in bound], tail])
+    def column(field):
+        return np.concatenate([[getattr(m, field) for m in bound], ladder[field]])
 
     return SpectrumTable(
         params=params,
-        epsilons=column("epsilon", p * p),
-        wavenumbers=column("wavenumber", p),
-        log_norms=column("log_norm", np.log(norm)),
-        residuals=column("residual", norm * np.abs(_trig_residual(p, half, s, even))),
-        bracket_lo=column("bracket_lo", plo * plo),
-        bracket_hi=column("bracket_hi", phi_b * phi_b),
+        epsilons=column("epsilon"),
+        wavenumbers=column("wavenumber"),
+        log_norms=column("log_norm"),
+        residuals=column("residual"),
+        bracket_lo=column("bracket_lo"),
+        bracket_hi=column("bracket_hi"),
     )
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from helpers_bisection import bisection_ladder, bracketed_roots
 from scipy.integrate import quad
 
 import robinbec.spectrum as spectrum
-from robinbec.errors import ValidationError
+from robinbec.errors import NumericalFailure, ValidationError
 from robinbec.spectrum import (
     EVEN,
     ODD,
@@ -107,48 +108,147 @@ REFERENCE_BOXES = [(-1.0, 2.0 + 1e-9), (-3.0, 1.0), (-0.25, 40.0), (-1.0, 40.0),
                    (-2.5, 80.0), (-0.5, 1600.0), (-1.0, 12800.0)]
 
 
+def _reference_k_max(L):
+    return int(1.4 * L) + 10  # about the certified density cutoff at beta = 1
+
+
 @pytest.mark.parametrize("sigma,L", REFERENCE_BOXES)
 def test_build_spectrum_matches_scalar_solver(sigma, L):
+    # table and scalar solver share one code path, so every column is equal
     params = BoxParams(sigma=sigma, L=L)
-    k_max = int(1.4 * L) + 10  # about the certified density cutoff at beta = 1
+    k_max = _reference_k_max(L)
     table = build_spectrum(params, k_max)
     ref = [solve_mode(params, k) for k in range(k_max + 1)]
     for name, column in [("epsilon", table.epsilons), ("wavenumber", table.wavenumbers),
-                         ("log_norm", table.log_norms), ("residual", table.residuals)]:
-        expect = np.array([getattr(m, name) for m in ref])
-        np.testing.assert_allclose(column, expect, rtol=1e-13, atol=0.0, err_msg=name)
-    np.testing.assert_array_equal(table.bracket_lo, [m.bracket_lo for m in ref])
-    np.testing.assert_array_equal(table.bracket_hi, [m.bracket_hi for m in ref])
-    assert table.modes[k_max] == ref[k_max]
+                         ("log_norm", table.log_norms), ("residual", table.residuals),
+                         ("bracket_lo", table.bracket_lo), ("bracket_hi", table.bracket_hi)]:
+        np.testing.assert_array_equal(column, [getattr(m, name) for m in ref], err_msg=name)
+    assert list(table.modes) == ref
 
 
-def test_build_spectrum_bisection_passes(monkeypatch):
-    # each call of the vectorised residual is one pass over the open
-    # brackets; five are not bisection passes: the two bracket ends, the
-    # Newton point, its check and the residual of the roots
+@pytest.mark.parametrize("sigma,L", REFERENCE_BOXES)
+def test_ladder_matches_bisection_reference(sigma, L):
+    # the bisection stops at 1e-13 relative width, so it agrees to that
+    k_max = _reference_k_max(L)
+    p = build_spectrum(BoxParams(sigma=sigma, L=L), k_max).wavenumbers[2:]
+    np.testing.assert_allclose(p, bisection_ladder(sigma, L, k_max), rtol=1e-13, atol=0.0)
+
+
+def _mp_phase_root(sigma, L, k):
+    """Root of g_k(p) = p L + 2 arctan(s/p) - k pi on ((k-1) pi/L, k pi/L)
+    at 50 digits, checked against the raw trig condition of its parity."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s, L = mpmath.mpf(-sigma), mpmath.mpf(L)
+        lo, hi = (k - 1) * mpmath.pi / L, k * mpmath.pi / L
+        p = mpmath.findroot(lambda x: x * L + 2 * mpmath.atan(s / x) - k * mpmath.pi,
+                            (lo, hi), solver="anderson")
+        assert lo < p < hi
+        u = p * L / 2
+        trig = p * mpmath.sin(u) + s * mpmath.cos(u) if k % 2 == 0 else \
+            p * mpmath.cos(u) - s * mpmath.sin(u)
+        assert abs(trig) <= mpmath.mpf("1e-40") * (p + s)
+        return float(p)
+
+
+def _assert_within_ulps(got, ref):
+    # rounding p*L and k*pi in g costs up to ~ulp(k pi)/L in p: at most
+    # 2 ulp measured, 4 allowed
+    got, ref = np.asarray(got), np.asarray(ref)
+    err = np.abs(got - ref) / np.spacing(ref)
+    assert err.max() <= 4.0, (int(err.argmax()), float(err.max()))
+
+
+@pytest.mark.parametrize("sigma,L", REFERENCE_BOXES)
+def test_ladder_matches_mpmath_reference(sigma, L):
+    k_max = _reference_k_max(L)
+    ks = sorted({2, 3, 4, 7, k_max // 2, k_max // 2 + 1, k_max - 1, k_max}
+                | ({32} if (sigma, L) == (-1.0, 40.0) else set()))
+    p = build_spectrum(BoxParams(sigma=sigma, L=L), k_max).wavenumbers
+    _assert_within_ulps(p[ks], [_mp_phase_root(sigma, L, k) for k in ks])
+
+
+def test_phase_root_regression_sigma1_L40_k32():
+    # the bisection's guarded Newton step was rejected here and its root
+    # missed by 161 ulp (residual 8.6e-13)
+    params = BoxParams(sigma=-1.0, L=40.0)
+    mode = solve_mode(params, 32)
+    _assert_within_ulps(mode.wavenumber, _mp_phase_root(-1.0, 40.0, 32))
+    assert mode.residual <= 1e-15
+    assert abs(bisection_ladder(-1.0, 40.0, 32)[-1] - mode.wavenumber) > 100 * np.spacing(
+        mode.wavenumber)
+
+
+@pytest.mark.parametrize("sigma,L", [(-3.0, 0.5), (-0.1, 1.0)])
+def test_ladder_without_odd_bound_state_matches_mpmath(sigma, L):
+    # L*|sigma| <= 2: no odd bound state, but every k >= 2 mode exists
+    params = BoxParams(sigma=sigma, L=L)
+    assert not params.has_second_bound_state()
+    ks = range(2, 40)
+    modes = [solve_mode(params, k) for k in ks]
+    _assert_within_ulps([m.wavenumber for m in modes], [_mp_phase_root(sigma, L, k) for k in ks])
+    for m in modes:
+        assert m.bracket_lo < m.epsilon < m.bracket_hi
+        assert m.residual <= 1e-12 * boundary_residual_scale(m, params)
+
+
+def _count_calls(monkeypatch, name):
     calls = []
-    real = spectrum._trig_residual
+    real = getattr(spectrum, name)
 
     def counted(p, *args):
         calls.append(len(p))
         return real(p, *args)
 
-    monkeypatch.setattr(spectrum, "_trig_residual", counted)
-    passes = []
-    for k_max in (3, 60, 17915):
-        calls.clear()
-        build_spectrum(BoxParams(sigma=-1.0, L=12800.0), k_max)
-        assert max(calls) == k_max - 1
-        passes.append(len(calls) - 5)
-    assert max(passes) <= 50
+    monkeypatch.setattr(spectrum, name, counted)
+    return calls
+
+
+def test_build_spectrum_newton_passes(monkeypatch):
+    # each `_phase` call after the lower-end sign check is one Newton pass
+    # (the first at the upper bracket end, the last confirming a step of a
+    # few ulp); `_trig_residual` runs once, for the residual column
+    phase = _count_calls(monkeypatch, "_phase")
+    residual = _count_calls(monkeypatch, "_trig_residual")
+    for sigma, L in [(-1.0, 2.0 + 1e-9), (-0.5, 1600.0), (-1.0, 12800.0)]:
+        phase.clear()
+        residual.clear()
+        k_max = _reference_k_max(L)
+        build_spectrum(BoxParams(sigma=sigma, L=L), k_max)
+        assert phase[:2] == [k_max - 1, k_max - 1]
+        assert 1 <= len(phase) - 1 <= 5, (sigma, L, phase)
+        assert residual == [k_max - 1]
+    params = BoxParams(sigma=-0.1, L=1.0)  # no odd bound state: scalar solver
+    for k in range(2, 40):
+        phase.clear()
+        residual.clear()
+        solve_mode(params, k)
+        assert 1 <= len(phase) - 1 <= 5, (k, phase)
+        assert residual == [1]
+
+
+def test_phase_roots_refuse_unresolved_brackets():
+    # the root sits ~2 s/(p L) below k pi/L: near k = 1e12 that is below an
+    # ulp, the root rounds onto the bracket end and is not strictly inside;
+    # near 1e16 the bracket ends themselves round together
+    L, s = 1.0, 1e-3
+    for k, match in [(2**40, "outside"), (2**55, "no sign change")]:
+        k = np.array([2, k])
+        with pytest.raises(BracketFailure, match=match):
+            spectrum._phase_roots(k, L, s, (k - 1) * math.pi / L, k * math.pi / L)
+
+
+def test_phase_roots_pass_cap(monkeypatch):
+    monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 2)
+    with pytest.raises(NumericalFailure, match="unconverged after 2 passes"):
+        build_spectrum(BoxParams(sigma=-1.0, L=40.0), 60)
 
 
 def test_vector_bracket_without_sign_change_raises():
     lo = np.array([0.0, 2.0, 4.0])
     hi = np.array([2.0, 3.0, 6.0])
     with pytest.raises(BracketFailure, match=r"\[2\.0, 3\.0\]"):
-        spectrum._bracketed_roots(lambda x, i: (x - 1.0) * (x - 5.0), lambda x, i: 2.0 * x - 6.0,
-                                  lo, hi)
+        bracketed_roots(lambda x, i: (x - 1.0) * (x - 5.0), lambda x, i: 2.0 * x - 6.0, lo, hi)
 
 
 def test_mode_view_is_read_only_and_indexable():
