@@ -33,11 +33,11 @@ from .gibbs_oracle import (
     NonpositiveGap,
     TruncationSpec,
     UnknownMode,
-    check_exchange_identity,
     check_moment_log_inequality,
     check_occupation_bound,
     check_wall_mode_occupation,
     constrained_partition,
+    exchange_identity_sides,
     grand_expectation,
     make_truncation,
     run_check,
@@ -52,7 +52,6 @@ from .thermo import (
     ThermoState,
     condensate_lower_bound,
     critical_density,
-    critical_density_series,
     equal_distribution_gap,
     mu_asymptotics_check,
     solve_mu,

@@ -43,6 +43,9 @@ from .thermo import (
 )
 
 _MODEL_ALIASES = {"free": FREE, "scf": MEAN_FIELD_SCF, "mean_field_scf": MEAN_FIELD_SCF}
+# a sweep solves every point and keeps each state (its occupations and
+# energies, 16 bytes per mode) for the fits
+_MAX_SWEEP_POINTS = 10_000
 
 
 def _fmt(x) -> str:
@@ -69,8 +72,10 @@ def _parse_l_grid(text: str) -> list[float]:
         raise ValidationError(
             f"L-grid bounds must be numbers and count an integer, got {text!r}"
         ) from None
-    if not (0.0 < start <= stop) or count < 1:
-        raise ValidationError(f"bad L-grid bounds or count in {text!r}")
+    if not (0.0 < start <= stop) or not 1 <= count <= _MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"L-grid needs 0 < start <= stop and 1 <= count <= {_MAX_SWEEP_POINTS}, got {text!r}"
+        )
     if kind == "geometric":
         return [float(v) for v in np.geomspace(start, stop, count)]
     if kind == "linear":

@@ -33,14 +33,23 @@ most 2n entries (`_SUFFIX_MEMORY`).  An expectation with factors in
 modes <= k_f restarts from the nearest stored suffix above k_f, so it
 convolves at most k_f + r - 2 modes (r when k_f < 2 + r) instead of K.
 
-Occupations are capped per mode; caps are chosen so each mode's neglected
-geometric tail (at the given beta, mu; the repulsive ntil coupling only
-suppresses further) stays below a requested tolerance, and the reported
-`tail_budget` certifies the truncation.  All sums run in log space.
+Occupations are capped per mode.  `make_truncation` chooses the caps so
+each mode's neglected geometric tail (at the given beta, mu; the
+repulsive ntil coupling only suppresses further) stays below a requested
+tolerance; `truncation_from_caps` checks any set of caps (box, mu <=
+eps(0), DP length) and computes the per-mode tails and their sum
+`tail_budget`, which certifies the truncation.  All sums run in log
+space.
 
 Observables are products of univariate polynomial factors in distinct
 mode numbers, optionally times a polynomial in Ntil (the coupling makes
 Ntil a function of the DP index, so it costs nothing extra).
+
+The four equilibrium checks (the exchange identity, the wall-mode
+occupation law, the occupation-moment inequality and the occupation
+bound) each return their two sides (lhs, rhs); `run_check` turns them
+into a report with residual lhs - rhs and a pass decided by one
+relation per check (==, >=, <=) within the relevant tail budget.
 """
 
 from __future__ import annotations
@@ -53,8 +62,8 @@ import numpy as np
 from .errors import NumericalFailure, ValidationError
 from .spectrum import BoxParams, SpectrumTable
 
-_DEFAULT_MAX_DP_LEN = 2_000_000
-_DEFAULT_MAX_MODE_CAP = 5_000_000  # wall-mode sums materialize arange(cap + 1)
+_MAX_DP_LEN = 2_000_000
+_MAX_MODE_CAP = 5_000_000  # wall-mode sums materialize arange(cap + 1)
 
 
 class CapOverflow(ValidationError):
@@ -144,15 +153,8 @@ class DiagonalObservable:
             raise ValidationError("ntilde_poly coefficients must be finite and nonempty")
 
     @classmethod
-    def one(cls) -> "DiagonalObservable":
-        return cls()
-
-    @classmethod
     def mode_number(cls, k: int, power: int = 1) -> "DiagonalObservable":
         return cls(factors=((k, number_poly(power)),))
-
-    def modes(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.factors)
 
 
 @dataclass(frozen=True)
@@ -210,19 +212,13 @@ def _moment_tail(logx: float, cap: int) -> float:
     return 6.0 * (cap + 2.0) ** 3 * math.exp((cap + 1) * logx) / one_minus_x**3
 
 
-def make_truncation(
-    table: SpectrumTable,
-    model: ModelParams,
-    tol: float = 1e-12,
-    max_dp_len: int = _DEFAULT_MAX_DP_LEN,
-) -> TruncationSpec:
-    """Choose per-mode caps so every per-mode tail is < tol/(k_top + 1).
+def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12) -> TruncationSpec:
+    """Choose per-mode caps so every per-mode tail is < tol/(k_top + 1) and
+    certify them with `truncation_from_caps`.
 
-    Requires mu < eps(0) so that every geometric ratio is < 1.  Raises
-    CapOverflow if the resulting k >= 2 cap total exceeds `max_dp_len`.
+    The cap search needs every geometric ratio below 1, so mu < eps(0);
+    a mode that would need a cap above _MAX_MODE_CAP raises CapOverflow.
     """
-    if table.params != model.box:
-        raise ValidationError("truncation table and model box must match")
     eps = table.epsilons
     if model.mu >= eps[0]:
         raise ValidationError(
@@ -230,59 +226,46 @@ def make_truncation(
         )
     if not (0.0 < tol < 1.0):
         raise ValidationError("tol must be in (0, 1)")
-    n_modes = len(eps)
-    target = tol / n_modes
+    target = tol / len(eps)
     caps = []
-    tails = []
-    for k in range(n_modes):
+    for k in range(len(eps)):
         logx = -model.beta * (eps[k] - model.mu)
         # weight-only estimate, then grow until the moment envelope fits
         need = (math.log(target) + math.log(-math.expm1(logx))) / logx - 1.0
         cap = max(1, int(math.ceil(need - 1e-9)))
         while _moment_tail(logx, cap) > target:
             cap += 1 + cap // 8
-        if cap > _DEFAULT_MAX_MODE_CAP:
+        if cap > _MAX_MODE_CAP:
             raise CapOverflow(
                 f"mode {k} needs cap {cap} to certify tol {tol:.1e}; "
                 "mu is too close to eps(0) for the capped oracle"
             )
         caps.append(cap)
-        tails.append(_moment_tail(logx, cap))
-    if sum(caps[2:]) + 1 > max_dp_len:
-        raise CapOverflow(
-            f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {max_dp_len}"
-        )
-    budget = math.fsum(tails)
-    if budget > tol:
+    spec = truncation_from_caps(table, model, caps)
+    if spec.tail_budget > tol:
         raise NumericalFailure("computed tail budget exceeds the requested tolerance")
-    return TruncationSpec(
-        table=table, caps=tuple(caps), per_mode_tail=tuple(tails), tail_budget=budget
-    )
+    return spec
 
 
-def truncation_from_caps(
-    table: SpectrumTable,
-    model: ModelParams,
-    caps,
-    max_dp_len: int = _DEFAULT_MAX_DP_LEN,
-) -> TruncationSpec:
-    """Explicit caps; reports the implied tails.  Allows mu = eps(0)
-    (wall-mode tails become inf but cancel out of k >= 2 sector ratios)."""
+def truncation_from_caps(table: SpectrumTable, model: ModelParams, caps) -> TruncationSpec:
+    """Explicit caps and the tails they imply; every truncation is checked
+    here.  Allows mu = eps(0) (wall-mode tails become inf but cancel out of
+    k >= 2 sector ratios).  Raises CapOverflow if the k >= 2 caps make the
+    DP longer than _MAX_DP_LEN."""
     if table.params != model.box:
         raise ValidationError("truncation table and model box must match")
-    caps = tuple(int(c) for c in caps)
-    if sum(caps[2:]) + 1 > max_dp_len:
-        raise CapOverflow(
-            f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {max_dp_len}"
-        )
     eps = table.epsilons
     if model.mu > eps[0]:
         raise ValidationError(
             f"mu must satisfy mu <= eps(0) = {eps[0]}, got {model.mu}"
         )
+    caps = tuple(int(c) for c in caps)
+    if sum(caps[2:]) + 1 > _MAX_DP_LEN:
+        raise CapOverflow(
+            f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {_MAX_DP_LEN}"
+        )
     tails = tuple(
-        _moment_tail(-model.beta * (eps[k] - model.mu), caps[k])
-        for k in range(len(caps))
+        _moment_tail(-model.beta * (eps_k - model.mu), cap) for eps_k, cap in zip(eps, caps)
     )
     return TruncationSpec(
         table=table, caps=caps, per_mode_tail=tails, tail_budget=math.fsum(tails)
@@ -547,27 +530,16 @@ def exchange_identity_sides(j, targets, spec, model):
     return lhs, rhs
 
 
-def check_exchange_identity(j, targets, spec, model) -> float:
-    """Signed residual lhs - rhs of the exchange identity; magnitude is
-    bounded by the truncation tail on the full-space-valid sectors."""
-    lhs, rhs = exchange_identity_sides(j, targets, spec, model)
-    return lhs - rhs
-
-
-def check_wall_mode_occupation(k, spec, model) -> float:
-    """Signed residual omega(N_k) - 1/(e^{beta (eps_k - mu)} - 1) for a
-    wall mode k in {0, 1}.  The closed form is the untruncated value (the
-    coupling omits the wall modes, so it is exact on the full space);
-    the residual is the truncation tail of the geometric series."""
+def check_wall_mode_occupation(k, spec, model):
+    """(omega(N_k), 1/(e^{beta (eps_k - mu)} - 1)) for a wall mode k in
+    {0, 1}.  The closed form is the untruncated value (the coupling omits
+    the wall modes, so it is exact on the full space); the two differ by
+    the truncation tail of the geometric series."""
     if k not in (0, 1):
         raise BadMode(f"wall-mode occupation check needs k in {{0, 1}}, got {k}")
-    s2 = spec.table.params.s ** 2
-    if not (model.mu < -s2):
-        raise ValidationError(f"mu must satisfy mu < -sigma^2 = {-s2}, got {model.mu}")
     _require_mu_below_ground(spec, model)
     occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
-    closed = 1.0 / math.expm1(model.beta * (spec.table.epsilons[k] - model.mu))
-    return occ - closed
+    return occ, 1.0 / math.expm1(model.beta * (spec.table.epsilons[k] - model.mu))
 
 
 def check_moment_log_inequality(k, n, spec, model):
@@ -637,38 +609,37 @@ def check_occupation_bound(k, spec, model):
 # JSON check reports
 # ----------------------------------------------------------------------
 
-CHECK_NAMES = ("exchange", "wall-occupation", "moment-inequality", "occupation-bound")
-
 _FLOAT_ATOL_FACTOR = 4e-13  # rounding allowance on top of the tail budget
 _ENVELOPE_DEGREE = 3  # the per-mode polynomial degree TruncationSpec's tails cover
 
-
-def _report(check, params, lhs, rhs, residual, budget, passed):
-    return {
-        "check": check,
-        "params": params,
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": residual,
-        "tail_budget": budget,
-        "pass": passed,
-    }
+# the relation lhs (==, >=, <=) rhs, up to an allowance, that each check tests
+_RELATIONS = {
+    "exchange": lambda lhs, rhs, allowance: abs(lhs - rhs) <= allowance,
+    "wall-occupation": lambda lhs, rhs, allowance: abs(lhs - rhs) <= allowance,
+    "moment-inequality": lambda lhs, rhs, allowance: lhs >= rhs - allowance,
+    "occupation-bound": lambda lhs, rhs, allowance: lhs <= rhs + allowance,
+}
+CHECK_NAMES = tuple(_RELATIONS)
 
 
 def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> dict:
-    """Run one named check and wrap it as a JSON-ready report.
+    """Run one named check and wrap its sides (lhs, rhs) as a JSON-ready
+    report with residual = lhs - rhs.
 
-    Pass criteria (scale = max(1, |lhs|, |rhs|), budget = relevant
-    truncation tail):
-      exchange, wall-occupation:  |lhs - rhs| <= (budget + atol) * scale
-      moment-inequality:          lhs >= rhs - (budget + atol) * scale
-      occupation-bound:           lhs <= rhs + (budget + atol) * scale
-    A vacuous occupation bound (c_k <= 0) is reported with pass = None.
-    Exchange target powers above 3 and moment powers above 2 raise
-    ValidationError: their per-mode degree exceeds the cubic envelope of
-    the truncation tail, so the budget would not certify the residual.
+    Pass criteria (allowance = (budget + atol) * max(1, |lhs|, |rhs|),
+    budget = relevant truncation tail):
+      exchange, wall-occupation:  |lhs - rhs| <= allowance
+      moment-inequality:          lhs >= rhs - allowance
+      occupation-bound:           lhs <= rhs + allowance
+    A vacuous occupation bound (c_k <= 0) is reported with lhs, rhs,
+    residual and pass all None.  Exchange target powers above 3 and moment
+    powers above 2 raise ValidationError: their per-mode degree exceeds
+    the cubic envelope of the truncation tail, so the budget would not
+    certify the residual.
     """
-    base = {
+    if name not in _RELATIONS:
+        raise ValidationError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+    params = {
         "sigma": model.box.sigma,
         "L": model.box.L,
         "beta": model.beta,
@@ -677,6 +648,7 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
         "k_top": spec.k_top,
         "caps_total": sum(spec.caps),
     }
+    sides = None
     if name == "exchange":
         j = kwargs["j"]
         targets = tuple(kwargs["targets"])
@@ -685,44 +657,35 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
                 f"exchange target powers must be <= {_ENVELOPE_DEGREE}, the per-mode "
                 f"degree the truncation tail certifies; got {[n for _, n in targets]}"
             )
-        lhs, rhs = exchange_identity_sides(j, targets, spec, model)
+        params.update(j=j, targets=list(map(list, targets)))
         involved = [j] + [k for k, _ in targets]
-        budget = spec.relevant_budget(involved)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        passed = abs(lhs - rhs) <= (budget + _FLOAT_ATOL_FACTOR) * scale
-        params = dict(base, j=j, targets=list(map(list, targets)))
-        return _report(name, params, lhs, rhs, lhs - rhs, budget, passed)
-    if name == "wall-occupation":
+        sides = exchange_identity_sides(j, targets, spec, model)
+    else:
         k = kwargs["k"]
-        residual = check_wall_mode_occupation(k, spec, model)
-        closed = 1.0 / math.expm1(model.beta * (spec.table.epsilons[k] - model.mu))
-        lhs, rhs = closed + residual, closed
-        budget = spec.relevant_budget([k])
-        scale = max(1.0, abs(lhs), abs(rhs))
-        passed = abs(residual) <= (budget + _FLOAT_ATOL_FACTOR) * scale
-        return _report(name, dict(base, k=k), lhs, rhs, residual, budget, passed)
-    if name == "moment-inequality":
-        k, n = kwargs["k"], kwargs.get("n", 0)
-        if n + 1 > _ENVELOPE_DEGREE:
-            raise ValidationError(
-                f"moment power must be <= {_ENVELOPE_DEGREE - 1} (N_k^(n+1) within the "
-                f"per-mode degree the truncation tail certifies); got {n}"
-            )
-        lhs, rhs = check_moment_log_inequality(k, n, spec, model)
-        budget = spec.relevant_budget([k])
-        scale = max(1.0, abs(lhs), abs(rhs))
-        passed = lhs >= rhs - (budget + _FLOAT_ATOL_FACTOR) * scale
-        return _report(name, dict(base, k=k, n=n), lhs, rhs, lhs - rhs, budget, passed)
-    if name == "occupation-bound":
-        k = kwargs["k"]
-        budget = spec.relevant_budget([k])
-        try:
-            occ, bound = check_occupation_bound(k, spec, model)
-        except NonpositiveGap:
-            c = occupation_bound_exponent(k, spec, model)
-            params = dict(base, k=k, bound_exponent=c)
-            return _report(name, params, None, None, None, budget, None)
-        scale = max(1.0, abs(occ), abs(bound))
-        passed = occ <= bound + (budget + _FLOAT_ATOL_FACTOR) * scale
-        return _report(name, dict(base, k=k), occ, bound, occ - bound, budget, passed)
-    raise ValidationError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+        params["k"] = k
+        involved = [k]
+        if name == "wall-occupation":
+            sides = check_wall_mode_occupation(k, spec, model)
+        elif name == "moment-inequality":
+            n = kwargs.get("n", 0)
+            if n + 1 > _ENVELOPE_DEGREE:
+                raise ValidationError(
+                    f"moment power must be <= {_ENVELOPE_DEGREE - 1} (N_k^(n+1) within the "
+                    f"per-mode degree the truncation tail certifies); got {n}"
+                )
+            params["n"] = n
+            sides = check_moment_log_inequality(k, n, spec, model)
+        else:
+            try:
+                sides = check_occupation_bound(k, spec, model)
+            except NonpositiveGap:
+                params["bound_exponent"] = occupation_bound_exponent(k, spec, model)
+    budget = spec.relevant_budget(involved)
+    report = {"check": name, "params": params, "lhs": None, "rhs": None,
+              "residual": None, "tail_budget": budget, "pass": None}
+    if sides is not None:
+        lhs, rhs = sides
+        allowance = (budget + _FLOAT_ATOL_FACTOR) * max(1.0, abs(lhs), abs(rhs))
+        report.update(lhs=lhs, rhs=rhs, residual=lhs - rhs)
+        report["pass"] = _RELATIONS[name](lhs, rhs, allowance)
+    return report

@@ -79,6 +79,9 @@ _LN2 = math.log(2.0)
 # confirming a step of at most _STEP_ULPS units in the last place)
 _NEWTON_PASSES = 8
 _STEP_ULPS = 4.0
+# largest k_max `build_spectrum` accepts: a build peaks at ~105 bytes per
+# mode (measured at k_max = 10^6), about 1 GB at the limit
+K_MAX_LIMIT = 10_000_000
 
 
 class OutOfDomain(ValidationError):
@@ -101,9 +104,10 @@ class BoxParams:
     L: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma < 0.0):
+        if not (math.isfinite(self.sigma * self.sigma) and self.sigma < 0.0):
             raise ValidationError(
-                f"sigma must be finite and < 0 (attractive walls), got {self.sigma}"
+                "sigma must be < 0 (attractive walls) with a finite sigma^2 "
+                f"(eps(0) ~ -sigma^2), got {self.sigma}"
             )
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValidationError(f"L must be finite and > 0, got {self.L}")
@@ -346,6 +350,20 @@ def _coth(x):
     return 1.0 / math.tanh(x)
 
 
+def _ucothu_minus_one(u):
+    """u coth(u) - 1 for 0 < u < 1, without cancellation: its numerator
+    u cosh(u) - sinh(u) = sum_{n>=1} 2n u^(2n+1)/(2n+1)! has only positive
+    terms."""
+    u2 = u * u
+    term, num, n = u, 0.0, 1
+    while True:
+        term *= u2 / ((2 * n) * (2 * n + 1))
+        num += 2 * n * term
+        if 2 * n * term <= 1e-17 * num:
+            return num / math.sinh(u)
+        n += 1
+
+
 # ----------------------------------------------------------------------
 # log-stable hyperbolic helpers
 # ----------------------------------------------------------------------
@@ -401,10 +419,10 @@ def _bound_log_norm(parity, q, L):
 # operations
 # ----------------------------------------------------------------------
 
-def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
+def solve_mode(params: BoxParams, k: int) -> Mode:
     """Solve one eigenpair; see the module docstring for the equations.
 
-    The wall pair (k = 0, 1) is bisected to relative width `rtol`; a
+    The wall pair (k = 0, 1) is bisected to relative width 1e-13; a
     k >= 2 mode is the length-1 case of `build_spectrum`'s phase Newton
     iteration and equals the table's mode k exactly.  Raises
     NoSecondBoundState for k = 1 when L*|sigma| <= 2 and BracketFailure if
@@ -427,7 +445,7 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
             return math.tanh(half * q) + q * half * _sech2(half * q)
 
         lo, hi = s, s / math.tanh(half * s)
-        q = _bracketed_root(f, df, lo, hi, rtol)
+        q = _bracketed_root(f, df, lo, hi)
         parity, eps = EVEN, -q * q
         log_norm = _bound_log_norm(EVEN, q, L)
         phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
@@ -439,11 +457,24 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
                 f"odd bound state needs L*|sigma| > 2, got {L * s}"
             )
 
+        # below u = q L/2 = 1, u coth(u) - s L/2 cancels towards the
+        # threshold; there it is the series u coth(u) - 1 against the
+        # exact product s L/2 - 1
+        sl, sl_err = _two_product(s, L)
+        excess = (0.5 * sl - 1.0) + 0.5 * sl_err
+
         def g(q):
-            return q * _coth(half * q) - s
+            u = half * q
+            if u < 1.0:
+                return (_ucothu_minus_one(u) - excess) / half
+            return q * _coth(u) - s
 
         def dg(q):
-            return _coth(half * q) - q * half * _csch2(half * q)
+            u = half * q
+            if u < 1.0:  # coth(u) - u csch^2(u) = (u^2 - t (1 + t)) / u
+                t = _ucothu_minus_one(u)
+                return (u * u - t * (1.0 + t)) / u
+            return _coth(u) - q * half * _csch2(u)
 
         hi = s  # g(s) = s*(coth(sL/2) - 1) > 0
         lo = 0.5 * s
@@ -453,7 +484,7 @@ def solve_mode(params: BoxParams, k: int, rtol: float = 1e-13) -> Mode:
             lo *= 0.5
         else:
             raise BracketFailure("could not certify lower bracket for the odd bound state")
-        q = _bracketed_root(g, dg, lo, hi, rtol)
+        q = _bracketed_root(g, dg, lo, hi)
         parity, eps = ODD, -q * q
         log_norm = _bound_log_norm(ODD, q, L)
         phi_wall = math.exp(log_norm + _logsinh(q * half))
@@ -479,8 +510,10 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     The wall pair comes from `solve_mode`; the k >= 2 modes come from one
     phase Newton iteration over all of them (see the module docstring).
     """
-    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise ValidationError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    if not isinstance(k_max, (int, np.integer)) or not 0 <= k_max <= K_MAX_LIMIT:
+        raise ValidationError(
+            f"k_max must be an integer in [0, {K_MAX_LIMIT}], got {k_max!r}"
+        )
     k_max = int(k_max)
     bound = [solve_mode(params, k) for k in range(min(k_max, 1) + 1)]
     ladder = _ladder(params, np.arange(2, k_max + 1))

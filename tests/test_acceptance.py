@@ -2,7 +2,7 @@
 with its measured margins.  Tolerances are fixed here, not tuned at run
 time; every reference value is either exact arithmetic, an independent
 oracle run in-process (finite differences, brute-force enumeration,
-quadrature-vs-series), or a stable closed-form rearrangement.
+a directly summed series), or a stable closed-form rearrangement.
 """
 
 import math
@@ -38,7 +38,6 @@ from robinbec.thermo import (
     MEAN_FIELD_SCF,
     ThermoInput,
     critical_density,
-    critical_density_series,
     equal_distribution_gap,
     fit_exponential_rate,
     mu_asymptotics_check,
@@ -236,19 +235,22 @@ def test_criterion_5_inequality_grid_and_saturation():
 
 def test_criterion_6_condensate_floor_at_desk_scale():
     t0 = time.perf_counter()
-    rc_quad = critical_density(1.0, -1.0)
-    rc_series = critical_density_series(1.0, -1.0)
-    assert abs(rc_quad - rc_series) <= 1e-10
+    rc = critical_density(1.0, -1.0)
+    # the Boltzmann series summed term by term, no tail closure: e^{-n}
+    # falls below 1e-26 by n = 60
+    rc_direct = math.fsum(math.exp(-n) / math.sqrt(n) for n in range(1, 61)) / (
+        2.0 * math.sqrt(math.pi))
+    assert abs(rc - rc_direct) <= 1e-15
     states = _main_sweep(MEAN_FIELD_SCF)
-    floor = 1.0 - rc_quad - 0.01
+    floor = 1.0 - rc - 0.01
     margins = [st.rho_cond_finite - floor for st in states]
     assert all(m >= 0.0 for m in margins)
     elapsed = time.perf_counter() - t0
     _announce(6, True,
               f"sweep L in [50, 800] (sigma=-1, beta=1, lambda=1, rho=1): "
               f"(occ0+occ1)/L >= rho - rho_c - 0.01 everywhere (min margin "
-              f"{min(margins):.4f}); rho_c series vs quadrature "
-              f"{abs(rc_quad - rc_series):.2e} <= 1e-10 ({elapsed:.2f}s)")
+              f"{min(margins):.4f}); rho_c against the direct series "
+              f"{abs(rc - rc_direct):.2e} <= 1e-15 ({elapsed:.2f}s)")
 
 
 def test_criterion_7_equal_distribution_and_mu_asymptotics():

@@ -284,6 +284,21 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, bad):
       "--fit-out", "{missing}"], "{missing}"),
     (["sweep", "--sigma", "-1", "--L-grid", "20:40:linear:3", "--out", "{missing}",
       "--fit-out", "{tmp}/f.json"], "{missing}"),
+    # extreme finite inputs, rejected before anything is sized from them:
+    # they overflowed in suggest_k_max or asked numpy for ~80 TB
+    (["thermo", "--sigma=-1", "--L", "1e-300", "--out", "{tmp}/o"], "L*|sigma| > 2"),
+    (["thermo", "--sigma=-1e300", "--L", "20", "--out", "{tmp}/o"], "sigma^2"),
+    (["thermo", "--sigma=-1", "--L", "1e300", "--out", "{tmp}/o"], "needs k_max > 10000000"),
+    (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e-300", "--out", "{tmp}/o"],
+     "needs k_max > 10000000"),
+    (["spectrum", "--sigma=-1", "--L", "20", "--k-max", "10000000000000", "--out", "{tmp}/o"],
+     "k_max must be an integer in [0, 10000000]"),
+    (["oracle", "--sigma=-1", "--L", "20", "--mu=-2", "--k-top", "10000000000000",
+      "--out", "{tmp}/o"], "k_max must be an integer in [0, 10000000]"),
+    (["profile", "--sigma=-1", "--L", "20", "--grid-n", "10000000000000", "--out", "{tmp}/o"],
+     "grid_n must be in [64, 10000000]"),
+    (["sweep", "--sigma=-1", "--L-grid", "10:20:linear:10000000000000", "--out", "{tmp}/o"],
+     "count <= 10000"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}

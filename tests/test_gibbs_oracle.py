@@ -17,11 +17,11 @@ from robinbec.gibbs_oracle import (
     ModelParams,
     NonpositiveGap,
     UnknownMode,
-    check_exchange_identity,
     check_moment_log_inequality,
     check_occupation_bound,
     check_wall_mode_occupation,
     constrained_partition,
+    exchange_identity_sides,
     grand_expectation,
     make_truncation,
     number_poly,
@@ -93,7 +93,7 @@ def test_dp_matches_enumeration_randomized():
 def test_cap_overflow():
     table, model, _ = _setup(k_top=3, caps=(2, 2, 2, 2))
     with pytest.raises(CapOverflow):
-        truncation_from_caps(table, model, (2, 2, 50000, 50000), max_dp_len=1000)
+        truncation_from_caps(table, model, (2, 2, 1_000_000, 1_000_000))
 
 
 def test_cap_overflow_near_ground_state():
@@ -228,7 +228,7 @@ def test_stored_suffixes_stay_within_the_memory_bound():
 
 def test_normalization_is_exactly_one():
     _, model, spec = _setup()
-    assert grand_expectation(DiagonalObservable.one(), spec, model) == 1.0
+    assert grand_expectation(DiagonalObservable(), spec, model) == 1.0
 
 
 def test_free_limit_reproduces_bose_law():
@@ -310,49 +310,51 @@ def test_observable_validation():
 
 def test_exchange_identity_free_gas_wall_pair():
     _, model, spec = _setup(lam=0.0, tol=1e-13)
-    res = check_exchange_identity(0, [(1, 1)], spec, model)
-    assert abs(res) <= 1e-12
+    lhs, rhs = exchange_identity_sides(0, [(1, 1)], spec, model)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_exchange_identity_wall_pair_interacting():
     # the j=1, k=0 instance that controls equal distribution
     _, model, spec = _setup(lam=1.0)
     lhs_scale = 5.0
-    res = check_exchange_identity(1, [(0, 1)], spec, model)
-    assert abs(res) <= spec.tail_budget * lhs_scale + 1e-12
+    lhs, rhs = exchange_identity_sides(1, [(0, 1)], spec, model)
+    assert abs(lhs - rhs) <= spec.tail_budget * lhs_scale + 1e-12
 
 
 def test_exchange_identity_excited_with_spectators():
     table, model, spec = _setup(lam=1.0)
-    res = check_exchange_identity(2, [(3, 2), (4, 1)], spec, model)
-    assert abs(res) <= spec.tail_budget + 1e-12
-    # reference value from brute force at small caps, restricted identically
+    lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec, model)
+    assert abs(lhs - rhs) <= spec.tail_budget + 1e-12
+    # both sides against brute force at small caps, restricted identically
     spec_small = truncation_from_caps(table, model, (3, 3, 3, 3, 3, 3))
-    lhs = math.exp(model.beta * (table.epsilons[2] - table.epsilons[3]))
-    lhs *= enum_expectation(
+    ref_lhs = math.exp(model.beta * (table.epsilons[2] - table.epsilons[3]))
+    ref_lhs *= enum_expectation(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
         list(spec_small.caps),
         {2: number_poly(1), 3: shifted_number_poly(2), 4: number_poly(1)},
     )
-    rhs = enum_expectation(
+    ref_rhs = enum_expectation(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
         list(spec_small.caps),
         {2: shifted_number_poly(1), 3: number_poly(2), 4: number_poly(1)},
     )
-    res_small = check_exchange_identity(2, [(3, 2), (4, 1)], spec_small, model)
-    assert abs(res_small - (lhs - rhs)) < 1e-12 * max(1.0, abs(lhs))
+    lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec_small, model)
+    assert abs(lhs - ref_lhs) < 1e-12 * max(1.0, abs(ref_lhs))
+    assert abs(rhs - ref_rhs) < 1e-12 * max(1.0, abs(ref_rhs))
+    assert abs((lhs - rhs) - (ref_lhs - ref_rhs)) < 1e-12 * max(1.0, abs(ref_lhs))
 
 
 def test_exchange_identity_breaks_across_sectors_with_coupling():
     # moving a particle between a wall mode and a k >= 2 mode changes the
     # coupling term, so the plain identity must fail at lam > 0 ...
     _, model, spec = _setup(lam=1.0)
-    res = check_exchange_identity(0, [(2, 1)], spec, model)
-    assert abs(res) > 1e-3
+    lhs, rhs = exchange_identity_sides(0, [(2, 1)], spec, model)
+    assert abs(lhs - rhs) > 1e-3
     # ... and hold again in the free gas
     _, model0, spec0 = _setup(lam=0.0)
-    res0 = check_exchange_identity(0, [(2, 1)], spec0, model0)
-    assert abs(res0) <= 1e-12
+    lhs, rhs = exchange_identity_sides(0, [(2, 1)], spec0, model0)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_exchange_identity_requires_mu_below_ground():
@@ -363,19 +365,19 @@ def test_exchange_identity_requires_mu_below_ground():
                             mu=float(table.epsilons[0]), lam=model.lam)
     spec = truncation_from_caps(table, at_ground, (5, 5, 5, 5, 5, 5))
     with pytest.raises(ValidationError):
-        check_exchange_identity(1, [(0, 1)], spec, at_ground)
+        exchange_identity_sides(1, [(0, 1)], spec, at_ground)
 
 
 def test_exchange_identity_validation():
     _, model, spec = _setup()
     with pytest.raises(IndexClash):
-        check_exchange_identity(2, [(2, 1)], spec, model)
+        exchange_identity_sides(2, [(2, 1)], spec, model)
     with pytest.raises(IndexClash):
-        check_exchange_identity(0, [(2, 1), (2, 2)], spec, model)
+        exchange_identity_sides(0, [(2, 1), (2, 2)], spec, model)
     with pytest.raises(ValidationError):
-        check_exchange_identity(0, [(1, 0)], spec, model)  # first power must be >= 1
+        exchange_identity_sides(0, [(1, 0)], spec, model)  # first power must be >= 1
     with pytest.raises(UnknownMode):
-        check_exchange_identity(0, [(99, 1)], spec, model)
+        exchange_identity_sides(0, [(99, 1)], spec, model)
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +387,8 @@ def test_exchange_identity_validation():
 def test_wall_occupation_closed_form():
     for k in (0, 1):
         _, model, spec = _setup(lam=1.0)
-        assert abs(check_wall_mode_occupation(k, spec, model)) <= spec.tail_budget
+        occ, closed = check_wall_mode_occupation(k, spec, model)
+        assert abs(occ - closed) <= spec.tail_budget
 
 
 def test_wall_occupation_boltzmann_tail():

@@ -70,11 +70,17 @@ def test_positive_mode_bracket():
 
 
 def test_second_bound_state_near_threshold():
-    # expanding q coth(qL/2) = s at small q gives q^2 -> 6 (L s - 2) / L^2
-    L = 2.0 + 1e-9
-    mode = solve_mode(BoxParams(sigma=-1.0, L=L), 1)
-    q_ref = math.sqrt(6.0 * (L - 2.0)) / L
-    assert abs(mode.wavenumber - q_ref) < 1e-3 * q_ref
+    # q coth(qL/2) - s cancels as q -> 0; the old form missed eps(1) by
+    # 1.2e-7 relative at L s = 2 + 1e-9 with a residual of 0.0
+    mpmath = pytest.importorskip("mpmath")
+    for L in (2.0 + 1e-9, 2.0 + 1e-6, 2.001, 2.5):
+        mode = solve_mode(BoxParams(sigma=-1.0, L=L), 1)
+        with mpmath.workdps(80):
+            c = mpmath.mpf(L) / 2  # u coth(u) = L s / 2 at u = q L / 2
+            u = mpmath.findroot(lambda u: u * mpmath.coth(u) - c, mpmath.sqrt(3 * (c - 1)))
+            q = float(2 * u / mpmath.mpf(L))
+        _assert_within_ulps(mode.wavenumber, q)
+        assert abs(mode.epsilon + q * q) <= 8 * np.spacing(q * q)
 
 
 def test_frozen_fd_values_sigma1_L40():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from robinbec.thermo import (
     certified_density_tail,
     condensate_lower_bound,
     critical_density,
-    critical_density_series,
     equal_distribution_gap,
     fit_exponential_rate,
     mu_asymptotics_check,
@@ -31,8 +31,7 @@ from robinbec.thermo import (
     write_sweep_csv,
 )
 
-# independently cross-checked: series and adaptive quadrature agree to the
-# last bit at (beta, sigma) = (1, -1)
+# Li_{1/2}(e^{-1}) / (2 sqrt(pi)) at 40 digits, rounded to double
 RHO_C_BETA1_SIGMA1 = 0.14274846129686652
 
 
@@ -48,16 +47,40 @@ def _input(sigma=-1.0, L=30.0, beta=1.0, rho=1.0, lam=0.0, k_max=None, cutoff_to
 # critical density
 # ----------------------------------------------------------------------
 
-def test_critical_density_series_vs_quadrature():
-    for beta, sigma in [(1.0, -1.0), (0.5, -1.0), (2.0, -0.5), (1.0, -2.0), (3.7, -0.31)]:
-        a = critical_density(beta, sigma)
-        b = critical_density_series(beta, sigma)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+@pytest.mark.parametrize("beta", [1e-3, 0.3, 1.0, 30.0, 1000.0])
+def test_critical_density_matches_mpmath_polylog(beta):
+    # rho_c = Li_{1/2}(e^{-a}) / (2 sqrt(pi beta)), a = beta sigma^2, for a
+    # from 1e-20 to 700.  The first reference takes a as rounded in double,
+    # the value the series sees; the second takes the exact inputs, where
+    # the rounding of a itself moves rho_c by up to a 2^-52 relative
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings(), mpmath.workdps(40):
+        warnings.simplefilter("error")
+        for a in np.geomspace(1e-20, 700.0, 60):
+            sigma = -math.sqrt(a / beta)
+            got = critical_density(beta, sigma)
+            for exact, tol in ((mpmath.mpf(beta * sigma * sigma), 1e-13),
+                               (mpmath.mpf(beta) * mpmath.mpf(sigma) ** 2,
+                                1e-14 + 2.3e-16 * a)):
+                ref = mpmath.polylog(0.5, mpmath.exp(-exact))
+                ref /= 2 * mpmath.sqrt(mpmath.pi * beta)
+                rel = float(abs(got - ref) / ref)
+                assert rel <= tol, (a, rel)
 
 
 def test_critical_density_frozen_value():
-    assert abs(critical_density(1.0, -1.0) - RHO_C_BETA1_SIGMA1) < 1e-12
-    assert abs(critical_density_series(1.0, -1.0) - RHO_C_BETA1_SIGMA1) < 1e-14
+    rc = critical_density(1.0, -1.0)
+    assert abs(rc - RHO_C_BETA1_SIGMA1) <= 2 * math.ulp(RHO_C_BETA1_SIGMA1)
+    # thermo --sigma=-0.5 --beta 1000: adaptive quadrature wrote 2.3825e-111
+    assert abs(critical_density(1000.0, -0.5) / 2.3811e-111 - 1.0) < 1e-4
+
+
+def test_critical_density_tiny_gap_stays_finite():
+    # the quadrature returned rho_c = -0.73 at beta = 1, beta sigma^2 <=
+    # 1e-17; rho_c tends to 1 / (2 beta |sigma|)
+    for sigma in (-1e-10, -1e-100, -1e-200):
+        rc = critical_density(1.0, sigma)
+        assert abs(rc * 2.0 * -sigma - 1.0) < 1e-9
 
 
 def test_critical_density_decreasing_in_beta():
