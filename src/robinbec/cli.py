@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure, ValidationError
-from .gibbs_oracle import CHECK_NAMES, ModelParams, make_truncation, run_check
+from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, make_truncation, run_check
 from .profile import density_profile, localization_radius, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
@@ -165,13 +165,10 @@ def _cmd_oracle(cfg: dict) -> int:
     table = build_spectrum(box, cfg["k_top"])
     spec = make_truncation(table, model, tol=cfg["trunc_tol"])
     name = cfg["check"]
-    kwargs = {}
-    if name == "exchange":
-        kwargs = {"j": cfg["j"], "targets": [_parse_target(item) for item in cfg["target"]]}
-    elif name in ("wall-occupation", "occupation-bound"):
-        kwargs = {"k": cfg["mode"]}
-    elif name == "moment-inequality":
-        kwargs = {"k": cfg["mode"], "n": cfg["power"]}
+    given = {"j": cfg["j"], "targets": cfg["target"], "k": cfg["mode"], "n": cfg["power"]}
+    kwargs = {arg: given[arg] for arg in CHECK_ARGUMENTS[name]}
+    if "targets" in kwargs:  # parsed only for the check that takes them
+        kwargs["targets"] = [_parse_target(item) for item in kwargs["targets"]]
     report = run_check(name, spec, model, **kwargs)
     report["tool"] = f"robinbec {__version__}"
     _write(_write_json, report, cfg["out"])

@@ -33,13 +33,13 @@ most 2n entries (`_SUFFIX_MEMORY`).  An expectation with factors in
 modes <= k_f restarts from the nearest stored suffix above k_f, so it
 convolves at most k_f + r - 2 modes (r when k_f < 2 + r) instead of K.
 
-Occupations are capped per mode.  `make_truncation` chooses the caps so
-each mode's neglected geometric tail (at the given beta, mu; the
-repulsive ntil coupling only suppresses further) stays below a requested
-tolerance; `truncation_from_caps` checks any set of caps (box, mu <=
-eps(0), DP length) and computes the per-mode tails and their sum
-`tail_budget`, which certifies the truncation.  All sums run in log
-space.
+Occupations are capped per mode; `_moment_tails` gives every mode's
+neglected tail at its cap (at the given beta, mu; the repulsive ntil
+coupling only suppresses further).  `make_truncation` grows all caps as
+one array until each tail is below tol/(k_top + 1); `truncation_from_caps`
+checks any set of caps (box, mu <= eps(0), DP length) and takes their
+tails and the sum `tail_budget`, which certifies the truncation, from the
+same function.  All sums run in log space.
 
 Observables are products of univariate polynomial factors in distinct
 mode numbers, optionally times a polynomial in Ntil (the coupling makes
@@ -47,13 +47,16 @@ Ntil a function of the DP index, so it costs nothing extra).
 
 The four equilibrium checks (the exchange identity, the wall-mode
 occupation law, the occupation-moment inequality and the occupation
-bound) each return their two sides (lhs, rhs); `run_check` turns them
-into a report with residual lhs - rhs and a pass decided by one
-relation per check (==, >=, <=) within the relevant tail budget.
+bound) each return their two sides (lhs, rhs) and reject powers beyond
+the degree `_ENVELOPE_DEGREE` the tails certify.  `_CHECKS` maps each
+name to its sides function and the relation (==, >=, <=) it tests;
+`run_check` calls it with the check's own keyword arguments, echoes them
+and decides pass within the relevant tail budget.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +67,8 @@ from .spectrum import BoxParams, SpectrumTable
 
 _MAX_DP_LEN = 2_000_000
 _MAX_MODE_CAP = 5_000_000  # wall-mode sums materialize arange(cap + 1)
+_ENVELOPE_DEGREE = 3  # the per-mode polynomial degree TruncationSpec's tails cover
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # e^c overflows a float beyond it
 
 
 class CapOverflow(ValidationError):
@@ -163,13 +168,14 @@ class TruncationSpec:
 
     `per_mode_tail[k]` bounds the effect of capping mode k at M = caps[k]
     on any reported expectation: the neglected geometric weight inflated
-    by a cubic moment envelope,
+    by a moment envelope of degree d = _ENVELOPE_DEGREE = 3,
 
-        t_k = 6 (M + 2)^3 x^(M+1) / (1 - x)^3,   x = e^{-beta (eps_k - mu)},
+        t_k = d! (M + 2)^d x^(M+1) / (1 - x)^d,   x = e^{-beta (eps_k - mu)},
 
-    using sum_{n > M} (n+1)^d x^n <= d! (M+2)^d x^(M+1)/(1-x)^(d+1) at
-    d = 3, the highest per-mode polynomial degree the built-in checks
-    report (`run_check` rejects higher target and moment powers).
+    using sum_{n > M} (n+1)^d x^n <= d! (M+2)^d x^(M+1)/(1-x)^(d+1) on the
+    normalized weights (1 - x) x^n.  d is the highest per-mode polynomial
+    degree the built-in checks report (`exchange_identity_sides` and
+    `check_moment_log_inequality` reject higher powers).
     `tail_budget` is the sum over modes.  Hand-built observables of
     per-mode degree > 3 can exceed the envelope.  Expectations that
     provably do not involve a mode (wall modes cancel out of k >= 2
@@ -204,43 +210,57 @@ class TruncationSpec:
         return budget
 
 
-def _moment_tail(logx: float, cap: int) -> float:
-    # 6 (cap+2)^3 x^(cap+1) / (1-x)^3 for x = e^logx; inf when x >= 1
-    if logx >= 0.0:
-        return math.inf
-    one_minus_x = -math.expm1(logx)
-    return 6.0 * (cap + 2.0) ** 3 * math.exp((cap + 1) * logx) / one_minus_x**3
+def _log_ratios(eps: np.ndarray, model: ModelParams) -> np.ndarray:
+    """log x_k = -beta (eps_k - mu) of every mode's geometric weight; a value
+    that overflows a float is a ValidationError."""
+    with np.errstate(over="ignore"):
+        logx = -model.beta * (eps - model.mu)
+    if np.isinf(logx).any():
+        raise ValidationError(
+            f"beta (eps_k - mu) overflows a float (beta = {model.beta:g}, mu = {model.mu:g})")
+    return logx
+
+
+def _moment_tails(logx: np.ndarray, caps) -> np.ndarray:
+    """`TruncationSpec.per_mode_tail` for geometric ratios x = e^logx and
+    caps M, one entry per mode; inf where x >= 1."""
+    d = _ENVELOPE_DEGREE
+    m = np.asarray(caps, dtype=float)
+    with np.errstate(divide="ignore"):  # x = 1 gives inf, replaced below either way
+        tails = math.factorial(d) * (m + 2.0) ** d * np.exp((m + 1.0) * logx) / (
+            -np.expm1(logx)) ** d
+    return np.where(logx < 0.0, tails, np.inf)
 
 
 def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12) -> TruncationSpec:
-    """Choose per-mode caps so every per-mode tail is < tol/(k_top + 1) and
+    """Choose per-mode caps so every per-mode tail is <= tol/(k_top + 1) and
     certify them with `truncation_from_caps`.
 
-    The cap search needs every geometric ratio below 1, so mu < eps(0);
-    a mode that would need a cap above _MAX_MODE_CAP raises CapOverflow.
+    Each cap M starts at its weight-only estimate x^(M+1) <= target and,
+    all modes as one array, grows by 1 + M // 8 while its tail exceeds the
+    target.  The estimate needs every ratio x < 1, so mu < eps(0); a cap
+    above _MAX_MODE_CAP raises CapOverflow.
     """
     eps = table.epsilons
     if model.mu >= eps[0]:
-        raise ValidationError(
-            f"mu must satisfy mu < eps(0) = {eps[0]}, got {model.mu}"
-        )
+        raise ValidationError(f"mu must satisfy mu < eps(0) = {eps[0]}, got {model.mu}")
     if not (0.0 < tol < 1.0):
         raise ValidationError("tol must be in (0, 1)")
     target = tol / len(eps)
-    caps = []
-    for k in range(len(eps)):
-        logx = -model.beta * (eps[k] - model.mu)
-        # weight-only estimate, then grow until the moment envelope fits
-        need = (math.log(target) + math.log(-math.expm1(logx))) / logx - 1.0
-        cap = max(1, int(math.ceil(need - 1e-9)))
-        while _moment_tail(logx, cap) > target:
-            cap += 1 + cap // 8
-        if cap > _MAX_MODE_CAP:
-            raise CapOverflow(
-                f"mode {k} needs cap {cap} to certify tol {tol:.1e}; "
-                "mu is too close to eps(0) for the capped oracle"
-            )
-        caps.append(cap)
+    logx = _log_ratios(eps, model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = (math.log(target) + np.log(-np.expm1(logx))) / logx - 1.0
+    caps = np.maximum(1.0, np.ceil(need - 1e-9))
+    while (fits := caps <= _MAX_MODE_CAP).all():
+        grow = _moment_tails(logx, caps) > target
+        if not grow.any():
+            break
+        caps[grow] += 1 + caps[grow] // 8
+    else:
+        k = int(np.argmin(fits))
+        raise CapOverflow(
+            f"mode {k} needs a cap above {_MAX_MODE_CAP} to certify tol {tol:.1e}: beta "
+            f"(eps_k - mu) = {-logx[k]:.3g} too small (beta = {model.beta:g}, mu = {model.mu:g})")
     spec = truncation_from_caps(table, model, caps)
     if spec.tail_budget > tol:
         raise NumericalFailure("computed tail budget exceeds the requested tolerance")
@@ -256,20 +276,14 @@ def truncation_from_caps(table: SpectrumTable, model: ModelParams, caps) -> Trun
         raise ValidationError("truncation table and model box must match")
     eps = table.epsilons
     if model.mu > eps[0]:
-        raise ValidationError(
-            f"mu must satisfy mu <= eps(0) = {eps[0]}, got {model.mu}"
-        )
+        raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps[0]}, got {model.mu}")
     caps = tuple(int(c) for c in caps)
+    if len(caps) != len(eps):
+        raise ValidationError("need exactly one cap per tabulated mode")
     if sum(caps[2:]) + 1 > _MAX_DP_LEN:
-        raise CapOverflow(
-            f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {_MAX_DP_LEN}"
-        )
-    tails = tuple(
-        _moment_tail(-model.beta * (eps_k - model.mu), cap) for eps_k, cap in zip(eps, caps)
-    )
-    return TruncationSpec(
-        table=table, caps=caps, per_mode_tail=tails, tail_budget=math.fsum(tails)
-    )
+        raise CapOverflow(f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {_MAX_DP_LEN}")
+    tails = tuple(_moment_tails(_log_ratios(eps, model), caps).tolist())
+    return TruncationSpec(table=table, caps=caps, per_mode_tail=tails, tail_budget=math.fsum(tails))
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +498,11 @@ def _require_mu_below_ground(spec: TruncationSpec, model: ModelParams, strict=Tr
         raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps0}, got {model.mu}")
 
 
+def _bose_factor(c: float) -> float:
+    """1/(e^c - 1) for c > 0; once e^c overflows, e^-c/(1 - e^-c) = e^-c."""
+    return 1.0 / math.expm1(c) if c <= _LOG_FLOAT_MAX else math.exp(-c)
+
+
 def exchange_identity_sides(j, targets, spec, model):
     """Both sides of the particle-exchange identity between mode j and the
     first target mode: moving one particle from j to k1 multiplies the
@@ -495,9 +514,15 @@ def exchange_identity_sides(j, targets, spec, model):
         rhs = omega((N_j + 1) N_k1^n1 prod_i N_ki^ni).
 
     For mixed wall/excited pairs at lam > 0 the move shifts Ntil and the
-    identity genuinely fails; the sides are still well defined.
+    identity genuinely fails; the sides are still well defined.  Powers
+    must be in [0, _ENVELOPE_DEGREE] and the prefactor within float range.
     """
     targets = tuple((int(k), int(n)) for k, n in targets)
+    if any(not 0 <= n <= _ENVELOPE_DEGREE for _, n in targets):
+        raise ValidationError(
+            f"exchange target powers must be in [0, {_ENVELOPE_DEGREE}], the per-mode "
+            f"degree the truncation tail certifies; got {[n for _, n in targets]}"
+        )
     if len(targets) == 0:
         raise ValidationError("need at least one (mode, power) target")
     ks = [k for k, _ in targets]
@@ -508,12 +533,15 @@ def exchange_identity_sides(j, targets, spec, model):
     k1, n1 = targets[0]
     if n1 < 1:
         raise ValidationError("the first target power must be >= 1")
-    if any(n < 0 for _, n in targets):
-        raise ValidationError("target powers must be >= 0")
     for k in [j] + ks:
         if k < 0 or k > spec.k_top:
             raise UnknownMode(f"mode {k} is outside the truncation")
     _require_mu_below_ground(spec, model)
+    eps = spec.table.epsilons
+    log_pref = model.beta * (eps[j] - eps[k1])
+    if log_pref > _LOG_FLOAT_MAX:
+        raise ValidationError(f"exchange prefactor e^(beta (eps_j - eps_k1)) = "
+                              f"e^{log_pref:.6g} overflows a float; lower beta")
 
     spect = [(k, number_poly(n)) for k, n in targets[1:] if n > 0]
     lhs_obs = DiagonalObservable(
@@ -522,10 +550,8 @@ def exchange_identity_sides(j, targets, spec, model):
     rhs_obs = DiagonalObservable(
         factors=tuple([(j, shifted_number_poly(1)), (k1, number_poly(n1))] + spect)
     )
-    eps = spec.table.epsilons
     z = constrained_partition(spec, model)
-    pref = math.exp(model.beta * (eps[j] - eps[k1]))
-    lhs = pref * grand_expectation(lhs_obs, spec, model, z=z)
+    lhs = math.exp(log_pref) * grand_expectation(lhs_obs, spec, model, z=z)
     rhs = grand_expectation(rhs_obs, spec, model, z=z)
     return lhs, rhs
 
@@ -539,7 +565,7 @@ def check_wall_mode_occupation(k, spec, model):
         raise BadMode(f"wall-mode occupation check needs k in {{0, 1}}, got {k}")
     _require_mu_below_ground(spec, model)
     occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
-    return occ, 1.0 / math.expm1(model.beta * (spec.table.epsilons[k] - model.mu))
+    return occ, _bose_factor(model.beta * (spec.table.epsilons[k] - model.mu))
 
 
 def check_moment_log_inequality(k, n, spec, model):
@@ -549,34 +575,30 @@ def check_moment_log_inequality(k, n, spec, model):
                  - (lam/L) omega(Ntil N_k^{n+1}) ]
             >=  omega(N_k^{n+1}) * ln( omega(N_k^{n+1}) / omega((N_k+1)^{n+1}) ).
 
-    Returns (lhs, rhs); equality holds in the free gas at n arbitrary.
+    Returns (lhs, rhs); equality holds in the free gas at n arbitrary.  The
+    rhs is 0 where omega(N_k^{n+1}) = 0 (x ln x -> 0); n must be in
+    [0, _ENVELOPE_DEGREE - 1].
     """
+    if not 0 <= n <= _ENVELOPE_DEGREE - 1:
+        raise ValidationError(
+            f"moment power must be in [0, {_ENVELOPE_DEGREE - 1}] (N_k^(n+1) within the "
+            f"per-mode degree the truncation tail certifies); got {n}"
+        )
     if k < 2:
         raise BadMode(f"moment inequality needs k >= 2, got {k}")
     if k > spec.k_top:
         raise UnknownMode(f"mode {k} is outside the truncation")
-    if n < 0:
-        raise ValidationError("n must be >= 0")
     _require_mu_below_ground(spec, model)
     eps_k = float(spec.table.epsilons[k])
     L = model.box.L
     z = constrained_partition(spec, model)
-    a = grand_expectation(
-        DiagonalObservable.mode_number(k, n + 1), spec, model, z=z
-    )
-    b = grand_expectation(
-        DiagonalObservable(factors=((k, shifted_number_poly(n + 1)),)), spec, model, z=z
-    )
-    c = grand_expectation(
-        DiagonalObservable(
-            factors=((k, number_poly(n + 1)),), ntilde_poly=(0.0, 1.0)
-        ),
-        spec,
-        model,
-        z=z,
-    )
+    a, b, c = (grand_expectation(obs, spec, model, z=z) for obs in (
+        DiagonalObservable.mode_number(k, n + 1),  # N_k^{n+1}
+        DiagonalObservable(factors=((k, shifted_number_poly(n + 1)),)),  # (N_k + 1)^{n+1}
+        DiagonalObservable(factors=((k, number_poly(n + 1)),), ntilde_poly=(0.0, 1.0)),
+    ))
     lhs = model.beta * ((model.mu - eps_k + 0.5 * model.lam / L) * a - model.lam * c / L)
-    rhs = a * math.log(a / b)
+    rhs = a * math.log(a / b) if a > 0.0 else 0.0
     return lhs, rhs
 
 
@@ -602,7 +624,7 @@ def check_occupation_bound(k, spec, model):
     if c <= 0.0:
         raise NonpositiveGap(f"bound exponent c_k = {c} <= 0 for k={k}")
     occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
-    return occ, 1.0 / math.expm1(c)
+    return occ, _bose_factor(c)
 
 
 # ----------------------------------------------------------------------
@@ -610,35 +632,38 @@ def check_occupation_bound(k, spec, model):
 # ----------------------------------------------------------------------
 
 _FLOAT_ATOL_FACTOR = 4e-13  # rounding allowance on top of the tail budget
-_ENVELOPE_DEGREE = 3  # the per-mode polynomial degree TruncationSpec's tails cover
 
-# the relation lhs (==, >=, <=) rhs, up to an allowance, that each check tests
-_RELATIONS = {
-    "exchange": lambda lhs, rhs, allowance: abs(lhs - rhs) <= allowance,
-    "wall-occupation": lambda lhs, rhs, allowance: abs(lhs - rhs) <= allowance,
-    "moment-inequality": lambda lhs, rhs, allowance: lhs >= rhs - allowance,
-    "occupation-bound": lambda lhs, rhs, allowance: lhs <= rhs + allowance,
+# name -> (the function giving the check's sides (lhs, rhs), the relation
+# lhs (==, >=, <=) rhs up to an allowance a that it tests)
+_CHECKS = {
+    "exchange": (exchange_identity_sides, lambda lhs, rhs, a: abs(lhs - rhs) <= a),
+    "wall-occupation": (check_wall_mode_occupation, lambda lhs, rhs, a: abs(lhs - rhs) <= a),
+    "moment-inequality": (check_moment_log_inequality, lambda lhs, rhs, a: lhs >= rhs - a),
+    "occupation-bound": (check_occupation_bound, lambda lhs, rhs, a: lhs <= rhs + a),
 }
-CHECK_NAMES = tuple(_RELATIONS)
+CHECK_NAMES = tuple(_CHECKS)
+# name -> the keyword arguments `run_check` takes for that check
+CHECK_ARGUMENTS = {name: tuple(inspect.signature(sides).parameters)[:-2]  # all but spec, model
+                   for name, (sides, _) in _CHECKS.items()}
 
 
 def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> dict:
-    """Run one named check and wrap its sides (lhs, rhs) as a JSON-ready
-    report with residual = lhs - rhs.
+    """Run one named check with its keyword arguments (`CHECK_ARGUMENTS`)
+    and wrap its sides (lhs, rhs) as a JSON-ready report with residual =
+    lhs - rhs; `params` echoes the box, the model, the truncation and the
+    arguments.
 
     Pass criteria (allowance = (budget + atol) * max(1, |lhs|, |rhs|),
-    budget = relevant truncation tail):
+    budget = tail of the truncation over the modes the arguments name):
       exchange, wall-occupation:  |lhs - rhs| <= allowance
       moment-inequality:          lhs >= rhs - allowance
       occupation-bound:           lhs <= rhs + allowance
-    A vacuous occupation bound (c_k <= 0) is reported with lhs, rhs,
-    residual and pass all None.  Exchange target powers above 3 and moment
-    powers above 2 raise ValidationError: their per-mode degree exceeds
-    the cubic envelope of the truncation tail, so the budget would not
-    certify the residual.
+    A vacuous occupation bound (c_k <= 0) is reported with its
+    `bound_exponent` and lhs, rhs, residual and pass all None.
     """
-    if name not in _RELATIONS:
+    if name not in _CHECKS:
         raise ValidationError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+    sides_of, relation = _CHECKS[name]
     params = {
         "sigma": model.box.sigma,
         "L": model.box.L,
@@ -647,45 +672,20 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
         "lambda": model.lam,
         "k_top": spec.k_top,
         "caps_total": sum(spec.caps),
+        **kwargs,
     }
-    sides = None
-    if name == "exchange":
-        j = kwargs["j"]
-        targets = tuple(kwargs["targets"])
-        if any(n > _ENVELOPE_DEGREE for _, n in targets):
-            raise ValidationError(
-                f"exchange target powers must be <= {_ENVELOPE_DEGREE}, the per-mode "
-                f"degree the truncation tail certifies; got {[n for _, n in targets]}"
-            )
-        params.update(j=j, targets=list(map(list, targets)))
-        involved = [j] + [k for k, _ in targets]
-        sides = exchange_identity_sides(j, targets, spec, model)
-    else:
-        k = kwargs["k"]
-        params["k"] = k
-        involved = [k]
-        if name == "wall-occupation":
-            sides = check_wall_mode_occupation(k, spec, model)
-        elif name == "moment-inequality":
-            n = kwargs.get("n", 0)
-            if n + 1 > _ENVELOPE_DEGREE:
-                raise ValidationError(
-                    f"moment power must be <= {_ENVELOPE_DEGREE - 1} (N_k^(n+1) within the "
-                    f"per-mode degree the truncation tail certifies); got {n}"
-                )
-            params["n"] = n
-            sides = check_moment_log_inequality(k, n, spec, model)
-        else:
-            try:
-                sides = check_occupation_bound(k, spec, model)
-            except NonpositiveGap:
-                params["bound_exponent"] = occupation_bound_exponent(k, spec, model)
-    budget = spec.relevant_budget(involved)
+    try:
+        sides = sides_of(spec=spec, model=model, **kwargs)
+    except NonpositiveGap:
+        sides = None
+        params["bound_exponent"] = occupation_bound_exponent(spec=spec, model=model, **kwargs)
+    involved = [kwargs[a] for a in ("j", "k") if a in kwargs]  # the modes the arguments name
+    budget = spec.relevant_budget(involved + [k for k, _ in kwargs.get("targets", ())])
     report = {"check": name, "params": params, "lhs": None, "rhs": None,
               "residual": None, "tail_budget": budget, "pass": None}
     if sides is not None:
         lhs, rhs = sides
         allowance = (budget + _FLOAT_ATOL_FACTOR) * max(1.0, abs(lhs), abs(rhs))
         report.update(lhs=lhs, rhs=rhs, residual=lhs - rhs)
-        report["pass"] = _RELATIONS[name](lhs, rhs, allowance)
+        report["pass"] = relation(lhs, rhs, allowance)
     return report

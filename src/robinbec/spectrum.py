@@ -37,7 +37,11 @@ strictly inside its bracket, and its residual is taken from the raw trig
 condition above, an independent check on the phase form.  The root sits
 about 2*s/(p*L) below k*pi/L; when that is under an ulp of p
 (s < ~1e-16*p^2*L, so k > ~4e7 once L*s > 2) the root rounds onto the
-bracket end and raises BracketFailure.  The wall pair is
+bracket end and raises BracketFailure.  At the other end the root sits
+about 2/(L*s) relative above (k-1)*pi/L, which a double resolves only up
+to L*s ~ 4e15 (a k_max = 10^5 build there failed for 1 of 60 random L),
+so modes k >= 2 need L*s <= MAX_PHASE_LS = 1e15 (ValidationError
+otherwise; a table with k_max <= 1 has no such limit).  The wall pair is
 bisected to 1e-13 relative width plus one guarded Newton step, on the
 brackets [s, s/tanh(s*L/2)] for k = 0 and (delta, s] for k = 1 with delta
 shrunk until the residual goes negative.
@@ -82,6 +86,8 @@ _STEP_ULPS = 4.0
 # largest k_max `build_spectrum` accepts: a build peaks at ~105 bytes per
 # mode (measured at k_max = 10^6), about 1 GB at the limit
 K_MAX_LIMIT = 10_000_000
+# largest L*|sigma| for which the k >= 2 phase roots are resolved (module docstring)
+MAX_PHASE_LS = 1e15
 
 
 class OutOfDomain(ValidationError):
@@ -319,6 +325,10 @@ def _trig_residual(p, half, s, even):
 def _ladder(params: BoxParams, k):
     """`Mode` fields of the k >= 2 modes as arrays over the integer array k."""
     s, L = params.s, params.L
+    if len(k) and not L * s <= MAX_PHASE_LS:
+        raise ValidationError(
+            f"modes k >= 2 need L*|sigma| <= {MAX_PHASE_LS:g}, got {L * s:g}"
+        )
     even = k % 2 == 0
     lo, hi = (k - 1) * math.pi / L, k * math.pi / L
     p = _phase_roots(k, L, s, lo, hi)

@@ -1,4 +1,6 @@
 import json
+import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -277,6 +279,10 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, bad):
     _assert_one_line_rejection(rc, capsys, bad.format(**paths))
 
 
+_HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300",
+              "--out", "{tmp}/o"]
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["profile", "--sigma", "-1", "--L", "20", "--fraction", "0", "--out", "{tmp}/fr.csv"],
      "fraction must be"),
@@ -299,12 +305,40 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, bad):
      "grid_n must be in [64, 10000000]"),
     (["sweep", "--sigma=-1", "--L-grid", "10:20:linear:10000000000000", "--out", "{tmp}/o"],
      "count <= 10000"),
+    # huge or tiny beta: overflowed in the exchange prefactor, or in the cap
+    # search before its cap limit
+    (_HUGE_BETA + ["--check", "exchange", "--j", "1", "--target", "0:1"], "prefactor"),
+    (_HUGE_BETA + ["--check", "exchange", "--j", "4", "--target", "2:1"], "prefactor"),
+    (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e-300", "--out", "{tmp}/o"],
+     "(beta = 1e-300, mu = -1.5)"),
+    # beta (eps_0 - mu) overflows: the wall-mode sum gave lhs = NaN at exit 0
+    (["oracle", "--check", "wall-occupation", "--sigma=-1", "--L", "10", "--mu=-1e10",
+      "--beta", "1e300", "--mode", "0", "--out", "{tmp}/o"], "overflows a float (beta = 1e+300"),
+    # past the phase-form range of the k >= 2 roots (exited 1, "no sign change")
+    (["thermo", "--sigma=-1e17", "--L", "1", "--out", "{tmp}/o"], "L*|sigma| <= 1e+15"),
+    (["thermo", "--sigma=-1e20", "--L", "20", "--out", "{tmp}/o"], "L*|sigma| <= 1e+15"),
+    (["spectrum", "--sigma=-1e17", "--L", "1", "--k-max", "3", "--out", "{tmp}/o"],
+     "L*|sigma| <= 1e+15"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
     rc = run([a.format(**paths) for a in argv])
     _assert_one_line_rejection(rc, capsys, needle.format(**paths))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("check", [
+    # closed forms 1/(e^c - 1) overflowed in expm1; the moment rhs took log(0)
+    ["--check", "wall-occupation", "--mode", "0"],
+    ["--check", "occupation-bound", "--mode", "3"],
+    ["--check", "moment-inequality", "--mode", "3", "--power", "1"],
+])
+def test_huge_beta_gives_a_finite_report(tmp_path, capsys, check):
+    assert run([a.format(tmp=tmp_path) for a in _HUGE_BETA] + check) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads((tmp_path / "o").read_text())
+    assert rep["pass"] is True
+    assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "residual", "tail_budget"))
 
 
 def test_writability_check_keeps_an_existing_file(tmp_path):
@@ -403,3 +437,22 @@ def test_readme_flag_table_matches_schema():
     readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
     table = [line for line in readme if line.startswith("| `--")]
     assert table == _flag_table_rows()
+
+
+def _readme_cli_examples():
+    """The robinbec commands of the README "CLI examples" block, as argv lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = shlex.split(block.replace("\\\n", " "), comments=True)
+    starts = [i for i, word in enumerate(commands) if word == "robinbec"] + [len(commands)]
+    return [commands[a + 1:b] for a, b in zip(starts, starts[1:])]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _readme_cli_examples()
+    assert [argv[0] for argv in examples] == ["spectrum", "oracle", "thermo", "profile", "sweep"]
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / argv[argv.index("--out") + 1]).is_file()

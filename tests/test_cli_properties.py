@@ -1,7 +1,8 @@
 """Property test of the CLI: random flags and config files for every
-subcommand, valid values mixed with zero, negative and NaN ones.  Every run
-ends in rc 0, 1 or 2; a failure prints one line and no traceback; a solved
-thermo point satisfies its density equation."""
+subcommand, valid values mixed with zero, negative, NaN and extreme finite
+ones.  Every run ends in rc 0, 1 or 2; a failure prints one line and no
+traceback; a solved thermo point satisfies its density equation and an
+oracle report is finite."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import robinbec.cli as cli
 
-BAD = {float: ("0", "-1", "nan"), int: ("0", "-1")}
+BAD = {float: ("0", "-1", "nan", "1e-300", "1e300", "-1e17"), int: ("0", "-1")}
 
 # small valid values, so each run takes milliseconds
 VALID = {
@@ -63,7 +64,7 @@ def invocations(draw):
     return argv, config
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+@settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_every_run_exits_cleanly(invocation):
@@ -88,3 +89,8 @@ def test_every_run_exits_cleanly(invocation):
             residual = abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"])
             assert residual <= 1e-10 * rep["rho"]
             assert math.isfinite(rep["mu"])
+        elif argv[0] == "oracle":
+            with open(out) as fh:
+                rep = json.load(fh)
+            sides = [rep[key] for key in ("lhs", "rhs", "residual") if rep[key] is not None]
+            assert all(math.isfinite(v) for v in sides + [rep["tail_budget"]]), rep

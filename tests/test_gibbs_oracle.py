@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers_bruteforce import enum_constrained_z, enum_expectation, enum_expectation_split
+from helpers_caps import moment_tail, per_mode_caps
 
 import robinbec.gibbs_oracle as gibbs_oracle
 from robinbec.errors import ValidationError
@@ -104,6 +105,40 @@ def test_cap_overflow_near_ground_state():
                         mu=float(table.epsilons[0]) - 1e-12, lam=1.0)
     with pytest.raises(CapOverflow):
         make_truncation(table, model, tol=1e-12)
+
+
+def test_cap_search_matches_per_mode_reference():
+    # the array cap search against the scalar per-mode search it replaced,
+    # on random boxes that include CapOverflow cases.  numpy's exp, expm1
+    # and pow may differ from libm's in the last bit, so a tail within a
+    # few ulp of the target may stop one search a step before the other;
+    # there both caps must still certify
+    rng = np.random.default_rng(8)
+    compared = overflows = near = 0
+    for _ in range(1450):
+        s = float(rng.uniform(0.3, 3.0))
+        L = (2.0 + 10 ** rng.uniform(-2.0, 2.5)) / s
+        table = build_spectrum(BoxParams(-s, L), int(rng.integers(2, 121)))
+        beta, tol = float(10 ** rng.uniform(-1.5, 1.5)), float(10 ** rng.uniform(-15, -3))
+        mu = float(table.epsilons[0] - 10 ** rng.uniform(-7.0, 1.5))
+        model = ModelParams(box=table.params, beta=beta, mu=mu, lam=1.0)
+        ref = per_mode_caps(table.epsilons, beta, mu, tol)
+        if None in ref or sum(ref[2:]) + 1 > 2_000_000:
+            overflows += 1
+            with pytest.raises(CapOverflow):
+                make_truncation(table, model, tol=tol)
+            continue
+        spec = make_truncation(table, model, tol=tol)
+        compared += 1
+        assert all(type(c) is int for c in spec.caps)
+        target = tol / len(ref)
+        for k, (cap, want) in enumerate(zip(spec.caps, ref)):
+            if cap != want:
+                near += 1
+                logx = -beta * (table.epsilons[k] - mu)
+                assert moment_tail(logx, want) <= target and spec.per_mode_tail[k] <= target
+                assert abs(moment_tail(logx, min(cap, want)) - target) <= 4 * math.ulp(target)
+    assert compared >= 1000 and overflows >= 100 and near <= 3
 
 
 def test_mismatched_precomputed_z_rejected():
@@ -378,6 +413,8 @@ def test_exchange_identity_validation():
         exchange_identity_sides(0, [(1, 0)], spec, model)  # first power must be >= 1
     with pytest.raises(UnknownMode):
         exchange_identity_sides(0, [(99, 1)], spec, model)
+    with pytest.raises(ValidationError, match="target powers"):  # beyond the tail envelope
+        exchange_identity_sides(0, [(1, 4)], spec, model)
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +486,8 @@ def test_moment_inequality_validation():
         check_moment_log_inequality(0, 0, spec, model)
     with pytest.raises(ValidationError):
         check_moment_log_inequality(2, -1, spec, model)
+    with pytest.raises(ValidationError, match="moment power"):  # beyond the tail envelope
+        check_moment_log_inequality(2, 3, spec, model)
 
 
 # ----------------------------------------------------------------------
@@ -517,6 +556,7 @@ def test_run_check_reports():
     assert rep["pass"] is True
     rep = run_check("moment-inequality", spec, model, k=2, n=0)
     assert rep["pass"] is True
+    assert {"k": 2, "n": 0}.items() <= rep["params"].items()  # the check's own arguments
     rep = run_check("occupation-bound", spec, model, k=2)
     assert rep["pass"] is True
     with pytest.raises(ValidationError):

@@ -64,6 +64,20 @@ def test_second_bound_state_threshold():
     assert mode.epsilon < 0.0
 
 
+def test_phase_form_range():
+    # past L|sigma| ~ 4e15 the k >= 2 roots round onto (k-1) pi/L; the
+    # limit 1e15 is checked wherever those modes are built
+    for L in (1e-3, 1.0, 20.0, 1e4):
+        table = build_spectrum(BoxParams(sigma=-spectrum.MAX_PHASE_LS / L, L=L), 2000)
+        assert np.all(np.diff(table.epsilons[1:]) > 0.0)  # the wall pair is degenerate here
+        over = BoxParams(sigma=-2.0 * spectrum.MAX_PHASE_LS / L, L=L)
+        with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+15"):
+            build_spectrum(over, 3)
+        with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+15"):
+            solve_mode(over, 2)
+        assert len(build_spectrum(over, 1).epsilons) == 2  # the wall pair has no such limit
+
+
 def test_positive_mode_bracket():
     mode = solve_mode(BoxParams(sigma=-1.0, L=10.0), 2)
     assert (math.pi / 10.0) ** 2 < mode.epsilon < (2.0 * math.pi / 10.0) ** 2
