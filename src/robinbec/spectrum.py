@@ -41,10 +41,21 @@ bracket end and raises BracketFailure.  At the other end the root sits
 about 2/(L*s) relative above (k-1)*pi/L, which a double resolves only up
 to L*s ~ 4e15 (a k_max = 10^5 build there failed for 1 of 60 random L),
 so modes k >= 2 need L*s <= MAX_PHASE_LS = 1e15 (ValidationError
-otherwise; a table with k_max <= 1 has no such limit).  The wall pair is
-bisected to 1e-13 relative width plus one guarded Newton step, on the
-brackets [s, s/tanh(s*L/2)] for k = 0 and (delta, s] for k = 1 with delta
-shrunk until the residual goes negative.
+otherwise; a table with k_max <= 1 has no such limit).
+
+The wall pair is solved for its offsets d0 = q0 - s and d1 = s - q1
+(~2*s*e^{-L*s}), which set eps(1) - eps(0) = (d0 + d1)*(2*s + d0 - d1),
+on forms of its conditions that do not cancel:
+
+    G0(d) = log1p(2s/d) - (s + d)*L          (convex, falling),
+    G1(d) = log1p(2(s - d)/d) - (s - d)*L    (convex, d1 on its falling side),
+
+G1 for L*s > 3; below that the odd root solves B(u) = u*coth(u) - 1 = e at
+u = q*L/2 (convex, rising; B summed as a positive series, e = L*s/2 - 1
+from the exact product s*L).  Each root is one monotone Newton iteration
+(`_wall_newton`, 1 to 8 evaluations) from a closed-form bound on its near
+side.  The brackets are closed forms: q0 in [s, s*coth(s*L/2)], and q1 in
+[max(e, sqrt(3e))/(L/2), s] because B(u) < u and B(u) <= u^2/3.
 
 Eigenfunctions are cosh/sinh (bound) or cos/sin (scattering-like)
 profiles with L2 normalization
@@ -79,10 +90,16 @@ EVEN = "even"
 ODD = "odd"
 
 _LN2 = math.log(2.0)
-# Newton passes allowed per k >= 2 root (3 to 5 are needed, the last one
-# confirming a step of at most _STEP_ULPS units in the last place)
-_NEWTON_PASSES = 8
+# Newton passes allowed per root: a k >= 2 root needs 3 to 5, the last one
+# confirming a step of at most _STEP_ULPS units in the last place, and a
+# wall root 1 to 8 (see `_wall_newton`)
+_NEWTON_PASSES = 12
 _STEP_ULPS = 4.0
+# above this L*s the odd wall root is solved for d1 = s - q1, below it on the
+# series form of u*coth(u) - 1 (module docstring): the series loses d1 as
+# q1 -> s, the d1 form loses q1 near the threshold, and each held q1 within
+# 3 ulp of mpmath on its own side of 3
+_ODD_SERIES_LS = 3.0
 # largest k_max `build_spectrum` accepts: a build peaks at ~105 bytes per
 # mode (measured at k_max = 10^6), about 1 GB at the limit
 K_MAX_LIMIT = 10_000_000
@@ -231,39 +248,6 @@ class ModeView(Sequence):
 # root finding
 # ----------------------------------------------------------------------
 
-def _bracketed_root(f, df, lo, hi, rtol=1e-13):
-    """Bisection to relative width `rtol`, then one guarded Newton step."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketFailure(
-            f"no sign change on [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
-        )
-    a, b, fb = lo, hi, fhi
-    while (b - a) > rtol * max(abs(a), abs(b)):
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fb > 0.0):
-            b, fb = mid, fm
-        else:
-            a = mid
-    x = 0.5 * (a + b)
-    fx = f(x)
-    d = df(x)
-    if d != 0.0 and math.isfinite(d):
-        y = x - fx / d
-        if a <= y <= b and abs(f(y)) <= abs(fx):
-            return y
-    return x
-
-
 def _phase(p, L, s, kpi):
     """g_k(p) = p*L + 2*arctan(s/p) - k*pi and its slope L - 2*s/(p^2 + s^2);
     `kpi` holds k*pi for each entry of p."""
@@ -344,24 +328,8 @@ def _ladder(params: BoxParams, k):
     }
 
 
-def _sech2(x):
-    e = math.exp(-abs(x))
-    return (2.0 * e / (1.0 + e * e)) ** 2
-
-
-def _csch2(x):
-    # x > 0
-    e = math.exp(-x)
-    den = 1.0 - e * e
-    return (2.0 * e / den) ** 2 if den > 0.0 else math.inf
-
-
-def _coth(x):
-    return 1.0 / math.tanh(x)
-
-
 def _ucothu_minus_one(u):
-    """u coth(u) - 1 for 0 < u < 1, without cancellation: its numerator
+    """u coth(u) - 1 for 0 < u < 2, without cancellation: its numerator
     u cosh(u) - sinh(u) = sum_{n>=1} 2n u^(2n+1)/(2n+1)! has only positive
     terms."""
     u2 = u * u
@@ -426,15 +394,129 @@ def _bound_log_norm(parity, q, L):
 
 
 # ----------------------------------------------------------------------
+# wall pair
+# ----------------------------------------------------------------------
+
+def _log1p_ratio(a, d):
+    """log1p(a/d) for a >= 0 and d > 0, also where a/d overflows."""
+    r = a / d
+    return math.log1p(r) if r < math.inf else math.log(a) - math.log(d)
+
+
+def _below(x):
+    """x lowered by a few ulp (not below 0), to absorb rounding in a bound."""
+    return max(0.0, x - 4.0 * math.ulp(x))
+
+
+def _wall_newton(form, x, k):
+    """Root of a convex function f by Newton's method from the bracket end x.
+
+    form(x) returns (f(x), x*f'(x)), and f(x) >= 0 at the start, so every
+    step goes the same way and none overshoots.  The iteration stops at the
+    first step that turns back or does not move x: rounding in f, about
+    L*s ulp here, rules out a fixed few-ulp stop.  A start x = 0 (an
+    offset that underflows) is the root.  Raises BracketFailure if f < 0 at
+    the start and NumericalFailure after _NEWTON_PASSES evaluations of f.
+    """
+    if x == 0.0:
+        return x
+    up = None
+    for _ in range(_NEWTON_PASSES):
+        value, slope = form(x)
+        if up is None:
+            if not value >= 0.0:
+                raise BracketFailure(f"wall mode {k}: f = {value!r} < 0 at the bracket end {x!r}")
+            up = slope < 0.0
+        new = x - x * (value / slope)
+        if new == x or (new > x) != up:
+            return x
+        x = new
+    raise NumericalFailure(
+        f"wall-pair Newton left mode {k} unconverged after {_NEWTON_PASSES} passes"
+    )
+
+
+def _wall_pair(params: BoxParams, k_max: int):
+    """`Mode` fields of the wall modes 0..min(k_max, 1) as arrays, and their
+    offsets from s = |sigma|: (d0,) or (d0, d1), d0 = q0 - s, d1 = s - q1.
+
+    See the module docstring for the forms solved.  Raises
+    NoSecondBoundState for k_max >= 1 when L*|sigma| <= 2.
+    """
+    s, L, half = params.s, params.L, params.half
+    sl = s * L
+    if k_max >= 1 and not params.has_second_bound_state():
+        raise NoSecondBoundState(f"odd bound state needs L*|sigma| > 2, got {sl}")
+
+    def even(d):  # G0 and d*G0'
+        return _log1p_ratio(2.0 * s, d) - (s + d) * L, -2.0 * s / (d + 2.0 * s) - L * d
+
+    # q0 in [s, s + d_hi]; d0 >= 2s*e^{-(s + d_hi)L}, its exponent lowered by
+    # its own rounding (a few ulp of its largest term), and q0 >= sqrt(2s/L)
+    log_2s = math.log(2.0 * s)
+    d_hi = math.exp(log_2s - sl) / -math.expm1(-sl)  # s*(coth(sL/2) - 1)
+    y = (s + d_hi) * L
+    start = max(math.exp(log_2s - y - 4.0 * math.ulp(max(y, abs(log_2s)))),
+                math.sqrt(2.0 * s) / math.sqrt(L) - s)
+    d = [_wall_newton(even, _below(start), 0)]
+    q = s + d[0]
+    log_norm = _bound_log_norm(EVEN, q, L)
+    phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
+    q_hi = s + d_hi
+    residual = abs(phi_wall * (q * math.tanh(half * q) - s))
+    rows = [(-q * q, q, log_norm, residual, -q_hi * q_hi, -s * s)]
+
+    if k_max >= 1:
+        # q1 in [max(e, sqrt(3e))/(L/2), s], as B(u) = u*coth(u) - 1 = e at
+        # u = q1*L/2 with B(u) < u and B(u) <= u^2/3.  e = L*s/2 - 1 cancels
+        # near the threshold, so below e = 3 it comes from the exact product
+        # of the mantissas of s and L (Dekker's split would overflow at L
+        # beyond ~1e300); above, e/(L/2) = s - 2/L
+        if sl < 8.0:
+            (ms, es), (ml, el) = math.frexp(s), math.frexp(L)
+            sl_hi, sl_lo = _two_product(ms, ml)
+            e = (math.ldexp(sl_hi, es + el - 1) - 1.0) + math.ldexp(sl_lo, es + el - 1)
+            q_lo = _below(math.sqrt(3.0 * e) / half)
+        else:
+            q_lo = _below(s - 2.0 / L)
+        if sl > _ODD_SERIES_LS:
+            def odd(d):  # G1 and d*G1'
+                return _log1p_ratio(2.0 * (s - d), d) - (s - d) * L, L * d - 2.0 * s / (2.0 * s - d)
+
+            # d1 >= (s + q_lo)*e^{-(s - d)L} for any d <= d1, here the d of
+            # the same bound with e^{-sL}
+            log_s_q = math.log(s + q_lo)
+            d.append(_wall_newton(odd, math.exp(log_s_q - (s - math.exp(log_s_q - sl)) * L), 1))
+            q = s - d[1]
+        else:
+            def series(q):  # B(u) - e and u*B'(u) = q*dB/dq at u = q*L/2
+                u = half * q
+                t = _ucothu_minus_one(u)
+                return t - e, u * u - t * (1.0 + t)
+
+            # B(u) >= u^2/(3 + u) puts the root below u_hi
+            q = _wall_newton(series, 0.5 * (e + math.sqrt(e * (e + 12.0))) / half, 1)
+            d.append(s - q)
+        u = half * q
+        log_norm = _bound_log_norm(ODD, q, L)
+        phi_wall = math.exp(log_norm + _logsinh(u))
+        g = (_ucothu_minus_one(u) - e) / half if u < 1.0 else q / math.tanh(u) - s
+        rows.append((-q * q, q, log_norm, abs(phi_wall * g), -s * s, -q_lo * q_lo))
+
+    names = ("epsilon", "wavenumber", "log_norm", "residual", "bracket_lo", "bracket_hi")
+    return {name: np.array(column) for name, column in zip(names, zip(*rows))}, tuple(d)
+
+
+# ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
 
 def solve_mode(params: BoxParams, k: int) -> Mode:
     """Solve one eigenpair; see the module docstring for the equations.
 
-    The wall pair (k = 0, 1) is bisected to relative width 1e-13; a
-    k >= 2 mode is the length-1 case of `build_spectrum`'s phase Newton
-    iteration and equals the table's mode k exactly.  Raises
+    Mode k is entry k of the table `build_spectrum` builds, taken from the
+    same code path: the wall-pair Newton solver for k = 0, 1 and the
+    length-1 case of the phase Newton iteration for k >= 2.  Raises
     NoSecondBoundState for k = 1 when L*|sigma| <= 2 and BracketFailure if
     a certified bracket fails its sign-change check.
     """
@@ -442,94 +524,31 @@ def solve_mode(params: BoxParams, k: int) -> Mode:
         raise ValidationError(f"mode index must be a nonnegative integer, got {k!r}")
     k = int(k)
     if k >= 2:
-        fields = _ladder(params, np.array([k]))
-        return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD,
-                    **{name: float(column[0]) for name, column in fields.items()})
-    s, L, half = params.s, params.L, params.half
-
-    if k == 0:
-        def f(q):
-            return q * math.tanh(half * q) - s
-
-        def df(q):
-            return math.tanh(half * q) + q * half * _sech2(half * q)
-
-        lo, hi = s, s / math.tanh(half * s)
-        q = _bracketed_root(f, df, lo, hi)
-        parity, eps = EVEN, -q * q
-        log_norm = _bound_log_norm(EVEN, q, L)
-        phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
-        residual = abs(phi_wall * f(q))
-        bracket_lo, bracket_hi = -hi * hi, -lo * lo
+        fields, i = _ladder(params, np.array([k])), 0
     else:
-        if not params.has_second_bound_state():
-            raise NoSecondBoundState(
-                f"odd bound state needs L*|sigma| > 2, got {L * s}"
-            )
-
-        # below u = q L/2 = 1, u coth(u) - s L/2 cancels towards the
-        # threshold; there it is the series u coth(u) - 1 against the
-        # exact product s L/2 - 1
-        sl, sl_err = _two_product(s, L)
-        excess = (0.5 * sl - 1.0) + 0.5 * sl_err
-
-        def g(q):
-            u = half * q
-            if u < 1.0:
-                return (_ucothu_minus_one(u) - excess) / half
-            return q * _coth(u) - s
-
-        def dg(q):
-            u = half * q
-            if u < 1.0:  # coth(u) - u csch^2(u) = (u^2 - t (1 + t)) / u
-                t = _ucothu_minus_one(u)
-                return (u * u - t * (1.0 + t)) / u
-            return _coth(u) - q * half * _csch2(u)
-
-        hi = s  # g(s) = s*(coth(sL/2) - 1) > 0
-        lo = 0.5 * s
-        for _ in range(5000):
-            if g(lo) < 0.0:
-                break
-            lo *= 0.5
-        else:
-            raise BracketFailure("could not certify lower bracket for the odd bound state")
-        q = _bracketed_root(g, dg, lo, hi)
-        parity, eps = ODD, -q * q
-        log_norm = _bound_log_norm(ODD, q, L)
-        phi_wall = math.exp(log_norm + _logsinh(q * half))
-        residual = abs(phi_wall * g(q))
-        bracket_lo, bracket_hi = -hi * hi, -lo * lo
-
-    return Mode(
-        k=k,
-        parity=parity,
-        epsilon=eps,
-        wavenumber=q,
-        log_norm=log_norm,
-        residual=residual,
-        bracket_lo=bracket_lo,
-        bracket_hi=bracket_hi,
-    )
+        (fields, _), i = _wall_pair(params, k), k
+    return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD,
+                **{name: float(column[i]) for name, column in fields.items()})
 
 
 def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     """Modes 0..k_max as a validated table (k_max = 0 gives just the even
     bound state).
 
-    The wall pair comes from `solve_mode`; the k >= 2 modes come from one
-    phase Newton iteration over all of them (see the module docstring).
+    The wall pair comes from one call of the wall-pair solver; the k >= 2
+    modes come from one phase Newton iteration over all of them (see the
+    module docstring).
     """
     if not isinstance(k_max, (int, np.integer)) or not 0 <= k_max <= K_MAX_LIMIT:
         raise ValidationError(
             f"k_max must be an integer in [0, {K_MAX_LIMIT}], got {k_max!r}"
         )
     k_max = int(k_max)
-    bound = [solve_mode(params, k) for k in range(min(k_max, 1) + 1)]
+    wall, _ = _wall_pair(params, k_max)
     ladder = _ladder(params, np.arange(2, k_max + 1))
 
     def column(field):
-        return np.concatenate([[getattr(m, field) for m in bound], ladder[field]])
+        return np.concatenate([wall[field], ladder[field]])
 
     return SpectrumTable(
         params=params,
@@ -588,37 +607,10 @@ def boundary_residual_scale(mode: Mode, params: BoxParams) -> float:
 # ----------------------------------------------------------------------
 
 def bound_state_corrections(params: BoxParams) -> tuple[float, float]:
-    """(q0 - s, s - q1) with full relative precision at large L*s.
-
-    Subtracting solved wavenumbers loses everything once the splitting
-    drops below eps*s, so for L*s >= 4 the corrections are obtained from
-    the exact rearrangements of the bound-state conditions
-
-        d0 = (2s + d0) * exp(-(s + d0) L),
-        d1 = (2s - d1) * exp(-(s - d1) L),
-
-    iterated in log space (contraction for L*s >= 4).  Below that the
-    direct subtraction is accurate and is used instead.
-    """
-    s, L = params.s, params.L
-    if not params.has_second_bound_state():
-        raise NoSecondBoundState(f"needs L*|sigma| > 2, got {L * s}")
-    if s * L < 4.0:
-        q0 = solve_mode(params, 0).wavenumber
-        q1 = solve_mode(params, 1).wavenumber
-        return q0 - s, s - q1
-
-    def _fixed_point(sign):
-        logd = math.log(2.0 * s) - s * L
-        for _ in range(200):
-            d = math.exp(logd)
-            new = math.log(2.0 * s + sign * d) - (s + sign * d) * L
-            if abs(new - logd) <= 1e-15 * max(1.0, abs(new)):
-                return math.exp(new)
-            logd = new
-        raise NumericalFailure("bound-state correction iteration did not converge")
-
-    return _fixed_point(+1.0), _fixed_point(-1.0)
+    """(q0 - s, s - q1) with full relative precision at any L*s: the
+    wall-pair solver finds these offsets themselves, from the same roots as
+    the table."""
+    return _wall_pair(params, 1)[1]
 
 
 def bound_state_gap(params: BoxParams) -> float:

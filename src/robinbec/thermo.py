@@ -18,9 +18,14 @@ The free model is the lam = 0 case of the SCF one.  Writing
 nu = mu - lam*rt makes rt(nu) = (1/L) sum_{k>=2} bose(beta (eps_k - nu))
 explicit, and both mu(nu) = nu + lam*rt(nu) and the total density
 increase with nu, so the solve needs no fixed-point iteration: one
-bracketed Brent root finds nu*, where mu reaches eps(0), and a second
-solves the density equation in log(nu* - nu), in which the density stays
-smooth as mu approaches eps(0).
+bracketed Brent root finds nu*, where mu reaches eps(0), in log(eps(0) - nu)
+(a large lam puts nu* only ~log(lam)/beta below eps(0), in a bracket as
+wide as lam), and a second solves the density equation in log(nu* - nu),
+in which the density stays smooth as mu approaches eps(0).  The density
+equation needs eps(0) - mu ~ 2/(beta*L*rho), which a double resolves only
+to the spacing of doubles near eps(0); where that is too coarse for the
+1e-10 * rho certificate (beta above ~3e5 at L = 20, rho = 1) the solve
+raises ValidationError naming beta and eps(0).
 
 The k-sum is cut at k_max with a certified Gaussian-tail bound using the
 lower bracket eps_k > ((k-1) pi / L)^2.
@@ -43,6 +48,7 @@ Condensation diagnostics:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -257,7 +263,8 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
     Brent roots in nu = mu - lam*rho_tilde (see the module docstring).
 
     Raises CutoffTooSmall if the certified k_max tail exceeds
-    inp.cutoff_tol.  The returned state satisfies
+    inp.cutoff_tol, and ValidationError where doubles near eps(0) are too
+    coarse for the density equation.  The returned state satisfies
     |rho_tilde + rho_cond_finite - rho| < 1e-10 * rho, and its
     rho_tilde is (1/L) * sum_{k>=2} occ_k.
     """
@@ -278,16 +285,36 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
     beta, L, rho = inp.beta, inp.box.L, inp.rho
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
 
+    @functools.cache  # brentq evaluates again the bracket ends found below
     def at(nu):
         """(total density, mu) at nu."""
         occ, rho_tilde, mu = _occupations(eps, beta, nu, lam, L)
         return rho_tilde + float((occ[0] + occ[1]) / L), mu
 
-    # nu* = eps0 - lam*rt(nu*) lies in [eps0 - shift, eps0], shift = lam*rt(eps0)
+    def unresolved(detail):
+        # mu is a double, so eps(0) - mu ~ 2/(beta*L*rho) is resolved only to
+        # about its spacing near eps(0)
+        return ValidationError(
+            f"the density equation at beta = {beta:g} is not resolved in doubles near "
+            f"eps(0) = {eps0!r} (spacing {math.ulp(eps0):.3g}): {detail}"
+        )
+
+    # nu* = eps0 - lam*rt(nu*) lies in [eps0 - shift, eps0], shift = lam*rt(eps0);
+    # it is found in t = log(eps0 - nu), as eps0 - nu* can be far below shift
     shift = at(eps0)[1] - eps0 if lam > 0.0 else 0.0
     nu_star = eps0 - shift
     if shift > 1e-14 * abs(eps0):  # else eps0 - shift is within rounding of nu*
-        nu_star = _brent(lambda nu: at(nu)[1] - eps0, eps0 - 2.0 * shift, eps0)
+        def excess(t):
+            return at(eps0 - math.exp(t))[1] - eps0
+
+        t_hi, width = math.log(shift), 1.0  # excess(t_hi) < 0
+        for _ in range(64):
+            if excess(t_hi - width) > 0.0:
+                break
+            width *= 2.0
+        else:
+            raise NumericalFailure("could not bracket the level nu* where mu reaches eps(0)")
+        nu_star = eps0 - math.exp(_brent(excess, t_hi - width, t_hi))
 
     # near end of the bracket: the first gap below nu* that puts mu below eps(0)
     gap = 1e-15 * abs(nu_star)
@@ -298,11 +325,8 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
         gap *= 2.0
     else:
         raise NumericalFailure("could not place nu below the level where mu reaches eps(0)")
-    if total < rho:
-        raise ValidationError(
-            f"target density {rho} is not reachable below eps(0); "
-            "increase caps on the density or check parameters"
-        )
+    if total < rho:  # every density is reached as mu -> eps(0)
+        raise unresolved(f"just below eps(0) the density is only {total:.3g}, not {rho:g}")
     step = max(1.0, abs(eps0))
     for _ in range(200):
         if at(nu_star - step)[0] < rho:
@@ -322,6 +346,12 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
         rho_cond_finite=float((occ[0] + occ[1]) / L),
         epsilons=eps,
     )
+    if mu < eps0 and state.density_residual > 1e-10 * rho:
+        nu = nu_star - math.exp(t)
+        jump = abs(at(math.nextafter(nu, nu_star))[0] - (rho_tilde + state.rho_cond_finite))
+        if jump > 1e-10 * rho:
+            raise unresolved(f"one double step of nu = mu - lam*rho_tilde moves the density by "
+                             f"{jump / rho:.2g} * rho, above the 1e-10 * rho certificate")
     if not (mu < eps0 and state.density_residual <= 1e-10 * rho):
         raise NumericalFailure(
             f"density residual {state.density_residual:.3e} above 1e-10 * rho "

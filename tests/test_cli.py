@@ -319,6 +319,27 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     (["thermo", "--sigma=-1e20", "--L", "20", "--out", "{tmp}/o"], "L*|sigma| <= 1e+15"),
     (["spectrum", "--sigma=-1e17", "--L", "1", "--k-max", "3", "--out", "{tmp}/o"],
      "L*|sigma| <= 1e+15"),
+    # every command that builds mode 1 needs L|sigma| > 2
+    (["spectrum", "--sigma=-1", "--L", "1", "--k-max", "3", "--out", "{tmp}/o"],
+     "odd bound state needs L*|sigma| > 2"),
+    (["oracle", "--sigma=-1", "--L", "1.5", "--mu=-3", "--out", "{tmp}/o"],
+     "odd bound state needs L*|sigma| > 2"),
+    # eps(0) - mu ~ 2/(beta L rho) below what doubles resolve near eps(0): the
+    # first beta of a quarter-decade grid exited 1 (density residual above
+    # 1e-10 * rho), huge beta or |sigma| asked to "increase caps"
+    (["thermo", "--sigma=-1", "--L", "20", "--beta", "316227.7660168379", "--out", "{tmp}/o"],
+     "density equation at beta = 316228 is not resolved in doubles near eps(0) = -1.00000000824"),
+    (["thermo", "--sigma=-1", "--L", "200", "--beta", "31622.776601683792", "--out", "{tmp}/o"],
+     "one double step of nu"),
+    (["thermo", "--sigma=-0.5", "--L", "50", "--rho", "2", "--beta", "177827.94100389228",
+      "--out", "{tmp}/o"], "one double step of nu"),
+    (["thermo", "--sigma=-1", "--L", "20", "--rho", "0.2", "--beta", "562341.3251903491",
+      "--out", "{tmp}/o"], "one double step of nu"),
+    (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e14", "--out", "{tmp}/o"],
+     "just below eps(0) the density is only"),
+    (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e300", "--out", "{tmp}/o"],
+     "just below eps(0) the density is only 0, not 1"),
+    (["thermo", "--sigma=-1e15", "--L", "1", "--out", "{tmp}/o"], "eps(0) = -1e+30"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
@@ -339,6 +360,25 @@ def test_huge_beta_gives_a_finite_report(tmp_path, capsys, check):
     rep = json.loads((tmp_path / "o").read_text())
     assert rep["pass"] is True
     assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "residual", "tail_budget"))
+
+
+@pytest.mark.parametrize("sigma,L,beta", [("-1", "20", "1"), ("-1", "800", "1"),
+                                          ("-0.5", "50", "3")])
+@pytest.mark.parametrize("lam", ["1e29", "1e300"])
+def test_extreme_coupling_is_solved_or_rejected(tmp_path, capsys, sigma, L, beta, lam):
+    # the Brent bracket for nu*, [eps0 - 2 lam rt(eps0), eps0], was too wide
+    # to close in 100 iterations (exit 1); eps0 - nu* is only ~log(lam)/beta
+    out = tmp_path / "o.json"
+    rc = run(["thermo", f"--sigma={sigma}", "--L", L, "--beta", beta, "--lambda", lam,
+              "--model", "scf", "--out", str(out)])
+    if rc == 0:
+        rep = json.loads(out.read_text())
+        assert all(math.isfinite(v) for v in rep.values() if isinstance(v, float))
+        assert rep["mu"] < rep["eps0"]
+        assert abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"]) <= 1e-10 * rep["rho"]
+    else:
+        _assert_one_line_rejection(rc, capsys, f"beta = {beta}", "not resolved in doubles")
+        assert not out.exists()
 
 
 def test_writability_check_keeps_an_existing_file(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -260,8 +261,8 @@ def test_phase_roots_refuse_unresolved_brackets():
 
 def test_phase_roots_pass_cap(monkeypatch):
     monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 2)
-    with pytest.raises(NumericalFailure, match="unconverged after 2 passes"):
-        build_spectrum(BoxParams(sigma=-1.0, L=40.0), 60)
+    with pytest.raises(NumericalFailure, match="phase Newton left .* unconverged after 2 passes"):
+        spectrum._ladder(BoxParams(sigma=-1.0, L=40.0), np.arange(2, 61))
 
 
 def test_vector_bracket_without_sign_change_raises():
@@ -343,7 +344,7 @@ def test_eigenfunction_stable_at_huge_L():
 
 
 def test_bound_state_corrections_match_direct_subtraction():
-    # the log fixed point and plain subtraction overlap for moderate L*s
+    # the offsets and plain subtraction of the wavenumbers overlap for moderate L*s
     for L in (6.0, 8.0, 12.0):
         params = BoxParams(sigma=-1.0, L=L)
         d0, d1 = bound_state_corrections(params)
@@ -375,18 +376,33 @@ def test_bound_state_asymptotic_rates():
         assert rate_gap >= 0.95 * s
 
 
-def _mp_bound_pair(sigma, L, extra_digits):
-    """(gap, |eps0 + sigma^2|, |eps1 + sigma^2|) from the bound-state
-    conditions q tanh(qL/2) = s and q coth(qL/2) = s, solved in mpmath
-    with L s / ln 10 digits more than `extra_digits`: the differences of
-    the two roots from s (and from each other) are ~e^{-L s}, so that many
-    digits cancel."""
+def _mp_wall_pair(sigma, L, extra_digits):
+    """(q0, q1, d0, d1) with d0 = q0 - s, d1 = s - q1 from the bound-state
+    conditions q tanh(qL/2) = s and q coth(qL/2) = s (q1 and d1 are None for
+    L s <= 2), solved in mpmath with L s / ln 10 digits more than
+    `extra_digits`: the offsets from s are ~e^{-L s}, so that many digits
+    cancel in them."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(int(-sigma * L / math.log(10.0)) + extra_digits):
-        s, L = mpmath.mpf(-sigma), mpmath.mpf(L)
-        q0 = mpmath.findroot(lambda q: q * mpmath.tanh(q * L / 2) - s, s)
-        q1 = mpmath.findroot(lambda q: q * mpmath.coth(q * L / 2) - s, s)
-        return q0**2 - q1**2, q0**2 - s**2, s**2 - q1**2
+        s = mpmath.mpf(-sigma)
+        c = s * mpmath.mpf(L) / 2  # u = q L/2 solves u tanh(u) = c and u coth(u) = c
+        u0 = mpmath.findroot(lambda u: u * mpmath.tanh(u) - c, c * mpmath.coth(c))
+        q0 = s * u0 / c
+        if c <= 1:
+            return q0, None, q0 - s, None
+        e = c - 1
+        u1 = mpmath.findroot(lambda u: u * mpmath.coth(u) - c, (e + mpmath.sqrt(e * (e + 12))) / 2)
+        q1 = s * u1 / c
+        return q0, q1, q0 - s, s - q1
+
+
+def _mp_bound_pair(sigma, L, extra_digits):
+    """(gap, |eps0 + sigma^2|, |eps1 + sigma^2|) from `_mp_wall_pair`."""
+    mpmath = pytest.importorskip("mpmath")
+    q0, q1, d0, d1 = _mp_wall_pair(sigma, L, extra_digits)
+    s = mpmath.mpf(-sigma)
+    with mpmath.workdps(extra_digits):  # products of the offsets, no cancellation
+        return (d0 + d1) * (2 * s + d0 - d1), d0 * (2 * s + d0), d1 * (2 * s - d1)
 
 
 @pytest.mark.parametrize("sigma,L", [
@@ -403,11 +419,139 @@ def test_bound_pair_matches_mpmath_reference(sigma, L):
             assert abs(r - c) <= mpmath.mpf("1e-30") * r
     params = BoxParams(sigma=sigma, L=L)
     got = (bound_state_gap(params), *bound_state_offsets(params))
-    # the log-space fixed point carries a relative error ~ L s eps from
-    # rounding its exponent -(s +- d) L (measured: 5.5e-14 at L s = 600)
+    # the log forms carry a relative error ~ L s eps from rounding their
+    # term (s +- d) L (measured: 5.4e-14 at L s = 600)
     tol = 1e-14 + -sigma * L * 2.3e-16
     for g, r in zip(got, ref):
         assert abs(g - float(r)) <= tol * float(r)
+
+
+def _wall_evaluations(monkeypatch):
+    """Record, per wall root solved, how many times its form was evaluated."""
+    counts = []
+    real = spectrum._wall_newton
+
+    def counted(form, x, k):
+        calls = [0]
+
+        def form_counted(x):
+            calls[0] += 1
+            return form(x)
+
+        try:
+            return real(form_counted, x, k)
+        finally:
+            counts.append(calls[0])
+
+    monkeypatch.setattr(spectrum, "_wall_newton", counted)
+    return counts
+
+
+# |sigma| in [0.01, 10]; L|sigma| in [1e-3, 700] (log-uniform) for two boxes
+# in three, 2 + [1e-9, 1] for the third.  L = (L|sigma|)/|sigma| makes the
+# double product L*|sigma| round in most boxes.
+_rng = random.Random(7)
+WALL_BOXES = [
+    (-s, ls / s)
+    for s, ls in (
+        (10.0 ** _rng.uniform(-2.0, 1.0),
+         2.0 + 10.0 ** _rng.uniform(-9.0, 0.0) if i % 3 == 2
+         else 10.0 ** _rng.uniform(-3.0, math.log10(700.0)))
+        for i in range(330)
+    )
+] + [
+    # the k = 0 start, with its exponent not lowered by its own rounding,
+    # lay above the root here (12 of 20,000 random boxes)
+    (-0.01977811171751529, 3213.981378902782),
+    (-0.015009620844553683, 4058.518607173825),
+    (-0.01706121816228226, 7429.83465913583),
+    # Dekker's split of L overflows past L ~ 1.3e300: e = L s/2 - 1 was NaN
+    (-1e-300, 2.5e300),
+]
+# the wavenumbers of the bisection solver the wall-pair Newton iteration replaced
+EXTREME_WALL_BOXES = {
+    (1e-300, 1.0): [1.4142135623730952e-150],
+    (1.0, 1e-300): [1.4142135623730951e+150],
+    (1e150, 1e-150): [1.5434046384182084e+150],
+    (1e-150, 1e150): [1.5434046384182087e-150],
+    (1e150, 1.0): [1e150, 1e150],
+    (1.0, 1e300): [1.0, 1.0],
+    (1e100, 2.5e-100): [1.1270788500568193e+100, 7.104117834878705e+99],
+}
+
+
+def test_wall_pair_matches_mpmath_reference(monkeypatch):
+    # q0, q1 within 4 ulp; d0, d1 within the bound-pair tolerance below
+    evaluations = _wall_evaluations(monkeypatch)
+    assert sum(not BoxParams(*box).has_second_bound_state() for box in WALL_BOXES) > 30
+    for sigma, L in WALL_BOXES:
+        params = BoxParams(sigma=sigma, L=L)
+        k_max = 1 if params.has_second_bound_state() else 0
+        fields, offsets = spectrum._wall_pair(params, k_max)
+        ref = _mp_wall_pair(sigma, L, 30)
+        _assert_within_ulps(fields["wavenumber"], [float(q) for q in ref[: k_max + 1]])
+        tol = 1e-14 + -sigma * L * 2.3e-16
+        for d, d_ref in zip(offsets, ref[2:]):
+            assert abs(d - float(d_ref)) <= tol * float(d_ref), (sigma, L)
+        assert np.all(fields["bracket_lo"] <= fields["epsilon"])
+        assert np.all(fields["epsilon"] <= fields["bracket_hi"])
+    assert max(evaluations) <= 8  # bisection took ~47 residual evaluations per root
+
+
+def test_wall_pair_extreme_boxes(monkeypatch):
+    evaluations = _wall_evaluations(monkeypatch)
+    for (s, L), q in EXTREME_WALL_BOXES.items():
+        got = build_spectrum(BoxParams(sigma=-s, L=L), len(q) - 1).wavenumbers
+        assert np.all(np.abs(got - q) <= np.spacing(q)), (s, L, got)
+    assert max(evaluations) <= 8
+
+
+@pytest.mark.parametrize("s", [1.0, 0.37, 3.3, 1e-5, 7e4])
+def test_odd_root_inside_its_bracket_above_threshold(monkeypatch, s):
+    # the first 40 doubles of L above 2/s: the bracket end sqrt(3e)/(L/2) is
+    # within e/10 relative of the root there, below an ulp
+    evaluations = _wall_evaluations(monkeypatch)
+    L = 2.0 / s
+    for _ in range(40):
+        L = math.nextafter(L, math.inf)
+        params = BoxParams(sigma=-s, L=L)
+        if params.has_second_bound_state():
+            mode = solve_mode(params, 1)
+            assert mode.bracket_lo <= mode.epsilon <= mode.bracket_hi, L
+    assert max(evaluations) <= 8
+
+
+@pytest.mark.parametrize("s,L", [(1.0, 720.0), (1.0, 740.0), (1e10, 7.4e-8)])
+def test_wall_offsets_in_the_subnormal_range(s, L):
+    # past L s ~ 709.8, 2s/d overflows in log1p(2s/d): d0 and d1 are then
+    # 2s e^{-L s} to ~e^{-L s} relative, within the L s ulp of the exponent
+    # and the spacing of subnormals
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(2 * mpmath.mpf(s) * mpmath.exp(-mpmath.mpf(s) * mpmath.mpf(L)))
+    assert 0.0 < ref < 2.3e-308
+    for d in bound_state_corrections(BoxParams(sigma=-s, L=L)):
+        assert abs(d - ref) <= s * L * 2.3e-16 * ref + 4 * 5e-324
+
+
+def test_wall_newton_pass_cap(monkeypatch):
+    monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 1)
+    with pytest.raises(NumericalFailure, match=r"Newton left mode [01] unconverged after 1 pass"):
+        bound_state_gap(BoxParams(sigma=-1.0, L=40.0))
+
+
+def test_wall_newton_checks_the_start():
+    # a start on the far side of the root fails the sign check
+    s, L = 1.0, 20.0
+    params = BoxParams(sigma=-s, L=L)
+    d0 = bound_state_corrections(params)[0]
+
+    def even(d):
+        return math.log1p(2.0 * s / d) - (s + d) * L, -2.0 * s / (d + 2.0 * s) - L * d
+
+    assert spectrum._wall_newton(even, 0.5 * d0, 0) == pytest.approx(d0, rel=1e-14)
+    with pytest.raises(BracketFailure, match="wall mode 0"):
+        spectrum._wall_newton(even, 2.0 * d0, 0)
 
 
 def test_fd_neumann_sanity():
