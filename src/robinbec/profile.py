@@ -46,6 +46,11 @@ blocking and summation order follow its thread count, so the same input
 gave different last bits under OPENBLAS_NUM_THREADS=1 and =2; einsum's
 loops do not depend on it, and the CLI promises byte-identical output.
 
+`write_profile_csv` formats each mirrored pair of rows once: a block of
+the x < 0 half is the reversed, negated text of its partner block on the
+x > 0 half wherever every row checks out as its exact mirror, and is
+formatted itself otherwise, so the bytes never depend on the shortcut.
+
 `localization_radius` quantifies the surface character of the wall-mode
 density: the smallest distance d from a wall such that the windows within
 d of either wall hold a requested fraction of the condensate mass.  For
@@ -56,6 +61,7 @@ number grows linearly in L.
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +75,11 @@ _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 _CHUNK = 128  # modes per contraction block; keeps the work arrays ~100 kB
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
 _ROWS_PER_WRITE = 4096  # CSV rows formatted per string operation
-# largest grid: `density_profile` peaks at ~55 bytes per point and the CSV
-# takes ~81 (measured at grid_n = 10^6), 0.55 GB and 0.8 GB at the limit
+_ROW = "%.17g,%.17g,%.17g,%.17g"
+# largest grid: `density_profile` peaks at ~44 bytes per point and
+# `write_profile_csv` at ~1.5 MB at any size (tracemalloc, grid_n = 10^6);
+# the CSV takes ~82 bytes per row on disk, and its x > 0 half as much again
+# in a temporary file while it is written: 0.44 GB, 0.8 GB and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
 
 
@@ -214,15 +223,58 @@ def localization_radius(profile: Profile, fraction: float) -> float:
     return float(min(max(x[-1] - t, 0.0), half))
 
 
+def _format_rows(columns, lo, hi) -> str:
+    """Rows lo..hi-1 of `columns` as `%.17g` CSV lines joined by newlines
+    (no final one)."""
+    block = np.column_stack([c[lo:hi] for c in columns])
+    return "\n".join((_ROW,) * (hi - lo)) % tuple(block.ravel().tolist())
+
+
+def _mirrors(columns, lo, hi, n) -> bool:
+    """Whether row lo + i is row n - 1 - lo - i mirrored, for every row of
+    [lo, hi): the partner's x > 0 and negated, the densities equal bit for
+    bit (-0.0 == 0.0, but the two print differently)."""
+    x = columns[0]
+    partner = slice(n - 1 - lo, n - 1 - hi, -1)
+    if not (np.all(x[partner] > 0.0) and np.array_equal(x[lo:hi], -x[partner])):
+        return False
+    return all(np.array_equal(c[lo:hi].view(np.int64), c[partner].view(np.int64))
+               for c in columns[1:])
+
+
 def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
-    """CSV rows `x,n_total,n_cond,n_thermal` at 17 significant digits."""
-    table = np.column_stack(
-        (profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)
-    )
-    with open(path, "w", newline="\n") as fh:
+    """CSV rows `x,n_total,n_cond,n_thermal` at 17 significant digits.
+
+    Rows j and n-1-j of a mirror-symmetric profile differ only in the sign
+    of x, so each block of the x > 0 half is formatted once: where the
+    block it mirrors checks out exactly (`_mirrors`), its lines, reversed
+    and negated, are that block's text, and otherwise that block is
+    formatted itself.  Either way the bytes are those of formatting every
+    row.  The x > 0 half comes last in the file, so its text waits in an
+    anonymous temporary file, which keeps memory at one block.
+    """
+    columns = [np.asarray(c, dtype=float) for c in
+               (profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValidationError("profile columns differ in length")
+    sizes = []  # bytes in `upper` of rows [n - hi, n - lo), per block [lo, hi)
+    with open(path, "w", newline="\n") as fh, tempfile.TemporaryFile() as upper:
         for line in comment_lines:
             fh.write(f"# {line}\n")
         fh.write("x,n_total,n_cond,n_thermal\n")
-        for lo in range(0, len(table), _ROWS_PER_WRITE):
-            block = table[lo:lo + _ROWS_PER_WRITE]
-            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
+        for lo in range(0, n // 2, _ROWS_PER_WRITE):
+            hi = min(lo + _ROWS_PER_WRITE, n // 2)
+            text = _format_rows(columns, n - hi, n - lo)
+            sizes.append(upper.write(text.encode("ascii")))
+            if _mirrors(columns, lo, hi, n):
+                fh.write("-" + "\n-".join(reversed(text.split("\n"))) + "\n")
+            else:
+                fh.write(_format_rows(columns, lo, hi) + "\n")
+        if n % 2:
+            fh.write(_format_rows(columns, n // 2, n // 2 + 1) + "\n")
+        end = upper.tell()
+        for size in reversed(sizes):
+            end -= size
+            upper.seek(end)
+            fh.write(upper.read(size).decode("ascii") + "\n")

@@ -105,6 +105,10 @@ _ODD_SERIES_LS = 3.0
 K_MAX_LIMIT = 10_000_000
 # largest L*|sigma| for which the k >= 2 phase roots are resolved (module docstring)
 MAX_PHASE_LS = 1e15
+_TINY = 2.0**-1022  # smallest normal double
+# largest L*|sigma| for which the wall rows are finite: their log norms take
+# log(sinh(q L) - q L) with 2 q L, which overflows past L*|sigma| ~ 9e307
+MAX_WALL_LS = 1e307
 
 
 class OutOfDomain(ValidationError):
@@ -436,9 +440,19 @@ def _wall_newton(form, x, k):
     )
 
 
-def _wall_pair(params: BoxParams, k_max: int):
-    """`Mode` fields of the wall modes 0..min(k_max, 1) as arrays, and their
-    offsets from s = |sigma|: (d0,) or (d0, d1), d0 = q0 - s, d1 = s - q1.
+def _odd_excess(s, L):
+    """e = L*s/2 - 1 from the exact product of the mantissas of s and L: the
+    difference cancels near the odd threshold L*s = 2, and Dekker's split
+    would overflow at L beyond ~1e300."""
+    (ms, es), (ml, el) = math.frexp(s), math.frexp(L)
+    sl_hi, sl_lo = _two_product(ms, ml)
+    return (math.ldexp(sl_hi, es + el - 1) - 1.0) + math.ldexp(sl_lo, es + el - 1)
+
+
+def _wall_roots(params: BoxParams, k_max: int):
+    """(q, d, q_end) of the wall modes 0..min(k_max, 1): the wavenumber, its
+    offset from s = |sigma| (d0 = q0 - s, d1 = s - q1) and the far end of
+    its bracket (q0 <= q_end, q1 >= q_end).
 
     See the module docstring for the forms solved.  Raises
     NoSecondBoundState for k_max >= 1 when L*|sigma| <= 2.
@@ -458,53 +472,71 @@ def _wall_pair(params: BoxParams, k_max: int):
     y = (s + d_hi) * L
     start = max(math.exp(log_2s - y - 4.0 * math.ulp(max(y, abs(log_2s)))),
                 math.sqrt(2.0 * s) / math.sqrt(L) - s)
-    d = [_wall_newton(even, _below(start), 0)]
-    q = s + d[0]
+    d0 = _wall_newton(even, _below(start), 0)
+    roots = [(s + d0, d0, s + d_hi)]
+    if k_max < 1:
+        return roots
+
+    # q1 in [max(e, sqrt(3e))/(L/2), s], as B(u) = u*coth(u) - 1 = e at
+    # u = q1*L/2 with B(u) < u and B(u) <= u^2/3.  Below e = 3 the exact
+    # e comes from `_odd_excess`; above, e/(L/2) = s - 2/L
+    if sl < 8.0:
+        e = _odd_excess(s, L)
+        q_lo = _below(math.sqrt(3.0 * e) / half)
+    else:
+        q_lo = _below(s - 2.0 / L)
+    if sl > _ODD_SERIES_LS:
+        def odd(d):  # G1 and d*G1'
+            return _log1p_ratio(2.0 * (s - d), d) - (s - d) * L, L * d - 2.0 * s / (2.0 * s - d)
+
+        # d1 >= (s + q_lo)*e^{-(s - d)L} for any d <= d1, here the d of
+        # the same bound with e^{-sL}; its relative slack, about 1/(L*s),
+        # covers the rounding of a normal start but not the half step by
+        # which a subnormal one can round up (BracketFailure at L*s ~ 735)
+        log_s_q = math.log(s + q_lo)
+        start = math.exp(log_s_q - (s - math.exp(log_s_q - sl)) * L)
+        d1 = _wall_newton(odd, _below(start) if start < _TINY else start, 1)
+        q = s - d1
+    else:
+        def series(q):  # B(u) - e and u*B'(u) = q*dB/dq at u = q*L/2
+            u = half * q
+            t = _ucothu_minus_one(u)
+            return t - e, u * u - t * (1.0 + t)
+
+        # B(u) >= u^2/(3 + u) puts the root below u_hi
+        q = _wall_newton(series, 0.5 * (e + math.sqrt(e * (e + 12.0))) / half, 1)
+        d1 = s - q
+    roots.append((q, d1, q_lo))
+    return roots
+
+
+def _wall_pair(params: BoxParams, k_max: int):
+    """`Mode` fields of the wall modes 0..min(k_max, 1) as arrays, and their
+    offsets from s = |sigma|: (d0,) or (d0, d1), d0 = q0 - s, d1 = s - q1.
+
+    The roots come from `_wall_roots`.  Raises ValidationError past
+    L*|sigma| = MAX_WALL_LS, where the log norms and residuals overflow.
+    """
+    s, L, half = params.s, params.L, params.half
+    if not s * L <= MAX_WALL_LS:
+        raise ValidationError(f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {s * L:g}")
+    roots = _wall_roots(params, k_max)
+    q, _, q_hi = roots[0]
     log_norm = _bound_log_norm(EVEN, q, L)
     phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
-    q_hi = s + d_hi
     residual = abs(phi_wall * (q * math.tanh(half * q) - s))
     rows = [(-q * q, q, log_norm, residual, -q_hi * q_hi, -s * s)]
-
-    if k_max >= 1:
-        # q1 in [max(e, sqrt(3e))/(L/2), s], as B(u) = u*coth(u) - 1 = e at
-        # u = q1*L/2 with B(u) < u and B(u) <= u^2/3.  e = L*s/2 - 1 cancels
-        # near the threshold, so below e = 3 it comes from the exact product
-        # of the mantissas of s and L (Dekker's split would overflow at L
-        # beyond ~1e300); above, e/(L/2) = s - 2/L
-        if sl < 8.0:
-            (ms, es), (ml, el) = math.frexp(s), math.frexp(L)
-            sl_hi, sl_lo = _two_product(ms, ml)
-            e = (math.ldexp(sl_hi, es + el - 1) - 1.0) + math.ldexp(sl_lo, es + el - 1)
-            q_lo = _below(math.sqrt(3.0 * e) / half)
-        else:
-            q_lo = _below(s - 2.0 / L)
-        if sl > _ODD_SERIES_LS:
-            def odd(d):  # G1 and d*G1'
-                return _log1p_ratio(2.0 * (s - d), d) - (s - d) * L, L * d - 2.0 * s / (2.0 * s - d)
-
-            # d1 >= (s + q_lo)*e^{-(s - d)L} for any d <= d1, here the d of
-            # the same bound with e^{-sL}
-            log_s_q = math.log(s + q_lo)
-            d.append(_wall_newton(odd, math.exp(log_s_q - (s - math.exp(log_s_q - sl)) * L), 1))
-            q = s - d[1]
-        else:
-            def series(q):  # B(u) - e and u*B'(u) = q*dB/dq at u = q*L/2
-                u = half * q
-                t = _ucothu_minus_one(u)
-                return t - e, u * u - t * (1.0 + t)
-
-            # B(u) >= u^2/(3 + u) puts the root below u_hi
-            q = _wall_newton(series, 0.5 * (e + math.sqrt(e * (e + 12.0))) / half, 1)
-            d.append(s - q)
+    if len(roots) > 1:
+        q, _, q_lo = roots[1]
         u = half * q
         log_norm = _bound_log_norm(ODD, q, L)
         phi_wall = math.exp(log_norm + _logsinh(u))
-        g = (_ucothu_minus_one(u) - e) / half if u < 1.0 else q / math.tanh(u) - s
+        g = (_ucothu_minus_one(u) - _odd_excess(s, L)) / half if u < 1.0 else q / math.tanh(u) - s
         rows.append((-q * q, q, log_norm, abs(phi_wall * g), -s * s, -q_lo * q_lo))
 
     names = ("epsilon", "wavenumber", "log_norm", "residual", "bracket_lo", "bracket_hi")
-    return {name: np.array(column) for name, column in zip(names, zip(*rows))}, tuple(d)
+    fields = {name: np.array(column) for name, column in zip(names, zip(*rows))}
+    return fields, tuple(d for _, d, _ in roots)
 
 
 # ----------------------------------------------------------------------
@@ -610,7 +642,7 @@ def bound_state_corrections(params: BoxParams) -> tuple[float, float]:
     """(q0 - s, s - q1) with full relative precision at any L*s: the
     wall-pair solver finds these offsets themselves, from the same roots as
     the table."""
-    return _wall_pair(params, 1)[1]
+    return tuple(d for _, d, _ in _wall_roots(params, 1))
 
 
 def bound_state_gap(params: BoxParams) -> float:

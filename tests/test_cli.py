@@ -340,12 +340,32 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e300", "--out", "{tmp}/o"],
      "just below eps(0) the density is only 0, not 1"),
     (["thermo", "--sigma=-1e15", "--L", "1", "--out", "{tmp}/o"], "eps(0) = -1e+30"),
+    # past the range of the wall rows: residual = nan at exit 0, with an
+    # overflow warning at L = 1.8e154
+    (["spectrum", "--sigma=-1e154", "--L", "1e300", "--k-max", "1", "--out", "{tmp}/o"],
+     "wall modes need L*|sigma| <= 1e+307, got inf"),
+    (["spectrum", "--sigma=-1e154", "--L", "1e154", "--k-max", "1", "--out", "{tmp}/o"],
+     "wall modes need L*|sigma| <= 1e+307, got 1e+308"),
+    (["spectrum", "--sigma=-1", "--L", "1e308", "--k-max", "1", "--out", "{tmp}/o"],
+     "wall modes need L*|sigma| <= 1e+307, got 1e+308"),
+    (["spectrum", "--sigma=-1e154", "--L", "1.8e154", "--k-max", "1", "--out", "{tmp}/o"],
+     "wall modes need L*|sigma| <= 1e+307, got inf"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
     rc = run([a.format(**paths) for a in argv])
     _assert_one_line_rejection(rc, capsys, needle.format(**paths))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma,L", [("-1", "1e307"), ("-1e154", "1e153")])
+def test_wall_rows_at_the_limit_are_finite(tmp_path, sigma, L):
+    out = tmp_path / "o.csv"
+    assert run(["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line[:1].isdigit()]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
 
 
 @pytest.mark.parametrize("check", [

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from robinbec import profile as profile_module
 from robinbec.errors import ValidationError
 from robinbec.profile import (
     EmptyCondensate,
@@ -205,6 +206,87 @@ def test_profile_csv_matches_per_row_format(tmp_path):
     assert path.read_bytes() == ref.encode()
 
 
+def _per_row_csv(profile):
+    return "x,n_total,n_cond,n_thermal\n" + "".join(
+        f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n"
+        for a, b, c, d in zip(profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)
+    )
+
+
+def _formatted_rows(tmp_path, monkeypatch, profile):
+    """Write `profile`, check its bytes against the per-row format, and
+    return how many rows the writer formatted."""
+    counts = []
+    real = profile_module._format_rows
+
+    def counted(columns, lo, hi):
+        counts.append(hi - lo)
+        return real(columns, lo, hi)
+
+    monkeypatch.setattr(profile_module, "_format_rows", counted)
+    path = tmp_path / "prof.csv"
+    write_profile_csv(profile, path)
+    assert path.read_bytes() == _per_row_csv(profile).encode()
+    return sum(counts)
+
+
+def _mirrored_grid(n):
+    x = np.linspace(-1.0, 1.0, n)
+    return 0.5 * (x - x[::-1])
+
+
+@pytest.fixture(scope="module")
+def condensing_state():
+    st = _state(L=200.0, rho=1.5 * critical_density(1.5, -1.0), beta=1.5)
+    return build_spectrum(st.params.box, st.params.k_max), st
+
+
+@pytest.mark.parametrize("grid_n", [4 * 4096 + 1, 4 * 4096 + 2])
+def test_profile_csv_formats_each_mirror_pair_once(tmp_path, monkeypatch, condensing_state,
+                                                   grid_n):
+    # blocks of 4096 rows cross both halves, odd and even grid_n
+    prof = density_profile(*condensing_state, grid_n)
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == grid_n - grid_n // 2
+
+
+@pytest.mark.parametrize("grid_n", [4 * 4096 + 1, 4 * 4096 + 2])
+def test_profile_csv_broken_mirror_falls_back_per_block(tmp_path, monkeypatch,
+                                                        condensing_state, grid_n):
+    prof = density_profile(*condensing_state, grid_n)
+    n_cond, grid = prof.n_cond.copy(), prof.grid.copy()
+    n_cond[5000] = np.nextafter(n_cond[5000], np.inf)  # lower-half block [4096, 8192)
+    grid[-3] = np.nextafter(grid[-3], -np.inf)  # mirror of row 2, block [0, 4096)
+    broken = Profile(grid=grid, n_total=prof.n_total, n_cond=n_cond,
+                     n_thermal=prof.n_thermal, weights=prof.weights)
+    assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * 4096
+
+
+def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
+    # -0.0 == 0.0, but they print differently: the check compares bits
+    n = 2 * 4096 + 1
+    x = _mirrored_grid(n)
+    n_cond = x * x
+    n_cond[7], n_cond[-8] = -0.0, 0.0
+    prof = Profile(grid=x, n_total=x * x, n_cond=n_cond, n_thermal=x * x, weights=np.ones(1))
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2 + 4096
+
+
+def test_profile_csv_formats_every_row_of_asymmetric_data(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 2 * 4096 + 3
+    prof = Profile(_mirrored_grid(n), *rng.standard_normal((3, n)), weights=np.ones(1))
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 65])
+def test_profile_csv_short_grids(tmp_path, monkeypatch, n):
+    half = np.linspace(0.5, 1.0, n - n // 2)
+    dens = np.concatenate([half[::-1][: n // 2], half])
+    prof = Profile(grid=_mirrored_grid(n), n_total=dens, n_cond=0.5 * dens,
+                   n_thermal=0.5 * dens, weights=np.ones(1))
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2
+
+
 def test_density_profile_memory_stays_flat():
     st = _state(L=800.0, rho=1.5 * critical_density(1.0, -0.55), sigma=-0.55)
     table = build_spectrum(st.params.box, st.params.k_max)
@@ -215,6 +297,22 @@ def test_density_profile_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20  # the four output columns alone take 1 MB
+
+
+def test_profile_csv_memory_stays_flat(tmp_path):
+    # the x > 0 half waits in a temporary file: one block's text, not the
+    # 4 MB table (or 5 MB of half the CSV) of this grid, is held at a time
+    x = _mirrored_grid(2**17 + 1)
+    dens = np.cosh(x) / 3.0
+    prof = Profile(grid=x, n_total=dens, n_cond=np.exp(-500.0 * (1.0 - x * x)),
+                   n_thermal=dens, weights=np.ones(1))
+    tracemalloc.start()
+    try:
+        write_profile_csv(prof, tmp_path / "prof.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -521,7 +521,12 @@ def test_odd_root_inside_its_bracket_above_threshold(monkeypatch, s):
     assert max(evaluations) <= 8
 
 
-@pytest.mark.parametrize("s,L", [(1.0, 720.0), (1.0, 740.0), (1e10, 7.4e-8)])
+@pytest.mark.parametrize("s,L", [
+    (1.0, 720.0), (1.0, 740.0), (1e10, 7.4e-8),
+    # the odd start rounded up past the root (BracketFailure, L s in ~[735, 747])
+    (0.0029211727635385268, 251811.45726418128), (7.471322038069851, 100.01582521808095),
+    (1.0, 739.4),
+])
 def test_wall_offsets_in_the_subnormal_range(s, L):
     # past L s ~ 709.8, 2s/d overflows in log1p(2s/d): d0 and d1 are then
     # 2s e^{-L s} to ~e^{-L s} relative, within the L s ulp of the exponent
@@ -532,6 +537,27 @@ def test_wall_offsets_in_the_subnormal_range(s, L):
     assert 0.0 < ref < 2.3e-308
     for d in bound_state_corrections(BoxParams(sigma=-s, L=L)):
         assert abs(d - ref) <= s * L * 2.3e-16 * ref + 4 * 5e-324
+
+
+def test_wall_row_range():
+    # past L|sigma| ~ 9e307 the wall rows' log norms and residuals overflow
+    # (NaN certificates at exit 0); MAX_WALL_LS is checked wherever they are built
+    for s in (1.0, 1e10, 1e154):
+        params = BoxParams(sigma=-s, L=spectrum.MAX_WALL_LS / s)
+        table = build_spectrum(params, 1)
+        assert np.all(np.isfinite(table.log_norms)) and np.all(np.isfinite(table.residuals))
+        over = BoxParams(sigma=-s, L=10.0 * spectrum.MAX_WALL_LS / s)
+        for build in (lambda: build_spectrum(over, 1), lambda: solve_mode(over, 0)):
+            with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+307"):
+                build()
+        assert bound_state_corrections(over) == (0.0, 0.0)  # the offsets underflow
+
+
+def test_offsets_are_the_table_roots():
+    for sigma, L in WALL_BOXES[::10]:
+        params = BoxParams(sigma=sigma, L=L)
+        if params.has_second_bound_state():
+            assert bound_state_corrections(params) == spectrum._wall_pair(params, 1)[1]
 
 
 def test_wall_newton_pass_cap(monkeypatch):
