@@ -18,8 +18,6 @@ from .spectrum import (
     bound_state_offsets,
     build_spectrum,
     eigenfunction_eval,
-    fd_eigenvalues,
-    fd_eigenvalues_richardson,
     solve_mode,
     write_spectrum_csv,
 )

@@ -14,18 +14,29 @@ with mode occupations given by one of two models:
                   rt = (1/L) sum_{k>=2} occ_k self-consistent (a unique
                   fixed point: the map is strictly decreasing in rt).
 
-The free model is the lam = 0 case of the SCF one.  Writing
-nu = mu - lam*rt makes rt(nu) = (1/L) sum_{k>=2} bose(beta (eps_k - nu))
-explicit, and both mu(nu) = nu + lam*rt(nu) and the total density
-increase with nu, so the solve needs no fixed-point iteration: one
-bracketed Brent root finds nu*, where mu reaches eps(0), in log(eps(0) - nu)
-(a large lam puts nu* only ~log(lam)/beta below eps(0), in a bracket as
-wide as lam), and a second solves the density equation in log(nu* - nu),
-in which the density stays smooth as mu approaches eps(0).  The density
-equation needs eps(0) - mu ~ 2/(beta*L*rho), which a double resolves only
-to the spacing of doubles near eps(0); where that is too coarse for the
-1e-10 * rho certificate (beta above ~3e5 at L = 20, rho = 1) the solve
-raises ValidationError naming beta and eps(0).
+The free model is the lam = 0 case of the SCF one.  Both are solved for
+x = eps(0) - mu > 0 itself, which the density equation puts near
+2/(beta*L*rho) in a condensing box, far below the spacing of doubles
+near eps(0).  Given x, the wall pair takes bose(beta x) and
+bose(beta (gap + x)) with gap = eps(1) - eps(0) from `bound_state_gap`;
+the density equation itself gives rt(x) = rho - (occ_0 + occ_1)/L, so
+the SCF shift is explicit; and modes k >= 2 take
+bose(beta (D_k + x + lam*max(rt, 0))) (unclamped, G would have a
+spurious root at rt < 0), with D_k = p_k^2 + q_0^2 =
+eps_k - eps(0) a sum of positives read from the table's wavenumbers.
+The one unknown solves G(x) = rt(x) - (1/L) sum_{k>=2} occ_k = 0, where
+G increases with x and equals rho minus the total density.  Its root is
+bracketed in closed form: bose(beta x) = rho*L puts rt <= 0, so G < 0,
+and bose(beta x) = rho*L/2, at x_mid, puts rt >= 0.  A Newton iteration
+in t = log(x / x_mid) starts at t = 0 and takes its slope from
+sum occ (1 + occ).  Until some G > 0 is found its steps up are capped at
+a width that starts at 4 and doubles; after that a step that would leave
+the bracket bisects it in t.  It stops once a step from the best point
+so far is below 2 eps, or the bracket is that narrow or closes between
+adjacent doubles (lam = 1e300 puts the root's rt below the rounding of
+rho - (occ_0 + occ_1)/L, so G jumps there), and returns the evaluated
+point of smallest |G|: 2 to 7 evaluations on typical boxes.  mu = eps(0) - x
+may round to eps(0) at large beta; x keeps full precision.
 
 The k-sum is cut at k_max with a certified Gaussian-tail bound using the
 lower bracket eps_k > ((k-1) pi / L)^2.
@@ -48,16 +59,15 @@ Condensation diagnostics:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalFailure, ValidationError
 from .spectrum import (
-    K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, bound_state_gap, build_spectrum,
+    K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, bound_state_gap,
+    bound_state_offsets, build_spectrum,
 )
 
 FREE = "free"
@@ -112,6 +122,7 @@ class ThermoState:
     params: ThermoInput
     model_tag: str
     mu: float
+    x: float  # eps(0) - mu, solved for itself: mu may round to eps(0)
     occ: np.ndarray
     rho_tilde: float
     rho_cond_finite: float
@@ -225,47 +236,29 @@ def suggest_k_max(box: BoxParams, beta: float, cutoff_tol: float = 1e-10) -> int
 # density equation
 # ----------------------------------------------------------------------
 
-def _occ_free(eps, beta, mu):
-    # expm1 -> inf -> occupation 0 is the right limit; expm1 -> 0 only at
-    # mu = eps_k, which the callers evaluate only outside the physical range
-    with np.errstate(over="ignore", divide="ignore"):
-        return 1.0 / np.expm1(beta * (eps - mu))
+def _occ_free(delta, beta, x):
+    """Bose occupations 1/(e^{beta (delta + x)} - 1) at levels delta + x > 0
+    above mu; expm1 -> inf gives the right limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1(beta * (delta + x))
 
 
-def _occupations(eps, beta, nu, lam, L):
-    """(occ, rho_tilde, mu) at excited-level shift nu = mu - lam*rho_tilde.
-
-    The k >= 2 occupations are bose(beta (eps_k - nu)), which fixes
-    rho_tilde and then mu; the wall pair takes bose(beta (eps_k - mu)),
-    a valid occupation only while mu < eps(0).
-    """
-    occ = np.empty_like(eps)
-    occ[2:] = _occ_free(eps[2:], beta, nu)
-    rho_tilde = float(occ[2:].sum() / L)
-    mu = nu + lam * rho_tilde
-    occ[:2] = _occ_free(eps[:2], beta, mu)
-    return occ, rho_tilde, mu
-
-
-_BRENT_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
-
-
-def _brent(f, a, b):
-    """Root of f on the sign-change bracket [a, b] to full double precision."""
-    root, info = brentq(f, a, b, xtol=1e-300, rtol=_BRENT_RTOL, full_output=True, disp=False)
-    if not info.converged:
-        raise NumericalFailure(f"root search on [{a!r}, {b!r}] did not converge: {info.flag}")
-    return root
+_SOLVE_PASSES = 200
+# a Newton step in t = log(x / x_mid) this small leaves x within ~2 ulp of
+# the root; at 1 eps, rounding noise in G kept some boxes stepping
+_STEP_TOL = 2.0 * np.finfo(float).eps
 
 
 def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None = None) -> ThermoState:
-    """Solve the density equation for mu_L < eps(0) with two bracketed
-    Brent roots in nu = mu - lam*rho_tilde (see the module docstring).
+    """Solve the density equation for x = eps(0) - mu_L > 0 by one
+    safeguarded Newton iteration in t = log(x / x_mid) (see the module
+    docstring); mu = eps(0) - x.
 
     Raises CutoffTooSmall if the certified k_max tail exceeds
-    inp.cutoff_tol, and ValidationError where doubles near eps(0) are too
-    coarse for the density equation.  The returned state satisfies
-    |rho_tilde + rho_cond_finite - rho| < 1e-10 * rho, and its
+    inp.cutoff_tol, and ValidationError where x = eps(0) - mu is below the
+    smallest double, and NumericalFailure if the iteration does not end in
+    _SOLVE_PASSES evaluations.  The returned state satisfies
+    |rho_tilde + rho_cond_finite - rho| <= 1e-10 * rho, and its
     rho_tilde is (1/L) * sum_{k>=2} occ_k.
     """
     if model not in _MODELS:
@@ -284,78 +277,81 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
 
     beta, L, rho = inp.beta, inp.box.L, inp.rho
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
-
-    @functools.cache  # brentq evaluates again the bracket ends found below
-    def at(nu):
-        """(total density, mu) at nu."""
-        occ, rho_tilde, mu = _occupations(eps, beta, nu, lam, L)
-        return rho_tilde + float((occ[0] + occ[1]) / L), mu
-
-    def unresolved(detail):
-        # mu is a double, so eps(0) - mu ~ 2/(beta*L*rho) is resolved only to
-        # about its spacing near eps(0)
-        return ValidationError(
-            f"the density equation at beta = {beta:g} is not resolved in doubles near "
-            f"eps(0) = {eps0!r} (spacing {math.ulp(eps0):.3g}): {detail}"
+    q = spectrum.wavenumbers[: inp.k_max + 1]
+    levels = q[2:] * q[2:] + q[0] * q[0]  # eps_k - eps(0) for k >= 2, no cancellation
+    wall_levels = np.array([0.0, bound_state_gap(inp.box)])
+    # bose(beta x) = rho L at x_lo puts rho_tilde <= 0, so G < 0 there;
+    # bose(beta x) = rho L / 2 at x_mid puts rho_tilde >= 0
+    x_lo = math.log1p(1.0 / (rho * L)) / beta
+    x_mid = math.log1p(2.0 / (rho * L)) / beta
+    if not 0.0 < x_lo < x_mid < math.inf:
+        raise ValidationError(
+            f"eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double "
+            f"(beta = {beta:g}, rho*L = {rho * L:g})"
         )
 
-    # nu* = eps0 - lam*rt(nu*) lies in [eps0 - shift, eps0], shift = lam*rt(eps0);
-    # it is found in t = log(eps0 - nu), as eps0 - nu* can be far below shift
-    shift = at(eps0)[1] - eps0 if lam > 0.0 else 0.0
-    nu_star = eps0 - shift
-    if shift > 1e-14 * abs(eps0):  # else eps0 - shift is within rounding of nu*
-        def excess(t):
-            return at(eps0 - math.exp(t))[1] - eps0
+    def at(t):
+        """G = rho_tilde - (1/L) sum_{k>=2} occ_k at x = x_mid e^t, its
+        slope dG/dt and the occupations."""
+        x = x_mid * math.exp(t)
+        walls = _occ_free(wall_levels, beta, x)
+        rho_tilde = rho - float(walls[0] + walls[1]) / L
+        excited = _occ_free(levels, beta, x + lam * max(rho_tilde, 0.0))
+        value = rho_tilde - float(excited.sum() / L)
+        bx = beta * x
+        d_walls = float(walls @ ((1.0 + walls) * bx)) / L  # x d(rho_tilde)/dx
+        d_excited = float(excited @ ((1.0 + excited) * bx)) / L
+        if rho_tilde > 0.0:
+            d_excited *= 1.0 + lam * d_walls / x
+        return value, d_walls + d_excited, walls, excited
 
-        t_hi, width = math.log(shift), 1.0  # excess(t_hi) < 0
-        for _ in range(64):
-            if excess(t_hi - width) > 0.0:
-                break
-            width *= 2.0
+    # t = log(x / x_mid) keeps x to ~ulp(t) relative, and t* ~ 0 when the
+    # box condenses.  A tiny step ends the iteration only at the best point
+    # so far: where G is steep (huge lam), one from the other side can be
+    # tiny while |G| there is still large
+    lo, hi, widen, t = math.log(x_lo / x_mid), math.inf, 4.0, 0.0
+    best = None
+    for _ in range(_SOLVE_PASSES):
+        value, slope, walls, excited = at(t)
+        improved = best is None or abs(value) < abs(best[0])
+        if improved:
+            best = value, t, walls, excited
+        if value < 0.0:
+            lo = t
         else:
-            raise NumericalFailure("could not bracket the level nu* where mu reaches eps(0)")
-        nu_star = eps0 - math.exp(_brent(excess, t_hi - width, t_hi))
-
-    # near end of the bracket: the first gap below nu* that puts mu below eps(0)
-    gap = 1e-15 * abs(nu_star)
-    for _ in range(60):
-        total, mu = at(nu_star - gap)
-        if mu < eps0:
+            hi = t
+        new = t - value / slope if 0.0 < slope < math.inf else math.nan
+        if (improved and abs(new - t) <= _STEP_TOL) or hi - lo <= _STEP_TOL:
             break
-        gap *= 2.0
+        # safeguard: until some G > 0 is seen, steps up are capped at a
+        # doubling width; inside the bracket, a step that leaves it bisects
+        upper = hi if hi < math.inf else t + widen
+        if not lo < new < upper:
+            if hi == math.inf:
+                new, widen = upper, 2.0 * widen
+            else:
+                new = 0.5 * (lo + hi)
+                if not lo < new < hi:  # lo and hi are adjacent doubles
+                    break
+        t = new
     else:
-        raise NumericalFailure("could not place nu below the level where mu reaches eps(0)")
-    if total < rho:  # every density is reached as mu -> eps(0)
-        raise unresolved(f"just below eps(0) the density is only {total:.3g}, not {rho:g}")
-    step = max(1.0, abs(eps0))
-    for _ in range(200):
-        if at(nu_star - step)[0] < rho:
-            break
-        step *= 2.0
-    else:
-        raise NumericalFailure("could not bracket mu from below")
+        raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
 
-    t = _brent(lambda t: at(nu_star - math.exp(t))[0] - rho, math.log(gap), math.log(step))
-    occ, rho_tilde, mu = _occupations(eps, beta, nu_star - math.exp(t), lam, L)
+    _, t, walls, excited = best
+    x = x_mid * math.exp(t)
     state = ThermoState(
         params=inp,
         model_tag=model,
-        mu=float(mu),
-        occ=occ,
-        rho_tilde=rho_tilde,
-        rho_cond_finite=float((occ[0] + occ[1]) / L),
+        mu=eps0 - x,
+        x=x,
+        occ=np.concatenate([walls, excited]),
+        rho_tilde=float(excited.sum() / L),
+        rho_cond_finite=float((walls[0] + walls[1]) / L),
         epsilons=eps,
     )
-    if mu < eps0 and state.density_residual > 1e-10 * rho:
-        nu = nu_star - math.exp(t)
-        jump = abs(at(math.nextafter(nu, nu_star))[0] - (rho_tilde + state.rho_cond_finite))
-        if jump > 1e-10 * rho:
-            raise unresolved(f"one double step of nu = mu - lam*rho_tilde moves the density by "
-                             f"{jump / rho:.2g} * rho, above the 1e-10 * rho certificate")
-    if not (mu < eps0 and state.density_residual <= 1e-10 * rho):
+    if not state.density_residual <= 1e-10 * rho:
         raise NumericalFailure(
-            f"density residual {state.density_residual:.3e} above 1e-10 * rho "
-            f"or mu = {mu!r} not below eps(0)"
+            f"density residual {state.density_residual:.3e} above 1e-10 * rho"
         )
     return state
 
@@ -367,19 +363,22 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
 def equal_distribution_gap(state: ThermoState) -> float:
     """(occ_0 - occ_1)/L >= 0, via the exact splitting of the wall pair.
 
-    occ_0 - occ_1 = expm1(beta*deps) / ((1 - e^{-x0}) * expm1(x0 + beta*deps))
-    with x0 = beta (eps_0 - mu) and deps = eps(1) - eps(0) computed by
-    `bound_state_gap`, so no catastrophic cancellation at large L.
+    With x0 = beta*x and b = beta*(eps(1) - eps(0)) from `bound_state_gap`,
+    occ_0 - occ_1 = bose(x0) - bose(x0 + b)
+                  = (1 - e^{-b}) / (1 - e^{-x0-b}) * bose(x0),
+    which neither cancels at large L nor overflows at large beta.
     """
     box = state.params.box
-    beta = state.params.beta
-    deps = bound_state_gap(box)
-    x0 = beta * (state.epsilons[0] - state.mu)
-    num = math.expm1(beta * deps)
-    den = (1.0 - math.exp(-x0)) * math.expm1(x0 + beta * deps)
-    if not math.isfinite(den) or den == 0.0:
-        return 0.0
-    return num / den / box.L
+    x0 = state.params.beta * state.x
+    b = state.params.beta * bound_state_gap(box)
+    return math.expm1(-b) / math.expm1(-x0 - b) * (math.exp(-x0) / -math.expm1(-x0)) / box.L
+
+
+def _scaled_mu_offset(state: ThermoState) -> float:
+    """(mu_L + sigma^2) * L = -(x + |eps(0) + sigma^2|) * L, a sum of
+    positives in place of the cancelling mu + sigma^2."""
+    offset0, _ = bound_state_offsets(state.params.box)
+    return -(state.x + offset0) * state.params.box.L
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,9 +432,8 @@ def mu_asymptotics_check(states, rho_cond: float | None = None, rel_tol: float =
         )
     if rho_cond is None:
         rho_cond = states[-1].rho_cond_finite
-    sig2 = first.box.sigma ** 2
     Ls = np.array([st.params.box.L for st in states])
-    ys = np.array([(st.mu + sig2) * st.params.box.L for st in states])
+    ys = np.array([_scaled_mu_offset(st) for st in states])
     n_top = max(3, len(states) // 2)
     x = 1.0 / Ls[-n_top:]
     coeffs = np.polyfit(x, ys[-n_top:], 1)
@@ -484,7 +482,6 @@ def write_sweep_csv(states, path, comment_lines=()) -> list[float]:
         fh.write(SWEEP_HEADER + "\n")
         for st in states:
             L = st.params.box.L
-            sig2 = st.params.box.sigma ** 2
             gaps.append(equal_distribution_gap(st))
             row = (
                 L,
@@ -495,7 +492,7 @@ def write_sweep_csv(states, path, comment_lines=()) -> list[float]:
                 st.occ[1] / L,
                 st.rho_tilde,
                 gaps[-1],
-                (st.mu + sig2) * L,
+                _scaled_mu_offset(st),
             )
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return gaps

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from helpers_bruteforce import enum_constrained_z, enum_expectation
+from helpers_fd import boundary_residual_scale, fd_eigenvalues_richardson
 
 from robinbec.gibbs_oracle import (
     DiagonalObservable,
@@ -29,9 +30,7 @@ from robinbec.spectrum import (
     BoxParams,
     bound_state_gap,
     bound_state_offsets,
-    boundary_residual_scale,
     build_spectrum,
-    fd_eigenvalues_richardson,
 )
 from robinbec.thermo import (
     FREE,

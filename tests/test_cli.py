@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,22 +327,6 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
      "odd bound state needs L*|sigma| > 2"),
     (["oracle", "--sigma=-1", "--L", "1.5", "--mu=-3", "--out", "{tmp}/o"],
      "odd bound state needs L*|sigma| > 2"),
-    # eps(0) - mu ~ 2/(beta L rho) below what doubles resolve near eps(0): the
-    # first beta of a quarter-decade grid exited 1 (density residual above
-    # 1e-10 * rho), huge beta or |sigma| asked to "increase caps"
-    (["thermo", "--sigma=-1", "--L", "20", "--beta", "316227.7660168379", "--out", "{tmp}/o"],
-     "density equation at beta = 316228 is not resolved in doubles near eps(0) = -1.00000000824"),
-    (["thermo", "--sigma=-1", "--L", "200", "--beta", "31622.776601683792", "--out", "{tmp}/o"],
-     "one double step of nu"),
-    (["thermo", "--sigma=-0.5", "--L", "50", "--rho", "2", "--beta", "177827.94100389228",
-      "--out", "{tmp}/o"], "one double step of nu"),
-    (["thermo", "--sigma=-1", "--L", "20", "--rho", "0.2", "--beta", "562341.3251903491",
-      "--out", "{tmp}/o"], "one double step of nu"),
-    (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e14", "--out", "{tmp}/o"],
-     "just below eps(0) the density is only"),
-    (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e300", "--out", "{tmp}/o"],
-     "just below eps(0) the density is only 0, not 1"),
-    (["thermo", "--sigma=-1e15", "--L", "1", "--out", "{tmp}/o"], "eps(0) = -1e+30"),
     # past the range of the wall rows: residual = nan at exit 0, with an
     # overflow warning at L = 1.8e154
     (["spectrum", "--sigma=-1e154", "--L", "1e300", "--k-max", "1", "--out", "{tmp}/o"],
@@ -350,12 +337,40 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
      "wall modes need L*|sigma| <= 1e+307, got 1e+308"),
     (["spectrum", "--sigma=-1e154", "--L", "1.8e154", "--k-max", "1", "--out", "{tmp}/o"],
      "wall modes need L*|sigma| <= 1e+307, got inf"),
+    # x = eps(0) - mu ~ 1/(beta rho L) underflows
+    (["thermo", "--sigma=-1", "--L", "20", "--rho", "1e300", "--beta", "1e300", "--out", "{tmp}/o"],
+     "eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
     rc = run([a.format(**paths) for a in argv])
     _assert_one_line_rejection(rc, capsys, needle.format(**paths))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    # x = eps(0) - mu ~ 2/(beta L rho) is far below the spacing of doubles
+    # near eps(0) at these points; a solve in mu or in nu = mu - lam*rho_tilde
+    # cannot resolve it, one in x itself can (mu rounds onto eps(0) at
+    # beta = 1e300 and at sigma = -1e15)
+    ["--sigma=-1", "--L", "20", "--beta", "1e8"],
+    ["--sigma=-1", "--L", "20", "--beta", "316227.7660168379"],
+    ["--sigma=-1", "--L", "200", "--beta", "31622.776601683792"],
+    ["--sigma=-0.5", "--L", "50", "--rho", "2", "--beta", "1e5"],
+    ["--sigma=-0.5", "--L", "50", "--rho", "2", "--beta", "177827.94100389228"],
+    ["--sigma=-1", "--L", "20", "--rho", "0.2", "--beta", "562341.3251903491"],
+    ["--sigma=-1", "--L", "20", "--beta", "1e14"],
+    ["--sigma=-1", "--L", "20", "--beta", "1e300"],
+    ["--sigma=-1e15", "--L", "1"],
+    ["--sigma=-1", "--L", "800", "--rho", "1e300"],
+])
+def test_density_equation_solved_below_double_spacing_at_eps0(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run(["thermo"] + argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_text())
+    assert rep["mu"] <= rep["eps0"]
+    assert abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"]) <= 1e-10 * rep["rho"]
 
 
 @pytest.mark.parametrize("sigma,L", [("-1", "1e307"), ("-1e154", "1e153")])
@@ -385,20 +400,28 @@ def test_huge_beta_gives_a_finite_report(tmp_path, capsys, check):
 @pytest.mark.parametrize("sigma,L,beta", [("-1", "20", "1"), ("-1", "800", "1"),
                                           ("-0.5", "50", "3")])
 @pytest.mark.parametrize("lam", ["1e29", "1e300"])
-def test_extreme_coupling_is_solved_or_rejected(tmp_path, capsys, sigma, L, beta, lam):
-    # the Brent bracket for nu*, [eps0 - 2 lam rt(eps0), eps0], was too wide
-    # to close in 100 iterations (exit 1); eps0 - nu* is only ~log(lam)/beta
+def test_extreme_coupling_is_solved_or_rejected(tmp_path, sigma, L, beta, lam):
+    # lam*rho_tilde enters only as the explicit shift of the k >= 2 levels;
+    # at lam = 1e300 the root's rho_tilde is below the rounding of
+    # rho - (occ_0 + occ_1)/L and the solve returns the closer bracket end
     out = tmp_path / "o.json"
     rc = run(["thermo", f"--sigma={sigma}", "--L", L, "--beta", beta, "--lambda", lam,
               "--model", "scf", "--out", str(out)])
-    if rc == 0:
-        rep = json.loads(out.read_text())
-        assert all(math.isfinite(v) for v in rep.values() if isinstance(v, float))
-        assert rep["mu"] < rep["eps0"]
-        assert abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"]) <= 1e-10 * rep["rho"]
-    else:
-        _assert_one_line_rejection(rc, capsys, f"beta = {beta}", "not resolved in doubles")
-        assert not out.exists()
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert all(math.isfinite(v) for v in rep.values() if isinstance(v, float))
+    assert rep["mu"] < rep["eps0"]
+    assert abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"]) <= 1e-10 * rep["rho"]
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test dependency
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, robinbec.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_writability_check_keeps_an_existing_file(tmp_path):

@@ -4,6 +4,12 @@ import random
 import numpy as np
 import pytest
 from helpers_bisection import bisection_ladder, bracketed_roots
+from helpers_fd import (
+    boundary_residual_scale,
+    fd_eigenvalues,
+    fd_eigenvalues_raw,
+    fd_eigenvalues_richardson,
+)
 from scipy.integrate import quad
 
 import robinbec.spectrum as spectrum
@@ -18,12 +24,8 @@ from robinbec.spectrum import (
     bound_state_corrections,
     bound_state_gap,
     bound_state_offsets,
-    boundary_residual_scale,
     build_spectrum,
     eigenfunction_eval,
-    fd_eigenvalues,
-    fd_eigenvalues_raw,
-    fd_eigenvalues_richardson,
     solve_mode,
     write_spectrum_csv,
 )

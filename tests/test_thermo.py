@@ -12,7 +12,7 @@ from robinbec.gibbs_oracle import (
     make_truncation,
     occupation_bound_exponent,
 )
-from robinbec.spectrum import BoxParams, build_spectrum
+from robinbec.spectrum import BoxParams, bound_state_gap, build_spectrum
 from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
@@ -141,33 +141,78 @@ def test_solve_mu_condensing_floor():
 
 
 def test_solve_mu_monotone_density_premise():
-    # mu(nu) = nu + lam*rho_tilde(nu) and the total density increase
-    # strictly in nu = mu - lam*rho_tilde while mu < eps(0)
-    inp = _input(L=20.0)
-    eps = build_spectrum(inp.box, inp.k_max).epsilons
-    from robinbec.thermo import _occupations
+    # G(x) = rho_tilde(x) - (1/L) sum_{k>=2} occ_k and rho_tilde(x) =
+    # rho - (occ_0 + occ_1)/L increase strictly in x = eps(0) - mu; the
+    # closed-form bracket ends have G < 0 and rho_tilde >= 0
+    for model, lam in ((FREE, 0.0), (MEAN_FIELD_SCF, 1.0)):
+        inp = _input(L=20.0, lam=lam)
+        beta, L, rho = inp.beta, inp.box.L, inp.rho
+        eps = build_spectrum(inp.box, inp.k_max).epsilons
+        walls_at = np.array([0.0, bound_state_gap(inp.box)])
 
-    prev_mu, prev_total = -math.inf, -1.0
-    for nu in np.linspace(-4.0, -1.2, 15):
-        occ, _, mu = _occupations(eps, inp.beta, float(nu), 1.0, inp.box.L)
-        total = float(occ.sum() / inp.box.L)
-        assert prev_mu < mu < eps[0]
-        assert total > prev_total
-        prev_mu, prev_total = mu, total
+        def G(x):
+            rho_tilde = rho - float((1.0 / np.expm1(beta * (walls_at + x))).sum()) / L
+            excited = 1.0 / np.expm1(beta * (eps[2:] - eps[0] + x + lam * max(rho_tilde, 0.0)))
+            return rho_tilde - float(excited.sum()) / L, rho_tilde
+
+        x_lo, x_mid = math.log1p(1.0 / (rho * L)) / beta, math.log1p(2.0 / (rho * L)) / beta
+        assert G(x_lo)[0] < 0.0 and G(x_lo)[1] <= 0.0
+        assert G(x_mid)[1] >= 0.0
+        prev = (-math.inf, -math.inf)
+        for x in np.geomspace(0.1 * x_lo, 10.0, 40):
+            value, rho_tilde = G(float(x))
+            assert value > prev[0] and rho_tilde > prev[1]
+            prev = value, rho_tilde
+        st = solve_mu(inp, model=model)
+        assert abs(G(st.x)[0]) <= 1e-14 * rho
 
 
-@pytest.mark.parametrize("model,limit", [(MEAN_FIELD_SCF, 59), (FREE, 42)])
+@pytest.mark.parametrize("sigma,L,beta,rho,lam", [
+    (-1.0, 20.0, 1.0, 1.0, 0.0),
+    (-1.0, 100.0, 1.0, 1.0, 1.0),
+    (-0.5, 50.0, 2.0, 2.0, 0.5),
+    (-1.5, 100.0, 0.5, 0.05, 1.0),  # rho < rho_c: no condensate
+    (-1.0, 20.0, 1e8, 1.0, 0.0),
+    (-1.0, 20.0, 1.0, 1.0, 1e300),  # rho_tilde at the root is below rounding
+])
+def test_solve_mu_matches_mpmath_root(sigma, L, beta, rho, lam):
+    # the same equation G(x) = 0 on the table's double wavenumbers and the
+    # double bound_state_gap, solved at 40 digits by mpmath.findroot on a
+    # bracket of +-2^-20 x around the double root
+    mpmath = pytest.importorskip("mpmath")
+    inp = _input(sigma=sigma, L=L, beta=beta, rho=rho, lam=lam)
+    st = solve_mu(inp, model=MEAN_FIELD_SCF)
+    q = build_spectrum(inp.box, inp.k_max).wavenumbers
+    with mpmath.workdps(40):
+        levels = [mpmath.mpf(float(p)) ** 2 + mpmath.mpf(float(q[0])) ** 2 for p in q[2:]]
+        gap, b, n_L = (mpmath.mpf(v) for v in (bound_state_gap(inp.box), beta, L))
+
+        def G(x):
+            rho_tilde = rho - (1 / mpmath.expm1(b * x) + 1 / mpmath.expm1(b * (gap + x))) / n_L
+            shift = x + lam * max(rho_tilde, 0)
+            return rho_tilde - mpmath.fsum(1 / mpmath.expm1(b * (d + shift)) for d in levels) / n_L
+
+        x = mpmath.mpf(st.x)
+        bracket = (x * (1 - mpmath.mpf(2) ** -20), x * (1 + mpmath.mpf(2) ** -20))
+        assert G(bracket[0]) < 0 < G(bracket[1])
+        root = mpmath.findroot(G, bracket, solver="anderson", verify=False)
+        # the solver stops at a step or bracket of 2 eps in t = log(x/x_mid),
+        # and x = x_mid e^t rounds once more; measured <= 5.7e-16
+        assert float(abs(x - root) / root) <= 3.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("model,limit", [(MEAN_FIELD_SCF, 6), (FREE, 7)])
 def test_solve_mu_occupation_evaluations(monkeypatch, model, limit):
-    # counts Bose-vector evaluations over the k >= 2 modes; a nested
-    # mu x rho_tilde bisection makes ~1,960 per SCF solve, and a plain mu
-    # bisection 42 for the free model at this point
+    # counts Bose-vector evaluations over the k >= 2 modes: 6 and 7 measured
+    # here for the Newton iteration in x = eps(0) - mu (two Brent roots in
+    # nu = mu - lam*rho_tilde needed 59 and 42)
     import robinbec.thermo as thermo
 
     inp = _input(L=12800.0, rho=1.5 * RHO_C_BETA1_SIGMA1, lam=1.0)
     spectrum = build_spectrum(inp.box, inp.k_max)
     sizes = []
     real = thermo._occ_free
-    monkeypatch.setattr(thermo, "_occ_free", lambda eps, *a: sizes.append(len(eps)) or real(eps, *a))
+    monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: sizes.append(len(d)) or real(d, *a))
     st = solve_mu(inp, model=model, spectrum=spectrum)
     assert sum(n > 2 for n in sizes) <= limit
     assert st.density_residual <= 1e-12 * inp.rho
@@ -182,8 +227,12 @@ def test_scf_state_is_its_own_fixed_point(L, lam, rho):
     shifted = 1.0 / np.expm1(inp.beta * (eps[2:] - st.mu + lam * st.rho_tilde))
     np.testing.assert_allclose(occ[2:], shifted, rtol=1e-13, atol=0.0)
     assert abs(st.rho_tilde - occ[2:].sum() / L) <= 1e-15 * st.rho_tilde
-    walls = 1.0 / np.expm1(inp.beta * (eps[:2] - st.mu))
+    walls = 1.0 / np.expm1(inp.beta * (np.array([0.0, bound_state_gap(inp.box)]) + st.x))
     np.testing.assert_array_equal(occ[:2], walls)
+    # mu = eps(0) - x rounds at ulp(eps(0)), which moves beta*(eps_k - mu)
+    # by ulp(eps(0))/x relative
+    rtol = 1e-14 + 2.0 * math.ulp(eps[0]) / st.x
+    np.testing.assert_allclose(occ[:2], 1.0 / np.expm1(inp.beta * (eps[:2] - st.mu)), rtol=rtol)
 
 
 def test_solve_mu_cutoff_certificate():
@@ -237,6 +286,19 @@ def test_equal_distribution_gap_positive_and_stable():
     st_big = solve_mu(_input(L=100.0, rho=1.0, lam=1.0), model=MEAN_FIELD_SCF)
     gap_big = equal_distribution_gap(st_big)
     assert 0.0 < gap_big < 1e-30
+
+
+@pytest.mark.parametrize("beta", [1e8, 1e300])
+def test_equal_distribution_gap_at_huge_beta(beta):
+    # mu rounds near (1e8) or onto (1e300) eps(0) here, so beta*(eps0 - mu)
+    # is off by ulp(eps0)/x relative or is 0; the gap reads x itself
+    inp = _input(L=20.0, beta=beta)
+    st = solve_mu(inp, model=FREE)
+    with np.errstate(over="ignore"):  # beta*gap overflows at beta = 1e300: occ_1 = 0
+        occ = 1.0 / np.expm1(beta * (np.array([0.0, bound_state_gap(inp.box)]) + st.x))
+    expected = (occ[0] - occ[1]) / inp.box.L
+    assert expected > 0.0
+    assert abs(equal_distribution_gap(st) - expected) <= 1e-14 * expected
 
 
 def test_gap_decay_rate():
