@@ -33,8 +33,10 @@ p = k*pi/L falls monotonically onto the root and never leaves the bracket.
 `build_spectrum` and `solve_mode` run this iteration on numpy arrays of k
 through one helper (3 to 5 passes from L*s = 0.1 to 12800), so the table
 and the scalar solver agree bit for bit.  Each root is checked to lie
-strictly inside its bracket, and its residual is taken from the raw trig
-condition above, an independent check on the phase form.  The root sits
+strictly inside its bracket.  Its residual is taken from the raw trig
+condition above, an independent check on the phase form; like the log
+norms and the bracket columns, a table computes it on the first read
+(`SpectrumTable`).  The root sits
 about 2*s/(p*L) below k*pi/L; when that is under an ulp of p
 (s < ~1e-16*p^2*L, so k > ~4e7 once L*s > 2) the root rounds onto the
 bracket end and raises BracketFailure.  At the other end the root sits
@@ -75,6 +77,7 @@ needs numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -172,38 +175,48 @@ class Mode:
     bracket_hi: float
 
 
+# the columns a table computes from its roots on their first read, by their
+# `Mode` field names
+_DERIVED = ("log_norm", "residual", "bracket_lo", "bracket_hi")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Modes k = 0..k_max for one (sigma, L) as read-only arrays indexed by
     k, strictly increasing in eps.  Mode k has parity EVEN for even k and
     ODD for odd k.
 
+    `build_spectrum` builds the roots only: `epsilons`, `wavenumbers` and
+    `walls`, one (q, d, q_end) per wall mode (`_wall_roots`), which holds
+    the offsets `wall_offsets` that give `wall_gap` and
+    `wall_level_offsets` without cancellation.  The derived columns
+    `log_norms`, `residuals`, `bracket_lo` and `bracket_hi` are computed
+    from the roots on the first read of any of them, all four at once,
+    and kept; reading a wall mode (k = 0, 1) through `modes` computes only
+    the wall rows.
+
     One representational exception: the wall pair eps(0) < eps(1) may tie
     in double precision once its exponentially small splitting drops
     below resolution (L*|sigma| beyond ~36); the ordering is structural
-    (q0 > s > q1) and `bound_state_gap` recovers the true splitting.
+    (q0 > s > q1) and `wall_gap` holds the true splitting.
     """
 
     params: BoxParams
     epsilons: np.ndarray
     wavenumbers: np.ndarray
-    log_norms: np.ndarray
-    residuals: np.ndarray
-    bracket_lo: np.ndarray
-    bracket_hi: np.ndarray
+    walls: tuple
 
     def __post_init__(self):
-        arrays = (self.epsilons, self.wavenumbers, self.log_norms, self.residuals,
-                  self.bracket_lo, self.bracket_hi)
-        if self.epsilons.ndim != 1 or len(self.epsilons) == 0 or any(
-            a.shape != self.epsilons.shape for a in arrays
+        if self.epsilons.ndim != 1 or len(self.epsilons) == 0 or (
+            self.wavenumbers.shape != self.epsilons.shape
+            or len(self.walls) != min(len(self.epsilons), 2)
         ):
             raise ValidationError("spectrum arrays must be 1-D, nonempty and of equal length")
         steps = np.diff(self.epsilons)
         if np.any(steps[:1] < 0.0) or np.any(~(steps[1:] > 0.0)):
             raise ValidationError("eigenvalues must be strictly increasing")
-        for a in arrays:
-            a.flags.writeable = False
+        self.epsilons.flags.writeable = False
+        self.wavenumbers.flags.writeable = False
 
     @property
     def k_max(self) -> int:
@@ -212,6 +225,61 @@ class SpectrumTable:
     @property
     def modes(self) -> "ModeView":
         return ModeView(self)
+
+    @property
+    def wall_offsets(self) -> tuple[float, ...]:
+        """(d0,) or (d0, d1): d0 = q0 - s, d1 = s - q1, as
+        `bound_state_corrections` gives them."""
+        return tuple(d for _, d, _ in self.walls)
+
+    def _pair_offsets(self) -> tuple[float, float]:
+        if len(self.walls) < 2:
+            raise ValidationError("the wall pair needs a table with k_max >= 1")
+        return self.wall_offsets
+
+    @property
+    def wall_gap(self) -> float:
+        """eps(1) - eps(0), equal to `bound_state_gap` of the box."""
+        return _pair_gap(self.params.s, *self._pair_offsets())
+
+    @property
+    def wall_level_offsets(self) -> tuple[float, float]:
+        """(|eps(0) + sigma^2|, |eps(1) + sigma^2|), equal to
+        `bound_state_offsets` of the box."""
+        return _level_offsets(self.params.s, *self._pair_offsets())
+
+    @functools.cached_property
+    def _wall_rows(self) -> dict:
+        return _wall_columns(self.params, self.walls)
+
+    @functools.cached_property
+    def _derived(self) -> dict:
+        ladder = _ladder_columns(self.params, np.arange(2, len(self.epsilons)), self.wavenumbers[2:])
+        columns = {}
+        for name in _DERIVED:
+            columns[name] = np.concatenate([self._wall_rows[name], ladder[name]])
+            columns[name].flags.writeable = False
+        return columns
+
+    @property
+    def log_norms(self) -> np.ndarray:
+        """Log of each mode's L2 normalization constant."""
+        return self._derived["log_norm"]
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """|phi'(L/2) + sigma*phi(L/2)| of each normalized mode."""
+        return self._derived["residual"]
+
+    @property
+    def bracket_lo(self) -> np.ndarray:
+        """Lower end of each mode's certified eigenvalue bracket."""
+        return self._derived["bracket_lo"]
+
+    @property
+    def bracket_hi(self) -> np.ndarray:
+        """Upper end of each mode's certified eigenvalue bracket."""
+        return self._derived["bracket_hi"]
 
 
 class ModeView(Sequence):
@@ -234,15 +302,13 @@ class ModeView(Sequence):
         if not 0 <= k < len(self):
             raise IndexError(f"mode index {k} outside 0..{len(self) - 1}")
         t = self._table
+        rows = t._wall_rows if k < 2 else t._derived
         return Mode(
             k=k,
             parity=EVEN if k % 2 == 0 else ODD,
             epsilon=float(t.epsilons[k]),
             wavenumber=float(t.wavenumbers[k]),
-            log_norm=float(t.log_norms[k]),
-            residual=float(t.residuals[k]),
-            bracket_lo=float(t.bracket_lo[k]),
-            bracket_hi=float(t.bracket_hi[k]),
+            **{name: float(rows[name][k]) for name in _DERIVED},
         )
 
 
@@ -308,23 +374,27 @@ def _trig_residual(p, half, s, even):
     return np.where(even, p * sn + s * cs, p * cs - s * sn)
 
 
-def _ladder(params: BoxParams, k):
-    """`Mode` fields of the k >= 2 modes as arrays over the integer array k."""
+def _ladder_roots(params: BoxParams, k):
+    """Wavenumbers p of the k >= 2 modes over the integer array k."""
     s, L = params.s, params.L
     if len(k) and not L * s <= MAX_PHASE_LS:
         raise ValidationError(
             f"modes k >= 2 need L*|sigma| <= {MAX_PHASE_LS:g}, got {L * s:g}"
         )
+    return _phase_roots(k, L, s, (k - 1) * math.pi / L, k * math.pi / L)
+
+
+def _ladder_columns(params: BoxParams, k, p):
+    """The derived `Mode` fields (`_DERIVED`) of the k >= 2 modes as arrays,
+    from their wavenumbers p."""
+    L = params.L
     even = k % 2 == 0
     lo, hi = (k - 1) * math.pi / L, k * math.pi / L
-    p = _phase_roots(k, L, s, lo, hi)
     sin_pl = np.sin(p * L) / (p * L)
     norm = math.sqrt(2.0 / L) / np.sqrt(1.0 + np.where(even, 1.0, -1.0) * sin_pl)
     return {
-        "epsilon": p * p,
-        "wavenumber": p,
         "log_norm": np.log(norm),
-        "residual": norm * np.abs(_trig_residual(p, params.half, s, even)),
+        "residual": norm * np.abs(_trig_residual(p, params.half, params.s, even)),
         "bracket_lo": lo * lo,
         "bracket_hi": hi * hi,
     }
@@ -509,16 +579,18 @@ def _wall_roots(params: BoxParams, k_max: int):
 
 
 def _wall_pair(params: BoxParams, k_max: int):
-    """`Mode` fields of the wall modes 0..min(k_max, 1) as arrays, and their
-    offsets from s = |sigma|: (d0,) or (d0, d1), d0 = q0 - s, d1 = s - q1.
+    """`_wall_roots`, refused past L*|sigma| = MAX_WALL_LS (ValidationError),
+    where the wall rows' log norms and residuals overflow."""
+    if not params.s * params.L <= MAX_WALL_LS:
+        raise ValidationError(
+            f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {params.s * params.L:g}"
+        )
+    return _wall_roots(params, k_max)
 
-    The roots come from `_wall_roots`.  Raises ValidationError past
-    L*|sigma| = MAX_WALL_LS, where the log norms and residuals overflow.
-    """
+
+def _wall_columns(params: BoxParams, roots):
+    """`Mode` fields of the wall modes as arrays, from their `_wall_roots`."""
     s, L, half = params.s, params.L, params.half
-    if not s * L <= MAX_WALL_LS:
-        raise ValidationError(f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {s * L:g}")
-    roots = _wall_roots(params, k_max)
     q, _, q_hi = roots[0]
     log_norm = _bound_log_norm(EVEN, q, L)
     phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
@@ -532,9 +604,8 @@ def _wall_pair(params: BoxParams, k_max: int):
         g = (_ucothu_minus_one(u) - _odd_excess(s, L)) / half if u < 1.0 else q / math.tanh(u) - s
         rows.append((-q * q, q, log_norm, abs(phi_wall * g), -s * s, -q_lo * q_lo))
 
-    names = ("epsilon", "wavenumber", "log_norm", "residual", "bracket_lo", "bracket_hi")
-    fields = {name: np.array(column) for name, column in zip(names, zip(*rows))}
-    return fields, tuple(d for _, d, _ in roots)
+    names = ("epsilon", "wavenumber") + _DERIVED
+    return {name: np.array(column) for name, column in zip(names, zip(*rows))}
 
 
 # ----------------------------------------------------------------------
@@ -554,16 +625,19 @@ def solve_mode(params: BoxParams, k: int) -> Mode:
         raise ValidationError(f"mode index must be a nonnegative integer, got {k!r}")
     k = int(k)
     if k >= 2:
-        fields, i = _ladder(params, np.array([k])), 0
+        ks = np.array([k])
+        p = _ladder_roots(params, ks)
+        fields, i = {"epsilon": p * p, "wavenumber": p, **_ladder_columns(params, ks, p)}, 0
     else:
-        (fields, _), i = _wall_pair(params, k), k
+        fields, i = _wall_columns(params, _wall_pair(params, k)), k
     return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD,
                 **{name: float(column[i]) for name, column in fields.items()})
 
 
 def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
-    """Modes 0..k_max as a validated table (k_max = 0 gives just the even
-    bound state).
+    """Modes 0..k_max as a validated table of their roots (k_max = 0 gives
+    just the even bound state); the derived columns follow on their first
+    read (`SpectrumTable`).
 
     The wall pair comes from one call of the wall-pair solver; the k >= 2
     modes come from one phase Newton iteration over all of them (see the
@@ -574,20 +648,14 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
             f"k_max must be an integer in [0, {K_MAX_LIMIT}], got {k_max!r}"
         )
     k_max = int(k_max)
-    wall, _ = _wall_pair(params, k_max)
-    ladder = _ladder(params, np.arange(2, k_max + 1))
-
-    def column(field):
-        return np.concatenate([wall[field], ladder[field]])
-
+    walls = tuple(_wall_pair(params, k_max))
+    q = [q for q, _, _ in walls]
+    p = _ladder_roots(params, np.arange(2, k_max + 1))
     return SpectrumTable(
         params=params,
-        epsilons=column("epsilon"),
-        wavenumbers=column("wavenumber"),
-        log_norms=column("log_norm"),
-        residuals=column("residual"),
-        bracket_lo=column("bracket_lo"),
-        bracket_hi=column("bracket_hi"),
+        epsilons=np.concatenate([[-v * v for v in q], p * p]),
+        wavenumbers=np.concatenate([q, p]),
+        walls=walls,
     )
 
 
@@ -637,17 +705,22 @@ def bound_state_corrections(params: BoxParams) -> tuple[float, float]:
     return tuple(d for _, d, _ in _wall_roots(params, 1))
 
 
+def _pair_gap(s, d0, d1):
+    return (d0 + d1) * (2.0 * s + d0 - d1)
+
+
+def _level_offsets(s, d0, d1):
+    return d0 * (2.0 * s + d0), d1 * (2.0 * s - d1)
+
+
 def bound_state_gap(params: BoxParams) -> float:
     """eps(1) - eps(0) = (d0 + d1)(2s + d0 - d1), exact at any L."""
-    d0, d1 = bound_state_corrections(params)
-    return (d0 + d1) * (2.0 * params.s + d0 - d1)
+    return _pair_gap(params.s, *bound_state_corrections(params))
 
 
 def bound_state_offsets(params: BoxParams) -> tuple[float, float]:
     """(|eps(0) + sigma^2|, |eps(1) + sigma^2|) without cancellation."""
-    d0, d1 = bound_state_corrections(params)
-    s = params.s
-    return d0 * (2.0 * s + d0), d1 * (2.0 * s - d1)
+    return _level_offsets(params.s, *bound_state_corrections(params))
 
 
 # ----------------------------------------------------------------------

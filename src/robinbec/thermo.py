@@ -18,7 +18,8 @@ The free model is the lam = 0 case of the SCF one.  Both are solved for
 x = eps(0) - mu > 0 itself, which the density equation puts near
 2/(beta*L*rho) in a condensing box, far below the spacing of doubles
 near eps(0).  Given x, the wall pair takes bose(beta x) and
-bose(beta (gap + x)) with gap = eps(1) - eps(0) from `bound_state_gap`;
+bose(beta (gap + x)) with gap = eps(1) - eps(0) from the table's wall
+offsets (`SpectrumTable.wall_gap`, one wall-pair solve per state);
 the density equation itself gives rt(x) = rho - (occ_0 + occ_1)/L, so
 the SCF shift is explicit; and modes k >= 2 take
 bose(beta (D_k + x + lam*max(rt, 0))) (unclamped, G would have a
@@ -30,8 +31,16 @@ bracketed in closed form: bose(beta x) = rho*L puts rt <= 0, so G < 0,
 and bose(beta x) = rho*L/2, at x_mid, puts rt >= 0.  A Newton iteration
 in t = log(x / x_mid) starts at t = 0 and takes its slope from
 sum occ (1 + occ).  Until some G > 0 is found its steps up are capped at
-a width that starts at 4 and doubles; after that a step that would leave
-the bracket bisects it in t.  It stops once a step from the best point
+a width that starts at 4 and doubles.  After that, a step that would
+leave the bracket is replaced by the Newton step in the ground-mode
+occupation y = bose(beta x) from the last point with G > 0, once per such
+point, and by bisection in t if that leaves the bracket too.  Where
+lam*rho_tilde dominates, G jumps up where rho_tilde crosses 0 and is
+about rho_tilde above: concave in t, so a step in t from above ends below
+the jump, but convex in y, so a step in y ends above it (3 to 8
+evaluations at lam = 1e29 to 1e300, where bisection took 33 to 48).  A
+step in y that ends within 2 eps of the low bracket end is moved to that
+distance above it.  It stops once a step from the best point
 so far is below 2 eps, or the bracket is that narrow or closes between
 adjacent doubles (lam = 1e300 puts the root's rt below the rounding of
 rho - (occ_0 + occ_1)/L, so G jumps there), and returns the evaluated
@@ -65,10 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
-from .spectrum import (
-    K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, bound_state_gap,
-    bound_state_offsets, build_spectrum,
-)
+from .spectrum import K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, build_spectrum
 
 FREE = "free"
 MEAN_FIELD_SCF = "mean_field_scf"
@@ -127,6 +133,9 @@ class ThermoState:
     rho_tilde: float
     rho_cond_finite: float
     epsilons: np.ndarray
+    # eps(1) - eps(0) and |eps(0) + sigma^2|, from the table's wall offsets
+    wall_gap: float
+    offset0: float
 
     @property
     def density_residual(self) -> float:
@@ -279,7 +288,8 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
     q = spectrum.wavenumbers[: inp.k_max + 1]
     levels = q[2:] * q[2:] + q[0] * q[0]  # eps_k - eps(0) for k >= 2, no cancellation
-    wall_levels = np.array([0.0, bound_state_gap(inp.box)])
+    wall_gap = spectrum.wall_gap
+    wall_levels = np.array([0.0, wall_gap])
     # bose(beta x) = rho L at x_lo puts rho_tilde <= 0, so G < 0 there;
     # bose(beta x) = rho L / 2 at x_mid puts rho_tilde >= 0
     x_lo = math.log1p(1.0 / (rho * L)) / beta
@@ -301,7 +311,7 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
         bx = beta * x
         d_walls = float(walls @ ((1.0 + walls) * bx)) / L  # x d(rho_tilde)/dx
         d_excited = float(excited @ ((1.0 + excited) * bx)) / L
-        if rho_tilde > 0.0:
+        if rho_tilde > 0.0 and d_excited > 0.0:  # 0 * inf at huge beta*lam
             d_excited *= 1.0 + lam * d_walls / x
         return value, d_walls + d_excited, walls, excited
 
@@ -310,29 +320,43 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
     # so far: where G is steep (huge lam), one from the other side can be
     # tiny while |G| there is still large
     lo, hi, widen, t = math.log(x_lo / x_mid), math.inf, 4.0, 0.0
-    best = None
+    best, from_hi = None, math.nan
     for _ in range(_SOLVE_PASSES):
         value, slope, walls, excited = at(t)
         improved = best is None or abs(value) < abs(best[0])
         if improved:
             best = value, t, walls, excited
+        newton = 0.0 < slope < math.inf
+        new = t - value / slope if newton else math.nan
         if value < 0.0:
             lo = t
         else:
-            hi = t
-        new = t - value / slope if 0.0 < slope < math.inf else math.nan
+            # the Newton step in y = bose(beta x) from here, as t (module
+            # docstring); dy/dt = -beta x y (1 + y)
+            hi, from_hi = t, math.nan
+            if newton:
+                y = float(walls[0])
+                y *= 1.0 + value * beta * x_mid * math.exp(t) * (1.0 + y) / slope
+                if 0.0 < y < math.inf:
+                    from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
         if (improved and abs(new - t) <= _STEP_TOL) or hi - lo <= _STEP_TOL:
             break
         # safeguard: until some G > 0 is seen, steps up are capped at a
-        # doubling width; inside the bracket, a step that leaves it bisects
+        # doubling width.  Inside the bracket, a step that leaves it is
+        # replaced by `from_hi` (raised to lo + 2 eps if it ends that close
+        # to lo: the root is then closer to lo than x resolves), and that
+        # by bisection
         upper = hi if hi < math.inf else t + widen
         if not lo < new < upper:
             if hi == math.inf:
                 new, widen = upper, 2.0 * widen
             else:
-                new = 0.5 * (lo + hi)
-                if not lo < new < hi:  # lo and hi are adjacent doubles
-                    break
+                new = max(from_hi, lo + _STEP_TOL) if from_hi > lo - _STEP_TOL else math.nan
+                from_hi = math.nan  # once per hi
+                if not lo < new < hi:
+                    new = 0.5 * (lo + hi)
+                    if not lo < new < hi:  # lo and hi are adjacent doubles
+                        break
         t = new
     else:
         raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
@@ -348,6 +372,8 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
         rho_tilde=float(excited.sum() / L),
         rho_cond_finite=float((walls[0] + walls[1]) / L),
         epsilons=eps,
+        wall_gap=wall_gap,
+        offset0=spectrum.wall_level_offsets[0],
     )
     if not state.density_residual <= 1e-10 * rho:
         raise NumericalFailure(
@@ -363,22 +389,20 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
 def equal_distribution_gap(state: ThermoState) -> float:
     """(occ_0 - occ_1)/L >= 0, via the exact splitting of the wall pair.
 
-    With x0 = beta*x and b = beta*(eps(1) - eps(0)) from `bound_state_gap`,
+    With x0 = beta*x and b = beta*(eps(1) - eps(0)) from `state.wall_gap`,
     occ_0 - occ_1 = bose(x0) - bose(x0 + b)
                   = (1 - e^{-b}) / (1 - e^{-x0-b}) * bose(x0),
     which neither cancels at large L nor overflows at large beta.
     """
-    box = state.params.box
     x0 = state.params.beta * state.x
-    b = state.params.beta * bound_state_gap(box)
-    return math.expm1(-b) / math.expm1(-x0 - b) * (math.exp(-x0) / -math.expm1(-x0)) / box.L
+    b = state.params.beta * state.wall_gap
+    return math.expm1(-b) / math.expm1(-x0 - b) * (math.exp(-x0) / -math.expm1(-x0)) / state.params.box.L
 
 
 def _scaled_mu_offset(state: ThermoState) -> float:
     """(mu_L + sigma^2) * L = -(x + |eps(0) + sigma^2|) * L, a sum of
     positives in place of the cancelling mu + sigma^2."""
-    offset0, _ = bound_state_offsets(state.params.box)
-    return -(state.x + offset0) * state.params.box.L
+    return -(state.x + state.offset0) * state.params.box.L
 
 
 @dataclass(frozen=True, eq=False)

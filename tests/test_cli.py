@@ -136,6 +136,25 @@ def test_sweep_evaluates_each_gap_once(tmp_path, monkeypatch):
     assert "gap_decay_rate" in fits
 
 
+def test_sweep_solves_each_wall_pair_once(tmp_path, monkeypatch):
+    # a sweep reads the spectrum roots and the table's wall offsets only:
+    # one wall-pair solve per state and no derived spectrum column
+    import robinbec.spectrum as spectrum
+
+    calls = {name: 0 for name in ("_wall_roots", "_wall_columns", "_ladder_columns")}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(spectrum, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(spectrum, name, counted)
+    rc = run(["sweep", "--sigma", "-1", "--beta", "1", "--rho", "1", "--model", "scf",
+              "--lambda", "1", "--L-grid", "20:320:geometric:5", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert "mu_asymptotics" in json.loads((tmp_path / "s.csv.fit.json").read_text())
+    assert calls == {"_wall_roots": 5, "_wall_columns": 0, "_ladder_columns": 0}
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--L", "3000", "--k-max", "3", "--sigma", "-1e-3"],
     ["oracle", "--check", "occupation-bound", "--sigma", "-1", "--L", "10",

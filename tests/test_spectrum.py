@@ -230,16 +230,20 @@ def _count_calls(monkeypatch, name):
 def test_build_spectrum_newton_passes(monkeypatch):
     # each `_phase` call after the lower-end sign check is one Newton pass
     # (the first at the upper bracket end, the last confirming a step of a
-    # few ulp); `_trig_residual` runs once, for the residual column
+    # few ulp); `_trig_residual` runs not at all at build and once on the
+    # first read of the residual column
     phase = _count_calls(monkeypatch, "_phase")
     residual = _count_calls(monkeypatch, "_trig_residual")
     for sigma, L in [(-1.0, 2.0 + 1e-9), (-0.5, 1600.0), (-1.0, 12800.0)]:
         phase.clear()
         residual.clear()
         k_max = _reference_k_max(L)
-        build_spectrum(BoxParams(sigma=sigma, L=L), k_max)
+        table = build_spectrum(BoxParams(sigma=sigma, L=L), k_max)
         assert phase[:2] == [k_max - 1, k_max - 1]
         assert 1 <= len(phase) - 1 <= 5, (sigma, L, phase)
+        assert residual == []
+        table.residuals
+        table.residuals
         assert residual == [k_max - 1]
     params = BoxParams(sigma=-0.1, L=1.0)  # no odd bound state: scalar solver
     for k in range(2, 40):
@@ -264,7 +268,7 @@ def test_phase_roots_refuse_unresolved_brackets():
 def test_phase_roots_pass_cap(monkeypatch):
     monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 2)
     with pytest.raises(NumericalFailure, match="phase Newton left .* unconverged after 2 passes"):
-        spectrum._ladder(BoxParams(sigma=-1.0, L=40.0), np.arange(2, 61))
+        spectrum._ladder_roots(BoxParams(sigma=-1.0, L=40.0), np.arange(2, 61))
 
 
 def test_vector_bracket_without_sign_change_raises():
@@ -272,6 +276,29 @@ def test_vector_bracket_without_sign_change_raises():
     hi = np.array([2.0, 3.0, 6.0])
     with pytest.raises(BracketFailure, match=r"\[2\.0, 3\.0\]"):
         bracketed_roots(lambda x, i: (x - 1.0) * (x - 5.0), lambda x, i: 2.0 * x - 6.0, lo, hi)
+
+
+def test_derived_columns_are_computed_on_first_read(monkeypatch):
+    # a build solves the roots only, and wall modes read through `modes`
+    # need only the wall rows; the first read of a derived column computes
+    # the ladder columns once, and later reads return the same read-only
+    # arrays (their values: test_build_spectrum_matches_scalar_solver)
+    calls = []
+    real = spectrum._ladder_columns
+    monkeypatch.setattr(spectrum, "_ladder_columns", lambda *a: calls.append(a) or real(*a))
+    params = BoxParams(sigma=-1.0, L=40.0)
+    table = build_spectrum(params, 60)
+    assert list(table.modes[:2]) == [solve_mode(params, 0), solve_mode(params, 1)]
+    assert calls == []
+    columns = [table.log_norms, table.residuals, table.bracket_lo, table.bracket_hi]
+    assert len(calls) == 1
+    again = [table.log_norms, table.residuals, table.bracket_lo, table.bracket_hi]
+    assert all(a is b for a, b in zip(columns, again))
+    assert table.modes[30] == table.modes[30] and len(calls) == 1
+    for column in columns:
+        assert len(column) == 61
+        with pytest.raises(ValueError):
+            column[3] = 0.0
 
 
 def test_mode_view_is_read_only_and_indexable():
@@ -489,7 +516,9 @@ def test_wall_pair_matches_mpmath_reference(monkeypatch):
     for sigma, L in WALL_BOXES:
         params = BoxParams(sigma=sigma, L=L)
         k_max = 1 if params.has_second_bound_state() else 0
-        fields, offsets = spectrum._wall_pair(params, k_max)
+        roots = spectrum._wall_pair(params, k_max)
+        fields = spectrum._wall_columns(params, roots)
+        offsets = [d for _, d, _ in roots]
         ref = _mp_wall_pair(sigma, L, 30)
         _assert_within_ulps(fields["wavenumber"], [float(q) for q in ref[: k_max + 1]])
         tol = 1e-14 + -sigma * L * 2.3e-16
@@ -559,7 +588,12 @@ def test_offsets_are_the_table_roots():
     for sigma, L in WALL_BOXES[::10]:
         params = BoxParams(sigma=sigma, L=L)
         if params.has_second_bound_state():
-            assert bound_state_corrections(params) == spectrum._wall_pair(params, 1)[1]
+            table = build_spectrum(params, 1)
+            assert bound_state_corrections(params) == table.wall_offsets
+            assert bound_state_gap(params) == table.wall_gap
+            assert bound_state_offsets(params) == table.wall_level_offsets
+    with pytest.raises(ValidationError, match="k_max >= 1"):
+        build_spectrum(BoxParams(sigma=-1.0, L=40.0), 0).wall_gap
 
 
 def test_wall_newton_pass_cap(monkeypatch):

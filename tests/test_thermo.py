@@ -12,7 +12,7 @@ from robinbec.gibbs_oracle import (
     make_truncation,
     occupation_bound_exponent,
 )
-from robinbec.spectrum import BoxParams, bound_state_gap, build_spectrum
+from robinbec.spectrum import BoxParams, bound_state_gap, bound_state_offsets, build_spectrum
 from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
@@ -30,6 +30,7 @@ from robinbec.thermo import (
     suggest_k_max,
     write_sweep_csv,
 )
+from test_spectrum import REFERENCE_BOXES
 
 # Li_{1/2}(e^{-1}) / (2 sqrt(pi)) at 40 digits, rounded to double
 RHO_C_BETA1_SIGMA1 = 0.14274846129686652
@@ -216,6 +217,48 @@ def test_solve_mu_occupation_evaluations(monkeypatch, model, limit):
     st = solve_mu(inp, model=model, spectrum=spectrum)
     assert sum(n > 2 for n in sizes) <= limit
     assert st.density_residual <= 1e-12 * inp.rho
+
+
+@pytest.mark.parametrize("sigma,L,beta,rho,lam", [
+    (-1.0, 20.0, 1.0, 1.0, 1e29), (-1.0, 800.0, 1.0, 1.0, 1e300),
+    (-0.0196, 183.8, 735.0, 0.12, 9.5e189), (-4.0, 20.0, 1e90, 50.0, 1e245),
+])
+def test_solve_mu_huge_lam_evaluations(monkeypatch, sigma, L, beta, rho, lam):
+    # where lam*rho_tilde dominates, G jumps up where rho_tilde crosses 0:
+    # bisection in t took 34, 33, 48 and 52 evaluations here, the Newton
+    # step in the ground-mode occupation from the end where G > 0 takes 5,
+    # 3, 8 and 2 (the last box had a NaN slope, 0 * inf, so bisected alone)
+    import robinbec.thermo as thermo
+
+    inp = _input(sigma=sigma, L=L, beta=beta, rho=rho, lam=lam)
+    sizes = []
+    real = thermo._occ_free
+    monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: sizes.append(len(d)) or real(d, *a))
+    st = solve_mu(inp, model=MEAN_FIELD_SCF)
+    assert sum(n > 2 for n in sizes) <= 12
+    assert st.density_residual <= 1e-10 * rho
+
+
+def test_state_wall_pair_from_one_solve(monkeypatch):
+    # solve_mu reads the roots and the table's wall offsets: one wall-pair
+    # solve, no derived spectrum column, and the gap and offset0 the state
+    # carries are bound_state_gap and bound_state_offsets bit for bit
+    import robinbec.spectrum as spectrum
+
+    calls = {name: 0 for name in ("_wall_roots", "_wall_columns", "_ladder_columns")}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(spectrum, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(spectrum, name, counted)
+    for sigma, L in REFERENCE_BOXES:
+        inp = _input(sigma=sigma, L=L, lam=1.0)
+        calls["_wall_roots"] = 0
+        st = solve_mu(inp, model=MEAN_FIELD_SCF)
+        assert calls == {"_wall_roots": 1, "_wall_columns": 0, "_ladder_columns": 0}
+        assert st.wall_gap == bound_state_gap(inp.box)
+        assert st.offset0 == bound_state_offsets(inp.box)[0]
 
 
 @pytest.mark.parametrize("L,lam,rho", [(10.0, 1.0, 0.6), (250.0, 1.0, 1.0), (3200.0, 0.3, 2.0),
