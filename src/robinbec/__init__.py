@@ -13,9 +13,7 @@ from .spectrum import (
     NoSecondBoundState,
     OutOfDomain,
     SpectrumTable,
-    bound_state_corrections,
     bound_state_gap,
-    bound_state_offsets,
     build_spectrum,
     eigenfunction_eval,
     solve_mode,

@@ -59,7 +59,8 @@ def _echo_lines(command: str, params: dict) -> list[str]:
 
 
 def _parse_l_grid(text: str) -> list[float]:
-    """'start:stop:kind:count' with kind in {geometric, linear}."""
+    """'start:stop:kind:count' with kind in {geometric, linear}, of count
+    distinct points: the sweep fits need at least two distinct L."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ValidationError(
@@ -76,11 +77,14 @@ def _parse_l_grid(text: str) -> list[float]:
         raise ValidationError(
             f"L-grid needs 0 < start <= stop and 1 <= count <= {_MAX_SWEEP_POINTS}, got {text!r}"
         )
-    if kind == "geometric":
-        return [float(v) for v in np.geomspace(start, stop, count)]
-    if kind == "linear":
-        return [float(v) for v in np.linspace(start, stop, count)]
-    raise ValidationError(f"L-grid kind must be geometric or linear, got {kind!r}")
+    if kind not in ("geometric", "linear"):
+        raise ValidationError(f"L-grid kind must be geometric or linear, got {kind!r}")
+    grid = (np.geomspace if kind == "geometric" else np.linspace)(start, stop, count)
+    if len(set(grid.tolist())) < count:
+        raise ValidationError(
+            f"L-grid points must be distinct (start < stop when count > 1), got {text!r}"
+        )
+    return [float(v) for v in grid]
 
 
 def _write_json(payload: dict, path) -> None:
@@ -169,7 +173,7 @@ def _cmd_oracle(cfg: dict) -> int:
     kwargs = {arg: given[arg] for arg in CHECK_ARGUMENTS[name]}
     if "targets" in kwargs:  # parsed only for the check that takes them
         kwargs["targets"] = [_parse_target(item) for item in kwargs["targets"]]
-    report = run_check(name, spec, model, **kwargs)
+    report = run_check(name, spec, **kwargs)
     report["tool"] = f"robinbec {__version__}"
     _write(_write_json, report, cfg["out"])
     print(f"wrote {cfg['out']} (check={name} pass={report['pass']})")

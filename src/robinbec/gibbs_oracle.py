@@ -37,9 +37,13 @@ Occupations are capped per mode; `_moment_tails` gives every mode's
 neglected tail at its cap (at the given beta, mu; the repulsive ntil
 coupling only suppresses further).  `make_truncation` grows all caps as
 one array until each tail is below tol/(k_top + 1); `truncation_from_caps`
-checks any set of caps (box, mu <= eps(0), DP length) and takes their
-tails and the sum `tail_budget`, which certifies the truncation, from the
-same function.  All sums run in log space.
+checks any set of caps (mu <= eps(0), DP length) and takes their tails and
+the sum `tail_budget`, which certifies the truncation, from the same
+function.  The `TruncationSpec` it returns carries the model its tails
+were taken at (and checks that the model's box is the table's); every
+function past it reads the model from the spec, so an expectation or a
+check runs only at the (beta, mu) its certificate covers.  All sums run
+in log space.
 
 Observables are products of univariate polynomial factors in distinct
 mode numbers, optionally times a polynomial in Ntil (the coupling makes
@@ -50,8 +54,8 @@ occupation law, the occupation-moment inequality and the occupation
 bound) each return their two sides (lhs, rhs) and reject powers beyond
 the degree `_ENVELOPE_DEGREE` the tails certify.  `_CHECKS` maps each
 name to its sides function and the relation (==, >=, <=) it tests;
-`run_check` calls it with the check's own keyword arguments, echoes them
-and decides pass within the relevant tail budget.
+`run_check` calls it with the spec and the check's own keyword arguments,
+echoes them and decides pass within the relevant tail budget.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ class DiagonalObservable:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Spectrum prefix, per-mode occupation caps, and the certified tail.
+    """Spectrum prefix, the model, per-mode occupation caps, and the
+    certified tail.  The table and the model must describe the same box.
 
     `per_mode_tail[k]` bounds the effect of capping mode k at M = caps[k]
     on any reported expectation: the neglected geometric weight inflated
@@ -184,11 +189,14 @@ class TruncationSpec:
     """
 
     table: SpectrumTable
+    model: ModelParams
     caps: tuple[int, ...]
     per_mode_tail: tuple[float, ...]
     tail_budget: float
 
     def __post_init__(self):
+        if self.table.params != self.model.box:
+            raise ValidationError("truncation table and model box must match")
         if len(self.caps) != len(self.table.epsilons):
             raise ValidationError("need exactly one cap per tabulated mode")
         if len(self.caps) < 2:
@@ -272,8 +280,6 @@ def truncation_from_caps(table: SpectrumTable, model: ModelParams, caps) -> Trun
     here.  Allows mu = eps(0) (wall-mode tails become inf but cancel out of
     k >= 2 sector ratios).  Raises CapOverflow if the k >= 2 caps make the
     DP longer than _MAX_DP_LEN."""
-    if table.params != model.box:
-        raise ValidationError("truncation table and model box must match")
     eps = table.epsilons
     if model.mu > eps[0]:
         raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps[0]}, got {model.mu}")
@@ -283,7 +289,8 @@ def truncation_from_caps(table: SpectrumTable, model: ModelParams, caps) -> Trun
     if sum(caps[2:]) + 1 > _MAX_DP_LEN:
         raise CapOverflow(f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {_MAX_DP_LEN}")
     tails = tuple(_moment_tails(_log_ratios(eps, model), caps).tolist())
-    return TruncationSpec(table=table, caps=caps, per_mode_tail=tails, tail_budget=math.fsum(tails))
+    return TruncationSpec(table=table, model=model, caps=caps, per_mode_tail=tails,
+                          tail_budget=math.fsum(tails))
 
 
 # ----------------------------------------------------------------------
@@ -395,12 +402,12 @@ def _suffix_spacing(caps) -> int:
     return r
 
 
-def _convolve_modes(log_z, spec, model, modes, factored):
+def _convolve_modes(log_z, spec, modes, factored):
     """Convolve `log_z` with the weight vector of each mode in `modes`:
     geometric unless `factored` gives the mode a polynomial factor."""
     eps = spec.table.epsilons
     for k in modes:
-        logx = -model.beta * eps[k]
+        logx = -spec.model.beta * eps[k]
         if k in factored:
             n = np.arange(spec.caps[k] + 1)
             with np.errstate(divide="ignore"):
@@ -411,7 +418,7 @@ def _convolve_modes(log_z, spec, model, modes, factored):
     return log_z
 
 
-def constrained_partition(spec: TruncationSpec, model: ModelParams) -> ConstrainedZ:
+def constrained_partition(spec: TruncationSpec) -> ConstrainedZ:
     """z[ntil] by convolving the per-mode geometric weight vectors, from
     k_top down to 2, keeping every `_suffix_spacing`-th partial result."""
     r = _suffix_spacing(spec.caps)
@@ -419,20 +426,16 @@ def constrained_partition(spec: TruncationSpec, model: ModelParams) -> Constrain
     log_z = np.zeros(1)
     suffixes = {spec.k_top + 1: log_z}
     for k in range(spec.k_top, 1, -1):
-        log_z = _log_geometric_conv(log_z, -model.beta * eps[k], spec.caps[k])
+        log_z = _log_geometric_conv(log_z, -spec.model.beta * eps[k], spec.caps[k])
         if k > 2 and (k - 2) % r == 0:
             suffixes[k] = log_z
     return ConstrainedZ(log_z=log_z, suffixes=suffixes)
 
 
-def _log_coupling_weight(model: ModelParams, ntil: np.ndarray) -> np.ndarray:
-    return model.beta * (model.mu * ntil - 0.5 * model.lam * ntil * ntil / model.box.L)
-
-
-def _wall_mode_ratio(spec: TruncationSpec, model: ModelParams, k: int, poly) -> float:
+def _wall_mode_ratio(spec: TruncationSpec, k: int, poly) -> float:
     eps_k = float(spec.table.epsilons[k])
     n = np.arange(spec.caps[k] + 1)
-    logw = -model.beta * (eps_k - model.mu) * n
+    logw = -spec.model.beta * (eps_k - spec.model.mu) * n
     num = _logsumexp(logw, _poly_on_range(poly, n))
     den = _logsumexp(logw)
     return math.exp(num - den)
@@ -441,40 +444,40 @@ def _wall_mode_ratio(spec: TruncationSpec, model: ModelParams, k: int, poly) -> 
 def grand_expectation(
     obs: DiagonalObservable,
     spec: TruncationSpec,
-    model: ModelParams,
+    *,
     z: ConstrainedZ | None = None,
 ) -> float:
-    """Exact capped-space expectation of a diagonal observable.
+    """Exact capped-space expectation of a diagonal observable at the model
+    of `spec`.
 
     Wall-mode factors reduce to independent 1-D geometric sums; k >= 2
     factors enter through a reweighted constrained partition sum, rebuilt
     from the nearest stored suffix of `z` above the highest factored mode.
-    A precomputed `z` (for this spec and model) may be shared across calls.
+    A precomputed `z` (for this spec) may be shared across calls.
     """
-    if spec.table.params != model.box:
-        raise ValidationError("truncation table and model box must match")
     wall = 1.0
     factored = {}
     for k, poly in obs.factors:
         if k > spec.k_top:
             raise UnknownMode(f"mode {k} is outside the truncation (k_top={spec.k_top})")
         if k < 2:
-            wall *= _wall_mode_ratio(spec, model, k, poly)
+            wall *= _wall_mode_ratio(spec, k, poly)
         else:
             factored[k] = poly
     if z is None:
-        z = constrained_partition(spec, model)
+        z = constrained_partition(spec)
     elif len(z.log_z) != sum(spec.caps[2:]) + 1:
         raise ValidationError("precomputed z does not match this truncation's caps")
     if not factored and obs.ntilde_poly is None:
         return wall  # excited-sector ratio is exactly 1
     ntil = np.arange(len(z.log_z), dtype=float)
-    logG = _log_coupling_weight(model, ntil)
+    m = spec.model
+    logG = m.beta * (m.mu * ntil - 0.5 * m.lam * ntil * ntil / m.box.L)
     log_den = _logsumexp(z.log_z + logG)
     if factored:
         start = min((k for k in z.suffixes if k > max(factored)), default=spec.k_top + 1)
         log_z_mod = z.suffixes.get(start, np.zeros(1))
-        log_z_mod = _convolve_modes(log_z_mod, spec, model, range(start - 1, 1, -1), factored)
+        log_z_mod = _convolve_modes(log_z_mod, spec, range(start - 1, 1, -1), factored)
     else:
         log_z_mod = z.log_z
     if obs.ntilde_poly is not None:
@@ -490,12 +493,12 @@ def grand_expectation(
 # equilibrium-state checks
 # ----------------------------------------------------------------------
 
-def _require_mu_below_ground(spec: TruncationSpec, model: ModelParams, strict=True):
-    eps0 = float(spec.table.epsilons[0])
-    if strict and not model.mu < eps0:
-        raise ValidationError(f"mu must satisfy mu < eps(0) = {eps0}, got {model.mu}")
-    if not strict and not model.mu <= eps0:
-        raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps0}, got {model.mu}")
+def _require_mu_below_ground(spec: TruncationSpec, strict=True):
+    eps0, mu = float(spec.table.epsilons[0]), spec.model.mu
+    if strict and not mu < eps0:
+        raise ValidationError(f"mu must satisfy mu < eps(0) = {eps0}, got {mu}")
+    if not strict and not mu <= eps0:
+        raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps0}, got {mu}")
 
 
 def _bose_factor(c: float) -> float:
@@ -503,7 +506,7 @@ def _bose_factor(c: float) -> float:
     return 1.0 / math.expm1(c) if c <= _LOG_FLOAT_MAX else math.exp(-c)
 
 
-def exchange_identity_sides(j, targets, spec, model):
+def exchange_identity_sides(j, targets, spec):
     """Both sides of the particle-exchange identity between mode j and the
     first target mode: moving one particle from j to k1 multiplies the
     Gibbs weight by exp(beta (eps_j - eps_k1)) whenever the move leaves
@@ -536,9 +539,9 @@ def exchange_identity_sides(j, targets, spec, model):
     for k in [j] + ks:
         if k < 0 or k > spec.k_top:
             raise UnknownMode(f"mode {k} is outside the truncation")
-    _require_mu_below_ground(spec, model)
+    _require_mu_below_ground(spec)
     eps = spec.table.epsilons
-    log_pref = model.beta * (eps[j] - eps[k1])
+    log_pref = spec.model.beta * (eps[j] - eps[k1])
     if log_pref > _LOG_FLOAT_MAX:
         raise ValidationError(f"exchange prefactor e^(beta (eps_j - eps_k1)) = "
                               f"e^{log_pref:.6g} overflows a float; lower beta")
@@ -550,25 +553,25 @@ def exchange_identity_sides(j, targets, spec, model):
     rhs_obs = DiagonalObservable(
         factors=tuple([(j, shifted_number_poly(1)), (k1, number_poly(n1))] + spect)
     )
-    z = constrained_partition(spec, model)
-    lhs = math.exp(log_pref) * grand_expectation(lhs_obs, spec, model, z=z)
-    rhs = grand_expectation(rhs_obs, spec, model, z=z)
+    z = constrained_partition(spec)
+    lhs = math.exp(log_pref) * grand_expectation(lhs_obs, spec, z=z)
+    rhs = grand_expectation(rhs_obs, spec, z=z)
     return lhs, rhs
 
 
-def check_wall_mode_occupation(k, spec, model):
+def check_wall_mode_occupation(k, spec):
     """(omega(N_k), 1/(e^{beta (eps_k - mu)} - 1)) for a wall mode k in
     {0, 1}.  The closed form is the untruncated value (the coupling omits
     the wall modes, so it is exact on the full space); the two differ by
     the truncation tail of the geometric series."""
     if k not in (0, 1):
         raise BadMode(f"wall-mode occupation check needs k in {{0, 1}}, got {k}")
-    _require_mu_below_ground(spec, model)
-    occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
-    return occ, _bose_factor(model.beta * (spec.table.epsilons[k] - model.mu))
+    _require_mu_below_ground(spec)
+    occ = grand_expectation(DiagonalObservable.mode_number(k), spec)
+    return occ, _bose_factor(spec.model.beta * (spec.table.epsilons[k] - spec.model.mu))
 
 
-def check_moment_log_inequality(k, n, spec, model):
+def check_moment_log_inequality(k, n, spec):
     """Both sides of the occupation-moment log inequality for k >= 2:
 
         beta * [ (mu - eps_k + lam/(2L)) omega(N_k^{n+1})
@@ -588,11 +591,12 @@ def check_moment_log_inequality(k, n, spec, model):
         raise BadMode(f"moment inequality needs k >= 2, got {k}")
     if k > spec.k_top:
         raise UnknownMode(f"mode {k} is outside the truncation")
-    _require_mu_below_ground(spec, model)
+    _require_mu_below_ground(spec)
     eps_k = float(spec.table.epsilons[k])
+    model = spec.model
     L = model.box.L
-    z = constrained_partition(spec, model)
-    a, b, c = (grand_expectation(obs, spec, model, z=z) for obs in (
+    z = constrained_partition(spec)
+    a, b, c = (grand_expectation(obs, spec, z=z) for obs in (
         DiagonalObservable.mode_number(k, n + 1),  # N_k^{n+1}
         DiagonalObservable(factors=((k, shifted_number_poly(n + 1)),)),  # (N_k + 1)^{n+1}
         DiagonalObservable(factors=((k, number_poly(n + 1)),), ntilde_poly=(0.0, 1.0)),
@@ -602,14 +606,14 @@ def check_moment_log_inequality(k, n, spec, model):
     return lhs, rhs
 
 
-def occupation_bound_exponent(k, spec, model) -> float:
+def occupation_bound_exponent(k, spec) -> float:
     """c_k = beta * (eps_k - eps_0 - lam/(2L)); positive where the
     occupation bound is informative."""
-    eps = spec.table.epsilons
+    eps, model = spec.table.epsilons, spec.model
     return model.beta * (eps[k] - eps[0] - 0.5 * model.lam / model.box.L)
 
 
-def check_occupation_bound(k, spec, model):
+def check_occupation_bound(k, spec):
     """(omega(N_k), 1/(e^{c_k} - 1)) for k >= 2 with c_k as above.
 
     Valid for mu <= eps(0); the bound saturates in the free gas at
@@ -619,11 +623,11 @@ def check_occupation_bound(k, spec, model):
         raise BadMode(f"occupation bound needs k >= 2, got {k}")
     if k > spec.k_top:
         raise UnknownMode(f"mode {k} is outside the truncation")
-    _require_mu_below_ground(spec, model, strict=False)
-    c = occupation_bound_exponent(k, spec, model)
+    _require_mu_below_ground(spec, strict=False)
+    c = occupation_bound_exponent(k, spec)
     if c <= 0.0:
         raise NonpositiveGap(f"bound exponent c_k = {c} <= 0 for k={k}")
-    occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
+    occ = grand_expectation(DiagonalObservable.mode_number(k), spec)
     return occ, _bose_factor(c)
 
 
@@ -643,15 +647,15 @@ _CHECKS = {
 }
 CHECK_NAMES = tuple(_CHECKS)
 # name -> the keyword arguments `run_check` takes for that check
-CHECK_ARGUMENTS = {name: tuple(inspect.signature(sides).parameters)[:-2]  # all but spec, model
+CHECK_ARGUMENTS = {name: tuple(inspect.signature(sides).parameters)[:-1]  # all but spec
                    for name, (sides, _) in _CHECKS.items()}
 
 
-def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> dict:
-    """Run one named check with its keyword arguments (`CHECK_ARGUMENTS`)
-    and wrap its sides (lhs, rhs) as a JSON-ready report with residual =
-    lhs - rhs; `params` echoes the box, the model, the truncation and the
-    arguments.
+def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
+    """Run one named check on `spec` with its keyword arguments
+    (`CHECK_ARGUMENTS`) and wrap its sides (lhs, rhs) as a JSON-ready
+    report with residual = lhs - rhs; `params` echoes the box, the model,
+    the truncation and the arguments.
 
     Pass criteria (allowance = (budget + atol) * max(1, |lhs|, |rhs|),
     budget = tail of the truncation over the modes the arguments name):
@@ -664,6 +668,7 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
     if name not in _CHECKS:
         raise ValidationError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
     sides_of, relation = _CHECKS[name]
+    model = spec.model
     params = {
         "sigma": model.box.sigma,
         "L": model.box.L,
@@ -675,10 +680,10 @@ def run_check(name: str, spec: TruncationSpec, model: ModelParams, **kwargs) -> 
         **kwargs,
     }
     try:
-        sides = sides_of(spec=spec, model=model, **kwargs)
+        sides = sides_of(spec=spec, **kwargs)
     except NonpositiveGap:
         sides = None
-        params["bound_exponent"] = occupation_bound_exponent(spec=spec, model=model, **kwargs)
+        params["bound_exponent"] = occupation_bound_exponent(spec=spec, **kwargs)
     involved = [kwargs[a] for a in ("j", "k") if a in kwargs]  # the modes the arguments name
     budget = spec.relevant_budget(involved + [k for k, _ in kwargs.get("targets", ())])
     report = {"check": name, "params": params, "lhs": None, "rhs": None,

@@ -95,7 +95,6 @@ class Profile:
     n_total: np.ndarray
     n_cond: np.ndarray
     n_thermal: np.ndarray
-    weights: np.ndarray
 
 
 def _symmetric_grid(L: float, grid_n: int) -> np.ndarray:
@@ -180,7 +179,6 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
         n_total=n_cond + n_thermal,
         n_cond=n_cond,
         n_thermal=n_thermal,
-        weights=occ.copy(),
     )
 
 

@@ -57,7 +57,10 @@ u = q*L/2 (convex, rising; B summed as a positive series, e = L*s/2 - 1
 from the exact product s*L).  Each root is one monotone Newton iteration
 (`_wall_newton`, 1 to 8 evaluations) from a closed-form bound on its near
 side.  The brackets are closed forms: q0 in [s, s*coth(s*L/2)], and q1 in
-[max(e, sqrt(3e))/(L/2), s] because B(u) < u and B(u) <= u^2/3.
+[max(e, sqrt(3e))/(L/2), s] because B(u) < u and B(u) <= u^2/3.  A table
+keeps d0 and d1 and reads the splitting and the level offsets
+|eps(k) + sigma^2| from them (`SpectrumTable.wall_gap`,
+`SpectrumTable.wall_level_offsets`).
 
 Eigenfunctions are cosh/sinh (bound) or cos/sin (scattering-like)
 profiles with L2 normalization
@@ -189,11 +192,11 @@ class SpectrumTable:
     `build_spectrum` builds the roots only: `epsilons`, `wavenumbers` and
     `walls`, one (q, d, q_end) per wall mode (`_wall_roots`), which holds
     the offsets `wall_offsets` that give `wall_gap` and
-    `wall_level_offsets` without cancellation.  The derived columns
-    `log_norms`, `residuals`, `bracket_lo` and `bracket_hi` are computed
-    from the roots on the first read of any of them, all four at once,
-    and kept; reading a wall mode (k = 0, 1) through `modes` computes only
-    the wall rows.
+    `wall_level_offsets` without cancellation; these three are the only
+    accessors of the wall pair.  The derived columns `log_norms`,
+    `residuals`, `bracket_lo` and `bracket_hi` are computed from the roots
+    on the first read of any of them or of any `modes` entry, all four at
+    once for every k, and kept.
 
     One representational exception: the wall pair eps(0) < eps(1) may tie
     in double precision once its exponentially small splitting drops
@@ -228,36 +231,33 @@ class SpectrumTable:
 
     @property
     def wall_offsets(self) -> tuple[float, ...]:
-        """(d0,) or (d0, d1): d0 = q0 - s, d1 = s - q1, as
-        `bound_state_corrections` gives them."""
+        """(d0,) or (d0, d1): d0 = q0 - s, d1 = s - q1, with full relative
+        precision at any L*s."""
         return tuple(d for _, d, _ in self.walls)
-
-    def _pair_offsets(self) -> tuple[float, float]:
-        if len(self.walls) < 2:
-            raise ValidationError("the wall pair needs a table with k_max >= 1")
-        return self.wall_offsets
 
     @property
     def wall_gap(self) -> float:
-        """eps(1) - eps(0), equal to `bound_state_gap` of the box."""
-        return _pair_gap(self.params.s, *self._pair_offsets())
+        """eps(1) - eps(0) = (d0 + d1)*(2s + d0 - d1), exact at any L."""
+        if len(self.walls) < 2:
+            raise ValidationError("the wall pair needs a table with k_max >= 1")
+        (d0, d1), s = self.wall_offsets, self.params.s
+        return (d0 + d1) * (2.0 * s + d0 - d1)
 
     @property
     def wall_level_offsets(self) -> tuple[float, float]:
-        """(|eps(0) + sigma^2|, |eps(1) + sigma^2|), equal to
-        `bound_state_offsets` of the box."""
-        return _level_offsets(self.params.s, *self._pair_offsets())
-
-    @functools.cached_property
-    def _wall_rows(self) -> dict:
-        return _wall_columns(self.params, self.walls)
+        """(|eps(0) + sigma^2|, |eps(1) + sigma^2|) without cancellation."""
+        if len(self.walls) < 2:
+            raise ValidationError("the wall pair needs a table with k_max >= 1")
+        (d0, d1), s = self.wall_offsets, self.params.s
+        return d0 * (2.0 * s + d0), d1 * (2.0 * s - d1)
 
     @functools.cached_property
     def _derived(self) -> dict:
+        walls = _wall_columns(self.params, self.walls)
         ladder = _ladder_columns(self.params, np.arange(2, len(self.epsilons)), self.wavenumbers[2:])
         columns = {}
         for name in _DERIVED:
-            columns[name] = np.concatenate([self._wall_rows[name], ladder[name]])
+            columns[name] = np.concatenate([walls[name], ladder[name]])
             columns[name].flags.writeable = False
         return columns
 
@@ -302,13 +302,12 @@ class ModeView(Sequence):
         if not 0 <= k < len(self):
             raise IndexError(f"mode index {k} outside 0..{len(self) - 1}")
         t = self._table
-        rows = t._wall_rows if k < 2 else t._derived
         return Mode(
             k=k,
             parity=EVEN if k % 2 == 0 else ODD,
             epsilon=float(t.epsilons[k]),
             wavenumber=float(t.wavenumbers[k]),
-            **{name: float(rows[name][k]) for name in _DERIVED},
+            **{name: float(t._derived[name][k]) for name in _DERIVED},
         )
 
 
@@ -523,10 +522,14 @@ def _wall_roots(params: BoxParams, k_max: int):
     its bracket (q0 <= q_end, q1 >= q_end).
 
     See the module docstring for the forms solved.  Raises
-    NoSecondBoundState for k_max >= 1 when L*|sigma| <= 2.
+    ValidationError past L*|sigma| = MAX_WALL_LS, where the wall rows' log
+    norms and residuals overflow, and NoSecondBoundState for k_max >= 1
+    when L*|sigma| <= 2.
     """
     s, L, half = params.s, params.L, params.half
     sl = s * L
+    if not sl <= MAX_WALL_LS:
+        raise ValidationError(f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {sl:g}")
     if k_max >= 1 and not params.has_second_bound_state():
         raise NoSecondBoundState(f"odd bound state needs L*|sigma| > 2, got {sl}")
 
@@ -578,16 +581,6 @@ def _wall_roots(params: BoxParams, k_max: int):
     return roots
 
 
-def _wall_pair(params: BoxParams, k_max: int):
-    """`_wall_roots`, refused past L*|sigma| = MAX_WALL_LS (ValidationError),
-    where the wall rows' log norms and residuals overflow."""
-    if not params.s * params.L <= MAX_WALL_LS:
-        raise ValidationError(
-            f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {params.s * params.L:g}"
-        )
-    return _wall_roots(params, k_max)
-
-
 def _wall_columns(params: BoxParams, roots):
     """`Mode` fields of the wall modes as arrays, from their `_wall_roots`."""
     s, L, half = params.s, params.L, params.half
@@ -629,7 +622,7 @@ def solve_mode(params: BoxParams, k: int) -> Mode:
         p = _ladder_roots(params, ks)
         fields, i = {"epsilon": p * p, "wavenumber": p, **_ladder_columns(params, ks, p)}, 0
     else:
-        fields, i = _wall_columns(params, _wall_pair(params, k)), k
+        fields, i = _wall_columns(params, _wall_roots(params, k)), k
     return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD,
                 **{name: float(column[i]) for name, column in fields.items()})
 
@@ -648,7 +641,7 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
             f"k_max must be an integer in [0, {K_MAX_LIMIT}], got {k_max!r}"
         )
     k_max = int(k_max)
-    walls = tuple(_wall_pair(params, k_max))
+    walls = tuple(_wall_roots(params, k_max))
     q = [q for q, _, _ in walls]
     p = _ladder_roots(params, np.arange(2, k_max + 1))
     return SpectrumTable(
@@ -695,32 +688,13 @@ def eigenfunction_eval(mode: Mode, params: BoxParams, x):
 
 
 # ----------------------------------------------------------------------
-# near-degenerate bound-state splittings
+# near-degenerate bound-state splitting
 # ----------------------------------------------------------------------
 
-def bound_state_corrections(params: BoxParams) -> tuple[float, float]:
-    """(q0 - s, s - q1) with full relative precision at any L*s: the
-    wall-pair solver finds these offsets themselves, from the same roots as
-    the table."""
-    return tuple(d for _, d, _ in _wall_roots(params, 1))
-
-
-def _pair_gap(s, d0, d1):
-    return (d0 + d1) * (2.0 * s + d0 - d1)
-
-
-def _level_offsets(s, d0, d1):
-    return d0 * (2.0 * s + d0), d1 * (2.0 * s - d1)
-
-
 def bound_state_gap(params: BoxParams) -> float:
-    """eps(1) - eps(0) = (d0 + d1)(2s + d0 - d1), exact at any L."""
-    return _pair_gap(params.s, *bound_state_corrections(params))
-
-
-def bound_state_offsets(params: BoxParams) -> tuple[float, float]:
-    """(|eps(0) + sigma^2|, |eps(1) + sigma^2|) without cancellation."""
-    return _level_offsets(params.s, *bound_state_corrections(params))
+    """eps(1) - eps(0) of the box: `SpectrumTable.wall_gap` of its k_max = 1
+    table."""
+    return build_spectrum(params, 1).wall_gap
 
 
 # ----------------------------------------------------------------------

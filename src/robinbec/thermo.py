@@ -434,7 +434,8 @@ def mu_asymptotics_check(states, rho_cond: float | None = None, rel_tol: float =
     L-sweep; the intercept should approach -2/(beta * rho_cond).
 
     `rho_cond` defaults to the measured wall-mode density of the largest
-    box.  Requires >= 5 solved states in the condensing regime.
+    box.  Requires >= 5 solved states in the condensing regime, with two
+    distinct L among those fitted.
     """
     states = sorted(states, key=lambda st: st.params.box.L)
     if len(states) < 5:
@@ -459,6 +460,8 @@ def mu_asymptotics_check(states, rho_cond: float | None = None, rel_tol: float =
     Ls = np.array([st.params.box.L for st in states])
     ys = np.array([_scaled_mu_offset(st) for st in states])
     n_top = max(3, len(states) // 2)
+    if Ls[-n_top] == Ls[-1]:  # Ls is sorted
+        raise ValidationError(f"the mu fit needs two distinct L among the {n_top} largest states")
     x = 1.0 / Ls[-n_top:]
     coeffs = np.polyfit(x, ys[-n_top:], 1)
     limit = float(coeffs[1])
@@ -476,13 +479,17 @@ def mu_asymptotics_check(states, rho_cond: float | None = None, rel_tol: float =
 
 
 def fit_exponential_rate(L_values, y_values) -> float:
-    """Decay rate r from least squares on ln y = a - r L; positive y only."""
+    """Decay rate r from least squares on ln y = a - r L; positive y only,
+    at least 3 of them at two or more distinct L."""
     L_arr = np.asarray(L_values, dtype=float)
     y_arr = np.asarray(y_values, dtype=float)
     keep = y_arr > 0.0
     if keep.sum() < 3:
         raise ValidationError("need >= 3 positive samples for a rate fit")
-    slope = np.polyfit(L_arr[keep], np.log(y_arr[keep]), 1)[0]
+    L_fit = L_arr[keep]
+    if L_fit.min() == L_fit.max():
+        raise ValidationError("a rate fit needs two distinct L among its positive samples")
+    slope = np.polyfit(L_fit, np.log(y_arr[keep]), 1)[0]
     return float(-slope)
 
 

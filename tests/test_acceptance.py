@@ -26,12 +26,7 @@ from robinbec.gibbs_oracle import (
     truncation_from_caps,
 )
 from robinbec.profile import density_profile, localization_radius, profile_mass
-from robinbec.spectrum import (
-    BoxParams,
-    bound_state_gap,
-    bound_state_offsets,
-    build_spectrum,
-)
+from robinbec.spectrum import BoxParams, build_spectrum
 from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
@@ -100,9 +95,9 @@ def test_criterion_2_bound_state_asymptotics():
         Ls = np.geomspace(10.0 / s, 60.0 / s, 8)
         offsets, gaps = [], []
         for L in Ls:
-            params = BoxParams(sigma=-s, L=float(L))
-            offsets.append(bound_state_offsets(params)[0])
-            gaps.append(bound_state_gap(params))
+            table = build_spectrum(BoxParams(sigma=-s, L=float(L)), 1)
+            offsets.append(table.wall_level_offsets[0])
+            gaps.append(table.wall_gap)
         r_off = fit_exponential_rate(Ls, offsets)
         r_gap = fit_exponential_rate(Ls, gaps)
         rates[s] = (r_off, r_gap)
@@ -132,7 +127,7 @@ def test_criterion_3_oracle_exactness():
         caps = tuple(int(c) for c in rng.integers(1, 5, size=k_top + 1))  # caps <= 4
         spec = truncation_from_caps(table, model, caps)
         # constrained sums against full enumeration
-        z = constrained_partition(spec, model).z
+        z = constrained_partition(spec).z
         ref_z = enum_constrained_z(list(table.epsilons[2:]), beta, list(caps[2:]))
         rel_z = float(np.max(np.abs(z - np.asarray(ref_z)) / np.asarray(ref_z)))
         worst = max(worst, rel_z)
@@ -147,7 +142,7 @@ def test_criterion_3_oracle_exactness():
             factors=tuple(sorted(factors.items())),
             ntilde_poly=(0.0, 1.0) if rng.random() < 0.5 else None,
         )
-        val = grand_expectation(obs, spec, model)
+        val = grand_expectation(obs, spec)
         ref = enum_expectation(list(table.epsilons), beta, mu, lam, L,
                                list(caps), factors, ntilde_poly=obs.ntilde_poly)
         rel = abs(val - ref) / abs(ref)
@@ -169,17 +164,17 @@ def test_criterion_4_exchange_identity_and_wall_law():
         for lam in (0.0, 0.5, 1.0, 2.0):
             model = ModelParams(box=table.params, beta=1.0, mu=eps0 - 0.5, lam=lam)
             spec = make_truncation(table, model, tol=1e-12)
-            points.append(("exchange", spec, model, {"j": 1, "targets": [(0, 1)]}))
+            points.append(("exchange", spec, {"j": 1, "targets": [(0, 1)]}))
         for lam, beta in ((0.5, 0.7), (1.0, 1.0), (2.0, 1.4)):
             model = ModelParams(box=table.params, beta=beta, mu=eps0 - 0.8, lam=lam)
             spec = make_truncation(table, model, tol=1e-12)
-            points.append(("exchange", spec, model, {"j": 0, "targets": [(1, 2)]}))
-            points.append(("exchange", spec, model, {"j": 2, "targets": [(3, 2), (4, 1)]}))
-            points.append(("exchange", spec, model, {"j": 4, "targets": [(2, 1), (3, 1)]}))
+            points.append(("exchange", spec, {"j": 0, "targets": [(1, 2)]}))
+            points.append(("exchange", spec, {"j": 2, "targets": [(3, 2), (4, 1)]}))
+            points.append(("exchange", spec, {"j": 4, "targets": [(2, 1), (3, 1)]}))
     assert len(points) >= 20
     worst = 0.0
-    for name, spec, model, kw in points:
-        rep = run_check(name, spec, model, **kw)
+    for name, spec, kw in points:
+        rep = run_check(name, spec, **kw)
         assert rep["pass"] is True, rep
         scale = max(1.0, abs(rep["lhs"]), abs(rep["rhs"]))
         worst = max(worst, abs(rep["residual"]) / scale)
@@ -189,7 +184,7 @@ def test_criterion_4_exchange_identity_and_wall_law():
         model = ModelParams(box=table.params, beta=1.0, mu=-1.6, lam=lam)
         spec = make_truncation(table, model, tol=1e-12)
         for k in (0, 1):
-            rep = run_check("wall-occupation", spec, model, k=k)
+            rep = run_check("wall-occupation", spec, k=k)
             assert rep["pass"] is True, rep
     elapsed = time.perf_counter() - t0
     _announce(4, True,
@@ -210,10 +205,10 @@ def test_criterion_5_inequality_grid_and_saturation():
                                     mu=float(eps[0] - off), lam=lam)
                 spec = make_truncation(table, model, tol=1e-11)
                 for (k, n) in ((2, 0), (3, 2)):
-                    rep = run_check("moment-inequality", spec, model, k=k, n=n)
+                    rep = run_check("moment-inequality", spec, k=k, n=n)
                     assert rep["pass"] is True, rep
                 for k in (2, 3, 4, 5, 6):
-                    rep = run_check("occupation-bound", spec, model, k=k)
+                    rep = run_check("occupation-bound", spec, k=k)
                     assert rep["pass"] is True, rep
                 n_points += 1
     # free-limit saturation: lam = 0, mu = eps(0) makes the bound an equality
@@ -221,7 +216,7 @@ def test_criterion_5_inequality_grid_and_saturation():
     spec0 = truncation_from_caps(table, model0, (5, 5, 160, 110, 80, 60, 50))
     max_sat = 0.0
     for k in (2, 3, 4):
-        occ = grand_expectation(DiagonalObservable.mode_number(k), spec0, model0)
+        occ = grand_expectation(DiagonalObservable.mode_number(k), spec0)
         saturated = 1.0 / math.expm1(model0.beta * (eps[k] - eps[0]))
         max_sat = max(max_sat, abs(occ - saturated) / saturated)
         assert abs(occ - saturated) <= 1e-10 * saturated

@@ -359,6 +359,12 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # x = eps(0) - mu ~ 1/(beta rho L) underflows
     (["thermo", "--sigma=-1", "--L", "20", "--rho", "1e300", "--beta", "1e300", "--out", "{tmp}/o"],
      "eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double"),
+    # a grid of one repeated L: the fits of five identical points came out
+    # at exit 0, with numpy rank warnings
+    (["sweep", "--sigma=-1", "--L-grid", "100:100:linear:5", "--out", "{tmp}/s.csv"],
+     "L-grid points must be distinct"),
+    (["sweep", "--sigma=-1", "--L-grid", "100:100:geometric:2", "--out", "{tmp}/s.csv"],
+     "L-grid points must be distinct"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}

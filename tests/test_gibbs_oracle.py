@@ -17,6 +17,7 @@ from robinbec.gibbs_oracle import (
     IndexClash,
     ModelParams,
     NonpositiveGap,
+    TruncationSpec,
     UnknownMode,
     check_moment_log_inequality,
     check_occupation_bound,
@@ -55,7 +56,7 @@ def bose(x):
 def test_single_mode_geometric():
     table, model, spec = _setup(k_top=2, caps=(3, 3, 2))
     w = math.exp(-model.beta * table.epsilons[2])
-    z = constrained_partition(spec, model).z
+    z = constrained_partition(spec).z
     assert np.allclose(z, [1.0, w, w * w], rtol=1e-14)
 
 
@@ -63,13 +64,13 @@ def test_two_modes_caps_one_by_hand():
     table, model, spec = _setup(k_top=3, caps=(3, 3, 1, 1))
     wa = math.exp(-model.beta * table.epsilons[2])
     wb = math.exp(-model.beta * table.epsilons[3])
-    z = constrained_partition(spec, model).z
+    z = constrained_partition(spec).z
     assert np.allclose(z, [1.0, wa + wb, wa * wb], rtol=1e-14)
 
 
 def test_dp_matches_enumeration_k4_caps3():
     table, model, spec = _setup(k_top=5, caps=(2, 2, 3, 3, 3, 3))
-    z = constrained_partition(spec, model).z
+    z = constrained_partition(spec).z
     ref = enum_constrained_z(list(table.epsilons[2:]), model.beta, [3, 3, 3, 3])
     assert np.allclose(z, ref, rtol=1e-13)
 
@@ -86,7 +87,7 @@ def test_dp_matches_enumeration_randomized():
         mu = float(table.epsilons[0] - rng.uniform(0.05, 1.5))
         model = ModelParams(box=table.params, beta=beta, mu=mu, lam=float(rng.uniform(0.0, 2.0)))
         spec = truncation_from_caps(table, model, caps)
-        z = constrained_partition(spec, model).z
+        z = constrained_partition(spec).z
         ref = enum_constrained_z(list(table.epsilons[2:]), beta, list(caps[2:]))
         assert np.allclose(z, ref, rtol=1e-13)
 
@@ -143,10 +144,28 @@ def test_cap_search_matches_per_mode_reference():
 
 def test_mismatched_precomputed_z_rejected():
     table, model, spec = _setup(k_top=3, caps=(3, 3, 3, 3))
-    z = constrained_partition(spec, model)
+    z = constrained_partition(spec)
     other = truncation_from_caps(table, model, (3, 3, 5, 5))
     with pytest.raises(ValidationError):
-        grand_expectation(DiagonalObservable.mode_number(2), other, model, z=z)
+        grand_expectation(DiagonalObservable.mode_number(2), other, z=z)
+
+
+def test_spec_carries_its_model():
+    # a spec holds the model its tails were taken at, for the table's own
+    # box; no call past it takes a second model, so none can differ
+    table, model, spec = _setup(k_top=3, caps=(3, 3, 3, 3))
+    assert spec.model is model
+    elsewhere = ModelParams(box=BoxParams(sigma=-1.0, L=11.0), beta=1.0, mu=-1.5, lam=1.0)
+    with pytest.raises(ValidationError, match="box must match"):
+        truncation_from_caps(table, elsewhere, spec.caps)
+    with pytest.raises(ValidationError, match="box must match"):
+        TruncationSpec(table=table, model=elsewhere, caps=spec.caps,
+                       per_mode_tail=spec.per_mode_tail, tail_budget=spec.tail_budget)
+    z = constrained_partition(spec)
+    with pytest.raises(TypeError):
+        grand_expectation(DiagonalObservable.mode_number(2), spec, z)  # z is keyword-only
+    with pytest.raises(TypeError):
+        run_check("wall-occupation", spec, model, k=0)
 
 
 # ----------------------------------------------------------------------
@@ -209,20 +228,20 @@ def test_factored_expectation_convolves_at_most_r_modes(monkeypatch):
     _, model, spec = _bench_like_setup()
     r = gibbs_oracle._suffix_spacing(spec.caps)
     assert 1 < r < spec.k_top - 1
-    z = constrained_partition(spec, model)
+    z = constrained_partition(spec)
     calls = _count_kernel_calls(monkeypatch)
     for k in range(2, 2 + r):
         calls.clear()
-        grand_expectation(DiagonalObservable.mode_number(k, 2), spec, model, z=z)
+        grand_expectation(DiagonalObservable.mode_number(k, 2), spec, z=z)
         assert len(calls) == r and calls.count("_log_conv") == 1
     calls.clear()
-    grand_expectation(DiagonalObservable.mode_number(spec.k_top), spec, model, z=z)
+    grand_expectation(DiagonalObservable.mode_number(spec.k_top), spec, z=z)
     assert len(calls) == spec.k_top - 1  # no suffix above k_top: a full pass
 
 
 def test_suffix_restart_equals_a_from_scratch_pass():
     _, model, spec = _bench_like_setup()
-    z = constrained_partition(spec, model)
+    z = constrained_partition(spec)
     scratch = ConstrainedZ(log_z=z.log_z)  # no suffixes: convolve from k_top
     observables = [
         DiagonalObservable.mode_number(2),
@@ -233,8 +252,8 @@ def test_suffix_restart_equals_a_from_scratch_pass():
         DiagonalObservable(factors=((spec.k_top - 1, number_poly(1)),)),
     ]
     for obs in observables:
-        fast = grand_expectation(obs, spec, model, z=z)
-        slow = grand_expectation(obs, spec, model, z=scratch)
+        fast = grand_expectation(obs, spec, z=z)
+        slow = grand_expectation(obs, spec, z=scratch)
         assert abs(fast - slow) <= 4 * math.ulp(slow)
 
 
@@ -246,7 +265,7 @@ def test_stored_suffixes_stay_within_the_memory_bound():
     entry = 8 * (sum(caps[2:]) + 1)  # bytes of one length-n float64 vector
     tracemalloc.start()
     try:
-        z = constrained_partition(spec, model)
+        z = constrained_partition(spec)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -263,14 +282,14 @@ def test_stored_suffixes_stay_within_the_memory_bound():
 
 def test_normalization_is_exactly_one():
     _, model, spec = _setup()
-    assert grand_expectation(DiagonalObservable(), spec, model) == 1.0
+    assert grand_expectation(DiagonalObservable(), spec) == 1.0
 
 
 def test_free_limit_reproduces_bose_law():
     # lam -> 0+ with generous caps: occupations go to the free-gas law
     table, model, spec = _setup(lam=1e-14, tol=1e-13)
     for k in range(spec.k_top + 1):
-        occ = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
+        occ = grand_expectation(DiagonalObservable.mode_number(k), spec)
         free = bose(model.beta * (table.epsilons[k] - model.mu))
         assert abs(occ - free) <= 20.0 * spec.tail_budget * max(1.0, free) + 1e-12
 
@@ -281,7 +300,7 @@ def test_expectation_matches_enumeration():
         factors=((0, number_poly(1)), (2, shifted_number_poly(2))),
         ntilde_poly=(0.0, 1.0),
     )
-    val = grand_expectation(obs, spec, model)
+    val = grand_expectation(obs, spec)
     ref = enum_expectation(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
         list(spec.caps), {0: number_poly(1), 2: shifted_number_poly(2)},
@@ -293,7 +312,7 @@ def test_expectation_matches_enumeration():
 def test_expectation_matches_split_enumeration_cap8():
     # K = 6 with caps 8 everywhere: oracle vs enumeration restricted identically
     table, model, spec = _setup(k_top=6, caps=(8,) * 7, mu=-1.5, lam=1.0)
-    val = grand_expectation(DiagonalObservable.mode_number(2), spec, model)
+    val = grand_expectation(DiagonalObservable.mode_number(2), spec)
     ref = enum_expectation_split(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
         list(spec.caps), {2: number_poly(1)},
@@ -307,7 +326,7 @@ def test_monotone_in_mu():
     for mu in np.linspace(-3.0, -1.1, 12):
         model = ModelParams(box=table.params, beta=1.0, mu=float(mu), lam=1.0)
         spec = make_truncation(table, model, tol=1e-12)
-        occ = grand_expectation(DiagonalObservable.mode_number(2), spec, model)
+        occ = grand_expectation(DiagonalObservable.mode_number(2), spec)
         assert occ > occ_prev
         occ_prev = occ
 
@@ -321,15 +340,15 @@ def test_truncation_honesty_doubling_caps():
         DiagonalObservable.mode_number(3, 2),
         DiagonalObservable(factors=((2, shifted_number_poly(1)),), ntilde_poly=(0.0, 1.0)),
     ):
-        a = grand_expectation(obs, spec, model)
-        b = grand_expectation(obs, spec2, model)
+        a = grand_expectation(obs, spec)
+        b = grand_expectation(obs, spec2)
         assert abs(a - b) < spec.tail_budget * max(1.0, abs(a))
 
 
 def test_unknown_mode_rejected():
     _, model, spec = _setup(k_top=3, caps=(2, 2, 2, 2))
     with pytest.raises(UnknownMode):
-        grand_expectation(DiagonalObservable.mode_number(9), spec, model)
+        grand_expectation(DiagonalObservable.mode_number(9), spec)
 
 
 def test_observable_validation():
@@ -345,7 +364,7 @@ def test_observable_validation():
 
 def test_exchange_identity_free_gas_wall_pair():
     _, model, spec = _setup(lam=0.0, tol=1e-13)
-    lhs, rhs = exchange_identity_sides(0, [(1, 1)], spec, model)
+    lhs, rhs = exchange_identity_sides(0, [(1, 1)], spec)
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -353,13 +372,13 @@ def test_exchange_identity_wall_pair_interacting():
     # the j=1, k=0 instance that controls equal distribution
     _, model, spec = _setup(lam=1.0)
     lhs_scale = 5.0
-    lhs, rhs = exchange_identity_sides(1, [(0, 1)], spec, model)
+    lhs, rhs = exchange_identity_sides(1, [(0, 1)], spec)
     assert abs(lhs - rhs) <= spec.tail_budget * lhs_scale + 1e-12
 
 
 def test_exchange_identity_excited_with_spectators():
     table, model, spec = _setup(lam=1.0)
-    lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec, model)
+    lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec)
     assert abs(lhs - rhs) <= spec.tail_budget + 1e-12
     # both sides against brute force at small caps, restricted identically
     spec_small = truncation_from_caps(table, model, (3, 3, 3, 3, 3, 3))
@@ -374,7 +393,7 @@ def test_exchange_identity_excited_with_spectators():
         list(spec_small.caps),
         {2: shifted_number_poly(1), 3: number_poly(2), 4: number_poly(1)},
     )
-    lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec_small, model)
+    lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec_small)
     assert abs(lhs - ref_lhs) < 1e-12 * max(1.0, abs(ref_lhs))
     assert abs(rhs - ref_rhs) < 1e-12 * max(1.0, abs(ref_rhs))
     assert abs((lhs - rhs) - (ref_lhs - ref_rhs)) < 1e-12 * max(1.0, abs(ref_lhs))
@@ -384,11 +403,11 @@ def test_exchange_identity_breaks_across_sectors_with_coupling():
     # moving a particle between a wall mode and a k >= 2 mode changes the
     # coupling term, so the plain identity must fail at lam > 0 ...
     _, model, spec = _setup(lam=1.0)
-    lhs, rhs = exchange_identity_sides(0, [(2, 1)], spec, model)
+    lhs, rhs = exchange_identity_sides(0, [(2, 1)], spec)
     assert abs(lhs - rhs) > 1e-3
     # ... and hold again in the free gas
     _, model0, spec0 = _setup(lam=0.0)
-    lhs, rhs = exchange_identity_sides(0, [(2, 1)], spec0, model0)
+    lhs, rhs = exchange_identity_sides(0, [(2, 1)], spec0)
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -400,21 +419,21 @@ def test_exchange_identity_requires_mu_below_ground():
                             mu=float(table.epsilons[0]), lam=model.lam)
     spec = truncation_from_caps(table, at_ground, (5, 5, 5, 5, 5, 5))
     with pytest.raises(ValidationError):
-        exchange_identity_sides(1, [(0, 1)], spec, at_ground)
+        exchange_identity_sides(1, [(0, 1)], spec)
 
 
 def test_exchange_identity_validation():
     _, model, spec = _setup()
     with pytest.raises(IndexClash):
-        exchange_identity_sides(2, [(2, 1)], spec, model)
+        exchange_identity_sides(2, [(2, 1)], spec)
     with pytest.raises(IndexClash):
-        exchange_identity_sides(0, [(2, 1), (2, 2)], spec, model)
+        exchange_identity_sides(0, [(2, 1), (2, 2)], spec)
     with pytest.raises(ValidationError):
-        exchange_identity_sides(0, [(1, 0)], spec, model)  # first power must be >= 1
+        exchange_identity_sides(0, [(1, 0)], spec)  # first power must be >= 1
     with pytest.raises(UnknownMode):
-        exchange_identity_sides(0, [(99, 1)], spec, model)
+        exchange_identity_sides(0, [(99, 1)], spec)
     with pytest.raises(ValidationError, match="target powers"):  # beyond the tail envelope
-        exchange_identity_sides(0, [(1, 4)], spec, model)
+        exchange_identity_sides(0, [(1, 4)], spec)
 
 
 # ----------------------------------------------------------------------
@@ -424,14 +443,14 @@ def test_exchange_identity_validation():
 def test_wall_occupation_closed_form():
     for k in (0, 1):
         _, model, spec = _setup(lam=1.0)
-        occ, closed = check_wall_mode_occupation(k, spec, model)
+        occ, closed = check_wall_mode_occupation(k, spec)
         assert abs(occ - closed) <= spec.tail_budget
 
 
 def test_wall_occupation_boltzmann_tail():
     # beta (eps0 - mu) >= 30: occupation collapses to the Boltzmann weight
     _, model, spec = _setup(beta=30.0, mu=-2.01, lam=1.0)
-    occ = grand_expectation(DiagonalObservable.mode_number(0), spec, model)
+    occ = grand_expectation(DiagonalObservable.mode_number(0), spec)
     x = model.beta * (spec.table.epsilons[0] - model.mu)
     assert x >= 30.0
     assert abs(occ - math.exp(-x)) <= 1e-14
@@ -441,14 +460,14 @@ def test_wall_occupation_independent_of_lambda():
     vals = []
     for lam in (0.0, 0.5, 1.0, 2.0):
         _, model, spec = _setup(lam=lam, caps=(70, 60, 25, 20, 15, 12))
-        vals.append(grand_expectation(DiagonalObservable.mode_number(0), spec, model))
+        vals.append(grand_expectation(DiagonalObservable.mode_number(0), spec))
     assert max(vals) - min(vals) <= 1e-12 * max(vals)
 
 
 def test_wall_occupation_validation():
     _, model, spec = _setup()
     with pytest.raises(BadMode):
-        check_wall_mode_occupation(2, spec, model)
+        check_wall_mode_occupation(2, spec)
     table = build_spectrum(BoxParams(-1.0, 10.0), 5)
     too_high = ModelParams(box=table.params, beta=1.0, mu=-0.9, lam=1.0)
     with pytest.raises(ValidationError):
@@ -462,7 +481,7 @@ def test_wall_occupation_validation():
 def test_moment_inequality_saturates_free_gas():
     _, model, spec = _setup(lam=0.0, tol=1e-13)
     for n in (0, 1, 2):
-        lhs, rhs = check_moment_log_inequality(2, n, spec, model)
+        lhs, rhs = check_moment_log_inequality(2, n, spec)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -475,7 +494,7 @@ def test_moment_inequality_holds_on_grid():
                 model = ModelParams(box=table.params, beta=beta, mu=float(eps0 - off), lam=lam)
                 spec = make_truncation(table, model, tol=1e-11)
                 for (k, n) in ((2, 0), (3, 2)):
-                    lhs, rhs = check_moment_log_inequality(k, n, spec, model)
+                    lhs, rhs = check_moment_log_inequality(k, n, spec)
                     scale = max(1.0, abs(lhs), abs(rhs))
                     assert lhs >= rhs - (spec.tail_budget + 4e-13) * scale
 
@@ -483,11 +502,11 @@ def test_moment_inequality_holds_on_grid():
 def test_moment_inequality_validation():
     _, model, spec = _setup()
     with pytest.raises(BadMode):
-        check_moment_log_inequality(0, 0, spec, model)
+        check_moment_log_inequality(0, 0, spec)
     with pytest.raises(ValidationError):
-        check_moment_log_inequality(2, -1, spec, model)
+        check_moment_log_inequality(2, -1, spec)
     with pytest.raises(ValidationError, match="moment power"):  # beyond the tail envelope
-        check_moment_log_inequality(2, 3, spec, model)
+        check_moment_log_inequality(2, 3, spec)
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +516,7 @@ def test_moment_inequality_validation():
 def test_occupation_bound_holds():
     _, model, spec = _setup(lam=1.0)
     for k in range(2, 6):
-        occ, bound = check_occupation_bound(k, spec, model)
+        occ, bound = check_occupation_bound(k, spec)
         assert occ <= bound
 
 
@@ -508,7 +527,7 @@ def test_occupation_bound_free_saturation():
     model = ModelParams(box=table.params, beta=1.0, mu=float(eps[0]), lam=0.0)
     spec = truncation_from_caps(table, model, (5, 5, 140, 90, 70, 50))
     for k in (2, 3):
-        occ, bound = check_occupation_bound(k, spec, model)
+        occ, bound = check_occupation_bound(k, spec)
         free = bose(model.beta * (eps[k] - eps[0]))
         assert abs(occ - free) <= 1e-10 * free
         assert abs(bound - free) <= 1e-14 * free
@@ -520,7 +539,7 @@ def test_occupation_bound_large_k_geometric_tail():
     _, model, spec = _setup(k_top=13, lam=1e-6)
     eps = spec.table.epsilons
     for k in (12, 13):
-        occ, bound = check_occupation_bound(k, spec, model)
+        occ, bound = check_occupation_bound(k, spec)
         env = math.exp(-model.beta * (eps[k] - eps[0])) * (1.0 + 1e-6)
         assert occ <= bound <= env
 
@@ -531,15 +550,15 @@ def test_occupation_bound_nonpositive_gap():
     model = ModelParams(box=table.params, beta=1.0, mu=-1.5, lam=2000.0)
     spec = make_truncation(table, model, tol=1e-10)
     with pytest.raises(NonpositiveGap):
-        check_occupation_bound(2, spec, model)
-    report = run_check("occupation-bound", spec, model, k=2)
+        check_occupation_bound(2, spec)
+    report = run_check("occupation-bound", spec, k=2)
     assert report["pass"] is None
 
 
 def test_occupation_bound_validation():
     _, model, spec = _setup()
     with pytest.raises(BadMode):
-        check_occupation_bound(1, spec, model)
+        check_occupation_bound(1, spec)
 
 
 # ----------------------------------------------------------------------
@@ -548,16 +567,16 @@ def test_occupation_bound_validation():
 
 def test_run_check_reports():
     _, model, spec = _setup(lam=1.0)
-    rep = run_check("exchange", spec, model, j=1, targets=[(0, 1)])
+    rep = run_check("exchange", spec, j=1, targets=[(0, 1)])
     assert rep["check"] == "exchange"
     assert rep["pass"] is True
     assert set(rep) >= {"check", "params", "lhs", "rhs", "residual", "tail_budget", "pass"}
-    rep = run_check("wall-occupation", spec, model, k=0)
+    rep = run_check("wall-occupation", spec, k=0)
     assert rep["pass"] is True
-    rep = run_check("moment-inequality", spec, model, k=2, n=0)
+    rep = run_check("moment-inequality", spec, k=2, n=0)
     assert rep["pass"] is True
     assert {"k": 2, "n": 0}.items() <= rep["params"].items()  # the check's own arguments
-    rep = run_check("occupation-bound", spec, model, k=2)
+    rep = run_check("occupation-bound", spec, k=2)
     assert rep["pass"] is True
     with pytest.raises(ValidationError):
-        run_check("nonsense", spec, model)
+        run_check("nonsense", spec)

@@ -95,8 +95,7 @@ def test_wall_contrast_grows_with_L():
 def test_localization_radius_uniform_profile():
     x = np.linspace(-5.0, 5.0, 1001)
     ones = np.full_like(x, 0.7)
-    prof = Profile(grid=x, n_total=ones, n_cond=ones, n_thermal=np.zeros_like(x),
-                   weights=np.array([1.0]))
+    prof = Profile(grid=x, n_total=ones, n_cond=ones, n_thermal=np.zeros_like(x))
     assert abs(localization_radius(prof, 0.5) - 2.5) < 1e-9  # L/4
     assert abs(localization_radius(prof, 0.999) - 5.0) < 0.01  # -> L/2
 
@@ -196,8 +195,7 @@ def test_profile_csv_matches_per_row_format(tmp_path):
     n = 2 * 4096 + 3  # crosses the writer's block boundaries
     cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(4)]
     cols[1][:8] = [0.0, -0.0, 5e-324, 1.0 / 3.0, 1e300, -np.inf, np.nan, 0.1]
-    prof = Profile(grid=cols[0], n_total=cols[1], n_cond=cols[2], n_thermal=cols[3],
-                   weights=np.ones(1))
+    prof = Profile(grid=cols[0], n_total=cols[1], n_cond=cols[2], n_thermal=cols[3])
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path, comment_lines=["L = 20", "model = free"])
     ref = "# L = 20\n# model = free\nx,n_total,n_cond,n_thermal\n" + "".join(
@@ -257,7 +255,7 @@ def test_profile_csv_broken_mirror_falls_back_per_block(tmp_path, monkeypatch,
     n_cond[5000] = np.nextafter(n_cond[5000], np.inf)  # lower-half block [4096, 8192)
     grid[-3] = np.nextafter(grid[-3], -np.inf)  # mirror of row 2, block [0, 4096)
     broken = Profile(grid=grid, n_total=prof.n_total, n_cond=n_cond,
-                     n_thermal=prof.n_thermal, weights=prof.weights)
+                     n_thermal=prof.n_thermal)
     assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * 4096
 
 
@@ -267,14 +265,14 @@ def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
     x = _mirrored_grid(n)
     n_cond = x * x
     n_cond[7], n_cond[-8] = -0.0, 0.0
-    prof = Profile(grid=x, n_total=x * x, n_cond=n_cond, n_thermal=x * x, weights=np.ones(1))
+    prof = Profile(grid=x, n_total=x * x, n_cond=n_cond, n_thermal=x * x)
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2 + 4096
 
 
 def test_profile_csv_formats_every_row_of_asymmetric_data(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     n = 2 * 4096 + 3
-    prof = Profile(_mirrored_grid(n), *rng.standard_normal((3, n)), weights=np.ones(1))
+    prof = Profile(_mirrored_grid(n), *rng.standard_normal((3, n)))
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n
 
 
@@ -283,7 +281,7 @@ def test_profile_csv_short_grids(tmp_path, monkeypatch, n):
     half = np.linspace(0.5, 1.0, n - n // 2)
     dens = np.concatenate([half[::-1][: n // 2], half])
     prof = Profile(grid=_mirrored_grid(n), n_total=dens, n_cond=0.5 * dens,
-                   n_thermal=0.5 * dens, weights=np.ones(1))
+                   n_thermal=0.5 * dens)
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2
 
 
@@ -305,7 +303,7 @@ def test_profile_csv_memory_stays_flat(tmp_path):
     x = _mirrored_grid(2**17 + 1)
     dens = np.cosh(x) / 3.0
     prof = Profile(grid=x, n_total=dens, n_cond=np.exp(-500.0 * (1.0 - x * x)),
-                   n_thermal=dens, weights=np.ones(1))
+                   n_thermal=dens)
     tracemalloc.start()
     try:
         write_profile_csv(prof, tmp_path / "prof.csv")

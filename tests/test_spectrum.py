@@ -21,9 +21,7 @@ from robinbec.spectrum import (
     BracketFailure,
     NoSecondBoundState,
     OutOfDomain,
-    bound_state_corrections,
     bound_state_gap,
-    bound_state_offsets,
     build_spectrum,
     eigenfunction_eval,
     solve_mode,
@@ -279,16 +277,14 @@ def test_vector_bracket_without_sign_change_raises():
 
 
 def test_derived_columns_are_computed_on_first_read(monkeypatch):
-    # a build solves the roots only, and wall modes read through `modes`
-    # need only the wall rows; the first read of a derived column computes
-    # the ladder columns once, and later reads return the same read-only
+    # a build solves the roots only; the first read of a derived column
+    # computes the columns once, and later reads return the same read-only
     # arrays (their values: test_build_spectrum_matches_scalar_solver)
     calls = []
     real = spectrum._ladder_columns
     monkeypatch.setattr(spectrum, "_ladder_columns", lambda *a: calls.append(a) or real(*a))
     params = BoxParams(sigma=-1.0, L=40.0)
     table = build_spectrum(params, 60)
-    assert list(table.modes[:2]) == [solve_mode(params, 0), solve_mode(params, 1)]
     assert calls == []
     columns = [table.log_norms, table.residuals, table.bracket_lo, table.bracket_hi]
     assert len(calls) == 1
@@ -376,7 +372,7 @@ def test_bound_state_corrections_match_direct_subtraction():
     # the offsets and plain subtraction of the wavenumbers overlap for moderate L*s
     for L in (6.0, 8.0, 12.0):
         params = BoxParams(sigma=-1.0, L=L)
-        d0, d1 = bound_state_corrections(params)
+        d0, d1 = build_spectrum(params, 1).wall_offsets
         q0 = solve_mode(params, 0).wavenumber
         q1 = solve_mode(params, 1).wavenumber
         assert abs(d0 - (q0 - 1.0)) < 1e-11 * d0
@@ -396,9 +392,9 @@ def test_bound_state_asymptotic_rates():
         Ls = np.geomspace(10.0 / s, 60.0 / s, 8)
         off0, gap = [], []
         for L in Ls:
-            params = BoxParams(sigma=-s, L=float(L))
-            off0.append(bound_state_offsets(params)[0])
-            gap.append(bound_state_gap(params))
+            table = build_spectrum(BoxParams(sigma=-s, L=float(L)), 1)
+            off0.append(table.wall_level_offsets[0])
+            gap.append(table.wall_gap)
         rate0 = -np.polyfit(Ls, np.log(off0), 1)[0]
         rate_gap = -np.polyfit(Ls, np.log(gap), 1)[0]
         assert rate0 >= 0.95 * s
@@ -446,8 +442,8 @@ def test_bound_pair_matches_mpmath_reference(sigma, L):
     with mpmath.workdps(40):  # the reference keeps >= 30 digits
         for r, c in zip(ref, check):
             assert abs(r - c) <= mpmath.mpf("1e-30") * r
-    params = BoxParams(sigma=sigma, L=L)
-    got = (bound_state_gap(params), *bound_state_offsets(params))
+    table = build_spectrum(BoxParams(sigma=sigma, L=L), 1)
+    got = (table.wall_gap, *table.wall_level_offsets)
     # the log forms carry a relative error ~ L s eps from rounding their
     # term (s +- d) L (measured: 5.4e-14 at L s = 600)
     tol = 1e-14 + -sigma * L * 2.3e-16
@@ -516,7 +512,7 @@ def test_wall_pair_matches_mpmath_reference(monkeypatch):
     for sigma, L in WALL_BOXES:
         params = BoxParams(sigma=sigma, L=L)
         k_max = 1 if params.has_second_bound_state() else 0
-        roots = spectrum._wall_pair(params, k_max)
+        roots = spectrum._wall_roots(params, k_max)
         fields = spectrum._wall_columns(params, roots)
         offsets = [d for _, d, _ in roots]
         ref = _mp_wall_pair(sigma, L, 30)
@@ -566,7 +562,7 @@ def test_wall_offsets_in_the_subnormal_range(s, L):
     with mpmath.workdps(30):
         ref = float(2 * mpmath.mpf(s) * mpmath.exp(-mpmath.mpf(s) * mpmath.mpf(L)))
     assert 0.0 < ref < 2.3e-308
-    for d in bound_state_corrections(BoxParams(sigma=-s, L=L)):
+    for d in build_spectrum(BoxParams(sigma=-s, L=L), 1).wall_offsets:
         assert abs(d - ref) <= s * L * 2.3e-16 * ref + 4 * 5e-324
 
 
@@ -578,22 +574,22 @@ def test_wall_row_range():
         table = build_spectrum(params, 1)
         assert np.all(np.isfinite(table.log_norms)) and np.all(np.isfinite(table.residuals))
         over = BoxParams(sigma=-s, L=10.0 * spectrum.MAX_WALL_LS / s)
-        for build in (lambda: build_spectrum(over, 1), lambda: solve_mode(over, 0)):
+        for build in (lambda: build_spectrum(over, 1), lambda: solve_mode(over, 0),
+                      lambda: bound_state_gap(over)):
             with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+307"):
                 build()
-        assert bound_state_corrections(over) == (0.0, 0.0)  # the offsets underflow
 
 
 def test_offsets_are_the_table_roots():
     for sigma, L in WALL_BOXES[::10]:
         params = BoxParams(sigma=sigma, L=L)
         if params.has_second_bound_state():
-            table = build_spectrum(params, 1)
-            assert bound_state_corrections(params) == table.wall_offsets
-            assert bound_state_gap(params) == table.wall_gap
-            assert bound_state_offsets(params) == table.wall_level_offsets
+            assert bound_state_gap(params) == build_spectrum(params, 1).wall_gap
+    table = build_spectrum(BoxParams(sigma=-1.0, L=40.0), 0)
     with pytest.raises(ValidationError, match="k_max >= 1"):
-        build_spectrum(BoxParams(sigma=-1.0, L=40.0), 0).wall_gap
+        table.wall_gap
+    with pytest.raises(ValidationError, match="k_max >= 1"):
+        table.wall_level_offsets
 
 
 def test_wall_newton_pass_cap(monkeypatch):
@@ -606,7 +602,7 @@ def test_wall_newton_checks_the_start():
     # a start on the far side of the root fails the sign check
     s, L = 1.0, 20.0
     params = BoxParams(sigma=-s, L=L)
-    d0 = bound_state_corrections(params)[0]
+    d0 = build_spectrum(params, 0).wall_offsets[0]
 
     def even(d):
         return math.log1p(2.0 * s / d) - (s + d) * L, -2.0 * s / (d + 2.0 * s) - L * d

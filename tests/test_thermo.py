@@ -12,7 +12,7 @@ from robinbec.gibbs_oracle import (
     make_truncation,
     occupation_bound_exponent,
 )
-from robinbec.spectrum import BoxParams, bound_state_gap, bound_state_offsets, build_spectrum
+from robinbec.spectrum import BoxParams, bound_state_gap, build_spectrum
 from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
@@ -242,7 +242,7 @@ def test_solve_mu_huge_lam_evaluations(monkeypatch, sigma, L, beta, rho, lam):
 def test_state_wall_pair_from_one_solve(monkeypatch):
     # solve_mu reads the roots and the table's wall offsets: one wall-pair
     # solve, no derived spectrum column, and the gap and offset0 the state
-    # carries are bound_state_gap and bound_state_offsets bit for bit
+    # carries are those of the box's own table bit for bit
     import robinbec.spectrum as spectrum
 
     calls = {name: 0 for name in ("_wall_roots", "_wall_columns", "_ladder_columns")}
@@ -257,8 +257,9 @@ def test_state_wall_pair_from_one_solve(monkeypatch):
         calls["_wall_roots"] = 0
         st = solve_mu(inp, model=MEAN_FIELD_SCF)
         assert calls == {"_wall_roots": 1, "_wall_columns": 0, "_ladder_columns": 0}
-        assert st.wall_gap == bound_state_gap(inp.box)
-        assert st.offset0 == bound_state_offsets(inp.box)[0]
+        table = build_spectrum(inp.box, 1)
+        assert st.wall_gap == table.wall_gap
+        assert st.offset0 == table.wall_level_offsets[0]
 
 
 @pytest.mark.parametrize("L,lam,rho", [(10.0, 1.0, 0.6), (250.0, 1.0, 1.0), (3200.0, 0.3, 2.0),
@@ -296,11 +297,11 @@ def test_scf_matches_gibbs_oracle_at_small_scale():
     model = ModelParams(box=inp.box, beta=inp.beta, mu=st.mu, lam=inp.lam)
     spec = make_truncation(table, model, tol=1e-11)
     for k in (0, 1):
-        exact = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
+        exact = grand_expectation(DiagonalObservable.mode_number(k), spec)
         assert abs(st.occ[k] - exact) <= 1e-10 * max(1.0, exact)
     for k in range(2, 7):
-        exact = grand_expectation(DiagonalObservable.mode_number(k), spec, model)
-        bound = 1.0 / math.expm1(occupation_bound_exponent(k, spec, model))
+        exact = grand_expectation(DiagonalObservable.mode_number(k), spec)
+        bound = 1.0 / math.expm1(occupation_bound_exponent(k, spec))
         gap_width = bound - min(st.occ[k], exact)
         assert abs(st.occ[k] - exact) <= gap_width + 1e-9
         # both machines respect the occupation bound
@@ -391,6 +392,20 @@ def test_mu_asymptotics_requires_five_states():
               for L in (50.0, 100.0, 200.0)]
     with pytest.raises(ValidationError):
         mu_asymptotics_check(states)
+
+
+def test_fits_need_two_distinct_L():
+    # one box fitted several times: polyfit warned of a rank deficit and
+    # returned a limit and a rate from a single point
+    states = {L: solve_mu(_input(L=L, rho=1.0), model=FREE) for L in (50.0, 100.0, 200.0)}
+    sweep = [states[L] for L in (50.0, 100.0, 200.0, 200.0, 200.0)]
+    with pytest.raises(ValidationError, match="two distinct L among the 3 largest"):
+        mu_asymptotics_check(sweep)
+    mu_asymptotics_check(sweep[:2] + [states[100.0]] + sweep[3:])  # 100, 200, 200 on top
+    with pytest.raises(ValidationError, match="two distinct L"):
+        fit_exponential_rate([100.0] * 5, [1e-3] * 5)
+    with pytest.raises(ValidationError, match="two distinct L"):  # the positive ones
+        fit_exponential_rate([50.0, 100.0, 100.0, 100.0], [-1.0, 1e-3, 2e-3, 3e-3])
 
 
 def test_sweep_csv_format(tmp_path):
