@@ -37,7 +37,6 @@ from .gibbs_oracle import (
     grand_expectation,
     make_truncation,
     run_check,
-    truncation_from_caps,
 )
 from .thermo import (
     CutoffTooSmall,

@@ -39,12 +39,12 @@ from .profile import density_profile, localization_radius, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
     FREE, MEAN_FIELD_SCF, ThermoInput, critical_density, equal_distribution_gap,
-    fit_exponential_rate, mu_asymptotics_check, solve_mu, suggest_k_max, write_sweep_csv,
+    fit_exponential_rate, mu_asymptotics_check, solve_mu, write_sweep_csv,
 )
 
 _MODEL_ALIASES = {"free": FREE, "scf": MEAN_FIELD_SCF, "mean_field_scf": MEAN_FIELD_SCF}
-# a sweep solves every point and keeps each state (its occupations and
-# energies, 16 bytes per mode) for the fits
+# a sweep solves every point and keeps each state (its occupations and its
+# table's energies and wavenumbers, 24 bytes per mode) for the fits
 _MAX_SWEEP_POINTS = 10_000
 
 
@@ -94,15 +94,10 @@ def _write_json(payload: dict, path) -> None:
 
 
 def _thermo_point(cfg: dict, L: float):
-    # checked before the cutoff is certified, which needs a valid beta and
-    # cutoff_tol; k_max = 2 only holds the place of the certified cutoff
-    k_max = cfg["k_max"]
     inp = ThermoInput(
         box=BoxParams(sigma=cfg["sigma"], L=L), beta=cfg["beta"], rho=cfg["rho"],
-        lam=cfg["lam"], k_max=2 if k_max is None else k_max, cutoff_tol=cfg["cutoff_tol"],
+        lam=cfg["lam"], k_max=cfg["k_max"], cutoff_tol=cfg["cutoff_tol"],
     )
-    if k_max is None:
-        inp = replace(inp, k_max=suggest_k_max(inp.box, inp.beta, inp.cutoff_tol))
     return solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
 
 
@@ -207,10 +202,13 @@ def _cmd_profile(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     grid = _parse_l_grid(cfg["L_grid"])
+    fit_out = cfg["fit_out"] or cfg["out"] + ".fit.json"
+    if os.path.realpath(fit_out) == os.path.realpath(cfg["out"]):
+        raise ValidationError(f"--fit-out {fit_out!r} names the --out file {cfg['out']!r}; "
+                              "the fit report would overwrite the sweep CSV")
     states = [_thermo_point(cfg, L) for L in grid]
     echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model", "L_grid")}
     echo["lambda"] = cfg["lam"]
-    fit_out = cfg["fit_out"] or cfg["out"] + ".fit.json"
     _check_writable(fit_out)  # the fits need the CSV's gap column, so it is written first
     gaps = _write(write_sweep_csv, states, cfg["out"], _echo_lines("sweep", echo))
 

@@ -36,14 +36,14 @@ convolves at most k_f + r - 2 modes (r when k_f < 2 + r) instead of K.
 Occupations are capped per mode; `_moment_tails` gives every mode's
 neglected tail at its cap (at the given beta, mu; the repulsive ntil
 coupling only suppresses further).  `make_truncation` grows all caps as
-one array until each tail is below tol/(k_top + 1); `truncation_from_caps`
-checks any set of caps (mu <= eps(0), DP length) and takes their tails and
-the sum `tail_budget`, which certifies the truncation, from the same
-function.  The `TruncationSpec` it returns carries the model its tails
-were taken at (and checks that the model's box is the table's); every
-function past it reads the model from the spec, so an expectation or a
-check runs only at the (beta, mu) its certificate covers.  All sums run
-in log space.
+one array until each tail is below tol/(k_top + 1) and hands them to
+`TruncationSpec(table, model, caps)`, which checks them (the model's box
+is the table's, mu <= eps(0), the DP length) and computes their tails and
+the sum `tail_budget`, which certifies the truncation, itself: no tail
+can be passed in.  Every function past it reads the model from the spec,
+so an expectation or a check runs only at the (beta, mu) its certificate
+covers, and a precomputed `ConstrainedZ` carries the spec it was built
+for.  All sums run in log space.
 
 Observables are products of univariate polynomial factors in distinct
 mode numbers, optionally times a polynomial in Ntil (the coupling makes
@@ -169,7 +169,10 @@ class DiagonalObservable:
 @dataclass(frozen=True)
 class TruncationSpec:
     """Spectrum prefix, the model, per-mode occupation caps, and the
-    certified tail.  The table and the model must describe the same box.
+    certified tail the spec computes from them.  The table and the model
+    must describe the same box, with mu <= eps(0) (at mu = eps(0) the
+    wall-mode tails are inf but cancel out of k >= 2 sector ratios), and
+    the k >= 2 caps may total at most _MAX_DP_LEN - 1 (CapOverflow).
 
     `per_mode_tail[k]` bounds the effect of capping mode k at M = caps[k]
     on any reported expectation: the neglected geometric weight inflated
@@ -191,18 +194,28 @@ class TruncationSpec:
     table: SpectrumTable
     model: ModelParams
     caps: tuple[int, ...]
-    per_mode_tail: tuple[float, ...]
-    tail_budget: float
+    per_mode_tail: tuple[float, ...] = field(init=False)
+    tail_budget: float = field(init=False)
 
     def __post_init__(self):
+        eps = self.table.epsilons
         if self.table.params != self.model.box:
             raise ValidationError("truncation table and model box must match")
-        if len(self.caps) != len(self.table.epsilons):
+        if self.model.mu > eps[0]:
+            raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps[0]}, got {self.model.mu}")
+        if len(self.caps) != len(eps):
             raise ValidationError("need exactly one cap per tabulated mode")
         if len(self.caps) < 2:
             raise ValidationError("truncation must include both wall modes (k = 0, 1)")
-        if any((not isinstance(c, int)) or c < 1 for c in self.caps):
-            raise ValidationError("caps must be integers >= 1")
+        if not isinstance(self.caps, tuple) or any(
+                (not isinstance(c, int)) or c < 1 for c in self.caps):
+            raise ValidationError("caps must be a tuple of integers >= 1")
+        if sum(self.caps[2:]) + 1 > _MAX_DP_LEN:
+            raise CapOverflow(
+                f"k>=2 cap total {sum(self.caps[2:])} exceeds max DP length {_MAX_DP_LEN}")
+        tails = tuple(_moment_tails(_log_ratios(eps, self.model), self.caps).tolist())
+        object.__setattr__(self, "per_mode_tail", tails)
+        object.__setattr__(self, "tail_budget", math.fsum(tails))
 
     @property
     def k_top(self) -> int:
@@ -242,7 +255,7 @@ def _moment_tails(logx: np.ndarray, caps) -> np.ndarray:
 
 def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12) -> TruncationSpec:
     """Choose per-mode caps so every per-mode tail is <= tol/(k_top + 1) and
-    certify them with `truncation_from_caps`.
+    certify them as a `TruncationSpec`.
 
     Each cap M starts at its weight-only estimate x^(M+1) <= target and,
     all modes as one array, grows by 1 + M // 8 while its tail exceeds the
@@ -269,28 +282,10 @@ def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12
         raise CapOverflow(
             f"mode {k} needs a cap above {_MAX_MODE_CAP} to certify tol {tol:.1e}: beta "
             f"(eps_k - mu) = {-logx[k]:.3g} too small (beta = {model.beta:g}, mu = {model.mu:g})")
-    spec = truncation_from_caps(table, model, caps)
+    spec = TruncationSpec(table, model, tuple(int(c) for c in caps))
     if spec.tail_budget > tol:
         raise NumericalFailure("computed tail budget exceeds the requested tolerance")
     return spec
-
-
-def truncation_from_caps(table: SpectrumTable, model: ModelParams, caps) -> TruncationSpec:
-    """Explicit caps and the tails they imply; every truncation is checked
-    here.  Allows mu = eps(0) (wall-mode tails become inf but cancel out of
-    k >= 2 sector ratios).  Raises CapOverflow if the k >= 2 caps make the
-    DP longer than _MAX_DP_LEN."""
-    eps = table.epsilons
-    if model.mu > eps[0]:
-        raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps[0]}, got {model.mu}")
-    caps = tuple(int(c) for c in caps)
-    if len(caps) != len(eps):
-        raise ValidationError("need exactly one cap per tabulated mode")
-    if sum(caps[2:]) + 1 > _MAX_DP_LEN:
-        raise CapOverflow(f"k>=2 cap total {sum(caps[2:])} exceeds max DP length {_MAX_DP_LEN}")
-    tails = tuple(_moment_tails(_log_ratios(eps, model), caps).tolist())
-    return TruncationSpec(table=table, model=model, caps=caps, per_mode_tail=tails,
-                          tail_budget=math.fsum(tails))
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +299,8 @@ _SUFFIX_MEMORY = 2
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedZ:
-    """log z[ntil] for the k >= 2 sector (no mu, no coupling: pure
-    exp(-beta sum eps_k n_k) summed at fixed ntil).  z[0] = 1.
+    """log z[ntil] for the k >= 2 sector of `spec` (no mu, no coupling:
+    pure exp(-beta sum eps_k n_k) summed at fixed ntil).  z[0] = 1.
 
     `suffixes[k]` is the same sum over modes k..k_top only, kept at
     k = 2 + r, 2 + 2r, ... with r from `_suffix_spacing`, and at k_top + 1
@@ -313,12 +308,9 @@ class ConstrainedZ:
     restarts from the nearest one above them instead of from k_top.
     """
 
+    spec: TruncationSpec
     log_z: np.ndarray
     suffixes: dict = field(default_factory=dict)
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.exp(self.log_z)
 
 
 def _log_conv(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
@@ -429,7 +421,7 @@ def constrained_partition(spec: TruncationSpec) -> ConstrainedZ:
         log_z = _log_geometric_conv(log_z, -spec.model.beta * eps[k], spec.caps[k])
         if k > 2 and (k - 2) % r == 0:
             suffixes[k] = log_z
-    return ConstrainedZ(log_z=log_z, suffixes=suffixes)
+    return ConstrainedZ(spec=spec, log_z=log_z, suffixes=suffixes)
 
 
 def _wall_mode_ratio(spec: TruncationSpec, k: int, poly) -> float:
@@ -453,7 +445,8 @@ def grand_expectation(
     Wall-mode factors reduce to independent 1-D geometric sums; k >= 2
     factors enter through a reweighted constrained partition sum, rebuilt
     from the nearest stored suffix of `z` above the highest factored mode.
-    A precomputed `z` (for this spec) may be shared across calls.
+    A precomputed `z` may be shared across calls on the spec it was built
+    for; one built for any other spec is a ValidationError.
     """
     wall = 1.0
     factored = {}
@@ -466,8 +459,8 @@ def grand_expectation(
             factored[k] = poly
     if z is None:
         z = constrained_partition(spec)
-    elif len(z.log_z) != sum(spec.caps[2:]) + 1:
-        raise ValidationError("precomputed z does not match this truncation's caps")
+    elif z.spec != spec:
+        raise ValidationError("precomputed z was built for another truncation")
     if not factored and obs.ntilde_poly is None:
         return wall  # excited-sector ratio is exactly 1
     ntil = np.arange(len(z.log_z), dtype=float)
@@ -493,12 +486,10 @@ def grand_expectation(
 # equilibrium-state checks
 # ----------------------------------------------------------------------
 
-def _require_mu_below_ground(spec: TruncationSpec, strict=True):
+def _require_mu_below_ground(spec: TruncationSpec):
     eps0, mu = float(spec.table.epsilons[0]), spec.model.mu
-    if strict and not mu < eps0:
+    if not mu < eps0:
         raise ValidationError(f"mu must satisfy mu < eps(0) = {eps0}, got {mu}")
-    if not strict and not mu <= eps0:
-        raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps0}, got {mu}")
 
 
 def _bose_factor(c: float) -> float:
@@ -616,14 +607,14 @@ def occupation_bound_exponent(k, spec) -> float:
 def check_occupation_bound(k, spec):
     """(omega(N_k), 1/(e^{c_k} - 1)) for k >= 2 with c_k as above.
 
-    Valid for mu <= eps(0); the bound saturates in the free gas at
-    mu = eps(0).  Raises NonpositiveGap when c_k <= 0 (vacuous bound).
+    Valid for mu <= eps(0), which the spec guarantees; the bound saturates
+    in the free gas at mu = eps(0).  Raises NonpositiveGap when c_k <= 0
+    (vacuous bound).
     """
     if k < 2:
         raise BadMode(f"occupation bound needs k >= 2, got {k}")
     if k > spec.k_top:
         raise UnknownMode(f"mode {k} is outside the truncation")
-    _require_mu_below_ground(spec, strict=False)
     c = occupation_bound_exponent(k, spec)
     if c <= 0.0:
         raise NonpositiveGap(f"bound exponent c_k = {c} <= 0 for k={k}")

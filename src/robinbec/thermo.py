@@ -19,7 +19,9 @@ x = eps(0) - mu > 0 itself, which the density equation puts near
 2/(beta*L*rho) in a condensing box, far below the spacing of doubles
 near eps(0).  Given x, the wall pair takes bose(beta x) and
 bose(beta (gap + x)) with gap = eps(1) - eps(0) from the table's wall
-offsets (`SpectrumTable.wall_gap`, one wall-pair solve per state);
+offsets (`SpectrumTable.wall_gap`, one wall-pair solve per state; the
+state keeps its table, and mu, rho_tilde and the other derived values
+are read from the table, x and the occupations);
 the density equation itself gives rt(x) = rho - (occ_0 + occ_1)/L, so
 the SCF shift is explicit; and modes k >= 2 take
 bose(beta (D_k + x + lam*max(rt, 0))) (unclamped, G would have a
@@ -48,7 +50,8 @@ point of smallest |G|: 2 to 7 evaluations on typical boxes.  mu = eps(0) - x
 may round to eps(0) at large beta; x keeps full precision.
 
 The k-sum is cut at k_max with a certified Gaussian-tail bound using the
-lower bracket eps_k > ((k-1) pi / L)^2.
+lower bracket eps_k > ((k-1) pi / L)^2; `ThermoInput` picks the smallest
+comfortable certified k_max (`suggest_k_max`) unless one is given.
 
 Condensation diagnostics:
 
@@ -95,13 +98,18 @@ class NotCondensing(ValidationError):
 
 @dataclass(frozen=True)
 class ThermoInput:
-    """Physical point (box, beta, rho, lam) plus mode-sum controls."""
+    """Physical point (box, beta, rho, lam) plus mode-sum controls.
+
+    `k_max = None` (the default) stands for the certified cutoff
+    `suggest_k_max(box, beta, cutoff_tol)`, resolved once every other
+    field has passed its check.
+    """
 
     box: BoxParams
     beta: float
     rho: float
     lam: float
-    k_max: int
+    k_max: int | None = None
     cutoff_tol: float = 1e-10
 
     def __post_init__(self):
@@ -115,27 +123,43 @@ class ThermoInput:
             raise NoSecondBoundState(
                 f"thermo needs both wall modes bound: L*|sigma| > 2, got {self.box.L * self.box.s}"
             )
-        if not isinstance(self.k_max, int) or self.k_max < 2:
+        if self.k_max is not None and (not isinstance(self.k_max, int) or self.k_max < 2):
             raise ValidationError(f"k_max must be an integer >= 2, got {self.k_max}")
         if not (0.0 < self.cutoff_tol < 1.0):
             raise ValidationError(f"cutoff_tol must be in (0, 1), got {self.cutoff_tol}")
+        if self.k_max is None:
+            object.__setattr__(self, "k_max", suggest_k_max(self.box, self.beta, self.cutoff_tol))
 
 
 @dataclass(frozen=True, eq=False)
 class ThermoState:
-    """One solved equilibrium point."""
+    """One solved equilibrium point: the input, the model, the spectrum
+    table (modes 0..k_max) it was solved on, x and the occupations.
+    Everything else is read from these."""
 
     params: ThermoInput
     model_tag: str
-    mu: float
+    spectrum: SpectrumTable
     x: float  # eps(0) - mu, solved for itself: mu may round to eps(0)
     occ: np.ndarray
-    rho_tilde: float
-    rho_cond_finite: float
-    epsilons: np.ndarray
-    # eps(1) - eps(0) and |eps(0) + sigma^2|, from the table's wall offsets
-    wall_gap: float
-    offset0: float
+
+    @property
+    def mu(self) -> float:
+        return float(self.spectrum.epsilons[0]) - self.x
+
+    @property
+    def epsilons(self) -> np.ndarray:
+        return self.spectrum.epsilons
+
+    @property
+    def rho_tilde(self) -> float:
+        """(1/L) sum_{k>=2} occ_k."""
+        return float(self.occ[2:].sum() / self.params.box.L)
+
+    @property
+    def rho_cond_finite(self) -> float:
+        """(occ_0 + occ_1)/L, the wall-pair density."""
+        return float((self.occ[0] + self.occ[1]) / self.params.box.L)
 
     @property
     def density_residual(self) -> float:
@@ -258,10 +282,11 @@ _SOLVE_PASSES = 200
 _STEP_TOL = 2.0 * np.finfo(float).eps
 
 
-def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None = None) -> ThermoState:
+def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     """Solve the density equation for x = eps(0) - mu_L > 0 by one
     safeguarded Newton iteration in t = log(x / x_mid) (see the module
-    docstring); mu = eps(0) - x.
+    docstring) on the spectrum table of modes 0..inp.k_max, which the
+    state keeps; mu = eps(0) - x.
 
     Raises CutoffTooSmall if the certified k_max tail exceeds
     inp.cutoff_tol, and ValidationError where x = eps(0) - mu is below the
@@ -272,12 +297,8 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
-    if spectrum is None:
-        spectrum = build_spectrum(inp.box, inp.k_max)
-    if spectrum.params != inp.box or spectrum.k_max < inp.k_max:
-        raise ValidationError("spectrum table does not cover the requested input")
-    eps = spectrum.epsilons[: inp.k_max + 1]
-    eps0 = float(eps[0])
+    spectrum = build_spectrum(inp.box, inp.k_max)
+    eps0 = float(spectrum.epsilons[0])
     tail = certified_density_tail(inp.box, inp.beta, eps0, inp.k_max)
     if tail > inp.cutoff_tol:
         raise CutoffTooSmall(
@@ -286,10 +307,9 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
 
     beta, L, rho = inp.beta, inp.box.L, inp.rho
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
-    q = spectrum.wavenumbers[: inp.k_max + 1]
+    q = spectrum.wavenumbers
     levels = q[2:] * q[2:] + q[0] * q[0]  # eps_k - eps(0) for k >= 2, no cancellation
-    wall_gap = spectrum.wall_gap
-    wall_levels = np.array([0.0, wall_gap])
+    wall_levels = np.array([0.0, spectrum.wall_gap])
     # bose(beta x) = rho L at x_lo puts rho_tilde <= 0, so G < 0 there;
     # bose(beta x) = rho L / 2 at x_mid puts rho_tilde >= 0
     x_lo = math.log1p(1.0 / (rho * L)) / beta
@@ -362,19 +382,8 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
         raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
 
     _, t, walls, excited = best
-    x = x_mid * math.exp(t)
-    state = ThermoState(
-        params=inp,
-        model_tag=model,
-        mu=eps0 - x,
-        x=x,
-        occ=np.concatenate([walls, excited]),
-        rho_tilde=float(excited.sum() / L),
-        rho_cond_finite=float((walls[0] + walls[1]) / L),
-        epsilons=eps,
-        wall_gap=wall_gap,
-        offset0=spectrum.wall_level_offsets[0],
-    )
+    state = ThermoState(params=inp, model_tag=model, spectrum=spectrum,
+                        x=x_mid * math.exp(t), occ=np.concatenate([walls, excited]))
     if not state.density_residual <= 1e-10 * rho:
         raise NumericalFailure(
             f"density residual {state.density_residual:.3e} above 1e-10 * rho"
@@ -389,20 +398,21 @@ def solve_mu(inp: ThermoInput, model: str = FREE, spectrum: SpectrumTable | None
 def equal_distribution_gap(state: ThermoState) -> float:
     """(occ_0 - occ_1)/L >= 0, via the exact splitting of the wall pair.
 
-    With x0 = beta*x and b = beta*(eps(1) - eps(0)) from `state.wall_gap`,
+    With x0 = beta*x and b = beta*(eps(1) - eps(0)) from the table's
+    `wall_gap`,
     occ_0 - occ_1 = bose(x0) - bose(x0 + b)
                   = (1 - e^{-b}) / (1 - e^{-x0-b}) * bose(x0),
     which neither cancels at large L nor overflows at large beta.
     """
     x0 = state.params.beta * state.x
-    b = state.params.beta * state.wall_gap
+    b = state.params.beta * state.spectrum.wall_gap
     return math.expm1(-b) / math.expm1(-x0 - b) * (math.exp(-x0) / -math.expm1(-x0)) / state.params.box.L
 
 
 def _scaled_mu_offset(state: ThermoState) -> float:
     """(mu_L + sigma^2) * L = -(x + |eps(0) + sigma^2|) * L, a sum of
     positives in place of the cancelling mu + sigma^2."""
-    return -(state.x + state.offset0) * state.params.box.L
+    return -(state.x + state.spectrum.wall_level_offsets[0]) * state.params.box.L
 
 
 @dataclass(frozen=True, eq=False)

@@ -365,6 +365,9 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
      "L-grid points must be distinct"),
     (["sweep", "--sigma=-1", "--L-grid", "100:100:geometric:2", "--out", "{tmp}/s.csv"],
      "L-grid points must be distinct"),
+    # a fit report on the sweep CSV's own path: exit 0 with the CSV lost
+    (["sweep", "--sigma=-1", "--L-grid", "50:100:geometric:5", "--out", "{tmp}/a.csv",
+      "--fit-out", "{tmp}/./a.csv"], "names the --out file"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}

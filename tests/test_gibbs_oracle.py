@@ -29,7 +29,6 @@ from robinbec.gibbs_oracle import (
     number_poly,
     run_check,
     shifted_number_poly,
-    truncation_from_caps,
 )
 from robinbec.spectrum import BoxParams, build_spectrum
 
@@ -41,7 +40,7 @@ def _setup(sigma=-1.0, L=10.0, beta=1.0, mu=-1.5, lam=1.0, k_top=5, caps=None, t
     if caps is None:
         spec = make_truncation(table, model, tol=tol)
     else:
-        spec = truncation_from_caps(table, model, caps)
+        spec = TruncationSpec(table, model, caps)
     return table, model, spec
 
 
@@ -56,7 +55,7 @@ def bose(x):
 def test_single_mode_geometric():
     table, model, spec = _setup(k_top=2, caps=(3, 3, 2))
     w = math.exp(-model.beta * table.epsilons[2])
-    z = constrained_partition(spec).z
+    z = np.exp(constrained_partition(spec).log_z)
     assert np.allclose(z, [1.0, w, w * w], rtol=1e-14)
 
 
@@ -64,13 +63,13 @@ def test_two_modes_caps_one_by_hand():
     table, model, spec = _setup(k_top=3, caps=(3, 3, 1, 1))
     wa = math.exp(-model.beta * table.epsilons[2])
     wb = math.exp(-model.beta * table.epsilons[3])
-    z = constrained_partition(spec).z
+    z = np.exp(constrained_partition(spec).log_z)
     assert np.allclose(z, [1.0, wa + wb, wa * wb], rtol=1e-14)
 
 
 def test_dp_matches_enumeration_k4_caps3():
     table, model, spec = _setup(k_top=5, caps=(2, 2, 3, 3, 3, 3))
-    z = constrained_partition(spec).z
+    z = np.exp(constrained_partition(spec).log_z)
     ref = enum_constrained_z(list(table.epsilons[2:]), model.beta, [3, 3, 3, 3])
     assert np.allclose(z, ref, rtol=1e-13)
 
@@ -86,8 +85,8 @@ def test_dp_matches_enumeration_randomized():
         table = build_spectrum(BoxParams(sigma, L), k_top)
         mu = float(table.epsilons[0] - rng.uniform(0.05, 1.5))
         model = ModelParams(box=table.params, beta=beta, mu=mu, lam=float(rng.uniform(0.0, 2.0)))
-        spec = truncation_from_caps(table, model, caps)
-        z = constrained_partition(spec).z
+        spec = TruncationSpec(table, model, caps)
+        z = np.exp(constrained_partition(spec).log_z)
         ref = enum_constrained_z(list(table.epsilons[2:]), beta, list(caps[2:]))
         assert np.allclose(z, ref, rtol=1e-13)
 
@@ -95,7 +94,7 @@ def test_dp_matches_enumeration_randomized():
 def test_cap_overflow():
     table, model, _ = _setup(k_top=3, caps=(2, 2, 2, 2))
     with pytest.raises(CapOverflow):
-        truncation_from_caps(table, model, (2, 2, 1_000_000, 1_000_000))
+        TruncationSpec(table, model, (2, 2, 1_000_000, 1_000_000))
 
 
 def test_cap_overflow_near_ground_state():
@@ -145,22 +144,47 @@ def test_cap_search_matches_per_mode_reference():
 def test_mismatched_precomputed_z_rejected():
     table, model, spec = _setup(k_top=3, caps=(3, 3, 3, 3))
     z = constrained_partition(spec)
-    other = truncation_from_caps(table, model, (3, 3, 5, 5))
-    with pytest.raises(ValidationError):
+    other = TruncationSpec(table, model, (3, 3, 5, 5))
+    with pytest.raises(ValidationError, match="another truncation"):
         grand_expectation(DiagonalObservable.mode_number(2), other, z=z)
+    # equal caps at another beta: a z of the same length, summed with
+    # other weights, is refused too
+    table, model, spec = _setup(k_top=4, caps=(1, 1, 1, 1, 1))
+    z = constrained_partition(spec)
+    colder = TruncationSpec(table, ModelParams(box=table.params, beta=3.0, mu=model.mu,
+                                               lam=model.lam), spec.caps)
+    assert colder.caps == spec.caps and len(z.log_z) == sum(colder.caps[2:]) + 1
+    with pytest.raises(ValidationError, match="another truncation"):
+        grand_expectation(DiagonalObservable.mode_number(2), colder, z=z)
+    own = grand_expectation(DiagonalObservable.mode_number(2), colder,
+                            z=constrained_partition(colder))
+    assert own == grand_expectation(DiagonalObservable.mode_number(2), colder)
 
 
 def test_spec_carries_its_model():
     # a spec holds the model its tails were taken at, for the table's own
-    # box; no call past it takes a second model, so none can differ
+    # box, and takes its tails from its own caps at that model; no call
+    # past it takes a second model or a tail, so none can differ
     table, model, spec = _setup(k_top=3, caps=(3, 3, 3, 3))
     assert spec.model is model
     elsewhere = ModelParams(box=BoxParams(sigma=-1.0, L=11.0), beta=1.0, mu=-1.5, lam=1.0)
     with pytest.raises(ValidationError, match="box must match"):
-        truncation_from_caps(table, elsewhere, spec.caps)
-    with pytest.raises(ValidationError, match="box must match"):
-        TruncationSpec(table=table, model=elsewhere, caps=spec.caps,
-                       per_mode_tail=spec.per_mode_tail, tail_budget=spec.tail_budget)
+        TruncationSpec(table, elsewhere, spec.caps)
+    with pytest.raises(ValidationError, match="tuple of integers"):
+        TruncationSpec(table, model, list(spec.caps))
+    with pytest.raises(TypeError):
+        TruncationSpec(table, model, spec.caps, per_mode_tail=spec.per_mode_tail)
+    with pytest.raises(TypeError):
+        TruncationSpec(table, model, spec.caps, tail_budget=spec.tail_budget)
+    # the forged all-zero tail of caps (1, ..., 1) cannot be passed; the
+    # spec computes the real one
+    table, model, forged = _setup(k_top=4, caps=(1, 1, 1, 1, 1))
+    logx = -model.beta * (table.epsilons - model.mu)
+    assert forged.per_mode_tail == tuple(gibbs_oracle._moment_tails(logx, forged.caps).tolist())
+    assert forged.tail_budget == math.fsum(forged.per_mode_tail)
+    report = run_check("wall-occupation", forged, k=0)
+    assert report["tail_budget"] == forged.per_mode_tail[0]
+    assert round(report["tail_budget"], 1) == 979.5
     z = constrained_partition(spec)
     with pytest.raises(TypeError):
         grand_expectation(DiagonalObservable.mode_number(2), spec, z)  # z is keyword-only
@@ -242,7 +266,7 @@ def test_factored_expectation_convolves_at_most_r_modes(monkeypatch):
 def test_suffix_restart_equals_a_from_scratch_pass():
     _, model, spec = _bench_like_setup()
     z = constrained_partition(spec)
-    scratch = ConstrainedZ(log_z=z.log_z)  # no suffixes: convolve from k_top
+    scratch = ConstrainedZ(spec=spec, log_z=z.log_z)  # no suffixes: convolve from k_top
     observables = [
         DiagonalObservable.mode_number(2),
         DiagonalObservable.mode_number(9, 2),
@@ -261,7 +285,7 @@ def test_stored_suffixes_stay_within_the_memory_bound():
     # dp_len ~ 48k: a dense (cap x n) stack for mode 2 alone would take 0.9 GB
     table, model, _ = _setup(k_top=40)
     caps = [1, 1] + [max(1, 2500 - 60 * k) for k in range(2, 41)]
-    spec = truncation_from_caps(table, model, caps)
+    spec = TruncationSpec(table, model, tuple(caps))
     entry = 8 * (sum(caps[2:]) + 1)  # bytes of one length-n float64 vector
     tracemalloc.start()
     try:
@@ -333,7 +357,7 @@ def test_monotone_in_mu():
 
 def test_truncation_honesty_doubling_caps():
     table, model, spec = _setup(tol=1e-10)
-    spec2 = truncation_from_caps(table, model, tuple(2 * c for c in spec.caps))
+    spec2 = TruncationSpec(table, model, tuple(2 * c for c in spec.caps))
     for obs in (
         DiagonalObservable.mode_number(0),
         DiagonalObservable.mode_number(2),
@@ -381,7 +405,7 @@ def test_exchange_identity_excited_with_spectators():
     lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec)
     assert abs(lhs - rhs) <= spec.tail_budget + 1e-12
     # both sides against brute force at small caps, restricted identically
-    spec_small = truncation_from_caps(table, model, (3, 3, 3, 3, 3, 3))
+    spec_small = TruncationSpec(table, model, (3, 3, 3, 3, 3, 3))
     ref_lhs = math.exp(model.beta * (table.epsilons[2] - table.epsilons[3]))
     ref_lhs *= enum_expectation(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
@@ -417,7 +441,7 @@ def test_exchange_identity_requires_mu_below_ground():
     table, model, _ = _setup()
     at_ground = ModelParams(box=table.params, beta=model.beta,
                             mu=float(table.epsilons[0]), lam=model.lam)
-    spec = truncation_from_caps(table, at_ground, (5, 5, 5, 5, 5, 5))
+    spec = TruncationSpec(table, at_ground, (5, 5, 5, 5, 5, 5))
     with pytest.raises(ValidationError):
         exchange_identity_sides(1, [(0, 1)], spec)
 
@@ -525,7 +549,7 @@ def test_occupation_bound_free_saturation():
     table = build_spectrum(BoxParams(-1.0, 10.0), 5)
     eps = table.epsilons
     model = ModelParams(box=table.params, beta=1.0, mu=float(eps[0]), lam=0.0)
-    spec = truncation_from_caps(table, model, (5, 5, 140, 90, 70, 50))
+    spec = TruncationSpec(table, model, (5, 5, 140, 90, 70, 50))
     for k in (2, 3):
         occ, bound = check_occupation_bound(k, spec)
         free = bose(model.beta * (eps[k] - eps[0]))

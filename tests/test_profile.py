@@ -25,19 +25,17 @@ from robinbec.thermo import (
     ThermoInput,
     critical_density,
     solve_mu,
-    suggest_k_max,
 )
 
 
 def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0):
-    box = BoxParams(sigma=sigma, L=L)
-    inp = ThermoInput(box=box, beta=beta, rho=rho, lam=lam,
-                      k_max=suggest_k_max(box, beta))
+    inp = ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam)
     return solve_mu(inp, model=model)
 
 
 def _fake_state(state, occ):
-    # same solved state with replaced occupations (for the trivial cases)
+    # same solved state with replaced occupations (for the trivial cases);
+    # its densities follow the new occupations
     from dataclasses import replace
 
     return replace(state, occ=np.asarray(occ, dtype=float))
@@ -46,6 +44,7 @@ def _fake_state(state, occ):
 def test_zero_occupations_zero_profile():
     st = _state()
     st0 = _fake_state(st, np.zeros_like(st.occ))
+    assert st0.rho_tilde == 0.0 and st0.rho_cond_finite == 0.0
     table = build_spectrum(st.params.box, st.params.k_max)
     prof = density_profile(table, st0, 201)
     assert np.all(prof.n_total == 0.0)

@@ -37,11 +37,8 @@ RHO_C_BETA1_SIGMA1 = 0.14274846129686652
 
 
 def _input(sigma=-1.0, L=30.0, beta=1.0, rho=1.0, lam=0.0, k_max=None, cutoff_tol=1e-10):
-    box = BoxParams(sigma=sigma, L=L)
-    if k_max is None:
-        k_max = suggest_k_max(box, beta, cutoff_tol)
-    return ThermoInput(box=box, beta=beta, rho=rho, lam=lam, k_max=k_max,
-                       cutoff_tol=cutoff_tol)
+    return ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam,
+                       k_max=k_max, cutoff_tol=cutoff_tol)
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +207,10 @@ def test_solve_mu_occupation_evaluations(monkeypatch, model, limit):
     import robinbec.thermo as thermo
 
     inp = _input(L=12800.0, rho=1.5 * RHO_C_BETA1_SIGMA1, lam=1.0)
-    spectrum = build_spectrum(inp.box, inp.k_max)
     sizes = []
     real = thermo._occ_free
     monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: sizes.append(len(d)) or real(d, *a))
-    st = solve_mu(inp, model=model, spectrum=spectrum)
+    st = solve_mu(inp, model=model)
     assert sum(n > 2 for n in sizes) <= limit
     assert st.density_residual <= 1e-12 * inp.rho
 
@@ -241,8 +237,8 @@ def test_solve_mu_huge_lam_evaluations(monkeypatch, sigma, L, beta, rho, lam):
 
 def test_state_wall_pair_from_one_solve(monkeypatch):
     # solve_mu reads the roots and the table's wall offsets: one wall-pair
-    # solve, no derived spectrum column, and the gap and offset0 the state
-    # carries are those of the box's own table bit for bit
+    # solve, no derived spectrum column, and the table the state keeps has
+    # the gap and offsets of the box's own table bit for bit
     import robinbec.spectrum as spectrum
 
     calls = {name: 0 for name in ("_wall_roots", "_wall_columns", "_ladder_columns")}
@@ -258,8 +254,9 @@ def test_state_wall_pair_from_one_solve(monkeypatch):
         st = solve_mu(inp, model=MEAN_FIELD_SCF)
         assert calls == {"_wall_roots": 1, "_wall_columns": 0, "_ladder_columns": 0}
         table = build_spectrum(inp.box, 1)
-        assert st.wall_gap == table.wall_gap
-        assert st.offset0 == table.wall_level_offsets[0]
+        assert st.spectrum.k_max == inp.k_max and st.spectrum.params == inp.box
+        assert st.spectrum.wall_gap == table.wall_gap
+        assert st.spectrum.wall_level_offsets == table.wall_level_offsets
 
 
 @pytest.mark.parametrize("L,lam,rho", [(10.0, 1.0, 0.6), (250.0, 1.0, 1.0), (3200.0, 0.3, 2.0),
@@ -432,3 +429,39 @@ def test_thermo_input_validation():
         ThermoInput(box=box, beta=1.0, rho=1.0, lam=-0.5, k_max=10)
     with pytest.raises(ValidationError):
         solve_mu(_input(L=10.0), model="bogus")
+
+
+def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
+    import robinbec.thermo as thermo
+
+    box = BoxParams(-1.0, 40.0)
+    for beta, tol in ((1.0, 1e-10), (0.3, 1e-6), (5.0, 1e-14)):
+        inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
+        assert inp.k_max == suggest_k_max(box, beta, tol)
+        assert solve_mu(inp).epsilons.shape == (inp.k_max + 1,)
+    assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=7).k_max == 7
+    # every other field is checked first: a bad cutoff_tol or beta never
+    # reaches the cutoff search
+    monkeypatch.setattr(thermo, "suggest_k_max", lambda *a: pytest.fail("cutoff searched"))
+    for bad, needle in (({"cutoff_tol": 0.0}, "cutoff_tol must be"),
+                        ({"cutoff_tol": 1.5}, "cutoff_tol must be"),
+                        ({"beta": 0.0}, "beta must be"),
+                        ({"k_max": 1}, "k_max must be")):
+        with pytest.raises(ValidationError, match=needle):
+            ThermoInput(**{"box": box, "beta": 1.0, "rho": 1.0, "lam": 0.0, **bad})
+
+
+def test_state_reads_derived_values_from_its_fields():
+    # mu, the densities and the energies are read from the table, x and occ,
+    # so a state with replaced occupations carries no stale copy of them
+    from dataclasses import replace
+
+    st = solve_mu(_input(L=60.0, lam=1.0), model=MEAN_FIELD_SCF)
+    L = st.params.box.L
+    assert st.mu == float(st.spectrum.epsilons[0]) - st.x
+    assert st.epsilons is st.spectrum.epsilons
+    occ = np.linspace(1.0, 2.0, len(st.occ))
+    other = replace(st, occ=occ)
+    assert other.rho_tilde == float(occ[2:].sum() / L) != st.rho_tilde
+    assert other.rho_cond_finite == float((occ[0] + occ[1]) / L) != st.rho_cond_finite
+    assert other.density_residual == abs(other.rho_tilde + other.rho_cond_finite - 1.0)
