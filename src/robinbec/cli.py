@@ -176,6 +176,7 @@ def _cmd_oracle(cfg: dict) -> int:
 
 
 def _cmd_thermo(cfg: dict) -> int:
+    _check_writable(cfg["out"])
     state = _thermo_point(cfg, cfg["L"])
     payload = _state_summary(state)
     payload["tool"] = f"robinbec {__version__}"
@@ -185,6 +186,7 @@ def _cmd_thermo(cfg: dict) -> int:
 
 
 def _cmd_profile(cfg: dict) -> int:
+    _check_writable(cfg["out"])
     state = _thermo_point(cfg, cfg["L"])
     table = build_spectrum(state.params.box, state.params.k_max)
     prof = density_profile(table, state, cfg["grid_n"])
@@ -206,10 +208,11 @@ def _cmd_sweep(cfg: dict) -> int:
     if os.path.realpath(fit_out) == os.path.realpath(cfg["out"]):
         raise ValidationError(f"--fit-out {fit_out!r} names the --out file {cfg['out']!r}; "
                               "the fit report would overwrite the sweep CSV")
+    _check_writable(cfg["out"])
+    _check_writable(fit_out)  # the fits need the CSV's gap column, so it is written first
     states = [_thermo_point(cfg, L) for L in grid]
     echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model", "L_grid")}
     echo["lambda"] = cfg["lam"]
-    _check_writable(fit_out)  # the fits need the CSV's gap column, so it is written first
     gaps = _write(write_sweep_csv, states, cfg["out"], _echo_lines("sweep", echo))
 
     fits: dict = {"tool": f"robinbec {__version__}", "n_states": len(states)}

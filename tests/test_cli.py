@@ -452,6 +452,25 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--sigma=-1", "--L", "20", "--out", "{missing}"],
+    ["profile", "--sigma=-1", "--L", "20", "--out", "{missing}"],
+    ["sweep", "--sigma=-1", "--L-grid", "20:40:linear:3", "--out", "{missing}",
+     "--fit-out", "{tmp}/f.json"],
+    ["sweep", "--sigma=-1", "--L-grid", "20:40:linear:3", "--out", "{tmp}/s.csv",
+     "--fit-out", "{missing}"],
+])
+def test_unwritable_output_is_rejected_before_solving(tmp_path, capsys, monkeypatch, argv):
+    # a large sweep used to solve every L-grid point before it learned this
+    calls = []
+    monkeypatch.setattr(cli, "solve_mu", lambda *a, **k: calls.append(a))
+    paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
+    rc = run([a.format(**paths) for a in argv])
+    _assert_one_line_rejection(rc, capsys, "cannot write output file", paths["missing"])
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writability_check_keeps_an_existing_file(tmp_path):
     kept = tmp_path / "f.json"
     kept.write_text("old\n")

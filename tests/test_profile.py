@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinbec import profile as profile_module
 from robinbec.errors import ValidationError
@@ -282,6 +285,91 @@ def test_profile_csv_short_grids(tmp_path, monkeypatch, n):
     prof = Profile(grid=_mirrored_grid(n), n_total=dens, n_cond=0.5 * dens,
                    n_thermal=0.5 * dens)
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2
+
+
+def _printf_rows(values):
+    """`values` as four-column `%.17g` CSV rows (zero-padded to whole rows),
+    formatted by CPython, and the columns they came from."""
+    values = np.concatenate([np.asarray(values, dtype=float), np.zeros(-len(values) % 4)])
+    rows = values.reshape(-1, 4)
+    text = "\n".join(",".join("%.17g" % x for x in row) for row in rows.tolist())
+    return text, [np.ascontiguousarray(rows[:, i]) for i in range(4)]
+
+
+def _assert_formats_like_printf(values):
+    text, columns = _printf_rows(values)
+    assert profile_module._format_rows(columns, 0, len(columns[0])) == text
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1).map(_double), st.floats()),
+                min_size=1, max_size=64))
+def test_format_rows_matches_printf_on_raw_bit_patterns(values):
+    _assert_formats_like_printf(values)
+
+
+def test_format_rows_matches_printf_on_random_bit_patterns():
+    bits = np.random.default_rng(15).integers(0, 2**64, 2**18, dtype=np.uint64)
+    _assert_formats_like_printf(bits.view(np.float64))
+
+
+def _exact_ties():
+    """Doubles with exactly 18 significant digits, the last a 5: the
+    17-digit rounding is a tie (they exist only in [1e13, 1e16))."""
+    rng = np.random.default_rng(5)
+    ties = []
+    for m in (1, 2, 3):
+        for n in rng.integers(10**17 // 5**m, 10**18 // 5**m, 4000).tolist():
+            n *= 5**m
+            if n % 10 == 5 and 10**17 <= n < 10**18:
+                x = n / 10**m
+                a, b = x.as_integer_ratio()
+                if a * 10**m == n * b:
+                    ties.append(x)
+    return ties
+
+
+def test_format_rows_matches_printf_on_edge_values():
+    powers = [float(f"1e{k}") for k in range(-324, 309)]
+    ties = _exact_ties()
+    assert len(ties) > 100
+    edge = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
+            1.7976931348623157e308, math.inf, math.nan, 1e15 + 0.25, 1e15 + 0.75]
+    edge += [_double(int(b)) for b in np.random.default_rng(3).integers(1, 2**52, 200)]
+    edge += [1e16 + d for d in range(-8, 9)] + [1e17 + 16 * d for d in range(-8, 9)]
+    edge += [float(10**17 - 1), 99999999999999984.0, 0.0001, 9.9999999999999991e-05]
+    for x in powers + ties + edge:
+        edge += [math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    edge += powers + ties
+    values = np.array(edge)
+    _assert_formats_like_printf(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("direction", [-math.inf, math.inf])
+def test_format_rows_does_not_trust_log10_to_the_last_bit(monkeypatch, direction):
+    # the kernel takes each decimal exponent from floor(log10 |v|); a log10
+    # one ulp off next to a power of ten may cost speed, never a byte
+    real = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(real(a), direction))
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    _assert_formats_like_printf(powers + [math.nextafter(x, 0.0) for x in powers])
+
+
+def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_state):
+    # every cell of a condensing profile is formatted without `%`: a kernel
+    # that certified nothing would still print the right bytes, slowly
+    prof = density_profile(*condensing_state, 4 * 4096 + 1)
+    slow = []
+    real = profile_module._printf
+    monkeypatch.setattr(profile_module, "_printf", lambda x: slow.append(x) or real(x))
+    path = tmp_path / "prof.csv"
+    write_profile_csv(prof, path)
+    assert path.read_bytes() == _per_row_csv(prof).encode()
+    assert slow == []
 
 
 def test_density_profile_memory_stays_flat():
