@@ -1,7 +1,8 @@
 """robinbec: Bose gas in a 1D box with attractive (Robin) walls.
 
-Exact one-body spectrum, an exact capped-Fock Gibbs oracle for the
-quadratic mean-field coupling to the k >= 2 particle number, density
+Exact one-body spectrum, an exact Gibbs oracle for the quadratic
+mean-field coupling to the k >= 2 particle number (capped-Fock wall
+modes, the k >= 2 sector on a certified particle-number window), density
 equation solvers, condensation diagnostics, and spatial density profiles.
 """
 

@@ -1,65 +1,55 @@
-"""Exact grand-canonical expectations on a capped occupation space.
+"""Exact grand-canonical expectations on a certified occupation space.
 
 The Hamiltonian is diagonal in the occupation basis of the wall-mode
 spectrum,
 
     H = sum_k eps_k N_k + (lam/2) * Ntil^2 / L,     Ntil = sum_{k>=2} N_k,
 
-so a grand-canonical expectation is a ratio of weighted sums over
-occupation configurations with per-configuration weight
+so an expectation is a ratio of sums over occupations.  The wall modes
+(k = 0, 1) do not enter the coupling and factorize as geometric series,
+each summed up to an occupation cap (the capped-Fock part of the model).
+Modes k >= 2 couple only through ntil, so their sector reduces to the
+canonical partition functions z[n] of n bosons in modes 2..k_top on a
+window n = 0..N, reweighted in n by mu and the coupling.  Every term of
 
-    exp(-beta * (sum_k eps_k n_k + (lam/2) ntil^2 / L - mu * sum_k n_k)).
+    n z[n] = sum_{m=1..n} p_m z[n-m],     p_m = sum_{k>=2} e^{-m beta eps_k}
 
-The two wall modes (k = 0, 1) do not enter the coupling term and
-factorize as independent geometric series.  Modes k >= 2 couple only
-through ntil, so their sector reduces to the constrained sums
+(Landsberg 1961; Borrmann & Franke, J. Chem. Phys. 98, 2484 (1993)) is
+positive, so `constrained_partition` runs it in log space: O(N K)
+exponentials, O(N^2) additions.  The configurations with n_k >= a weigh
+y_k^a z[n-a], y_k = e^{-beta eps_k}, so a factor f(N_k) turns z[n] into
 
-    z[ntil] = sum over {n_k, k >= 2 : sum n_k = ntil} exp(-beta sum eps_k n_k),
+    f(0) z[n] + sum_{a=1..n} (f(a) - f(a-1)) y_k^a z[n-a],
 
-built by convolving per-mode geometric weight vectors; the coupling and
-the chemical potential then act as a 1-D reweighting in ntil.  That turns
-every diagonal observable into a short exact sum instead of one over
-prod(caps) configurations.
+one window convolution per factored mode, with no negative term when f
+is nondecreasing and f(0) >= 0 on 0..N (N^p and (N+1)^p are).
 
-Cost, with n = 1 + sum_{k>=2} caps_k the DP length: a plain mode's
-weight vector is geometric, so convolving it is a doubling window sum of
-about 2 log2(cap_k + 1) length-n `logaddexp` calls, and one pass over
-the K modes costs O(n sum_k log(cap_k + 1)) with no (cap x n) stack.
-Only a mode that carries a polynomial factor of the observable (one or
-two per observable) is convolved densely, at O(cap_k n).  The pass runs
-from k_top down to 2 and keeps the partial sums over modes k..k_top at
-every r-th k; r is the smallest spacing whose stored vectors total at
-most 2n entries (`_SUFFIX_MEMORY`).  An expectation with factors in
-modes <= k_f restarts from the nearest stored suffix above k_f, so it
-convolves at most k_f + r - 2 modes (r when k_f < 2 + r) instead of K.
+Window tail.  With x_k = e^{-beta (eps_k - mu)}, W[n] = z[n] e^{beta mu n}
+sums to prod_{k>=2} 1/(1 - x_k).  For D/(beta (N+2)) <= s < eps_2 - mu
+and n > N, (n+1)^D <= (N+2)^D e^{beta s (n-N-1)} (1 + u <= e^u), so
+sum_{n>N} (n+1)^D W[n] <= (N+2)^D e^{-beta s (N+1)} sum_n e^{beta s n} W[n]
+and the share of the total weight above N is at most
 
-Occupations are capped per mode; `_moment_tails` gives every mode's
-neglected tail at its cap (at the given beta, mu; the repulsive ntil
-coupling only suppresses further).  `make_truncation` grows all caps as
-one array until each tail is below tol/(k_top + 1) and hands them to
-`TruncationSpec(table, model, caps)`, which checks them (the model's box
-is the table's, mu <= eps(0), the DP length) and computes their tails and
-the sum `tail_budget`, which certifies the truncation, itself: no tail
-can be passed in.  Every function past it reads the model from the spec,
-so an expectation or a check runs only at the (beta, mu) its certificate
-covers, and a precomputed `ConstrainedZ` carries the spec it was built
-for.  All sums run in log space.
+    tau_N = (N+2)^D e^{-beta s (N+1)} prod_{k>=2} (1 - x_k) / (1 - x_k e^{beta s}).
 
-Observables are products of univariate polynomial factors in distinct
-mode numbers, optionally times a polynomial in Ntil (the coupling makes
-Ntil a function of the DP index, so it costs nothing extra).
+The coupling G[n] = e^{-beta lam n^2/(2L)} does not increase with n and
+cannot raise that share: the difference of the two shares times both
+totals is sum_{m>N} sum_n (m+1)^D W[m] W[n] (G[n] - G[m]), where a term
+with n <= N is >= 0 and the terms (m, n), (n, m) above N add to W[m] W[n]
+((m+1)^D - (n+1)^D) (G[n] - G[m]) >= 0.  So for 0 <= f <= (Ntil+1)^D,
+|<f> - <f>_N| <= tau_N max(1, <f>_N).  D = _WINDOW_DEGREE = 4 covers
+Ntil N_k^3 of the moment inequality, the largest degree a check reaches.
 
-The four equilibrium checks (the exchange identity, the wall-mode
-occupation law, the occupation-moment inequality and the occupation
-bound) each return their two sides (lhs, rhs) and reject powers beyond
-the degree `_ENVELOPE_DEGREE` the tails certify.  `_CHECKS` maps each
-name to its sides function and the relation (==, >=, <=) it tests;
-`run_check` calls it with the spec and the check's own keyword arguments,
-echoes them and decides pass within the relevant tail budget.
+`make_truncation` picks the wall caps and the smallest window whose
+tails (`TruncationSpec` computes them) are at most tol/3 each.
+Observables are products of polynomial factors in distinct modes, times
+an optional polynomial in Ntil.  `_CHECKS` maps each check to its sides
+(lhs, rhs) and the relation `run_check` tests within the tail budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -69,14 +59,21 @@ import numpy as np
 from .errors import NumericalFailure, ValidationError
 from .spectrum import BoxParams, SpectrumTable
 
-_MAX_DP_LEN = 2_000_000
 _MAX_MODE_CAP = 5_000_000  # wall-mode sums materialize arange(cap + 1)
-_ENVELOPE_DEGREE = 3  # the per-mode polynomial degree TruncationSpec's tails cover
+_ENVELOPE_DEGREE = 3  # the per-mode polynomial degree the wall tails cover
+_WINDOW_DEGREE = 4  # the total k >= 2 degree D the window tail covers
+# (N + len(_CHERNOFF_R)) (N + K) cells bound the work of a window N over K
+# modes k >= 2; at the limit a window took ~1 s (2-core VM, numpy 2.4)
+_MAX_WINDOW_CELLS = 100_000_000
+_BLOCK_CELLS = 1 << 18  # exponentials materialized at once
+# s for tau_N: beta (eps_2 - mu - s) = beta (eps_2 - mu) r on three points
+# per octave; measured against the best s, the grid lost at most 4 % of tau_N
+_CHERNOFF_R = 2.0 ** (-np.arange(1, 73) / 3.0)
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # e^c overflows a float beyond it
 
 
 class CapOverflow(ValidationError):
-    """Total occupation-cap budget exceeds the configured maximum."""
+    """A wall cap or the k >= 2 window exceeds its configured maximum."""
 
 
 class UnknownMode(ValidationError):
@@ -137,9 +134,9 @@ class DiagonalObservable:
     """Product of univariate polynomial factors in distinct mode numbers,
     optionally times a polynomial in Ntil = sum_{k>=2} N_k.
 
-    Factors must be nonnegative on the admissible occupation range (all
-    built-in factors N^n and (N+1)^n are); negative values are rejected
-    at evaluation time so the log-space sums stay sign-free.
+    Factors must be nonnegative on the occupation range, and those of
+    modes k >= 2 nondecreasing on the window (all built-in factors N^n
+    and (N+1)^n are); `grand_expectation` rejects others.
     """
 
     factors: tuple[tuple[int, tuple[float, ...]], ...] = ()
@@ -168,33 +165,29 @@ class DiagonalObservable:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Spectrum prefix, the model, per-mode occupation caps, and the
-    certified tail the spec computes from them.  The table and the model
-    must describe the same box, with mu <= eps(0) (at mu = eps(0) the
-    wall-mode tails are inf but cancel out of k >= 2 sector ratios), and
-    the k >= 2 caps may total at most _MAX_DP_LEN - 1 (CapOverflow).
+    """Spectrum prefix, the model, the two wall-mode occupation caps, the
+    k >= 2 window N and the tails computed from them, for one box with
+    mu <= eps(0) (there the wall tails are inf but cancel out of k >= 2
+    sector ratios).
 
-    `per_mode_tail[k]` bounds the effect of capping mode k at M = caps[k]
-    on any reported expectation: the neglected geometric weight inflated
-    by a moment envelope of degree d = _ENVELOPE_DEGREE = 3,
+    `per_mode_tail[k]` bounds the effect of capping wall mode k at
+    M = caps[k]: the neglected geometric weight under a moment envelope of
+    the degree d = _ENVELOPE_DEGREE = 3 that `exchange_identity_sides`
+    allows per mode,
 
         t_k = d! (M + 2)^d x^(M+1) / (1 - x)^d,   x = e^{-beta (eps_k - mu)},
 
-    using sum_{n > M} (n+1)^d x^n <= d! (M+2)^d x^(M+1)/(1-x)^(d+1) on the
-    normalized weights (1 - x) x^n.  d is the highest per-mode polynomial
-    degree the built-in checks report (`exchange_identity_sides` and
-    `check_moment_log_inequality` reject higher powers).
-    `tail_budget` is the sum over modes.  Hand-built observables of
-    per-mode degree > 3 can exceed the envelope.  Expectations that
-    provably do not involve a mode (wall modes cancel out of k >= 2
-    sector ratios and vice versa) may use `relevant_budget` instead of
-    the global sum.
+    from sum_{n > M} (n+1)^d x^n <= d! (M+2)^d x^(M+1)/(1-x)^(d+1).
+    `window_tail` is tau_N (module docstring) at the best s of
+    `_chernoff_grid`, and `tail_budget` the sum of all three.
     """
 
     table: SpectrumTable
     model: ModelParams
     caps: tuple[int, ...]
+    window: int
     per_mode_tail: tuple[float, ...] = field(init=False)
+    window_tail: float = field(init=False)
     tail_budget: float = field(init=False)
 
     def __post_init__(self):
@@ -203,31 +196,34 @@ class TruncationSpec:
             raise ValidationError("truncation table and model box must match")
         if self.model.mu > eps[0]:
             raise ValidationError(f"mu must satisfy mu <= eps(0) = {eps[0]}, got {self.model.mu}")
-        if len(self.caps) != len(eps):
-            raise ValidationError("need exactly one cap per tabulated mode")
-        if len(self.caps) < 2:
+        if len(eps) < 2:
             raise ValidationError("truncation must include both wall modes (k = 0, 1)")
-        if not isinstance(self.caps, tuple) or any(
+        if not isinstance(self.caps, tuple) or len(self.caps) != 2 or any(
                 (not isinstance(c, int)) or c < 1 for c in self.caps):
-            raise ValidationError("caps must be a tuple of integers >= 1")
-        if sum(self.caps[2:]) + 1 > _MAX_DP_LEN:
+            raise ValidationError("caps must be a tuple of two integers >= 1, one per wall mode")
+        if not isinstance(self.window, int) or self.window < 0:
+            raise ValidationError(f"window must be an integer >= 0, got {self.window!r}")
+        if self.window > _max_window(self.model, len(eps) - 2):
             raise CapOverflow(
-                f"k>=2 cap total {sum(self.caps[2:])} exceeds max DP length {_MAX_DP_LEN}")
-        tails = tuple(_moment_tails(_log_ratios(eps, self.model), self.caps).tolist())
+                f"window {self.window} over {len(eps) - 2} modes k >= 2 exceeds "
+                f"{_MAX_WINDOW_CELLS} cells (beta = {self.model.beta:g}, mu = {self.model.mu:g})")
+        logx = _log_ratios(eps, self.model)
+        tails = tuple(_moment_tails(logx[:2], self.caps).tolist())
+        window_tail = math.exp(_log_tail_share(*_chernoff_grid(logx), self.window))
         object.__setattr__(self, "per_mode_tail", tails)
-        object.__setattr__(self, "tail_budget", math.fsum(tails))
+        object.__setattr__(self, "window_tail", window_tail)
+        object.__setattr__(self, "tail_budget", math.fsum(tails + (window_tail,)))
 
     @property
     def k_top(self) -> int:
-        return len(self.caps) - 1
+        return len(self.table.epsilons) - 1
 
     def relevant_budget(self, involved_modes) -> float:
-        """Tail budget for a check touching `involved_modes`: tails of the
-        involved wall modes plus, if any mode k >= 2 is involved, the whole
-        k >= 2 sector (its normalization couples all excited caps)."""
+        """Tails of the involved wall modes, plus the window tail if any
+        involved mode is k >= 2."""
         budget = sum(self.per_mode_tail[k] for k in involved_modes if k < 2)
         if any(k >= 2 for k in involved_modes):
-            budget += sum(self.per_mode_tail[2:])
+            budget += self.window_tail
         return budget
 
 
@@ -253,27 +249,77 @@ def _moment_tails(logx: np.ndarray, caps) -> np.ndarray:
     return np.where(logx < 0.0, tails, np.inf)
 
 
-def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12) -> TruncationSpec:
-    """Choose per-mode caps so every per-mode tail is <= tol/(k_top + 1) and
-    certify them as a `TruncationSpec`.
+def _row_blocks(rows: int, cols: int):
+    """Slices of `rows` whose blocks of rows x cols hold <= _BLOCK_CELLS entries."""
+    step = max(1, _BLOCK_CELLS // max(1, cols))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
-    Each cap M starts at its weight-only estimate x^(M+1) <= target and,
-    all modes as one array, grows by 1 + M // 8 while its tail exceeds the
-    target.  The estimate needs every ratio x < 1, so mu < eps(0); a cap
-    above _MAX_MODE_CAP raises CapOverflow.
+
+def _chernoff_grid(logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, g) with t = beta s on the grid `_CHERNOFF_R` and g = log
+    prod_{k>=2} (1 - x_k)/(1 - x_k e^t), from log x_k of all modes: with
+    r = beta (eps_2 - mu) - t, each factor is 1 + (1 - e^{-t}) /
+    (e^{r + beta (eps_k - eps_2)} - 1).  t = inf without modes k >= 2."""
+    a = -logx[2:]
+    if a.size == 0:
+        return np.array([np.inf]), np.zeros(1)
+    r = a[0] * _CHERNOFF_R
+    t = a[0] - r
+    g = np.empty(len(r))
+    for rows in _row_blocks(len(r), len(a)):
+        with np.errstate(over="ignore"):  # e^{r + d_k} = inf: the factor is 1
+            occ = 1.0 / np.expm1(r[rows, None] + (a - a[0]))
+        g[rows] = np.log1p(-np.expm1(-t[rows, None]) * occ).sum(axis=1)
+    return t, g
+
+
+def _log_tail_share(t: np.ndarray, g: np.ndarray, window: int) -> float:
+    """log tau_window at the best grid point (t, g) with t (window + 2) >= D;
+    inf where none qualifies."""
+    ok = t * (window + 2) >= _WINDOW_DEGREE
+    if not ok.any():
+        return math.inf
+    with np.errstate(over="ignore"):  # t (window + 1) = inf: the share is 0
+        phi = _WINDOW_DEGREE * math.log(window + 2) - t[ok] * (window + 1) + g[ok]
+    return float(phi.min())
+
+
+def _max_window(model: ModelParams, modes: int) -> int:
+    """Largest N with (N + len(_CHERNOFF_R)) (N + modes) <= _MAX_WINDOW_CELLS."""
+    g = len(_CHERNOFF_R)
+    n = (math.isqrt((modes - g) ** 2 + 4 * _MAX_WINDOW_CELLS) - g - modes) // 2
+    if n < 0:
+        raise CapOverflow(
+            f"{modes} modes k >= 2 exceed the window limit of {_MAX_WINDOW_CELLS} cells "
+            f"(beta = {model.beta:g}, mu = {model.mu:g})")
+    return n
+
+
+def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12) -> TruncationSpec:
+    """Choose the two wall caps and the k >= 2 window so that each of the
+    three tails is <= tol/3, and certify them as a `TruncationSpec`.
+
+    Each wall cap M starts at its weight-only estimate x^(M+1) <= tol/3
+    and, both as one array, grows by 1 + M // 8 while its tail exceeds
+    the target.  The window is the smallest N whose tail is within the
+    target, by bisection (the tail does not increase with N).  A cap above
+    _MAX_MODE_CAP or a window above `_max_window` raises CapOverflow.
+    Needs mu < eps(0).
     """
     eps = table.epsilons
     if model.mu >= eps[0]:
         raise ValidationError(f"mu must satisfy mu < eps(0) = {eps[0]}, got {model.mu}")
     if not (0.0 < tol < 1.0):
         raise ValidationError("tol must be in (0, 1)")
-    target = tol / len(eps)
+    target = tol / 3.0
     logx = _log_ratios(eps, model)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = (math.log(target) + np.log(-np.expm1(logx))) / logx - 1.0
+    wall = logx[:2]
+    # an estimate beyond the float range is inf and ends in the CapOverflow below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        need = (math.log(target) + np.log(-np.expm1(wall))) / wall - 1.0
     caps = np.maximum(1.0, np.ceil(need - 1e-9))
     while (fits := caps <= _MAX_MODE_CAP).all():
-        grow = _moment_tails(logx, caps) > target
+        grow = _moment_tails(wall, caps) > target
         if not grow.any():
             break
         caps[grow] += 1 + caps[grow] // 8
@@ -281,8 +327,16 @@ def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12
         k = int(np.argmin(fits))
         raise CapOverflow(
             f"mode {k} needs a cap above {_MAX_MODE_CAP} to certify tol {tol:.1e}: beta "
-            f"(eps_k - mu) = {-logx[k]:.3g} too small (beta = {model.beta:g}, mu = {model.mu:g})")
-    spec = TruncationSpec(table, model, tuple(int(c) for c in caps))
+            f"(eps_k - mu) = {-wall[k]:.3g} too small (beta = {model.beta:g}, mu = {model.mu:g})")
+    n_max = _max_window(model, len(eps) - 2)
+    t, g = _chernoff_grid(logx)
+    window = bisect.bisect_left(range(n_max + 1), True,
+                                key=lambda n: _log_tail_share(t, g, n) <= math.log(target))
+    if window > n_max:
+        raise CapOverflow(
+            f"the k >= 2 window needs more than {n_max} particles over {len(eps) - 2} "
+            f"modes to certify tol {tol:.1e} (beta = {model.beta:g}, mu = {model.mu:g})")
+    spec = TruncationSpec(table, model, tuple(int(c) for c in caps), window)
     if spec.tail_budget > tol:
         raise NumericalFailure("computed tail budget exceeds the requested tolerance")
     return spec
@@ -292,67 +346,12 @@ def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12
 # constrained partition sums
 # ----------------------------------------------------------------------
 
-# Stored suffix vectors of one ConstrainedZ may total at most this many
-# times len(log_z) entries; the suffix spacing is the smallest that fits.
-_SUFFIX_MEMORY = 2
-
-
 @dataclass(frozen=True, eq=False)
 class ConstrainedZ:
-    """log z[ntil] for the k >= 2 sector of `spec` (no mu, no coupling:
-    pure exp(-beta sum eps_k n_k) summed at fixed ntil).  z[0] = 1.
-
-    `suffixes[k]` is the same sum over modes k..k_top only, kept at
-    k = 2 + r, 2 + 2r, ... with r from `_suffix_spacing`, and at k_top + 1
-    (the empty product), so an expectation with factors in low modes
-    restarts from the nearest one above them instead of from k_top.
-    """
+    """log z[n], n = 0..spec.window, of the k >= 2 sector of `spec`."""
 
     spec: TruncationSpec
     log_z: np.ndarray
-    suffixes: dict = field(default_factory=dict)
-
-
-def _log_conv(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Log-space linear convolution; loops over the shorter operand and
-    accumulates in place, so it needs no (len(lb) x n) stack."""
-    if len(lb) > len(la):
-        la, lb = lb, la
-    out = np.full(len(la) + len(lb) - 1, -np.inf)
-    for j, lb_j in enumerate(lb):
-        seg = out[j : j + len(la)]
-        np.logaddexp(seg, lb_j + la, out=seg)
-    return out
-
-
-def _log_geometric_conv(la: np.ndarray, logx: float, cap: int) -> np.ndarray:
-    """`la` convolved with the geometric log-vector n * logx, n = 0..cap.
-
-    The window sums G_w[n] = log sum_{j<w} exp(j logx + la[n-j]), of
-    length len(la) + w - 1, double as G_2w[n] = logaddexp(G_w[n], w logx
-    + G_w[n-w]) and grow by one as G_{w+1}[n] = logaddexp(la[n], logx +
-    G_w[n-1]).  Walking the binary digits of cap + 1 from the top reaches
-    G_{cap+1} in at most 2 log2(cap + 1) length-n logaddexp calls; every
-    term is positive, so nothing cancels.
-    """
-    m = len(la)
-    g, w = la, 1
-    for bit in bin(cap + 1)[3:]:
-        n = len(g)  # n = m + w - 1 >= w
-        moved = w * logx + g
-        out = np.empty(n + w)
-        out[:w] = g[:w]
-        np.logaddexp(g[w:], moved[: n - w], out=out[w:n])
-        out[n:] = moved[n - w :]
-        g, w = out, 2 * w
-        if bit == "1":
-            moved = logx + g
-            out = np.empty(len(g) + 1)
-            out[0] = la[0]
-            np.logaddexp(la[1:], moved[: m - 1], out=out[1:m])
-            out[m:] = moved[m - 1 :]
-            g, w = out, w + 1
-    return g
 
 
 def _poly_on_range(coeffs, n: np.ndarray) -> np.ndarray:
@@ -383,45 +382,36 @@ def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
     return top + math.log(terms.sum())
 
 
-def _suffix_spacing(caps) -> int:
-    """Smallest r such that the suffixes at k = 2 + r, 2 + 2r, ... <= k_top
-    total at most _SUFFIX_MEMORY * len(log_z) entries."""
-    lengths = np.cumsum([1] + list(caps[:1:-1]))[::-1]  # len(S_k) at k = 2..k_top+1
-    budget = _SUFFIX_MEMORY * lengths[0]
-    r = 1
-    while lengths[r:-1:r].sum() > budget:
-        r += 1
-    return r
-
-
-def _convolve_modes(log_z, spec, modes, factored):
-    """Convolve `log_z` with the weight vector of each mode in `modes`:
-    geometric unless `factored` gives the mode a polynomial factor."""
-    eps = spec.table.epsilons
-    for k in modes:
-        logx = -spec.model.beta * eps[k]
-        if k in factored:
-            n = np.arange(spec.caps[k] + 1)
-            with np.errstate(divide="ignore"):
-                logv = logx * n + np.log(_poly_on_range(factored[k], n))
-            log_z = _log_conv(log_z, logv)
-        else:
-            log_z = _log_geometric_conv(log_z, logx, spec.caps[k])
-    return log_z
+def _log_power_sums(beta_eps: np.ndarray, n: int) -> np.ndarray:
+    """log p_m = log sum_k e^{-m beta eps_k}, m = 1..n, shifted by the
+    smallest (first) beta eps_k."""
+    m = np.arange(1, n + 1, dtype=float)
+    if beta_eps.size == 0:
+        return np.full(n, -np.inf)
+    gaps = beta_eps - beta_eps[0]
+    out = np.empty(n)
+    for rows in _row_blocks(n, len(gaps)):
+        out[rows] = np.log(np.exp(-m[rows, None] * gaps).sum(axis=1))
+    return out - m * beta_eps[0]
 
 
 def constrained_partition(spec: TruncationSpec) -> ConstrainedZ:
-    """z[ntil] by convolving the per-mode geometric weight vectors, from
-    k_top down to 2, keeping every `_suffix_spacing`-th partial result."""
-    r = _suffix_spacing(spec.caps)
-    eps = spec.table.epsilons
-    log_z = np.zeros(1)
-    suffixes = {spec.k_top + 1: log_z}
-    for k in range(spec.k_top, 1, -1):
-        log_z = _log_geometric_conv(log_z, -spec.model.beta * eps[k], spec.caps[k])
-        if k > 2 and (k - 2) % r == 0:
-            suffixes[k] = log_z
-    return ConstrainedZ(spec=spec, log_z=log_z, suffixes=suffixes)
+    """z[n] for n = 0..spec.window by the power-sum recursion, in log space."""
+    log_p = _log_power_sums(spec.model.beta * spec.table.epsilons[2:], spec.window)
+    log_z = np.zeros(spec.window + 1)
+    for n in range(1, spec.window + 1):
+        log_z[n] = _logsumexp(log_p[:n] + log_z[n - 1::-1]) - math.log(n)
+    return ConstrainedZ(spec=spec, log_z=log_z)
+
+
+def _log_window_conv(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """log sum_{a=0..n} exp(la[a] + lb[n-a]) for n < len(lb): a log-space
+    convolution cut at the window, one shift of lb per a."""
+    out = la[0] + lb
+    for a in range(1, len(lb)):
+        seg = out[a:]
+        np.logaddexp(seg, la[a] + lb[: len(lb) - a], out=seg)
+    return out
 
 
 def _wall_mode_ratio(spec: TruncationSpec, k: int, poly) -> float:
@@ -439,14 +429,14 @@ def grand_expectation(
     *,
     z: ConstrainedZ | None = None,
 ) -> float:
-    """Exact capped-space expectation of a diagonal observable at the model
-    of `spec`.
+    """Exact expectation of a diagonal observable at the model of `spec`,
+    on the capped wall modes and the k >= 2 window.
 
-    Wall-mode factors reduce to independent 1-D geometric sums; k >= 2
-    factors enter through a reweighted constrained partition sum, rebuilt
-    from the nearest stored suffix of `z` above the highest factored mode.
-    A precomputed `z` may be shared across calls on the spec it was built
-    for; one built for any other spec is a ValidationError.
+    Wall-mode factors are 1-D geometric sums; each k >= 2 factor is one
+    window convolution of z, so it must be nondecreasing and >= 0 on
+    0..N, and with the Ntil polynomial the k >= 2 degree must be at most
+    _WINDOW_DEGREE.  `z` may be shared across calls on the spec it was
+    built for; any of these violations is a ValidationError.
     """
     wall = 1.0
     factored = {}
@@ -457,26 +447,33 @@ def grand_expectation(
             wall *= _wall_mode_ratio(spec, k, poly)
         else:
             factored[k] = poly
+    degree = sum(len(poly) - 1 for poly in (*factored.values(), obs.ntilde_poly or (0.0,)))
+    if degree > _WINDOW_DEGREE:
+        raise ValidationError(
+            f"observable has total k >= 2 degree {degree}; the window tail certifies "
+            f"degree {_WINDOW_DEGREE} at most")
     if z is None:
         z = constrained_partition(spec)
     elif z.spec != spec:
         raise ValidationError("precomputed z was built for another truncation")
     if not factored and obs.ntilde_poly is None:
         return wall  # excited-sector ratio is exactly 1
-    ntil = np.arange(len(z.log_z), dtype=float)
+    ntil = np.arange(spec.window + 1, dtype=float)
     m = spec.model
     logG = m.beta * (m.mu * ntil - 0.5 * m.lam * ntil * ntil / m.box.L)
     log_den = _logsumexp(z.log_z + logG)
-    if factored:
-        start = min((k for k in z.suffixes if k > max(factored)), default=spec.k_top + 1)
-        log_z_mod = z.suffixes.get(start, np.zeros(1))
-        log_z_mod = _convolve_modes(log_z_mod, spec, range(start - 1, 1, -1), factored)
-    else:
-        log_z_mod = z.log_z
-    if obs.ntilde_poly is not None:
-        log_num = _logsumexp(log_z_mod + logG, _poly_on_range(obs.ntilde_poly, ntil))
-    else:
-        log_num = _logsumexp(log_z_mod + logG)
+    log_num = z.log_z
+    for k, poly in factored.items():
+        steps = np.diff(np.polynomial.polynomial.polyval(ntil, poly), prepend=0.0)
+        if np.any(steps < 0.0):
+            raise ValidationError(
+                f"the factor of mode {k} must be nondecreasing and >= 0 on the window "
+                f"0..{spec.window}")
+        with np.errstate(divide="ignore"):  # f(a) = f(a - 1) adds nothing
+            log_num = _log_window_conv(np.log(steps) - m.beta * spec.table.epsilons[k] * ntil,
+                                       log_num)
+    weights = None if obs.ntilde_poly is None else _poly_on_range(obs.ntilde_poly, ntil)
+    log_num = _logsumexp(log_num + logG, weights)
     if log_num == -np.inf:
         return 0.0
     return wall * math.exp(log_num - log_den)
@@ -571,12 +568,12 @@ def check_moment_log_inequality(k, n, spec):
 
     Returns (lhs, rhs); equality holds in the free gas at n arbitrary.  The
     rhs is 0 where omega(N_k^{n+1}) = 0 (x ln x -> 0); n must be in
-    [0, _ENVELOPE_DEGREE - 1].
+    [0, _WINDOW_DEGREE - 2].
     """
-    if not 0 <= n <= _ENVELOPE_DEGREE - 1:
+    if not 0 <= n <= _WINDOW_DEGREE - 2:
         raise ValidationError(
-            f"moment power must be in [0, {_ENVELOPE_DEGREE - 1}] (N_k^(n+1) within the "
-            f"per-mode degree the truncation tail certifies); got {n}"
+            f"moment power must be in [0, {_WINDOW_DEGREE - 2}] (Ntil N_k^(n+1) within the "
+            f"degree the window tail certifies); got {n}"
         )
     if k < 2:
         raise BadMode(f"moment inequality needs k >= 2, got {k}")
@@ -668,6 +665,7 @@ def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
         "lambda": model.lam,
         "k_top": spec.k_top,
         "caps_total": sum(spec.caps),
+        "window": spec.window,
         **kwargs,
     }
     try:

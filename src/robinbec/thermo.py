@@ -329,8 +329,9 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
         excited = _occ_free(levels, beta, x + lam * max(rho_tilde, 0.0))
         value = rho_tilde - float(excited.sum() / L)
         bx = beta * x
-        d_walls = float(walls @ ((1.0 + walls) * bx)) / L  # x d(rho_tilde)/dx
-        d_excited = float(excited @ ((1.0 + excited) * bx)) / L
+        # einsum, not @: a BLAS dot's last bits follow its thread count
+        d_walls = float(np.einsum("i,i->", walls, (1.0 + walls) * bx)) / L  # x d(rho_tilde)/dx
+        d_excited = float(np.einsum("i,i->", excited, (1.0 + excited) * bx)) / L
         if rho_tilde > 0.0 and d_excited > 0.0:  # 0 * inf at huge beta*lam
             d_excited *= 1.0 + lam * d_walls / x
         return value, d_walls + d_excited, walls, excited

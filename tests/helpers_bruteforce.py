@@ -22,14 +22,17 @@ def enum_constrained_z(eps_excited, beta, caps_excited):
     return [math.fsum(terms) for terms in out]
 
 
-def enum_expectation(eps, beta, mu, lam, L, caps, factors, ntilde_poly=None):
+def enum_expectation(eps, beta, mu, lam, L, caps, factors, ntilde_poly=None, window=None):
     """Expectation by full joint enumeration over ALL modes 0..K.
 
     `factors` maps mode index -> polynomial coefficients (low -> high).
+    With a `window`, only configurations with ntil <= window count.
     """
     num, den = [], []
     for cfg in itertools.product(*(range(c + 1) for c in caps)):
         ntil = sum(cfg[2:])
+        if window is not None and ntil > window:
+            continue
         energy = sum(e * n for e, n in zip(eps, cfg)) + 0.5 * lam * ntil * ntil / L
         w = math.exp(-beta * (energy - mu * sum(cfg)))
         f = 1.0
@@ -42,11 +45,11 @@ def enum_expectation(eps, beta, mu, lam, L, caps, factors, ntilde_poly=None):
     return math.fsum(num) / math.fsum(den)
 
 
-def enum_expectation_split(eps, beta, mu, lam, L, caps, factors, ntilde_poly=None):
+def enum_expectation_split(eps, beta, mu, lam, L, caps, factors, ntilde_poly=None, window=None):
     """Expectation with the wall modes summed as independent 1-D series
-    and the k >= 2 modes enumerated jointly.  Valid because the coupling
-    term involves only ntil; lets tests reach wall caps far beyond what
-    full joint enumeration could."""
+    and the k >= 2 modes enumerated jointly (only ntil <= window with a
+    `window`).  Valid because the coupling term involves only ntil; lets
+    tests reach wall caps far beyond what full joint enumeration could."""
     wall = 1.0
     for k in (0, 1):
         terms_n, terms_d = [], []
@@ -59,6 +62,8 @@ def enum_expectation_split(eps, beta, mu, lam, L, caps, factors, ntilde_poly=Non
     num, den = [], []
     for cfg in itertools.product(*(range(c + 1) for c in caps[2:])):
         ntil = sum(cfg)
+        if window is not None and ntil > window:
+            continue
         energy = sum(e * n for e, n in zip(eps[2:], cfg)) + 0.5 * lam * ntil * ntil / L
         w = math.exp(-beta * (energy - mu * ntil))
         f = 1.0

@@ -1,7 +1,7 @@
-"""Per-mode reference for the Gibbs-oracle cap search.
+"""Per-mode reference for the Gibbs-oracle wall-cap search.
 
-`make_truncation` grows all caps as one numpy array.  This module keeps
-the earlier scalar search as an independent check: for each mode on its
+`make_truncation` grows both wall caps as one numpy array.  This module
+keeps the scalar search as an independent check: for each mode on its
 own, the weight-only estimate x^(M+1) <= target and then growth by
 1 + M // 8 while the cubic moment tail 6 (M + 2)^3 x^(M+1) / (1 - x)^3
 exceeds the target, all in `math` scalars.
@@ -18,10 +18,9 @@ def moment_tail(logx, cap):
     return 6.0 * (cap + 2.0) ** 3 * math.exp((cap + 1) * logx) / one_minus_x**3
 
 
-def per_mode_caps(epsilons, beta, mu, tol):
-    """The cap of every mode for tails <= tol / len(epsilons), or None for
-    a mode whose search needs a cap above 5,000,000."""
-    target = tol / len(epsilons)
+def per_mode_caps(epsilons, beta, mu, target):
+    """The cap of every mode for tails <= target, or None for a mode whose
+    search needs a cap above 5,000,000."""
     caps = []
     for eps_k in epsilons:
         logx = -beta * (float(eps_k) - mu)

@@ -121,12 +121,15 @@ def test_criterion_3_oracle_exactness():
         mu = float(table.epsilons[0] - rng.uniform(0.05, 1.5))
         lam = float(rng.uniform(0.0, 2.0))
         model = ModelParams(box=table.params, beta=beta, mu=mu, lam=lam)
-        caps = tuple(int(c) for c in rng.integers(1, 5, size=k_top + 1))  # caps <= 4
-        spec = TruncationSpec(table, model, caps)
-        # constrained sums against full enumeration
+        window = int(rng.integers(1, 5))  # window <= 4
+        caps = tuple(int(c) for c in rng.integers(1, 5, size=2))  # wall caps <= 4
+        spec = TruncationSpec(table, model, caps, window)
+        # window sums against full enumeration: every mode capped at the
+        # window holds every configuration with ntil <= window
         z = np.exp(constrained_partition(spec).log_z)
-        ref_z = enum_constrained_z(list(table.epsilons[2:]), beta, list(caps[2:]))
-        rel_z = float(np.max(np.abs(z - np.asarray(ref_z)) / np.asarray(ref_z)))
+        ref_z = enum_constrained_z(list(table.epsilons[2:]), beta, [window] * (k_top - 1))
+        ref_z = np.asarray(ref_z[: window + 1])
+        rel_z = float(np.max(np.abs(z - ref_z) / ref_z))
         worst = max(worst, rel_z)
         assert rel_z <= 1e-12
         # one random diagonal observable against full joint enumeration
@@ -141,14 +144,15 @@ def test_criterion_3_oracle_exactness():
         )
         val = grand_expectation(obs, spec)
         ref = enum_expectation(list(table.epsilons), beta, mu, lam, L,
-                               list(caps), factors, ntilde_poly=obs.ntilde_poly)
+                               list(caps) + [window] * (k_top - 1), factors,
+                               ntilde_poly=obs.ntilde_poly, window=window)
         rel = abs(val - ref) / abs(ref)
         worst = max(worst, rel)
         assert rel <= 1e-12
     elapsed = time.perf_counter() - t0
     _announce(3, elapsed < 30.0,
-              f"{n_instances} random instances (K <= 5, caps <= 4): DP and "
-              f"expectations match enumeration, worst rel dev {worst:.2e} <= 1e-12 "
+              f"{n_instances} random instances (K <= 5, window and wall caps <= 4): "
+              f"window sums and expectations match enumeration, worst rel dev {worst:.2e} <= 1e-12 "
               f"({elapsed:.2f}s < 30s)")
 
 
@@ -210,7 +214,8 @@ def test_criterion_5_inequality_grid_and_saturation():
                 n_points += 1
     # free-limit saturation: lam = 0, mu = eps(0) makes the bound an equality
     model0 = ModelParams(box=table.params, beta=1.0, mu=float(eps[0]), lam=0.0)
-    spec0 = TruncationSpec(table, model0, (5, 5, 160, 110, 80, 60, 50))
+    spec0 = TruncationSpec(table, model0, (5, 5), 120)
+    assert spec0.window_tail <= 1e-11
     max_sat = 0.0
     for k in (2, 3, 4):
         occ = grand_expectation(DiagonalObservable.mode_number(k), spec0)

@@ -368,6 +368,13 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # a fit report on the sweep CSV's own path: exit 0 with the CSV lost
     (["sweep", "--sigma=-1", "--L-grid", "50:100:geometric:5", "--out", "{tmp}/a.csv",
       "--fit-out", "{tmp}/./a.csv"], "names the --out file"),
+    # beta (eps_2 - mu) ~ 2e-3: the wall caps fit, the k >= 2 window does not
+    (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e-3", "--out", "{tmp}/o"],
+     "window needs more than 9961 particles over 5 modes to certify tol 1.0e-12 "
+     "(beta = 0.001, mu = -1.5)"),
+    # beta (eps_0 - mu) ~ 5e-321: the cap estimate overflowed with a RuntimeWarning
+    (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e-320", "--out", "{tmp}/o"],
+     "mode 0 needs a cap above 5000000"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
@@ -485,6 +492,9 @@ def test_writability_check_keeps_an_existing_file(tmp_path):
       "--lambda", "0.5", "--k-top", "8", "--j", "0", "--target", "1:8"], "target powers"),
     (["oracle", "--check", "moment-inequality", "--sigma", "-1", "--L", "10",
       "--mu", "-1.5", "--mode", "3", "--power", "3"], "moment power"),
+    # N_2 (N_3 + 1)^2 N_4^2 has total k >= 2 degree 5, above the window's 4
+    (["oracle", "--check", "exchange", "--sigma", "-1", "--L", "10", "--mu", "-1.5",
+      "--j", "2", "--target", "3:2", "--target", "4:2"], "certifies degree 4 at most"),
 ])
 def test_oracle_power_beyond_certified_degree_is_validation_error(tmp_path, capsys, argv,
                                                                   needle):

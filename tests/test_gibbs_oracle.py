@@ -1,6 +1,6 @@
 import math
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +12,6 @@ from robinbec.errors import ValidationError
 from robinbec.gibbs_oracle import (
     BadMode,
     CapOverflow,
-    ConstrainedZ,
     DiagonalObservable,
     IndexClash,
     ModelParams,
@@ -31,16 +30,18 @@ from robinbec.gibbs_oracle import (
     shifted_number_poly,
 )
 from robinbec.spectrum import BoxParams, build_spectrum
+from robinbec.thermo import suggest_k_max
 
 
-def _setup(sigma=-1.0, L=10.0, beta=1.0, mu=-1.5, lam=1.0, k_top=5, caps=None, tol=1e-12):
+def _setup(sigma=-1.0, L=10.0, beta=1.0, mu=-1.5, lam=1.0, k_top=5, caps=None, window=None,
+           tol=1e-12):
     box = BoxParams(sigma=sigma, L=L)
     table = build_spectrum(box, k_top)
     model = ModelParams(box=box, beta=beta, mu=mu, lam=lam)
     if caps is None:
         spec = make_truncation(table, model, tol=tol)
     else:
-        spec = TruncationSpec(table, model, caps)
+        spec = TruncationSpec(table, model, caps, window)
     return table, model, spec
 
 
@@ -49,28 +50,33 @@ def bose(x):
 
 
 # ----------------------------------------------------------------------
-# constrained partition sums
+# constrained partition sums on the window
 # ----------------------------------------------------------------------
 
 def test_single_mode_geometric():
-    table, model, spec = _setup(k_top=2, caps=(3, 3, 2))
+    table, model, spec = _setup(k_top=2, caps=(3, 3), window=2)
     w = math.exp(-model.beta * table.epsilons[2])
     z = np.exp(constrained_partition(spec).log_z)
     assert np.allclose(z, [1.0, w, w * w], rtol=1e-14)
 
 
 def test_two_modes_caps_one_by_hand():
-    table, model, spec = _setup(k_top=3, caps=(3, 3, 1, 1))
-    wa = math.exp(-model.beta * table.epsilons[2])
-    wb = math.exp(-model.beta * table.epsilons[3])
-    z = np.exp(constrained_partition(spec).log_z)
-    assert np.allclose(z, [1.0, wa + wb, wa * wb], rtol=1e-14)
+    # window 1 holds the sums of the caps-one space; window 2 adds the
+    # three ways to place two particles
+    for window in (1, 2):
+        table, model, spec = _setup(k_top=3, caps=(3, 3), window=window)
+        wa = math.exp(-model.beta * table.epsilons[2])
+        wb = math.exp(-model.beta * table.epsilons[3])
+        z = np.exp(constrained_partition(spec).log_z)
+        assert np.allclose(z, [1.0, wa + wb, wa * wa + wa * wb + wb * wb][: window + 1],
+                           rtol=1e-14)
 
 
 def test_dp_matches_enumeration_k4_caps3():
-    table, model, spec = _setup(k_top=5, caps=(2, 2, 3, 3, 3, 3))
+    # every mode capped at N holds every configuration with ntil <= N
+    table, model, spec = _setup(k_top=5, caps=(2, 2), window=3)
     z = np.exp(constrained_partition(spec).log_z)
-    ref = enum_constrained_z(list(table.epsilons[2:]), model.beta, [3, 3, 3, 3])
+    ref = enum_constrained_z(list(table.epsilons[2:]), model.beta, [3] * 4)[:4]
     assert np.allclose(z, ref, rtol=1e-13)
 
 
@@ -81,26 +87,52 @@ def test_dp_matches_enumeration_randomized():
         L = float(rng.uniform(5.0, 20.0))
         beta = float(rng.uniform(0.3, 2.0))
         k_top = int(rng.integers(2, 6))
-        caps = tuple(int(c) for c in rng.integers(1, 5, size=k_top + 1))
+        window = int(rng.integers(1, 5))
         table = build_spectrum(BoxParams(sigma, L), k_top)
         mu = float(table.epsilons[0] - rng.uniform(0.05, 1.5))
         model = ModelParams(box=table.params, beta=beta, mu=mu, lam=float(rng.uniform(0.0, 2.0)))
-        spec = TruncationSpec(table, model, caps)
+        spec = TruncationSpec(table, model, (2, 2), window)
         z = np.exp(constrained_partition(spec).log_z)
-        ref = enum_constrained_z(list(table.epsilons[2:]), beta, list(caps[2:]))
-        assert np.allclose(z, ref, rtol=1e-13)
+        ref = enum_constrained_z(list(table.epsilons[2:]), beta, [window] * (k_top - 1))
+        assert np.allclose(z, ref[: window + 1], rtol=1e-13)
+
+
+def _mp_log_z(beta_eps, window):
+    """log z[0..window] by the power-sum recursion in 40-digit mpmath."""
+    mpmath.mp.dps = 40
+    ys = [mpmath.exp(-mpmath.mpf(float(b))) for b in beta_eps]
+    powers, p = [mpmath.mpf(1)] * len(ys), [None]
+    for _ in range(window):
+        powers = [q * y for q, y in zip(powers, ys)]
+        p.append(mpmath.fsum(powers))
+    z = [mpmath.mpf(1)]
+    for n in range(1, window + 1):
+        z.append(mpmath.fsum(p[m] * z[n - m] for m in range(1, n + 1)) / n)
+    return [mpmath.log(v) for v in z]
+
+
+def test_recursion_matches_mpmath_at_window_90():
+    # 384 modes at L = 200; the float recursion's error grows with the
+    # window (6.8e-14 here; 5.5e-13 at N = 225, 2.0e-12 at N = 662)
+    box = BoxParams(-1.0, 200.0)
+    table = build_spectrum(box, suggest_k_max(box, 1.0, 1e-12))
+    spec = TruncationSpec(table, ModelParams(box, 1.0, float(table.epsilons[0]), 0.0), (5, 5), 90)
+    got = constrained_partition(spec).log_z
+    ref = _mp_log_z(table.epsilons[2:], 90)
+    rel = max(abs(float(mpmath.expm1(mpmath.mpf(float(a)) - b))) for a, b in zip(got, ref))
+    assert rel <= 2e-13
 
 
 def test_cap_overflow():
-    table, model, _ = _setup(k_top=3, caps=(2, 2, 2, 2))
-    with pytest.raises(CapOverflow):
-        TruncationSpec(table, model, (2, 2, 1_000_000, 1_000_000))
+    table, model, _ = _setup(k_top=3, caps=(2, 2), window=2)
+    with pytest.raises(CapOverflow, match=r"\(beta = 1, mu = -1.5\)"):
+        TruncationSpec(table, model, (2, 2), 1_000_000)
 
 
 def test_cap_overflow_near_ground_state():
     # mu a hair below eps(0) would need astronomically large wall caps;
     # must fail loudly instead of allocating them
-    table, _, _ = _setup(k_top=3, caps=(2, 2, 2, 2))
+    table, _, _ = _setup(k_top=3, caps=(2, 2), window=2)
     model = ModelParams(box=table.params, beta=1.0,
                         mu=float(table.epsilons[0]) - 1e-12, lam=1.0)
     with pytest.raises(CapOverflow):
@@ -108,13 +140,14 @@ def test_cap_overflow_near_ground_state():
 
 
 def test_cap_search_matches_per_mode_reference():
-    # the array cap search against the scalar per-mode search it replaced,
-    # on random boxes that include CapOverflow cases.  numpy's exp, expm1
-    # and pow may differ from libm's in the last bit, so a tail within a
-    # few ulp of the target may stop one search a step before the other;
-    # there both caps must still certify
+    # the array wall-cap search against the scalar per-mode search, on
+    # random boxes that include CapOverflow cases.  numpy's exp, expm1 and
+    # pow may differ from libm's in the last bit, so a tail within a few
+    # ulp of the target may stop one search a step before the other; there
+    # both caps must still certify.  The window is the smallest the tail
+    # certifies, unless it is beyond the window limit
     rng = np.random.default_rng(8)
-    compared = overflows = near = 0
+    compared = overflows = near = too_wide = 0
     for _ in range(1450):
         s = float(rng.uniform(0.3, 3.0))
         L = (2.0 + 10 ** rng.uniform(-2.0, 2.5)) / s
@@ -122,38 +155,47 @@ def test_cap_search_matches_per_mode_reference():
         beta, tol = float(10 ** rng.uniform(-1.5, 1.5)), float(10 ** rng.uniform(-15, -3))
         mu = float(table.epsilons[0] - 10 ** rng.uniform(-7.0, 1.5))
         model = ModelParams(box=table.params, beta=beta, mu=mu, lam=1.0)
-        ref = per_mode_caps(table.epsilons, beta, mu, tol)
-        if None in ref or sum(ref[2:]) + 1 > 2_000_000:
+        target = tol / 3.0
+        ref = per_mode_caps(table.epsilons[:2], beta, mu, target)
+        if None in ref:
             overflows += 1
-            with pytest.raises(CapOverflow):
+            with pytest.raises(CapOverflow, match="needs a cap above"):
                 make_truncation(table, model, tol=tol)
             continue
-        spec = make_truncation(table, model, tol=tol)
+        try:
+            spec = make_truncation(table, model, tol=tol)
+        except CapOverflow as exc:
+            assert str(exc).startswith("the k >= 2 window needs more than")
+            too_wide += 1
+            continue
         compared += 1
-        assert all(type(c) is int for c in spec.caps)
-        target = tol / len(ref)
+        assert all(type(c) is int for c in spec.caps) and len(spec.caps) == 2
         for k, (cap, want) in enumerate(zip(spec.caps, ref)):
             if cap != want:
                 near += 1
                 logx = -beta * (table.epsilons[k] - mu)
                 assert moment_tail(logx, want) <= target and spec.per_mode_tail[k] <= target
                 assert abs(moment_tail(logx, min(cap, want)) - target) <= 4 * math.ulp(target)
-    assert compared >= 1000 and overflows >= 100 and near <= 3
+        assert spec.window_tail <= target
+        if spec.window > 0:
+            smaller = TruncationSpec(table, model, spec.caps, spec.window - 1)
+            assert smaller.window_tail > target
+    assert compared >= 1000 and overflows >= 100 and near <= 3 and too_wide <= 3
 
 
 def test_mismatched_precomputed_z_rejected():
-    table, model, spec = _setup(k_top=3, caps=(3, 3, 3, 3))
+    table, model, spec = _setup(k_top=3, caps=(3, 3), window=3)
     z = constrained_partition(spec)
-    other = TruncationSpec(table, model, (3, 3, 5, 5))
+    other = TruncationSpec(table, model, (3, 3), 5)
     with pytest.raises(ValidationError, match="another truncation"):
         grand_expectation(DiagonalObservable.mode_number(2), other, z=z)
-    # equal caps at another beta: a z of the same length, summed with
+    # an equal window at another beta: a z of the same length, summed with
     # other weights, is refused too
-    table, model, spec = _setup(k_top=4, caps=(1, 1, 1, 1, 1))
+    table, model, spec = _setup(k_top=4, caps=(1, 1), window=1)
     z = constrained_partition(spec)
     colder = TruncationSpec(table, ModelParams(box=table.params, beta=3.0, mu=model.mu,
-                                               lam=model.lam), spec.caps)
-    assert colder.caps == spec.caps and len(z.log_z) == sum(colder.caps[2:]) + 1
+                                               lam=model.lam), spec.caps, spec.window)
+    assert colder.window == spec.window and len(z.log_z) == colder.window + 1
     with pytest.raises(ValidationError, match="another truncation"):
         grand_expectation(DiagonalObservable.mode_number(2), colder, z=z)
     own = grand_expectation(DiagonalObservable.mode_number(2), colder,
@@ -163,28 +205,34 @@ def test_mismatched_precomputed_z_rejected():
 
 def test_spec_carries_its_model():
     # a spec holds the model its tails were taken at, for the table's own
-    # box, and takes its tails from its own caps at that model; no call
-    # past it takes a second model or a tail, so none can differ
-    table, model, spec = _setup(k_top=3, caps=(3, 3, 3, 3))
+    # box, and takes its tails from its own caps and window at that model;
+    # no call past it takes a second model or a tail, so none can differ
+    table, model, spec = _setup(k_top=3, caps=(3, 3), window=3)
     assert spec.model is model
     elsewhere = ModelParams(box=BoxParams(sigma=-1.0, L=11.0), beta=1.0, mu=-1.5, lam=1.0)
     with pytest.raises(ValidationError, match="box must match"):
-        TruncationSpec(table, elsewhere, spec.caps)
-    with pytest.raises(ValidationError, match="tuple of integers"):
-        TruncationSpec(table, model, list(spec.caps))
-    with pytest.raises(TypeError):
-        TruncationSpec(table, model, spec.caps, per_mode_tail=spec.per_mode_tail)
-    with pytest.raises(TypeError):
-        TruncationSpec(table, model, spec.caps, tail_budget=spec.tail_budget)
-    # the forged all-zero tail of caps (1, ..., 1) cannot be passed; the
-    # spec computes the real one
-    table, model, forged = _setup(k_top=4, caps=(1, 1, 1, 1, 1))
+        TruncationSpec(table, elsewhere, spec.caps, spec.window)
+    with pytest.raises(ValidationError, match="tuple of two integers"):
+        TruncationSpec(table, model, list(spec.caps), spec.window)
+    with pytest.raises(ValidationError, match="tuple of two integers"):
+        TruncationSpec(table, model, (3, 3, 3, 3), spec.window)
+    with pytest.raises(ValidationError, match="window must be"):
+        TruncationSpec(table, model, spec.caps, -1)
+    for name in ("per_mode_tail", "window_tail", "tail_budget"):
+        with pytest.raises(TypeError):
+            TruncationSpec(table, model, spec.caps, spec.window, **{name: getattr(spec, name)})
+    # the forged all-zero tail of caps (1, 1) and window 0 cannot be
+    # passed; the spec computes the real one
+    table, model, forged = _setup(k_top=4, caps=(1, 1), window=0)
     logx = -model.beta * (table.epsilons - model.mu)
-    assert forged.per_mode_tail == tuple(gibbs_oracle._moment_tails(logx, forged.caps).tolist())
-    assert forged.tail_budget == math.fsum(forged.per_mode_tail)
+    assert forged.per_mode_tail == tuple(gibbs_oracle._moment_tails(logx[:2], forged.caps).tolist())
+    assert forged.window_tail == math.exp(
+        gibbs_oracle._log_tail_share(*gibbs_oracle._chernoff_grid(logx), 0))
+    assert forged.tail_budget == math.fsum(forged.per_mode_tail + (forged.window_tail,))
     report = run_check("wall-occupation", forged, k=0)
     assert report["tail_budget"] == forged.per_mode_tail[0]
     assert round(report["tail_budget"], 1) == 979.5
+    assert report["params"]["caps_total"] == 2 and report["params"]["window"] == 0
     z = constrained_partition(spec)
     with pytest.raises(TypeError):
         grand_expectation(DiagonalObservable.mode_number(2), spec, z)  # z is keyword-only
@@ -193,33 +241,36 @@ def test_spec_carries_its_model():
 
 
 # ----------------------------------------------------------------------
-# DP kernels and suffix reuse
+# the window tail
 # ----------------------------------------------------------------------
 
-# Largest relative change of a finite log entry, windowed against dense,
-# measured on the grid below: 1.8e-15 (log values from -5e4 to 5).
-KERNEL_RTOL = 4e-15
+def _dense_window_weights(eps, model, length):
+    """z[n] e^{beta (mu n - lam n^2 / (2L))} for n < length, by plain
+    linear-space convolution of every mode's geometric series."""
+    z = np.zeros(length)
+    z[0] = 1.0
+    for e in eps[2:]:
+        z = np.convolve(z, np.exp(-model.beta * e * np.arange(length)))[:length]
+    n = np.arange(length)
+    return z * np.exp(model.beta * (model.mu * n - 0.5 * model.lam * n * n / model.box.L))
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 300])
-def test_windowed_geometric_kernel_matches_dense_conv(length):
-    rng = np.random.default_rng(length)
-    widths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 1023, 1024, 1025]
-    for width in widths:
-        for logx in (-50.0, -7.3, -1.0, -0.1, -1e-3):
-            la = rng.uniform(-40.0, 5.0, length)
-            if length > 2:  # -inf at the start, inside and (length 300) at the end
-                la[rng.integers(0, length, length // 5)] = -np.inf
-                la[0] = -np.inf
-            if length > 100:
-                la[-1] = -np.inf
-            got = gibbs_oracle._log_geometric_conv(la, logx, width - 1)
-            ref = gibbs_oracle._log_conv(la, logx * np.arange(width))
-            assert got.shape == ref.shape == (length + width - 1,)
-            finite = np.isfinite(ref)
-            assert np.array_equal(np.isfinite(got), finite)
-            err = np.abs(got[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
-            assert np.all(err <= KERNEL_RTOL), (width, logx, err.max())
+def test_window_tail_bounds_the_weight_above_the_window():
+    # tau_N against the (ntil + 1)^4-weighted share above N, summed far
+    # past the window, with and without the coupling
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        table = build_spectrum(BoxParams(-float(rng.uniform(0.5, 2.0)),
+                                         float(rng.uniform(5.0, 30.0))), int(rng.integers(2, 12)))
+        mu = float(table.epsilons[0] - rng.uniform(0.0, 1.0))
+        for lam in (0.0, float(rng.uniform(0.1, 3.0))):
+            model = ModelParams(table.params, float(rng.uniform(0.3, 3.0)), mu, lam)
+            for window in (0, 3, 10, 40):
+                spec = TruncationSpec(table, model, (1, 1), window)
+                w = _dense_window_weights(table.epsilons, model, 8 * window + 200)
+                n = np.arange(len(w))
+                share = ((n + 1.0) ** 4 * w)[window + 1:].sum() / w.sum()
+                assert share <= spec.window_tail
 
 
 def test_logsumexp_ignores_weightless_terms():
@@ -228,76 +279,6 @@ def test_logsumexp_ignores_weightless_terms():
     assert math.isclose(gibbs_oracle._logsumexp(a, b), math.log(1.0 + 2.0 * math.e), rel_tol=1e-15)
     assert gibbs_oracle._logsumexp(a, np.zeros(4)) == -math.inf
     assert gibbs_oracle._logsumexp(np.full(3, -np.inf)) == -math.inf
-
-
-def _bench_like_setup():
-    # an oracle-checks sized truncation: 79 excited modes, 54 with cap 1 (r = 8)
-    return _setup(sigma=-1.2, L=25.0, beta=1.5, mu=-1.6, lam=0.7, k_top=80)
-
-
-def _count_kernel_calls(monkeypatch):
-    calls = []
-    for name in ("_log_conv", "_log_geometric_conv"):
-        fn = getattr(gibbs_oracle, name)
-
-        def counted(*args, fn=fn, name=name):
-            calls.append(name)
-            return fn(*args)
-
-        monkeypatch.setattr(gibbs_oracle, name, counted)
-    return calls
-
-
-def test_factored_expectation_convolves_at_most_r_modes(monkeypatch):
-    _, model, spec = _bench_like_setup()
-    r = gibbs_oracle._suffix_spacing(spec.caps)
-    assert 1 < r < spec.k_top - 1
-    z = constrained_partition(spec)
-    calls = _count_kernel_calls(monkeypatch)
-    for k in range(2, 2 + r):
-        calls.clear()
-        grand_expectation(DiagonalObservable.mode_number(k, 2), spec, z=z)
-        assert len(calls) == r and calls.count("_log_conv") == 1
-    calls.clear()
-    grand_expectation(DiagonalObservable.mode_number(spec.k_top), spec, z=z)
-    assert len(calls) == spec.k_top - 1  # no suffix above k_top: a full pass
-
-
-def test_suffix_restart_equals_a_from_scratch_pass():
-    _, model, spec = _bench_like_setup()
-    z = constrained_partition(spec)
-    scratch = ConstrainedZ(spec=spec, log_z=z.log_z)  # no suffixes: convolve from k_top
-    observables = [
-        DiagonalObservable.mode_number(2),
-        DiagonalObservable.mode_number(9, 2),
-        DiagonalObservable(factors=((3, number_poly(1)), (7, shifted_number_poly(2)))),
-        DiagonalObservable(factors=((0, number_poly(1)), (40, number_poly(3))),
-                           ntilde_poly=(0.0, 1.0)),
-        DiagonalObservable(factors=((spec.k_top - 1, number_poly(1)),)),
-    ]
-    for obs in observables:
-        fast = grand_expectation(obs, spec, z=z)
-        slow = grand_expectation(obs, spec, z=scratch)
-        assert abs(fast - slow) <= 4 * math.ulp(slow)
-
-
-def test_stored_suffixes_stay_within_the_memory_bound():
-    # dp_len ~ 48k: a dense (cap x n) stack for mode 2 alone would take 0.9 GB
-    table, model, _ = _setup(k_top=40)
-    caps = [1, 1] + [max(1, 2500 - 60 * k) for k in range(2, 41)]
-    spec = TruncationSpec(table, model, tuple(caps))
-    entry = 8 * (sum(caps[2:]) + 1)  # bytes of one length-n float64 vector
-    tracemalloc.start()
-    try:
-        z = constrained_partition(spec)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    stored = sum(v.nbytes for k, v in z.suffixes.items() if k <= spec.k_top)
-    assert 0 < stored <= gibbs_oracle._SUFFIX_MEMORY * entry
-    assert retained <= (1 + gibbs_oracle._SUFFIX_MEMORY) * entry + 65536
-    # working set: the input, the window sum, its shifted copy and the output
-    assert peak <= (4 + gibbs_oracle._SUFFIX_MEMORY) * entry + 65536
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +300,7 @@ def test_free_limit_reproduces_bose_law():
 
 
 def test_expectation_matches_enumeration():
-    table, model, spec = _setup(k_top=4, caps=(4, 4, 4, 4, 4))
+    table, model, spec = _setup(k_top=4, caps=(4, 4), window=4)
     obs = DiagonalObservable(
         factors=((0, number_poly(1)), (2, shifted_number_poly(2))),
         ntilde_poly=(0.0, 1.0),
@@ -327,19 +308,19 @@ def test_expectation_matches_enumeration():
     val = grand_expectation(obs, spec)
     ref = enum_expectation(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
-        list(spec.caps), {0: number_poly(1), 2: shifted_number_poly(2)},
-        ntilde_poly=(0.0, 1.0),
+        [4] * 5, {0: number_poly(1), 2: shifted_number_poly(2)},
+        ntilde_poly=(0.0, 1.0), window=4,
     )
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 def test_expectation_matches_split_enumeration_cap8():
-    # K = 6 with caps 8 everywhere: oracle vs enumeration restricted identically
-    table, model, spec = _setup(k_top=6, caps=(8,) * 7, mu=-1.5, lam=1.0)
+    # K = 6 with window 8: oracle vs enumeration restricted identically
+    table, model, spec = _setup(k_top=6, caps=(8, 8), window=8, mu=-1.5, lam=1.0)
     val = grand_expectation(DiagonalObservable.mode_number(2), spec)
     ref = enum_expectation_split(
         list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
-        list(spec.caps), {2: number_poly(1)},
+        [8] * 7, {2: number_poly(1)}, window=8,
     )
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
@@ -356,21 +337,26 @@ def test_monotone_in_mu():
 
 
 def test_truncation_honesty_doubling_caps():
-    table, model, spec = _setup(tol=1e-10)
-    spec2 = TruncationSpec(table, model, tuple(2 * c for c in spec.caps))
-    for obs in (
-        DiagonalObservable.mode_number(0),
-        DiagonalObservable.mode_number(2),
-        DiagonalObservable.mode_number(3, 2),
-        DiagonalObservable(factors=((2, shifted_number_poly(1)),), ntilde_poly=(0.0, 1.0)),
-    ):
-        a = grand_expectation(obs, spec)
-        b = grand_expectation(obs, spec2)
-        assert abs(a - b) < spec.tail_budget * max(1.0, abs(a))
+    # doubling both wall caps and the window moves every expectation by
+    # less than the budget the smaller truncation reports
+    for lam in (0.0, 1.0):
+        table, model, spec = _setup(tol=1e-10, lam=lam, k_top=12)
+        spec2 = TruncationSpec(table, model, tuple(2 * c for c in spec.caps), 2 * spec.window)
+        for obs in (
+            DiagonalObservable.mode_number(0),
+            DiagonalObservable.mode_number(2),
+            DiagonalObservable.mode_number(3, 2),
+            DiagonalObservable.mode_number(4, 3),
+            DiagonalObservable(factors=((2, shifted_number_poly(1)),), ntilde_poly=(0.0, 1.0)),
+            DiagonalObservable(factors=((3, number_poly(3)),), ntilde_poly=(0.0, 1.0)),
+        ):
+            a = grand_expectation(obs, spec)
+            b = grand_expectation(obs, spec2)
+            assert abs(a - b) < spec.tail_budget * max(1.0, abs(a))
 
 
 def test_unknown_mode_rejected():
-    _, model, spec = _setup(k_top=3, caps=(2, 2, 2, 2))
+    _, model, spec = _setup(k_top=3, caps=(2, 2), window=2)
     with pytest.raises(UnknownMode):
         grand_expectation(DiagonalObservable.mode_number(9), spec)
 
@@ -380,6 +366,28 @@ def test_observable_validation():
         DiagonalObservable(factors=((2, number_poly(1)), (2, number_poly(2))))
     with pytest.raises(ValidationError):
         DiagonalObservable(factors=((2, (math.nan,)),))
+
+
+@pytest.mark.parametrize("poly", [(1.0, -1.0), (-1.0,), (0.0, 3.0, -1.0)])
+def test_window_rejects_a_factor_that_decreases(poly):
+    # the window convolution needs f(0) >= 0 and f(a) - f(a-1) >= 0 on
+    # 0..N; 3n - n^2 rises to n = 1 and falls from n = 2
+    _, _, spec = _setup(k_top=3, caps=(2, 2), window=4)
+    with pytest.raises(ValidationError, match="nondecreasing and >= 0 on the window 0..4"):
+        grand_expectation(DiagonalObservable(factors=((2, poly),)), spec)
+
+
+def test_window_rejects_degree_above_four():
+    _, _, spec = _setup()
+    for obs in (
+        DiagonalObservable(factors=((2, number_poly(3)), (3, number_poly(2)))),
+        DiagonalObservable(factors=((2, number_poly(4)),), ntilde_poly=(0.0, 1.0)),
+    ):
+        with pytest.raises(ValidationError, match="certifies degree 4 at most"):
+            grand_expectation(obs, spec)
+    # degree 4 with a wall factor on top is fine
+    grand_expectation(DiagonalObservable(factors=((0, number_poly(3)), (2, number_poly(3))),
+                                         ntilde_poly=(0.0, 1.0)), spec)
 
 
 # ----------------------------------------------------------------------
@@ -404,23 +412,31 @@ def test_exchange_identity_excited_with_spectators():
     table, model, spec = _setup(lam=1.0)
     lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec)
     assert abs(lhs - rhs) <= spec.tail_budget + 1e-12
-    # both sides against brute force at small caps, restricted identically
-    spec_small = TruncationSpec(table, model, (3, 3, 3, 3, 3, 3))
+    # both sides against brute force on a small window, restricted identically
+    spec_small = TruncationSpec(table, model, (3, 3), 3)
+    enum = dict(eps=list(table.epsilons), beta=model.beta, mu=model.mu, lam=model.lam,
+                L=model.box.L, caps=[3] * 6, window=3)
     ref_lhs = math.exp(model.beta * (table.epsilons[2] - table.epsilons[3]))
     ref_lhs *= enum_expectation(
-        list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
-        list(spec_small.caps),
-        {2: number_poly(1), 3: shifted_number_poly(2), 4: number_poly(1)},
-    )
+        factors={2: number_poly(1), 3: shifted_number_poly(2), 4: number_poly(1)}, **enum)
     ref_rhs = enum_expectation(
-        list(table.epsilons), model.beta, model.mu, model.lam, model.box.L,
-        list(spec_small.caps),
-        {2: shifted_number_poly(1), 3: number_poly(2), 4: number_poly(1)},
-    )
+        factors={2: shifted_number_poly(1), 3: number_poly(2), 4: number_poly(1)}, **enum)
     lhs, rhs = exchange_identity_sides(2, [(3, 2), (4, 1)], spec_small)
     assert abs(lhs - ref_lhs) < 1e-12 * max(1.0, abs(ref_lhs))
     assert abs(rhs - ref_rhs) < 1e-12 * max(1.0, abs(ref_rhs))
     assert abs((lhs - rhs) - (ref_lhs - ref_rhs)) < 1e-12 * max(1.0, abs(ref_lhs))
+
+
+def test_exchange_with_j_above_k1_passes():
+    # moving a particle between two k >= 2 modes keeps ntil, so the
+    # identity is exact on the window whatever e^{beta (eps_j - eps_k1)}
+    # (2e6 here); a per-mode cap broke it (residual -1.6e-10)
+    box = BoxParams(-1.003005732233222, 10.481102170507942)
+    model = ModelParams(box, 1.9444452815123277, -1.0900658867759876, 0.38070415273263053)
+    spec = make_truncation(build_spectrum(box, 79), model)
+    report = run_check("exchange", spec, j=10, targets=[(4, 2)])
+    assert report["pass"] is True
+    assert abs(report["residual"]) <= 1e-14 * abs(report["rhs"])
 
 
 def test_exchange_identity_breaks_across_sectors_with_coupling():
@@ -441,7 +457,7 @@ def test_exchange_identity_requires_mu_below_ground():
     table, model, _ = _setup()
     at_ground = ModelParams(box=table.params, beta=model.beta,
                             mu=float(table.epsilons[0]), lam=model.lam)
-    spec = TruncationSpec(table, at_ground, (5, 5, 5, 5, 5, 5))
+    spec = TruncationSpec(table, at_ground, (5, 5), 5)
     with pytest.raises(ValidationError):
         exchange_identity_sides(1, [(0, 1)], spec)
 
@@ -483,7 +499,7 @@ def test_wall_occupation_boltzmann_tail():
 def test_wall_occupation_independent_of_lambda():
     vals = []
     for lam in (0.0, 0.5, 1.0, 2.0):
-        _, model, spec = _setup(lam=lam, caps=(70, 60, 25, 20, 15, 12))
+        _, model, spec = _setup(lam=lam, caps=(70, 60), window=25)
         vals.append(grand_expectation(DiagonalObservable.mode_number(0), spec))
     assert max(vals) - min(vals) <= 1e-12 * max(vals)
 
@@ -549,7 +565,8 @@ def test_occupation_bound_free_saturation():
     table = build_spectrum(BoxParams(-1.0, 10.0), 5)
     eps = table.epsilons
     model = ModelParams(box=table.params, beta=1.0, mu=float(eps[0]), lam=0.0)
-    spec = TruncationSpec(table, model, (5, 5, 140, 90, 70, 50))
+    spec = TruncationSpec(table, model, (5, 5), 120)
+    assert spec.window_tail <= 1e-11
     for k in (2, 3):
         occ, bound = check_occupation_bound(k, spec)
         free = bose(model.beta * (eps[k] - eps[0]))

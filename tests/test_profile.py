@@ -401,18 +401,24 @@ def test_profile_csv_memory_stays_flat(tmp_path):
 
 
 def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a profile, and a thermo point whose Newton slope at k_max ~ 34,000
+    # took its last bits from a threaded BLAS dot (occ0 8235.916937552778
+    # under one thread, 8235.91693755278 under two)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "robinbec.cli", "profile", "--sigma=-1", "--L=200",
-             "--beta=1.5", "--rho=0.6", "--grid-n=8001", "--fraction=0.9",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs.append((proc.stdout.replace(str(out), "OUT"), out.read_bytes()))
-    assert runs[0] == runs[1]
+    cases = [
+        ["profile", "--sigma=-1", "--L=200", "--beta=1.5", "--rho=0.6", "--grid-n=8001",
+         "--fraction=0.9"],
+        ["thermo", "--model", "scf", "--sigma=-1.0", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
+         "--L=8355.2748653427843"],
+    ]
+    for case in cases:
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.out"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "robinbec.cli", *case, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout.replace(str(out), "OUT"), out.read_bytes()))
+        assert runs[0] == runs[1], case[0]
