@@ -460,7 +460,8 @@ def grand_expectation(
         return wall  # excited-sector ratio is exactly 1
     ntil = np.arange(spec.window + 1, dtype=float)
     m = spec.model
-    logG = m.beta * (m.mu * ntil - 0.5 * m.lam * ntil * ntil / m.box.L)
+    with np.errstate(over="ignore"):  # lam n^2 = inf at huge lam: the weight e^{-inf} is 0
+        logG = m.beta * (m.mu * ntil - 0.5 * m.lam * ntil * ntil / m.box.L)
     log_den = _logsumexp(z.log_z + logG)
     log_num = z.log_z
     for k, poly in factored.items():
@@ -646,7 +647,9 @@ def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
     the truncation and the arguments.
 
     Pass criteria (allowance = (budget + atol) * max(1, |lhs|, |rhs|),
-    budget = tail of the truncation over the modes the arguments name):
+    budget = tail of the truncation over the modes the arguments name,
+    for exchange times max(1, e^{beta (eps_j - eps_k1)}), the prefactor
+    that scales the truncation error of its lhs):
       exchange, wall-occupation:  |lhs - rhs| <= allowance
       moment-inequality:          lhs >= rhs - allowance
       occupation-bound:           lhs <= rhs + allowance
@@ -675,6 +678,9 @@ def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
         params["bound_exponent"] = occupation_bound_exponent(spec=spec, **kwargs)
     involved = [kwargs[a] for a in ("j", "k") if a in kwargs]  # the modes the arguments name
     budget = spec.relevant_budget(involved + [k for k, _ in kwargs.get("targets", ())])
+    if name == "exchange":
+        eps, k1 = spec.table.epsilons, kwargs["targets"][0][0]
+        budget *= max(1.0, math.exp(model.beta * (eps[kwargs["j"]] - eps[k1])))
     report = {"check": name, "params": params, "lhs": None, "rhs": None,
               "residual": None, "tail_budget": budget, "pass": None}
     if sides is not None:

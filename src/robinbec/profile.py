@@ -47,12 +47,13 @@ gave different last bits under OPENBLAS_NUM_THREADS=1 and =2; einsum's
 loops do not depend on it, and the CLI promises byte-identical output.
 
 `write_profile_csv` formats each mirrored pair of rows once: a block of
-the x < 0 half is the reversed, negated text of its partner block on the
+the x < 0 half is the reversed, negated lines of its partner block on the
 x > 0 half wherever every row checks out as its exact mirror, and is
 formatted itself otherwise, so the bytes never depend on the shortcut.
+It works in bytes from the kernel to the file.
 
 Its rows are the bytes of CPython's `'%.17g' % v`, made by a numpy
-kernel (`_format_rows`).  For a finite v != 0 with X = floor(log10 |v|),
+kernel (`_format_pass`).  For a finite v != 0 with X = floor(log10 |v|),
 the scaled value S = |v| 10^(16 - X) lies in [1e16, 1e17) when X is the
 decimal exponent, and the 17 digits are S rounded to nearest.  A table
 built on first use from Python integers holds 10^(16 - X) as
@@ -71,9 +72,11 @@ slots of six little-endian words: the sign and the "0.000" prefix of
 4-digit lookup per word) with '.' in every odd byte, masked to the
 digits kept (trailing zeros dropped, those before the point kept) and
 to the one point; then "e+XX" or "e-XXX" and the separator.  Every
-unused byte is zero, and one `bytes.translate` drops them.  A pass runs
-over `_ROWS_PER_PASS` rows: ~25 work arrays of 32 kB and 192 kB of
-slots, and a 4096-row block peaks at ~0.9 MB (tracemalloc).
+unused byte is zero, and one `bytes.translate` drops them.  One block of
+`_ROWS_PER_PASS` rows is one pass and one mirror check: ~25 work arrays
+of 32 kB and 192 kB of slots, ~0.65 MB at its peak (tracemalloc).  That
+keeps the arrays in cache and below malloc's mmap threshold; 4096-row
+passes took ~60 % longer, most of it in page faults on fresh memory.
 
 `localization_radius` quantifies the surface character of the wall-mode
 density: the smallest distance d from a wall such that the windows within
@@ -100,10 +103,9 @@ _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 _CHUNK = 128  # modes per contraction block; keeps the work arrays ~100 kB
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
-_ROWS_PER_WRITE = 4096  # CSV rows per block of the writer (and per mirror check)
-_ROWS_PER_PASS = 1024  # rows per pass of the %.17g kernel; see `_format_rows`
+_ROWS_PER_PASS = 1024  # CSV rows per kernel pass and per mirror check; see the docstring
 # largest grid: `density_profile` peaks at ~44 bytes per point and
-# `write_profile_csv` at ~1.4 MB at any size, ~0.9 MB of it one block's
+# `write_profile_csv` at ~0.8 MB at any size, ~0.65 MB of it one block's
 # formatting (tracemalloc, grid_n = 2^17 + 1 and 10^6);
 # the CSV takes ~82 bytes per row on disk, and its x > 0 half as much again
 # in a temporary file while it is written: 0.44 GB, 0.8 GB and 0.4 GB at the limit
@@ -406,9 +408,9 @@ def _cell_words(digits: np.ndarray, xi: np.ndarray, negative: np.ndarray) -> np.
     return words
 
 
-def _format_pass(block: np.ndarray) -> str:
-    """The C-contiguous (rows, columns) `block` as `%.17g` CSV lines joined
-    by newlines (no final one); see the module docstring for the method."""
+def _format_pass(block: np.ndarray) -> bytes:
+    """The C-contiguous (rows, columns) `block` as `%.17g` CSV lines, each
+    ending in a newline; see the module docstring for the method."""
     v = block.ravel()
     a = np.abs(v)
     zero = a == 0.0
@@ -425,24 +427,9 @@ def _format_pass(block: np.ndarray) -> str:
     for i in np.flatnonzero(~ok).tolist():
         words[i, :5] = np.frombuffer(_printf(float(v[i])).ljust(40, b"\0"), _U64)
         words[i, 5] &= np.uint64(0xFF << 40)  # the separator only
-    words[-1, 5] ^= np.uint64(ord("\n") << 40)  # no newline after the last line
     text = words.tobytes()
     del words, cells
-    return text.translate(None, b"\0").decode("ascii")
-
-
-def _format_rows(columns, lo, hi) -> str:
-    """Rows lo..hi-1 of `columns` as `%.17g` CSV lines joined by newlines
-    (no final one).
-
-    The kernel runs over `_ROWS_PER_PASS` rows at a time: its work arrays
-    then take 32 kB each, which keeps them in cache and below malloc's
-    mmap threshold (4096-row passes took ~60 % longer, most of it in
-    page faults on fresh memory).
-    """
-    return "\n".join(
-        _format_pass(np.column_stack([c[i:min(i + _ROWS_PER_PASS, hi)] for c in columns]))
-        for i in range(lo, hi, _ROWS_PER_PASS))
+    return text.translate(None, b"\0")
 
 
 def _mirrors(columns, lo, hi, n) -> bool:
@@ -461,35 +448,40 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     """CSV rows `x,n_total,n_cond,n_thermal` at 17 significant digits.
 
     Rows j and n-1-j of a mirror-symmetric profile differ only in the sign
-    of x, so each block of the x > 0 half is formatted once: where the
-    block it mirrors checks out exactly (`_mirrors`), its lines, reversed
-    and negated, are that block's text, and otherwise that block is
-    formatted itself.  Either way the bytes are those of formatting every
-    row.  The x > 0 half comes last in the file, so its text waits in an
-    anonymous temporary file, which keeps memory at one block.
+    of x, so each block of `_ROWS_PER_PASS` rows of the x > 0 half is
+    formatted once, in one kernel pass: where the block it mirrors checks
+    out exactly (`_mirrors`), its lines, reversed and negated, are that
+    block's bytes, and otherwise that block is formatted itself.  Either
+    way the bytes are those of formatting every row.  The x > 0 half comes
+    last in the file, so its bytes wait in an anonymous temporary file,
+    which keeps memory at one block.
     """
     columns = [np.asarray(c, dtype=float) for c in
                (profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValidationError("profile columns differ in length")
+
+    def rows(lo, hi):
+        return _format_pass(np.column_stack([c[lo:hi] for c in columns]))
+
     sizes = []  # bytes in `upper` of rows [n - hi, n - lo), per block [lo, hi)
-    with open(path, "w", newline="\n") as fh, tempfile.TemporaryFile() as upper:
+    with open(path, "wb") as fh, tempfile.TemporaryFile() as upper:
         for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,n_total,n_cond,n_thermal\n")
-        for lo in range(0, n // 2, _ROWS_PER_WRITE):
-            hi = min(lo + _ROWS_PER_WRITE, n // 2)
-            text = _format_rows(columns, n - hi, n - lo)
-            sizes.append(upper.write(text.encode("ascii")))
+            fh.write(f"# {line}\n".encode())
+        fh.write(b"x,n_total,n_cond,n_thermal\n")
+        for lo in range(0, n // 2, _ROWS_PER_PASS):
+            hi = min(lo + _ROWS_PER_PASS, n // 2)
+            text = rows(n - hi, n - lo)
+            sizes.append(upper.write(text))
             if _mirrors(columns, lo, hi, n):
-                fh.write("-" + "\n-".join(reversed(text.split("\n"))) + "\n")
+                fh.write(b"-" + b"\n-".join(reversed(text[:-1].split(b"\n"))) + b"\n")
             else:
-                fh.write(_format_rows(columns, lo, hi) + "\n")
+                fh.write(rows(lo, hi))
         if n % 2:
-            fh.write(_format_rows(columns, n // 2, n // 2 + 1) + "\n")
+            fh.write(rows(n // 2, n // 2 + 1))
         end = upper.tell()
         for size in reversed(sizes):
             end -= size
             upper.seek(end)
-            fh.write(upper.read(size).decode("ascii") + "\n")
+            fh.write(upper.read(size))

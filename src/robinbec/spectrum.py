@@ -43,7 +43,9 @@ bracket end and raises BracketFailure.  At the other end the root sits
 about 2/(L*s) relative above (k-1)*pi/L, which a double resolves only up
 to L*s ~ 4e15 (a k_max = 10^5 build there failed for 1 of 60 random L),
 so modes k >= 2 need L*s <= MAX_PHASE_LS = 1e15 (ValidationError
-otherwise; a table with k_max <= 1 has no such limit).
+otherwise; a table with k_max <= 1 has no such limit).  They also need
+(pi/L)^2 + s^2 to be a normal double: the slope divides by p^2 + s^2,
+which would underflow (at s ~ 1e-258 and L ~ 1e268, say).
 
 The wall pair is solved for its offsets d0 = q0 - s and d1 = s - q1
 (~2*s*e^{-L*s}), which set eps(1) - eps(0) = (d0 + d1)*(2*s + d0 - d1),
@@ -380,6 +382,9 @@ def _ladder_roots(params: BoxParams, k):
         raise ValidationError(
             f"modes k >= 2 need L*|sigma| <= {MAX_PHASE_LS:g}, got {L * s:g}"
         )
+    least = (math.pi / L) * (math.pi / L) + s * s  # the least p^2 + s^2 `_phase` divides by
+    if len(k) and not least >= _TINY:
+        raise ValidationError(f"modes k >= 2 need (pi/L)^2 + sigma^2 >= {_TINY:g}, got {least:g}")
     return _phase_roots(k, L, s, (k - 1) * math.pi / L, k * math.pi / L)
 
 
@@ -530,6 +535,8 @@ def _wall_roots(params: BoxParams, k_max: int):
     sl = s * L
     if not sl <= MAX_WALL_LS:
         raise ValidationError(f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {sl:g}")
+    if sl == 0.0:  # the bracket of q0 divides by 1 - e^{-sL}
+        raise ValidationError(f"L*|sigma| = {L:g}*{s:g} underflows to 0")
     if k_max >= 1 and not params.has_second_bound_state():
         raise NoSecondBoundState(f"odd bound state needs L*|sigma| > 2, got {sl}")
 

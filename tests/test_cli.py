@@ -375,6 +375,20 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # beta (eps_0 - mu) ~ 5e-321: the cap estimate overflowed with a RuntimeWarning
     (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e-320", "--out", "{tmp}/o"],
      "mode 0 needs a cap above 5000000"),
+    # L*|sigma| underflows: the bracket of q0 divided by zero (a traceback)
+    (["spectrum", "--sigma=-1e-300", "--L=1e-300", "--k-max", "0", "--out", "{tmp}/o"],
+     "L*|sigma| = 1e-300*1e-300 underflows to 0"),
+    (["oracle", "--sigma=-1e-300", "--L=1e-300", "--mu=-3", "--k-top", "0", "--out", "{tmp}/o"],
+     "L*|sigma| = 1e-300*1e-300 underflows to 0"),
+    # p^2 + sigma^2 underflows in the phase slope: a divide-by-zero warning,
+    # then exit 1 with a root outside its bracket
+    (["spectrum", "--sigma=-5.167677704679182e-258", "--L=7.275517662052197e+267",
+      "--k-max", "5", "--out", "{tmp}/o"],
+     "modes k >= 2 need (pi/L)^2 + sigma^2 >= 2.22507e-308, got 0"),
+    (["oracle", "--sigma=-7.979135192702125e-280", "--L=5.197053249311789e+292",
+      "--mu=-0.06938635847253745", "--beta=23.07424396066628",
+      "--lambda=1.1380518424042817e+223", "--k-top", "6", "--out", "{tmp}/o"],
+     "modes k >= 2 need (pi/L)^2 + sigma^2 >= 2.22507e-308, got 0"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
@@ -430,6 +444,18 @@ def test_huge_beta_gives_a_finite_report(tmp_path, capsys, check):
     rep = json.loads((tmp_path / "o").read_text())
     assert rep["pass"] is True
     assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "residual", "tail_budget"))
+
+
+def test_overflowing_coupling_weight_gives_a_finite_report(tmp_path, capsys):
+    # lam n^2 overflows at lam = 1e308 (an overflow warning); the weight
+    # e^{-inf} of every n > 0 is 0, so both sides are exactly 0
+    out = tmp_path / "o"
+    assert run(["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--lambda", "1e308",
+                "--check", "moment-inequality", "--mode", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.loads(out.read_text())
+    assert rep["pass"] is True and rep["lhs"] == rep["rhs"] == 0.0
+    assert math.isfinite(rep["tail_budget"])
 
 
 @pytest.mark.parametrize("sigma,L,beta", [("-1", "20", "1"), ("-1", "800", "1"),

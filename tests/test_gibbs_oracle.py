@@ -439,6 +439,21 @@ def test_exchange_with_j_above_k1_passes():
     assert abs(report["residual"]) <= 1e-14 * abs(report["rhs"])
 
 
+def test_exchange_budget_carries_the_prefactor():
+    # lhs is e^{beta (eps_j - eps_k1)} (2.16e6 here) times a truncated
+    # expectation, so its truncation error can reach that factor times the
+    # window tail; the reported budget was the window tail alone
+    box = BoxParams(-1.003005732233222, 10.481102170507942)
+    model = ModelParams(box, 1.9444452815123277, -1.0900658867759876, 0.38070415273263053)
+    spec = make_truncation(build_spectrum(box, 79), model)
+    pref = math.exp(model.beta * (spec.table.epsilons[10] - spec.table.epsilons[4]))
+    assert pref > 2e6
+    report = run_check("exchange", spec, j=10, targets=[(4, 2)])
+    assert report["tail_budget"] == pytest.approx(pref * spec.window_tail, rel=1e-15)
+    report = run_check("exchange", spec, j=4, targets=[(10, 2)])  # prefactor < 1
+    assert report["tail_budget"] == spec.window_tail
+
+
 def test_exchange_identity_breaks_across_sectors_with_coupling():
     # moving a particle between a wall mode and a k >= 2 mode changes the
     # coupling term, so the plain identity must fail at lam > 0 ...

@@ -217,13 +217,13 @@ def _formatted_rows(tmp_path, monkeypatch, profile):
     """Write `profile`, check its bytes against the per-row format, and
     return how many rows the writer formatted."""
     counts = []
-    real = profile_module._format_rows
+    real = profile_module._format_pass
 
-    def counted(columns, lo, hi):
-        counts.append(hi - lo)
-        return real(columns, lo, hi)
+    def counted(block):
+        counts.append(len(block))
+        return real(block)
 
-    monkeypatch.setattr(profile_module, "_format_rows", counted)
+    monkeypatch.setattr(profile_module, "_format_pass", counted)
     path = tmp_path / "prof.csv"
     write_profile_csv(profile, path)
     assert path.read_bytes() == _per_row_csv(profile).encode()
@@ -244,7 +244,7 @@ def condensing_state():
 @pytest.mark.parametrize("grid_n", [4 * 4096 + 1, 4 * 4096 + 2])
 def test_profile_csv_formats_each_mirror_pair_once(tmp_path, monkeypatch, condensing_state,
                                                    grid_n):
-    # blocks of 4096 rows cross both halves, odd and even grid_n
+    # blocks of `_ROWS_PER_PASS` rows cross both halves, odd and even grid_n
     prof = density_profile(*condensing_state, grid_n)
     assert _formatted_rows(tmp_path, monkeypatch, prof) == grid_n - grid_n // 2
 
@@ -254,11 +254,12 @@ def test_profile_csv_broken_mirror_falls_back_per_block(tmp_path, monkeypatch,
                                                         condensing_state, grid_n):
     prof = density_profile(*condensing_state, grid_n)
     n_cond, grid = prof.n_cond.copy(), prof.grid.copy()
-    n_cond[5000] = np.nextafter(n_cond[5000], np.inf)  # lower-half block [4096, 8192)
-    grid[-3] = np.nextafter(grid[-3], -np.inf)  # mirror of row 2, block [0, 4096)
+    n_cond[5000] = np.nextafter(n_cond[5000], np.inf)  # lower-half block [4096, 5120)
+    grid[-3] = np.nextafter(grid[-3], -np.inf)  # mirror of row 2, block [0, 1024)
     broken = Profile(grid=grid, n_total=prof.n_total, n_cond=n_cond,
                      n_thermal=prof.n_thermal)
-    assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * 4096
+    block = profile_module._ROWS_PER_PASS
+    assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * block
 
 
 def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
@@ -268,7 +269,8 @@ def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
     n_cond = x * x
     n_cond[7], n_cond[-8] = -0.0, 0.0
     prof = Profile(grid=x, n_total=x * x, n_cond=n_cond, n_thermal=x * x)
-    assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2 + 4096
+    block = profile_module._ROWS_PER_PASS  # rows 7 and n - 8 fall in the first block
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2 + block
 
 
 def test_profile_csv_formats_every_row_of_asymmetric_data(tmp_path, monkeypatch):
@@ -289,16 +291,16 @@ def test_profile_csv_short_grids(tmp_path, monkeypatch, n):
 
 def _printf_rows(values):
     """`values` as four-column `%.17g` CSV rows (zero-padded to whole rows),
-    formatted by CPython, and the columns they came from."""
+    formatted by CPython, and the (rows, 4) block they came from."""
     values = np.concatenate([np.asarray(values, dtype=float), np.zeros(-len(values) % 4)])
     rows = values.reshape(-1, 4)
-    text = "\n".join(",".join("%.17g" % x for x in row) for row in rows.tolist())
-    return text, [np.ascontiguousarray(rows[:, i]) for i in range(4)]
+    text = "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows.tolist())
+    return text.encode(), rows
 
 
 def _assert_formats_like_printf(values):
-    text, columns = _printf_rows(values)
-    assert profile_module._format_rows(columns, 0, len(columns[0])) == text
+    text, rows = _printf_rows(values)
+    assert profile_module._format_pass(rows) == text
 
 
 def _double(bits):
