@@ -8,9 +8,12 @@ thermo     solve the density equation at one (sigma, L, beta, rho, lam)
 profile    solve, then write the spatial density CSV
 sweep      solve over an L-grid; write the sweep CSV and a JSON fit report
 
-All numeric output uses 17 significant digits and files carry a '#'
-comment header echoing the full parameter set and the tool version, so
-identical configurations produce byte-identical files.  `_SCHEMA` holds
+CSV files and stdout write numbers with 17 significant digits, and each
+CSV starts with a '#' comment header echoing the full parameter set and
+the tool version.  The JSON reports write floats in Python's shortest
+round-trip repr (the same double: the thermo JSON's mu -0.05803276636399012
+is stdout's mu=-0.058032766363990122) and carry the version in a "tool"
+key.  Identical configurations produce byte-identical files.  `_SCHEMA` holds
 every parameter of every subcommand once; the argparse tree, the
 defaults, the config-file checks and the negative-value join read it.
 `--config FILE` loads a JSON object whose keys mirror the flags of the
@@ -209,17 +212,18 @@ def _cmd_sweep(cfg: dict) -> int:
         raise ValidationError(f"--fit-out {fit_out!r} names the --out file {cfg['out']!r}; "
                               "the fit report would overwrite the sweep CSV")
     _check_writable(cfg["out"])
-    _check_writable(fit_out)  # the fits need the CSV's gap column, so it is written first
+    _check_writable(fit_out)
     states = [_thermo_point(cfg, L) for L in grid]
-    echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model", "L_grid")}
-    echo["lambda"] = cfg["lam"]
-    gaps = _write(write_sweep_csv, states, cfg["out"], _echo_lines("sweep", echo))
-
     fits: dict = {"tool": f"robinbec {__version__}", "n_states": len(states)}
     rho_c = critical_density(cfg["beta"], cfg["sigma"])
     fits["critical_density"] = rho_c
-    if len(states) >= 5 and cfg["rho"] > rho_c:
+    if len(states) >= 5 and cfg["rho"] > rho_c:  # may reject the sweep, so before any write
         fits["mu_asymptotics"] = mu_asymptotics_check(states).as_dict()
+
+    # the gap fit takes the CSV's gap column, so the CSV is written first
+    echo = {k: cfg[k] for k in ("sigma", "beta", "rho", "model", "L_grid")}
+    echo["lambda"] = cfg["lam"]
+    gaps = _write(write_sweep_csv, states, cfg["out"], _echo_lines("sweep", echo))
     if sum(1 for g in gaps if g > 0.0) >= 3:
         fits["gap_decay_rate"] = fit_exponential_rate(grid, gaps)
     _write(_write_json, fits, fit_out)

@@ -243,7 +243,9 @@ def _moment_tails(logx: np.ndarray, caps) -> np.ndarray:
     caps M, one entry per mode; inf where x >= 1."""
     d = _ENVELOPE_DEGREE
     m = np.asarray(caps, dtype=float)
-    with np.errstate(divide="ignore"):  # x = 1 gives inf, replaced below either way
+    # x = 1 gives inf, replaced below either way; (m + 1) log x = -inf at a
+    # huge beta (eps - mu) is the right limit, a tail of 0
+    with np.errstate(divide="ignore", over="ignore"):
         tails = math.factorial(d) * (m + 2.0) ** d * np.exp((m + 1.0) * logx) / (
             -np.expm1(logx)) ** d
     return np.where(logx < 0.0, tails, np.inf)
@@ -276,12 +278,12 @@ def _chernoff_grid(logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_tail_share(t: np.ndarray, g: np.ndarray, window: int) -> float:
     """log tau_window at the best grid point (t, g) with t (window + 2) >= D;
     inf where none qualifies."""
-    ok = t * (window + 2) >= _WINDOW_DEGREE
-    if not ok.any():
-        return math.inf
-    with np.errstate(over="ignore"):  # t (window + 1) = inf: the share is 0
+    # t (window + 2) = inf at a huge beta (eps_2 - mu) is the right limit:
+    # that t qualifies, and its share e^{-inf} is 0
+    with np.errstate(over="ignore"):
+        ok = t * (window + 2) >= _WINDOW_DEGREE
         phi = _WINDOW_DEGREE * math.log(window + 2) - t[ok] * (window + 1) + g[ok]
-    return float(phi.min())
+    return float(phi.min()) if ok.any() else math.inf
 
 
 def _max_window(model: ModelParams, modes: int) -> int:

@@ -180,7 +180,10 @@ def _thermal_half(p, w, odd, xh):
 
 
 def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) -> Profile:
-    """Mode-sum of occ_k |phi_k|^2 on a `grid_n`-point symmetric grid."""
+    """Mode-sum of occ_k |phi_k|^2 on a `grid_n`-point symmetric grid.
+
+    Raises ValidationError where a bound on the density, its value at the
+    walls, overflows a float."""
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValidationError(f"grid_n must be in [64, {_MAX_GRID_N}], got {grid_n}")
     if spectrum.params != state.params.box:
@@ -191,9 +194,17 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
         raise ValidationError("spectrum table does not cover all occupied modes")
     x = _symmetric_grid(state.params.box.L, int(grid_n))
     half = x[len(x) // 2:]
+    walls = [eigenfunction_eval(spectrum.modes[k], spectrum.params, half) for k in (0, 1)]
+    # |phi_0| and |phi_1| peak at the wall half[-1] = L/2, and for k >= 2
+    # occ_k phi_k^2 <= occ_k (2/L)/(1 - 1/pi) < 3 occ_k/L, so no density
+    # on the grid exceeds `peak`; 2 peak leaves room for rounding
+    peak = sum(float(w) * float(phi[-1]) * float(phi[-1]) for w, phi in zip(occ, walls))
+    peak += 3.0 * state.rho_tilde
+    if not 2.0 * peak < math.inf:
+        raise ValidationError(f"the density profile overflows a float near the walls "
+                              f"(rho = {state.params.rho:g}, L = {state.params.box.L:g})")
     cond = np.zeros_like(half)
-    for k, w in enumerate(occ[:2]):
-        phi = eigenfunction_eval(spectrum.modes[k], spectrum.params, half)
+    for w, phi in zip(occ, walls):
         cond += w * phi * phi
     thermal = _thermal_half(
         spectrum.wavenumbers[2:K],

@@ -58,7 +58,9 @@ G1 for L*s > 3; below that the odd root solves B(u) = u*coth(u) - 1 = e at
 u = q*L/2 (convex, rising; B summed as a positive series, e = L*s/2 - 1
 from the exact product s*L).  Each root is one monotone Newton iteration
 (`_wall_newton`, 1 to 8 evaluations) from a closed-form bound on its near
-side.  The brackets are closed forms: q0 in [s, s*coth(s*L/2)], and q1 in
+side.  The brackets are closed forms: q0 in [s, min(s*coth(s*L/2), s +
+sqrt(2s/L))], the second end because tanh(u) >= u/(1 + u) turns
+q*tanh(q*L/2) = s into q^2 <= s*q + 2s/L, and q1 in
 [max(e, sqrt(3e))/(L/2), s] because B(u) < u and B(u) <= u^2/3.  A table
 keeps d0 and d1 and reads the splitting and the level offsets
 |eps(k) + sigma^2| from them (`SpectrumTable.wall_gap`,
@@ -528,8 +530,9 @@ def _wall_roots(params: BoxParams, k_max: int):
 
     See the module docstring for the forms solved.  Raises
     ValidationError past L*|sigma| = MAX_WALL_LS, where the wall rows' log
-    norms and residuals overflow, and NoSecondBoundState for k_max >= 1
-    when L*|sigma| <= 2.
+    norms and residuals overflow, and where the bracket of eps(0) <=
+    -2|sigma|/L overflows a float; NoSecondBoundState for k_max >= 1 when
+    L*|sigma| <= 2.
     """
     s, L, half = params.s, params.L, params.half
     sl = s * L
@@ -537,6 +540,16 @@ def _wall_roots(params: BoxParams, k_max: int):
         raise ValidationError(f"wall modes need L*|sigma| <= {MAX_WALL_LS:g}, got {sl:g}")
     if sl == 0.0:  # the bracket of q0 divides by 1 - e^{-sL}
         raise ValidationError(f"L*|sigma| = {L:g}*{s:g} underflows to 0")
+    # q0 <= s*coth(sL/2) = s + d_hi, and q0 <= s + r with r = sqrt(2s/L)
+    # (module docstring), raised by 16 ulp for rounding: the tighter end
+    # below L*s ~ 0.84, and finite where s*coth(sL/2) ~ 2/L squares past a float
+    log_2s = math.log(2.0 * s)
+    d_hi = math.exp(log_2s - sl) / -math.expm1(-sl)  # s*(coth(sL/2) - 1)
+    r = math.sqrt(2.0 * s) / math.sqrt(L)
+    q_end = min(s + d_hi, (s + r) + 16.0 * math.ulp(s + r))
+    if not q_end * q_end < math.inf:
+        raise ValidationError(f"eps(0) <= -2|sigma|/L overflows a float at L = {L:g}, "
+                              f"|sigma| = {s:g}")
     if k_max >= 1 and not params.has_second_bound_state():
         raise NoSecondBoundState(f"odd bound state needs L*|sigma| > 2, got {sl}")
 
@@ -544,14 +557,11 @@ def _wall_roots(params: BoxParams, k_max: int):
         return _log1p_ratio(2.0 * s, d) - (s + d) * L, -2.0 * s / (d + 2.0 * s) - L * d
 
     # q0 in [s, s + d_hi]; d0 >= 2s*e^{-(s + d_hi)L}, its exponent lowered by
-    # its own rounding (a few ulp of its largest term), and q0 >= sqrt(2s/L)
-    log_2s = math.log(2.0 * s)
-    d_hi = math.exp(log_2s - sl) / -math.expm1(-sl)  # s*(coth(sL/2) - 1)
+    # its own rounding (a few ulp of its largest term), and q0 >= r
     y = (s + d_hi) * L
-    start = max(math.exp(log_2s - y - 4.0 * math.ulp(max(y, abs(log_2s)))),
-                math.sqrt(2.0 * s) / math.sqrt(L) - s)
+    start = max(math.exp(log_2s - y - 4.0 * math.ulp(max(y, abs(log_2s)))), r - s)
     d0 = _wall_newton(even, _below(start), 0)
-    roots = [(s + d0, d0, s + d_hi)]
+    roots = [(s + d0, d0, q_end)]
     if k_max < 1:
         return roots
 

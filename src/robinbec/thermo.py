@@ -49,9 +49,11 @@ rho - (occ_0 + occ_1)/L, so G jumps there), and returns the evaluated
 point of smallest |G|: 2 to 7 evaluations on typical boxes.  mu = eps(0) - x
 may round to eps(0) at large beta; x keeps full precision.
 
-The k-sum is cut at k_max with a certified Gaussian-tail bound using the
-lower bracket eps_k > ((k-1) pi / L)^2; `ThermoInput` picks the smallest
-comfortable certified k_max (`suggest_k_max`) unless one is given.
+The k-sum is cut at k_max.  `certified_density_tail` bounds what it drops
+at every mu <= eps(0) by a Gaussian tail, from the lower bracket eps_k >
+((k-1) pi / L)^2 and eps(0) <= -sigma^2, so one bound serves every x.
+`ThermoInput` takes its k_max from `suggest_k_max` unless one is given,
+and checks either against that bound (CutoffTooSmall).
 
 Condensation diagnostics:
 
@@ -100,9 +102,11 @@ class NotCondensing(ValidationError):
 class ThermoInput:
     """Physical point (box, beta, rho, lam) plus mode-sum controls.
 
-    `k_max = None` (the default) stands for the certified cutoff
+    `k_max = None` (the default) stands for the cutoff
     `suggest_k_max(box, beta, cutoff_tol)`, resolved once every other
-    field has passed its check.
+    field has passed its check.  A resolved or given cutoff whose
+    `certified_density_tail` exceeds cutoff_tol raises CutoffTooSmall
+    here, before any spectrum is built.
     """
 
     box: BoxParams
@@ -129,6 +133,11 @@ class ThermoInput:
             raise ValidationError(f"cutoff_tol must be in (0, 1), got {self.cutoff_tol}")
         if self.k_max is None:
             object.__setattr__(self, "k_max", suggest_k_max(self.box, self.beta, self.cutoff_tol))
+        tail = certified_density_tail(self.box, self.beta, self.k_max)
+        if tail > self.cutoff_tol:
+            raise CutoffTooSmall(
+                f"certified k_max tail {tail:.3e} exceeds cutoff_tol {self.cutoff_tol:.3e}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,36 +242,45 @@ def condensate_lower_bound(rho: float, beta: float, sigma: float) -> float:
 # certified mode-sum cutoff
 # ----------------------------------------------------------------------
 
-def certified_density_tail(box: BoxParams, beta: float, eps0: float, k_max: int) -> float:
-    """Upper bound on (1/L) sum_{k > k_max} occ_k at any mu <= eps0, using
-    eps_k > ((k-1) pi/L)^2 and a Gaussian integral tail."""
-    L = box.L
-    y_min = beta * ((k_max * math.pi / L) ** 2 - eps0)
+def certified_density_tail(box: BoxParams, beta: float, k_max: int) -> float:
+    """Upper bound on (1/L) sum_{k > k_max} occ_k at every mu <= eps(0).
+
+    beta (eps_k - mu) >= y_k = beta (((k-1) pi/L)^2 + sigma^2), from the
+    lower bracket eps_k > ((k-1) pi/L)^2 and eps(0) <= -sigma^2 (q0 >=
+    |sigma|), so each occupation is at most e^{-y_k}/(1 - e^{-y}) with y
+    the y_k of k = k_max + 1, and the Gaussian sum over k is bounded by
+    its integral.  The bound does not depend on eps(0) or mu; it is inf
+    where 1 - e^{-y} underflows.
+    """
+    s, L = box.s, box.L
+    p = k_max * math.pi / L
+    denominator = -math.expm1(-beta * (p * p + s * s))  # 1 - e^{-y}
     series = (
-        math.exp(beta * eps0)
-        * (L / (2.0 * math.sqrt(math.pi * beta)))
+        math.exp(-beta * s * s)
         * math.erfc((k_max - 1) * math.pi * math.sqrt(beta) / L)
+        / (2.0 * math.sqrt(math.pi * beta))
     )
-    return series / (1.0 - math.exp(-y_min)) / L
+    return series / denominator if denominator > 0.0 else math.inf
 
 
 def suggest_k_max(box: BoxParams, beta: float, cutoff_tol: float = 1e-10) -> int:
-    """Smallest comfortable k_max with certified tail below cutoff_tol.
+    """The first cutoff whose `certified_density_tail` is below cutoff_tol
+    on the search sequence k -> int(1.3 k) + 4 from max(4, L sqrt(max(1,
+    4/beta))/pi); not always the smallest certified one.
 
     Raises ValidationError once the cutoff would pass K_MAX_LIMIT, the
-    largest table `build_spectrum` builds."""
-    eps0_floor = -((box.s / math.tanh(0.5 * box.s * box.L)) ** 2)  # below eps(0)
-    k = max(4, int(box.L * math.sqrt(max(1.0, 4.0 / beta)) / math.pi))
-    for _ in range(200):
-        if k > K_MAX_LIMIT:
-            raise ValidationError(
-                f"the certified mode-sum cutoff needs k_max > {K_MAX_LIMIT} "
-                f"(L = {box.L}, beta = {beta}, cutoff_tol = {cutoff_tol})"
-            )
-        if certified_density_tail(box, beta, eps0_floor, k) < cutoff_tol:
+    largest table `build_spectrum` builds (k >= 4 * 1.3^n passes it within
+    57 steps)."""
+    start = box.L * math.sqrt(max(1.0, 4.0 / beta)) / math.pi  # inf at L = 1.7e308
+    k = max(4, int(min(start, K_MAX_LIMIT + 1)))
+    while k <= K_MAX_LIMIT:
+        if certified_density_tail(box, beta, k) < cutoff_tol:
             return k
         k = int(k * 1.3) + 4
-    raise NumericalFailure("could not certify a mode-sum cutoff")
+    raise ValidationError(
+        f"the certified mode-sum cutoff needs k_max > {K_MAX_LIMIT} "
+        f"(L = {box.L}, beta = {beta}, cutoff_tol = {cutoff_tol})"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -280,36 +298,29 @@ _SOLVE_PASSES = 200
 # a Newton step in t = log(x / x_mid) this small leaves x within ~2 ulp of
 # the root; at 1 eps, rounding noise in G kept some boxes stepping
 _STEP_TOL = 2.0 * np.finfo(float).eps
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     """Solve the density equation for x = eps(0) - mu_L > 0 by one
     safeguarded Newton iteration in t = log(x / x_mid) (see the module
     docstring) on the spectrum table of modes 0..inp.k_max, which the
-    state keeps; mu = eps(0) - x.
+    state keeps; mu = eps(0) - x.  `ThermoInput` has certified the cutoff.
 
-    Raises CutoffTooSmall if the certified k_max tail exceeds
-    inp.cutoff_tol, and ValidationError where x = eps(0) - mu is below the
-    smallest double, and NumericalFailure if the iteration does not end in
-    _SOLVE_PASSES evaluations.  The returned state satisfies
-    |rho_tilde + rho_cond_finite - rho| <= 1e-10 * rho, and its
+    Raises ValidationError where 2/(rho L) overflows a float or x = eps(0)
+    - mu is below the smallest double, and NumericalFailure if the
+    iteration does not end in _SOLVE_PASSES evaluations.  The returned
+    state satisfies |rho_tilde + rho_cond_finite - rho| <= 1e-10 * rho, and its
     rho_tilde is (1/L) * sum_{k>=2} occ_k.
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
-    spectrum = build_spectrum(inp.box, inp.k_max)
-    eps0 = float(spectrum.epsilons[0])
-    tail = certified_density_tail(inp.box, inp.beta, eps0, inp.k_max)
-    if tail > inp.cutoff_tol:
-        raise CutoffTooSmall(
-            f"certified k_max tail {tail:.3e} exceeds cutoff_tol {inp.cutoff_tol:.3e}"
-        )
-
     beta, L, rho = inp.beta, inp.box.L, inp.rho
-    lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
-    q = spectrum.wavenumbers
-    levels = q[2:] * q[2:] + q[0] * q[0]  # eps_k - eps(0) for k >= 2, no cancellation
-    wall_levels = np.array([0.0, spectrum.wall_gap])
+    if not rho * L > 2.0 / _FLOAT_MAX:
+        raise ValidationError(
+            f"rho*L = {rho * L:g} is too small: 2/(rho*L) overflows a float "
+            f"(rho = {rho:g}, L = {L:g})"
+        )
     # bose(beta x) = rho L at x_lo puts rho_tilde <= 0, so G < 0 there;
     # bose(beta x) = rho L / 2 at x_mid puts rho_tilde >= 0
     x_lo = math.log1p(1.0 / (rho * L)) / beta
@@ -319,6 +330,11 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
             f"eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double "
             f"(beta = {beta:g}, rho*L = {rho * L:g})"
         )
+    spectrum = build_spectrum(inp.box, inp.k_max)
+    lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
+    q = spectrum.wavenumbers
+    levels = q[2:] * q[2:] + q[0] * q[0]  # eps_k - eps(0) for k >= 2, no cancellation
+    wall_levels = np.array([0.0, spectrum.wall_gap])
 
     def at(t):
         """G = rho_tilde - (1/L) sum_{k>=2} occ_k at x = x_mid e^t, its
@@ -446,7 +462,8 @@ def mu_asymptotics_check(states, rho_cond: float | None = None, rel_tol: float =
 
     `rho_cond` defaults to the measured wall-mode density of the largest
     box.  Requires >= 5 solved states in the condensing regime, with two
-    distinct L among those fitted.
+    distinct L among those fitted, and a reference that the relative error
+    can divide by.
     """
     states = sorted(states, key=lambda st: st.params.box.L)
     if len(states) < 5:
@@ -477,7 +494,12 @@ def mu_asymptotics_check(states, rho_cond: float | None = None, rel_tol: float =
     coeffs = np.polyfit(x, ys[-n_top:], 1)
     limit = float(coeffs[1])
     reference = -2.0 / (first.beta * rho_cond)
-    rel_error = abs(limit - reference) / abs(reference)
+    rel_error = abs(limit - reference) / abs(reference) if reference else math.inf
+    if rel_error == math.inf:
+        raise ValidationError(
+            f"the mu fit's reference -2/(beta*rho_cond) = {reference:g} underflows "
+            f"(beta = {first.beta:g}, rho_cond = {rho_cond:g})"
+        )
     return MuAsymptoticsReport(
         L_values=Ls,
         scaled_offsets=ys,

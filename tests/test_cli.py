@@ -389,6 +389,27 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
       "--mu=-0.06938635847253745", "--beta=23.07424396066628",
       "--lambda=1.1380518424042817e+223", "--k-top", "6", "--out", "{tmp}/o"],
      "modes k >= 2 need (pi/L)^2 + sigma^2 >= 2.22507e-308, got 0"),
+    # the cutoff search started from L*sqrt(4/beta)/pi = inf (OverflowError),
+    # and the tail divided by 1 - exp(-y) = 0 at beta = 1e-300 (ZeroDivisionError)
+    (["thermo", "--sigma=-1", "--L=1.7e308", "--out", "{tmp}/o"], "needs k_max > 10000000"),
+    (["thermo", "--sigma=-1", "--L=20", "--beta=1e-300", "--k-max=3", "--out", "{tmp}/o"],
+     "certified k_max tail inf exceeds cutoff_tol"),
+    # rho*L underflows to 0 (ZeroDivisionError), or 1/(rho*L) overflows (the
+    # message blamed an x below the smallest double)
+    (["thermo", "--sigma=-10", "--L=0.3", "--rho=5e-324", "--out", "{tmp}/o"],
+     "rho*L = 0 is too small: 2/(rho*L) overflows a float"),
+    (["thermo", "--sigma=-1", "--L=20", "--rho=5e-324", "--out", "{tmp}/o"],
+     "rho*L = 9.88131e-323 is too small: 2/(rho*L) overflows a float"),
+    # -2/(beta*rho_cond) underflows to -0: a ZeroDivisionError after the
+    # sweep CSV was written, and no fit report
+    (["sweep", "--sigma=-1", "--beta=1e308", "--rho=2", "--L-grid", "20:40:linear:5",
+      "--out", "{tmp}/s.csv"], "the mu fit's reference -2/(beta*rho_cond) = -0 underflows"),
+    # eps(0) <= -2|sigma|/L overflows: log(0.5*L) = log(0) after the CSV header
+    (["spectrum", "--sigma=-1", "--L=5e-324", "--k-max", "0", "--out", "{tmp}/o"],
+     "eps(0) <= -2|sigma|/L overflows a float"),
+    # occ_0 phi_0^2 overflows at the walls: inf in 660 of 2001 rows at exit 0
+    (["profile", "--sigma=-400", "--L=0.01", "--rho=1.7e308", "--out", "{tmp}/o"],
+     "the density profile overflows a float near the walls"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
@@ -412,6 +433,10 @@ def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     ["--sigma=-1", "--L", "20", "--beta", "1e300"],
     ["--sigma=-1e15", "--L", "1"],
     ["--sigma=-1", "--L", "800", "--rho", "1e300"],
+    # default cutoffs that failed the certificate solve_mu took at eps(0),
+    # above the level suggest_k_max had certified them at
+    ["--sigma=-0.19257894301031425", "--L=10.385428016585738", "--beta=20.56563665862788"],
+    ["--sigma=-4.1205447190168085", "--L=0.5321989074440958", "--beta=0.062001604993144395"],
 ])
 def test_density_equation_solved_below_double_spacing_at_eps0(tmp_path, capsys, argv):
     out = tmp_path / "o.json"
@@ -422,24 +447,39 @@ def test_density_equation_solved_below_double_spacing_at_eps0(tmp_path, capsys, 
     assert abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"]) <= 1e-10 * rep["rho"]
 
 
-@pytest.mark.parametrize("sigma,L", [("-1", "1e307"), ("-1e154", "1e153")])
-def test_wall_rows_at_the_limit_are_finite(tmp_path, sigma, L):
-    out = tmp_path / "o.csv"
-    assert run(["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", "1", "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()
-            if line[:1].isdigit()]
-    assert len(rows) == 2
-    assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
-
-
-@pytest.mark.parametrize("check", [
-    # closed forms 1/(e^c - 1) overflowed in expm1; the moment rhs took log(0)
-    ["--check", "wall-occupation", "--mode", "0"],
-    ["--check", "occupation-bound", "--mode", "3"],
-    ["--check", "moment-inequality", "--mode", "3", "--power", "1"],
+@pytest.mark.parametrize("sigma,L", [
+    ("-1", "1e307"), ("-1e154", "1e153"),
+    # the bracket end |sigma|*coth(L*|sigma|/2) ~ 2/L of q0 squared to
+    # bracket_lo = -inf; one mode, as L*|sigma| < 2
+    ("-1", "1e-160"), ("-1e-160", "1e-160"), ("-1", "1e-300"),
 ])
-def test_huge_beta_gives_a_finite_report(tmp_path, capsys, check):
-    assert run([a.format(tmp=tmp_path) for a in _HUGE_BETA] + check) == 0
+def test_wall_rows_at_the_limit_are_finite(tmp_path, sigma, L):
+    k_max = 1 if float(L) * -float(sigma) > 2.0 else 0
+    out = tmp_path / "o.csv"
+    assert run(["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", str(k_max),
+                "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")[2:]] for line in out.read_text().splitlines()
+            if line[:1].isdigit()]
+    assert len(rows) == k_max + 1
+    assert all(math.isfinite(v) for row in rows for v in row)
+    for eps, _, _, lo, hi in rows:
+        assert 1.000001 * eps <= lo <= eps <= hi  # an informative bracket
+
+
+@pytest.mark.parametrize("argv", [
+    # closed forms 1/(e^c - 1) overflowed in expm1; the moment rhs took log(0)
+    _HUGE_BETA + ["--check", "wall-occupation", "--mode", "0"],
+    _HUGE_BETA + ["--check", "occupation-bound", "--mode", "3"],
+    _HUGE_BETA + ["--check", "moment-inequality", "--mode", "3", "--power", "1"],
+    # (m + 1) log x and t (window + 2) overflowed, a RuntimeWarning each
+    ["oracle", "--sigma=-1", "--L=10", "--beta=1", "--mu=-1.7e308", "--k-top", "1",
+     "--check", "wall-occupation", "--mode", "0", "--out", "{tmp}/o"],
+    ["oracle", "--sigma=-0.04127034880800683", "--L=866.1551265434781", "--beta=1.7e+308",
+     "--mu=-0.23808861513076054", "--k-top", "3", "--check", "wall-occupation", "--mode", "0",
+     "--out", "{tmp}/o"],
+])
+def test_huge_beta_gives_a_finite_report(tmp_path, capsys, argv):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 0
     assert capsys.readouterr().err == ""
     rep = json.loads((tmp_path / "o").read_text())
     assert rep["pass"] is True

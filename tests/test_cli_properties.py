@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import robinbec.cli as cli
 
-BAD = {float: ("0", "-1", "nan", "1e-300", "1e300", "-1e17"), int: ("0", "-1")}
+BAD = {float: ("0", "-1", "nan", "1e-300", "1e300", "-1e17", "5e-324", "1.7e308"), int: ("0", "-1")}
 
 # small valid values, so each run takes milliseconds
 VALID = {

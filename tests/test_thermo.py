@@ -281,8 +281,29 @@ def test_solve_mu_cutoff_certificate():
     with pytest.raises(CutoffTooSmall):
         solve_mu(ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=5,
                              cutoff_tol=1e-10), model=FREE)
-    tail = certified_density_tail(box, 1.0, -1.0, suggest_k_max(box, 1.0))
+    tail = certified_density_tail(box, 1.0, suggest_k_max(box, 1.0))
     assert tail < 1e-10
+
+
+@pytest.mark.parametrize("sigma,L,beta", [
+    # boxes whose default cutoff once failed the check the solve took at eps(0)
+    (-0.19257894301031425, 10.385428016585738, 20.56563665862788),
+    (-4.1205447190168085, 0.5321989074440958, 0.062001604993144395),
+    (-1.0, 2.0 + 1e-9, 1.0), (-1.0, 50.0, 0.3), (-0.5, 200.0, 5.0), (-3.0, 1.0, 0.01),
+])
+def test_certified_tail_bounds_the_dropped_modes_at_eps0(sigma, L, beta):
+    # mu = eps(0), the top of the range the bound covers, maximizes every
+    # occupation; modes past K add at most the bound at K, 1e-6 of the one tested
+    box = BoxParams(sigma, L)
+    for k_max in (2, 5, suggest_k_max(box, beta)):
+        bound = certified_density_tail(box, beta, k_max)
+        K = k_max
+        while certified_density_tail(box, beta, K) > 1e-6 * bound:
+            K = 2 * K + 10
+        q = build_spectrum(box, K).wavenumbers
+        with np.errstate(over="ignore"):
+            dropped = float(np.sum(1.0 / np.expm1(beta * (q[k_max + 1:] ** 2 + q[0] ** 2)))) / L
+        assert dropped <= bound, (k_max, dropped, bound)
 
 
 def test_scf_matches_gibbs_oracle_at_small_scale():
@@ -439,7 +460,10 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
         inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
         assert inp.k_max == suggest_k_max(box, beta, tol)
         assert solve_mu(inp).epsilons.shape == (inp.k_max + 1,)
-    assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=7).k_max == 7
+    # an explicit cutoff is kept as given, and checked against the same bound
+    assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=60).k_max == 60
+    with pytest.raises(CutoffTooSmall, match="certified k_max tail 7.200e-02"):
+        ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=7)
     # every other field is checked first: a bad cutoff_tol or beta never
     # reaches the cutoff search
     monkeypatch.setattr(thermo, "suggest_k_max", lambda *a: pytest.fail("cutoff searched"))
