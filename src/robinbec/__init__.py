@@ -38,6 +38,7 @@ from .gibbs_oracle import (
     grand_expectation,
     make_truncation,
     run_check,
+    truncation_for_check,
 )
 from .thermo import (
     CutoffTooSmall,

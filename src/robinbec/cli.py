@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure, ValidationError
-from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, make_truncation, run_check
+from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, run_check, truncation_for_check
 from .profile import density_profile, localization_radius, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
@@ -165,12 +165,12 @@ def _cmd_oracle(cfg: dict) -> int:
     box = BoxParams(sigma=cfg["sigma"], L=cfg["L"])
     model = ModelParams(box=box, beta=cfg["beta"], mu=cfg["mu"], lam=cfg["lam"])
     table = build_spectrum(box, cfg["k_top"])
-    spec = make_truncation(table, model, tol=cfg["trunc_tol"])
     name = cfg["check"]
     given = {"j": cfg["j"], "targets": cfg["target"], "k": cfg["mode"], "n": cfg["power"]}
     kwargs = {arg: given[arg] for arg in CHECK_ARGUMENTS[name]}
     if "targets" in kwargs:  # parsed only for the check that takes them
         kwargs["targets"] = [_parse_target(item) for item in kwargs["targets"]]
+    spec = truncation_for_check(name, table, model, cfg["trunc_tol"], **kwargs)
     report = run_check(name, spec, **kwargs)
     report["tool"] = f"robinbec {__version__}"
     _write(_write_json, report, cfg["out"])

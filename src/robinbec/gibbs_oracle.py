@@ -41,7 +41,8 @@ with n <= N is >= 0 and the terms (m, n), (n, m) above N add to W[m] W[n]
 Ntil N_k^3 of the moment inequality, the largest degree a check reaches.
 
 `make_truncation` picks the wall caps and the smallest window whose
-tails (`TruncationSpec` computes them) are at most tol/3 each.
+tails (`TruncationSpec` computes them) are at most tol/3 each, each
+search in one array evaluation of the expression its certificate uses.
 Observables are products of polynomial factors in distinct modes, times
 an optional polynomial in Ntil.  `_CHECKS` maps each check to its sides
 (lhs, rhs) and the relation `run_check` tests within the tail budget.
@@ -50,8 +51,10 @@ an optional polynomial in Ntil.  `_CHECKS` maps each check to its sides
 from __future__ import annotations
 
 import bisect
+import functools
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +72,7 @@ _BLOCK_CELLS = 1 << 18  # exponentials materialized at once
 # s for tau_N: beta (eps_2 - mu - s) = beta (eps_2 - mu) r on three points
 # per octave; measured against the best s, the grid lost at most 4 % of tau_N
 _CHERNOFF_R = 2.0 ** (-np.arange(1, 73) / 3.0)
+_WINDOW_BLOCK = 64  # windows 0..63 take their tails in one evaluation
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # e^c overflows a float beyond it
 
 
@@ -261,29 +265,48 @@ def _chernoff_grid(logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(t, g) with t = beta s on the grid `_CHERNOFF_R` and g = log
     prod_{k>=2} (1 - x_k)/(1 - x_k e^t), from log x_k of all modes: with
     r = beta (eps_2 - mu) - t, each factor is 1 + (1 - e^{-t}) /
-    (e^{r + beta (eps_k - eps_2)} - 1).  t = inf without modes k >= 2."""
-    a = -logx[2:]
+    (e^{r + beta (eps_k - eps_2)} - 1).  t = inf without modes k >= 2.
+
+    One entry is kept, keyed by the bytes of log x_k, k >= 2, so that
+    `make_truncation` and the spec it builds share one grid, while any
+    other input builds its own; the arrays are read-only."""
+    return _chernoff_grid_of(logx[2:].tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _chernoff_grid_of(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+    a = -np.frombuffer(key)
     if a.size == 0:
-        return np.array([np.inf]), np.zeros(1)
-    r = a[0] * _CHERNOFF_R
-    t = a[0] - r
-    g = np.empty(len(r))
-    for rows in _row_blocks(len(r), len(a)):
-        with np.errstate(over="ignore"):  # e^{r + d_k} = inf: the factor is 1
-            occ = 1.0 / np.expm1(r[rows, None] + (a - a[0]))
-        g[rows] = np.log1p(-np.expm1(-t[rows, None]) * occ).sum(axis=1)
+        t, g = np.array([np.inf]), np.zeros(1)
+    else:
+        r = a[0] * _CHERNOFF_R
+        t = a[0] - r
+        g = np.empty(len(r))
+        for rows in _row_blocks(len(r), len(a)):
+            with np.errstate(over="ignore"):  # e^{r + d_k} = inf: the factor is 1
+                occ = 1.0 / np.expm1(r[rows, None] + (a - a[0]))
+            g[rows] = np.log1p(-np.expm1(-t[rows, None]) * occ).sum(axis=1)
+    t.flags.writeable = g.flags.writeable = False
     return t, g
 
 
-def _log_tail_share(t: np.ndarray, g: np.ndarray, window: int) -> float:
-    """log tau_window at the best grid point (t, g) with t (window + 2) >= D;
-    inf where none qualifies."""
-    # t (window + 2) = inf at a huge beta (eps_2 - mu) is the right limit:
-    # that t qualifies, and its share e^{-inf} is 0
+def _log_tail_shares(t: np.ndarray, g: np.ndarray, windows) -> np.ndarray:
+    """log tau_N for each N of `windows`, at the best grid point (t, g)
+    with t (N + 2) >= D; inf where none qualifies."""
+    n = np.asarray(windows, dtype=float)[:, None]
+    # math.log, not np.log: the two differ in the last bit at a few N, and
+    # the window search and the certificate must take the same value
+    log_n = np.array([math.log(w + 2) for w in windows])[:, None]
+    # t (N + 2) = inf at a huge beta (eps_2 - mu) is the right limit: that
+    # t qualifies, and its share e^{-inf} is 0
     with np.errstate(over="ignore"):
-        ok = t * (window + 2) >= _WINDOW_DEGREE
-        phi = _WINDOW_DEGREE * math.log(window + 2) - t[ok] * (window + 1) + g[ok]
-    return float(phi.min()) if ok.any() else math.inf
+        phi = _WINDOW_DEGREE * log_n - t * (n + 1) + g
+        return np.where(t * (n + 2) >= _WINDOW_DEGREE, phi, np.inf).min(axis=1)
+
+
+def _log_tail_share(t: np.ndarray, g: np.ndarray, window: int) -> float:
+    """`_log_tail_shares` of one window."""
+    return float(_log_tail_shares(t, g, [window])[0])
 
 
 def _max_window(model: ModelParams, modes: int) -> int:
@@ -301,44 +324,72 @@ def make_truncation(table: SpectrumTable, model: ModelParams, tol: float = 1e-12
     """Choose the two wall caps and the k >= 2 window so that each of the
     three tails is <= tol/3, and certify them as a `TruncationSpec`.
 
-    Each wall cap M starts at its weight-only estimate x^(M+1) <= tol/3
-    and, both as one array, grows by 1 + M // 8 while its tail exceeds
-    the target.  The window is the smallest N whose tail is within the
-    target, by bisection (the tail does not increase with N).  A cap above
-    _MAX_MODE_CAP or a window above `_max_window` raises CapOverflow.
-    Needs mu < eps(0).
+    Each wall cap is the first M of the sequence M0, M0 + 1 + M0 // 8, ...
+    whose tail is within the target, where M0 is the weight-only estimate
+    x^(M0+1) <= tol/3; one array evaluation takes the tails of both
+    sequences, each up to _MAX_MODE_CAP or to a point past which every M
+    passes.  The window is the smallest N whose tail is within the target
+    (the tail does not increase with N): the first in one evaluation of
+    N = 0..63, else by bisection above them.
+    A cap above _MAX_MODE_CAP or a window above `_max_window` raises
+    CapOverflow.  Needs mu < eps(0).
     """
     eps = table.epsilons
     if model.mu >= eps[0]:
         raise ValidationError(f"mu must satisfy mu < eps(0) = {eps[0]}, got {model.mu}")
+    if len(eps) < 2:
+        raise ValidationError("truncation must include both wall modes (k = 0, 1)")
     if not (0.0 < tol < 1.0):
         raise ValidationError("tol must be in (0, 1)")
     target = tol / 3.0
+    if target == 0.0:
+        raise ValidationError(f"tol = {tol:g} is too small: tol/3 underflows a float")
+    log_target = math.log(target)
     logx = _log_ratios(eps, model)
     wall = logx[:2]
-    # an estimate beyond the float range is inf and ends in the CapOverflow below
+    # An estimate beyond the float range is inf and has no candidate below
+    # _MAX_MODE_CAP.  With c = -log x and u = M + 2, the tail is within
+    # target / e once c (u - 1) - 3 log u >= b.  log u <= log(6/c) + c u/6 - 1
+    # gives a u past which that holds, and one step u -> 1 + (b + 3 log u)/c
+    # keeps it one, so every candidate from `last` on passes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        need = (math.log(target) + np.log(-np.expm1(wall))) / wall - 1.0
-    caps = np.maximum(1.0, np.ceil(need - 1e-9))
-    while (fits := caps <= _MAX_MODE_CAP).all():
-        grow = _moment_tails(wall, caps) > target
-        if not grow.any():
-            break
-        caps[grow] += 1 + caps[grow] // 8
-    else:
-        k = int(np.argmin(fits))
+        c, log_gap = -wall, np.log(-np.expm1(wall))
+        need = (log_target + log_gap) / wall - 1.0
+        b = math.log(6.0) - log_target + 1.0 - 3.0 * log_gap
+        u = 2.0 * (b + c + 3.0 * np.log(6.0 / c) - 3.0) / c
+        last = (b + 3.0 * np.log(u)) / c - 1.0
+    runs = []
+    for m, top in zip(np.maximum(1.0, np.ceil(need - 1e-9)).tolist(), last.tolist()):
+        runs.append([])
+        while m <= _MAX_MODE_CAP:
+            runs[-1].append(m)
+            if m >= top:
+                break
+            m += 1 + m // 8
+    n0 = len(runs[0])
+    within = (_moment_tails(np.repeat(wall, [n0, len(runs[1])]), np.array(runs[0] + runs[1]))
+              <= target).tolist()
+    caps = [int(run[ok.index(True)]) if True in ok else None
+            for run, ok in zip(runs, (within[:n0], within[n0:]))]
+    if None in caps:  # the mode whose sequence leaves the range first
+        k = min((k for k in (0, 1) if caps[k] is None), key=lambda k: len(runs[k]))
         raise CapOverflow(
             f"mode {k} needs a cap above {_MAX_MODE_CAP} to certify tol {tol:.1e}: beta "
             f"(eps_k - mu) = {-wall[k]:.3g} too small (beta = {model.beta:g}, mu = {model.mu:g})")
     n_max = _max_window(model, len(eps) - 2)
     t, g = _chernoff_grid(logx)
-    window = bisect.bisect_left(range(n_max + 1), True,
-                                key=lambda n: _log_tail_share(t, g, n) <= math.log(target))
+    block = min(_WINDOW_BLOCK, n_max + 1)
+    inside = _log_tail_shares(t, g, range(block)) <= log_target
+    if inside.any():
+        window = int(inside.argmax())
+    else:
+        window = block + bisect.bisect_left(range(block, n_max + 1), True,
+                                            key=lambda n: _log_tail_share(t, g, n) <= log_target)
     if window > n_max:
         raise CapOverflow(
             f"the k >= 2 window needs more than {n_max} particles over {len(eps) - 2} "
             f"modes to certify tol {tol:.1e} (beta = {model.beta:g}, mu = {model.mu:g})")
-    spec = TruncationSpec(table, model, tuple(int(c) for c in caps), window)
+    spec = TruncationSpec(table, model, tuple(caps), window)
     if spec.tail_budget > tol:
         raise NumericalFailure("computed tail budget exceeds the requested tolerance")
     return spec
@@ -401,8 +452,15 @@ def constrained_partition(spec: TruncationSpec) -> ConstrainedZ:
     """z[n] for n = 0..spec.window by the power-sum recursion, in log space."""
     log_p = _log_power_sums(spec.model.beta * spec.table.epsilons[2:], spec.window)
     log_z = np.zeros(spec.window + 1)
-    for n in range(1, spec.window + 1):
-        log_z[n] = _logsumexp(log_p[:n] + log_z[n - 1::-1]) - math.log(n)
+    buf = np.empty(spec.window)
+    for n in range(1, spec.window + 1):  # `_logsumexp` of log_p[:n] + log_z[n-1::-1], in place
+        terms = np.add(log_p[:n], log_z[n - 1::-1], out=buf[:n])
+        top = float(terms.max())
+        if top == -math.inf:  # no modes k >= 2: z[n] = 0
+            log_z[n] = top
+            continue
+        np.exp(np.subtract(terms, top, out=terms), out=terms)
+        log_z[n] = top + math.log(terms.sum()) - math.log(n)
     return ConstrainedZ(spec=spec, log_z=log_z)
 
 
@@ -531,11 +589,7 @@ def exchange_identity_sides(j, targets, spec):
         if k < 0 or k > spec.k_top:
             raise UnknownMode(f"mode {k} is outside the truncation")
     _require_mu_below_ground(spec)
-    eps = spec.table.epsilons
-    log_pref = spec.model.beta * (eps[j] - eps[k1])
-    if log_pref > _LOG_FLOAT_MAX:
-        raise ValidationError(f"exchange prefactor e^(beta (eps_j - eps_k1)) = "
-                              f"e^{log_pref:.6g} overflows a float; lower beta")
+    pref = _exchange_prefactor(spec.table.epsilons, spec.model.beta, j, k1)
 
     spect = [(k, number_poly(n)) for k, n in targets[1:] if n > 0]
     lhs_obs = DiagonalObservable(
@@ -545,9 +599,18 @@ def exchange_identity_sides(j, targets, spec):
         factors=tuple([(j, shifted_number_poly(1)), (k1, number_poly(n1))] + spect)
     )
     z = constrained_partition(spec)
-    lhs = math.exp(log_pref) * grand_expectation(lhs_obs, spec, z=z)
+    lhs = pref * grand_expectation(lhs_obs, spec, z=z)
     rhs = grand_expectation(rhs_obs, spec, z=z)
     return lhs, rhs
+
+
+def _exchange_prefactor(eps: np.ndarray, beta: float, j: int, k1: int) -> float:
+    """e^{beta (eps_j - eps_k1)}; a ValidationError where it overflows a float."""
+    log_pref = beta * (eps[j] - eps[k1])
+    if log_pref > _LOG_FLOAT_MAX:
+        raise ValidationError(f"exchange prefactor e^(beta (eps_j - eps_k1)) = "
+                              f"e^{log_pref:.6g} overflows a float; lower beta")
+    return math.exp(log_pref)
 
 
 def check_wall_mode_occupation(k, spec):
@@ -642,6 +705,33 @@ CHECK_ARGUMENTS = {name: tuple(inspect.signature(sides).parameters)[:-1]  # all 
                    for name, (sides, _) in _CHECKS.items()}
 
 
+def truncation_for_check(name: str, table: SpectrumTable, model: ModelParams,
+                         tol: float = 1e-12, **kwargs) -> TruncationSpec:
+    """`make_truncation` at the tolerance that check `name` with the
+    keyword arguments of `run_check` needs.
+
+    The lhs of an exchange carries pref = e^{beta (eps_j - eps_k1)}, which
+    multiplies its truncation error, and `run_check` reports pref times the
+    involved tails as its budget.  Where pref > 1 the truncation is
+    therefore certified at tol / pref, so that the budget stays near tol;
+    a tol / pref below the smallest normal float is a ValidationError.
+    Mode indices outside the table are left to the check to reject.
+    """
+    targets = kwargs.get("targets") if name == "exchange" else None
+    if targets:
+        j, k1 = int(kwargs["j"]), int(targets[0][0])
+        if 0 <= min(j, k1) and max(j, k1) < len(table.epsilons):
+            pref = _exchange_prefactor(table.epsilons, model.beta, j, k1)
+            if pref > 1.0:
+                if not tol / pref >= sys.float_info.min:
+                    raise ValidationError(
+                        f"tol / pref = {tol:g} / {pref:.6g} underflows a float, where pref = "
+                        f"e^(beta (eps_j - eps_k1)) is the exchange prefactor "
+                        f"(beta = {model.beta:g}); raise tol or lower beta")
+                tol /= pref
+    return make_truncation(table, model, tol)
+
+
 def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
     """Run one named check on `spec` with its keyword arguments
     (`CHECK_ARGUMENTS`) and wrap its sides (lhs, rhs) as a JSON-ready
@@ -656,7 +746,8 @@ def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
       moment-inequality:          lhs >= rhs - allowance
       occupation-bound:           lhs <= rhs + allowance
     A vacuous occupation bound (c_k <= 0) is reported with its
-    `bound_exponent` and lhs, rhs, residual and pass all None.
+    `bound_exponent` and lhs, rhs, residual and pass all None.  A spec
+    from `truncation_for_check` keeps an exchange budget near its tol.
     """
     if name not in _CHECKS:
         raise ValidationError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
@@ -681,8 +772,8 @@ def run_check(name: str, spec: TruncationSpec, **kwargs) -> dict:
     involved = [kwargs[a] for a in ("j", "k") if a in kwargs]  # the modes the arguments name
     budget = spec.relevant_budget(involved + [k for k, _ in kwargs.get("targets", ())])
     if name == "exchange":
-        eps, k1 = spec.table.epsilons, kwargs["targets"][0][0]
-        budget *= max(1.0, math.exp(model.beta * (eps[kwargs["j"]] - eps[k1])))
+        budget *= max(1.0, _exchange_prefactor(spec.table.epsilons, model.beta, kwargs["j"],
+                                                kwargs["targets"][0][0]))
     report = {"check": name, "params": params, "lhs": None, "rhs": None,
               "residual": None, "tail_budget": budget, "pass": None}
     if sides is not None:

@@ -244,6 +244,12 @@ def localization_radius(profile: Profile, fraction: float) -> float:
     nc = profile.n_cond
     if not np.any(nc > 0.0):
         raise EmptyCondensate("condensate profile is identically zero")
+    # the trapezoid sums stay below 2 peak max(1, width); where that
+    # overflows, n_cond is scaled by an exact power of two to a peak below
+    # 1 / max(1, width), which leaves the radius unchanged
+    peak, width = float(nc.max()), float(x[-1] - x[0])
+    if not math.isfinite(2.0 * peak * max(1.0, width)):
+        nc = np.ldexp(nc, -(math.frexp(peak)[1] + max(0, math.frexp(width)[1])))
     seg = 0.5 * (nc[1:] + nc[:-1]) * np.diff(x)
     # F[j] = integral from x[j] to the right wall
     F = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])

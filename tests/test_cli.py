@@ -407,6 +407,13 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # eps(0) <= -2|sigma|/L overflows: log(0.5*L) = log(0) after the CSV header
     (["spectrum", "--sigma=-1", "--L=5e-324", "--k-max", "0", "--out", "{tmp}/o"],
      "eps(0) <= -2|sigma|/L overflows a float"),
+    # an exchange truncation is certified at tol / pref, e^697.9 here
+    (["oracle", "--check", "exchange", "--sigma=-1.003005732233222", "--L=10.481102170507942",
+      "--beta=93", "--mu=-1.0900658867759876", "--k-top", "79", "--j", "10", "--target", "4:2",
+      "--out", "{tmp}/o"], "tol / pref = 1e-12 / 9.17957e+302 underflows a float"),
+    # tol/3 underflows to 0: a math domain error in the cap estimate
+    (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--trunc-tol", "5e-324",
+      "--out", "{tmp}/o"], "tol = 4.94066e-324 is too small: tol/3 underflows a float"),
     # occ_0 phi_0^2 overflows at the walls: inf in 660 of 2001 rows at exit 0
     (["profile", "--sigma=-400", "--L=0.01", "--rho=1.7e308", "--out", "{tmp}/o"],
      "the density profile overflows a float near the walls"),
@@ -484,6 +491,18 @@ def test_huge_beta_gives_a_finite_report(tmp_path, capsys, argv):
     rep = json.loads((tmp_path / "o").read_text())
     assert rep["pass"] is True
     assert all(math.isfinite(rep[key]) for key in ("lhs", "rhs", "residual", "tail_budget"))
+
+
+def test_localization_radius_of_a_huge_condensate(tmp_path, capsys):
+    # the trapezoid sums of n_cond ~ 1e307 overflowed (a RuntimeWarning, so
+    # a traceback here); scaled by a power of two they give the radius of
+    # the same box at rho = 1e300, whose sums fit
+    radii = []
+    for rho in ("1e305", "1e300"):
+        assert run(["profile", "--sigma=-0.5", "--L=800", f"--rho={rho}", "--fraction", "0.5",
+                    "--grid-n", "64", "--out", str(tmp_path / "p.csv")]) == 0
+        radii.append(capsys.readouterr().out.split("localization_radius(0.5)=")[1].strip())
+    assert radii[0] == radii[1] and math.isfinite(float(radii[0]))
 
 
 def test_overflowing_coupling_weight_gives_a_finite_report(tmp_path, capsys):

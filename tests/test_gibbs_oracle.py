@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers_bruteforce import enum_constrained_z, enum_expectation, enum_expectation_split
-from helpers_caps import moment_tail, per_mode_caps
+from helpers_caps import moment_tail, per_mode_caps, stepwise_truncation
 
 import robinbec.gibbs_oracle as gibbs_oracle
 from robinbec.errors import ValidationError
@@ -28,6 +29,7 @@ from robinbec.gibbs_oracle import (
     number_poly,
     run_check,
     shifted_number_poly,
+    truncation_for_check,
 )
 from robinbec.spectrum import BoxParams, build_spectrum
 from robinbec.thermo import suggest_k_max
@@ -181,6 +183,97 @@ def test_cap_search_matches_per_mode_reference():
             smaller = TruncationSpec(table, model, spec.caps, spec.window - 1)
             assert smaller.window_tail > target
     assert compared >= 1000 and overflows >= 100 and near <= 3 and too_wide <= 3
+
+
+def test_one_pass_search_matches_the_stepwise_search():
+    # make_truncation against helpers_caps.stepwise_truncation on random
+    # boxes: the same caps, window and tail_budget to the last bit, or the
+    # same CapOverflow.  Windows from 64 on come from the bisection above
+    # the block of windows 0..63
+    rng = np.random.default_rng(19)
+    compared = wide = overflows = 0
+    for _ in range(800):
+        s = float(rng.uniform(0.3, 3.0))
+        L = (2.0 + 10 ** rng.uniform(-2.0, 2.5)) / s
+        table = build_spectrum(BoxParams(-s, L), int(rng.integers(2, 401)))
+        beta, tol = float(10 ** rng.uniform(-1.5, 1.5)), float(10 ** rng.uniform(-15, -4))
+        mu = float(table.epsilons[0] - 10 ** rng.uniform(-5.0, 1.5))
+        model = ModelParams(box=table.params, beta=beta, mu=mu, lam=float(rng.uniform(0.0, 2.0)))
+        ref = stepwise_truncation(table, model, tol)
+        if isinstance(ref, str):
+            overflows += 1
+            with pytest.raises(CapOverflow) as exc:
+                make_truncation(table, model, tol=tol)
+            assert str(exc.value).startswith(ref)
+            continue
+        spec = make_truncation(table, model, tol=tol)
+        assert (spec.caps, spec.window, spec.tail_budget) == ref
+        compared += 1
+        wide += spec.window >= 64
+    assert compared >= 500 and wide >= 100 and overflows >= 50
+
+
+def test_a_spec_takes_its_own_tails_after_another_truncation():
+    # make_truncation and the spec it builds share one Chernoff grid; a spec
+    # built directly after another box's truncation, or after the same
+    # box's at another beta, must still take the tails of its own inputs
+    table, model, _ = _setup(sigma=-1.2, L=14.0, beta=0.7, mu=-1.8, k_top=30)
+    other = build_spectrum(BoxParams(-1.0, 11.0), 25)
+    colder = ModelParams(box=table.params, beta=2.0, mu=model.mu, lam=model.lam)
+    cases = [(other, ModelParams(other.params, 1.3, -1.4, 0.5)), (table, colder)]
+    for own_table, own_model in cases:
+        make_truncation(table, model)
+        after = TruncationSpec(own_table, own_model, (40, 40), 12)
+        gibbs_oracle._chernoff_grid_of.cache_clear()
+        fresh = TruncationSpec(own_table, own_model, (40, 40), 12)
+        assert (after.per_mode_tail, after.window_tail) == (fresh.per_mode_tail,
+                                                            fresh.window_tail)
+        assert after.window_tail != TruncationSpec(table, model, (40, 40), 12).window_tail
+    t, g = gibbs_oracle._chernoff_grid(-model.beta * (table.epsilons - model.mu))
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 0.0
+
+
+@pytest.mark.parametrize("check,extra", [
+    ("exchange", ["--j", "1", "--target", "0:1"]),
+    ("exchange", ["--j", "2", "--target", "5:2"]),
+    ("wall-occupation", ["--mode", "0"]),
+    ("moment-inequality", ["--mode", "3", "--power", "1"]),
+    ("occupation-bound", ["--mode", "4"]),
+])
+def test_an_oracle_op_runs_each_search_once(tmp_path, monkeypatch, check, extra):
+    # per op: one Chernoff grid, one tail evaluation of the cap candidates
+    # and one of windows 0..63, and one of each for the spec's certificate
+    import robinbec.cli
+
+    calls = {"_moment_tails": 0, "_log_tail_shares": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(gibbs_oracle, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(gibbs_oracle, name, counted)
+    gibbs_oracle._chernoff_grid_of.cache_clear()
+    out = tmp_path / "o.json"
+    assert robinbec.cli.main(["oracle", "--check", check, "--sigma=-1.3", "--L=18.5",
+                              "--beta=1.4", "--mu=-1.85", "--lambda=0.6", "--k-top", "120",
+                              *extra, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["window"] < 64
+    assert gibbs_oracle._chernoff_grid_of.cache_info().misses == 1
+    assert calls == {"_moment_tails": 2, "_log_tail_shares": 2}
+
+
+def test_a_wide_window_bisects_above_the_block(monkeypatch):
+    # beyond N = 63 the window comes from a bisection over the windows up
+    # to the work limit, one tail per step
+    table, model, _ = _setup(sigma=-1.0, L=200.0, beta=1.0, mu=-1.01, k_top=300, lam=0.5)
+    seen = []
+    inner = gibbs_oracle._log_tail_shares
+    monkeypatch.setattr(gibbs_oracle, "_log_tail_shares",
+                        lambda t, g, windows: seen.append(len(windows)) or inner(t, g, windows))
+    spec = make_truncation(table, model)
+    n_max = gibbs_oracle._max_window(model, 299)
+    assert spec.window >= 64 and seen[0] == 64 and set(seen[1:]) == {1}
+    assert len(seen) <= 2 + (n_max - 63).bit_length()
 
 
 def test_mismatched_precomputed_z_rejected():
@@ -452,6 +545,30 @@ def test_exchange_budget_carries_the_prefactor():
     assert report["tail_budget"] == pytest.approx(pref * spec.window_tail, rel=1e-15)
     report = run_check("exchange", spec, j=4, targets=[(10, 2)])  # prefactor < 1
     assert report["tail_budget"] == spec.window_tail
+
+
+def test_exchange_truncation_is_certified_at_tol_over_the_prefactor():
+    # pref = 2.16e6 multiplies the lhs truncation error; a truncation at
+    # tol / pref keeps the reported budget near tol (it was 9.25e-8 at a
+    # truncation made at tol)
+    box = BoxParams(-1.003005732233222, 10.481102170507942)
+    model = ModelParams(box, 1.9444452815123277, -1.0900658867759876, 0.38070415273263053)
+    table = build_spectrum(box, 79)
+    spec = truncation_for_check("exchange", table, model, 1e-12, j=10, targets=[(4, 2)])
+    pref = math.exp(model.beta * (table.epsilons[10] - table.epsilons[4]))
+    assert spec == make_truncation(table, model, 1e-12 / pref)
+    report = run_check("exchange", spec, j=10, targets=[(4, 2)])
+    assert report["pass"] is True and spec.window == 25
+    assert report["tail_budget"] <= 1e-12
+    # pref <= 1, other checks, and indices the check rejects keep tol
+    plain = make_truncation(table, model, 1e-12)
+    for name, kwargs in [("exchange", {"j": 4, "targets": [(10, 2)]}),
+                         ("occupation-bound", {"k": 10}),
+                         ("exchange", {"j": 80, "targets": [(4, 1)]})]:
+        assert truncation_for_check(name, table, model, 1e-12, **kwargs) == plain
+    hot = ModelParams(box, 93.0, model.mu, model.lam)
+    with pytest.raises(ValidationError, match=r"tol / pref = 1e-12 / 9\.\d+e\+302 underflows"):
+        truncation_for_check("exchange", table, hot, 1e-12, j=10, targets=[(4, 2)])
 
 
 def test_exchange_identity_breaks_across_sectors_with_coupling():
