@@ -407,6 +407,9 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # eps(0) <= -2|sigma|/L overflows: log(0.5*L) = log(0) after the CSV header
     (["spectrum", "--sigma=-1", "--L=5e-324", "--k-max", "0", "--out", "{tmp}/o"],
      "eps(0) <= -2|sigma|/L overflows a float"),
+    # occ_0 phi_0^2 overflows at the walls: inf in 660 of 2001 rows at exit 0
+    (["profile", "--sigma=-400", "--L=0.01", "--rho=1.7e308", "--out", "{tmp}/o"],
+     "the density profile overflows a float near the walls"),
     # an exchange truncation is certified at tol / pref, e^697.9 here
     (["oracle", "--check", "exchange", "--sigma=-1.003005732233222", "--L=10.481102170507942",
       "--beta=93", "--mu=-1.0900658867759876", "--k-top", "79", "--j", "10", "--target", "4:2",
@@ -414,9 +417,6 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # tol/3 underflows to 0: a math domain error in the cap estimate
     (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--trunc-tol", "5e-324",
       "--out", "{tmp}/o"], "tol = 4.94066e-324 is too small: tol/3 underflows a float"),
-    # occ_0 phi_0^2 overflows at the walls: inf in 660 of 2001 rows at exit 0
-    (["profile", "--sigma=-400", "--L=0.01", "--rho=1.7e308", "--out", "{tmp}/o"],
-     "the density profile overflows a float near the walls"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
