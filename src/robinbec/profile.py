@@ -27,11 +27,34 @@ modes, with about 4 K sqrt(N/2) sines and cosines in place of K N/2.
 delta_j = (x_j - a_i) - b_r is the ~1 ulp by which the rounded grid
 misses a_i + b_r.  It shifts every mode alike, and next to the walls,
 where p x is largest, ignoring it cost up to 2.7e-13 relative; it is
-added back to first order as delta_j dn/dx, with
-dn/dx = -sum_k 2 p_k v_k sin(2 p_k x) from two more contractions
-(sin(2p (a + b)) = sin(2p a) cos(2p b) + cos(2p a) sin(2p b)).
-Differencing the contracted values instead was cheaper but missed the
-reference by 8.7e-14 at L = 3200, where delta is larger.
+added back to first order as delta_j dn/dx.  On the flattened points
+y_j = a_i + b_r the slope comes from the contracted values o_j
+themselves: (o_{j+1} - o_{j-1}) / 2h inside the half grid and the
+second-order one-sided quotients (-+3 o_j +- 4 o_{j+-1} -+ o_{j+-2}) / 2h
+at its two ends.  For one cosine of angular step t = 2 p h, the central
+quotient misses the derivative by a factor 1 - sin(t)/t <= t^2/6 of
+its amplitude 2 p |v|, and the end quotients by
+|(1 - e^{it})(e^{it} - 3) / 2it - 1|, whose Taylor series is bounded
+term by term by (t^2/3) e^{2t}, and which is at most 1 + 4/t; the error
+bound e(t) of `_slope_error` takes the first below t = 1 and the second
+above, and so bounds the central quotient too.
+Neighbouring points are not exactly h apart (b_r is rounded, and a row
+of offsets meets the next anchor within a few ulp); a spacing error mu
+moves a quotient by at most 3 mu / h times sum_k 2 p_k |v_k|.  So
+
+    B = max_j |delta_j| sum_k p_k w_k (e(2 p_k h) + 3 mu / h)
+
+bounds what the quotient changes in n, and wherever B <= 2^-52 W it
+stands in for two more contractions.  The rounding error of the o_j
+reaches n multiplied by about |delta_j| / h <= grid_n 2^-52, at most
+~2e-9 of itself.  Where B is larger (a coarse grid at large L, where
+delta and h are both larger), the slope
+dn/dx = -sum_k 2 p_k v_k sin(2 p_k x) is contracted as the value is
+(sin(2p (a + b)) = sin(2p a) cos(2p b) + cos(2p a) sin(2p b)).  On the
+benchmark decks, 40 points per unit length, B / W stays below 2.7e-17,
+an eighth of 2^-52; the CLI's default 2001 points at L = 800, and
+512,001 points at L = 12,800 (sigma = -1, beta = 1), take the
+contractions.
 
 The contractions sum terms of size up to w_k, so their rounding error
 is absolute, a few ulp of W (up to 20 measured at K = 4,500).  Where
@@ -103,12 +126,13 @@ _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 _CHUNK = 128  # modes per contraction block; keeps the work arrays ~100 kB
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
+_EPS = 2.0 ** -52  # ulp(1.0); the slope bound B may reach _EPS W, one ulp of W
 _ROWS_PER_PASS = 1024  # CSV rows per kernel pass and per mirror check; see the docstring
-# largest grid: `density_profile` peaks at ~44 bytes per point and
-# `write_profile_csv` at ~0.8 MB at any size, ~0.65 MB of it one block's
-# formatting (tracemalloc, grid_n = 2^17 + 1 and 10^6);
+# largest grid: `density_profile` peaks at ~48 bytes per point, 32 of them
+# its four output columns, and `write_profile_csv` at ~0.8 MB at any size,
+# ~0.65 MB of it one block's formatting (tracemalloc, grid_n = 2^17 + 1 and 10^6);
 # the CSV takes ~82 bytes per row on disk, and its x > 0 half as much again
-# in a temporary file while it is written: 0.44 GB, 0.8 GB and 0.4 GB at the limit
+# in a temporary file while it is written: 0.48 GB, 0.8 GB and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
 
 
@@ -144,24 +168,55 @@ def _mode_sum(p, w, odd, x):
     out = np.zeros(len(x))
     for lo in range(0, len(p), _CHUNK):
         px = np.multiply.outer(p[lo:lo + _CHUNK], x)
-        phi = np.where(odd[lo:lo + _CHUNK, None], np.sin(px), np.cos(px))
+        sine = odd[lo:lo + _CHUNK, None]
+        phi = np.cos(px, out=np.empty_like(px), where=~sine)
+        np.sin(px, out=phi, where=sine)
         out += np.einsum("k,kj,kj->j", w[lo:lo + _CHUNK], phi, phi)
     return out
 
 
-def _thermal_half(p, w, odd, xh):
-    """sum_k w_k phi_k(x)^2 on the half grid `xh` (x >= 0, increasing) by
-    anchor/offset contractions; see the module docstring."""
+def _split(xh):
+    """(a, b, h, delta, mu): anchors a_i = xh[i m], offsets b_r = r h,
+    the misses delta_j = (xh[j] - a_i) - b_r for j = i m + r < len(xh),
+    and a bound mu on the error of every step between neighbouring points
+    a_i + b_r of that order; see the module docstring."""
     H = len(xh)
     m = math.ceil(math.sqrt(H))
     rows = -(-H // m)
     a = xh[::m]
-    b = np.arange(m) * ((xh[-1] - xh[0]) / (H - 1))
+    h = (xh[-1] - xh[0]) / (H - 1)
+    b = np.arange(m) * h
     padded = xh[np.minimum(np.arange(rows * m), H - 1)].reshape(rows, m)
     delta = ((padded - a[:, None]) - b).ravel()[:H]
-    v = np.where(odd, -0.5, 0.5) * w
-    osc = np.zeros((rows, m))  # sum_k v_k cos(2 p_k (a_i + b_r))
-    slope = np.zeros((rows, m))  # its x-derivative
+    # the steps within a row are exact differences of nearby doubles; the
+    # three roundings of a step across rows stay below 3 ulp of xh[-1]
+    steps = np.concatenate([np.diff(b) - h, (np.diff(a) - b[-1]) - h])
+    mu = float(np.max(np.abs(steps))) + 4.0 * _EPS * abs(float(xh[-1]))
+    return a, b, h, delta, mu
+
+
+def _slope_error(t):
+    """Bound on the error of the central and one-sided difference
+    quotients of one cosine of angular step t > 0, relative to the
+    amplitude of its derivative; see the module docstring."""
+    near = np.minimum(t, 1.0)
+    return np.where(t < 1.0, near * near / 3.0 * np.exp(2.0 * near), 1.0 + 4.0 / t)
+
+
+def _slope_bound(p, u, h, delta, mu):
+    """B / W, from the relative weights u = w / W: how far delta_j times
+    the difference-quotient slope can stray from delta_j dn/dx at any
+    point, as a share of W (module docstring)."""
+    amplitude = float(np.sum(p * u * (_slope_error(2.0 * p * h) + 3.0 * mu / h)))
+    return float(np.max(np.abs(delta))) * amplitude
+
+
+def _contract(p, v, a, b, with_slope):
+    """(osc, slope): sum_k v_k cos(2 p_k (a_i + b_r)) as a (len(a),
+    len(b)) array by chunked contractions, and its x-derivative the same
+    way if `with_slope` (else None)."""
+    osc = np.zeros((len(a), len(b)))
+    slope = np.zeros((len(a), len(b))) if with_slope else None
     for lo in range(0, len(p), _CHUNK):
         q = 2.0 * p[lo:lo + _CHUNK, None]
         vk = v[lo:lo + _CHUNK, None]
@@ -169,11 +224,36 @@ def _thermal_half(p, w, odd, xh):
         c, s = np.cos(q * b), np.sin(q * b)
         osc += np.einsum("ki,kj->ij", vk * C, c)
         osc -= np.einsum("ki,kj->ij", vk * S, s)
-        gk = q * vk
-        slope -= np.einsum("ki,kj->ij", gk * S, c)
-        slope -= np.einsum("ki,kj->ij", gk * C, s)
+        if with_slope:
+            gk = q * vk
+            slope -= np.einsum("ki,kj->ij", gk * S, c)
+            slope -= np.einsum("ki,kj->ij", gk * C, s)
+    return osc, slope
+
+
+def _difference_slope(o, h):
+    """The slope of values `o` at spacing h (len(o) >= 3): central
+    differences inside, second-order one-sided ones at both ends."""
+    s = np.empty_like(o)
+    s[1:-1] = o[2:] - o[:-2]
+    s[0] = 4.0 * o[1] - 3.0 * o[0] - o[2]
+    s[-1] = 3.0 * o[-1] - 4.0 * o[-2] + o[-3]
+    s /= 2.0 * h
+    return s
+
+
+def _thermal_half(p, w, odd, xh):
+    """sum_k w_k phi_k(x)^2 on the half grid `xh` (x >= 0, increasing) by
+    anchor/offset contractions; see the module docstring."""
+    H = len(xh)
+    a, b, h, delta, mu = _split(xh)
+    v = np.where(odd, -0.5, 0.5) * w
     W = float(np.sum(w))
-    n = 0.5 * W + (osc.ravel()[:H] + delta * slope.ravel()[:H])
+    contract_slope = W > 0.0 and _slope_bound(p, w / W, h, delta, mu) > _EPS
+    osc, slope = _contract(p, v, a, b, contract_slope)
+    o = osc.ravel()[:H]
+    slope = slope.ravel()[:H] if contract_slope else _difference_slope(o, h)
+    n = 0.5 * W + (o + delta * slope)
     near_node = n < _DIRECT_BELOW * W
     n[near_node] = _mode_sum(p, w, odd, xh[near_node])
     return n

@@ -173,6 +173,7 @@ def _longdouble_columns(table, state, x):
     (-1.0, 1.2, 400.0, 16001),
     (-0.7, 1.5, 60.0, 2401),
     (-1.5, 2.0, 800.0, 32001),  # L|sigma| = 1200: wall-pair exponents near 600
+    (-0.5, 1.0, 800.0, 2001),  # h = 0.4: the slope is contracted, not differenced
 ])
 def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n):
     # condensing boxes; at beta sigma^2 > 3 the thermal density dips ~1e3
@@ -190,6 +191,77 @@ def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n):
         normal = ref >= np.finfo(float).tiny  # n_cond underflows mid-box at large L|sigma|
         rel = np.abs(got[half] - ref)[normal] / ref[normal]
         assert float(np.max(rel)) <= 2e-13
+
+
+@pytest.mark.parametrize("sigma,beta,L,grid_n,per_chunk", [
+    (-1.0, 1.5, 300.0, 12001, 2),  # 40 points per unit length, as on the benchmark decks
+    (-0.5, 1.0, 800.0, 2001, 4),  # h = 0.4: the slope certificate fails
+])
+def test_thermal_sum_contracts_the_slope_only_where_uncertified(monkeypatch, sigma, beta, L,
+                                                                grid_n, per_chunk):
+    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
+    table = build_spectrum(st.params.box, st.params.k_max)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(profile_module.np, "einsum",
+                        lambda spec, *ops: calls.append(spec) or einsum(spec, *ops))
+    density_profile(table, st, grid_n)
+    chunks = -(-(len(st.occ) - 2) // profile_module._CHUNK)
+    assert chunks >= 2 and calls.count("ki,kj->ij") == per_chunk * chunks
+
+
+def test_slope_certificate_covers_the_difference_quotient():
+    # |delta_j| |difference slope - contracted slope| <= B at every point,
+    # on random boxes on both sides of B = 2^-52 W; a bound without the
+    # one-sided end quotients' t^2/3 fails here at the last point
+    rng = np.random.default_rng(20)
+    sides, grids = [0, 0], set()
+    for _ in range(240):
+        L = 10.0 ** rng.uniform(1.0, 3.6)
+        k = np.arange(2, int(rng.integers(1, 400)) + 2)
+        p = (k - 1 + rng.uniform(0.0, 1.0, len(k))) * np.pi / L
+        w = np.exp(-10.0 ** rng.uniform(-0.5, 0.5) * p * p) * rng.uniform(0.1, 1.0, len(k))
+        grid_n = int(np.clip(10.0 ** rng.uniform(0.0, 2.0) * L, 64, 60000)) + int(rng.integers(2))
+        x = profile_module._symmetric_grid(L, grid_n)
+        xh = x[grid_n // 2:]
+        a, b, h, delta, mu = profile_module._split(xh)
+        bound = profile_module._slope_bound(p, w / np.sum(w), h, delta, mu) * np.sum(w)
+        osc, slope = profile_module._contract(p, np.where(k % 2, -0.5, 0.5) * w, a, b, True)
+        o, slope = osc.ravel()[:len(xh)], slope.ravel()[:len(xh)]
+        err = np.abs(delta) * np.abs(profile_module._difference_slope(o, h) - slope)
+        assert np.all(err <= bound), (L, len(k), grid_n)
+        ratio = bound / (profile_module._EPS * np.sum(w))
+        sides[bool(ratio > 1.0)] += 1
+        grids.add((grid_n % 2, bool(0.25 <= ratio <= 4.0)))
+    assert min(sides) >= 60
+    assert grids == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def _where_mode_sum(p, w, odd, x):
+    """`_mode_sum` with both functions evaluated and one picked by np.where."""
+    out = np.zeros(len(x))
+    for lo in range(0, len(p), profile_module._CHUNK):
+        px = np.multiply.outer(p[lo:lo + profile_module._CHUNK], x)
+        phi = np.where(odd[lo:lo + profile_module._CHUNK, None], np.sin(px), np.cos(px))
+        out += np.einsum("k,kj,kj->j", w[lo:lo + profile_module._CHUNK], phi, phi)
+    return out
+
+
+def test_mode_sum_takes_one_trig_function_per_mode(monkeypatch):
+    # the points a condensing profile sums mode by mode (beta sigma^2 > 3:
+    # the thermal density dips near its low modes' common node), and a
+    # grid with the parities shuffled
+    st = _state(L=200.0, rho=1.5 * critical_density(2.0, -1.5), sigma=-1.5, beta=2.0)
+    table = build_spectrum(st.params.box, st.params.k_max)
+    seen = []
+    real = profile_module._mode_sum
+    monkeypatch.setattr(profile_module, "_mode_sum", lambda *args: seen.append(args) or real(*args))
+    density_profile(table, st, 8001)
+    (p, w, odd, x), = seen
+    assert 0 < len(x) < 4000 and len(p) > profile_module._CHUNK
+    shuffled = np.random.default_rng(3).permutation(odd)
+    for parity, points in ((odd, x), (shuffled, np.linspace(0.0, 100.0, 777))):
+        assert np.array_equal(real(p, w, parity, points), _where_mode_sum(p, w, parity, points))
 
 
 def test_profile_csv_matches_per_row_format(tmp_path):
