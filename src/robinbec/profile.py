@@ -36,7 +36,7 @@ quotient misses the derivative by a factor 1 - sin(t)/t <= t^2/6 of
 its amplitude 2 p |v|, and the end quotients by
 |(1 - e^{it})(e^{it} - 3) / 2it - 1|, whose Taylor series is bounded
 term by term by (t^2/3) e^{2t}, and which is at most 1 + 4/t; the error
-bound e(t) of `_slope_error` takes the first below t = 1 and the second
+bound e(t) in `_slope_bound` takes the first below t = 1 and the second
 above, and so bounds the central quotient too.
 Neighbouring points are not exactly h apart (b_r is rounded, and a row
 of offsets meets the next anchor within a few ulp); a spacing error mu
@@ -195,20 +195,14 @@ def _split(xh):
     return a, b, h, delta, mu
 
 
-def _slope_error(t):
-    """Bound on the error of the central and one-sided difference
-    quotients of one cosine of angular step t > 0, relative to the
-    amplitude of its derivative; see the module docstring."""
-    near = np.minimum(t, 1.0)
-    return np.where(t < 1.0, near * near / 3.0 * np.exp(2.0 * near), 1.0 + 4.0 / t)
-
-
 def _slope_bound(p, u, h, delta, mu):
     """B / W, from the relative weights u = w / W: how far delta_j times
     the difference-quotient slope can stray from delta_j dn/dx at any
     point, as a share of W (module docstring)."""
-    amplitude = float(np.sum(p * u * (_slope_error(2.0 * p * h) + 3.0 * mu / h)))
-    return float(np.max(np.abs(delta))) * amplitude
+    t = 2.0 * p * h
+    near = np.minimum(t, 1.0)
+    e = np.where(t < 1.0, near * near / 3.0 * np.exp(2.0 * near), 1.0 + 4.0 / t)
+    return float(np.max(np.abs(delta))) * float(np.sum(p * u * (e + 3.0 * mu / h)))
 
 
 def _contract(p, v, a, b, with_slope):
