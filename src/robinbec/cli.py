@@ -41,8 +41,9 @@ from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, run_check, 
 from .profile import density_profile, localization_radius, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
-    FREE, MEAN_FIELD_SCF, ThermoInput, critical_density, equal_distribution_gap,
-    fit_exponential_rate, mu_asymptotics_check, solve_mu, write_sweep_csv,
+    FREE, MEAN_FIELD_SCF, CutoffTooSmall, ThermoInput, certified_density_tail, critical_density,
+    equal_distribution_gap, fit_exponential_rate, mu_asymptotics_check, solve_mu, suggest_k_max,
+    write_sweep_csv,
 )
 
 _MODEL_ALIASES = {"free": FREE, "scf": MEAN_FIELD_SCF, "mean_field_scf": MEAN_FIELD_SCF}
@@ -96,12 +97,15 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _thermo_point(cfg: dict, L: float):
-    inp = ThermoInput(
+def _thermo_input(cfg: dict, L: float) -> ThermoInput:
+    return ThermoInput(
         box=BoxParams(sigma=cfg["sigma"], L=L), beta=cfg["beta"], rho=cfg["rho"],
         lam=cfg["lam"], k_max=cfg["k_max"], cutoff_tol=cfg["cutoff_tol"],
     )
-    return solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
+
+
+def _thermo_point(cfg: dict, L: float):
+    return solve_mu(_thermo_input(cfg, L), model=_MODEL_ALIASES[cfg["model"]])
 
 
 def _state_summary(state) -> dict:
@@ -190,8 +194,16 @@ def _cmd_thermo(cfg: dict) -> int:
 
 def _cmd_profile(cfg: dict) -> int:
     _check_writable(cfg["out"])
-    state = _thermo_point(cfg, cfg["L"])
-    table = build_spectrum(state.params.box, state.params.k_max)
+    inp = _thermo_input(cfg, cfg["L"])
+    # the profile sums its modes one by one, to their own certified cutoff:
+    # --k-max if given (a head that certifies its tail by truncation), else
+    # the cutoff search's
+    k_max = cfg["k_max"] or suggest_k_max(inp.box, inp.beta, inp.cutoff_tol)
+    tail = certified_density_tail(inp.box, inp.beta, k_max)
+    if tail > inp.cutoff_tol:
+        raise CutoffTooSmall(f"certified k_max tail {tail:.3e} exceeds cutoff_tol {inp.cutoff_tol:.3e}")
+    state = solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
+    table = build_spectrum(inp.box, k_max)
     prof = density_profile(table, state, cfg["grid_n"])
     msg = f"wrote {cfg['out']} ({len(prof.grid)} points)"
     if cfg["fraction"] is not None:  # before the write: a rejected run leaves no file
@@ -199,7 +211,7 @@ def _cmd_profile(cfg: dict) -> int:
         msg += f" localization_radius({cfg['fraction']})={d:.17g}"
     echo = {k: cfg[k] for k in ("sigma", "L", "beta", "rho", "model", "grid_n")}
     echo["lambda"] = cfg["lam"]
-    echo["k_max"] = state.params.k_max
+    echo["k_max"] = k_max
     _write(write_profile_csv, prof, cfg["out"], _echo_lines("profile", echo))
     print(msg)
     return 0

@@ -254,18 +254,16 @@ def _thermal_half(p, w, odd, xh):
 
 
 def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) -> Profile:
-    """Mode-sum of occ_k |phi_k|^2 on a `grid_n`-point symmetric grid.
+    """Mode-sum of occ_k |phi_k|^2 over the modes of `spectrum` on a
+    `grid_n`-point symmetric grid, with the occupations the solved state
+    gives that table (`ThermoState.occupations`).
 
     Raises ValidationError where a bound on the density, its value at the
-    walls, overflows a float."""
+    walls, overflows a float, or where the table is of another box."""
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValidationError(f"grid_n must be in [64, {_MAX_GRID_N}], got {grid_n}")
-    if spectrum.params != state.params.box:
-        raise ValidationError("spectrum and state describe different boxes")
-    occ = np.asarray(state.occ, dtype=float)
+    occ = state.occupations(spectrum)
     K = len(occ)
-    if spectrum.k_max + 1 < K:
-        raise ValidationError("spectrum table does not cover all occupied modes")
     x = _symmetric_grid(state.params.box.L, int(grid_n))
     half = x[len(x) // 2:]
     walls = [eigenfunction_eval(spectrum.modes[k], spectrum.params, half) for k in (0, 1)]

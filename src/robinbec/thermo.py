@@ -73,13 +73,16 @@ Condensation diagnostics:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
-from .spectrum import K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, build_spectrum
+from .spectrum import (
+    K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, _ladder_roots, build_spectrum,
+)
 
 FREE = "free"
 MEAN_FIELD_SCF = "mean_field_scf"
@@ -102,11 +105,14 @@ class NotCondensing(ValidationError):
 class ThermoInput:
     """Physical point (box, beta, rho, lam) plus mode-sum controls.
 
-    `k_max = None` (the default) stands for the cutoff
-    `suggest_k_max(box, beta, cutoff_tol)`, resolved once every other
-    field has passed its check.  A resolved or given cutoff whose
-    `certified_density_tail` exceeds cutoff_tol raises CutoffTooSmall
-    here, before any spectrum is built.
+    `k_max` is the explicit head of the k >= 2 sum: modes 2..k_max are
+    summed one by one and the rest is closed by `plan_ladder`'s certified
+    tail, or dropped where `certified_density_tail` certifies that.  `k_max
+    = None` (the default) stands for the first head whose certificate is at
+    most cutoff_tol on a fixed search sequence (`plan`, resolved once every
+    other field has passed its check); a given head whose certificate
+    exceeds cutoff_tol raises CutoffTooSmall here, before any spectrum is
+    built.
     """
 
     box: BoxParams
@@ -115,6 +121,7 @@ class ThermoInput:
     lam: float
     k_max: int | None = None
     cutoff_tol: float = 1e-10
+    plan: LadderPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0.0):
@@ -127,30 +134,37 @@ class ThermoInput:
             raise NoSecondBoundState(
                 f"thermo needs both wall modes bound: L*|sigma| > 2, got {self.box.L * self.box.s}"
             )
-        if self.k_max is not None and (not isinstance(self.k_max, int) or self.k_max < 2):
-            raise ValidationError(f"k_max must be an integer >= 2, got {self.k_max}")
+        if self.k_max is not None and (
+            not isinstance(self.k_max, int) or not 2 <= self.k_max <= K_MAX_LIMIT
+        ):
+            raise ValidationError(f"k_max must be an integer in [2, {K_MAX_LIMIT}], got {self.k_max}")
         if not (0.0 < self.cutoff_tol < 1.0):
             raise ValidationError(f"cutoff_tol must be in (0, 1), got {self.cutoff_tol}")
         if self.k_max is None:
-            object.__setattr__(self, "k_max", suggest_k_max(self.box, self.beta, self.cutoff_tol))
-        tail = certified_density_tail(self.box, self.beta, self.k_max)
-        if tail > self.cutoff_tol:
-            raise CutoffTooSmall(
-                f"certified k_max tail {tail:.3e} exceeds cutoff_tol {self.cutoff_tol:.3e}"
-            )
+            plan = _head_plan(self.box, self.beta, self.cutoff_tol)
+            object.__setattr__(self, "k_max", plan.head)
+        else:
+            plan = plan_ladder(self.box, self.beta, self.k_max, self.cutoff_tol)
+            if plan.certificate > self.cutoff_tol:
+                raise CutoffTooSmall(
+                    f"certified k_max tail {plan.certificate:.3e} exceeds cutoff_tol {self.cutoff_tol:.3e}"
+                )
+        object.__setattr__(self, "plan", plan)
 
 
 @dataclass(frozen=True, eq=False)
 class ThermoState:
-    """One solved equilibrium point: the input, the model, the spectrum
-    table (modes 0..k_max) it was solved on, x and the occupations.
-    Everything else is read from these."""
+    """One solved equilibrium point: the input, the model, the head table
+    (modes 0..k_max) it was solved on, x, the occupations of the head's
+    modes and rho_tilde = (1/L) sum_{k>=2} occ_k over every mode, head and
+    certified tail.  Everything else is read from these."""
 
     params: ThermoInput
     model_tag: str
     spectrum: SpectrumTable
     x: float  # eps(0) - mu, solved for itself: mu may round to eps(0)
     occ: np.ndarray
+    rho_tilde: float
 
     @property
     def mu(self) -> float:
@@ -161,11 +175,6 @@ class ThermoState:
         return self.spectrum.epsilons
 
     @property
-    def rho_tilde(self) -> float:
-        """(1/L) sum_{k>=2} occ_k."""
-        return float(self.occ[2:].sum() / self.params.box.L)
-
-    @property
     def rho_cond_finite(self) -> float:
         """(occ_0 + occ_1)/L, the wall-pair density."""
         return float((self.occ[0] + self.occ[1]) / self.params.box.L)
@@ -174,6 +183,25 @@ class ThermoState:
     def density_residual(self) -> float:
         total = self.rho_tilde + self.rho_cond_finite
         return abs(total - self.params.rho)
+
+    @property
+    def excited_shift(self) -> float:
+        """x + lam max(rho - (occ_0 + occ_1)/L, 0) (lam = 0 for the free
+        model): every k >= 2 mode sits this far above its level D_k = eps_k -
+        eps(0) relative to eps(0) - mu, as the solve took it."""
+        lam = self.params.lam if self.model_tag == MEAN_FIELD_SCF else 0.0
+        rho_tilde = self.params.rho - float(self.occ[0] + self.occ[1]) / self.params.box.L
+        return self.x + lam * max(rho_tilde, 0.0)
+
+    def occupations(self, table: SpectrumTable) -> np.ndarray:
+        """occ_k for k = 0..table.k_max: the state's wall pair, and
+        bose(beta (D_k + `excited_shift`)) for k >= 2 on the table's own
+        levels, which are the head's bit for bit where the two overlap."""
+        if table.params != self.params.box:
+            raise ValidationError("spectrum and state describe different boxes")
+        q = table.wavenumbers
+        excited = _occ_free(q[2:] * q[2:] + q[0] * q[0], self.params.beta, self.excited_shift)
+        return np.concatenate([self.occ[:2], excited])
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +270,17 @@ def condensate_lower_bound(rho: float, beta: float, sigma: float) -> float:
 # certified mode-sum cutoff
 # ----------------------------------------------------------------------
 
+def _gaussian_tail(s: float, beta: float, z: float, p_top: float) -> float:
+    """(1/pi) int_{z/sqrt(beta)}^inf e^{-beta (p^2 + s^2)} dp / (1 - e^{-y})
+    with y = beta (p_top^2 + s^2): the density that Bose occupations
+    bose(beta (p^2 + c)), c >= s^2, weighted by dk/dp <= L/pi, carry above
+    p = z/sqrt(beta) when p_top is at most every p counted.  inf where
+    1 - e^{-y} underflows."""
+    denominator = -math.expm1(-beta * (p_top * p_top + s * s))  # 1 - e^{-y}
+    series = math.exp(-beta * s * s) * math.erfc(z) / (2.0 * math.sqrt(math.pi * beta))
+    return series / denominator if denominator > 0.0 else math.inf
+
+
 def certified_density_tail(box: BoxParams, beta: float, k_max: int) -> float:
     """Upper bound on (1/L) sum_{k > k_max} occ_k at every mu <= eps(0).
 
@@ -252,21 +291,15 @@ def certified_density_tail(box: BoxParams, beta: float, k_max: int) -> float:
     its integral.  The bound does not depend on eps(0) or mu; it is inf
     where 1 - e^{-y} underflows.
     """
-    s, L = box.s, box.L
-    p = k_max * math.pi / L
-    denominator = -math.expm1(-beta * (p * p + s * s))  # 1 - e^{-y}
-    series = (
-        math.exp(-beta * s * s)
-        * math.erfc((k_max - 1) * math.pi * math.sqrt(beta) / L)
-        / (2.0 * math.sqrt(math.pi * beta))
-    )
-    return series / denominator if denominator > 0.0 else math.inf
+    L = box.L
+    return _gaussian_tail(box.s, beta, (k_max - 1) * math.pi * math.sqrt(beta) / L, k_max * math.pi / L)
 
 
 def suggest_k_max(box: BoxParams, beta: float, cutoff_tol: float = 1e-10) -> int:
     """The first cutoff whose `certified_density_tail` is below cutoff_tol
     on the search sequence k -> int(1.3 k) + 4 from max(4, L sqrt(max(1,
-    4/beta))/pi); not always the smallest certified one.
+    4/beta))/pi); not always the smallest certified one.  The profile's
+    table takes it; the density solve needs only a head (`plan_ladder`).
 
     Raises ValidationError once the cutoff would pass K_MAX_LIMIT, the
     largest table `build_spectrum` builds (k >= 4 * 1.3^n passes it within
@@ -284,6 +317,340 @@ def suggest_k_max(box: BoxParams, beta: float, cutoff_tol: float = 1e-10) -> int
 
 
 # ----------------------------------------------------------------------
+# the k >= 2 mode sum: an explicit head and a certified ladder tail
+# ----------------------------------------------------------------------
+
+# a ladder tail takes the B_2, B_4, B_6 terms of `_EM_TAIL` on Taylor
+# coefficients: -B_2j/(2j)! f^(2j-1)(K) = c_j [tau^(2j-1)] f(K + tau)
+_EM_TERMS = [c * math.factorial(j) for j, c in _EM_TAIL.items()]
+# (q, 2 zeta(q) q!/(2 pi)^q) for the remainder of m = 1, 2, 3 terms, q = 2m + 1:
+# |P_q| <= 2 zeta(q)/(2 pi)^q bounds the periodic Bernoulli function, q!
+# comes with a Cauchy estimate of f^(q), and zeta(q) is bounded above by
+# 64 terms and the integral of the rest
+_REMAINDER = [(q, 2.0 * (math.fsum(n ** -q for n in range(1, 65)) + 64.0 ** (1 - q) / (q - 1))
+               * math.factorial(q) / (2.0 * math.pi) ** q) for q in (3, 5, 7)]
+# radii r = eta sqrt(p^2 + s^2) of the disks about p that the remainder
+# bound tries (`_em_remainders`)
+_ETAS = (0.1, 0.2, 0.3)
+# Bernstein ellipses rho the quadrature bound tries, as (2 log rho, the
+# half-axes (rho + 1/rho)/2 and (rho - 1/rho)/2, (64/15)/(rho^2 - 1))
+_ELLIPSES = [(2.0 * math.log(r), 0.5 * (r + 1.0 / r), 0.5 * (r - 1.0 / r), 64.0 / 15.0 / (r * r - 1.0))
+             for r in (1.25, 1.5, 2.0, 3.0, 4.5, 7.0)]
+_MAX_NODES = 64
+_MAX_PANELS = 256
+# the quadrature aims at this share of cutoff_tol, so a certified tail is
+# taken about as accurately as the head's doubles (and so does the
+# remainder, where three terms reach it)
+_AIM = 2.0**-20
+
+
+def _log_bose(y: float) -> float:
+    """log(1/(e^y - 1)) for y > 0, without overflow."""
+    return -y - math.log(-math.expm1(-y))
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the Legendre recurrence (ufuncs only, so the rule is
+    the same under every BLAS)."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = n * (p0 - x * p1) / (1.0 - x * x)
+        step = p1 / slope
+        x = x - step
+        if np.all(np.abs(step) <= 1e-16):
+            break
+    p0, p1 = np.ones(n), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    slope = n * (p0 - x * p1) / (1.0 - x * x)
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+@functools.cache
+def _panel_rules(counts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of Gauss-Legendre rules with these counts, one
+    after the other."""
+    rules = [_gauss_legendre(n) for n in counts]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _em_remainders(s: float, L: float, beta: float, p: float) -> list[float]:
+    """Bounds on the Euler-Maclaurin remainder R of sum_{k >= K} f(k),
+    f(k) = bose(beta (p(k)^2 + c)), with the B_2..B_2m terms, m = 1, 2, 3
+    (sum units), for p <= p(K) and every c >= s^2.
+
+    |R| <= 2 zeta(q)/(2 pi)^q int_K^inf |f^(q)| dk, q = 2m + 1.  About a
+    real p0 the disk |u - p0| <= r, r = eta sqrt(p0^2 + s^2), has Re u^2 >=
+    p0^2 - 2 p0 r - r^2, so Re(u^2) + c >= w = alpha p0^2 + (1 - gamma) s^2
+    with gamma = 2 eta + eta^2 and alpha = 1 - gamma, and |bose| <=
+    bose(beta w) there; the disk misses the branch points +-is of
+    arctan(u/s).  The phase map k(u) = (uL + pi - 2 arctan(u/s))/pi is
+    injective on it with |k'(u) - L/pi| <= theta L/pi, theta = 2s/(L alpha
+    (p0^2 + s^2)), so its image holds the disk of radius h = (1 - theta) L
+    r/pi about k(p0), on which the inverse p(k) stays in the first disk (a
+    contraction).  The Cauchy estimate |f^(q)| <= q! bose(beta w)/h^q;
+    h grows with p0, so h at p bounds it, and dk <= (L/pi) dp leaves a
+    Gaussian integral of bose(beta w) <= e^{-beta w}/(1 - e^{-beta w(p)}).
+    inf where theta >= 1.
+    """
+    bounds = [math.inf] * len(_REMAINDER)
+    r2 = p * p + s * s
+    for eta in _ETAS:
+        gamma = 2.0 * eta + eta * eta
+        alpha = 1.0 - gamma
+        theta = 2.0 * s / (L * alpha * r2)
+        denominator = -math.expm1(-beta * (alpha * p * p + (1.0 - gamma) * s * s))
+        if not (theta < 1.0 and denominator > 0.0 and beta * alpha > 0.0):
+            continue
+        log_h = math.log((1.0 - theta) * L * eta / math.pi) + 0.5 * math.log(r2)
+        gauss = (math.exp(-beta * (1.0 - gamma) * s * s) * 0.5 * math.sqrt(math.pi / (beta * alpha))
+                 * math.erfc(p * math.sqrt(beta * alpha)) / denominator)
+        for i, (q, c) in enumerate(_REMAINDER):
+            bound = c * (L / math.pi) * gauss * math.exp(min(700.0, -q * log_h))
+            bounds[i] = min(bounds[i], bound)  # a nan bound is never taken
+    return bounds
+
+
+def _quadrature(s: float, L: float, beta: float, p: float, aim: float):
+    """Gauss-Legendre panels ((lo, hi, nodes), ...) for int_p^inf F(u) k'(u)
+    du, F = bose(beta (u^2 + c)), k'(u) = (L - 2s/(u^2 + s^2))/pi, every c
+    >= s^2, and a bound on their error plus the Gaussian tail past the last
+    one (sum units); (None, inf) where that cannot reach aim.
+
+    Panels start at p and grow as min(sqrt(u^2 + s^2), 2/sqrt(beta)), the
+    distance to the poles +-is of k' and the Gaussian's scale; they end
+    where the tail is below aim/4.  On each, the n-point rule errs by at
+    most (64/15) l M rho^{-2n}/(rho^2 - 1) for the panel's half-length l
+    and any Bernstein ellipse rho on which |F k'| <= M (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3).  There
+    Re u^2 >= v - s^2, the square of the least |Re u| less the square of
+    the largest |Im u|, so M = bose(beta v) (L + 2s/v)/pi where v > 0.
+    Each panel takes the fewest nodes (at most 64) whose bound, on the best
+    of the ellipses tried, is below aim/2 shared out.  A panel that starts
+    above p has its ellipses inside these, so the bound holds for it too.
+    """
+    edges = [p]
+    while L * _gaussian_tail(s, beta, edges[-1] * math.sqrt(beta), edges[-1]) > 0.25 * aim:
+        if len(edges) > _MAX_PANELS:
+            return None, math.inf
+        edges.append(edges[-1] + min(math.hypot(edges[-1], s), 2.0 / math.sqrt(beta)))
+    total = L * _gaussian_tail(s, beta, edges[-1] * math.sqrt(beta), edges[-1])
+    if not aim > 0.0:
+        return None, math.inf
+    log_target = math.log(0.5 * aim / max(1, len(edges) - 1))
+    panels = []
+    for lo, hi in zip(edges, edges[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        best = (math.inf, math.inf)  # (nodes, bound)
+        for log_rho2, a, b, factor in _ELLIPSES:
+            near = max(0.0, mid - half * a)
+            v = near * near - (half * b) ** 2 + s * s
+            if not beta * v > 0.0:
+                continue
+            log_m = math.log((L + 2.0 * s / v) / math.pi * factor * half) + _log_bose(beta * v)
+            if not log_m < math.inf:
+                continue
+            n = max(1, math.ceil((log_m - log_target) / log_rho2))
+            if n <= _MAX_NODES:
+                best = min(best, (n, math.exp(log_m - n * log_rho2)))
+        if best[0] > _MAX_NODES:
+            return None, math.inf
+        panels.append((lo, hi, best[0]))
+        total += best[1]
+    return tuple(panels), total
+
+
+@dataclass(frozen=True)
+class LadderPlan:
+    """How the k >= 2 sum of one box at one beta is taken: modes 2..head one
+    by one, and above them either nothing (`terms` = 0; the certificate is
+    `certified_density_tail`) or the Euler-Maclaurin tail of `ladder_sum`
+    with its first `terms` Bernoulli terms and its integral on Gauss-Legendre
+    `panels` ((lo, hi, nodes) in p).  `certificate` bounds what either
+    drops or misses in density, (1/L) sum, at every x' >= 0."""
+
+    head: int
+    terms: int
+    panels: tuple
+    certificate: float
+
+
+def plan_ladder(box: BoxParams, beta: float, head: int, cutoff_tol: float) -> LadderPlan:
+    """The plan for modes 2..head: the truncated sum where its
+    `certified_density_tail` is at most cutoff_tol; else the
+    Euler-Maclaurin tail where its certificate, remainder plus quadrature,
+    is below both cutoff_tol and that tail; else the truncated sum with its
+    tail.  The remainder takes the fewest terms that reach 2^-20
+    cutoff_tol, else the best of the three.
+
+    Both bounds are taken from p = (head - 1) pi/L, the lower end of the
+    head's bracket, so no root is solved here: see `_em_remainders` and
+    `_quadrature`, and `build_ladder` for where the integral starts.
+    """
+    s, L = box.s, box.L
+    truncated = certified_density_tail(box, beta, head)
+    if truncated <= cutoff_tol:
+        return LadderPlan(head, 0, (), truncated)
+    p = (head - 1) * math.pi / L  # below p(head)
+    aim = _AIM * cutoff_tol * L
+    remainders = _em_remainders(s, L, beta, p)
+    m = next((i for i, r in enumerate(remainders) if r <= aim),
+             min(range(len(remainders)), key=remainders.__getitem__))
+    if remainders[m] <= cutoff_tol * L:
+        panels, quadrature = _quadrature(s, L, beta, p, aim)
+        certificate = (remainders[m] + quadrature) / L
+        if certificate <= cutoff_tol and certificate < truncated:
+            return LadderPlan(head, m + 1, panels, certificate)
+    return LadderPlan(head, 0, (), truncated)
+
+
+def _head_plan(box: BoxParams, beta: float, cutoff_tol: float) -> LadderPlan:
+    """The plan of the first head on the sequence 2, 6, 14, ... (k -> 2k +
+    2) whose certificate is at most cutoff_tol."""
+    head = 2
+    while head <= K_MAX_LIMIT:
+        plan = plan_ladder(box, beta, head, cutoff_tol)
+        if plan.certificate <= cutoff_tol:
+            return plan
+        head = 2 * head + 2
+    raise ValidationError(
+        f"the certified mode-sum cutoff needs k_max > {K_MAX_LIMIT} "
+        f"(L = {box.L}, beta = {beta}, cutoff_tol = {cutoff_tol})"
+    )
+
+
+def _series_product(a: list, b: list) -> list:
+    """The product of two power series, to the length of `a`."""
+    out = [0.0] * len(a)
+    for i, term in enumerate(a):
+        for k in range(i, len(a)):
+            out[k] += term * b[k - i]
+    return out
+
+
+def _em_weights(s: float, L: float, beta: float, p: float, scale: float, m: int) -> tuple:
+    """e_n, n = 0..2m-1, with which the B_2..B_2m terms of `ladder_sum`
+    are b sum_n (-b/scale)^n e_n at b = bose(y) (see `Ladder`).
+
+    About k = K, u = p(k) - p, tau = k - K: the phase map's Taylor series
+    tau = sum_j kappa_j u^j (kappa_1 = (L - 2s/(p^2 + s^2))/pi, then the
+    series of arctan) is inverted by Lagrange's formula, [tau^i] u^j =
+    (j/i) [w^{i-j}] psi^i with psi = w/tau(w).  With E = e^{-beta (2 p u +
+    u^2)} = e^{-(y(k) - y)}, f(k) = bose(y(k)) = b E / (1 + b (1 - E)) =
+    b sum_n (-b)^n E (1 - E)^n, so e_n = sum_j c_j [tau^(2j-1)] of
+    E (scale (1 - E))^n; scale >= b keeps (-b/scale)^n within 1.
+    """
+    order = 2 * m - 1
+    a0 = p * p + s * s
+    recip = [1.0 / a0]  # 1/(a0 + 2 p w + w^2) = sum recip_n w^n
+    for n in range(1, order):
+        recip.append(-(2.0 * p * recip[-1] + (recip[-2] if n > 1 else 0.0)) / a0)
+    kappa = [-2.0 * s * r / ((n + 1) * math.pi) for n, r in enumerate(recip)]  # kappa_{n+1}
+    kappa[0] += L / math.pi
+    psi = [1.0 / kappa[0]]  # 1/(kappa_1 + kappa_2 w + ...)
+    for n in range(1, order):
+        psi.append(-sum(kappa[i] * psi[n - i] for i in range(1, n + 1)) / kappa[0])
+    # v_j = sum_i c_i [tau^(2i-1)] u^j, by [tau^i] u^j = (j/i) [w^(i-j)] psi^i
+    v, power = [0.0] * (order + 1), psi
+    for i, c in zip(range(1, order + 1, 2), _EM_TERMS):
+        for j in range(1, i + 1):
+            v[j] += c * j / i * power[i - j]
+        if i < order:
+            power = _series_product(_series_product(power, psi), psi)
+    E = _series_product([(-2.0 * beta * p) ** j / math.factorial(j) for j in range(order + 1)],
+                        [(-beta) ** (j // 2) / math.factorial(j // 2) if j % 2 == 0 else 0.0
+                         for j in range(order + 1)])
+    excess = [0.0] + [-scale * e for e in E[1:]]  # scale (1 - E)
+    weights, term = [], E  # term = E (scale (1 - E))^n, by powers of u
+    for n in range(order + 1):
+        weights.append(sum(vj * tj for vj, tj in zip(v, term)))
+        if n < order:
+            term = _series_product(term, excess)
+    return tuple(weights)
+
+
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """A `LadderPlan` laid on a head table: the levels D = eps - eps(0) of
+    modes 2..head, then of the quadrature nodes p_i (D = p_i^2 + q0^2), with
+    their weights (1 for the head, 1/2 for mode `head` itself under the
+    Euler-Maclaurin tail, the Gauss-Legendre weight times k'(p_i) for a
+    node), and the coefficients e_n of the derivative terms at mode head
+    (`_em_weights`; empty when the sum is truncated) with their `scale`."""
+
+    plan: LadderPlan
+    levels: np.ndarray
+    weights: np.ndarray
+    em: tuple
+    scale: float
+
+
+def build_ladder(spectrum: SpectrumTable, beta: float, plan: LadderPlan) -> Ladder:
+    """The ladder of `plan` on `spectrum`, the table of modes 0..plan.head.
+    The integral starts at the table's p(head), inside the first planned
+    panel.  Raises NumericalFailure where the derivative terms overflow."""
+    box, K = spectrum.params, plan.head
+    if spectrum.k_max != K:
+        raise ValidationError(f"a ladder with head {K} needs the table of modes 0..{K}")
+    s, L = box.s, box.L
+    q = spectrum.wavenumbers
+    q0_squared = q[0] * q[0]
+    head = q[2:] * q[2:] + q0_squared  # eps_k - eps(0), no cancellation
+    if not plan.terms:
+        return Ladder(plan, head, np.ones(K - 1), (), 1.0)
+    lo, hi, counts = (np.array(column) for column in zip(*plan.panels))
+    lo[0] = q[K]
+    x, w = _panel_rules(tuple(counts.tolist()))
+    half = np.repeat(0.5 * (hi - lo), counts)
+    u = np.repeat(0.5 * (hi + lo), counts) + half * x
+    weights = np.ones(K - 1 + len(u))
+    weights[K - 2] = 0.5
+    weights[K - 1:] = half * w * (L - 2.0 * s / (u * u + s * s)) / math.pi
+    scale = float(_occ_free(head[-1:], beta, 0.0)[0])  # bose at mode head, x' = 0: the largest b
+    scale = scale if scale > 0.0 else 1.0
+    try:
+        em = _em_weights(s, L, beta, float(q[K]), scale, plan.terms)
+    except OverflowError:
+        em = (math.nan,)
+    if not all(math.isfinite(e) for e in em):
+        raise NumericalFailure(f"Euler-Maclaurin terms overflow at head {K} (beta = {beta:g})")
+    return Ladder(plan, np.concatenate([head, u * u + q0_squared]), weights, em, scale)
+
+
+def ladder_sum(ladder: Ladder, beta: float, shift: float):
+    """(S, S1, b): S = sum_{k>=2} bose(beta (D_k + shift)) and the Newton
+    slope's S1 = sum_{k>=2} bose (1 + bose), both from the ladder's
+    weighted levels and the Euler-Maclaurin terms at its head, and b the
+    occupations at every level (modes 2..head first).
+
+    Under the tail, sum_{k >= K} f(k) = int_K^inf f dk + f(K)/2 - sum_j
+    B_2j/(2j)! f^(2j-1)(K) + R, the integral taken in p, dk = k'(p) dp, on
+    the ladder's nodes.  With b = f(K), the terms are b sum_n (-b/scale)^n
+    e_n for S and b (1 + b) sum_n (n + 1) (-b/scale)^n e_n for S1 (their
+    y-derivative form, bose (1 + bose) = -bose').  Einsum reductions, no
+    BLAS: the sums do not depend on the thread count.
+    """
+    b = _occ_free(ladder.levels, beta, shift)
+    total = float(np.einsum("i,i->", ladder.weights, b))
+    slope = float(np.einsum("i,i,i->", ladder.weights, b, 1.0 + b))
+    if ladder.em:
+        bk = float(b[ladder.plan.head - 2])
+        ratio, power, value, derivative = -bk / ladder.scale, 1.0, 0.0, 0.0
+        for n, e in enumerate(ladder.em):
+            value += power * e
+            derivative += (n + 1) * power * e
+            power *= ratio
+        total += bk * value
+        slope += bk * (1.0 + bk) * derivative
+    return total, slope, b
+
+
+# ----------------------------------------------------------------------
 # density equation
 # ----------------------------------------------------------------------
 
@@ -298,20 +665,24 @@ _SOLVE_PASSES = 200
 # a Newton step in t = log(x / x_mid) this small leaves x within ~2 ulp of
 # the root; at 1 eps, rounding noise in G kept some boxes stepping
 _STEP_TOL = 2.0 * np.finfo(float).eps
+_SETTLED = 2.0**-22
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     """Solve the density equation for x = eps(0) - mu_L > 0 by one
     safeguarded Newton iteration in t = log(x / x_mid) (see the module
-    docstring) on the spectrum table of modes 0..inp.k_max, which the
-    state keeps; mu = eps(0) - x.  `ThermoInput` has certified the cutoff.
+    docstring) on the head table of modes 0..inp.k_max, which the state
+    keeps, and the ladder `inp.plan` lays on it; mu = eps(0) - x.
+    `ThermoInput` has certified the plan.  Each evaluation takes one
+    `ladder_sum` for the k >= 2 sum and its Newton slope.
 
     Raises ValidationError where 2/(rho L) overflows a float or x = eps(0)
     - mu is below the smallest double, and NumericalFailure if the
     iteration does not end in _SOLVE_PASSES evaluations.  The returned
     state satisfies |rho_tilde + rho_cond_finite - rho| <= 1e-10 * rho, and its
-    rho_tilde is (1/L) * sum_{k>=2} occ_k.
+    rho_tilde is the ladder's (1/L) sum_{k>=2} occ_k, within
+    inp.plan.certificate of the sum over every mode.
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
@@ -331,35 +702,40 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
             f"(beta = {beta:g}, rho*L = {rho * L:g})"
         )
     spectrum = build_spectrum(inp.box, inp.k_max)
+    ladder = build_ladder(spectrum, beta, inp.plan)
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
-    q = spectrum.wavenumbers
-    levels = q[2:] * q[2:] + q[0] * q[0]  # eps_k - eps(0) for k >= 2, no cancellation
     wall_levels = np.array([0.0, spectrum.wall_gap])
 
     def at(t):
         """G = rho_tilde - (1/L) sum_{k>=2} occ_k at x = x_mid e^t, its
-        slope dG/dt and the occupations."""
+        slope dG/dt, the Newton step in t on log((1/L) sum_{k>=2} occ_k /
+        rho_tilde) (nan where rho_tilde or the sum is not positive), the
+        wall pair's occupations and the ladder's sum and occupations."""
         x = x_mid * math.exp(t)
         walls = _occ_free(wall_levels, beta, x)
         rho_tilde = rho - float(walls[0] + walls[1]) / L
-        excited = _occ_free(levels, beta, x + lam * max(rho_tilde, 0.0))
-        value = rho_tilde - float(excited.sum() / L)
+        total, slope_sum, excited = ladder_sum(ladder, beta, x + lam * max(rho_tilde, 0.0))
+        density = total / L
+        value = rho_tilde - density
         bx = beta * x
         # einsum, not @: a BLAS dot's last bits follow its thread count
         d_walls = float(np.einsum("i,i->", walls, (1.0 + walls) * bx)) / L  # x d(rho_tilde)/dx
-        d_excited = float(np.einsum("i,i->", excited, (1.0 + excited) * bx)) / L
+        d_excited = slope_sum * bx / L
+        log_step = math.nan
         if rho_tilde > 0.0 and d_excited > 0.0:  # 0 * inf at huge beta*lam
             d_excited *= 1.0 + lam * d_walls / x
-        return value, d_walls + d_excited, walls, excited
+            if density > 0.0:
+                log_step = math.log(density / rho_tilde) / (d_excited / density + d_walls / rho_tilde)
+        return value, d_walls + d_excited, log_step, walls, (total, excited)
 
     # t = log(x / x_mid) keeps x to ~ulp(t) relative, and t* ~ 0 when the
     # box condenses.  A tiny step ends the iteration only at the best point
     # so far: where G is steep (huge lam), one from the other side can be
     # tiny while |G| there is still large
     lo, hi, widen, t = math.log(x_lo / x_mid), math.inf, 4.0, 0.0
-    best, from_hi = None, math.nan
+    best, from_hi, last = None, math.nan, math.inf
     for _ in range(_SOLVE_PASSES):
-        value, slope, walls, excited = at(t)
+        value, slope, log_step, walls, excited = at(t)
         improved = best is None or abs(value) < abs(best[0])
         if improved:
             best = value, t, walls, excited
@@ -367,6 +743,10 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
         new = t - value / slope if newton else math.nan
         if value < 0.0:
             lo = t
+            # G is concave where lam rho_tilde dominates, and the step on the
+            # log of the sum's ratio to rho_tilde goes further (module docstring)
+            if t + log_step > new:
+                new = t + log_step
         else:
             # the Newton step in y = bose(beta x) from here, as t (module
             # docstring); dy/dt = -beta x y (1 + y)
@@ -376,7 +756,10 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
                 y *= 1.0 + value * beta * x_mid * math.exp(t) * (1.0 + y) / slope
                 if 0.0 < y < math.inf:
                     from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
-        if (improved and abs(new - t) <= _STEP_TOL) or hi - lo <= _STEP_TOL:
+        # a step this small after one of at most _SETTLED is rounding in G:
+        # Newton's error after the last step is ~ its square
+        settled = abs(t - last) <= _SETTLED and abs(new - t) <= 4.0 * _STEP_TOL
+        if (improved and (abs(new - t) <= _STEP_TOL or settled)) or hi - lo <= _STEP_TOL:
             break
         # safeguard: until some G > 0 is seen, steps up are capped at a
         # doubling width.  Inside the bracket, a step that leaves it is
@@ -394,13 +777,13 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
                     new = 0.5 * (lo + hi)
                     if not lo < new < hi:  # lo and hi are adjacent doubles
                         break
-        t = new
+        last, t = t, new
     else:
         raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
 
-    _, t, walls, excited = best
-    state = ThermoState(params=inp, model_tag=model, spectrum=spectrum,
-                        x=x_mid * math.exp(t), occ=np.concatenate([walls, excited]))
+    _, t, walls, (total, excited) = best
+    state = ThermoState(params=inp, model_tag=model, spectrum=spectrum, x=x_mid * math.exp(t),
+                        occ=np.concatenate([walls, excited[:inp.k_max - 1]]), rho_tilde=total / L)
     if not state.density_residual <= 1e-10 * rho:
         raise NumericalFailure(
             f"density residual {state.density_residual:.3e} above 1e-10 * rho"

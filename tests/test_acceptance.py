@@ -36,6 +36,7 @@ from robinbec.thermo import (
     fit_exponential_rate,
     mu_asymptotics_check,
     solve_mu,
+    suggest_k_max,
 )
 
 
@@ -278,12 +279,13 @@ def test_criterion_8_profile_diagnostics():
     radii, n_cond, worst_mass = [], [], 0.0
     for L in Ls:
         st = _solve_point(L, lam=0.0, model=FREE)
-        table = build_spectrum(st.params.box, st.params.k_max)
+        table = build_spectrum(st.params.box, suggest_k_max(st.params.box, st.params.beta))
         n_coarse = 2 ** max(13, int(math.ceil(math.log2(40.0 * L)))) + 1
         fine = density_profile(table, st, 2 * n_coarse - 1)
         coarse = density_profile(table, st, n_coarse)
         mass = (4.0 * profile_mass(fine) - profile_mass(coarse)) / 3.0
-        rel_mass = abs(mass - st.occ.sum()) / st.occ.sum()
+        occ = st.occupations(table)
+        rel_mass = abs(mass - occ.sum()) / occ.sum()
         worst_mass = max(worst_mass, rel_mass)
         assert rel_mass <= 1e-8
         sym = np.max(np.abs(fine.n_total - fine.n_total[::-1]))

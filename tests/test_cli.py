@@ -316,7 +316,7 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # they overflowed in suggest_k_max or asked numpy for ~80 TB
     (["thermo", "--sigma=-1", "--L", "1e-300", "--out", "{tmp}/o"], "L*|sigma| > 2"),
     (["thermo", "--sigma=-1e300", "--L", "20", "--out", "{tmp}/o"], "sigma^2"),
-    (["thermo", "--sigma=-1", "--L", "1e300", "--out", "{tmp}/o"], "needs k_max > 10000000"),
+    (["thermo", "--sigma=-1", "--L", "1e300", "--out", "{tmp}/o"], "L*|sigma| <= 1e+15, got 1e+300"),
     (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e-300", "--out", "{tmp}/o"],
      "needs k_max > 10000000"),
     (["spectrum", "--sigma=-1", "--L", "20", "--k-max", "10000000000000", "--out", "{tmp}/o"],
@@ -391,7 +391,8 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
      "modes k >= 2 need (pi/L)^2 + sigma^2 >= 2.22507e-308, got 0"),
     # the cutoff search started from L*sqrt(4/beta)/pi = inf (OverflowError),
     # and the tail divided by 1 - exp(-y) = 0 at beta = 1e-300 (ZeroDivisionError)
-    (["thermo", "--sigma=-1", "--L=1.7e308", "--out", "{tmp}/o"], "needs k_max > 10000000"),
+    (["thermo", "--sigma=-1", "--L=1.7e308", "--out", "{tmp}/o"],
+     "wall modes need L*|sigma| <= 1e+307, got 1.7e+308"),
     (["thermo", "--sigma=-1", "--L=20", "--beta=1e-300", "--k-max=3", "--out", "{tmp}/o"],
      "certified k_max tail inf exceeds cutoff_tol"),
     # rho*L underflows to 0 (ZeroDivisionError), or 1/(rho*L) overflows (the

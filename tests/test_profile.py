@@ -28,6 +28,7 @@ from robinbec.thermo import (
     ThermoInput,
     critical_density,
     solve_mu,
+    suggest_k_max,
 )
 
 
@@ -36,19 +37,27 @@ def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0):
     return solve_mu(inp, model=model)
 
 
+def _table(state):
+    # the profile's own table: modes to the certified cutoff, as the CLI
+    # builds it (the state keeps only the solve's head)
+    box, beta = state.params.box, state.params.beta
+    return build_spectrum(box, suggest_k_max(box, beta, state.params.cutoff_tol))
+
+
 def _fake_state(state, occ):
-    # same solved state with replaced occupations (for the trivial cases);
-    # its densities follow the new occupations
+    # the solved state with the wall pair's occupations replaced and every
+    # k >= 2 mode emptied (for the trivial cases): a profile takes the
+    # k >= 2 occupations from x, so x = inf
     from dataclasses import replace
 
-    return replace(state, occ=np.asarray(occ, dtype=float))
+    return replace(state, occ=np.asarray(occ, dtype=float), x=math.inf, rho_tilde=0.0)
 
 
 def test_zero_occupations_zero_profile():
     st = _state()
     st0 = _fake_state(st, np.zeros_like(st.occ))
     assert st0.rho_tilde == 0.0 and st0.rho_cond_finite == 0.0
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     prof = density_profile(table, st0, 201)
     assert np.all(prof.n_total == 0.0)
     assert np.all(prof.n_cond == 0.0)
@@ -58,7 +67,7 @@ def test_single_mode_profile_integrates_to_one():
     st = _state(L=12.0)
     occ = np.zeros_like(st.occ)
     occ[0] = 1.0
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     prof = density_profile(table, _fake_state(st, occ), 3001)
     q = table.modes[0].wavenumber
     ref = (np.exp(table.modes[0].log_norm) * np.cosh(q * prof.grid)) ** 2
@@ -70,7 +79,7 @@ def test_single_mode_profile_integrates_to_one():
 
 def test_profile_invariants_condensing_state():
     st = _state(L=60.0, rho=1.0, lam=1.0, model=MEAN_FIELD_SCF)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     prof = density_profile(table, st, 8193)
     # pointwise split
     assert np.allclose(prof.n_cond + prof.n_thermal, prof.n_total, rtol=0, atol=1e-14)
@@ -81,14 +90,15 @@ def test_profile_invariants_condensing_state():
     mass_fine = profile_mass(prof)
     mass_coarse = profile_mass(coarse)
     extrapolated = (4.0 * mass_fine - mass_coarse) / 3.0
-    assert abs(extrapolated - st.occ.sum()) < 1e-8 * st.occ.sum()
+    occ = st.occupations(table)
+    assert abs(extrapolated - occ.sum()) < 1e-8 * occ.sum()
 
 
 def test_wall_contrast_grows_with_L():
     ratios = []
     for L in (40.0, 80.0, 160.0):
         st = _state(L=L, rho=1.0)
-        table = build_spectrum(st.params.box, st.params.k_max)
+        table = _table(st)
         prof = density_profile(table, st, 2049)
         ratios.append(prof.n_cond[-1] / prof.n_cond[len(prof.grid) // 2])
     assert ratios[0] < ratios[1] < ratios[2]
@@ -104,7 +114,7 @@ def test_localization_radius_uniform_profile():
 
 def test_localization_radius_wall_hugging():
     st = _state(L=80.0, rho=1.0)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     prof = density_profile(table, st, 16385)
     d = localization_radius(prof, 0.9)
     # cosh^2 tail: 90% of the mass within ~ln(10)/(2|sigma|) of the walls
@@ -114,25 +124,26 @@ def test_localization_radius_wall_hugging():
 
 
 def test_localization_radius_empty_condensate():
+    # the thermal modes occupied, the wall pair empty
+    from dataclasses import replace
+
     st = _state(L=20.0)
-    occ = np.zeros_like(st.occ)
-    occ[3] = 1.0
-    table = build_spectrum(st.params.box, st.params.k_max)
-    prof = density_profile(table, _fake_state(st, occ), 501)
+    table = _table(st)
+    prof = density_profile(table, replace(st, occ=np.zeros_like(st.occ)), 501)
     with pytest.raises(EmptyCondensate):
         localization_radius(prof, 0.9)
 
 
 def test_grid_validation():
     st = _state(L=20.0)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     with pytest.raises(ValidationError):
         density_profile(table, st, 32)
 
 
 def test_profile_csv(tmp_path):
     st = _state(L=20.0)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     prof = density_profile(table, st, 101)
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path, comment_lines=["L = 20"])
@@ -149,7 +160,7 @@ def _longdouble_columns(table, state, x):
     table's double wavenumbers and log norms."""
     ld = np.longdouble
     ax = np.abs(x).astype(ld)
-    occ = state.occ
+    occ = state.occupations(table)
     n_cond = np.zeros_like(ax)
     with np.errstate(divide="ignore"):
         for k, sign in ((0, 1.0), (1, -1.0)):
@@ -179,7 +190,7 @@ def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n):
     # condensing boxes; at beta sigma^2 > 3 the thermal density dips ~1e3
     # below its bulk value near 1/|sigma| from each wall
     st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     prof = density_profile(table, st, grid_n)
     for col in (prof.n_total, prof.n_cond, prof.n_thermal):
         assert np.array_equal(col, col[::-1])  # exact mirror symmetry
@@ -200,13 +211,13 @@ def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n):
 def test_thermal_sum_contracts_the_slope_only_where_uncertified(monkeypatch, sigma, beta, L,
                                                                 grid_n, per_chunk):
     st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     calls = []
     einsum = np.einsum
     monkeypatch.setattr(profile_module.np, "einsum",
                         lambda spec, *ops: calls.append(spec) or einsum(spec, *ops))
     density_profile(table, st, grid_n)
-    chunks = -(-(len(st.occ) - 2) // profile_module._CHUNK)
+    chunks = -(-(table.k_max - 1) // profile_module._CHUNK)
     assert chunks >= 2 and calls.count("ki,kj->ij") == per_chunk * chunks
 
 
@@ -252,7 +263,7 @@ def test_mode_sum_takes_one_trig_function_per_mode(monkeypatch):
     # the thermal density dips near its low modes' common node), and a
     # grid with the parities shuffled
     st = _state(L=200.0, rho=1.5 * critical_density(2.0, -1.5), sigma=-1.5, beta=2.0)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     seen = []
     real = profile_module._mode_sum
     monkeypatch.setattr(profile_module, "_mode_sum", lambda *args: seen.append(args) or real(*args))
@@ -310,7 +321,7 @@ def _mirrored_grid(n):
 @pytest.fixture(scope="module")
 def condensing_state():
     st = _state(L=200.0, rho=1.5 * critical_density(1.5, -1.0), beta=1.5)
-    return build_spectrum(st.params.box, st.params.k_max), st
+    return _table(st), st
 
 
 @pytest.mark.parametrize("grid_n", [4 * 4096 + 1, 4 * 4096 + 2])
@@ -448,7 +459,7 @@ def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_sta
 
 def test_density_profile_memory_stays_flat():
     st = _state(L=800.0, rho=1.5 * critical_density(1.0, -0.55), sigma=-0.55)
-    table = build_spectrum(st.params.box, st.params.k_max)
+    table = _table(st)
     tracemalloc.start()
     try:
         density_profile(table, st, 32001)

@@ -26,6 +26,7 @@ from robinbec.thermo import (
     equal_distribution_gap,
     fit_exponential_rate,
     mu_asymptotics_check,
+    plan_ladder,
     solve_mu,
     suggest_k_max,
     write_sweep_csv,
@@ -142,10 +143,12 @@ def test_solve_mu_monotone_density_premise():
     # G(x) = rho_tilde(x) - (1/L) sum_{k>=2} occ_k and rho_tilde(x) =
     # rho - (occ_0 + occ_1)/L increase strictly in x = eps(0) - mu; the
     # closed-form bracket ends have G < 0 and rho_tilde >= 0
+    # (the k >= 2 sum explicit to 3x the certified cutoff: the solve's
+    # ladder is within its certificate of it)
     for model, lam in ((FREE, 0.0), (MEAN_FIELD_SCF, 1.0)):
         inp = _input(L=20.0, lam=lam)
         beta, L, rho = inp.beta, inp.box.L, inp.rho
-        eps = build_spectrum(inp.box, inp.k_max).epsilons
+        eps = build_spectrum(inp.box, 3 * suggest_k_max(inp.box, beta)).epsilons
         walls_at = np.array([0.0, bound_state_gap(inp.box)])
 
         def G(x):
@@ -162,7 +165,7 @@ def test_solve_mu_monotone_density_premise():
             assert value > prev[0] and rho_tilde > prev[1]
             prev = value, rho_tilde
         st = solve_mu(inp, model=model)
-        assert abs(G(st.x)[0]) <= 1e-14 * rho
+        assert abs(G(st.x)[0]) <= 1e-14 * rho + inp.plan.certificate
 
 
 @pytest.mark.parametrize("sigma,L,beta,rho,lam", [
@@ -174,13 +177,14 @@ def test_solve_mu_monotone_density_premise():
     (-1.0, 20.0, 1.0, 1.0, 1e300),  # rho_tilde at the root is below rounding
 ])
 def test_solve_mu_matches_mpmath_root(sigma, L, beta, rho, lam):
-    # the same equation G(x) = 0 on the table's double wavenumbers and the
-    # double bound_state_gap, solved at 40 digits by mpmath.findroot on a
-    # bracket of +-2^-20 x around the double root
+    # the equation G(x) = 0 summed explicitly to 3x the certified cutoff on
+    # the table's double wavenumbers and the double bound_state_gap, solved
+    # at 40 digits by mpmath.findroot on a bracket of +-2^-20 x around the
+    # double root; the solve's ladder is within its certificate of that sum
     mpmath = pytest.importorskip("mpmath")
     inp = _input(sigma=sigma, L=L, beta=beta, rho=rho, lam=lam)
     st = solve_mu(inp, model=MEAN_FIELD_SCF)
-    q = build_spectrum(inp.box, inp.k_max).wavenumbers
+    q = build_spectrum(inp.box, 3 * suggest_k_max(inp.box, beta)).wavenumbers
     with mpmath.workdps(40):
         levels = [mpmath.mpf(float(p)) ** 2 + mpmath.mpf(float(q[0])) ** 2 for p in q[2:]]
         gap, b, n_L = (mpmath.mpf(v) for v in (bound_state_gap(inp.box), beta, L))
@@ -194,9 +198,12 @@ def test_solve_mu_matches_mpmath_root(sigma, L, beta, rho, lam):
         bracket = (x * (1 - mpmath.mpf(2) ** -20), x * (1 + mpmath.mpf(2) ** -20))
         assert G(bracket[0]) < 0 < G(bracket[1])
         root = mpmath.findroot(G, bracket, solver="anderson", verify=False)
+        # x dG/dx at the root turns the certificate into a bound on x
+        slope = (G(root * (1 + mpmath.mpf(2) ** -30)) - G(root * (1 - mpmath.mpf(2) ** -30))) \
+            * mpmath.mpf(2) ** 29
         # the solver stops at a step or bracket of 2 eps in t = log(x/x_mid),
         # and x = x_mid e^t rounds once more; measured <= 5.7e-16
-        assert float(abs(x - root) / root) <= 3.0 * np.finfo(float).eps
+        assert float(abs(x - root) / root) <= 3.0 * np.finfo(float).eps + inp.plan.certificate / float(slope)
 
 
 @pytest.mark.parametrize("model,limit", [(MEAN_FIELD_SCF, 6), (FREE, 7)])
@@ -267,7 +274,10 @@ def test_scf_state_is_its_own_fixed_point(L, lam, rho):
     eps, occ = st.epsilons, st.occ
     shifted = 1.0 / np.expm1(inp.beta * (eps[2:] - st.mu + lam * st.rho_tilde))
     np.testing.assert_allclose(occ[2:], shifted, rtol=1e-13, atol=0.0)
-    assert abs(st.rho_tilde - occ[2:].sum() / L) <= 1e-15 * st.rho_tilde
+    # rho_tilde is the ladder's sum over every mode: within the certificate
+    # of the explicit sum to 3x the certified cutoff
+    full = st.occupations(build_spectrum(inp.box, 3 * suggest_k_max(inp.box, inp.beta)))
+    assert abs(st.rho_tilde - full[2:].sum() / L) <= 1e-15 * st.rho_tilde + inp.plan.certificate
     walls = 1.0 / np.expm1(inp.beta * (np.array([0.0, bound_state_gap(inp.box)]) + st.x))
     np.testing.assert_array_equal(occ[:2], walls)
     # mu = eps(0) - x rounds at ulp(eps(0)), which moves beta*(eps_k - mu)
@@ -277,10 +287,12 @@ def test_scf_state_is_its_own_fixed_point(L, lam, rho):
 
 
 def test_solve_mu_cutoff_certificate():
+    # a head whose ladder certificate and truncated tail both miss the
+    # tolerance is rejected; the profile's cutoff certifies its own tail
     box = BoxParams(sigma=-1.0, L=50.0)
     with pytest.raises(CutoffTooSmall):
         solve_mu(ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=5,
-                             cutoff_tol=1e-10), model=FREE)
+                             cutoff_tol=1e-30), model=FREE)
     tail = certified_density_tail(box, 1.0, suggest_k_max(box, 1.0))
     assert tail < 1e-10
 
@@ -458,15 +470,22 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
     box = BoxParams(-1.0, 40.0)
     for beta, tol in ((1.0, 1e-10), (0.3, 1e-6), (5.0, 1e-14)):
         inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
-        assert inp.k_max == suggest_k_max(box, beta, tol)
+        # the first head on the search sequence whose certificate reaches tol
+        heads = [2]
+        while heads[-1] < inp.k_max:
+            heads.append(2 * heads[-1] + 2)
+        assert heads[-1] == inp.k_max and inp.plan == plan_ladder(box, beta, inp.k_max, tol)
+        assert all(plan_ladder(box, beta, k, tol).certificate > tol for k in heads[:-1])
+        assert inp.plan.certificate <= tol
         assert solve_mu(inp).epsilons.shape == (inp.k_max + 1,)
-    # an explicit cutoff is kept as given, and checked against the same bound
+    # an explicit head is kept as given, and checked against the same certificate
     assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=60).k_max == 60
-    with pytest.raises(CutoffTooSmall, match="certified k_max tail 7.200e-02"):
-        ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=7)
+    with pytest.raises(CutoffTooSmall, match="certified k_max tail 1.445e-02"):
+        ThermoInput(box=BoxParams(-1.0, 3.0), beta=1.0, rho=1.0, lam=0.0, k_max=2)
     # every other field is checked first: a bad cutoff_tol or beta never
-    # reaches the cutoff search
-    monkeypatch.setattr(thermo, "suggest_k_max", lambda *a: pytest.fail("cutoff searched"))
+    # reaches the head search
+    monkeypatch.setattr(thermo, "_head_plan", lambda *a: pytest.fail("head searched"))
+    monkeypatch.setattr(thermo, "plan_ladder", lambda *a: pytest.fail("head planned"))
     for bad, needle in (({"cutoff_tol": 0.0}, "cutoff_tol must be"),
                         ({"cutoff_tol": 1.5}, "cutoff_tol must be"),
                         ({"beta": 0.0}, "beta must be"),
@@ -476,8 +495,9 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
 
 
 def test_state_reads_derived_values_from_its_fields():
-    # mu, the densities and the energies are read from the table, x and occ,
-    # so a state with replaced occupations carries no stale copy of them
+    # mu, the wall-pair density and the energies are read from the table, x
+    # and occ, so a state with replaced occupations carries no stale copy of
+    # them; rho_tilde is the solve's sum over every mode, kept as solved
     from dataclasses import replace
 
     st = solve_mu(_input(L=60.0, lam=1.0), model=MEAN_FIELD_SCF)
@@ -486,6 +506,6 @@ def test_state_reads_derived_values_from_its_fields():
     assert st.epsilons is st.spectrum.epsilons
     occ = np.linspace(1.0, 2.0, len(st.occ))
     other = replace(st, occ=occ)
-    assert other.rho_tilde == float(occ[2:].sum() / L) != st.rho_tilde
+    assert other.rho_tilde == st.rho_tilde
     assert other.rho_cond_finite == float((occ[0] + occ[1]) / L) != st.rho_cond_finite
     assert other.density_residual == abs(other.rho_tilde + other.rho_cond_finite - 1.0)
