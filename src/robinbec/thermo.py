@@ -331,7 +331,7 @@ _REMAINDER = [(q, 2.0 * (math.fsum(n ** -q for n in range(1, 65)) + 64.0 ** (1 -
                * math.factorial(q) / (2.0 * math.pi) ** q) for q in (3, 5, 7)]
 # radii r = eta sqrt(p^2 + s^2) of the disks about p that the remainder
 # bound tries (`_em_remainders`)
-_ETAS = (0.1, 0.2, 0.3)
+_ETAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 # Bernstein ellipses rho the quadrature bound tries, as (2 log rho, the
 # half-axes (rho + 1/rho)/2 and (rho - 1/rho)/2, (64/15)/(rho^2 - 1))
 _ELLIPSES = [(2.0 * math.log(r), 0.5 * (r + 1.0 / r), 0.5 * (r - 1.0 / r), 64.0 / 15.0 / (r * r - 1.0))
@@ -386,29 +386,33 @@ def _em_remainders(s: float, L: float, beta: float, p: float) -> list[float]:
 
     |R| <= 2 zeta(q)/(2 pi)^q int_K^inf |f^(q)| dk, q = 2m + 1.  About a
     real p0 the disk |u - p0| <= r, r = eta sqrt(p0^2 + s^2), has Re u^2 >=
-    p0^2 - 2 p0 r - r^2, so Re(u^2) + c >= w = alpha p0^2 + (1 - gamma) s^2
-    with gamma = 2 eta + eta^2 and alpha = 1 - gamma, and |bose| <=
-    bose(beta w) there; the disk misses the branch points +-is of
-    arctan(u/s).  The phase map k(u) = (uL + pi - 2 arctan(u/s))/pi is
-    injective on it with |k'(u) - L/pi| <= theta L/pi, theta = 2s/(L alpha
-    (p0^2 + s^2)), so its image holds the disk of radius h = (1 - theta) L
-    r/pi about k(p0), on which the inverse p(k) stays in the first disk (a
-    contraction).  The Cauchy estimate |f^(q)| <= q! bose(beta w)/h^q;
-    h grows with p0, so h at p bounds it, and dk <= (L/pi) dp leaves a
-    Gaussian integral of bose(beta w) <= e^{-beta w}/(1 - e^{-beta w(p)}).
-    inf where theta >= 1.
+    p0^2/2 - r^2, and >= (p0 - r)^2 where r <= p0/2, so Re u^2 >= alpha
+    p0^2 - a s^2 with (alpha, a) = ((1 - eta)^2, 2 eta - eta^2) where the
+    disk at p stays right of p0/2 (and so at every p0 >= p), else (1/2 -
+    eta^2, eta^2).  Then |bose| <= bose(beta w), w = alpha p0^2 + (1 - a)
+    s^2, and the disk misses the branch points +-is of arctan(u/s).  The
+    phase map k(u) = (uL + pi - 2 arctan(u/s))/pi is injective on it with
+    |k'(u) - L/pi| <= theta L/pi, theta = 2s/(L w), so its image holds the
+    disk of radius h = (1 - theta) L r/pi about k(p0), on which the inverse
+    p(k) stays in the first disk (a contraction).  The Cauchy estimate
+    |f^(q)| <= q! bose(beta w)/h^q; h grows with p0, so h at p bounds it,
+    and dk <= (L/pi) dp leaves a Gaussian integral of bose(beta w) <=
+    e^{-beta w}/(1 - e^{-beta w(p)}).  inf where theta >= 1.
     """
     bounds = [math.inf] * len(_REMAINDER)
     r2 = p * p + s * s
     for eta in _ETAS:
-        gamma = 2.0 * eta + eta * eta
-        alpha = 1.0 - gamma
-        theta = 2.0 * s / (L * alpha * r2)
-        denominator = -math.expm1(-beta * (alpha * p * p + (1.0 - gamma) * s * s))
+        if eta * math.sqrt(r2) <= 0.5 * p:
+            alpha, a = (1.0 - eta) ** 2, 2.0 * eta - eta * eta
+        else:
+            alpha, a = 0.5 - eta * eta, eta * eta
+        w = alpha * p * p + (1.0 - a) * s * s
+        theta = 2.0 * s / (L * w)
+        denominator = -math.expm1(-beta * w)
         if not (theta < 1.0 and denominator > 0.0 and beta * alpha > 0.0):
             continue
         log_h = math.log((1.0 - theta) * L * eta / math.pi) + 0.5 * math.log(r2)
-        gauss = (math.exp(-beta * (1.0 - gamma) * s * s) * 0.5 * math.sqrt(math.pi / (beta * alpha))
+        gauss = (math.exp(-beta * (1.0 - a) * s * s) * 0.5 * math.sqrt(math.pi / (beta * alpha))
                  * math.erfc(p * math.sqrt(beta * alpha)) / denominator)
         for i, (q, c) in enumerate(_REMAINDER):
             bound = c * (L / math.pi) * gauss * math.exp(min(700.0, -q * log_h))
