@@ -195,9 +195,8 @@ def _cmd_thermo(cfg: dict) -> int:
 def _cmd_profile(cfg: dict) -> int:
     _check_writable(cfg["out"])
     inp = _thermo_input(cfg, cfg["L"])
-    # the profile sums its modes one by one, to their own certified cutoff:
-    # --k-max if given (a head that certifies its tail by truncation), else
-    # the cutoff search's
+    # the profile sums its modes one by one, to a certified cutoff of its
+    # own: --k-max if given, else the cutoff search's
     k_max = cfg["k_max"] or suggest_k_max(inp.box, inp.beta, inp.cutoff_tol)
     tail = certified_density_tail(inp.box, inp.beta, k_max)
     if tail > inp.cutoff_tol:
@@ -274,7 +273,8 @@ _THERMO = {
     "rho": _Param(float, 1.0),
     "lam": _Param(float, 0.0, flag="--lambda"),
     "model": _Param(str, "free", choices=tuple(sorted(_MODEL_ALIASES))),
-    "k_max": _Param(int, help="mode cutoff; default auto-certified"),
+    "k_max": _Param(int, help="explicit head of the density solve's k >= 2 sum, and the "
+                    "profile's mode cutoff; default auto-certified"),
     "cutoff_tol": _Param(float, 1e-10),
 }
 

@@ -242,6 +242,34 @@ def test_solve_mu_huge_lam_evaluations(monkeypatch, sigma, L, beta, rho, lam):
     assert st.density_residual <= 1e-10 * rho
 
 
+def test_solve_mu_evaluations_where_lam_rho_tilde_dominates(monkeypatch):
+    # lam = 1e9..1e13 on 400 seeded boxes: below the root the excited sum
+    # falls by e per unit of beta lam rho_tilde, so Newton steps on G took a
+    # median of 28 evaluations and at most 35; the step on the log of its
+    # ratio to rho_tilde takes 8 and 11
+    import random
+    import statistics
+
+    import robinbec.thermo as thermo
+
+    rng = random.Random(2021)
+    counts = []
+    real = thermo._occ_free
+    monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: counts.append(len(d) > 2) or real(d, *a))
+    per_box = []
+    for _ in range(400):
+        sigma = -10.0 ** rng.uniform(-1.0, 0.3)
+        beta = 10.0 ** rng.uniform(-0.5, 0.5)
+        L = 10.0 ** rng.uniform(2.0, math.log10(3000.0))
+        rho = critical_density(beta, sigma) * 10.0 ** rng.uniform(-0.5, 1.0)
+        inp = _input(sigma=sigma, L=L, beta=beta, rho=rho, lam=10.0 ** rng.uniform(9.0, 13.0))
+        counts.clear()
+        st = solve_mu(inp, model=MEAN_FIELD_SCF)
+        assert st.density_residual <= 1e-10 * rho
+        per_box.append(sum(counts))
+    assert statistics.median(per_box) <= 8 and max(per_box) < 36
+
+
 def test_state_wall_pair_from_one_solve(monkeypatch):
     # solve_mu reads the roots and the table's wall offsets: one wall-pair
     # solve, no derived spectrum column, and the table the state keeps has
