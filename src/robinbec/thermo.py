@@ -20,8 +20,8 @@ x = eps(0) - mu > 0 itself, which the density equation puts near
 near eps(0).  Given x, the wall pair takes bose(beta x) and
 bose(beta (gap + x)) with gap = eps(1) - eps(0) from the table's wall
 offsets (`SpectrumTable.wall_gap`, one wall-pair solve per state; the
-state keeps its table, and mu, rho_tilde and the other derived values
-are read from the table, x and the occupations);
+state keeps its head table, and mu and the other derived values are read
+from the table, x and the occupations);
 the density equation itself gives rt(x) = rho - (occ_0 + occ_1)/L, so
 the SCF shift is explicit; and modes k >= 2 take
 bose(beta (D_k + x + lam*max(rt, 0))) (unclamped, G would have a
@@ -71,7 +71,7 @@ Weideman, SIAM Rev. 56 (2014) 385-458), and so is the quadrature
 rho_tilde+ >= 0.  Their sum is the certificate, unless
 `certified_density_tail`, which bounds what dropping every mode above K
 leaves out at every mu <= eps(0), is at most cutoff_tol: small boxes
-keep today's truncated sum on the same path (`plan_ladder`).
+keep the truncated sum, on the same path (`plan_ladder`).
 `ThermoInput` takes the first K on the sequence 2, 6, 14, ... whose
 certificate is at most cutoff_tol unless one is given, and checks either
 (CutoffTooSmall).  One evaluation of G is one Bose vector of the head and
