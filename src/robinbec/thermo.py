@@ -205,23 +205,19 @@ class ThermoState:
         total = self.rho_tilde + self.rho_cond_finite
         return abs(total - self.params.rho)
 
-    @property
-    def excited_shift(self) -> float:
-        """x + lam max(rho - (occ_0 + occ_1)/L, 0) (lam = 0 for the free
-        model): every k >= 2 mode sits this far above its level D_k = eps_k -
-        eps(0) relative to eps(0) - mu, as the solve took it."""
-        lam = self.params.lam if self.model_tag == MEAN_FIELD_SCF else 0.0
-        rho_tilde = self.params.rho - float(self.occ[0] + self.occ[1]) / self.params.box.L
-        return self.x + lam * max(rho_tilde, 0.0)
-
     def occupations(self, table: SpectrumTable) -> np.ndarray:
         """occ_k for k = 0..table.k_max: the state's wall pair, and
-        bose(beta (D_k + `excited_shift`)) for k >= 2 on the table's own
-        levels, which are the head's bit for bit where the two overlap."""
+        bose(beta (D_k + x + lam max(rho - (occ_0 + occ_1)/L, 0))) for
+        k >= 2 (lam = 0 for the free model) on the table's own levels
+        D_k = eps_k - eps(0), as the solve took them: the head's occupations
+        bit for bit where the two tables overlap."""
         if table.params != self.params.box:
             raise ValidationError("spectrum and state describe different boxes")
+        lam = self.params.lam if self.model_tag == MEAN_FIELD_SCF else 0.0
+        rho_tilde = self.params.rho - float(self.occ[0] + self.occ[1]) / self.params.box.L
         q = table.wavenumbers
-        excited = _occ_free(q[2:] * q[2:] + q[0] * q[0], self.params.beta, self.excited_shift)
+        excited = _occ_free(q[2:] * q[2:] + q[0] * q[0], self.params.beta,
+                            self.x + lam * max(rho_tilde, 0.0))
         return np.concatenate([self.occ[:2], excited])
 
 
