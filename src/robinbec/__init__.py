@@ -60,6 +60,7 @@ from .profile import (
     Profile,
     density_profile,
     localization_radius,
+    profile_cutoff,
     profile_mass,
     write_profile_csv,
 )

@@ -38,12 +38,11 @@ import numpy as np
 from . import __version__
 from .errors import NumericalFailure, ValidationError
 from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, run_check, truncation_for_check
-from .profile import density_profile, localization_radius, write_profile_csv
+from .profile import density_profile, localization_radius, profile_cutoff, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
-    FREE, MEAN_FIELD_SCF, CutoffTooSmall, ThermoInput, certified_density_tail, critical_density,
-    equal_distribution_gap, fit_exponential_rate, mu_asymptotics_check, solve_mu, suggest_k_max,
-    write_sweep_csv,
+    FREE, MEAN_FIELD_SCF, ThermoInput, critical_density, equal_distribution_gap,
+    fit_exponential_rate, mu_asymptotics_check, solve_mu, write_sweep_csv,
 )
 
 _MODEL_ALIASES = {"free": FREE, "scf": MEAN_FIELD_SCF, "mean_field_scf": MEAN_FIELD_SCF}
@@ -195,12 +194,7 @@ def _cmd_thermo(cfg: dict) -> int:
 def _cmd_profile(cfg: dict) -> int:
     _check_writable(cfg["out"])
     inp = _thermo_input(cfg, cfg["L"])
-    # the profile sums its modes one by one, to a certified cutoff of its
-    # own: --k-max if given, else the cutoff search's
-    k_max = cfg["k_max"] or suggest_k_max(inp.box, inp.beta, inp.cutoff_tol)
-    tail = certified_density_tail(inp.box, inp.beta, k_max)
-    if tail > inp.cutoff_tol:
-        raise CutoffTooSmall(f"certified k_max tail {tail:.3e} exceeds cutoff_tol {inp.cutoff_tol:.3e}")
+    k_max = profile_cutoff(inp, cfg["k_max"])
     state = solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
     table = build_spectrum(inp.box, k_max)
     prof = density_profile(table, state, cfg["grid_n"])

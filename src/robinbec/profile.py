@@ -120,7 +120,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectrum import SpectrumTable, eigenfunction_eval
-from .thermo import ThermoState
+from .thermo import CutoffTooSmall, ThermoInput, ThermoState, certified_density_tail, suggest_k_max
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
@@ -253,16 +253,32 @@ def _thermal_half(p, w, odd, xh):
     return n
 
 
+def profile_cutoff(params: ThermoInput, k_max: int | None = None) -> int:
+    """The mode cutoff a density profile at `params` sums to: `k_max` if
+    given, else `suggest_k_max`'s.  Raises CutoffTooSmall where
+    `certified_density_tail` past it exceeds params.cutoff_tol (the density
+    solve's own head, `params.k_max`, is usually far shorter)."""
+    if k_max is None:
+        k_max = suggest_k_max(params.box, params.beta, params.cutoff_tol)
+    tail = certified_density_tail(params.box, params.beta, k_max)
+    if not tail <= params.cutoff_tol:
+        raise CutoffTooSmall(f"certified k_max tail {tail:.3e} exceeds cutoff_tol {params.cutoff_tol:.3e}")
+    return k_max
+
+
 def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) -> Profile:
     """Mode-sum of occ_k |phi_k|^2 over the modes of `spectrum` on a
     `grid_n`-point symmetric grid, with the occupations the solved state
-    gives that table (`ThermoState.occupations`).
+    gives that table (`ThermoState.occupations`).  The table must reach a
+    certified cutoff (`profile_cutoff`).
 
     Raises ValidationError where a bound on the density, its value at the
-    walls, overflows a float, or where the table is of another box."""
+    walls, overflows a float, or where the table is of another box, and
+    CutoffTooSmall where it leaves out more than cutoff_tol."""
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValidationError(f"grid_n must be in [64, {_MAX_GRID_N}], got {grid_n}")
     occ = state.occupations(spectrum)
+    profile_cutoff(state.params, spectrum.k_max)
     K = len(occ)
     x = _symmetric_grid(state.params.box.L, int(grid_n))
     half = x[len(x) // 2:]

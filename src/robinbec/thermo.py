@@ -54,8 +54,14 @@ is then quadratic, and the step is G's rounding), or the bracket is that
 narrow or closes between adjacent doubles (lam = 1e300 puts the root's
 rt below the rounding of rho - (occ_0 + occ_1)/L, so G jumps there), and
 returns the evaluated point of smallest |G|: 2 to 7 evaluations on
-typical boxes.  mu = eps(0) - x
-may round to eps(0) at large beta; x keeps full precision.
+typical boxes.  Where that |G| is above 2^-40 rho (beta lam rho eps >~ 1,
+where lam rho_tilde moves the excited sum by e-folds from one double of x
+to the next), the doubles of x next to it are walked toward the root
+until G changes sign: on 2000 random boxes with lam = 1e6 to 1e16 and L
+up to 1e16, 50 walked, at most 7 doubles, from |G| up to 1.2e-5 rho (13
+of them above the 1e-10 rho residual check) to below 1e-12 rho.
+mu = eps(0) - x may round to eps(0) at large beta; x keeps full
+precision.
 
 The k >= 2 sum costs the same at every L.  Modes 2..K (the head, `k_max`)
 are summed one by one on the head table; the rest is closed by
@@ -687,6 +693,10 @@ _SOLVE_PASSES = 200
 # the root; at 1 eps, rounding noise in G kept some boxes stepping
 _STEP_TOL = 2.0 * np.finfo(float).eps
 _SETTLED = 2.0**-22
+# |G| at the stop above which the doubles of x next to it are walked, and
+# how many of them at most
+_G_SETTLED = 2.0**-40
+_WALK = 64
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -727,12 +737,11 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
     wall_levels = np.array([0.0, spectrum.wall_gap])
 
-    def at(t):
-        """G = rho_tilde - (1/L) sum_{k>=2} occ_k at x = x_mid e^t, its
-        slope dG/dt, the Newton step in t on log((1/L) sum_{k>=2} occ_k /
+    def at(x):
+        """G = rho_tilde - (1/L) sum_{k>=2} occ_k at x, its slope x dG/dx
+        (= dG/dt), the Newton step in t on log((1/L) sum_{k>=2} occ_k /
         rho_tilde) (nan where rho_tilde or the sum is not positive), the
         wall pair's occupations and the ladder's sum and occupations."""
-        x = x_mid * math.exp(t)
         walls = _occ_free(wall_levels, beta, x)
         rho_tilde = rho - float(walls[0] + walls[1]) / L
         total, slope_sum, excited = ladder_sum(ladder, beta, x + lam * max(rho_tilde, 0.0))
@@ -756,10 +765,11 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     lo, hi, widen, t = math.log(x_lo / x_mid), math.inf, 4.0, 0.0
     best, from_hi, last = None, math.nan, math.inf
     for _ in range(_SOLVE_PASSES):
-        value, slope, log_step, walls, excited = at(t)
+        x = x_mid * math.exp(t)
+        value, slope, log_step, walls, excited = at(x)
         improved = best is None or abs(value) < abs(best[0])
         if improved:
-            best = value, t, walls, excited
+            best = value, x, walls, excited
         newton = 0.0 < slope < math.inf
         new = t - value / slope if newton else math.nan
         if value < 0.0:
@@ -774,7 +784,7 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
             hi, from_hi = t, math.nan
             if newton:
                 y = float(walls[0])
-                y *= 1.0 + value * beta * x_mid * math.exp(t) * (1.0 + y) / slope
+                y *= 1.0 + value * beta * x * (1.0 + y) / slope
                 if 0.0 < y < math.inf:
                     from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
         # after a step of at most _SETTLED Newton is quadratic, and a step of
@@ -803,8 +813,22 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     else:
         raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
 
-    _, t, walls, (total, excited) = best
-    state = ThermoState(params=inp, model_tag=model, spectrum=spectrum, x=x_mid * math.exp(t),
+    # where beta lam rho eps >~ 1, lam rho_tilde moves the excited sum by
+    # e-folds from one double of x to the next, and a step of 2 eps in t can
+    # stop a few doubles short of the root with |G| far above its rounding:
+    # walk the doubles of x toward the root until G changes sign
+    value, x = best[:2]
+    for _ in range(_WALK):
+        if abs(best[0]) <= _G_SETTLED * rho:
+            break
+        x = math.nextafter(x, math.inf if value < 0.0 else 0.0)
+        step_value, _, _, walls, excited = at(x)
+        if abs(step_value) < abs(best[0]):
+            best = step_value, x, walls, excited
+        if (step_value < 0.0) != (value < 0.0):
+            break
+    _, x, walls, (total, excited) = best
+    state = ThermoState(params=inp, model_tag=model, spectrum=spectrum, x=x,
                         occ=np.concatenate([walls, excited[:inp.k_max - 1]]), rho_tilde=total / L)
     if not state.density_residual <= 1e-10 * rho:
         raise NumericalFailure(

@@ -25,7 +25,7 @@ from robinbec.gibbs_oracle import (
     shifted_number_poly,
     TruncationSpec,
 )
-from robinbec.profile import density_profile, localization_radius, profile_mass
+from robinbec.profile import density_profile, localization_radius, profile_cutoff, profile_mass
 from robinbec.spectrum import BoxParams, build_spectrum
 from robinbec.thermo import (
     FREE,
@@ -36,7 +36,6 @@ from robinbec.thermo import (
     fit_exponential_rate,
     mu_asymptotics_check,
     solve_mu,
-    suggest_k_max,
 )
 
 
@@ -279,7 +278,7 @@ def test_criterion_8_profile_diagnostics():
     radii, n_cond, worst_mass = [], [], 0.0
     for L in Ls:
         st = _solve_point(L, lam=0.0, model=FREE)
-        table = build_spectrum(st.params.box, suggest_k_max(st.params.box, st.params.beta))
+        table = build_spectrum(st.params.box, profile_cutoff(st.params))
         n_coarse = 2 ** max(13, int(math.ceil(math.log2(40.0 * L)))) + 1
         fine = density_profile(table, st, 2 * n_coarse - 1)
         coarse = density_profile(table, st, n_coarse)

@@ -18,6 +18,7 @@ from robinbec.profile import (
     Profile,
     density_profile,
     localization_radius,
+    profile_cutoff,
     profile_mass,
     write_profile_csv,
 )
@@ -25,6 +26,7 @@ from robinbec.spectrum import BoxParams, build_spectrum
 from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
+    CutoffTooSmall,
     ThermoInput,
     critical_density,
     solve_mu,
@@ -40,8 +42,7 @@ def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0):
 def _table(state):
     # the profile's own table: modes to the certified cutoff, as the CLI
     # builds it (the state keeps only the solve's head)
-    box, beta = state.params.box, state.params.beta
-    return build_spectrum(box, suggest_k_max(box, beta, state.params.cutoff_tol))
+    return build_spectrum(state.params.box, profile_cutoff(state.params))
 
 
 def _fake_state(state, occ):
@@ -132,6 +133,22 @@ def test_localization_radius_empty_condensate():
     prof = density_profile(table, replace(st, occ=np.zeros_like(st.occ)), 501)
     with pytest.raises(EmptyCondensate):
         localization_radius(prof, 0.9)
+
+
+def test_profile_table_must_reach_a_certified_cutoff():
+    # the solve's head (modes 0..2 here) leaves out almost all of the
+    # thermal density: a profile on it is rejected, as is a given cutoff
+    # whose certified tail exceeds cutoff_tol; the default is suggest_k_max's
+    st = _state(L=200.0)
+    assert st.params.k_max == 2
+    with pytest.raises(CutoffTooSmall, match="certified k_max tail .* exceeds cutoff_tol 1.000e-10"):
+        density_profile(st.spectrum, st, 201)
+    with pytest.raises(CutoffTooSmall):
+        profile_cutoff(st.params, 100)
+    k_max = profile_cutoff(st.params)
+    assert k_max == suggest_k_max(st.params.box, st.params.beta)
+    assert profile_cutoff(st.params, k_max) == k_max
+    assert density_profile(build_spectrum(st.params.box, k_max), st, 201).grid.shape == (201,)
 
 
 def test_grid_validation():
