@@ -14,32 +14,42 @@ thermal part, with w_k = occ_k exp(2 log_norm_k), is
                  = W/2 + sum_k v_k cos(2 p_k x),   W = sum_k w_k,
 
 with v_k = +w_k/2 for even and -w_k/2 for odd k.  A mode-by-point loop
-costs one cosine per mode and point.  Instead, each half-grid point is
-split into an anchor plus an offset, x_j = a_i + b_r + delta_j with
-a_i = x[i m] (m = ceil(sqrt(half length))), b_r = r h and j = i m + r,
-and angle addition
+costs one cosine per mode and point.  Instead, the H points of the half
+grid are laid out in rows of 2M + 1 (M = ceil(sqrt(H/2))), each centred
+on an anchor: x_j = a_i + b_r + delta_j for j = c_i + r, r = -M..M,
+with c_i = i (2M + 1) + M, a_i = x[c_i] and b_r = r h (b_{-r} = -b_r
+exactly).  The last row may run past the half grid; its anchor is then
+x[-1] plus whole steps h, and the points past x[-1] are dropped.  Angle
+addition gives both sides of an anchor from one pair of terms,
 
-    cos(2p (a + b)) = cos(2p a) cos(2p b) - sin(2p a) sin(2p b)
+    cos(2p (a +- b)) = cos(2p a) cos(2p b) -+ sin(2p a) sin(2p b),
 
-turns the mode sum over K modes and N/2 points into two (modes x
-anchors) by (modes x offsets) contractions, taken in chunks of `_CHUNK`
-modes, with about 4 K sqrt(N/2) sines and cosines in place of K N/2.
+so two contractions over the K modes, taken in chunks of `_CHUNK`,
+E = sum_k v_k cos(2p_k a_i) cos(2p_k b_r) and O = the same with sines,
+each (rows x (M + 1)) for r = 0..M, give E - O at a_i + b_r and E + O
+at a_i - b_r: about K H multiply-adds, half those of rows with one
+anchor at their start, and 2 K (rows + M + 1) ~ 2.8 K sqrt(H) sines
+and cosines in place of a mode-by-point loop's K H.
 delta_j = (x_j - a_i) - b_r is the ~1 ulp by which the rounded grid
 misses a_i + b_r.  It shifts every mode alike, and next to the walls,
 where p x is largest, ignoring it cost up to 2.7e-13 relative; it is
 added back to first order as delta_j dn/dx.  On the flattened points
-y_j = a_i + b_r the slope comes from the contracted values o_j
-themselves: (o_{j+1} - o_{j-1}) / 2h inside the half grid and the
-second-order one-sided quotients (-+3 o_j +- 4 o_{j+-1} -+ o_{j+-2}) / 2h
-at its two ends.  For one cosine of angular step t = 2 p h, the central
-quotient misses the derivative by a factor 1 - sin(t)/t <= t^2/6 of
-its amplitude 2 p |v|, and the end quotients by
+y_j = a_i + b_r, row after row, the slope comes from the contracted
+values o_j themselves: (o_{j+1} - o_{j-1}) / 2h inside the half grid
+and the second-order one-sided quotients
+(-+3 o_j +- 4 o_{j+-1} -+ o_{j+-2}) / 2h at its two ends.  For one
+cosine of angular step t = 2 p h, the central quotient misses the
+derivative by a factor 1 - sin(t)/t <= t^2/6 of its amplitude 2 p |v|,
+and the end quotients by
 |(1 - e^{it})(e^{it} - 3) / 2it - 1|, whose Taylor series is bounded
 term by term by (t^2/3) e^{2t}, and which is at most 1 + 4/t; the error
 bound e(t) in `_slope_bound` takes the first below t = 1 and the second
 above, and so bounds the central quotient too.
-Neighbouring points are not exactly h apart (b_r is rounded, and a row
-of offsets meets the next anchor within a few ulp); a spacing error mu
+Neighbouring points are not exactly h apart: b_r is rounded, but a step
+within a row, on either side of a_i, is an exact difference of two
+offsets, and a step across rows, (a_{i+1} - b_M) - (a_i + b_M), is
+computed with three roundings, below 2 ulp of x[-1]; mu, the largest
+step error plus 4 ulp of x[-1], bounds them all.  A spacing error mu
 moves a quotient by at most 3 mu / h times sum_k 2 p_k |v_k|.  So
 
     B = max_j |delta_j| sum_k p_k w_k (e(2 p_k h) + 3 mu / h)
@@ -49,12 +59,12 @@ stands in for two more contractions.  The rounding error of the o_j
 reaches n multiplied by about |delta_j| / h <= grid_n 2^-52, at most
 ~2e-9 of itself.  Where B is larger (a coarse grid at large L, where
 delta and h are both larger), the slope
-dn/dx = -sum_k 2 p_k v_k sin(2 p_k x) is contracted as the value is
-(sin(2p (a + b)) = sin(2p a) cos(2p b) + cos(2p a) sin(2p b)).  On the
-benchmark decks, 40 points per unit length, B / W stays below 2.7e-17,
-an eighth of 2^-52; the CLI's default 2001 points at L = 800, and
-512,001 points at L = 12,800 (sigma = -1, beta = 1), take the
-contractions.
+dn/dx = -sum_k 2 p_k v_k sin(2 p_k x) is contracted as the value is,
+sin(2p (a +- b)) = sin(2p a) cos(2p b) +- cos(2p a) sin(2p b) pairing
+the terms the same way.  On the benchmark decks, 40 points per unit
+length, B / W stays below 2.5e-17, a ninth of 2^-52; the CLI's
+default 2001 points at L = 800, and 512,001 points at L = 12,800
+(sigma = -1, beta = 1), take the contractions.
 
 The contractions sum terms of size up to w_k, so their rounding error
 is absolute, a few ulp of W (up to 20 measured at K = 4,500).  Where
@@ -124,13 +134,17 @@ from .thermo import CutoffTooSmall, ThermoInput, ThermoState, certified_density_
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
-_CHUNK = 128  # modes per contraction block; keeps the work arrays ~100 kB
+# modes per contraction block: each work array is a chunk of modes by the
+# anchors or the offsets, <= 128 x 91 doubles (93 kB) at 40 points per
+# unit length up to L = 800
+_CHUNK = 128
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
 _EPS = 2.0 ** -52  # ulp(1.0); the slope bound B may reach _EPS W, one ulp of W
 _ROWS_PER_PASS = 1024  # CSV rows per kernel pass and per mirror check; see the docstring
 # largest grid: `density_profile` peaks at ~48 bytes per point, 32 of them
-# its four output columns, and `write_profile_csv` at ~0.8 MB at any size,
-# ~0.65 MB of it one block's formatting (tracemalloc, grid_n = 2^17 + 1 and 10^6);
+# its four output columns (48.4 and 48.0 at grid_n = 2^17 + 1 and 10^6,
+# L = 800, and 48.7 at 10^6, L = 12,800, K = 17,915), and `write_profile_csv`
+# at ~0.8-0.95 MB at any size, ~0.65 MB of it one block's formatting (tracemalloc);
 # the CSV takes ~82 bytes per row on disk, and its x > 0 half as much again
 # in a temporary file while it is written: 0.48 GB, 0.8 GB and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
@@ -176,21 +190,27 @@ def _mode_sum(p, w, odd, x):
 
 
 def _split(xh):
-    """(a, b, h, delta, mu): anchors a_i = xh[i m], offsets b_r = r h,
-    the misses delta_j = (xh[j] - a_i) - b_r for j = i m + r < len(xh),
-    and a bound mu on the error of every step between neighbouring points
-    a_i + b_r of that order; see the module docstring."""
+    """(a, b, h, delta, mu): rows of 2M + 1 points, row i centred on the
+    anchor a_i at the signed offsets -b_M..b_M with b_r = r h; the misses
+    delta_j = (xh[j] - a_i) -+ b_r for j = c_i +- r < len(xh), where
+    c_i = i (2M + 1) + M; and a bound mu on the error of every step
+    between neighbouring points a_i +- b_r of that order; see the module
+    docstring."""
     H = len(xh)
-    m = math.ceil(math.sqrt(H))
-    rows = -(-H // m)
-    a = xh[::m]
+    M = math.ceil(math.sqrt(0.5 * H))
+    width = 2 * M + 1
+    rows = -(-H // width)
     h = (xh[-1] - xh[0]) / (H - 1)
-    b = np.arange(m) * h
-    padded = xh[np.minimum(np.arange(rows * m), H - 1)].reshape(rows, m)
-    delta = ((padded - a[:, None]) - b).ravel()[:H]
-    # the steps within a row are exact differences of nearby doubles; the
-    # three roundings of a step across rows stay below 3 ulp of xh[-1]
-    steps = np.concatenate([np.diff(b) - h, (np.diff(a) - b[-1]) - h])
+    b = np.arange(M + 1) * h
+    centre = np.arange(rows) * width + M
+    inside = np.minimum(centre, H - 1)
+    a = xh[inside] + (centre - inside) * h  # a centre past the half grid is extrapolated
+    padded = xh[np.minimum(np.arange(rows * width), H - 1)].reshape(rows, width)
+    delta = ((padded - a[:, None]) - np.concatenate([-b[:0:-1], b])).ravel()[:H]
+    # the steps within a row, on either side of a_i, are exact differences
+    # of nearby doubles; the three roundings of a step across rows stay
+    # below 2 ulp of xh[-1]
+    steps = np.concatenate([np.diff(b) - h, (np.diff(a) - 2.0 * b[-1]) - h])
     mu = float(np.max(np.abs(steps))) + 4.0 * _EPS * abs(float(xh[-1]))
     return a, b, h, delta, mu
 
@@ -205,24 +225,38 @@ def _slope_bound(p, u, h, delta, mu):
     return float(np.max(np.abs(delta))) * float(np.sum(p * u * (e + 3.0 * mu / h)))
 
 
+def _fold(mid, side):
+    """The (rows, 2M + 1) array with mid - side in columns M + r and
+    mid + side in columns M - r, from two (rows, M + 1) arrays whose
+    column r = 0 of `side` is zero."""
+    M = mid.shape[1] - 1
+    out = np.empty((len(mid), 2 * M + 1))
+    np.subtract(mid, side, out=out[:, M:])
+    np.add(mid[:, :0:-1], side[:, :0:-1], out=out[:, :M])
+    return out
+
+
 def _contract(p, v, a, b, with_slope):
-    """(osc, slope): sum_k v_k cos(2 p_k (a_i + b_r)) as a (len(a),
-    len(b)) array by chunked contractions, and its x-derivative the same
-    way if `with_slope` (else None)."""
-    osc = np.zeros((len(a), len(b)))
-    slope = np.zeros((len(a), len(b))) if with_slope else None
+    """(osc, slope): sum_k v_k cos(2 p_k (a_i + b)) at the signed offsets
+    b = -b_M..b_M as a (len(a), 2 len(b) - 1) array by chunked
+    contractions, and its x-derivative the same way if `with_slope` (else
+    None)."""
+    shape = (len(a), len(b))
+    even, odd = np.zeros(shape), np.zeros(shape)  # E and O: even and odd in b
+    if with_slope:
+        slope_even, slope_odd = np.zeros(shape), np.zeros(shape)
     for lo in range(0, len(p), _CHUNK):
         q = 2.0 * p[lo:lo + _CHUNK, None]
         vk = v[lo:lo + _CHUNK, None]
         C, S = np.cos(q * a), np.sin(q * a)
         c, s = np.cos(q * b), np.sin(q * b)
-        osc += np.einsum("ki,kj->ij", vk * C, c)
-        osc -= np.einsum("ki,kj->ij", vk * S, s)
+        even += np.einsum("ki,kj->ij", vk * C, c)
+        odd += np.einsum("ki,kj->ij", vk * S, s)
         if with_slope:
             gk = q * vk
-            slope -= np.einsum("ki,kj->ij", gk * S, c)
-            slope -= np.einsum("ki,kj->ij", gk * C, s)
-    return osc, slope
+            slope_even -= np.einsum("ki,kj->ij", gk * S, c)
+            slope_odd += np.einsum("ki,kj->ij", gk * C, s)
+    return _fold(even, odd), (_fold(slope_even, slope_odd) if with_slope else None)
 
 
 def _difference_slope(o, h):

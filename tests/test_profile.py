@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -238,10 +239,83 @@ def test_thermal_sum_contracts_the_slope_only_where_uncertified(monkeypatch, sig
     assert chunks >= 2 and calls.count("ki,kj->ij") == per_chunk * chunks
 
 
+def test_thermal_sum_contraction_work_is_half_a_mode_point_product(monkeypatch):
+    # the symmetric rows give both sides of every anchor from one pair of
+    # (rows x (M + 1)) contractions: ~K H/2 multiply-adds each, K H in
+    # all, on the 40-points-per-unit-length box of the test above
+    sigma, beta, L, grid_n = -1.0, 1.5, 300.0, 12001
+    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
+    table = _table(st)
+    work = []
+    einsum = np.einsum
+
+    def counted(spec, *ops):
+        if spec == "ki,kj->ij":
+            work.append(ops[0].shape[0] * ops[0].shape[1] * ops[1].shape[1])
+        return einsum(spec, *ops)
+
+    monkeypatch.setattr(profile_module.np, "einsum", counted)
+    density_profile(table, st, grid_n)
+    K, H = table.k_max - 1, grid_n - grid_n // 2
+    assert len(work) == 2 * -(-K // profile_module._CHUNK)
+    assert sum(work) <= 1.1 * K * H
+
+
+@pytest.mark.parametrize("H,grid_n", [(32, 64), (33, 65), (175, 349), (176, 352), (1001, 2001)])
+def test_symmetric_rows_cover_the_half_grid(H, grid_n):
+    # rows of 2M + 1 points centred on the anchors a_i at the offsets
+    # -b_M..b_M; the last row of H = 32, 175, 176 and 1001 runs past the
+    # half grid, and the anchor of the last three lies past it
+    L = H / 20.0
+    xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]
+    assert len(xh) == H
+    a, b, h, delta, mu = profile_module._split(xh)
+    width = 2 * len(b) - 1
+    offsets = np.concatenate([-b[:0:-1], b])
+    assert np.array_equal(offsets, -offsets[::-1]) and offsets[len(b) - 1] == 0.0
+    assert len(a) == -(-H // width) and len(delta) == H
+    # every half-grid point is the nearest to its own point a_i +- b_r, and
+    # those points increase along the flattened rows, the padding included
+    ideal = (a[:, None] + offsets).ravel()
+    assert np.all(np.diff(ideal) > 0.0)
+    assert np.max(np.abs(ideal[:H] - xh)) < 0.5 * h
+    if H != 33:
+        assert len(ideal) > H
+    if H > 33:
+        assert a[-1] > xh[-1]
+    ulp = np.spacing(xh[-1])
+    assert np.max(np.abs(delta)) <= 4.0 * ulp
+    # the exact steps between neighbouring points a_i +- b_r
+    exact = [Fraction(float(ai)) + Fraction(float(o)) for ai in a for o in offsets][:H]
+    steps = [abs(float(y1 - y0 - Fraction(h))) for y0, y1 in zip(exact, exact[1:])]
+    assert max(steps) <= mu <= 16.0 * ulp
+    # the contracted values and slopes at a_i +- b_r against a per-mode
+    # sum in long double, to a few ulp of W and of sum_k 2 p_k |v_k|; the
+    # reference takes the angles 2 p_k a_i and 2 p_k b_r rounded as the
+    # contraction rounds them (that rounding, shared by every cosine of a
+    # double argument, is `test_profile_columns_match_longdouble_mode_sum`'s)
+    rng = np.random.default_rng(H)
+    k = np.arange(2, 302)
+    p = (k - 1 + rng.uniform(0.0, 1.0, len(k))) * np.pi / L
+    w = np.exp(-0.3 * p * p) * rng.uniform(0.1, 1.0, len(k))
+    v = np.where(k % 2, -0.5, 0.5) * w
+    osc, slope = profile_module._contract(p, v, a, b, True)
+    assert osc.shape == slope.shape == (len(a), width)
+    ld = np.longdouble
+    q = 2.0 * p[:, None]
+    angle = (q * a).astype(ld)[:, :, None] + (q * offsets).astype(ld)[:, None, :]
+    ref = np.einsum("k,kij->ij", v.astype(ld), np.cos(angle))
+    ref_slope = -np.einsum("k,kij->ij", (2.0 * p * v).astype(ld), np.sin(angle))
+    ulps = 4.0 * profile_module._EPS
+    assert float(np.max(np.abs(osc - ref))) <= ulps * np.sum(w)
+    assert float(np.max(np.abs(slope - ref_slope))) <= ulps * np.sum(2.0 * p * np.abs(v))
+
+
 def test_slope_certificate_covers_the_difference_quotient():
-    # |delta_j| |difference slope - contracted slope| <= B at every point,
-    # on random boxes on both sides of B = 2^-52 W; a bound without the
-    # one-sided end quotients' t^2/3 fails here at the last point
+    # |delta_j| |difference slope - contracted slope| <= B at every point of
+    # the half grid, both ends included, on random boxes on both sides of
+    # B = 2^-52 W, with the signed offsets of the symmetric rows; a bound
+    # without the one-sided end quotients' t^2/3 fails here at the last point
     rng = np.random.default_rng(20)
     sides, grids = [0, 0], set()
     for _ in range(240):
@@ -255,6 +329,7 @@ def test_slope_certificate_covers_the_difference_quotient():
         a, b, h, delta, mu = profile_module._split(xh)
         bound = profile_module._slope_bound(p, w / np.sum(w), h, delta, mu) * np.sum(w)
         osc, slope = profile_module._contract(p, np.where(k % 2, -0.5, 0.5) * w, a, b, True)
+        assert osc.shape == (len(a), 2 * len(b) - 1) and osc.size >= len(xh)
         o, slope = osc.ravel()[:len(xh)], slope.ravel()[:len(xh)]
         err = np.abs(delta) * np.abs(profile_module._difference_slope(o, h) - slope)
         assert np.all(err <= bound), (L, len(k), grid_n)
