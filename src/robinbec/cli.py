@@ -91,9 +91,9 @@ def _parse_l_grid(text: str) -> list[float]:
 
 
 def _write_json(payload: dict, path) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"  # one write, not one per chunk
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _thermo_input(cfg: dict, L: float) -> ThermoInput:

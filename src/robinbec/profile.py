@@ -15,42 +15,58 @@ thermal part, with w_k = occ_k exp(2 log_norm_k), is
 
 with v_k = +w_k/2 for even and -w_k/2 for odd k.  A mode-by-point loop
 costs one cosine per mode and point.  Instead, the H points of the half
-grid are laid out in rows of 2M + 1 (M = ceil(sqrt(H/2))), each centred
+grid are laid out in rows of 2M + 1 (M = ceil(sqrt(2H))), each centred
 on an anchor: x_j = a_i + b_r + delta_j for j = c_i + r, r = -M..M,
-with c_i = i (2M + 1) + M, a_i = x[c_i] and b_r = r h (b_{-r} = -b_r
-exactly).  The last row may run past the half grid; its anchor is then
-x[-1] plus whole steps h, and the points past x[-1] are dropped.  Angle
-addition gives both sides of an anchor from one pair of terms,
+with c_i = i (2M + 1) + M, a_i = x[c_i] and b_{-r} = -b_r.  The last row
+may run past the half grid; its anchor is then x[-1] plus whole steps h,
+and the points past x[-1] are dropped.  Angle addition gives both sides
+of an anchor from one pair of terms,
 
     cos(2p (a +- b)) = cos(2p a) cos(2p b) -+ sin(2p a) sin(2p b),
 
 so two contractions over the K modes, taken in chunks of `_CHUNK`,
 E = sum_k v_k cos(2p_k a_i) cos(2p_k b_r) and O = the same with sines,
 each (rows x (M + 1)) for r = 0..M, give E - O at a_i + b_r and E + O
-at a_i - b_r: about K H multiply-adds, half those of rows with one
-anchor at their start, and 2 K (rows + M + 1) ~ 2.8 K sqrt(H) sines
-and cosines in place of a mode-by-point loop's K H.
+at a_i - b_r: about K H multiply-adds.  Each of the ~sqrt(H/8) anchors
+takes a cosine and a sine per mode.  The offsets are equally spaced, so
+their cosines and sines come from angle addition too: with
+J = ceil(sqrt(M + 1)) and r = j1 J + j0, the offset b_r is the exact sum
+b1[j1] + b0[j0] of the doubles b1[j1] = (j1 J) h and b0[j0] = j0 h, and
+
+    exp(2i p b_r) = exp(2i p b1[j1]) exp(2i p b0[j0]),
+
+one complex product (4 multiplies and 2 adds) of two table entries per
+mode and offset, each entry the cosine and sine of the rounded double
+2p b1[j1] or 2p b0[j0].  The product rounds each cosine and sine by a
+few ulp of 1, the size of the error the cosines themselves carry.  That
+is 2 K (rows + ceil((M + 1) / J) + J) ~ 2 K (sqrt(H/8) + 2 (2H)^(1/4))
+sines and cosines in place of a mode-by-point loop's K H, and of the
+2 K (rows + M + 1) ~ 2.8 K sqrt(H) of rows with M = ceil(sqrt(H/2)) and
+every offset taken directly: 124 per mode at H = 10,696 against 294.
 delta_j = (x_j - a_i) - b_r is the ~1 ulp by which the rounded grid
-misses a_i + b_r.  It shifts every mode alike, and next to the walls,
-where p x is largest, ignoring it cost up to 2.7e-13 relative; it is
-added back to first order as delta_j dn/dx.  On the flattened points
-y_j = a_i + b_r, row after row, the slope comes from the contracted
-values o_j themselves: (o_{j+1} - o_{j-1}) / 2h inside the half grid
-and the second-order one-sided quotients
-(-+3 o_j +- 4 o_{j+-1} -+ o_{j+-2}) / 2h at its two ends.  For one
-cosine of angular step t = 2 p h, the central quotient misses the
-derivative by a factor 1 - sin(t)/t <= t^2/6 of its amplitude 2 p |v|,
-and the end quotients by
+misses a_i + b_r, taken against the exact b1[j1] + b0[j0] (x_j - a_i is
+rounded once; subtracting b1[j1] and then b0[j0] is exact).  It shifts
+every mode alike, and next to the walls, where p x is largest, ignoring
+it cost up to 2.7e-13 relative; it is added back to first order as
+delta_j dn/dx.  On the flattened points y_j = a_i + b_r, row after row,
+the slope comes from the contracted values o_j themselves:
+(o_{j+1} - o_{j-1}) / 2h inside the half grid and the second-order
+one-sided quotients (-+3 o_j +- 4 o_{j+-1} -+ o_{j+-2}) / 2h at its two
+ends.  For one cosine of angular step t = 2 p h, the central quotient
+misses the derivative by a factor 1 - sin(t)/t <= t^2/6 of its amplitude
+2 p |v|, and the end quotients by
 |(1 - e^{it})(e^{it} - 3) / 2it - 1|, whose Taylor series is bounded
 term by term by (t^2/3) e^{2t}, and which is at most 1 + 4/t; the error
 bound e(t) in `_slope_bound` takes the first below t = 1 and the second
 above, and so bounds the central quotient too.
-Neighbouring points are not exactly h apart: b_r is rounded, but a step
-within a row, on either side of a_i, is an exact difference of two
-offsets, and a step across rows, (a_{i+1} - b_M) - (a_i + b_M), is
-computed with three roundings, below 2 ulp of x[-1]; mu, the largest
-step error plus 4 ulp of x[-1], bounds them all.  A spacing error mu
-moves a quotient by at most 3 mu / h times sum_k 2 p_k |v_k|.  So
+Neighbouring points are not exactly h apart: b1 and b0 are rounded, but
+a step within a row, on either side of a_i, is b0[j0 + 1] - b0[j0] or
+(b1[j1 + 1] - b1[j1]) - b0[J - 1], exact differences of nearby doubles,
+and a step across rows, (a_{i+1} - b_M) - (a_i + b_M), is one rounding
+of a_{i+1} - a_i, below 2 ulp of x[-1], followed by exact subtractions;
+mu, the largest step error plus 4 ulp of x[-1], bounds them all.  A
+spacing error mu moves a quotient by at most 3 mu / h times
+sum_k 2 p_k |v_k|.  So
 
     B = max_j |delta_j| sum_k p_k w_k (e(2 p_k h) + 3 mu / h)
 
@@ -62,9 +78,9 @@ delta and h are both larger), the slope
 dn/dx = -sum_k 2 p_k v_k sin(2 p_k x) is contracted as the value is,
 sin(2p (a +- b)) = sin(2p a) cos(2p b) +- cos(2p a) sin(2p b) pairing
 the terms the same way.  On the benchmark decks, 40 points per unit
-length, B / W stays below 2.5e-17, a ninth of 2^-52; the CLI's
+length, B / W stays below 2.3e-17, about a tenth of 2^-52; the CLI's
 default 2001 points at L = 800, and 512,001 points at L = 12,800
-(sigma = -1, beta = 1), take the contractions.
+(sigma = -1, beta = 1, M = 716, J = 27), take the contractions.
 
 The contractions sum terms of size up to w_k, so their rounding error
 is absolute, a few ulp of W (up to 20 measured at K = 4,500).  Where
@@ -81,9 +97,12 @@ loops do not depend on it, and the CLI promises byte-identical output.
 
 `write_profile_csv` formats each mirrored pair of rows once: a block of
 the x < 0 half is the reversed, negated lines of its partner block on the
-x > 0 half wherever every row checks out as its exact mirror, and is
-formatted itself otherwise, so the bytes never depend on the shortcut.
-It works in bytes from the kernel to the file.
+x > 0 half wherever every row checks out as its exact mirror (one
+vectorised test over the half grid, `_mirror_rows`), and is formatted
+itself otherwise, so the bytes never depend on the shortcut.  The x > 0
+half comes last in the file, so its text waits in a spooled temporary
+file: in memory up to `_SPOOL_BYTES`, on disk past that.  It works in
+bytes from the kernel to the file.
 
 Its rows are the bytes of CPython's `'%.17g' % v`, made by a numpy
 kernel (`_format_pass`).  For a finite v != 0 with X = floor(log10 |v|),
@@ -106,7 +125,7 @@ slots of six little-endian words: the sign and the "0.000" prefix of
 digits kept (trailing zeros dropped, those before the point kept) and
 to the one point; then "e+XX" or "e-XXX" and the separator.  Every
 unused byte is zero, and one `bytes.translate` drops them.  One block of
-`_ROWS_PER_PASS` rows is one pass and one mirror check: ~25 work arrays
+`_ROWS_PER_PASS` rows is one pass: ~25 work arrays
 of 32 kB and 192 kB of slots, ~0.65 MB at its peak (tracemalloc).  That
 keeps the arrays in cache and below malloc's mmap threshold; 4096-row
 passes took ~60 % longer, most of it in page faults on fresh memory.
@@ -134,19 +153,24 @@ from .thermo import CutoffTooSmall, ThermoInput, ThermoState, certified_density_
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
-# modes per contraction block: each work array is a chunk of modes by the
-# anchors or the offsets, <= 128 x 91 doubles (93 kB) at 40 points per
-# unit length up to L = 800
+# modes per contraction block: at 40 points per unit length up to L = 800
+# a chunk's work arrays are its offset table, <= 128 x 13 x 14 complex
+# (373 kB), the cosines and sines taken from it, 128 x 180 doubles (184 kB)
+# each, and the anchors', 128 x 45 (46 kB); one `_contract` call peaks at
+# 1.3 MB there (tracemalloc)
 _CHUNK = 128
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
 _EPS = 2.0 ** -52  # ulp(1.0); the slope bound B may reach _EPS W, one ulp of W
-_ROWS_PER_PASS = 1024  # CSV rows per kernel pass and per mirror check; see the docstring
+_ROWS_PER_PASS = 1024  # CSV rows per kernel pass; see the docstring
+_SPOOL_BYTES = 2 ** 20  # the CSV's x > 0 half waits in memory up to this size, then on disk
 # largest grid: `density_profile` peaks at ~48 bytes per point, 32 of them
 # its four output columns (48.4 and 48.0 at grid_n = 2^17 + 1 and 10^6,
 # L = 800, and 48.7 at 10^6, L = 12,800, K = 17,915), and `write_profile_csv`
-# at ~0.8-0.95 MB at any size, ~0.65 MB of it one block's formatting (tracemalloc);
-# the CSV takes ~82 bytes per row on disk, and its x > 0 half as much again
-# in a temporary file while it is written: 0.48 GB, 0.8 GB and 0.4 GB at the limit
+# at ~5 bytes per row, its mirror test over the half grid, plus
+# `_SPOOL_BYTES` and ~0.65 MB of one block's formatting (2.1 MB at
+# 2^17 + 1 rows, 4.8 MB at 10^6; tracemalloc); the CSV takes ~82 bytes per
+# row on disk, and its x > 0 half as much again in a temporary file while
+# it is written: 0.48 GB, 0.8 GB and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
 
 
@@ -189,30 +213,48 @@ def _mode_sum(p, w, odd, x):
     return out
 
 
-def _split(xh):
-    """(a, b, h, delta, mu): rows of 2M + 1 points, row i centred on the
-    anchor a_i at the signed offsets -b_M..b_M with b_r = r h; the misses
-    delta_j = (xh[j] - a_i) -+ b_r for j = c_i +- r < len(xh), where
-    c_i = i (2M + 1) + M; and a bound mu on the error of every step
-    between neighbouring points a_i +- b_r of that order; see the module
-    docstring."""
+class _Rows(NamedTuple):
+    """The half grid in symmetric rows (`_split`); see the module docstring."""
+
+    a: np.ndarray  # the anchors a_i, one per row
+    b1: np.ndarray  # (j1 J) h, j1 = 0..ceil((M + 1) / J) - 1, each rounded
+    b0: np.ndarray  # j0 h, j0 = 0..J - 1, each rounded
+    M: int  # the offsets are b_r = b1[r // J] + b0[r % J], r = 0..M, unrounded
+    h: float
+    delta: np.ndarray  # x_j - (a_i +- b_r) at each half-grid point
+    mu: float  # bounds the error of every step between neighbouring points
+
+
+def _split(xh) -> _Rows:
+    """The half grid `xh` in rows of 2M + 1 points, M = ceil(sqrt(2H)),
+    row i centred on the anchor a_i = xh[c_i], c_i = i (2M + 1) + M, at
+    the signed offsets -b_M..b_M, with the misses delta_j = (xh[j] - a_i)
+    -+ b_r for j = c_i +- r < len(xh) and a bound mu on the error of every
+    step between neighbouring points a_i +- b_r of that order; see the
+    module docstring."""
     H = len(xh)
-    M = math.ceil(math.sqrt(0.5 * H))
+    M = math.ceil(math.sqrt(2.0 * H))
+    J = math.ceil(math.sqrt(M + 1))
     width = 2 * M + 1
     rows = -(-H // width)
     h = (xh[-1] - xh[0]) / (H - 1)
-    b = np.arange(M + 1) * h
+    b1, b0 = np.arange(0, M + 1, J) * h, np.arange(J) * h
     centre = np.arange(rows) * width + M
     inside = np.minimum(centre, H - 1)
     a = xh[inside] + (centre - inside) * h  # a centre past the half grid is extrapolated
     padded = xh[np.minimum(np.arange(rows * width), H - 1)].reshape(rows, width)
-    delta = ((padded - a[:, None]) - np.concatenate([-b[:0:-1], b])).ravel()[:H]
-    # the steps within a row, on either side of a_i, are exact differences
-    # of nearby doubles; the three roundings of a step across rows stay
-    # below 2 ulp of xh[-1]
-    steps = np.concatenate([np.diff(b) - h, (np.diff(a) - 2.0 * b[-1]) - h])
+    r = np.arange(M + 1)
+    hi, lo = b1[r // J], b0[r % J]
+    # x - a is one rounding; the two subtractions after it are exact
+    delta = (((padded - a[:, None]) - np.concatenate([-hi[:0:-1], hi]))
+             - np.concatenate([-lo[:0:-1], lo])).ravel()[:H]
+    # the steps within a row, on either side of a_i, are exact sums of
+    # differences of nearby doubles; a step across rows is one rounding of
+    # a_{i+1} - a_i, below 2 ulp of xh[-1], followed by exact subtractions
+    steps = np.concatenate([np.diff(b0) - h, (np.diff(b1) - b0[-1]) - h,
+                            ((np.diff(a) - 2.0 * hi[-1]) - 2.0 * lo[-1]) - h])
     mu = float(np.max(np.abs(steps))) + 4.0 * _EPS * abs(float(xh[-1]))
-    return a, b, h, delta, mu
+    return _Rows(a, b1, b0, M, h, delta, mu)
 
 
 def _slope_bound(p, u, h, delta, mu):
@@ -236,20 +278,33 @@ def _fold(mid, side):
     return out
 
 
-def _contract(p, v, a, b, with_slope):
+def _unit(angle):
+    """exp(i angle), from one cosine and one sine per element."""
+    z = np.empty(angle.shape, complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    return z
+
+
+def _contract(p, v, rows: _Rows, with_slope):
     """(osc, slope): sum_k v_k cos(2 p_k (a_i + b)) at the signed offsets
-    b = -b_M..b_M as a (len(a), 2 len(b) - 1) array by chunked
-    contractions, and its x-derivative the same way if `with_slope` (else
-    None)."""
-    shape = (len(a), len(b))
+    b = -b_M..b_M as a (len(a), 2M + 1) array by chunked contractions, and
+    its x-derivative the same way if `with_slope` (else None)."""
+    shape = (len(rows.a), rows.M + 1)
     even, odd = np.zeros(shape), np.zeros(shape)  # E and O: even and odd in b
     if with_slope:
         slope_even, slope_odd = np.zeros(shape), np.zeros(shape)
+    # exp(2i p_k b_r) = exp(2i p_k b1[r // J]) exp(2i p_k b0[r % J]), one
+    # complex product (4 multiplies, 2 adds) per mode and offset
+    table = np.empty((min(_CHUNK, len(p)), len(rows.b1), len(rows.b0)), complex)
     for lo in range(0, len(p), _CHUNK):
         q = 2.0 * p[lo:lo + _CHUNK, None]
         vk = v[lo:lo + _CHUNK, None]
-        C, S = np.cos(q * a), np.sin(q * a)
-        c, s = np.cos(q * b), np.sin(q * b)
+        C, S = np.cos(q * rows.a), np.sin(q * rows.a)
+        z = np.multiply(_unit(q * rows.b1)[:, :, None], _unit(q * rows.b0)[:, None, :],
+                        out=table[:len(q)])
+        z = z.reshape(len(q), -1)[:, :rows.M + 1]
+        c, s = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)  # einsum's fast loop
         even += np.einsum("ki,kj->ij", vk * C, c)
         odd += np.einsum("ki,kj->ij", vk * S, s)
         if with_slope:
@@ -274,14 +329,14 @@ def _thermal_half(p, w, odd, xh):
     """sum_k w_k phi_k(x)^2 on the half grid `xh` (x >= 0, increasing) by
     anchor/offset contractions; see the module docstring."""
     H = len(xh)
-    a, b, h, delta, mu = _split(xh)
+    rows = _split(xh)
     v = np.where(odd, -0.5, 0.5) * w
     W = float(np.sum(w))
-    contract_slope = W > 0.0 and _slope_bound(p, w / W, h, delta, mu) > _EPS
-    osc, slope = _contract(p, v, a, b, contract_slope)
+    contract_slope = W > 0.0 and _slope_bound(p, w / W, rows.h, rows.delta, rows.mu) > _EPS
+    osc, slope = _contract(p, v, rows, contract_slope)
     o = osc.ravel()[:H]
-    slope = slope.ravel()[:H] if contract_slope else _difference_slope(o, h)
-    n = 0.5 * W + (o + delta * slope)
+    slope = slope.ravel()[:H] if contract_slope else _difference_slope(o, rows.h)
+    n = 0.5 * W + (o + rows.delta * slope)
     near_node = n < _DIRECT_BELOW * W
     n[near_node] = _mode_sum(p, w, odd, xh[near_node])
     return n
@@ -571,16 +626,18 @@ def _format_pass(block: np.ndarray) -> bytes:
     return text.translate(None, b"\0")
 
 
-def _mirrors(columns, lo, hi, n) -> bool:
-    """Whether row lo + i is row n - 1 - lo - i mirrored, for every row of
-    [lo, hi): the partner's x > 0 and negated, the densities equal bit for
-    bit (-0.0 == 0.0, but the two print differently)."""
+def _mirror_rows(columns, n) -> np.ndarray:
+    """Whether row i is row n - 1 - i mirrored, for each i < n // 2: the
+    partner's x > 0 and negated, the densities equal bit for bit (-0.0 ==
+    0.0, but the two print differently)."""
+    half = n // 2
+    lower, upper = slice(half), slice(None, n - 1 - half, -1)  # rows i and n - 1 - i
     x = columns[0]
-    partner = slice(n - 1 - lo, n - 1 - hi, -1)
-    if not (np.all(x[partner] > 0.0) and np.array_equal(x[lo:hi], -x[partner])):
-        return False
-    return all(np.array_equal(c[lo:hi].view(np.int64), c[partner].view(np.int64))
-               for c in columns[1:])
+    mirrored = x[upper] > 0.0
+    mirrored &= x[lower] == -x[upper]
+    for c in columns[1:]:
+        mirrored &= c[lower].view(np.int64) == c[upper].view(np.int64)
+    return mirrored
 
 
 def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
@@ -588,12 +645,12 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
 
     Rows j and n-1-j of a mirror-symmetric profile differ only in the sign
     of x, so each block of `_ROWS_PER_PASS` rows of the x > 0 half is
-    formatted once, in one kernel pass: where the block it mirrors checks
-    out exactly (`_mirrors`), its lines, reversed and negated, are that
-    block's bytes, and otherwise that block is formatted itself.  Either
-    way the bytes are those of formatting every row.  The x > 0 half comes
-    last in the file, so its bytes wait in an anonymous temporary file,
-    which keeps memory at one block.
+    formatted once, in one kernel pass: where every row of the block it
+    mirrors checks out exactly (`_mirror_rows`), its lines, reversed and
+    negated, are that block's bytes, and otherwise that block is formatted
+    itself.  Either way the bytes are those of formatting every row.  The
+    x > 0 half comes last in the file, so its bytes wait in a spooled
+    temporary file: in memory up to `_SPOOL_BYTES`, on disk past that.
     """
     columns = [np.asarray(c, dtype=float) for c in
                (profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)]
@@ -604,8 +661,9 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     def rows(lo, hi):
         return _format_pass(np.column_stack([c[lo:hi] for c in columns]))
 
+    mirrored = _mirror_rows(columns, n)
     sizes = []  # bytes in `upper` of rows [n - hi, n - lo), per block [lo, hi)
-    with open(path, "wb") as fh, tempfile.TemporaryFile() as upper:
+    with open(path, "wb") as fh, tempfile.SpooledTemporaryFile(_SPOOL_BYTES) as upper:
         for line in comment_lines:
             fh.write(f"# {line}\n".encode())
         fh.write(b"x,n_total,n_cond,n_thermal\n")
@@ -613,8 +671,10 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
             hi = min(lo + _ROWS_PER_PASS, n // 2)
             text = rows(n - hi, n - lo)
             sizes.append(upper.write(text))
-            if _mirrors(columns, lo, hi, n):
-                fh.write(b"-" + b"\n-".join(reversed(text[:-1].split(b"\n"))) + b"\n")
+            if mirrored[lo:hi].all():
+                fh.write(b"-")
+                fh.write(b"\n-".join(text.split(b"\n")[-2::-1]))
+                fh.write(b"\n")
             else:
                 fh.write(rows(lo, hi))
         if n % 2:

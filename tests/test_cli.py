@@ -103,6 +103,22 @@ def test_sweep_command_with_fits(tmp_path):
     assert abs(fits["critical_density"] - 0.14274846129686652) < 1e-12
 
 
+def test_json_reports_are_sorted_indented_text(tmp_path):
+    # thermo, oracle and sweep-fit reports: `json.dumps(payload, indent=2,
+    # sort_keys=True)` and one newline, byte for byte
+    thermo, oracle, fit = (tmp_path / name for name in ("thermo.json", "oracle.json", "fit.json"))
+    box = ["--sigma", "-1", "--beta", "1", "--lambda", "1"]
+    assert run(["thermo", *box, "--L", "40", "--rho", "1", "--model", "scf",
+                "--out", str(thermo)]) == 0
+    assert run(["oracle", *box, "--check", "occupation-bound", "--L", "10", "--mu", "-1.5",
+                "--mode", "2", "--out", str(oracle)]) == 0
+    assert run(["sweep", *box, "--rho", "1", "--model", "scf", "--L-grid", "50:400:geometric:4",
+                "--out", str(tmp_path / "sweep.csv"), "--fit-out", str(fit)]) == 0
+    for path in (thermo, oracle, fit):
+        text = path.read_bytes().decode()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
 def test_sweep_rows_ordered_and_deterministic(tmp_path):
     args = ["sweep", "--sigma", "-1", "--beta", "1", "--rho", "1",
             "--L-grid", "20:80:geometric:4"]

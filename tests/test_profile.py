@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -264,46 +265,61 @@ def test_thermal_sum_contraction_work_is_half_a_mode_point_product(monkeypatch):
 @pytest.mark.parametrize("H,grid_n", [(32, 64), (33, 65), (175, 349), (176, 352), (1001, 2001)])
 def test_symmetric_rows_cover_the_half_grid(H, grid_n):
     # rows of 2M + 1 points centred on the anchors a_i at the offsets
-    # -b_M..b_M; the last row of H = 32, 175, 176 and 1001 runs past the
-    # half grid, and the anchor of the last three lies past it
+    # -b_M..b_M, b_r = b1[r // J] + b0[r % J] (M + 1 = 9 and 20 fill the
+    # table of b1 by b0, 10 and 46 do not); the last row of H = 32, 33, 175
+    # and 176 runs past the half grid, the anchor of 175 lies past it, that
+    # of 176 is its last point, and the rows of 1001 fill it exactly
     L = H / 20.0
     xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]
     assert len(xh) == H
-    a, b, h, delta, mu = profile_module._split(xh)
-    width = 2 * len(b) - 1
-    offsets = np.concatenate([-b[:0:-1], b])
-    assert np.array_equal(offsets, -offsets[::-1]) and offsets[len(b) - 1] == 0.0
+    rows = profile_module._split(xh)
+    a, b1, b0, M, h, delta, mu = rows
+    J, width = len(b0), 2 * M + 1
+    assert M == math.ceil(math.sqrt(2 * H)) and J == math.ceil(math.sqrt(M + 1))
+    assert len(b1) == -(-(M + 1) // J) and (J * len(b1) == M + 1) == (H in (32, 175, 176))
+    assert np.array_equal(b1, np.arange(0, M + 1, J) * h) and np.array_equal(b0, np.arange(J) * h)
+    r = np.arange(M + 1)
+    hi, lo = b1[r // J], b0[r % J]
+    signed_hi, signed_lo = (np.concatenate([-t[:0:-1], t]) for t in (hi, lo))
+    for t in (signed_hi, signed_lo):
+        assert np.array_equal(t, -t[::-1]) and t[M] == 0.0
     assert len(a) == -(-H // width) and len(delta) == H
     # every half-grid point is the nearest to its own point a_i +- b_r, and
     # those points increase along the flattened rows, the padding included
-    ideal = (a[:, None] + offsets).ravel()
+    ideal = (a[:, None] + (signed_hi + signed_lo)).ravel()
     assert np.all(np.diff(ideal) > 0.0)
     assert np.max(np.abs(ideal[:H] - xh)) < 0.5 * h
-    if H != 33:
-        assert len(ideal) > H
-    if H > 33:
-        assert a[-1] > xh[-1]
+    assert (len(ideal) > H) == (H != 1001)
+    assert (a[-1] > xh[-1]) == (H == 175) and (a[-1] == xh[-1]) == (H == 176)
     ulp = np.spacing(xh[-1])
     assert np.max(np.abs(delta)) <= 4.0 * ulp
-    # the exact steps between neighbouring points a_i +- b_r
-    exact = [Fraction(float(ai)) + Fraction(float(o)) for ai in a for o in offsets][:H]
+    # delta against the exact offsets b1 + b0, and the exact steps between
+    # neighbouring points a_i +- b_r
+    offsets = [Fraction(float(u)) + Fraction(float(t)) for u, t in zip(signed_hi, signed_lo)]
+    exact = [Fraction(float(ai)) + o for ai in a for o in offsets][:H]
+    misses = [float(Fraction(float(x)) - y) for x, y in zip(xh, exact)]
+    assert max(abs(m - d) for m, d in zip(misses, delta)) <= 0.5 * ulp
     steps = [abs(float(y1 - y0 - Fraction(h))) for y0, y1 in zip(exact, exact[1:])]
     assert max(steps) <= mu <= 16.0 * ulp
     # the contracted values and slopes at a_i +- b_r against a per-mode
     # sum in long double, to a few ulp of W and of sum_k 2 p_k |v_k|; the
-    # reference takes the angles 2 p_k a_i and 2 p_k b_r rounded as the
-    # contraction rounds them (that rounding, shared by every cosine of a
-    # double argument, is `test_profile_columns_match_longdouble_mode_sum`'s)
+    # reference takes the angles 2 p_k a_i, 2 p_k b1 and 2 p_k b0 rounded
+    # as the contraction's tables round them (that rounding, shared by
+    # every cosine of a double argument, is
+    # `test_profile_columns_match_longdouble_mode_sum`'s)
     rng = np.random.default_rng(H)
     k = np.arange(2, 302)
     p = (k - 1 + rng.uniform(0.0, 1.0, len(k))) * np.pi / L
     w = np.exp(-0.3 * p * p) * rng.uniform(0.1, 1.0, len(k))
     v = np.where(k % 2, -0.5, 0.5) * w
-    osc, slope = profile_module._contract(p, v, a, b, True)
+    osc, slope = profile_module._contract(p, v, rows, True)
     assert osc.shape == slope.shape == (len(a), width)
     ld = np.longdouble
     q = 2.0 * p[:, None]
-    angle = (q * a).astype(ld)[:, :, None] + (q * offsets).astype(ld)[:, None, :]
+    sign = np.sign(np.arange(-M, M + 1))
+    offset_angle = ((q * b1).astype(ld)[:, np.abs(np.arange(-M, M + 1)) // J]
+                    + (q * b0).astype(ld)[:, np.abs(np.arange(-M, M + 1)) % J]) * sign
+    angle = (q * a).astype(ld)[:, :, None] + offset_angle[:, None, :]
     ref = np.einsum("k,kij->ij", v.astype(ld), np.cos(angle))
     ref_slope = -np.einsum("k,kij->ij", (2.0 * p * v).astype(ld), np.sin(angle))
     ulps = 4.0 * profile_module._EPS
@@ -326,18 +342,47 @@ def test_slope_certificate_covers_the_difference_quotient():
         grid_n = int(np.clip(10.0 ** rng.uniform(0.0, 2.0) * L, 64, 60000)) + int(rng.integers(2))
         x = profile_module._symmetric_grid(L, grid_n)
         xh = x[grid_n // 2:]
-        a, b, h, delta, mu = profile_module._split(xh)
-        bound = profile_module._slope_bound(p, w / np.sum(w), h, delta, mu) * np.sum(w)
-        osc, slope = profile_module._contract(p, np.where(k % 2, -0.5, 0.5) * w, a, b, True)
-        assert osc.shape == (len(a), 2 * len(b) - 1) and osc.size >= len(xh)
+        rows = profile_module._split(xh)
+        u = w / np.sum(w)
+        bound = profile_module._slope_bound(p, u, rows.h, rows.delta, rows.mu) * np.sum(w)
+        osc, slope = profile_module._contract(p, np.where(k % 2, -0.5, 0.5) * w, rows, True)
+        assert osc.shape == (len(rows.a), 2 * rows.M + 1) and osc.size >= len(xh)
         o, slope = osc.ravel()[:len(xh)], slope.ravel()[:len(xh)]
-        err = np.abs(delta) * np.abs(profile_module._difference_slope(o, h) - slope)
+        err = np.abs(rows.delta) * np.abs(profile_module._difference_slope(o, rows.h) - slope)
         assert np.all(err <= bound), (L, len(k), grid_n)
         ratio = bound / (profile_module._EPS * np.sum(w))
         sides[bool(ratio > 1.0)] += 1
         grids.add((grid_n % 2, bool(0.25 <= ratio <= 4.0)))
     assert min(sides) >= 60
     assert grids == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_contraction_takes_its_offsets_by_angle_addition(monkeypatch):
+    # per chunk of k modes, k rows of anchor angles and k (ceil((M + 1) / J)
+    # + J) offset angles take a cosine and a sine each, not k (M + 1); on
+    # the 40-points-per-unit-length box of the work test below, with the
+    # slope contracted too
+    L, grid_n = 300.0, 12001
+    xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]
+    rows = profile_module._split(xh)
+    J = len(rows.b0)
+    assert J == math.ceil(math.sqrt(rows.M + 1)) and len(rows.b1) == -(-(rows.M + 1) // J)
+    rng = np.random.default_rng(1)
+    K = 2 * profile_module._CHUNK + 77
+    p = (np.arange(1, K + 1) + rng.uniform(0.0, 1.0, K)) * np.pi / L
+    v = np.exp(-0.01 * p * p) * np.where(np.arange(K) % 2, -0.5, 0.5)
+    calls = []
+    for name in ("cos", "sin"):
+        real = getattr(np, name)
+        monkeypatch.setattr(profile_module.np, name, lambda x, *args, real=real, **kw:
+                            calls.append(np.size(x)) or real(x, *args, **kw))
+    profile_module._contract(p, v, rows, True)
+    monkeypatch.undo()
+    per_mode = len(rows.a) + len(rows.b1) + J
+    assert sum(calls) <= 2 * K * per_mode
+    chunks = [min(profile_module._CHUNK, K - lo) for lo in range(0, K, profile_module._CHUNK)]
+    sizes = (len(rows.a), len(rows.b1), J) * 2  # a cosine and a sine of each table
+    assert sorted(calls) == sorted(c * n for c in chunks for n in sizes)
 
 
 def _where_mode_sum(p, w, odd, x):
@@ -435,6 +480,27 @@ def test_profile_csv_broken_mirror_falls_back_per_block(tmp_path, monkeypatch,
                      n_thermal=prof.n_thermal)
     block = profile_module._ROWS_PER_PASS
     assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * block
+
+
+def test_profile_csv_upper_half_rolls_to_disk_mid_write(tmp_path, monkeypatch):
+    # past `_SPOOL_BYTES` the x > 0 half moves from memory to a file on
+    # disk; the bytes and the rows formatted do not change
+    n = 2 * 4096 + 3
+    x = _mirrored_grid(n)
+    prof = Profile(grid=x, n_total=np.cosh(x) / 3.0, n_cond=np.exp(-50.0 * (1.0 - x * x)),
+                   n_thermal=x * x)
+    rolled = []
+
+    class Spool(tempfile.SpooledTemporaryFile):
+        def rollover(self):
+            rolled.append(self.tell())
+            super().rollover()
+
+    monkeypatch.setattr(profile_module, "_SPOOL_BYTES", 4096)
+    monkeypatch.setattr(profile_module.tempfile, "SpooledTemporaryFile", Spool)
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2
+    half = len(_per_row_csv(prof).encode()) // 2
+    assert len(rolled) == 1 and 4096 < rolled[0] < half
 
 
 def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
@@ -562,8 +628,9 @@ def test_density_profile_memory_stays_flat():
 
 
 def test_profile_csv_memory_stays_flat(tmp_path):
-    # the x > 0 half waits in a temporary file: one block's text, not the
-    # 4 MB table (or 5 MB of half the CSV) of this grid, is held at a time
+    # the x > 0 half waits in a temporary file, in memory only up to
+    # `_SPOOL_BYTES`: that and one block's text, not the 4 MB table (or
+    # 5 MB of half the CSV) of this grid, are held at a time
     x = _mirrored_grid(2**17 + 1)
     dens = np.cosh(x) / 3.0
     prof = Profile(grid=x, n_total=dens, n_cond=np.exp(-500.0 * (1.0 - x * x)),
