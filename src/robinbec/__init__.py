@@ -10,14 +10,12 @@ from .errors import NumericalFailure, ValidationError
 from .spectrum import (
     BoxParams,
     BracketFailure,
-    Mode,
     NoSecondBoundState,
     OutOfDomain,
     SpectrumTable,
     bound_state_gap,
     build_spectrum,
     eigenfunction_eval,
-    solve_mode,
     write_spectrum_csv,
 )
 from .gibbs_oracle import (
@@ -47,7 +45,6 @@ from .thermo import (
     SigmaZero,
     ThermoInput,
     ThermoState,
-    condensate_lower_bound,
     critical_density,
     equal_distribution_gap,
     mu_asymptotics_check,

@@ -151,7 +151,7 @@ def _cmd_spectrum(cfg: dict) -> int:
     table = build_spectrum(box, cfg["k_max"])
     echo = {k: cfg[k] for k in ("sigma", "L", "k_max")}
     _write(write_spectrum_csv, table, cfg["out"], _echo_lines("spectrum", echo))
-    print(f"wrote {cfg['out']} ({len(table.modes)} modes)")
+    print(f"wrote {cfg['out']} ({table.k_max + 1} modes)")
     return 0
 
 

@@ -371,7 +371,7 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
     K = len(occ)
     x = _symmetric_grid(state.params.box.L, int(grid_n))
     half = x[len(x) // 2:]
-    walls = [eigenfunction_eval(spectrum.modes[k], spectrum.params, half) for k in (0, 1)]
+    walls = [eigenfunction_eval(spectrum, k, half) for k in (0, 1)]
     # |phi_0| and |phi_1| peak at the wall half[-1] = L/2, and for k >= 2
     # occ_k phi_k^2 <= occ_k (2/L)/(1 - 1/pi) < 3 occ_k/L, so no density
     # on the grid exceeds `peak`; 2 peak leaves room for rounding

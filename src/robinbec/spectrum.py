@@ -30,9 +30,11 @@ p > pi/L gives p^2 + s^2 - 2*s/L >= (s - 1/L)^2 + (pi^2 - 1)/L^2 > 0.  The
 bracket ends certify a sign change, g = 2*arctan(s/p) - pi < 0 at the lower
 end and g = 2*arctan(s/p) > 0 at the upper one, so Newton started at
 p = k*pi/L falls monotonically onto the root and never leaves the bracket.
-`build_spectrum` and `solve_mode` run this iteration on numpy arrays of k
-through one helper (3 to 5 passes from L*s = 0.1 to 12800), so the table
-and the scalar solver agree bit for bit.  Each root is checked to lie
+`build_spectrum` runs this iteration on the numpy array of k (3 to 5
+passes from L*s = 0.1 to 12800), and freezes each root on its own step, so
+a root depends on its own k only: any two tables of one box agree bit for
+bit on the rows they share (a density solve's head table and a profile's
+longer one, `ThermoState.occupations`).  Each root is checked to lie
 strictly inside its bracket.  Its residual is taken from the raw trig
 condition above, an independent check on the phase form; like the log
 norms and the bracket columns, a table computes it on the first read
@@ -86,8 +88,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +162,8 @@ class BoxParams:
 
 @dataclass(frozen=True)
 class Mode:
-    """One eigenpair of the Robin wall problem.
+    """One eigenpair of the Robin wall problem: row k of a `SpectrumTable`
+    as `solve_mode` returns it.
 
     `wavenumber` is q for the bound modes (eps = -q^2, k in {0, 1}) and p
     for k >= 2 (eps = +p^2).  `log_norm` is the log of the L2
@@ -183,15 +184,16 @@ class Mode:
 
 
 # the columns a table computes from its roots on their first read, by their
-# `Mode` field names
+# `Mode` field names (the keys of `SpectrumTable._derived`)
 _DERIVED = ("log_norm", "residual", "bracket_lo", "bracket_hi")
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Modes k = 0..k_max for one (sigma, L) as read-only arrays indexed by
-    k, strictly increasing in eps.  Mode k has parity EVEN for even k and
-    ODD for odd k.
+    k, strictly increasing in eps.  Mode k is row k of every column, with
+    parity EVEN for even k and ODD for odd k; `eigenfunction_eval(table, k,
+    x)` evaluates its eigenfunction.
 
     `build_spectrum` builds the roots only: `epsilons`, `wavenumbers` and
     `walls`, one (q, d, q_end) per wall mode (`_wall_roots`), which holds
@@ -199,8 +201,8 @@ class SpectrumTable:
     `wall_level_offsets` without cancellation; these three are the only
     accessors of the wall pair.  The derived columns `log_norms`,
     `residuals`, `bracket_lo` and `bracket_hi` are computed from the roots
-    on the first read of any of them or of any `modes` entry, all four at
-    once for every k, and kept.
+    on the first read of any of them, all four at once for every k, and
+    kept.
 
     One representational exception: the wall pair eps(0) < eps(1) may tie
     in double precision once its exponentially small splitting drops
@@ -230,8 +232,11 @@ class SpectrumTable:
         return len(self.epsilons) - 1
 
     @property
-    def modes(self) -> "ModeView":
-        return ModeView(self)
+    def modes(self) -> range:
+        """The mode indices 0..k_max.  Kept only for the benchmark's tracer,
+        which counts a build's modes as `len(result.modes)`
+        (`bench/tracing.py`)."""
+        return range(len(self.epsilons))
 
     @property
     def wall_offsets(self) -> tuple[float, ...]:
@@ -284,35 +289,6 @@ class SpectrumTable:
     def bracket_hi(self) -> np.ndarray:
         """Upper end of each mode's certified eigenvalue bracket."""
         return self._derived["bracket_hi"]
-
-
-class ModeView(Sequence):
-    """Read-only sequence of the table's modes; indexing builds the `Mode`."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: SpectrumTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table.epsilons)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        k = operator.index(k)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(f"mode index {k} outside 0..{len(self) - 1}")
-        t = self._table
-        return Mode(
-            k=k,
-            parity=EVEN if k % 2 == 0 else ODD,
-            epsilon=float(t.epsilons[k]),
-            wavenumber=float(t.wavenumbers[k]),
-            **{name: float(t._derived[name][k]) for name in _DERIVED},
-        )
 
 
 # ----------------------------------------------------------------------
@@ -391,8 +367,8 @@ def _ladder_roots(params: BoxParams, k):
 
 
 def _ladder_columns(params: BoxParams, k, p):
-    """The derived `Mode` fields (`_DERIVED`) of the k >= 2 modes as arrays,
-    from their wavenumbers p."""
+    """The derived columns (`_DERIVED`) of the k >= 2 modes as arrays, from
+    their wavenumbers p."""
     L = params.L
     even = k % 2 == 0
     lo, hi = (k - 1) * math.pi / L, k * math.pi / L
@@ -599,50 +575,27 @@ def _wall_roots(params: BoxParams, k_max: int):
 
 
 def _wall_columns(params: BoxParams, roots):
-    """`Mode` fields of the wall modes as arrays, from their `_wall_roots`."""
+    """The derived columns (`_DERIVED`) of the wall modes as arrays, from
+    their `_wall_roots`."""
     s, L, half = params.s, params.L, params.half
     q, _, q_hi = roots[0]
     log_norm = _bound_log_norm(EVEN, q, L)
     phi_wall = math.exp(log_norm + float(_logcosh_vec(q * half)))
     residual = abs(phi_wall * (q * math.tanh(half * q) - s))
-    rows = [(-q * q, q, log_norm, residual, -q_hi * q_hi, -s * s)]
+    rows = [(log_norm, residual, -q_hi * q_hi, -s * s)]
     if len(roots) > 1:
         q, _, q_lo = roots[1]
         u = half * q
         log_norm = _bound_log_norm(ODD, q, L)
         phi_wall = math.exp(log_norm + _logsinh(u))
         g = (_ucothu_minus_one(u) - _odd_excess(s, L)) / half if u < 1.0 else q / math.tanh(u) - s
-        rows.append((-q * q, q, log_norm, abs(phi_wall * g), -s * s, -q_lo * q_lo))
-
-    names = ("epsilon", "wavenumber") + _DERIVED
-    return {name: np.array(column) for name, column in zip(names, zip(*rows))}
+        rows.append((log_norm, abs(phi_wall * g), -s * s, -q_lo * q_lo))
+    return {name: np.array(column) for name, column in zip(_DERIVED, zip(*rows))}
 
 
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
-
-def solve_mode(params: BoxParams, k: int) -> Mode:
-    """Solve one eigenpair; see the module docstring for the equations.
-
-    Mode k is entry k of the table `build_spectrum` builds, taken from the
-    same code path: the wall-pair Newton solver for k = 0, 1 and the
-    length-1 case of the phase Newton iteration for k >= 2.  Raises
-    NoSecondBoundState for k = 1 when L*|sigma| <= 2 and BracketFailure if
-    a certified bracket fails its sign-change check.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValidationError(f"mode index must be a nonnegative integer, got {k!r}")
-    k = int(k)
-    if k >= 2:
-        ks = np.array([k])
-        p = _ladder_roots(params, ks)
-        fields, i = {"epsilon": p * p, "wavenumber": p, **_ladder_columns(params, ks, p)}, 0
-    else:
-        fields, i = _wall_columns(params, _wall_roots(params, k)), k
-    return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD,
-                **{name: float(column[i]) for name, column in fields.items()})
-
 
 def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     """Modes 0..k_max as a validated table of their roots (k_max = 0 gives
@@ -669,39 +622,51 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     )
 
 
-def eigenfunction_eval(mode: Mode, params: BoxParams, x):
-    """Value of the normalized eigenfunction at x (scalar or array).
+def eigenfunction_eval(table: SpectrumTable, k: int, x):
+    """Value at x (scalar or array) of the normalized eigenfunction of mode
+    k, row k of `table`: its wavenumber and log norm, and parity EVEN for
+    even k and ODD for odd k.
 
     Bound modes are evaluated as exp(log_norm + q|x| + log((1 +- e^{-2q|x|})/2))
     so the result is finite even when the cosh/sinh factor alone would
     overflow.  Near the walls log_norm and q|x| are both ~q L/2 and
     cancel, so q|x| enters as its exact two-term product: rounding it, or
     adding log(cosh) at that magnitude, cost up to 2.2e-13 relative in
-    phi^2 at L|sigma| = 1200.
+    phi^2 at L|sigma| = 1200.  Raises ValidationError for k outside
+    0..k_max and OutOfDomain for |x| > L/2.
     """
+    if not 0 <= k <= table.k_max:
+        raise ValidationError(f"mode index must be in 0..{table.k_max}, got {k!r}")
+    half = table.params.half
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > params.half * (1.0 + 1e-12)):
-        raise OutOfDomain(f"|x| must be <= L/2 = {params.half}")
-    if mode.k >= 2:
-        p = mode.wavenumber
-        norm = math.exp(mode.log_norm)
-        if mode.parity == EVEN:
-            vals = norm * np.cos(p * arr)
-        else:
-            vals = norm * np.sin(p * arr)
+    if np.any(np.abs(arr) > half * (1.0 + 1e-12)):
+        raise OutOfDomain(f"|x| must be <= L/2 = {half}")
+    q, log_norm, even = float(table.wavenumbers[k]), float(table.log_norms[k]), k % 2 == 0
+    if k >= 2:
+        vals = math.exp(log_norm) * (np.cos(q * arr) if even else np.sin(q * arr))
     else:
-        u, u_err = _two_product(mode.wavenumber, np.abs(arr))
+        u, u_err = _two_product(q, np.abs(arr))
         with np.errstate(divide="ignore"):  # log(0) at x = 0 for the odd mode
-            if mode.parity == EVEN:
+            if even:
                 tail = np.log1p(np.exp(-2.0 * u)) - _LN2
             else:
                 tail = np.log(-np.expm1(-2.0 * u)) - _LN2
-        vals = np.exp((mode.log_norm + u) + (u_err + tail))
-        if mode.parity == ODD:
+        vals = np.exp((log_norm + u) + (u_err + tail))
+        if not even:
             vals = np.sign(arr) * vals
     if arr.ndim == 0:
         return float(vals)
     return vals
+
+
+def solve_mode(params: BoxParams, k: int) -> Mode:
+    """Row k of `build_spectrum(params, k)` as a `Mode`.  Kept only for the
+    benchmark's self-test, which reads `solve_mode(box, 0).epsilon`
+    (`bench/selftest.py`)."""
+    table = build_spectrum(params, k)
+    return Mode(k=k, parity=EVEN if k % 2 == 0 else ODD, epsilon=float(table.epsilons[k]),
+                wavenumber=float(table.wavenumbers[k]),
+                **{name: float(column[k]) for name, column in table._derived.items()})
 
 
 # ----------------------------------------------------------------------

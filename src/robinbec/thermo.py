@@ -90,8 +90,6 @@ Condensation diagnostics:
     sigma^2)} - 1) = Li_{1/2}(e^{-beta sigma^2}) / (2 sqrt(pi beta)),
     summed exactly as the Boltzmann series sum_{n>=1} e^{-n beta
     sigma^2} / sqrt(n): 31 terms and an Euler-Maclaurin tail.
-  * condensate_lower_bound: max(0, rho - rho_c), the large-L floor on the
-    wall-mode density (occ_0 + occ_1)/L in the condensing regime.
   * equal_distribution_gap: (occ_0 - occ_1)/L, evaluated through the
     near-degenerate splitting eps(1) - eps(0) so it stays accurate long
     after direct subtraction of double-precision occupations has
@@ -280,13 +278,6 @@ def critical_density(beta: float, sigma: float) -> float:
     head = [math.exp(-n * a) / math.sqrt(n) for n in range(1, _SERIES_HEAD + 1)]
     tail = _boltzmann_tail(a, abs(sigma) * math.sqrt(beta), _SERIES_HEAD + 1)
     return (math.fsum(head) + tail) / (2.0 * math.sqrt(math.pi * beta))
-
-
-def condensate_lower_bound(rho: float, beta: float, sigma: float) -> float:
-    """max(0, rho - rho_c)."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValidationError(f"rho must be finite and > 0, got {rho}")
-    return max(0.0, rho - critical_density(beta, sigma))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from robinbec.errors import ValidationError
-from robinbec.spectrum import BoxParams, Mode, eigenfunction_eval
+from robinbec.spectrum import BoxParams, SpectrumTable, eigenfunction_eval
 
 
 def fd_eigenvalues_raw(sigma: float, L: float, grid_points: int, n_modes: int) -> np.ndarray:
@@ -55,7 +55,7 @@ def fd_eigenvalues_richardson(params: BoxParams, grid_points: int, n_modes: int)
     return (4.0 * fine - coarse) / 3.0
 
 
-def boundary_residual_scale(mode: Mode, params: BoxParams) -> float:
-    """Scale for judging `Mode.residual`: max(1, |sigma| * |phi(L/2)|)."""
-    phi_wall = abs(eigenfunction_eval(mode, params, params.half))
-    return max(1.0, params.s * phi_wall)
+def boundary_residual_scale(table: SpectrumTable, k: int) -> float:
+    """Scale for judging `table.residuals[k]`: max(1, |sigma| * |phi_k(L/2)|)."""
+    phi_wall = abs(eigenfunction_eval(table, k, table.params.half))
+    return max(1.0, table.params.s * phi_wall)

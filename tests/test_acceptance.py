@@ -67,11 +67,11 @@ def test_criterion_1_spectrum_correctness():
         L = float(rng.uniform(3.0, 60.0)) / s
         params = BoxParams(sigma=-s, L=L)
         table = build_spectrum(params, 30)
-        for m in table.modes:
-            assert m.bracket_lo <= m.epsilon <= m.bracket_hi
-            if m.k >= 2:
-                assert m.bracket_lo < m.epsilon < m.bracket_hi
-            scaled = m.residual / boundary_residual_scale(m, params)
+        eps, lo, hi = table.epsilons, table.bracket_lo, table.bracket_hi
+        assert np.all(lo <= eps) and np.all(eps <= hi)
+        assert np.all(lo[2:] < eps[2:]) and np.all(eps[2:] < hi[2:])
+        for k in range(table.k_max + 1):
+            scaled = table.residuals[k] / boundary_residual_scale(table, k)
             worst_res = max(worst_res, scaled)
             assert scaled <= 1e-10
         fd = fd_eigenvalues_richardson(params, 2500, 6)

@@ -1,21 +1,29 @@
-"""What the benchmark's tracer (bench/tracing.py) needs of the package: every
-function it wraps still resolves, and the attributes its counters read
-still exist.  `Tracer.install` looks each traced name up with a strict
-getattr, so a renamed or deleted function breaks every traced run."""
+"""What the benchmark (bench/) needs of the package.  The tracer
+(bench/tracing.py): every function it wraps still resolves, and the
+attributes its counters read still exist; `Tracer.install` looks each
+traced name up with a strict getattr, so a renamed or deleted function
+breaks every traced run.  The self-test (bench/selftest.py), which the
+tier-1 suite does not collect: every package name it imports resolves, and
+the per-mode adapters it and the tracer read agree with the table."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
 import io
 from pathlib import Path
 
+import pytest
+
 import robinbec
 import robinbec.cli as cli
+from robinbec.spectrum import BoxParams, build_spectrum, solve_mode
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -56,3 +64,34 @@ def test_traced_runs_record_their_counters(tmp_path):
     assert spans["gibbs_oracle.run_check"]
     metrics = tracing.layer_metrics(tracer.spans, 4)
     assert set(metrics) <= set(tracing.PER_LAYER_UNITS)
+
+
+def _package_names(path):
+    """(module, name) for each `from robinbec... import name` in the file at
+    `path`, and (module, attribute) for each `robinbec.module.attribute` it
+    reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "robinbec":
+            names.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and (
+                isinstance(node.value.value, ast.Name) and node.value.value.id == "robinbec"):
+            names.add((f"robinbec.{node.value.attr}", node.attr))
+    return names
+
+
+def test_every_selftest_import_resolves():
+    names = _package_names(BENCH / "selftest.py")
+    assert ("robinbec.spectrum", "solve_mode") in names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+@pytest.mark.parametrize("sigma,L", [(-1.0, 1.5), (-1.0, 10.0), (-1.5, 40.0)])
+def test_per_mode_adapters_read_the_table(sigma, L):
+    # the self-test reads `solve_mode(box, 0).epsilon`, the tracer
+    # `len(result.modes)` of each built table
+    box = BoxParams(sigma=sigma, L=L)
+    assert solve_mode(box, 0).epsilon == build_spectrum(box, 0).epsilons[0]
+    for k in (0, 1, 12) if box.has_second_bound_state() else (0,):
+        assert len(build_spectrum(box, k).modes) == k + 1

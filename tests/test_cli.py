@@ -32,6 +32,16 @@ def test_spectrum_command(tmp_path, capsys):
         assert float(f[5]) < float(f[2]) < float(f[6])
 
 
+@pytest.mark.parametrize("k_max", [0, 10])
+def test_spectrum_command_reports_its_mode_count(tmp_path, capsys, k_max):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--sigma", "-1", "--L", "20", "--k-max", str(k_max),
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} ({k_max + 1} modes)\n"
+    rows = [line for line in out.read_text().splitlines() if line[:1].isdigit()]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(k_max + 1))
+
+
 def test_spectrum_command_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -72,8 +72,8 @@ def test_single_mode_profile_integrates_to_one():
     occ[0] = 1.0
     table = _table(st)
     prof = density_profile(table, _fake_state(st, occ), 3001)
-    q = table.modes[0].wavenumber
-    ref = (np.exp(table.modes[0].log_norm) * np.cosh(q * prof.grid)) ** 2
+    q = table.wavenumbers[0]
+    ref = (np.exp(table.log_norms[0]) * np.cosh(q * prof.grid)) ** 2
     assert np.allclose(prof.n_total, ref, rtol=1e-12)
     coarse = density_profile(table, _fake_state(st, occ), 1501)
     mass = (4.0 * profile_mass(prof) - profile_mass(coarse)) / 3.0

@@ -16,7 +16,6 @@ import robinbec.spectrum as spectrum
 from robinbec.errors import NumericalFailure, ValidationError
 from robinbec.spectrum import (
     EVEN,
-    ODD,
     BoxParams,
     BracketFailure,
     NoSecondBoundState,
@@ -24,7 +23,6 @@ from robinbec.spectrum import (
     bound_state_gap,
     build_spectrum,
     eigenfunction_eval,
-    solve_mode,
     write_spectrum_csv,
 )
 
@@ -46,23 +44,24 @@ def test_box_params_validation():
 
 def test_ground_state_near_minus_sigma_squared():
     # eps(0) = -sigma^2 - O(e^{-L|sigma|})
-    mode = solve_mode(BoxParams(sigma=-1.0, L=20.0), 0)
-    assert mode.parity == EVEN
-    assert mode.epsilon < -1.0
-    assert abs(mode.epsilon + 1.0) <= 5.0 * math.exp(-20.0)
+    table = build_spectrum(BoxParams(sigma=-1.0, L=20.0), 0)
+    eps = table.epsilons[0]
+    assert eigenfunction_eval(table, 0, 3.0) == eigenfunction_eval(table, 0, -3.0)  # even
+    assert eps < -1.0
+    assert abs(eps + 1.0) <= 5.0 * math.exp(-20.0)
     # residual of the defining equation
-    q = mode.wavenumber
+    q = table.wavenumbers[0]
     assert abs(q * math.tanh(10.0 * q) - 1.0) < 1e-12
 
 
 def test_second_bound_state_threshold():
     with pytest.raises(NoSecondBoundState):
-        solve_mode(BoxParams(sigma=-1.0, L=1.0), 1)
+        build_spectrum(BoxParams(sigma=-1.0, L=1.0), 1)
     with pytest.raises(NoSecondBoundState):
-        solve_mode(BoxParams(sigma=-1.0, L=2.0), 1)  # L|sigma| = 2 exactly
-    mode = solve_mode(BoxParams(sigma=-1.0, L=2.5), 1)
-    assert mode.parity == ODD
-    assert mode.epsilon < 0.0
+        build_spectrum(BoxParams(sigma=-1.0, L=2.0), 1)  # L|sigma| = 2 exactly
+    table = build_spectrum(BoxParams(sigma=-1.0, L=2.5), 1)
+    assert eigenfunction_eval(table, 1, 0.5) == -eigenfunction_eval(table, 1, -0.5)  # odd
+    assert table.epsilons[1] < 0.0
 
 
 def test_phase_form_range():
@@ -75,13 +74,13 @@ def test_phase_form_range():
         with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+15"):
             build_spectrum(over, 3)
         with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+15"):
-            solve_mode(over, 2)
+            build_spectrum(over, 2)
         assert len(build_spectrum(over, 1).epsilons) == 2  # the wall pair has no such limit
 
 
 def test_positive_mode_bracket():
-    mode = solve_mode(BoxParams(sigma=-1.0, L=10.0), 2)
-    assert (math.pi / 10.0) ** 2 < mode.epsilon < (2.0 * math.pi / 10.0) ** 2
+    eps = build_spectrum(BoxParams(sigma=-1.0, L=10.0), 2).epsilons[2]
+    assert (math.pi / 10.0) ** 2 < eps < (2.0 * math.pi / 10.0) ** 2
 
 
 def test_second_bound_state_near_threshold():
@@ -89,13 +88,13 @@ def test_second_bound_state_near_threshold():
     # 1.2e-7 relative at L s = 2 + 1e-9 with a residual of 0.0
     mpmath = pytest.importorskip("mpmath")
     for L in (2.0 + 1e-9, 2.0 + 1e-6, 2.001, 2.5):
-        mode = solve_mode(BoxParams(sigma=-1.0, L=L), 1)
+        table = build_spectrum(BoxParams(sigma=-1.0, L=L), 1)
         with mpmath.workdps(80):
             c = mpmath.mpf(L) / 2  # u coth(u) = L s / 2 at u = q L / 2
             u = mpmath.findroot(lambda u: u * mpmath.coth(u) - c, mpmath.sqrt(3 * (c - 1)))
             q = float(2 * u / mpmath.mpf(L))
-        _assert_within_ulps(mode.wavenumber, q)
-        assert abs(mode.epsilon + q * q) <= 8 * np.spacing(q * q)
+        _assert_within_ulps(table.wavenumbers[1], q)
+        assert abs(table.epsilons[1] + q * q) <= 8 * np.spacing(q * q)
 
 
 def test_frozen_fd_values_sigma1_L40():
@@ -105,23 +104,24 @@ def test_frozen_fd_values_sigma1_L40():
     assert abs(fd[0] - FD_EPS0_SIGMA1_L40) < 1e-8
     assert abs(fd[1] - FD_EPS1_SIGMA1_L40) < 1e-8
     # and the transcendental solver agrees within the oracle error
-    assert abs(solve_mode(params, 0).epsilon - FD_EPS0_SIGMA1_L40) < 1e-6
-    assert abs(solve_mode(params, 1).epsilon - FD_EPS1_SIGMA1_L40) < 1e-6
+    eps = build_spectrum(params, 1).epsilons
+    assert abs(eps[0] - FD_EPS0_SIGMA1_L40) < 1e-6
+    assert abs(eps[1] - FD_EPS1_SIGMA1_L40) < 1e-6
 
 
 def test_build_spectrum_shapes_and_ordering():
     params = BoxParams(sigma=-1.0, L=20.0)
     table0 = build_spectrum(params, 0)
-    assert len(table0.modes) == 1 and table0.modes[0].parity == EVEN
+    assert table0.k_max == 0 and len(table0.walls) == 1
+    assert len(table0.epsilons) == len(table0.log_norms) == 1
 
     table = build_spectrum(params, 10)
-    assert len(table.modes) == 11
+    assert table.k_max == 10 and len(table.walls) == 2
     eps = table.epsilons
+    assert len(eps) == len(table.wavenumbers) == len(table.residuals) == 11
     assert np.all(np.diff(eps) > 0.0)
     assert eps[0] < eps[1] < 0.0 < eps[2]
-    for m in table.modes[2:]:
-        assert m.bracket_lo < m.epsilon < m.bracket_hi
-        assert m.parity == (EVEN if m.k % 2 == 0 else ODD)
+    assert np.all(table.bracket_lo[2:] < eps[2:]) and np.all(eps[2:] < table.bracket_hi[2:])
 
 
 # L*|sigma| from just above the odd-bound-state threshold 2 up to 12800
@@ -134,17 +134,21 @@ def _reference_k_max(L):
 
 
 @pytest.mark.parametrize("sigma,L", REFERENCE_BOXES)
-def test_build_spectrum_matches_scalar_solver(sigma, L):
-    # table and scalar solver share one code path, so every column is equal
+def test_build_spectrum_rows_are_a_prefix(sigma, L):
+    # each phase root is frozen on its own Newton step and every derived
+    # entry is a function of its own root, so a shorter table of a box is
+    # the first rows of a longer one, bit for bit: `ThermoState.occupations`
+    # relies on this where a solve's head table and a profile's table overlap
     params = BoxParams(sigma=sigma, L=L)
     k_max = _reference_k_max(L)
-    table = build_spectrum(params, k_max)
-    ref = [solve_mode(params, k) for k in range(k_max + 1)]
-    for name, column in [("epsilon", table.epsilons), ("wavenumber", table.wavenumbers),
-                         ("log_norm", table.log_norms), ("residual", table.residuals),
-                         ("bracket_lo", table.bracket_lo), ("bracket_hi", table.bracket_hi)]:
-        np.testing.assert_array_equal(column, [getattr(m, name) for m in ref], err_msg=name)
-    assert list(table.modes) == ref
+    full = build_spectrum(params, k_max)
+    for k in sorted({0, 1, 2, 3, 7, k_max // 2, k_max - 1}):
+        table = build_spectrum(params, k)
+        assert table.walls == full.walls[: k + 1]
+        for name in ("epsilons", "wavenumbers", "log_norms", "residuals", "bracket_lo",
+                     "bracket_hi"):
+            assert getattr(table, name).tobytes() == getattr(full, name)[: k + 1].tobytes(), (
+                name, k)
 
 
 @pytest.mark.parametrize("sigma,L", REFERENCE_BOXES)
@@ -192,25 +196,28 @@ def test_ladder_matches_mpmath_reference(sigma, L):
 def test_phase_root_regression_sigma1_L40_k32():
     # the bisection's guarded Newton step was rejected here and its root
     # missed by 161 ulp (residual 8.6e-13)
-    params = BoxParams(sigma=-1.0, L=40.0)
-    mode = solve_mode(params, 32)
-    _assert_within_ulps(mode.wavenumber, _mp_phase_root(-1.0, 40.0, 32))
-    assert mode.residual <= 1e-15
-    assert abs(bisection_ladder(-1.0, 40.0, 32)[-1] - mode.wavenumber) > 100 * np.spacing(
-        mode.wavenumber)
+    table = build_spectrum(BoxParams(sigma=-1.0, L=40.0), 32)
+    p = table.wavenumbers[32]
+    _assert_within_ulps(p, _mp_phase_root(-1.0, 40.0, 32))
+    assert table.residuals[32] <= 1e-15
+    assert abs(bisection_ladder(-1.0, 40.0, 32)[-1] - p) > 100 * np.spacing(p)
 
 
 @pytest.mark.parametrize("sigma,L", [(-3.0, 0.5), (-0.1, 1.0)])
 def test_ladder_without_odd_bound_state_matches_mpmath(sigma, L):
-    # L*|sigma| <= 2: no odd bound state, but every k >= 2 mode exists
+    # L*|sigma| <= 2: no odd bound state, so no table holds these k >= 2
+    # modes, but each exists and the ladder solver finds it
     params = BoxParams(sigma=sigma, L=L)
     assert not params.has_second_bound_state()
-    ks = range(2, 40)
-    modes = [solve_mode(params, k) for k in ks]
-    _assert_within_ulps([m.wavenumber for m in modes], [_mp_phase_root(sigma, L, k) for k in ks])
-    for m in modes:
-        assert m.bracket_lo < m.epsilon < m.bracket_hi
-        assert m.residual <= 1e-12 * boundary_residual_scale(m, params)
+    ks = np.arange(2, 40)
+    p = spectrum._ladder_roots(params, ks)
+    _assert_within_ulps(p, [_mp_phase_root(sigma, L, k) for k in ks])
+    columns = spectrum._ladder_columns(params, ks, p)
+    assert np.all(columns["bracket_lo"] < p * p) and np.all(p * p < columns["bracket_hi"])
+    # the residual against max(1, |sigma| |phi(L/2)|), as `boundary_residual_scale`
+    phi_wall = np.exp(columns["log_norm"]) * np.abs(
+        np.where(ks % 2 == 0, np.cos(p * params.half), np.sin(p * params.half)))
+    assert np.all(columns["residual"] <= 1e-12 * np.maximum(1.0, params.s * phi_wall))
 
 
 def _count_calls(monkeypatch, name):
@@ -243,11 +250,12 @@ def test_build_spectrum_newton_passes(monkeypatch):
         table.residuals
         table.residuals
         assert residual == [k_max - 1]
-    params = BoxParams(sigma=-0.1, L=1.0)  # no odd bound state: scalar solver
+    params = BoxParams(sigma=-0.1, L=1.0)  # no odd bound state: one root at a time
     for k in range(2, 40):
         phase.clear()
         residual.clear()
-        solve_mode(params, k)
+        ks = np.array([k])
+        spectrum._ladder_columns(params, ks, spectrum._ladder_roots(params, ks))
         assert 1 <= len(phase) - 1 <= 5, (k, phase)
         assert residual == [1]
 
@@ -279,7 +287,8 @@ def test_vector_bracket_without_sign_change_raises():
 def test_derived_columns_are_computed_on_first_read(monkeypatch):
     # a build solves the roots only; the first read of a derived column
     # computes the columns once, and later reads return the same read-only
-    # arrays (their values: test_build_spectrum_matches_scalar_solver)
+    # arrays (their values: test_build_spectrum_rows_are_a_prefix and the
+    # reference tests)
     calls = []
     real = spectrum._ladder_columns
     monkeypatch.setattr(spectrum, "_ladder_columns", lambda *a: calls.append(a) or real(*a))
@@ -290,22 +299,12 @@ def test_derived_columns_are_computed_on_first_read(monkeypatch):
     assert len(calls) == 1
     again = [table.log_norms, table.residuals, table.bracket_lo, table.bracket_hi]
     assert all(a is b for a, b in zip(columns, again))
-    assert table.modes[30] == table.modes[30] and len(calls) == 1
-    for column in columns:
+    assert eigenfunction_eval(table, 30, 1.0) == eigenfunction_eval(table, 30, 1.0)
+    assert len(calls) == 1
+    for column in [table.epsilons, table.wavenumbers] + columns:
         assert len(column) == 61
         with pytest.raises(ValueError):
             column[3] = 0.0
-
-
-def test_mode_view_is_read_only_and_indexable():
-    table = build_spectrum(BoxParams(sigma=-1.0, L=20.0), 10)
-    assert len(table.modes) == 11
-    assert table.modes[-1] == table.modes[10] == solve_mode(table.params, 10)
-    assert [m.k for m in table.modes[8:]] == [8, 9, 10]
-    with pytest.raises(IndexError):
-        table.modes[11]
-    with pytest.raises(ValueError):
-        table.epsilons[3] = 0.0
 
 
 def test_strong_coupling_bound_states():
@@ -322,34 +321,38 @@ def test_strong_coupling_bound_states():
 def test_boundary_residuals_small():
     for sigma, L in [(-1.0, 20.0), (-0.5, 30.0), (-2.5, 8.0)]:
         params = BoxParams(sigma=sigma, L=L)
-        for m in build_spectrum(params, 20).modes:
-            assert m.residual <= 1e-10 * boundary_residual_scale(m, params)
+        table = build_spectrum(params, 20)
+        for k in range(21):
+            assert table.residuals[k] <= 1e-10 * boundary_residual_scale(table, k)
 
 
 def test_eigenfunction_parity_and_domain():
-    params = BoxParams(sigma=-1.0, L=12.0)
-    even = solve_mode(params, 0)
-    odd = solve_mode(params, 1)
+    # parity from k: even rows are even functions, odd rows odd ones
+    table = build_spectrum(BoxParams(sigma=-1.0, L=12.0), 3)
     for x in (0.3, 2.7, 5.9):
-        assert eigenfunction_eval(even, params, x) == eigenfunction_eval(even, params, -x)
-        assert eigenfunction_eval(odd, params, x) == -eigenfunction_eval(odd, params, -x)
-    assert eigenfunction_eval(odd, params, 0.0) == 0.0
+        for k in (0, 2):
+            assert eigenfunction_eval(table, k, x) == eigenfunction_eval(table, k, -x)
+        for k in (1, 3):
+            assert eigenfunction_eval(table, k, x) == -eigenfunction_eval(table, k, -x)
+    assert eigenfunction_eval(table, 1, 0.0) == eigenfunction_eval(table, 3, 0.0) == 0.0
     with pytest.raises(OutOfDomain):
-        eigenfunction_eval(even, params, 6.1)
+        eigenfunction_eval(table, 0, 6.1)
+    for k in (-1, 4):
+        with pytest.raises(ValidationError, match="mode index must be in 0..3"):
+            eigenfunction_eval(table, k, 0.0)
 
 
 def test_orthonormality_by_quadrature():
     # Gram matrix of modes 0..20 equals identity within 1e-8 per entry
     params = BoxParams(sigma=-1.0, L=20.0)
-    modes = build_spectrum(params, 20).modes
+    table = build_spectrum(params, 20)
     half = params.half
     for j in range(21):
         for k in range(j, 21):
             if (j + k) % 2 == 1:
                 continue  # odd/even products integrate to zero by symmetry
             val, _ = quad(
-                lambda x: eigenfunction_eval(modes[j], params, x)
-                * eigenfunction_eval(modes[k], params, x),
+                lambda x: eigenfunction_eval(table, j, x) * eigenfunction_eval(table, k, x),
                 -half,
                 half,
                 epsabs=1e-11,
@@ -361,20 +364,20 @@ def test_orthonormality_by_quadrature():
 
 def test_eigenfunction_stable_at_huge_L():
     params = BoxParams(sigma=-1.0, L=1600.0)
-    mode = solve_mode(params, 0)
-    assert math.isfinite(mode.log_norm)
-    wall = eigenfunction_eval(mode, params, params.half)
+    table = build_spectrum(params, 0)
+    assert math.isfinite(table.log_norms[0])
+    wall = eigenfunction_eval(table, 0, params.half)
     assert 0.5 < wall < 1.5  # ~ sqrt(q) * O(1)
-    assert eigenfunction_eval(mode, params, 0.0) >= 0.0
+    assert eigenfunction_eval(table, 0, 0.0) >= 0.0
 
 
 def test_bound_state_corrections_match_direct_subtraction():
     # the offsets and plain subtraction of the wavenumbers overlap for moderate L*s
     for L in (6.0, 8.0, 12.0):
         params = BoxParams(sigma=-1.0, L=L)
-        d0, d1 = build_spectrum(params, 1).wall_offsets
-        q0 = solve_mode(params, 0).wavenumber
-        q1 = solve_mode(params, 1).wavenumber
+        table = build_spectrum(params, 1)
+        d0, d1 = table.wall_offsets
+        q0, q1 = table.wavenumbers
         assert abs(d0 - (q0 - 1.0)) < 1e-11 * d0
         assert abs(d1 - (1.0 - q1)) < 1e-11 * d1
 
@@ -512,16 +515,14 @@ def test_wall_pair_matches_mpmath_reference(monkeypatch):
     for sigma, L in WALL_BOXES:
         params = BoxParams(sigma=sigma, L=L)
         k_max = 1 if params.has_second_bound_state() else 0
-        roots = spectrum._wall_roots(params, k_max)
-        fields = spectrum._wall_columns(params, roots)
-        offsets = [d for _, d, _ in roots]
+        table = build_spectrum(params, k_max)
         ref = _mp_wall_pair(sigma, L, 30)
-        _assert_within_ulps(fields["wavenumber"], [float(q) for q in ref[: k_max + 1]])
+        _assert_within_ulps(table.wavenumbers, [float(q) for q in ref[: k_max + 1]])
         tol = 1e-14 + -sigma * L * 2.3e-16
-        for d, d_ref in zip(offsets, ref[2:]):
+        for d, d_ref in zip(table.wall_offsets, ref[2:]):
             assert abs(d - float(d_ref)) <= tol * float(d_ref), (sigma, L)
-        assert np.all(fields["bracket_lo"] <= fields["epsilon"])
-        assert np.all(fields["epsilon"] <= fields["bracket_hi"])
+        assert np.all(table.bracket_lo <= table.epsilons)
+        assert np.all(table.epsilons <= table.bracket_hi)
     assert max(evaluations) <= 8  # bisection took ~47 residual evaluations per root
 
 
@@ -543,8 +544,8 @@ def test_odd_root_inside_its_bracket_above_threshold(monkeypatch, s):
         L = math.nextafter(L, math.inf)
         params = BoxParams(sigma=-s, L=L)
         if params.has_second_bound_state():
-            mode = solve_mode(params, 1)
-            assert mode.bracket_lo <= mode.epsilon <= mode.bracket_hi, L
+            table = build_spectrum(params, 1)
+            assert table.bracket_lo[1] <= table.epsilons[1] <= table.bracket_hi[1], L
     assert max(evaluations) <= 8
 
 
@@ -574,7 +575,7 @@ def test_wall_row_range():
         table = build_spectrum(params, 1)
         assert np.all(np.isfinite(table.log_norms)) and np.all(np.isfinite(table.residuals))
         over = BoxParams(sigma=-s, L=10.0 * spectrum.MAX_WALL_LS / s)
-        for build in (lambda: build_spectrum(over, 1), lambda: solve_mode(over, 0),
+        for build in (lambda: build_spectrum(over, 1), lambda: build_spectrum(over, 0),
                       lambda: bound_state_gap(over)):
             with pytest.raises(ValidationError, match="L\\*\\|sigma\\| <= 1e\\+307"):
                 build()
@@ -656,4 +657,4 @@ def test_spectrum_csv_roundtrip(tmp_path):
     fields = lines[3].split(",")
     assert int(fields[0]) == 0 and fields[1] == EVEN
     # 17 significant digits round-trip
-    assert float(fields[2]) == table.modes[0].epsilon
+    assert float(fields[2]) == table.epsilons[0]

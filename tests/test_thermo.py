@@ -22,7 +22,6 @@ from robinbec.thermo import (
     ThermoInput,
     build_ladder,
     certified_density_tail,
-    condensate_lower_bound,
     critical_density,
     equal_distribution_gap,
     fit_exponential_rate,
@@ -99,12 +98,6 @@ def test_critical_density_boltzmann_limit():
 def test_critical_density_sigma_zero():
     with pytest.raises(SigmaZero):
         critical_density(1.0, 0.0)
-
-
-def test_condensate_lower_bound_clamps():
-    rc = critical_density(1.0, -1.0)
-    assert condensate_lower_bound(0.5 * rc, 1.0, -1.0) == 0.0
-    assert abs(condensate_lower_bound(rc + 1.0, 1.0, -1.0) - 1.0) < 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,11 @@ Usage (from the repository root):
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.
 Each tree runs, in its own interpreter with robinbec imported from that
 directory, every op of the seeded decks of all benchmark workloads
-(`bench/workloads.py`, imported and not changed) and a spectrum op on
-each of `SPECTRUM_BOXES` at k_max = 2000, through `robinbec.cli.main`
-with `--out` added as the benchmark adds it.  `--tiny` runs the
-benchmark's tiny decks and the spectra at k_max = 50.
+(`bench/workloads.py`, imported and not changed), a spectrum op on each
+of `SPECTRUM_BOXES` at k_max = 2000 and the wall-only spectra
+`WALL_SPECTRA`, through `robinbec.cli.main` with `--out` added as the
+benchmark adds it.  `--tiny` runs the benchmark's tiny decks and the
+`SPECTRUM_BOXES` spectra at k_max = 50.
 
 For each output file, and for each op's stdout with its output paths
 replaced by `OUT`, one line says `identical` or gives the largest
@@ -41,6 +42,9 @@ from workloads import WORKLOADS, make_deck  # noqa: E402
 
 # spectrum CSVs from just above the odd-bound-state threshold to L*|sigma| = 12800
 SPECTRUM_BOXES = (("-1.0", "2.000000001"), ("-0.5", "1600.0"), ("-1.0", "12800.0"))
+# (sigma, L, k_max) of the spectra that hold wall rows only: the even mode
+# alone below the odd-bound-state threshold L*|sigma| = 2, and the pair
+WALL_SPECTRA = (("-1.0", "1.5", "0"), ("-1.0", "2.000000001", "1"), ("-0.5", "1600.0", "1"))
 
 
 def _out_name(op) -> str:
@@ -49,8 +53,9 @@ def _out_name(op) -> str:
 
 def spectrum_ops(tiny: bool) -> list[dict]:
     k_max = "50" if tiny else "2000"
-    return [{"kind": "spectrum", "argv": ["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", k_max]}
-            for sigma, L in SPECTRUM_BOXES]
+    boxes = [(sigma, L, k_max) for sigma, L in SPECTRUM_BOXES] + list(WALL_SPECTRA)
+    return [{"kind": "spectrum", "argv": ["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", k]}
+            for sigma, L, k in boxes]
 
 
 # Runs in a fresh interpreter: argv[1] is the src directory, argv[2] the
