@@ -147,6 +147,7 @@ def _check_writable(path) -> None:
 
 
 def _cmd_spectrum(cfg: dict) -> int:
+    _check_writable(cfg["out"])
     box = BoxParams(sigma=cfg["sigma"], L=cfg["L"])
     table = build_spectrum(box, cfg["k_max"])
     echo = {k: cfg[k] for k in ("sigma", "L", "k_max")}
@@ -165,6 +166,7 @@ def _parse_target(item) -> tuple[int, int]:
 
 
 def _cmd_oracle(cfg: dict) -> int:
+    _check_writable(cfg["out"])
     box = BoxParams(sigma=cfg["sigma"], L=cfg["L"])
     model = ModelParams(box=box, beta=cfg["beta"], mu=cfg["mu"], lam=cfg["lam"])
     table = build_spectrum(box, cfg["k_top"])

@@ -102,33 +102,8 @@ vectorised test over the half grid, `_mirror_rows`), and is formatted
 itself otherwise, so the bytes never depend on the shortcut.  The x > 0
 half comes last in the file, so its text waits in a spooled temporary
 file: in memory up to `_SPOOL_BYTES`, on disk past that.  It works in
-bytes from the kernel to the file.
-
-Its rows are the bytes of CPython's `'%.17g' % v`, made by a numpy
-kernel (`_format_pass`).  For a finite v != 0 with X = floor(log10 |v|),
-the scaled value S = |v| 10^(16 - X) lies in [1e16, 1e17) when X is the
-decimal exponent, and the 17 digits are S rounded to nearest.  A table
-built on first use from Python integers holds 10^(16 - X) as
-(hi + lo) 2^e with hi in [1/2, 1], to 2^-108 absolute.  u = |v| 2^e is
-exact, subnormal v included; Dekker's product (hi split by Veltkamp)
-gives u hi = p + r exactly, and r += u lo.  With S < 2^57 and u <= 2S
-this leaves |p + r - S| < 2^-47, and the digits are p + floor(r), plus
-one where frac(r) > 1/2.  A cell goes to `'%'` instead (`_printf`) where
-that rounding is not certified: v is inf or nan, p + r lies outside
-[1e16, 1e17) (log10 is off by one next to a power of ten) or rounds up
-to 1e17, or frac(r) is within `_TIE_MARGIN` = 2^-36 (2^11 times the
-bound) of 1/2, which covers the exact ties that `'%'` breaks to even.
-On the benchmark decks no cell does.  The text is laid out in 48-byte
-slots of six little-endian words: the sign and the "0.000" prefix of
-1e-4 <= |v| < 1; the 17 digits in the even bytes of four words (a
-4-digit lookup per word) with '.' in every odd byte, masked to the
-digits kept (trailing zeros dropped, those before the point kept) and
-to the one point; then "e+XX" or "e-XXX" and the separator.  Every
-unused byte is zero, and one `bytes.translate` drops them.  One block of
-`_ROWS_PER_PASS` rows is one pass: ~25 work arrays
-of 32 kB and 192 kB of slots, ~0.65 MB at its peak (tracemalloc).  That
-keeps the arrays in cache and below malloc's mmap threshold; 4096-row
-passes took ~60 % longer, most of it in page faults on fresh memory.
+bytes from the `%.17g` kernel of `csvio`, which formats every CSV
+robinbec writes, to the file.
 
 `localization_radius` quantifies the surface character of the wall-mode
 density: the smallest distance d from a wall such that the windows within
@@ -139,7 +114,6 @@ number grows linearly in L.
 
 from __future__ import annotations
 
-import functools
 import math
 import tempfile
 from dataclasses import dataclass
@@ -147,6 +121,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import csvio
 from .errors import ValidationError
 from .spectrum import SpectrumTable, eigenfunction_eval
 from .thermo import CutoffTooSmall, ThermoInput, ThermoState, certified_density_tail, suggest_k_max
@@ -161,7 +136,6 @@ _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 _CHUNK = 128
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
 _EPS = 2.0 ** -52  # ulp(1.0); the slope bound B may reach _EPS W, one ulp of W
-_ROWS_PER_PASS = 1024  # CSV rows per kernel pass; see the docstring
 _SPOOL_BYTES = 2 ** 20  # the CSV's x > 0 half waits in memory up to this size, then on disk
 # largest grid: `density_profile` peaks at ~48 bytes per point, 32 of them
 # its four output columns (48.4 and 48.0 at grid_n = 2^17 + 1 and 10^6,
@@ -444,188 +418,6 @@ def localization_radius(profile: Profile, fraction: float) -> float:
     return float(min(max(x[-1] - t, 0.0), half))
 
 
-_X_MIN, _X_MAX = -324, 308  # decimal exponents of doubles
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
-_TIE_MARGIN = 2.0 ** -36  # fractional parts this close to 1/2 go to `_printf`
-_WORDS = 6  # little-endian words in the 48-byte text slot of a cell
-_U64 = np.dtype("<u8")
-
-
-class _Tables(NamedTuple):
-    """Lookup tables of the `%.17g` kernel; see the module docstring."""
-
-    pow_hi: np.ndarray  # 10^(16 - X) = (pow_hi + pow_lo) 2^pow_shift, by X - _X_MIN
-    pow_hi_hi: np.ndarray  # pow_hi split into two 26-bit halves
-    pow_hi_lo: np.ndarray
-    pow_lo: np.ndarray
-    pow_shift: np.ndarray
-    exp_word: np.ndarray  # "e+XX" / "e-XXX" in bytes 0-4, or 0 for fixed notation
-    prefix_word: np.ndarray  # "0." and the zeros of 1e-4 <= |v| < 1 in bytes 1-5
-    int_digits: np.ndarray  # digits that fixed notation keeps before the point
-    dot_after: np.ndarray  # the point follows digit dot_after - 1 (0: no point there)
-    lead_word: np.ndarray  # by 2 d0 + point: d0 in byte 6 and the point in byte 7
-    digit_word: np.ndarray  # by a 4-digit group: digits in the even bytes, '.' in the odd
-    sig: tuple  # by group w = 1..4: significant digits up to its last nonzero one
-    masks: tuple  # by group w = 1..4, by 18 kept + point: the bytes that stay
-
-
-def _word(text: str, at: int = 0) -> int:
-    """`text` as the bytes at..at + len - 1 of a little-endian word."""
-    return int.from_bytes(text.encode("ascii"), "little") << 8 * at
-
-
-@functools.cache
-def _tables() -> _Tables:
-    """The kernel's tables, built on first use from Python integers (~3 ms)."""
-    hi, lo, shift = [], [], []
-    tens = [1]
-    while len(tens) <= max(16 - _X_MIN, _X_MAX - 16):
-        tens.append(10 * tens[-1])
-    for X in range(_X_MIN, _X_MAX + 1):
-        num, den = (tens[16 - X], 1) if X <= 16 else (1, tens[X - 16])
-        e = num.bit_length() - den.bit_length()
-        if (num >= den << e) if e >= 0 else (num << -e >= den):
-            e += 1  # now 2^(e-1) <= num / den < 2^e
-        top, bottom = num << max(0, 53 - e), den << max(0, e - 53)
-        q = (2 * top + bottom) // (2 * bottom)  # num / den 2^(53 - e), rounded
-        hi.append(q / 2.0 ** 53)
-        lo.append((top - q * bottom) / (bottom << 53))  # int / int rounds correctly
-        shift.append(e)
-    pow_hi = np.array(hi)
-    c = _SPLIT * pow_hi
-    pow_hi_hi = c - (c - pow_hi)
-    X = np.arange(_X_MIN, _X_MAX + 1)
-    fixed = (X >= -4) & (X <= 16)
-    exp_word = [0 if f else _word("e%+03d" % x) for x, f in zip(X.tolist(), fixed.tolist())]
-    prefix = [_word("0." + "0" * (-x - 1), 1) if -4 <= x < 0 else 0 for x in X.tolist()]
-    groups = np.arange(10000)
-    digits = [groups // 10 ** (3 - i) % 10 for i in range(4)]
-    last = np.zeros(10000, np.uint8)  # last nonzero digit of a group, 1..4, or 0
-    for i, d in enumerate(digits):
-        last[d != 0] = i + 1
-    # group w holds digits 4w - 3..4w in its even bytes; it keeps those
-    # below `kept` and, if the point follows one of them (digit at - 1),
-    # that digit's odd byte
-    kept, at = np.arange(18)[:, None], np.arange(18)[None, :]
-    even = np.array([0, 0xFF, 0xFF00FF, 0xFF00FF00FF, 0xFF00FF00FF00FF], _U64)
-    odd = np.array([0xFF << 16 * r + 8 for r in range(4)] + [0], _U64)
-    masks = tuple((even[np.clip(kept - 4 * w + 3, 0, 4)]
-                   | odd[np.where((at >= 4 * w - 2) & (at <= 4 * w + 1), at - 4 * w + 2, 4)]
-                   ).ravel() for w in range(1, 5))
-    return _Tables(
-        pow_hi=pow_hi, pow_hi_hi=pow_hi_hi, pow_hi_lo=pow_hi - pow_hi_hi,
-        pow_lo=np.array(lo), pow_shift=np.array(shift, np.int32),
-        exp_word=np.array(exp_word, _U64), prefix_word=np.array(prefix, _U64),
-        int_digits=np.where(fixed & (X >= 0), X + 1, 0).astype(np.uint8),
-        dot_after=np.where(fixed, np.maximum(X + 1, 0), 1).astype(np.uint8),
-        lead_word=np.array([_word(str(d) + "." * dot, 6) for d in range(10) for dot in (0, 1)],
-                           _U64),
-        digit_word=sum((d + 48).astype(_U64) << np.uint64(16 * i) for i, d in enumerate(digits))
-        | np.uint64(_word(".", 1) * 0x0001000100010001),
-        sig=tuple(np.where(last > 0, last + (4 * w - 3), 0).astype(np.uint8) for w in range(1, 5)),
-        masks=masks,
-    )
-
-
-def _printf(value: float) -> bytes:
-    """One cell the vector kernel does not certify, formatted by CPython."""
-    return b"%.17g" % value
-
-
-def _round17(a: np.ndarray):
-    """(digits, xi, ok) for finite a > 0: `digits` (int64) holds the 17
-    significant digits of each a rounded to nearest, a ~ digits 10^(X - 16)
-    with X = xi + _X_MIN, and `ok` is False where that rounding is not
-    certified (see the module docstring)."""
-    t = _tables()
-    xi = np.log10(a)
-    np.floor(xi, out=xi)
-    xi = xi.astype(np.intp)
-    xi -= _X_MIN
-    # S = a 10^(16 - X) = u (pow_hi + pow_lo) with u = a 2^pow_shift exact;
-    # p + r = u pow_hi exactly by Dekker's product, then r += u pow_lo
-    u = np.ldexp(a, t.pow_shift.take(xi))
-    p = u * t.pow_hi.take(xi)
-    c = _SPLIT * u
-    u_hi = c - (c - u)
-    u_lo = u - u_hi
-    hi_hi, hi_lo = t.pow_hi_hi.take(xi), t.pow_hi_lo.take(xi)
-    r = u_hi * hi_hi
-    r -= p
-    r += u_hi * hi_lo
-    r += u_lo * hi_hi
-    r += u_lo * hi_lo
-    r += u * t.pow_lo.take(xi)
-    ok = (p - 1e16) + r >= 0.0  # S in [1e16, 1e17): 17 digits at this X
-    ok &= (p - 1e17) + r < 0.0
-    floor_r = np.floor(r)
-    r -= floor_r
-    ok &= np.abs(r - 0.5) >= _TIE_MARGIN
-    digits = p.astype(np.int64)
-    digits += floor_r.astype(np.int64)
-    digits += r > 0.5
-    ok &= digits < 10 ** 17  # not rounded up into an 18th digit
-    return digits, xi, ok
-
-
-def _cell_words(digits: np.ndarray, xi: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The text slots, (n, `_WORDS`) words, of the cells `digits`
-    10^(X - 16) (`_round17`; digits = 0 for a zero) and their signs, with
-    zero bytes in every unused place and no separator."""
-    t = _tables()
-    upper = digits // 10 ** 8
-    lower = digits - upper * 10 ** 8
-    d0 = upper // 10 ** 8
-    upper -= d0 * 10 ** 8
-    g1 = upper // 10 ** 4
-    g3 = lower // 10 ** 4
-    groups = (g1, upper - g1 * 10 ** 4, g3, lower - g3 * 10 ** 4)
-    kept = (d0 != 0).view(np.uint8)  # significant digits; a zero keeps none
-    for sig, g in zip(t.sig, groups):
-        np.maximum(kept, sig.take(g), out=kept)
-    np.maximum(kept, t.int_digits.take(xi), out=kept)
-    at = t.dot_after.take(xi)
-    at *= kept > at  # no point before nothing
-    words = np.empty((len(digits), _WORDS), _U64)
-    w0 = t.prefix_word.take(xi)
-    w0 |= t.lead_word.take(2 * d0 + (at == 1))
-    w0 |= negative.view(np.uint8) * np.uint64(ord("-"))
-    words[:, 0] = w0
-    mask_index = kept.astype(np.intp)
-    mask_index *= 18
-    mask_index += at
-    for w, (masks, g) in enumerate(zip(t.masks, groups), 1):
-        word = t.digit_word.take(g)
-        word &= masks.take(mask_index)
-        words[:, w] = word
-    words[:, 5] = t.exp_word.take(xi)
-    return words
-
-
-def _format_pass(block: np.ndarray) -> bytes:
-    """The C-contiguous (rows, columns) `block` as `%.17g` CSV lines, each
-    ending in a newline; see the module docstring for the method."""
-    v = block.ravel()
-    a = np.abs(v)
-    zero = a == 0.0
-    special = ~np.isfinite(a)
-    a[zero | special] = 1.0
-    digits, xi, ok = _round17(a)
-    ok &= ~special
-    digits[zero | ~ok] = 0  # `_printf` fills the cells not ok
-    words = _cell_words(digits, xi, np.signbit(v))
-    del digits, xi, a
-    cells = words.reshape(block.shape + (_WORDS,))
-    cells[:, :-1, 5] |= np.uint64(ord(",") << 40)
-    cells[:, -1, 5] |= np.uint64(ord("\n") << 40)
-    for i in np.flatnonzero(~ok).tolist():
-        words[i, :5] = np.frombuffer(_printf(float(v[i])).ljust(40, b"\0"), _U64)
-        words[i, 5] &= np.uint64(0xFF << 40)  # the separator only
-    text = words.tobytes()
-    del words, cells
-    return text.translate(None, b"\0")
-
-
 def _mirror_rows(columns, n) -> np.ndarray:
     """Whether row i is row n - 1 - i mirrored, for each i < n // 2: the
     partner's x > 0 and negated, the densities equal bit for bit (-0.0 ==
@@ -644,7 +436,7 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     """CSV rows `x,n_total,n_cond,n_thermal` at 17 significant digits.
 
     Rows j and n-1-j of a mirror-symmetric profile differ only in the sign
-    of x, so each block of `_ROWS_PER_PASS` rows of the x > 0 half is
+    of x, so each block of `csvio.ROWS_PER_PASS` rows of the x > 0 half is
     formatted once, in one kernel pass: where every row of the block it
     mirrors checks out exactly (`_mirror_rows`), its lines, reversed and
     negated, are that block's bytes, and otherwise that block is formatted
@@ -658,27 +450,22 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     if any(len(c) != n for c in columns):
         raise ValidationError("profile columns differ in length")
 
-    def rows(lo, hi):
-        return _format_pass(np.column_stack([c[lo:hi] for c in columns]))
-
     mirrored = _mirror_rows(columns, n)
     sizes = []  # bytes in `upper` of rows [n - hi, n - lo), per block [lo, hi)
     with open(path, "wb") as fh, tempfile.SpooledTemporaryFile(_SPOOL_BYTES) as upper:
-        for line in comment_lines:
-            fh.write(f"# {line}\n".encode())
-        fh.write(b"x,n_total,n_cond,n_thermal\n")
-        for lo in range(0, n // 2, _ROWS_PER_PASS):
-            hi = min(lo + _ROWS_PER_PASS, n // 2)
-            text = rows(n - hi, n - lo)
+        csvio.write_header(fh, comment_lines, "x,n_total,n_cond,n_thermal")
+        for lo in range(0, n // 2, csvio.ROWS_PER_PASS):
+            hi = min(lo + csvio.ROWS_PER_PASS, n // 2)
+            text = csvio.format_rows(columns, n - hi, n - lo)
             sizes.append(upper.write(text))
             if mirrored[lo:hi].all():
                 fh.write(b"-")
                 fh.write(b"\n-".join(text.split(b"\n")[-2::-1]))
                 fh.write(b"\n")
             else:
-                fh.write(rows(lo, hi))
+                fh.write(csvio.format_rows(columns, lo, hi))
         if n % 2:
-            fh.write(rows(n // 2, n // 2 + 1))
+            fh.write(csvio.format_rows(columns, n // 2, n // 2 + 1))
         end = upper.tell()
         for size in reversed(sizes):
             end -= size

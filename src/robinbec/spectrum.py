@@ -92,6 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvio
 from .errors import NumericalFailure, ValidationError
 
 EVEN = "even"
@@ -683,14 +684,16 @@ def bound_state_gap(params: BoxParams) -> float:
 # CSV export
 # ----------------------------------------------------------------------
 
+_SPECTRUM_HEADER = "k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi"
+_PARITY_WORDS = csvio.separator_words(f",{EVEN},", f",{ODD},")  # by k % 2
+
+
 def write_spectrum_csv(table: SpectrumTable, path, comment_lines=()) -> None:
     """CSV rows `k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi`
-    at 17 significant digits; `comment_lines` go first, prefixed with '#'."""
-    with open(path, "w", newline="\n") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write("k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi\n")
-        for k, row in enumerate(zip(table.epsilons, table.wavenumbers, table.residuals,
-                                    table.bracket_lo, table.bracket_hi)):
-            parity = EVEN if k % 2 == 0 else ODD
-            fh.write(f"{k},{parity}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    at 17 significant digits (`csvio`); `comment_lines` go first, prefixed
+    with '#'."""
+    columns = (range(table.k_max + 1), table.epsilons, table.wavenumbers, table.residuals,
+               table.bracket_lo, table.bracket_hi)
+    with open(path, "wb") as fh:
+        csvio.write_header(fh, comment_lines, _SPECTRUM_HEADER)
+        csvio.write_rows(fh, columns, _PARITY_WORDS)

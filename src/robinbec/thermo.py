@@ -106,6 +106,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csvio
 from .errors import NumericalFailure, ValidationError
 from .spectrum import K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, build_spectrum
 
@@ -954,29 +955,20 @@ SWEEP_HEADER = "L,mu,eps0,eps1,occ0_per_L,occ1_per_L,rho_tilde,gap,mu_plus_sigma
 
 
 def write_sweep_csv(states, path, comment_lines=()) -> list[float]:
-    """One row per solved state, ordered as given, 17 significant digits.
+    """One row per solved state, ordered as given, 17 significant digits
+    (`csvio`).
 
     Returns the `gap` column (`equal_distribution_gap` of each state), so a
     caller that also fits it need not evaluate it again.
     """
-    gaps = []
-    with open(path, "w", newline="\n") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write(SWEEP_HEADER + "\n")
-        for st in states:
-            L = st.params.box.L
-            gaps.append(equal_distribution_gap(st))
-            row = (
-                L,
-                st.mu,
-                st.epsilons[0],
-                st.epsilons[1],
-                st.occ[0] / L,
-                st.occ[1] / L,
-                st.rho_tilde,
-                gaps[-1],
-                _scaled_mu_offset(st),
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    gaps, rows = [], []
+    for st in states:
+        L = st.params.box.L
+        gaps.append(equal_distribution_gap(st))
+        rows.append((L, st.mu, st.epsilons[0], st.epsilons[1], st.occ[0] / L, st.occ[1] / L,
+                     st.rho_tilde, gaps[-1], _scaled_mu_offset(st)))
+    table = np.array(rows, dtype=float).reshape(len(rows), len(SWEEP_HEADER.split(",")))
+    with open(path, "wb") as fh:
+        csvio.write_header(fh, comment_lines, SWEEP_HEADER)
+        csvio.write_rows(fh, table.T)
     return gaps

@@ -578,11 +578,15 @@ def test_cli_import_loads_no_scipy():
      "--fit-out", "{tmp}/f.json"],
     ["sweep", "--sigma=-1", "--L-grid", "20:40:linear:3", "--out", "{tmp}/s.csv",
      "--fit-out", "{missing}"],
+    # a spectrum or an oracle table of up to 10^7 modes was built first
+    ["spectrum", "--sigma=-1", "--L", "20", "--k-max", "10000000", "--out", "{missing}"],
+    ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--out", "{missing}"],
 ])
 def test_unwritable_output_is_rejected_before_solving(tmp_path, capsys, monkeypatch, argv):
     # a large sweep used to solve every L-grid point before it learned this
     calls = []
     monkeypatch.setattr(cli, "solve_mu", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "build_spectrum", lambda *a, **k: calls.append(a))
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
     rc = run([a.format(**paths) for a in argv])
     _assert_one_line_rejection(rc, capsys, "cannot write output file", paths["missing"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robinbec import csvio
 from robinbec import profile as profile_module
 from robinbec.errors import ValidationError
 from robinbec.profile import (
@@ -437,13 +438,13 @@ def _formatted_rows(tmp_path, monkeypatch, profile):
     """Write `profile`, check its bytes against the per-row format, and
     return how many rows the writer formatted."""
     counts = []
-    real = profile_module._format_pass
+    real = csvio._format_pass
 
-    def counted(block):
+    def counted(block, *rest):
         counts.append(len(block))
-        return real(block)
+        return real(block, *rest)
 
-    monkeypatch.setattr(profile_module, "_format_pass", counted)
+    monkeypatch.setattr(csvio, "_format_pass", counted)
     path = tmp_path / "prof.csv"
     write_profile_csv(profile, path)
     assert path.read_bytes() == _per_row_csv(profile).encode()
@@ -464,7 +465,7 @@ def condensing_state():
 @pytest.mark.parametrize("grid_n", [4 * 4096 + 1, 4 * 4096 + 2])
 def test_profile_csv_formats_each_mirror_pair_once(tmp_path, monkeypatch, condensing_state,
                                                    grid_n):
-    # blocks of `_ROWS_PER_PASS` rows cross both halves, odd and even grid_n
+    # blocks of `csvio.ROWS_PER_PASS` rows cross both halves, odd and even grid_n
     prof = density_profile(*condensing_state, grid_n)
     assert _formatted_rows(tmp_path, monkeypatch, prof) == grid_n - grid_n // 2
 
@@ -478,7 +479,7 @@ def test_profile_csv_broken_mirror_falls_back_per_block(tmp_path, monkeypatch,
     grid[-3] = np.nextafter(grid[-3], -np.inf)  # mirror of row 2, block [0, 1024)
     broken = Profile(grid=grid, n_total=prof.n_total, n_cond=n_cond,
                      n_thermal=prof.n_thermal)
-    block = profile_module._ROWS_PER_PASS
+    block = csvio.ROWS_PER_PASS
     assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * block
 
 
@@ -510,7 +511,7 @@ def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
     n_cond = x * x
     n_cond[7], n_cond[-8] = -0.0, 0.0
     prof = Profile(grid=x, n_total=x * x, n_cond=n_cond, n_thermal=x * x)
-    block = profile_module._ROWS_PER_PASS  # rows 7 and n - 8 fall in the first block
+    block = csvio.ROWS_PER_PASS  # rows 7 and n - 8 fall in the first block
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2 + block
 
 
@@ -541,7 +542,7 @@ def _printf_rows(values):
 
 def _assert_formats_like_printf(values):
     text, rows = _printf_rows(values)
-    assert profile_module._format_pass(rows) == text
+    assert csvio._format_pass(rows) == text
 
 
 def _double(bits):
@@ -607,8 +608,8 @@ def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_sta
     # that certified nothing would still print the right bytes, slowly
     prof = density_profile(*condensing_state, 4 * 4096 + 1)
     slow = []
-    real = profile_module._printf
-    monkeypatch.setattr(profile_module, "_printf", lambda x: slow.append(x) or real(x))
+    real = csvio._printf
+    monkeypatch.setattr(csvio, "_printf", lambda x: slow.append(x) or real(x))
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path)
     assert path.read_bytes() == _per_row_csv(prof).encode()

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers_fd import (
 from scipy.integrate import quad
 
 import robinbec.spectrum as spectrum
+from robinbec import csvio
 from robinbec.errors import NumericalFailure, ValidationError
 from robinbec.spectrum import (
     EVEN,
@@ -658,3 +660,73 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert int(fields[0]) == 0 and fields[1] == EVEN
     # 17 significant digits round-trip
     assert float(fields[2]) == table.epsilons[0]
+
+
+def _per_row_spectrum_csv(table, comment_lines):
+    """The spectrum CSV as a per-row f-string writer made it."""
+    lines = [f"# {line}\n" for line in comment_lines]
+    lines.append("k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi\n")
+    for k, row in enumerate(zip(table.epsilons, table.wavenumbers, table.residuals,
+                                table.bracket_lo, table.bracket_hi)):
+        parity = "even" if k % 2 == 0 else "odd"
+        lines.append(f"{k},{parity}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def _zero_residuals(table):
+    # the writer reads the derived columns through `_derived`
+    table.__dict__["_derived"] = {**table._derived, "residual": np.zeros(len(table.epsilons))}
+    return table
+
+
+@pytest.mark.parametrize("sigma,L,k_max,edit", [
+    (-1.0, 1.5, 0, None),  # the even wall mode alone, L|sigma| < 2
+    (-1.0, 20.0, 1, None),
+    (-0.5, 1600.0, 2 * 1024 + 1, None),  # both parities at each 1024-row block edge
+    (-1.0, 20.0, 1024 + 5, _zero_residuals),
+])
+def test_spectrum_csv_matches_per_row_format(tmp_path, sigma, L, k_max, edit):
+    table = build_spectrum(BoxParams(sigma=sigma, L=L), k_max)
+    if edit is not None:
+        table = edit(table)
+    comments = ["robinbec 0", f"L = {L!r}"]
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(table, path, comment_lines=comments)
+    assert path.read_bytes() == _per_row_spectrum_csv(table, comments)
+
+
+def test_spectrum_parity_follows_the_largest_k():
+    # k = 9,999,999 < K_MAX_LIMIT: its parity word takes the place of the
+    # ',' after the seven digits of k
+    k = range(10**7)
+    text = csvio.format_rows([k, k], 10**7 - 2, 10**7, spectrum._PARITY_WORDS)
+    assert text == b"9999998,even,9999998\n9999999,odd,9999999\n"
+
+
+def test_spectrum_rows_formatted_by_printf_keep_their_parity(tmp_path, monkeypatch):
+    # a log10 one ulp low sends k = 10, 100 and 1000 to `%`; the parity
+    # word after k survives that path
+    table = build_spectrum(BoxParams(sigma=-1.0, L=20.0), 1100)
+    table.residuals  # the derived columns are taken with the true log10
+    real = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(real(a), -math.inf))
+    slow = []
+    monkeypatch.setattr(csvio, "_printf", lambda x: slow.append(x) or b"%.17g" % x)
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(table, path)
+    assert path.read_bytes() == _per_row_spectrum_csv(table, [])
+    assert {10.0, 100.0, 1000.0} <= set(slow)
+
+
+def test_spectrum_csv_memory_stays_flat(tmp_path):
+    # one block of rows at a time: not the 4.8 MB of the table's six
+    # columns here, nor the 11 MB of its text
+    table = build_spectrum(BoxParams(sigma=-1.0, L=2000.0), 100_000)
+    table.residuals  # the derived columns belong to the table, not the writer
+    tracemalloc.start()
+    try:
+        write_spectrum_csv(table, tmp_path / "spec.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import robinbec.thermo as thermo
 from robinbec.errors import ValidationError
 from robinbec.gibbs_oracle import (
     DiagonalObservable,
@@ -503,6 +504,34 @@ def test_sweep_csv_format(tmp_path):
     row = lines[2].split(",")
     assert len(row) == 9
     assert float(row[0]) == 20.0
+
+
+def _per_row_sweep_csv(states, gaps, comment_lines):
+    """The sweep CSV as a per-row f-string writer made it."""
+    lines = [f"# {line}\n" for line in comment_lines]
+    lines.append("L,mu,eps0,eps1,occ0_per_L,occ1_per_L,rho_tilde,gap,mu_plus_sigma2_times_L\n")
+    for st, gap in zip(states, gaps):
+        L = st.params.box.L
+        row = (L, st.mu, st.epsilons[0], st.epsilons[1], st.occ[0] / L, st.occ[1] / L,
+               st.rho_tilde, gap, thermo._scaled_mu_offset(st))
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def test_sweep_csv_matches_per_row_format(tmp_path, monkeypatch):
+    # an L one ulp above 200, and a gap of exactly 0 next to real ones
+    states = [solve_mu(_input(L=L, rho=rho, lam=lam), model=model)
+              for L, rho, lam, model in ((20.0, 1.0, 0.0, FREE), (200.00000000000003, 3.0, 0.7,
+                                         MEAN_FIELD_SCF), (1600.0, 0.5, 0.0, FREE))]
+    gaps = [equal_distribution_gap(st) for st in states]
+    gaps[1] = 0.0
+    by_state = {id(st): gap for st, gap in zip(states, gaps)}
+    monkeypatch.setattr(thermo, "equal_distribution_gap", lambda st: by_state[id(st)])
+    comments = ["robinbec 0", "model = free"]
+    path = tmp_path / "sweep.csv"
+    assert write_sweep_csv(states, path, comment_lines=comments) == gaps
+    assert path.read_bytes() == _per_row_sweep_csv(states, gaps, comments)
+    assert b",0," in path.read_bytes().splitlines()[4]  # the row of states[1]
 
 
 def test_thermo_input_validation():

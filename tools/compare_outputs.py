@@ -11,7 +11,8 @@ directory, every op of the seeded decks of all benchmark workloads
 of `SPECTRUM_BOXES` at k_max = 2000 and the wall-only spectra
 `WALL_SPECTRA`, through `robinbec.cli.main` with `--out` added as the
 benchmark adds it.  `--tiny` runs the benchmark's tiny decks and the
-`SPECTRUM_BOXES` spectra at k_max = 50.
+`SPECTRUM_BOXES` spectra at k_max = 1100, past the CSV writer's first
+1024-row block.
 
 For each output file, and for each op's stdout with its output paths
 replaced by `OUT`, one line says `identical` or gives the largest
@@ -52,7 +53,7 @@ def _out_name(op) -> str:
 
 
 def spectrum_ops(tiny: bool) -> list[dict]:
-    k_max = "50" if tiny else "2000"
+    k_max = "1100" if tiny else "2000"
     boxes = [(sigma, L, k_max) for sigma, L in SPECTRUM_BOXES] + list(WALL_SPECTRA)
     return [{"kind": "spectrum", "argv": ["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", k]}
             for sigma, L, k in boxes]
