@@ -198,7 +198,9 @@ def _cmd_profile(cfg: dict) -> int:
     inp = _thermo_input(cfg, cfg["L"])
     k_max = profile_cutoff(inp, cfg["k_max"])
     state = solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
-    table = build_spectrum(inp.box, k_max)
+    # k_max = 1 is the continuum path, which reads the wall pair of the
+    # solve's head; a given --k-max is the mode-sum path's cutoff and head
+    table = state.spectrum if k_max in (1, state.spectrum.k_max) else build_spectrum(inp.box, k_max)
     prof = density_profile(table, state, cfg["grid_n"])
     msg = f"wrote {cfg['out']} ({len(prof.grid)} points)"
     if cfg["fraction"] is not None:  # before the write: a rejected run leaves no file
@@ -206,7 +208,7 @@ def _cmd_profile(cfg: dict) -> int:
         msg += f" localization_radius({cfg['fraction']})={d:.17g}"
     echo = {k: cfg[k] for k in ("sigma", "L", "beta", "rho", "model", "grid_n")}
     echo["lambda"] = cfg["lam"]
-    echo["k_max"] = k_max
+    echo["k_max"] = table.k_max
     _write(write_profile_csv, prof, cfg["out"], _echo_lines("profile", echo))
     print(msg)
     return 0
@@ -270,7 +272,7 @@ _THERMO = {
     "lam": _Param(float, 0.0, flag="--lambda"),
     "model": _Param(str, "free", choices=tuple(sorted(_MODEL_ALIASES))),
     "k_max": _Param(int, help="explicit head of the density solve's k >= 2 sum, and the "
-                    "profile's mode cutoff; default auto-certified"),
+                    "profile's mode cutoff where it sums modes; default auto-certified"),
     "cutoff_tol": _Param(float, 1e-10),
 }
 

@@ -242,12 +242,19 @@ def separator_words(*texts: str) -> np.ndarray:
     return np.array([_word(text) for text in texts], _U64)
 
 
+def _floats(column) -> np.ndarray:
+    """A column's rows as doubles; a range by np.arange (exact below 2^53)."""
+    if isinstance(column, range):
+        return np.arange(column.start, column.stop, column.step, dtype=float)
+    return np.asarray(column, dtype=float)
+
+
 def format_rows(columns, lo: int, hi: int, after_first=None) -> bytes:
     """Rows lo..hi - 1 of the equal-length `columns` (arrays, or ranges)
     as CSV lines, in one kernel pass (hi - lo <= `ROWS_PER_PASS`).
     `after_first` holds the words (`separator_words`) that follow column 0
     in place of its ',', row i taking after_first[i % len(after_first)]."""
-    block = np.column_stack([np.asarray(c[lo:hi], dtype=float) for c in columns])
+    block = np.column_stack([_floats(c[lo:hi]) for c in columns])
     if after_first is not None:
         after_first = after_first.take(np.arange(lo, hi) % len(after_first))
     return _format_pass(block, after_first)

@@ -8,92 +8,61 @@ evaluated on the x >= 0 half of the grid and mirrored onto the other
 half; the symmetry then holds to the last bit.
 
 The wall pair is evaluated point by point (`eigenfunction_eval`).  The
-thermal part, with w_k = occ_k exp(2 log_norm_k), is
+thermal part takes one of two paths, chosen from (box, beta, cutoff_tol)
+alone (`continuum_plan`), so before the density solve.
 
-    n_thermal(x) = sum_k w_k cos^2(p_k x)   (even k; sin^2 for odd k)
-                 = W/2 + sum_k v_k cos(2 p_k x),   W = sum_k w_k,
+The continuum path.  With s = |sigma|, y the distance to a wall and
+tan theta_p = s/p, mode k >= 2 is phi_k^2 = 2 cos^2(p_k y + theta_k) /
+(pi k'(p_k)) on the phase map k(p) = (pL + 2 theta_p)/pi, k(p_k) = k.
+Poisson summation over k turns the thermal sum into
 
-with v_k = +w_k/2 for even and -w_k/2 for odd k.  A mode-by-point loop
-costs one cosine per mode and point.  Instead, the H points of the half
-grid are laid out in rows of 2M + 1 (M = ceil(sqrt(2H))), each centred
-on an anchor: x_j = a_i + b_r + delta_j for j = c_i + r, r = -M..M,
-with c_i = i (2M + 1) + M, a_i = x[c_i] and b_{-r} = -b_r.  The last row
-may run past the half grid; its anchor is then x[-1] plus whole steps h,
-and the points past x[-1] are dropped.  Angle addition gives both sides
-of an anchor from one pair of terms,
+    n_thermal(x) = C + F(L/2 - x) + F(L/2 + x) + R,   F(y) = J(y, 1),
+    J(Z, N) = (1/pi) int_0^inf b(p) cos(2pZ + 2N theta_p) dp,
 
-    cos(2p (a +- b)) = cos(2p a) cos(2p b) -+ sin(2p a) sin(2p b),
+with b(p) = bose(beta (p^2 + l)), l = q0^2 + x' (`ThermoState.
+excited_shift`; x' = inf empties every mode) and C = J(0, 0) =
+critical_density(beta, -sqrt(l)): C + F is the half-line Robin continuum
+at each wall, and R = sum_{j >= 1} [2 J(jL, 2j) + J(jL + y_A, 2j + 1) +
+J(jL + y_B, 2j + 1)] the round trips of the interval's reflection series.
+On the line Im p = c, 0 < c < s, |(p + is)/(p - is)| <= rho = (s + c)/(s
+- c) and |b| is at most its real value at l - c^2, so moving the contour
+there gives |J(Z, N)| <= e^{-2cZ} rho^N Q(c) for Z >= 0, with Q(c) =
+critical_density(beta, sqrt(s^2 - c^2)) as l >= s^2 (below the real axis,
+for Z < 0, without rho^N).  Four parts, each at most cutoff_tol/4 in
+absolute density at every mu' <= eps(0), as `certified_density_tail` is,
+make the certificate (each bound at the best height c of `_HEIGHTS`):
 
-so two contractions over the K modes, taken in chunks of `_CHUNK`,
-E = sum_k v_k cos(2p_k a_i) cos(2p_k b_r) and O = the same with sines,
-each (rows x (M + 1)) for r = 0..M, give E - O at a_i + b_r and E + O
-at a_i - b_r: about K H multiply-adds.  Each of the ~sqrt(H/8) anchors
-takes a cosine and a sine per mode.  The offsets are equally spaced, so
-their cosines and sines come from angle addition too: with
-J = ceil(sqrt(M + 1)) and r = j1 J + j0, the offset b_r is the exact sum
-b1[j1] + b0[j0] of the doubles b1[j1] = (j1 J) h and b0[j0] = j0 h, and
+  (a) |R| <= 2 Q (1 + rho) r / (1 - r), r = rho^2 e^{-2cL};
+  (b) F is the trapezoid rule on p_m = m dp, m < nodes: by Poisson
+      summation its error is copies of J at y +- j pi/dp, and the cut at
+      the last node is bounded by the Gaussian tail of b;
+  (c) past the layer width Y, |F| <= rho Q e^{-2cY}: F is dropped there,
+      and n_thermal is C bit for bit;
+  (d) the rounding of the angle, the Horner steps and `critical_density`.
 
-    exp(2i p b_r) = exp(2i p b1[j1]) exp(2i p b0[j0]),
+(b) and (c) aim at the smaller of cutoff_tol/4 and `_ETA` times the
+bulk's scale S = e^{-beta s^2}/(2 sqrt(pi beta)) (not below the smallest
+normal double), which sets dp, the node count and Y.  The path is taken
+where (d) fits and (a) fits in share of S too where S < 1 (R is a
+physical truncation: fitted to cutoff_tol alone, it left n_thermal
+negative at (sigma, beta, L) = (-3, 3, 1)), from L|sigma| ~ 20 to 22 on
+at the default cutoff_tol and beta sigma^2 from 0.01 to 4.5.  F is
+Re sum_m c_m z^m, z = e^{2i dp y}, by Horner over the layer points only;
+y = L/2 - x is exact there (Sterbenz).  Where n_thermal dips below
+C `_DIRECT_BELOW`, ~1/|sigma| from each wall at beta sigma^2 > 3 (the
+low modes' common node), below Horner's absolute rounding, the same nodes
+are summed as the positive sum sum_m (2 dp/pi) b_m cos^2(p_m y + theta_m).
+(Background: H. S. Carslaw and J. C. Jaeger, Conduction of Heat in
+Solids, 2nd ed. 1959; J. D. Bondurant and S. A. Fulling, J. Phys. A 38
+(2005) 1505.)
 
-one complex product (4 multiplies and 2 adds) of two table entries per
-mode and offset, each entry the cosine and sine of the rounded double
-2p b1[j1] or 2p b0[j0].  The product rounds each cosine and sine by a
-few ulp of 1, the size of the error the cosines themselves carry.  That
-is 2 K (rows + ceil((M + 1) / J) + J) ~ 2 K (sqrt(H/8) + 2 (2H)^(1/4))
-sines and cosines in place of a mode-by-point loop's K H, and of the
-2 K (rows + M + 1) ~ 2.8 K sqrt(H) of rows with M = ceil(sqrt(H/2)) and
-every offset taken directly: 124 per mode at H = 10,696 against 294.
-delta_j = (x_j - a_i) - b_r is the ~1 ulp by which the rounded grid
-misses a_i + b_r, taken against the exact b1[j1] + b0[j0] (x_j - a_i is
-rounded once; subtracting b1[j1] and then b0[j0] is exact).  It shifts
-every mode alike, and next to the walls, where p x is largest, ignoring
-it cost up to 2.7e-13 relative; it is added back to first order as
-delta_j dn/dx.  On the flattened points y_j = a_i + b_r, row after row,
-the slope comes from the contracted values o_j themselves:
-(o_{j+1} - o_{j-1}) / 2h inside the half grid and the second-order
-one-sided quotients (-+3 o_j +- 4 o_{j+-1} -+ o_{j+-2}) / 2h at its two
-ends.  For one cosine of angular step t = 2 p h, the central quotient
-misses the derivative by a factor 1 - sin(t)/t <= t^2/6 of its amplitude
-2 p |v|, and the end quotients by
-|(1 - e^{it})(e^{it} - 3) / 2it - 1|, whose Taylor series is bounded
-term by term by (t^2/3) e^{2t}, and which is at most 1 + 4/t; the error
-bound e(t) in `_slope_bound` takes the first below t = 1 and the second
-above, and so bounds the central quotient too.
-Neighbouring points are not exactly h apart: b1 and b0 are rounded, but
-a step within a row, on either side of a_i, is b0[j0 + 1] - b0[j0] or
-(b1[j1 + 1] - b1[j1]) - b0[J - 1], exact differences of nearby doubles,
-and a step across rows, (a_{i+1} - b_M) - (a_i + b_M), is one rounding
-of a_{i+1} - a_i, below 2 ulp of x[-1], followed by exact subtractions;
-mu, the largest step error plus 4 ulp of x[-1], bounds them all.  A
-spacing error mu moves a quotient by at most 3 mu / h times
-sum_k 2 p_k |v_k|.  So
-
-    B = max_j |delta_j| sum_k p_k w_k (e(2 p_k h) + 3 mu / h)
-
-bounds what the quotient changes in n, and wherever B <= 2^-52 W it
-stands in for two more contractions.  The rounding error of the o_j
-reaches n multiplied by about |delta_j| / h <= grid_n 2^-52, at most
-~2e-9 of itself.  Where B is larger (a coarse grid at large L, where
-delta and h are both larger), the slope
-dn/dx = -sum_k 2 p_k v_k sin(2 p_k x) is contracted as the value is,
-sin(2p (a +- b)) = sin(2p a) cos(2p b) +- cos(2p a) sin(2p b) pairing
-the terms the same way.  On the benchmark decks, 40 points per unit
-length, B / W stays below 2.3e-17, about a tenth of 2^-52; the CLI's
-default 2001 points at L = 800, and 512,001 points at L = 12,800
-(sigma = -1, beta = 1, M = 716, J = 27), take the contractions.
-
-The contractions sum terms of size up to w_k, so their rounding error
-is absolute, a few ulp of W (up to 20 measured at K = 4,500).  Where
-n_thermal falls below W * `_DIRECT_BELOW` (near the common node of the
-low modes, about 1/|sigma| from each wall, where it dips ~1e3 below its
-bulk value when beta sigma^2 > 3) that error is no longer small
-relative to n_thermal, and those points are summed mode by mode
-(`_mode_sum`).
-
-The contractions use `np.einsum`, not `@`: `@` goes through BLAS, whose
-blocking and summation order follow its thread count, so the same input
-gave different last bits under OPENBLAS_NUM_THREADS=1 and =2; einsum's
-loops do not depend on it, and the CLI promises byte-identical output.
+The mode-sum path sums occ_k N_k^2 cos^2(p_k y + theta_k) term by term
+(`_mode_sum`, as the dip does) over a table that reaches a certified
+cutoff (`profile_cutoff`); the phase from the nearer wall spares the dip
+p_k's rounding times L/2.  Both paths sum with `np.einsum`, not `@`: `@`
+goes through BLAS, whose summation order follows its thread count, so the
+same input gave different last bits under OPENBLAS_NUM_THREADS=1 and =2;
+the CLI promises byte-identical output.
 
 `write_profile_csv` formats each mirrored pair of rows once: a block of
 the x < 0 half is the reversed, negated lines of its partner block on the
@@ -114,6 +83,7 @@ number grows linearly in L.
 
 from __future__ import annotations
 
+import functools
 import math
 import tempfile
 from dataclasses import dataclass
@@ -123,28 +93,32 @@ import numpy as np
 
 from . import csvio
 from .errors import ValidationError
-from .spectrum import SpectrumTable, eigenfunction_eval
-from .thermo import CutoffTooSmall, ThermoInput, ThermoState, certified_density_tail, suggest_k_max
+from .spectrum import BoxParams, SpectrumTable, eigenfunction_eval
+from .thermo import (
+    CutoffTooSmall, ThermoInput, ThermoState, _gaussian_tail, _occ_free, certified_density_tail,
+    critical_density, suggest_k_max,
+)
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
-# modes per contraction block: at 40 points per unit length up to L = 800
-# a chunk's work arrays are its offset table, <= 128 x 13 x 14 complex
-# (373 kB), the cosines and sines taken from it, 128 x 180 doubles (184 kB)
-# each, and the anchors', 128 x 45 (46 kB); one `_contract` call peaks at
-# 1.3 MB there (tracemalloc)
-_CHUNK = 128
-_DIRECT_BELOW = 1.0 / 64.0  # n_thermal / W below which a point is summed mode by mode
-_EPS = 2.0 ** -52  # ulp(1.0); the slope bound B may reach _EPS W, one ulp of W
+_CHUNK = 128  # modes (or nodes) per block of a term-by-term sum
+_POINTS = 4096  # points per block of a term-by-term sum, and 16 blocks per Horner pass
+_DIRECT_BELOW = 1.0 / 64.0  # n_thermal / C below which a layer point takes the positive sum
+_ETA = 2.0 ** -60  # (b) and (c) aim at this share of the bulk's scale
+_LOG_TINY = math.log(2.0 ** -1022)  # nor below the smallest normal double
+_MAX_NODES = 2 ** 22
+_U = 2.0 ** -53  # unit roundoff
+# the contour heights c / s at which each bound is tried: 1 - 2^-30 serves
+# L|sigma| up to ~1e9, where (a) is far below any cutoff_tol
+_HEIGHTS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
 _SPOOL_BYTES = 2 ** 20  # the CSV's x > 0 half waits in memory up to this size, then on disk
-# largest grid: `density_profile` peaks at ~48 bytes per point, 32 of them
-# its four output columns (48.4 and 48.0 at grid_n = 2^17 + 1 and 10^6,
-# L = 800, and 48.7 at 10^6, L = 12,800, K = 17,915), and `write_profile_csv`
-# at ~5 bytes per row, its mirror test over the half grid, plus
-# `_SPOOL_BYTES` and ~0.65 MB of one block's formatting (2.1 MB at
-# 2^17 + 1 rows, 4.8 MB at 10^6; tracemalloc); the CSV takes ~82 bytes per
-# row on disk, and its x > 0 half as much again in a temporary file while
-# it is written: 0.48 GB, 0.8 GB and 0.4 GB at the limit
+# largest grid: `density_profile` peaks at 48.0 bytes per point, 32 of them
+# its four output columns (tracemalloc, 2^17 + 1 and 10^6 points, L = 800
+# and 12,800, and L = 12 on the mode-sum path); `write_profile_csv` at ~5
+# per row, its mirror test, plus `_SPOOL_BYTES` and ~0.65 MB of one block's
+# formatting (1.9-2.1 MB at 2^17 + 1 rows, 4.8 MB at 10^6); the CSV takes
+# ~82 bytes per row on disk, its x > 0 half as much again in a temporary
+# file while it is written: 0.48, 0.8 and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
 
 
@@ -175,152 +149,160 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _mode_sum(p, w, odd, x):
-    """sum_k w_k phi_k(x)^2 term by term: cos^2(p_k x), or sin^2 for odd k."""
-    out = np.zeros(len(x))
-    for lo in range(0, len(p), _CHUNK):
-        px = np.multiply.outer(p[lo:lo + _CHUNK], x)
-        sine = odd[lo:lo + _CHUNK, None]
-        phi = np.cos(px, out=np.empty_like(px), where=~sine)
-        np.sin(px, out=phi, where=sine)
-        out += np.einsum("k,kj,kj->j", w[lo:lo + _CHUNK], phi, phi)
+def _mode_sum(p, w, theta, y):
+    """sum_k w_k cos^2(p_k y + theta_k) term by term, in blocks of up to
+    `_CHUNK` terms by `_POINTS` points."""
+    out = np.zeros(len(y))
+    for j in range(0, len(y), _POINTS):
+        for lo in range(0, len(p), _CHUNK):
+            k = slice(lo, lo + _CHUNK)
+            phi = np.cos(np.multiply.outer(p[k], y[j:j + _POINTS]) + theta[k, None])
+            out[j:j + _POINTS] += np.einsum("k,kj,kj->j", w[k], phi, phi)
     return out
 
 
-class _Rows(NamedTuple):
-    """The half grid in symmetric rows (`_split`); see the module docstring."""
-
-    a: np.ndarray  # the anchors a_i, one per row
-    b1: np.ndarray  # (j1 J) h, j1 = 0..ceil((M + 1) / J) - 1, each rounded
-    b0: np.ndarray  # j0 h, j0 = 0..J - 1, each rounded
-    M: int  # the offsets are b_r = b1[r // J] + b0[r % J], r = 0..M, unrounded
-    h: float
-    delta: np.ndarray  # x_j - (a_i +- b_r) at each half-grid point
-    mu: float  # bounds the error of every step between neighbouring points
-
-
-def _split(xh) -> _Rows:
-    """The half grid `xh` in rows of 2M + 1 points, M = ceil(sqrt(2H)),
-    row i centred on the anchor a_i = xh[c_i], c_i = i (2M + 1) + M, at
-    the signed offsets -b_M..b_M, with the misses delta_j = (xh[j] - a_i)
-    -+ b_r for j = c_i +- r < len(xh) and a bound mu on the error of every
-    step between neighbouring points a_i +- b_r of that order; see the
-    module docstring."""
-    H = len(xh)
-    M = math.ceil(math.sqrt(2.0 * H))
-    J = math.ceil(math.sqrt(M + 1))
-    width = 2 * M + 1
-    rows = -(-H // width)
-    h = (xh[-1] - xh[0]) / (H - 1)
-    b1, b0 = np.arange(0, M + 1, J) * h, np.arange(J) * h
-    centre = np.arange(rows) * width + M
-    inside = np.minimum(centre, H - 1)
-    a = xh[inside] + (centre - inside) * h  # a centre past the half grid is extrapolated
-    padded = xh[np.minimum(np.arange(rows * width), H - 1)].reshape(rows, width)
-    r = np.arange(M + 1)
-    hi, lo = b1[r // J], b0[r % J]
-    # x - a is one rounding; the two subtractions after it are exact
-    delta = (((padded - a[:, None]) - np.concatenate([-hi[:0:-1], hi]))
-             - np.concatenate([-lo[:0:-1], lo])).ravel()[:H]
-    # the steps within a row, on either side of a_i, are exact sums of
-    # differences of nearby doubles; a step across rows is one rounding of
-    # a_{i+1} - a_i, below 2 ulp of xh[-1], followed by exact subtractions
-    steps = np.concatenate([np.diff(b0) - h, (np.diff(b1) - b0[-1]) - h,
-                            ((np.diff(a) - 2.0 * hi[-1]) - 2.0 * lo[-1]) - h])
-    mu = float(np.max(np.abs(steps))) + 4.0 * _EPS * abs(float(xh[-1]))
-    return _Rows(a, b1, b0, M, h, delta, mu)
-
-
-def _slope_bound(p, u, h, delta, mu):
-    """B / W, from the relative weights u = w / W: how far delta_j times
-    the difference-quotient slope can stray from delta_j dn/dx at any
-    point, as a share of W (module docstring)."""
-    t = 2.0 * p * h
-    near = np.minimum(t, 1.0)
-    e = np.where(t < 1.0, near * near / 3.0 * np.exp(2.0 * near), 1.0 + 4.0 / t)
-    return float(np.max(np.abs(delta))) * float(np.sum(p * u * (e + 3.0 * mu / h)))
-
-
-def _fold(mid, side):
-    """The (rows, 2M + 1) array with mid - side in columns M + r and
-    mid + side in columns M - r, from two (rows, M + 1) arrays whose
-    column r = 0 of `side` is zero."""
-    M = mid.shape[1] - 1
-    out = np.empty((len(mid), 2 * M + 1))
-    np.subtract(mid, side, out=out[:, M:])
-    np.add(mid[:, :0:-1], side[:, :0:-1], out=out[:, :M])
+def _horner(coef, angle):
+    """Re sum_m coef_m e^{i m angle}, by Horner in e^{i angle}."""
+    out = np.empty(len(angle))
+    for j in range(0, len(angle), 16 * _POINTS):
+        a = angle[j:j + 16 * _POINTS]
+        z = np.cos(a) + 1j * np.sin(a)
+        acc = np.full(len(a), coef[-1])
+        for c in coef[-2::-1]:
+            acc *= z
+            acc += c
+        out[j:j + len(a)] = acc.real
     return out
 
 
-def _unit(angle):
-    """exp(i angle), from one cosine and one sine per element."""
-    z = np.empty(angle.shape, complex)
-    np.cos(angle, out=z.real)
-    np.sin(angle, out=z.imag)
-    return z
+class Continuum(NamedTuple):
+    """The trapezoid nodes p_m = m dp (m < nodes) and layer width of the
+    continuum path, and the four parts of its certificate (module
+    docstring); their sum is at most cutoff_tol."""
+
+    dp: float
+    nodes: int
+    layer: float
+    remainder: float  # (a)
+    quadrature: float  # (b)
+    tail: float  # (c)
+    rounding: float  # (d)
+
+    @property
+    def certificate(self) -> float:
+        return self.remainder + self.quadrature + self.tail + self.rounding
 
 
-def _contract(p, v, rows: _Rows, with_slope):
-    """(osc, slope): sum_k v_k cos(2 p_k (a_i + b)) at the signed offsets
-    b = -b_M..b_M as a (len(a), 2M + 1) array by chunked contractions, and
-    its x-derivative the same way if `with_slope` (else None)."""
-    shape = (len(rows.a), rows.M + 1)
-    even, odd = np.zeros(shape), np.zeros(shape)  # E and O: even and odd in b
-    if with_slope:
-        slope_even, slope_odd = np.zeros(shape), np.zeros(shape)
-    # exp(2i p_k b_r) = exp(2i p_k b1[r // J]) exp(2i p_k b0[r % J]), one
-    # complex product (4 multiplies, 2 adds) per mode and offset
-    table = np.empty((min(_CHUNK, len(p)), len(rows.b1), len(rows.b0)), complex)
-    for lo in range(0, len(p), _CHUNK):
-        q = 2.0 * p[lo:lo + _CHUNK, None]
-        vk = v[lo:lo + _CHUNK, None]
-        C, S = np.cos(q * rows.a), np.sin(q * rows.a)
-        z = np.multiply(_unit(q * rows.b1)[:, :, None], _unit(q * rows.b0)[:, None, :],
-                        out=table[:len(q)])
-        z = z.reshape(len(q), -1)[:, :rows.M + 1]
-        c, s = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)  # einsum's fast loop
-        even += np.einsum("ki,kj->ij", vk * C, c)
-        odd += np.einsum("ki,kj->ij", vk * S, s)
-        if with_slope:
-            gk = q * vk
-            slope_even -= np.einsum("ki,kj->ij", gk * S, c)
-            slope_odd += np.einsum("ki,kj->ij", gk * C, s)
-    return _fold(even, odd), (_fold(slope_even, slope_odd) if with_slope else None)
+def _log_q(s, beta, c):
+    """log of a bound on Q(c) = critical_density(beta, sqrt(s^2 - c^2)): its
+    Boltzmann series sum_n e^{-nA}/sqrt(n) <= e^{-A} + sqrt(pi/A) erfc(sqrt(A))
+    at A = beta (s^2 - c^2), over 2 sqrt(pi beta)."""
+    A = beta * (s - c) * (s + c)
+    z = np.sqrt(A)
+    # erfcx(z) = e^{z^2} erfc(z), and its bound 1/(z sqrt(pi)) once erfc underflows
+    erfcx = np.array([math.exp(v * v) * math.erfc(v) if v < 26.0 else 1.0 / (v * math.sqrt(math.pi))
+                      for v in z])
+    return -A - np.log(2.0 * np.sqrt(np.pi * beta)) + np.log1p(np.sqrt(np.pi / A) * erfcx)
 
 
-def _difference_slope(o, h):
-    """The slope of values `o` at spacing h (len(o) >= 3): central
-    differences inside, second-order one-sided ones at both ends."""
-    s = np.empty_like(o)
-    s[1:-1] = o[2:] - o[:-2]
-    s[0] = 4.0 * o[1] - 3.0 * o[0] - o[2]
-    s[-1] = 3.0 * o[-1] - 4.0 * o[-2] + o[-3]
-    s /= 2.0 * h
-    return s
+def continuum_plan(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum | None:
+    """The continuum path's plan at (box, beta, cutoff_tol), or None where
+    its certificate does not fit (module docstring) or the nodes pass
+    `_MAX_NODES`: the mode-sum path."""
+    plan = _continuum(box, beta, cutoff_tol)
+    budget = 0.25 * cutoff_tol
+    scale = math.exp(-beta * box.s * box.s) / (2.0 * math.sqrt(math.pi * beta))
+    fits = all(part <= budget for part in plan[4:]) and plan.nodes <= _MAX_NODES
+    return plan if fits and plan.remainder <= budget * min(1.0, scale) else None
 
 
-def _thermal_half(p, w, odd, xh):
-    """sum_k w_k phi_k(x)^2 on the half grid `xh` (x >= 0, increasing) by
-    anchor/offset contractions; see the module docstring."""
-    H = len(xh)
-    rows = _split(xh)
-    v = np.where(odd, -0.5, 0.5) * w
-    W = float(np.sum(w))
-    contract_slope = W > 0.0 and _slope_bound(p, w / W, rows.h, rows.delta, rows.mu) > _EPS
-    osc, slope = _contract(p, v, rows, contract_slope)
-    o = osc.ravel()[:H]
-    slope = slope.ravel()[:H] if contract_slope else _difference_slope(o, rows.h)
-    n = 0.5 * W + (o + rows.delta * slope)
-    near_node = n < _DIRECT_BELOW * W
-    n[near_node] = _mode_sum(p, w, odd, xh[near_node])
+@functools.lru_cache(maxsize=64)
+def _continuum(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum:
+    """`continuum_plan`'s plan, fit or not: a part is inf or nan where beta
+    or beta s^2 overflows, or where the bounds do not resolve the bulk."""
+    s, L = box.s, box.L
+    # the bulk's scale e^{-beta s^2}/(2 sqrt(pi beta)), the Boltzmann
+    # series' first term at l = s^2
+    log_scale = -beta * s * s - math.log(2.0 * math.sqrt(math.pi * beta))
+    c = s * _HEIGHTS
+    with np.errstate(all="ignore"):
+        rho = (s + c) / (s - c)
+        log_q = _log_q(s, beta, c)
+        log_aim = min(math.log(cutoff_tol) - math.log(4.0), max(math.log(_ETA) + log_scale, _LOG_TINY))
+        # (c): 2 rho Q e^{-2cY}, both walls
+        layer = max(0.0, np.min((np.log(2.0 * rho) + log_q - log_aim) / (2.0 * c)))
+        # (b): the copies of F at both walls and of C, (4 + 2 rho) Q a / (1 - a)
+        # with a = e^{-2c (pi/dp - Y)}, take half the aim, and the cut the rest
+        gap = np.min(np.logaddexp(0.0, np.log(2.0 * (4.0 + 2.0 * rho)) + log_q - log_aim) / (2.0 * c))
+        dp = np.pi / (layer + gap)
+        # the cut at p_max = (nodes - 1) dp, at both walls and in C, below
+        # 3 (1/pi) int_{p_max}^inf b dp
+        nodes, cut = 1, math.inf
+        while not cut <= 0.5 * np.exp(log_aim) and nodes <= _MAX_NODES:
+            nodes = int(1.1 * nodes) + 1
+            cut = 3.0 * _gaussian_tail(s, beta, (nodes - 1) * dp * math.sqrt(beta), (nodes - 1) * dp)
+        log_a = -2.0 * c * (np.pi / dp - layer)
+        log_alias = np.log(4.0 + 2.0 * rho) + log_a - np.log(-np.expm1(log_a)) + log_q
+        quadrature = np.exp(np.min(log_alias)) + cut
+        tail = np.exp(np.min(np.log(2.0 * rho) + log_q - 2.0 * c * layer))
+        # (a): r = rho^2 e^{-2cL}, below 1 at some height once L|sigma| > ~1
+        log_r = 2.0 * np.log(rho) - 2.0 * c * L
+        log_rem = np.log(2.0 * (1.0 + rho)) + log_q + log_r - np.log(-np.expm1(log_r))
+        remainder = np.exp(np.min(np.where(log_r < 0.0, log_rem, np.inf)))
+        # (d): |c_m| <= (dp/pi) b(p_m) at l = s^2 (half at m = 0).  A
+        # Horner step rounds by ~4 ulp of |sum_{k >= m} c_k z^k|, and z^m
+        # carries m times the rounding of z and of its angle 2 dp y <= 2 dp
+        # Y; at the dip, each node's angle and square, and the einsum's
+        # running sum, below C/32; C + F, and critical_density's 1e-14
+        # (plus the rounding of beta l)
+        rounding = math.inf
+        if nodes <= _MAX_NODES:
+            weight = (dp / np.pi) * _occ_free((np.arange(nodes) * dp) ** 2, beta, s * s)
+            weight[0] *= 0.5
+            total = np.sum(weight)
+            moment = np.sum(np.arange(1, nodes + 1) * weight)
+            rounding = (_U * (2.0 * (2.0 * dp * layer + 8.0) * moment + nodes * total / 16.0)
+                        + 2.0 * (1e-14 + 8.0 * _U * max(1.0, beta * s * s)) * total)
+    return Continuum(float(dp), nodes, float(layer), float(remainder), float(quadrature), float(tail),
+                     float(rounding))
+
+
+def _continuum_half(plan: Continuum, state: ThermoState, xh) -> np.ndarray:
+    """n_thermal on the half grid `xh` (x >= 0, increasing) from the
+    half-line continuum at each wall (module docstring)."""
+    s, L = state.params.box.s, state.params.box.L
+    q0 = float(state.spectrum.wavenumbers[0])
+    ell = q0 * q0 + state.excited_shift
+    if ell == math.inf:
+        return np.zeros(len(xh))
+    p = np.arange(plan.nodes) * plan.dp
+    b = _occ_free(p * p, state.params.beta, ell)
+    coef = (plan.dp / math.pi) * b * ((p + 1j * s) / (p - 1j * s))  # e^{2i theta_p}
+    coef[0] *= 0.5
+    bulk = critical_density(state.params.beta, -math.sqrt(ell))
+    n = np.full(len(xh), bulk)
+    near = 0.5 * L - xh <= plan.layer  # a tail of the half grid
+    y = 0.5 * L - xh[near]
+    layer = bulk + _horner(coef, (2.0 * plan.dp) * y)
+    dip = layer < _DIRECT_BELOW * bulk
+    if np.any(dip):
+        layer[dip] = _mode_sum(p[1:], (2.0 * plan.dp / math.pi) * b[1:], np.arctan2(s, p[1:]), y[dip])
+    n[near] = layer
+    far = 0.5 * L + xh <= plan.layer  # the other wall, on short boxes
+    if np.any(far):
+        n[far] += _horner(coef, (2.0 * plan.dp) * (0.5 * L + xh[far]))
     return n
 
 
 def profile_cutoff(params: ThermoInput, k_max: int | None = None) -> int:
-    """The mode cutoff a density profile at `params` sums to: `k_max` if
-    given, else `suggest_k_max`'s.  Raises CutoffTooSmall where
+    """The mode cutoff a density profile at `params` sums to.  On the
+    continuum path (`continuum_plan`) that is 1, the wall pair, whatever
+    `k_max` says (it is the density solve's head alone).  Otherwise it is
+    `k_max` if given, else `suggest_k_max`'s; raises CutoffTooSmall where
     `certified_density_tail` past it exceeds params.cutoff_tol (the density
     solve's own head, `params.k_max`, is usually far shorter)."""
+    if continuum_plan(params.box, params.beta, params.cutoff_tol) is not None:
+        return 1
     if k_max is None:
         k_max = suggest_k_max(params.box, params.beta, params.cutoff_tol)
     tail = certified_density_tail(params.box, params.beta, k_max)
@@ -330,10 +312,12 @@ def profile_cutoff(params: ThermoInput, k_max: int | None = None) -> int:
 
 
 def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) -> Profile:
-    """Mode-sum of occ_k |phi_k|^2 over the modes of `spectrum` on a
-    `grid_n`-point symmetric grid, with the occupations the solved state
-    gives that table (`ThermoState.occupations`).  The table must reach a
-    certified cutoff (`profile_cutoff`).
+    """occ_k |phi_k|^2 on a `grid_n`-point symmetric grid, with the
+    occupations the solved state gives (`ThermoState.occupations`): the
+    wall pair from rows 0 and 1 of `spectrum`, and the k >= 2 modes from
+    the half-line continuum (`continuum_plan`) or, on the mode-sum path,
+    from the modes of `spectrum`, which must then reach a certified cutoff
+    (`profile_cutoff`).
 
     Raises ValidationError where a bound on the density, its value at the
     walls, overflows a float, or where the table is of another box, and
@@ -341,9 +325,9 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValidationError(f"grid_n must be in [64, {_MAX_GRID_N}], got {grid_n}")
     occ = state.occupations(spectrum)
-    profile_cutoff(state.params, spectrum.k_max)
-    K = len(occ)
-    x = _symmetric_grid(state.params.box.L, int(grid_n))
+    params = state.params
+    profile_cutoff(params, spectrum.k_max)
+    x = _symmetric_grid(params.box.L, int(grid_n))
     half = x[len(x) // 2:]
     walls = [eigenfunction_eval(spectrum, k, half) for k in (0, 1)]
     # |phi_0| and |phi_1| peak at the wall half[-1] = L/2, and for k >= 2
@@ -353,16 +337,17 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
     peak += 3.0 * state.rho_tilde
     if not 2.0 * peak < math.inf:
         raise ValidationError(f"the density profile overflows a float near the walls "
-                              f"(rho = {state.params.rho:g}, L = {state.params.box.L:g})")
+                              f"(rho = {params.rho:g}, L = {params.box.L:g})")
     cond = np.zeros_like(half)
     for w, phi in zip(occ, walls):
         cond += w * phi * phi
-    thermal = _thermal_half(
-        spectrum.wavenumbers[2:K],
-        occ[2:] * np.exp(2.0 * spectrum.log_norms[2:K]),
-        np.arange(2, K) % 2 == 1,
-        half,
-    )
+    plan = continuum_plan(params.box, params.beta, params.cutoff_tol)
+    if plan is not None:
+        thermal = _continuum_half(plan, state, half)
+    else:
+        p = spectrum.wavenumbers[2:]
+        thermal = _mode_sum(p, occ[2:] * np.exp(2.0 * spectrum.log_norms[2:]), np.arctan2(params.box.s, p),
+                            0.5 * params.box.L - half)
     n_cond = _mirror(cond, len(x))
     n_thermal = _mirror(thermal, len(x))
     return Profile(

@@ -19,6 +19,7 @@ from robinbec.errors import ValidationError
 from robinbec.profile import (
     EmptyCondensate,
     Profile,
+    continuum_plan,
     density_profile,
     localization_radius,
     profile_cutoff,
@@ -37,14 +38,14 @@ from robinbec.thermo import (
 )
 
 
-def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0):
-    inp = ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam)
+def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0, cutoff_tol=1e-10):
+    inp = ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam, cutoff_tol=cutoff_tol)
     return solve_mu(inp, model=model)
 
 
 def _table(state):
-    # the profile's own table: modes to the certified cutoff, as the CLI
-    # builds it (the state keeps only the solve's head)
+    # the profile's own table, as the CLI builds it: the wall pair on the
+    # continuum path, modes to the certified cutoff on the mode-sum path
     return build_spectrum(state.params.box, profile_cutoff(state.params))
 
 
@@ -94,8 +95,10 @@ def test_profile_invariants_condensing_state():
     mass_fine = profile_mass(prof)
     mass_coarse = profile_mass(coarse)
     extrapolated = (4.0 * mass_fine - mass_coarse) / 3.0
-    occ = st.occupations(table)
-    assert abs(extrapolated - occ.sum()) < 1e-8 * occ.sum()
+    # every mode's occupation: the wall pair and the solve's rho_tilde (head
+    # and certified tail); the continuum path reads no k >= 2 mode
+    total = st.params.box.L * (st.rho_cond_finite + st.rho_tilde)
+    assert abs(extrapolated - total) < 1e-8 * total
 
 
 def test_wall_contrast_grows_with_L():
@@ -139,19 +142,29 @@ def test_localization_radius_empty_condensate():
 
 
 def test_profile_table_must_reach_a_certified_cutoff():
-    # the solve's head (modes 0..2 here) leaves out almost all of the
-    # thermal density: a profile on it is rejected, as is a given cutoff
-    # whose certified tail exceeds cutoff_tol; the default is suggest_k_max's
-    st = _state(L=200.0)
-    assert st.params.k_max == 2
+    # on the mode-sum path (L|sigma| = 12, below the continuum's switch) a
+    # table short of the certified cutoff leaves out thermal density: a
+    # profile on it is rejected, as is a given cutoff whose certified tail
+    # exceeds cutoff_tol; the default is suggest_k_max's
+    st = _state(L=12.0)
+    assert continuum_plan(st.params.box, st.params.beta, st.params.cutoff_tol) is None
+    short = build_spectrum(st.params.box, 10)
     with pytest.raises(CutoffTooSmall, match="certified k_max tail .* exceeds cutoff_tol 1.000e-10"):
-        density_profile(st.spectrum, st, 201)
+        density_profile(short, st, 201)
     with pytest.raises(CutoffTooSmall):
-        profile_cutoff(st.params, 100)
+        profile_cutoff(st.params, 10)
     k_max = profile_cutoff(st.params)
-    assert k_max == suggest_k_max(st.params.box, st.params.beta)
+    assert k_max == suggest_k_max(st.params.box, st.params.beta) > 10
     assert profile_cutoff(st.params, k_max) == k_max
     assert density_profile(build_spectrum(st.params.box, k_max), st, 201).grid.shape == (201,)
+    # on the continuum path the profile reads the wall pair alone, whatever
+    # the table holds past it: the solve's head (modes 0..2 here) will do
+    st = _state(L=200.0)
+    assert st.params.k_max == 2 and profile_cutoff(st.params) == profile_cutoff(st.params, 100) == 1
+    on_head = density_profile(st.spectrum, st, 201)
+    on_pair = density_profile(build_spectrum(st.params.box, 1), st, 201)
+    for a, b in zip((on_head.n_cond, on_head.n_thermal), (on_pair.n_cond, on_pair.n_thermal)):
+        assert np.array_equal(a, b)
 
 
 def test_grid_validation():
@@ -177,7 +190,13 @@ def test_profile_csv(tmp_path):
 
 def _longdouble_columns(table, state, x):
     """(n_cond, n_thermal) at x as a per-mode sum in np.longdouble, from the
-    table's double wavenumbers and log norms."""
+    table's double wavenumbers and log norms.  Mode k >= 2 is taken in the
+    phase of the nearer wall, cos^2(p_k y + theta_k) with y = L/2 - |x| and
+    tan theta_k = |sigma|/p_k, which is cos^2 or sin^2(p_k x) at the exact
+    root: the double p_k misses the root by up to half an ulp, which moves
+    p_k x by up to ~2^-53 p_k L/2 but p_k y + theta_k by ~2^-53 p_k y, and
+    at the node dip next to the walls the first cost the reference 4.6e-13
+    relative at (sigma, beta, L) = (-1.5, 2, 800)."""
     ld = np.longdouble
     ax = np.abs(x).astype(ld)
     occ = state.occupations(table)
@@ -187,230 +206,90 @@ def _longdouble_columns(table, state, x):
             u = ld(table.wavenumbers[k]) * ax
             log_phi = ld(table.log_norms[k]) + u + np.log1p(sign * np.exp(-2 * u)) - np.log(ld(2))
             n_cond += ld(occ[k]) * np.exp(2 * log_phi)
+    s, y = ld(table.params.s), ld(table.params.L) / 2 - ax
     n_thermal = np.zeros_like(ax)
     for k in range(2, len(occ)):
-        px = ld(table.wavenumbers[k]) * ax
-        phi = np.cos(px) if k % 2 == 0 else np.sin(px)
+        p = ld(table.wavenumbers[k])
+        phi = np.cos(p * y + np.arctan(s / p))
         n_thermal += ld(occ[k]) * np.exp(2 * ld(table.log_norms[k])) * phi * phi
     return n_cond, n_thermal
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="np.longdouble is plain double here")
-@pytest.mark.parametrize("sigma,beta,L,grid_n", [
-    (-1.4, 1.9, 220.0, 8801),
-    (-0.55, 1.0, 800.0, 32000),
-    (-1.5, 2.0, 200.0, 8000),
-    (-1.0, 1.2, 400.0, 16001),
-    (-0.7, 1.5, 60.0, 2401),
-    (-1.5, 2.0, 800.0, 32001),  # L|sigma| = 1200: wall-pair exponents near 600
-    (-0.5, 1.0, 800.0, 2001),  # h = 0.4: the slope is contracted, not differenced
+@pytest.mark.parametrize("sigma,beta,L,grid_n,lam,cutoff_tol", [
+    pytest.param(-1.4, 1.9, 220.0, 8801, 0.0, 1e-10, id="-1.4-1.9-220.0-8801"),
+    pytest.param(-0.55, 1.0, 800.0, 32000, 0.0, 1e-10, id="-0.55-1.0-800.0-32000"),
+    pytest.param(-1.5, 2.0, 200.0, 8000, 0.0, 1e-10, id="-1.5-2.0-200.0-8000"),
+    pytest.param(-1.0, 1.2, 400.0, 16001, 0.0, 1e-10, id="-1.0-1.2-400.0-16001"),
+    pytest.param(-0.7, 1.5, 60.0, 2401, 0.0, 1e-10, id="-0.7-1.5-60.0-2401"),
+    # L|sigma| = 1200: wall-pair exponents near 600
+    pytest.param(-1.5, 2.0, 800.0, 32001, 0.0, 1e-10, id="-1.5-2.0-800.0-32001"),
+    pytest.param(-0.5, 1.0, 800.0, 2001, 0.0, 1e-10, id="-0.5-1.0-800.0-2001"),
+    pytest.param(-1.0, 1.0, 100.0, 4001, 0.7, 1e-10, id="scf"),
+    # the mode-sum path, with a cutoff_tol whose truncation is below the
+    # bound relative to the thermal density's dip
+    pytest.param(-1.0, 1.0, 12.0, 2001, 0.0, 1e-17, id="mode-sum-path"),
+    pytest.param(-1.0, 1.0, 12.0, 2001, 5.0, 1e-17, id="mode-sum-path-scf"),
 ])
-def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n):
-    # condensing boxes; at beta sigma^2 > 3 the thermal density dips ~1e3
-    # below its bulk value near 1/|sigma| from each wall
-    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
-    table = _table(st)
-    prof = density_profile(table, st, grid_n)
+def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n, lam, cutoff_tol):
+    # condensing boxes, on both paths; at beta sigma^2 > 3 the thermal
+    # density dips ~1e3 below its bulk value near 1/|sigma| from each wall.
+    # The reference sums a table whose certified tail is below 1e-3 of the
+    # bound relative to the smallest thermal density, on the continuum's
+    # wall layers (every point on the mode-sum path) and every 16th point
+    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta, lam=lam,
+                model=MEAN_FIELD_SCF if lam else FREE, cutoff_tol=cutoff_tol)
+    plan = continuum_plan(st.params.box, beta, cutoff_tol)
+    assert (plan is None) == (L * -sigma < 20.0)
+    prof = density_profile(_table(st), st, grid_n)
     for col in (prof.n_total, prof.n_cond, prof.n_thermal):
         assert np.array_equal(col, col[::-1])  # exact mirror symmetry
-    half = slice(grid_n // 2, None)
-    ref_cond, ref_thermal = _longdouble_columns(table, st, prof.grid[half])
+    half = prof.grid[grid_n // 2:]
+    layer = plan.layer if plan is not None else L
+    at = np.flatnonzero((0.5 * L - half <= layer) | (np.arange(len(half)) % 16 == 0))
+    floor = 1e-3 * 2e-13 * float(np.min(prof.n_thermal))
+    reference = build_spectrum(st.params.box, suggest_k_max(st.params.box, beta, floor))
+    ref_cond, ref_thermal = _longdouble_columns(reference, st, half[at])
     for got, ref in ((prof.n_total, ref_cond + ref_thermal),
                      (prof.n_cond, ref_cond),
                      (prof.n_thermal, ref_thermal)):
         normal = ref >= np.finfo(float).tiny  # n_cond underflows mid-box at large L|sigma|
-        rel = np.abs(got[half] - ref)[normal] / ref[normal]
+        rel = np.abs(got[grid_n // 2:][at] - ref)[normal] / ref[normal]
         assert float(np.max(rel)) <= 2e-13
 
 
-@pytest.mark.parametrize("sigma,beta,L,grid_n,per_chunk", [
-    (-1.0, 1.5, 300.0, 12001, 2),  # 40 points per unit length, as on the benchmark decks
-    (-0.5, 1.0, 800.0, 2001, 4),  # h = 0.4: the slope certificate fails
-])
-def test_thermal_sum_contracts_the_slope_only_where_uncertified(monkeypatch, sigma, beta, L,
-                                                                grid_n, per_chunk):
-    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
-    table = _table(st)
-    calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(profile_module.np, "einsum",
-                        lambda spec, *ops: calls.append(spec) or einsum(spec, *ops))
-    density_profile(table, st, grid_n)
-    chunks = -(-(table.k_max - 1) // profile_module._CHUNK)
-    assert chunks >= 2 and calls.count("ki,kj->ij") == per_chunk * chunks
-
-
-def test_thermal_sum_contraction_work_is_half_a_mode_point_product(monkeypatch):
-    # the symmetric rows give both sides of every anchor from one pair of
-    # (rows x (M + 1)) contractions: ~K H/2 multiply-adds each, K H in
-    # all, on the 40-points-per-unit-length box of the test above
-    sigma, beta, L, grid_n = -1.0, 1.5, 300.0, 12001
-    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta)
-    table = _table(st)
-    work = []
-    einsum = np.einsum
-
-    def counted(spec, *ops):
-        if spec == "ki,kj->ij":
-            work.append(ops[0].shape[0] * ops[0].shape[1] * ops[1].shape[1])
-        return einsum(spec, *ops)
-
-    monkeypatch.setattr(profile_module.np, "einsum", counted)
-    density_profile(table, st, grid_n)
-    K, H = table.k_max - 1, grid_n - grid_n // 2
-    assert len(work) == 2 * -(-K // profile_module._CHUNK)
-    assert sum(work) <= 1.1 * K * H
-
-
-@pytest.mark.parametrize("H,grid_n", [(32, 64), (33, 65), (175, 349), (176, 352), (1001, 2001)])
-def test_symmetric_rows_cover_the_half_grid(H, grid_n):
-    # rows of 2M + 1 points centred on the anchors a_i at the offsets
-    # -b_M..b_M, b_r = b1[r // J] + b0[r % J] (M + 1 = 9 and 20 fill the
-    # table of b1 by b0, 10 and 46 do not); the last row of H = 32, 33, 175
-    # and 176 runs past the half grid, the anchor of 175 lies past it, that
-    # of 176 is its last point, and the rows of 1001 fill it exactly
-    L = H / 20.0
-    xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]
-    assert len(xh) == H
-    rows = profile_module._split(xh)
-    a, b1, b0, M, h, delta, mu = rows
-    J, width = len(b0), 2 * M + 1
-    assert M == math.ceil(math.sqrt(2 * H)) and J == math.ceil(math.sqrt(M + 1))
-    assert len(b1) == -(-(M + 1) // J) and (J * len(b1) == M + 1) == (H in (32, 175, 176))
-    assert np.array_equal(b1, np.arange(0, M + 1, J) * h) and np.array_equal(b0, np.arange(J) * h)
-    r = np.arange(M + 1)
-    hi, lo = b1[r // J], b0[r % J]
-    signed_hi, signed_lo = (np.concatenate([-t[:0:-1], t]) for t in (hi, lo))
-    for t in (signed_hi, signed_lo):
-        assert np.array_equal(t, -t[::-1]) and t[M] == 0.0
-    assert len(a) == -(-H // width) and len(delta) == H
-    # every half-grid point is the nearest to its own point a_i +- b_r, and
-    # those points increase along the flattened rows, the padding included
-    ideal = (a[:, None] + (signed_hi + signed_lo)).ravel()
-    assert np.all(np.diff(ideal) > 0.0)
-    assert np.max(np.abs(ideal[:H] - xh)) < 0.5 * h
-    assert (len(ideal) > H) == (H != 1001)
-    assert (a[-1] > xh[-1]) == (H == 175) and (a[-1] == xh[-1]) == (H == 176)
-    ulp = np.spacing(xh[-1])
-    assert np.max(np.abs(delta)) <= 4.0 * ulp
-    # delta against the exact offsets b1 + b0, and the exact steps between
-    # neighbouring points a_i +- b_r
-    offsets = [Fraction(float(u)) + Fraction(float(t)) for u, t in zip(signed_hi, signed_lo)]
-    exact = [Fraction(float(ai)) + o for ai in a for o in offsets][:H]
-    misses = [float(Fraction(float(x)) - y) for x, y in zip(xh, exact)]
-    assert max(abs(m - d) for m, d in zip(misses, delta)) <= 0.5 * ulp
-    steps = [abs(float(y1 - y0 - Fraction(h))) for y0, y1 in zip(exact, exact[1:])]
-    assert max(steps) <= mu <= 16.0 * ulp
-    # the contracted values and slopes at a_i +- b_r against a per-mode
-    # sum in long double, to a few ulp of W and of sum_k 2 p_k |v_k|; the
-    # reference takes the angles 2 p_k a_i, 2 p_k b1 and 2 p_k b0 rounded
-    # as the contraction's tables round them (that rounding, shared by
-    # every cosine of a double argument, is
-    # `test_profile_columns_match_longdouble_mode_sum`'s)
-    rng = np.random.default_rng(H)
-    k = np.arange(2, 302)
-    p = (k - 1 + rng.uniform(0.0, 1.0, len(k))) * np.pi / L
-    w = np.exp(-0.3 * p * p) * rng.uniform(0.1, 1.0, len(k))
-    v = np.where(k % 2, -0.5, 0.5) * w
-    osc, slope = profile_module._contract(p, v, rows, True)
-    assert osc.shape == slope.shape == (len(a), width)
-    ld = np.longdouble
-    q = 2.0 * p[:, None]
-    sign = np.sign(np.arange(-M, M + 1))
-    offset_angle = ((q * b1).astype(ld)[:, np.abs(np.arange(-M, M + 1)) // J]
-                    + (q * b0).astype(ld)[:, np.abs(np.arange(-M, M + 1)) % J]) * sign
-    angle = (q * a).astype(ld)[:, :, None] + offset_angle[:, None, :]
-    ref = np.einsum("k,kij->ij", v.astype(ld), np.cos(angle))
-    ref_slope = -np.einsum("k,kij->ij", (2.0 * p * v).astype(ld), np.sin(angle))
-    ulps = 4.0 * profile_module._EPS
-    assert float(np.max(np.abs(osc - ref))) <= ulps * np.sum(w)
-    assert float(np.max(np.abs(slope - ref_slope))) <= ulps * np.sum(2.0 * p * np.abs(v))
-
-
-def test_slope_certificate_covers_the_difference_quotient():
-    # |delta_j| |difference slope - contracted slope| <= B at every point of
-    # the half grid, both ends included, on random boxes on both sides of
-    # B = 2^-52 W, with the signed offsets of the symmetric rows; a bound
-    # without the one-sided end quotients' t^2/3 fails here at the last point
-    rng = np.random.default_rng(20)
-    sides, grids = [0, 0], set()
-    for _ in range(240):
-        L = 10.0 ** rng.uniform(1.0, 3.6)
-        k = np.arange(2, int(rng.integers(1, 400)) + 2)
-        p = (k - 1 + rng.uniform(0.0, 1.0, len(k))) * np.pi / L
-        w = np.exp(-10.0 ** rng.uniform(-0.5, 0.5) * p * p) * rng.uniform(0.1, 1.0, len(k))
-        grid_n = int(np.clip(10.0 ** rng.uniform(0.0, 2.0) * L, 64, 60000)) + int(rng.integers(2))
-        x = profile_module._symmetric_grid(L, grid_n)
-        xh = x[grid_n // 2:]
-        rows = profile_module._split(xh)
-        u = w / np.sum(w)
-        bound = profile_module._slope_bound(p, u, rows.h, rows.delta, rows.mu) * np.sum(w)
-        osc, slope = profile_module._contract(p, np.where(k % 2, -0.5, 0.5) * w, rows, True)
-        assert osc.shape == (len(rows.a), 2 * rows.M + 1) and osc.size >= len(xh)
-        o, slope = osc.ravel()[:len(xh)], slope.ravel()[:len(xh)]
-        err = np.abs(rows.delta) * np.abs(profile_module._difference_slope(o, rows.h) - slope)
-        assert np.all(err <= bound), (L, len(k), grid_n)
-        ratio = bound / (profile_module._EPS * np.sum(w))
-        sides[bool(ratio > 1.0)] += 1
-        grids.add((grid_n % 2, bool(0.25 <= ratio <= 4.0)))
-    assert min(sides) >= 60
-    assert grids == {(0, False), (0, True), (1, False), (1, True)}
-
-
-def test_contraction_takes_its_offsets_by_angle_addition(monkeypatch):
-    # per chunk of k modes, k rows of anchor angles and k (ceil((M + 1) / J)
-    # + J) offset angles take a cosine and a sine each, not k (M + 1); on
-    # the 40-points-per-unit-length box of the work test below, with the
-    # slope contracted too
-    L, grid_n = 300.0, 12001
-    xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]
-    rows = profile_module._split(xh)
-    J = len(rows.b0)
-    assert J == math.ceil(math.sqrt(rows.M + 1)) and len(rows.b1) == -(-(rows.M + 1) // J)
-    rng = np.random.default_rng(1)
-    K = 2 * profile_module._CHUNK + 77
-    p = (np.arange(1, K + 1) + rng.uniform(0.0, 1.0, K)) * np.pi / L
-    v = np.exp(-0.01 * p * p) * np.where(np.arange(K) % 2, -0.5, 0.5)
-    calls = []
-    for name in ("cos", "sin"):
-        real = getattr(np, name)
-        monkeypatch.setattr(profile_module.np, name, lambda x, *args, real=real, **kw:
-                            calls.append(np.size(x)) or real(x, *args, **kw))
-    profile_module._contract(p, v, rows, True)
-    monkeypatch.undo()
-    per_mode = len(rows.a) + len(rows.b1) + J
-    assert sum(calls) <= 2 * K * per_mode
-    chunks = [min(profile_module._CHUNK, K - lo) for lo in range(0, K, profile_module._CHUNK)]
-    sizes = (len(rows.a), len(rows.b1), J) * 2  # a cosine and a sine of each table
-    assert sorted(calls) == sorted(c * n for c in chunks for n in sizes)
-
-
-def _where_mode_sum(p, w, odd, x):
-    """`_mode_sum` with both functions evaluated and one picked by np.where."""
-    out = np.zeros(len(x))
-    for lo in range(0, len(p), profile_module._CHUNK):
-        px = np.multiply.outer(p[lo:lo + profile_module._CHUNK], x)
-        phi = np.where(odd[lo:lo + profile_module._CHUNK, None], np.sin(px), np.cos(px))
-        out += np.einsum("k,kj,kj->j", w[lo:lo + profile_module._CHUNK], phi, phi)
-    return out
-
-
 def test_mode_sum_takes_one_trig_function_per_mode(monkeypatch):
-    # the points a condensing profile sums mode by mode (beta sigma^2 > 3:
-    # the thermal density dips near its low modes' common node), and a
-    # grid with the parities shuffled
-    st = _state(L=200.0, rho=1.5 * critical_density(2.0, -1.5), sigma=-1.5, beta=2.0)
-    table = _table(st)
-    seen = []
+    # both callers: the node dip of a condensing continuum profile (beta
+    # sigma^2 > 3: the thermal density dips near its low modes' common
+    # node), and the whole half grid of a mode-sum-path profile, more modes
+    # and points than one block; one cosine per term and point, and the
+    # sum of the squares against a long-double sum of the same double angles
+    cases = [(_state(L=200.0, rho=1.5 * critical_density(2.0, -1.5), sigma=-1.5, beta=2.0), 8001),
+             (_state(L=150.0, rho=1.5 * critical_density(1.0, -0.1), sigma=-0.1), 3 * 4096)]
     real = profile_module._mode_sum
-    monkeypatch.setattr(profile_module, "_mode_sum", lambda *args: seen.append(args) or real(*args))
-    density_profile(table, st, 8001)
-    (p, w, odd, x), = seen
-    assert 0 < len(x) < 4000 and len(p) > profile_module._CHUNK
-    shuffled = np.random.default_rng(3).permutation(odd)
-    for parity, points in ((odd, x), (shuffled, np.linspace(0.0, 100.0, 777))):
-        assert np.array_equal(real(p, w, parity, points), _where_mode_sum(p, w, parity, points))
+    for (st, grid_n), dip in zip(cases, (True, False)):
+        seen = []
+        monkeypatch.setattr(profile_module, "_mode_sum", lambda *args: seen.append(args) or real(*args))
+        density_profile(_table(st), st, grid_n)
+        monkeypatch.undo()
+        (p, w, theta, y), = seen
+        if dip:
+            assert 0 < len(y) < 4000 and np.all(y < 2.0 / 1.5)
+        else:
+            assert len(y) == grid_n - grid_n // 2 > profile_module._POINTS
+            assert len(p) > profile_module._CHUNK
+        calls = []
+        for name in ("cos", "sin"):
+            fn = getattr(np, name)
+            monkeypatch.setattr(profile_module.np, name, lambda a, *args, fn=fn, name=name, **kw:
+                                calls.append((name, np.size(a))) or fn(a, *args, **kw))
+        out = real(p, w, theta, y)
+        monkeypatch.undo()
+        assert {name for name, _ in calls} == {"cos"} and sum(n for _, n in calls) == len(p) * len(y)
+        ref = sum(np.longdouble(wk) * np.cos(pk * y + tk).astype(np.longdouble) ** 2
+                  for pk, wk, tk in zip(p, w, theta))
+        assert float(np.max(np.abs(out - ref) / ref)) <= len(p) * 2.0 ** -52
 
 
 def test_profile_csv_matches_per_row_format(tmp_path):
@@ -646,13 +525,14 @@ def test_profile_csv_memory_stays_flat(tmp_path):
 
 
 def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # a profile, and a thermo point whose Newton slope at k_max ~ 34,000
-    # took its last bits from a threaded BLAS dot (occ0 8235.916937552778
-    # under one thread, 8235.91693755278 under two)
+    # a profile on each path, and a thermo point whose Newton slope at k_max
+    # ~ 34,000 took its last bits from a threaded BLAS dot (occ0
+    # 8235.916937552778 under one thread, 8235.91693755278 under two)
     src = str(Path(__file__).resolve().parents[1] / "src")
     cases = [
         ["profile", "--sigma=-1", "--L=200", "--beta=1.5", "--rho=0.6", "--grid-n=8001",
          "--fraction=0.9"],
+        ["profile", "--sigma=-1", "--L=12", "--beta=1.5", "--rho=0.6", "--grid-n=8001"],
         ["thermo", "--model", "scf", "--sigma=-1.0", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
          "--L=8355.2748653427843"],
     ]
@@ -667,3 +547,77 @@ def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             runs.append((proc.stdout.replace(str(out), "OUT"), out.read_bytes()))
         assert runs[0] == runs[1], case[0]
+
+
+@pytest.mark.parametrize("sigma,beta,L,lam", [(-1.5, 2.0, 800.0, 0.0), (-0.5, 1.0, 200.0, 0.0),
+                                              (-1.0, 1.0, 100.0, 0.7)])
+def test_half_line_continuum_matches_mpmath(sigma, beta, L, lam):
+    # C + F(y) = (2/pi) int_0^inf b(p) cos^2(p y + theta_p) dp, the half-line
+    # continuum at one wall, at the wall, in the node dip (y = 0.575 at
+    # sigma = -1.5, beta = 2, where the positive sum is taken), and out to
+    # the layer's edge, against mpmath at the state's own double level l;
+    # Horner's rounding is absolute, a few ulp of the bulk C
+    mpmath = pytest.importorskip("mpmath")
+    st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta, lam=lam,
+                model=MEAN_FIELD_SCF if lam else FREE)
+    plan = continuum_plan(st.params.box, beta, st.params.cutoff_tol)
+    q0 = float(st.spectrum.wavenumbers[0])
+    ell = q0 * q0 + st.excited_shift
+    xh = np.sort(0.5 * L - np.array([0.0, 0.575, 1.0 / -sigma, 3.0, 10.0, plan.layer]))
+    got = profile_module._continuum_half(plan, st, xh)
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    s, b, l = mp.mpf(-sigma), mp.mpf(beta), mp.mpf(ell)
+    for y, n in zip(0.5 * L - xh, got):  # y exact: L/2 - x is (Sterbenz)
+        def f(p, y=mp.mpf(float(y))):
+            return mp.cos(p * y + mp.atan2(s, p)) ** 2 / mp.expm1(b * (p * p + l))
+        ref = float(2 / mp.pi * mp.quad(f, mp.linspace(0, 12 / mp.sqrt(b), 61) + [mp.inf]))
+        assert abs(n - ref) <= 2e-14 * ref + 1e-17 * critical_density(beta, -math.sqrt(ell)), (y, n, ref)
+
+
+def test_continuum_certificate_bounds_the_error():
+    # the continuum's four-part certificate against |continuum - long-double
+    # mode sum| on a table whose certified tail is below 1e-22, from
+    # L|sigma| = 8 to 100, free and SCF, on both sides of the switch to the
+    # continuum path (where the remainder R alone is above cutoff_tol/4)
+    sides = set()
+    for sigma, beta in ((-1.0, 1.0), (-0.5, 2.0)):
+        for Ls in (8.0, 12.0, 16.0, 20.0, 24.0, 30.0, 100.0):
+            for lam in (0.0, 0.7):
+                L = Ls / -sigma
+                st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta, lam=lam,
+                            model=MEAN_FIELD_SCF if lam else FREE)
+                plan = profile_module._continuum(st.params.box, beta, st.params.cutoff_tol)
+                sides.add(continuum_plan(st.params.box, beta, st.params.cutoff_tol) is not None)
+                grid_n = int(20 * L) + 1
+                xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]
+                at = np.flatnonzero((0.5 * L - xh <= plan.layer) | (np.arange(len(xh)) % 8 == 0))
+                got = profile_module._continuum_half(plan, st, xh[at])
+                table = build_spectrum(st.params.box, suggest_k_max(st.params.box, beta, 1e-22))
+                _, ref = _longdouble_columns(table, st, xh[at])
+                assert float(np.max(np.abs(got - ref))) <= plan.certificate, (sigma, beta, Ls, lam)
+    assert sides == {True, False}
+
+
+def test_cli_profile_builds_only_the_head(tmp_path, monkeypatch):
+    # a continuum-path profile builds one table, the density solve's head,
+    # and echoes its k_max; a mode-sum-path profile builds the head and the
+    # certified-cutoff table it sums, and echoes that cutoff, unless a given
+    # --k-max makes the two one table
+    from robinbec import cli, thermo
+
+    head = ThermoInput(box=BoxParams(sigma=-1.0, L=200.0), beta=1.0, rho=1.0, lam=0.0).k_max
+    small = ThermoInput(box=BoxParams(sigma=-1.0, L=12.0), beta=1.0, rho=1.0, lam=0.0)
+    cutoff = suggest_k_max(small.box, 1.0)
+    for L, given, builds in (("200", [], [head]), ("12", [], [small.k_max, cutoff]),
+                             ("12", ["--k-max=40"], [40])):
+        built = []
+        for module in (cli, thermo):
+            real = module.build_spectrum
+            monkeypatch.setattr(module, "build_spectrum",
+                                lambda box, k, real=real: built.append(k) or real(box, k))
+        out = tmp_path / "profile.csv"
+        assert cli.main(["profile", "--sigma=-1", f"--L={L}", "--grid-n=201", *given, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        echo = [line for line in out.read_text().splitlines() if line.startswith("# k_max = ")]
+        assert built == builds and echo == [f"# k_max = {builds[-1]}"]

@@ -703,6 +703,21 @@ def test_spectrum_parity_follows_the_largest_k():
     assert text == b"9999998,even,9999998\n9999999,odd,9999999\n"
 
 
+@pytest.mark.parametrize("k", [range(2 * 1024 + 5), range(10**7 - 1500, 10**7 + 600),
+                               range(10**7 - 3000, 10**7 + 5000, 7)])
+def test_range_column_formats_like_its_floats(k):
+    # a range column takes np.arange, not element-by-element conversion:
+    # the same bytes as its values as a float array, across a block edge
+    # and near k = 10^7
+    import io
+
+    x = np.random.default_rng(len(k)).standard_normal(len(k))
+    as_range, as_floats = io.BytesIO(), io.BytesIO()
+    csvio.write_rows(as_range, [k, x], spectrum._PARITY_WORDS)
+    csvio.write_rows(as_floats, [np.array(list(k), dtype=float), x], spectrum._PARITY_WORDS)
+    assert len(k) > csvio.ROWS_PER_PASS and as_range.getvalue() == as_floats.getvalue()
+
+
 def test_spectrum_rows_formatted_by_printf_keep_their_parity(tmp_path, monkeypatch):
     # a log10 one ulp low sends k = 10, 100 and 1000 to `%`; the parity
     # word after k survives that path

@@ -8,11 +8,12 @@ PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.
 Each tree runs, in its own interpreter with robinbec imported from that
 directory, every op of the seeded decks of all benchmark workloads
 (`bench/workloads.py`, imported and not changed), a spectrum op on each
-of `SPECTRUM_BOXES` at k_max = 2000 and the wall-only spectra
-`WALL_SPECTRA`, through `robinbec.cli.main` with `--out` added as the
-benchmark adds it.  `--tiny` runs the benchmark's tiny decks and the
-`SPECTRUM_BOXES` spectra at k_max = 1100, past the CSV writer's first
-1024-row block.
+of `SPECTRUM_BOXES` at k_max = 2000, the wall-only spectra
+`WALL_SPECTRA` and the mode-sum-path profiles `PROFILE_BOXES`, through
+`robinbec.cli.main` with `--out` added as the benchmark adds it.
+`--tiny` runs the benchmark's tiny decks, the `SPECTRUM_BOXES` spectra at
+k_max = 1100, past the CSV writer's first 1024-row block, and the same
+profiles.
 
 For each output file, and for each op's stdout with its output paths
 replaced by `OUT`, one line says `identical` or gives the largest
@@ -46,6 +47,10 @@ SPECTRUM_BOXES = (("-1.0", "2.000000001"), ("-0.5", "1600.0"), ("-1.0", "12800.0
 # (sigma, L, k_max) of the spectra that hold wall rows only: the even mode
 # alone below the odd-bound-state threshold L*|sigma| = 2, and the pair
 WALL_SPECTRA = (("-1.0", "1.5", "0"), ("-1.0", "2.000000001", "1"), ("-0.5", "1600.0", "1"))
+# (sigma, L) of profiles below the switch to the half-line continuum
+# (L*|sigma| ~ 20 at beta = 1), which sum modes term by term; no deck
+# reaches that path
+PROFILE_BOXES = (("-1.0", "12.0"), ("-0.5", "30.0"))
 
 
 def _out_name(op) -> str:
@@ -57,6 +62,12 @@ def spectrum_ops(tiny: bool) -> list[dict]:
     boxes = [(sigma, L, k_max) for sigma, L in SPECTRUM_BOXES] + list(WALL_SPECTRA)
     return [{"kind": "spectrum", "argv": ["spectrum", f"--sigma={sigma}", "--L", L, "--k-max", k]}
             for sigma, L, k in boxes]
+
+
+def profile_ops() -> list[dict]:
+    return [{"kind": "profile", "argv": ["profile", f"--sigma={sigma}", "--L", L, "--grid-n", "4001",
+                                         "--fraction", "0.9"]}
+            for sigma, L in PROFILE_BOXES]
 
 
 # Runs in a fresh interpreter: argv[1] is the src directory, argv[2] the
@@ -86,6 +97,7 @@ for op in job:
 def all_ops(seeds, tiny):
     """(label, op) for every op compared, in a fixed order."""
     ops = [(f"spectrum op {i}", op) for i, op in enumerate(spectrum_ops(tiny))]
+    ops += [(f"profile op {i}", op) for i, op in enumerate(profile_ops())]
     for workload in WORKLOADS:
         for seed in seeds:
             for i, op in enumerate(make_deck(workload, seed, tiny)):
