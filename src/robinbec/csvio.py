@@ -33,9 +33,24 @@ and the separator in its byte 5.  A value in fixed notation (1e-4 <= |v|
 column 0 may be replaced whole, by up to six bytes.  Every unused byte
 is zero, and one `bytes.translate` drops them.  One block of
 `ROWS_PER_PASS` rows is one pass: ~25 work arrays of 32 kB and 192 kB
-of slots, ~0.65 MB at its peak (tracemalloc, four columns).  That keeps
+of slots, ~0.9 MB at its peak (tracemalloc, four columns).  That keeps
 the arrays in cache and below malloc's mmap threshold; 4096-row passes
 took ~60 % longer, most of it in page faults on fresh memory.
+
+A column that holds one value in every row of a pass may be given as a
+`Constant` instead of an array.  Its text is made once, by the kernel's
+own steps (`_round17`, `_cell_words`, and `_printf` where those do not
+certify it), compacted, followed by its separator (',' or, in the last
+column, a newline) and zero-padded to whole words: "0.25," is one word,
+not six.  A pass then formats the array columns alone, writing their
+words into their slices of one slot array, copies the constant's words
+into its slice of every row, and ends in the same `tobytes` and
+`translate`, which the shorter rows make cheaper too (144 bytes a row,
+not 192, for two array columns and two 17-digit constants; ~0.5 MB at
+the peak).  Making the words costs about one pass's fixed overhead
+(~0.1 ms), so a writer makes each constant once per file and shares it
+by the value's bit pattern: -0.0 == 0.0, but the two print differently,
+and no nan equals itself.
 
 The module needs numpy only, so every writer (`spectrum`, `thermo`,
 `profile`) can import it.
@@ -44,6 +59,7 @@ The module needs numpy only, so every writer (`spectrum`, `thermo`,
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -173,10 +189,12 @@ def _round17(a: np.ndarray):
     return digits, xi, ok
 
 
-def _cell_words(digits: np.ndarray, xi: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The text slots, (n, `_WORDS`) words, of the cells `digits`
-    10^(X - 16) (`_round17`; digits = 0 for a zero) and their signs, with
-    zero bytes in every unused place and no separator."""
+def _cell_words(digits: np.ndarray, xi: np.ndarray, negative: np.ndarray, out) -> None:
+    """The text slots of the cells `digits` 10^(X - 16) (`_round17`;
+    digits = 0 for a zero) and their signs, `_WORDS` words a cell with zero
+    bytes in every unused place and no separator, written into `out`:
+    (rows, `_WORDS`) views that take the cells in turn, cell i being row
+    i // len(out) of out[i % len(out)]."""
     t = _tables()
     upper = digits // 10 ** 8
     lower = digits - upper * 10 ** 8
@@ -191,48 +209,115 @@ def _cell_words(digits: np.ndarray, xi: np.ndarray, negative: np.ndarray) -> np.
     np.maximum(kept, t.int_digits.take(xi), out=kept)
     at = t.dot_after.take(xi)
     at *= kept > at  # no point before nothing
-    words = np.empty((len(digits), _WORDS), _U64)
+
+    def put(w, word):
+        for k, view in enumerate(out):
+            view[:, w] = word[k::len(out)]
+
     w0 = t.prefix_word.take(xi)
     w0 |= t.lead_word.take(2 * d0 + (at == 1))
     w0 |= negative.view(np.uint8) * np.uint64(ord("-"))
-    words[:, 0] = w0
+    put(0, w0)
     mask_index = kept.astype(np.intp)
     mask_index *= 18
     mask_index += at
     for w, (masks, g) in enumerate(zip(t.masks, groups), 1):
         word = t.digit_word.take(g)
         word &= masks.take(mask_index)
-        words[:, w] = word
-    words[:, 5] = t.exp_word.take(xi)
-    return words
+        put(w, word)
+    put(5, t.exp_word.take(xi))
 
 
-def _format_pass(block: np.ndarray, after_first=None) -> bytes:
-    """The C-contiguous (rows, columns) `block` as `%.17g` CSV lines, each
-    ending in a newline; see the module docstring for the method.  Where
-    `after_first` (one word per row) is given, it replaces the ',' after
-    column 0, whose values must then be in fixed notation (an exponent
-    there would be overwritten)."""
-    v = block.ravel()
+def _digits(v: np.ndarray):
+    """`_round17` of the cells `v` (1-D), zeros and non-finite values
+    included: digits = 0 for a zero, and for each cell that is not `ok`,
+    which `_printf` fills (`_fill_cells`)."""
     a = np.abs(v)
     zero = a == 0.0
     special = ~np.isfinite(a)
     a[zero | special] = 1.0
     digits, xi, ok = _round17(a)
     ok &= ~special
-    digits[zero | ~ok] = 0  # `_printf` fills the cells not ok
-    words = _cell_words(digits, xi, np.signbit(v))
-    del digits, xi, a
+    digits[zero | ~ok] = 0
+    return digits, xi, ok
+
+
+def _fill_cells(v: np.ndarray, digits, xi, ok, out) -> None:
+    """The `%.17g` text of the cells `v` (1-D) into `out` (`_cell_words`):
+    from their `_digits` where those are `ok`, by `_printf` elsewhere."""
+    _cell_words(digits, xi, np.signbit(v), out)
     for i in np.flatnonzero(~ok).tolist():
-        words[i, :5] = np.frombuffer(_printf(float(v[i])).ljust(40, b"\0"), _U64)
-        words[i, 5] = 0
-    cells = words.reshape(block.shape + (_WORDS,))
-    cells[:, :-1, 5] |= np.uint64(ord(",") << 40)
-    cells[:, -1, 5] |= np.uint64(ord("\n") << 40)
+        cell = out[i % len(out)][i // len(out)]
+        cell[:5] = np.frombuffer(_printf(float(v[i])).ljust(40, b"\0"), _U64)
+        cell[5] = 0
+
+
+class Constant:
+    """A column that holds one value in every row of a pass: `format_rows`
+    takes it in place of an array and copies its words into each row.  Its
+    text is made here, once, by the kernel (`_fill_cells`), so one object
+    serves every pass of a file; a writer shares it by the value's bit
+    pattern (-0.0 == 0.0, but they print differently)."""
+
+    __slots__ = ("text", "_words")
+
+    def __init__(self, value: float):
+        cell = np.array([value], dtype=float)
+        words = np.empty((1, _WORDS), _U64)
+        _fill_cells(cell, *_digits(cell), [words])
+        self.text = words.tobytes().translate(None, b"\0")
+        size = len(self.text) + 1  # and its separator, zero-padded to whole words
+        self._words = tuple(np.frombuffer((self.text + sep).ljust(-(-size // 8) * 8, b"\0"), _U64)
+                            for sep in (b",", b"\n"))
+
+    def words(self, last: bool) -> np.ndarray:
+        """The cell's words and its separator, a newline in the last column."""
+        return self._words[last]
+
+
+_COMMA = np.uint64(ord(",") << 40)  # a separator in byte 5 of a cell's last word
+_TO_NEWLINE = _COMMA ^ np.uint64(ord("\n") << 40)  # turns that ',' into a newline
+
+
+def _format_pass(block: np.ndarray, after_first=None, layout=None) -> bytes:
+    """The C-contiguous (rows, columns) `block` as `%.17g` CSV lines, each
+    ending in a newline; see the module docstring for the method.  Where
+    `after_first` (one word per row) is given, it replaces the ',' after
+    column 0, whose values must then be in fixed notation (an exponent
+    there would be overwritten).  Where `layout` is given, it holds one
+    entry per column of a line: None for the next column of `block`, or a
+    `Constant`, whose words every row takes (column 0 must then be an
+    array where `after_first` is given)."""
+    rows = len(block)
+    v = block.ravel()
+    found = _digits(v)  # made before the slots, and freed before `tobytes`
+    if layout is None:  # one view of all cells: each word goes in one write
+        slots = np.empty((block.size, _WORDS), _U64)
+        _fill_cells(v, *found, [slots])
+        cells = slots.reshape(block.shape + (_WORDS,))
+        cells[:, :, 5] |= _COMMA
+        cells[:, -1, 5] ^= _TO_NEWLINE
+    else:
+        last = len(layout) - 1
+        words = [None if c is None else c.words(j == last) for j, c in enumerate(layout)]
+        at = list(itertools.accumulate((_WORDS if w is None else len(w) for w in words), initial=0))
+        slots = np.empty((rows, at[-1]), _U64)
+        out = []  # the cells of each block column
+        for j, w in enumerate(words):
+            if w is None:
+                out.append(slots[:, at[j]:at[j + 1]])
+            else:
+                slots[:, at[j]:at[j + 1]] = w
+        _fill_cells(v, *found, out)
+        for cells in out:
+            cells[:, 5] |= _COMMA
+        if words[-1] is None:
+            out[-1][:, 5] ^= _TO_NEWLINE
+    del found
     if after_first is not None:
-        cells[:, 0, 5] = after_first
-    text = words.tobytes()
-    del words, cells
+        slots.reshape(rows, -1)[:, 5] = after_first
+    text = slots.tobytes()
+    del slots
     return text.translate(None, b"\0")
 
 
@@ -250,14 +335,19 @@ def _floats(column) -> np.ndarray:
 
 
 def format_rows(columns, lo: int, hi: int, after_first=None) -> bytes:
-    """Rows lo..hi - 1 of the equal-length `columns` (arrays, or ranges)
-    as CSV lines, in one kernel pass (hi - lo <= `ROWS_PER_PASS`).
+    """Rows lo..hi - 1 of the equal-length `columns` (arrays, or ranges,
+    or a `Constant` that every row holds) as CSV lines, in one kernel pass
+    (hi - lo <= `ROWS_PER_PASS`) over the array columns alone.
     `after_first` holds the words (`separator_words`) that follow column 0
     in place of its ',', row i taking after_first[i % len(after_first)]."""
-    block = np.column_stack([_floats(c[lo:hi]) for c in columns])
+    arrays = [_floats(c[lo:hi]) for c in columns if not isinstance(c, Constant)]
+    block = np.column_stack(arrays)
     if after_first is not None:
         after_first = after_first.take(np.arange(lo, hi) % len(after_first))
-    return _format_pass(block, after_first)
+    layout = None
+    if len(arrays) < len(columns):
+        layout = [c if isinstance(c, Constant) else None for c in columns]
+    return _format_pass(block, after_first, layout)
 
 
 def write_header(fh, comment_lines, header: str) -> None:

@@ -68,11 +68,16 @@ the CLI promises byte-identical output.
 the x < 0 half is the reversed, negated lines of its partner block on the
 x > 0 half wherever every row checks out as its exact mirror (one
 vectorised test over the half grid, `_mirror_rows`), and is formatted
-itself otherwise, so the bytes never depend on the shortcut.  The x > 0
-half comes last in the file, so its text waits in a spooled temporary
-file: in memory up to `_SPOOL_BYTES`, on disk past that.  It works in
-bytes from the `%.17g` kernel of `csvio`, which formats every CSV
-robinbec writes, to the file.
+itself otherwise, so the bytes never depend on the shortcut.  Past the
+wall layers, n_thermal is the bulk C bit for bit, and n_total too where
+n_cond is below half an ulp of it: a block of the x > 0 half passes
+either column as one `csvio.Constant`, made once per file from the
+centre row's value, wherever every row of the block holds the centre
+row's bits (a second vectorised test, `_bulk_blocks`), so that only x and
+n_cond go through the kernel there.  The x > 0 half comes last in the
+file, so its text waits in a spooled temporary file: in memory up to
+`_SPOOL_BYTES`, on disk past that.  It works in bytes from the `%.17g`
+kernel of `csvio`, which formats every CSV robinbec writes, to the file.
 
 `localization_radius` quantifies the surface character of the wall-mode
 density: the smallest distance d from a wall such that the windows within
@@ -114,11 +119,11 @@ _HEIGHTS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0,
 _SPOOL_BYTES = 2 ** 20  # the CSV's x > 0 half waits in memory up to this size, then on disk
 # largest grid: `density_profile` peaks at 48.0 bytes per point, 32 of them
 # its four output columns (tracemalloc, 2^17 + 1 and 10^6 points, L = 800
-# and 12,800, and L = 12 on the mode-sum path); `write_profile_csv` at ~5
-# per row, its mirror test, plus `_SPOOL_BYTES` and ~0.65 MB of one block's
-# formatting (1.9-2.1 MB at 2^17 + 1 rows, 4.8 MB at 10^6); the CSV takes
-# ~82 bytes per row on disk, its x > 0 half as much again in a temporary
-# file while it is written: 0.48, 0.8 and 0.4 GB at the limit
+# and 12,800, and L = 12 on the mode-sum path); `write_profile_csv` at ~4
+# per row, its mirror and bulk tests, plus `_SPOOL_BYTES` and ~0.9 MB of one
+# block's formatting (1.7-2.0 MiB at 2^17 + 1 rows, 4.8 MiB at 10^6); the
+# CSV takes 58-83 bytes per row on disk, its x > 0 half as much again in a
+# temporary file while it is written: 0.48, 0.8 and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
 
 
@@ -417,6 +422,22 @@ def _mirror_rows(columns, n) -> np.ndarray:
     return mirrored
 
 
+def _bulk_blocks(columns, n) -> list:
+    """(i, bits, whole) for n_total and n_thermal (columns 1 and 3): the bit
+    pattern of the centre row n // 2, and for each block [lo, hi) of
+    `write_profile_csv`, whether all its x > 0 rows [n - hi, n - lo) hold it."""
+    half = n // 2
+    if not half:
+        return []
+    starts = np.arange(0, half, csvio.ROWS_PER_PASS)
+    bulk = []
+    for i in (1, 3):
+        centre = columns[i][half:half + 1].view(np.int64)
+        same = columns[i][n - half:][::-1].view(np.int64) == centre  # from the wall inwards
+        bulk.append((i, int(centre[0]), np.logical_and.reduceat(same, starts).tolist()))
+    return bulk
+
+
 def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     """CSV rows `x,n_total,n_cond,n_thermal` at 17 significant digits.
 
@@ -425,9 +446,13 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     formatted once, in one kernel pass: where every row of the block it
     mirrors checks out exactly (`_mirror_rows`), its lines, reversed and
     negated, are that block's bytes, and otherwise that block is formatted
-    itself.  Either way the bytes are those of formatting every row.  The
-    x > 0 half comes last in the file, so its bytes wait in a spooled
-    temporary file: in memory up to `_SPOOL_BYTES`, on disk past that.
+    itself.  In a block of the x > 0 half whose every row holds the bits
+    of the centre row n // 2 in n_total, or in n_thermal (`_bulk_blocks`),
+    that column goes to the kernel as a `csvio.Constant`, one per bit
+    pattern and file; the block edges stay where they are.  Either way
+    the bytes are those of formatting every row.  The x > 0 half comes
+    last in the file, so its bytes wait in a spooled temporary file: in
+    memory up to `_SPOOL_BYTES`, on disk past that.
     """
     columns = [np.asarray(c, dtype=float) for c in
                (profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)]
@@ -436,12 +461,20 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
         raise ValidationError("profile columns differ in length")
 
     mirrored = _mirror_rows(columns, n)
+    bulk = _bulk_blocks(columns, n)
+    constants = {}  # one `csvio.Constant` per bit pattern
     sizes = []  # bytes in `upper` of rows [n - hi, n - lo), per block [lo, hi)
     with open(path, "wb") as fh, tempfile.SpooledTemporaryFile(_SPOOL_BYTES) as upper:
         csvio.write_header(fh, comment_lines, "x,n_total,n_cond,n_thermal")
         for lo in range(0, n // 2, csvio.ROWS_PER_PASS):
             hi = min(lo + csvio.ROWS_PER_PASS, n // 2)
-            text = csvio.format_rows(columns, n - hi, n - lo)
+            block = list(columns)
+            for i, bits, whole in bulk:
+                if whole[lo // csvio.ROWS_PER_PASS]:
+                    if bits not in constants:
+                        constants[bits] = csvio.Constant(columns[i][n // 2])
+                    block[i] = constants[bits]
+            text = csvio.format_rows(block, n - hi, n - lo)
             sizes.append(upper.write(text))
             if mirrored[lo:hi].all():
                 fh.write(b"-")

@@ -313,21 +313,27 @@ def _per_row_csv(profile):
     )
 
 
-def _formatted_rows(tmp_path, monkeypatch, profile):
+def _kernel_blocks(tmp_path, monkeypatch, profile):
     """Write `profile`, check its bytes against the per-row format, and
-    return how many rows the writer formatted."""
-    counts = []
+    return the (rows, columns) of each block the kernel formatted."""
+    shapes = []
     real = csvio._format_pass
 
     def counted(block, *rest):
-        counts.append(len(block))
+        shapes.append(block.shape)
         return real(block, *rest)
 
     monkeypatch.setattr(csvio, "_format_pass", counted)
     path = tmp_path / "prof.csv"
     write_profile_csv(profile, path)
     assert path.read_bytes() == _per_row_csv(profile).encode()
-    return sum(counts)
+    return shapes
+
+
+def _formatted_rows(tmp_path, monkeypatch, profile):
+    """Write `profile`, check its bytes against the per-row format, and
+    return how many rows the writer formatted."""
+    return sum(rows for rows, _ in _kernel_blocks(tmp_path, monkeypatch, profile))
 
 
 def _mirrored_grid(n):
@@ -410,6 +416,79 @@ def test_profile_csv_short_grids(tmp_path, monkeypatch, n):
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2
 
 
+def _bulk_profile(n, start, centre=(1.0 / 3.0, 1.0 / 3.0)):
+    """A mirror-symmetric profile whose n_total and n_thermal hold `centre`
+    on rows start..n - 1 - start, and vary from row to row nearer the walls."""
+    x = _mirrored_grid(n)
+    layer = np.exp(-np.abs(x))
+    n_total, n_thermal = layer + 2.0, layer + 1.0
+    n_total[start:n - start], n_thermal[start:n - start] = centre
+    return Profile(grid=x, n_total=n_total, n_cond=layer * layer, n_thermal=n_thermal)
+
+
+def _counted_constants(monkeypatch):
+    """The `csvio.Constant`s made from here on, in order."""
+    made = []
+
+    class Counted(csvio.Constant):
+        __slots__ = ()
+
+        def __init__(self, value):
+            super().__init__(value)
+            made.append(self)
+
+    monkeypatch.setattr(csvio, "Constant", Counted)
+    return made
+
+
+@pytest.mark.parametrize("n", [2 * 4096 + 1, 2 * 4096 + 2])
+@pytest.mark.parametrize("start", [
+    1500,  # the run starts mid-block [1024, 2048) of the x > 0 half
+    2048,  # at a block edge
+    0,  # the whole grid
+    4093,  # in the innermost block
+])
+def test_profile_csv_formats_constant_blocks_once(tmp_path, monkeypatch, n, start):
+    # blocks of the x > 0 half run from the wall inwards; a block passes
+    # n_total and n_thermal as constants where every row of it holds the
+    # centre row's bits, and all four columns otherwise, as x = 0 does
+    shapes = _kernel_blocks(tmp_path, monkeypatch, _bulk_profile(n, start))
+    half, block = n // 2, csvio.ROWS_PER_PASS
+    whole = half - min(half, -(-start // block) * block)  # rows in whole constant blocks
+    assert sum(rows for rows, _ in shapes) == n - half
+    assert sum(rows for rows, columns in shapes if columns == 2) == whole
+    assert {columns for _, columns in shapes} <= {2, 4}
+
+
+@pytest.mark.parametrize("centre, texts", [
+    ((0.25, 0.25), [b"0.25"]),  # n_total and n_thermal share one constant
+    ((0.0, -0.0), [b"-0", b"0"]),  # -0.0 == 0.0, but they print differently
+])
+def test_profile_csv_makes_one_constant_per_bit_pattern(tmp_path, monkeypatch, centre, texts):
+    made = _counted_constants(monkeypatch)
+    shapes = _kernel_blocks(tmp_path, monkeypatch, _bulk_profile(2 * 4096 + 1, 0, centre))
+    assert sorted(c.text for c in made) == texts
+    assert [columns for _, columns in shapes] == [2] * 4 + [4]
+
+
+def test_profile_csv_constant_blocks_of_a_condensing_state(tmp_path, monkeypatch, condensing_state):
+    # n_thermal is C bit for bit past the wall layers, and so is n_total:
+    # six of the eight blocks of the x > 0 half go through the kernel with
+    # x and n_cond alone
+    grid_n = 4 * 4096 + 1
+    shapes = _kernel_blocks(tmp_path, monkeypatch, density_profile(*condensing_state, grid_n))
+    assert {columns for _, columns in shapes} == {2, 4}
+    assert sum(rows for rows, _ in shapes) == grid_n - grid_n // 2
+    assert sum(rows for rows, columns in shapes if columns == 2) == 6144
+
+
+def test_profile_csv_mode_sum_path_has_no_constant_block(tmp_path, monkeypatch):
+    st = _state(L=12.0, beta=1.0)
+    assert continuum_plan(st.params.box, st.params.beta, st.params.cutoff_tol) is None
+    shapes = _kernel_blocks(tmp_path, monkeypatch, density_profile(_table(st), st, 4 * 4096 + 1))
+    assert {columns for _, columns in shapes} == {4}
+
+
 def _printf_rows(values):
     """`values` as four-column `%.17g` CSV rows (zero-padded to whole rows),
     formatted by CPython, and the (rows, 4) block they came from."""
@@ -480,6 +559,48 @@ def test_format_rows_does_not_trust_log10_to_the_last_bit(monkeypatch, direction
     monkeypatch.setattr(np, "log10", lambda a: np.nextafter(real(a), direction))
     powers = [float(f"1e{k}") for k in range(-323, 309)]
     _assert_formats_like_printf(powers + [math.nextafter(x, 0.0) for x in powers])
+
+
+_NEAR_TIE = 1e15 + 0.25  # 18 digits ending in 5: a tie that `_printf` breaks
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.1, 1.0 / 3.0, 1e16, 1e17, 1e300,
+                                   math.inf, math.nan, _NEAR_TIE])
+@pytest.mark.parametrize("column", [1, 3])  # a middle column, and the last (a newline follows)
+def test_constant_column_formats_like_an_array(monkeypatch, value, column):
+    rng = np.random.default_rng(11)
+    n = csvio.ROWS_PER_PASS + 7
+    columns = list(rng.standard_normal((4, n)) * 10.0 ** rng.integers(-300, 300, (4, n)))
+    columns[2][[3, 1030]] = math.nan, _NEAR_TIE  # cells of an array column that `%` formats
+    repeated = list(columns)
+    repeated[column] = np.full(n, value)
+    lines = [(",".join("%.17g" % v for v in row) + "\n").encode()
+             for row in np.column_stack(repeated).tolist()]
+    slow = []
+    real = csvio._printf
+    monkeypatch.setattr(csvio, "_printf", lambda x: slow.append(x) or real(x))
+    columns[column] = csvio.Constant(value)
+    # the kernel certifies all but inf, nan and the tie, which `%` breaks
+    assert len(slow) == (not math.isfinite(value) or value == _NEAR_TIE)
+    for lo, hi in [(0, n), (5, 6)]:  # whole passes (one crosses the edge), and one row
+        for a in range(lo, hi, csvio.ROWS_PER_PASS):
+            b = min(a + csvio.ROWS_PER_PASS, hi)
+            assert csvio.format_rows(columns, a, b) == b"".join(lines[a:b])
+            assert csvio.format_rows(repeated, a, b) == b"".join(lines[a:b])
+
+
+def test_constant_is_made_without_a_pass(monkeypatch):
+    # the constant's words are made once, outside the pass that copies them
+    # into every row; a pass formats the array columns alone
+    shapes = []
+    real = csvio._format_pass
+    monkeypatch.setattr(csvio, "_format_pass", lambda block, *rest: shapes.append(block.shape)
+                        or real(block, *rest))
+    c = csvio.Constant(-2.5)
+    assert c.text == b"-2.5" and shapes == []
+    x = np.arange(3.0)
+    assert csvio.format_rows([x, c, x, c], 0, 3) == b"0,-2.5,0,-2.5\n1,-2.5,1,-2.5\n2,-2.5,2,-2.5\n"
+    assert shapes == [(3, 2)]
 
 
 def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_state):
