@@ -3,11 +3,12 @@
 The spectrum, sweep and profile CSVs each start with `# ...` comment
 lines and a column-header line (`write_header`), followed by rows whose
 numbers are the bytes of CPython's `'%.17g' % v`.  Every row is made by
-one numpy kernel (`_format_pass`), `ROWS_PER_PASS` rows per pass
-(`format_rows`, and `write_rows` for a whole table).  The spectrum's
-`parity` text column is the one non-number: a pass takes an optional
-word per row that replaces the ',' after column 0 (`",even,"` or
-`",odd,"`).
+one numpy kernel (`_format_pass`), in passes of at most `CELLS_PER_PASS`
+array cells (`format_rows`, and `write_rows` for a whole table, which
+takes `ROWS_PER_PASS` rows a pass, fewer past eight columns).  The
+spectrum's `parity` text column is the one non-number: a pass takes an
+optional word per row that replaces the ',' after column 0 (`",even,"`
+or `",odd,"`).
 
 For a finite v != 0 with X = floor(log10 |v|), the scaled value
 S = |v| 10^(16 - X) lies in [1e16, 1e17) when X is the decimal exponent,
@@ -31,11 +32,12 @@ to the one point; then "e+XX" or "e-XXX" in bytes 0-4 of the last word
 and the separator in its byte 5.  A value in fixed notation (1e-4 <= |v|
 < 1e17, or 0) leaves bytes 0-4 of that word free, so the word after
 column 0 may be replaced whole, by up to six bytes.  Every unused byte
-is zero, and one `bytes.translate` drops them.  One block of
-`ROWS_PER_PASS` rows is one pass: ~25 work arrays of 32 kB and 192 kB
-of slots, ~0.9 MB at its peak (tracemalloc, four columns).  That keeps
-the arrays in cache and below malloc's mmap threshold; 4096-row passes
-took ~60 % longer, most of it in page faults on fresh memory.
+is zero, and one `bytes.translate` drops them.  A pass of `CELLS_PER_PASS`
+= 8192 cells has ~25 work arrays of 64 kB, which keeps them in cache and
+below malloc's mmap threshold (128 kB); 4096-row passes of four columns,
+whose arrays take 128 kB, took ~60 % longer, most of it in page faults on
+fresh memory.  A block of `ROWS_PER_PASS` rows of four columns is one
+pass of 4096 cells: 192 kB of slots, ~0.9 MB at its peak (tracemalloc).
 
 A column that holds one value in every row of a pass may be given as a
 `Constant` instead of an array.  Its text is made once, by the kernel's
@@ -47,7 +49,8 @@ words into their slices of one slot array, copies the constant's words
 into its slice of every row, and ends in the same `tobytes` and
 `translate`, which the shorter rows make cheaper too (144 bytes a row,
 not 192, for two array columns and two 17-digit constants; ~0.5 MB at
-the peak).  Making the words costs about one pass's fixed overhead
+the peak for 1024 rows, ~1.8 MB for the 4096 rows of the profile's
+bulk passes).  Making the words costs about one pass's fixed overhead
 (~0.1 ms), so a writer makes each constant once per file and shares it
 by the value's bit pattern: -0.0 == 0.0, but the two print differently,
 and no nan equals itself.
@@ -64,7 +67,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-ROWS_PER_PASS = 1024  # CSV rows per kernel pass; see the module docstring
+CELLS_PER_PASS = 8192  # array cells per kernel pass at most; see the module docstring
+ROWS_PER_PASS = 1024  # CSV rows per `write_rows` pass, and the profile writer's block
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of doubles
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 _TIE_MARGIN = 2.0 ** -36  # fractional parts this close to 1/2 go to `_printf`
@@ -337,7 +341,8 @@ def _floats(column) -> np.ndarray:
 def format_rows(columns, lo: int, hi: int, after_first=None) -> bytes:
     """Rows lo..hi - 1 of the equal-length `columns` (arrays, or ranges,
     or a `Constant` that every row holds) as CSV lines, in one kernel pass
-    (hi - lo <= `ROWS_PER_PASS`) over the array columns alone.
+    over the array columns alone, whose cells (hi - lo times their number)
+    should stay within `CELLS_PER_PASS`.
     `after_first` holds the words (`separator_words`) that follow column 0
     in place of its ',', row i taking after_first[i % len(after_first)]."""
     arrays = [_floats(c[lo:hi]) for c in columns if not isinstance(c, Constant)]
@@ -360,7 +365,9 @@ def write_header(fh, comment_lines, header: str) -> None:
 
 def write_rows(fh, columns, after_first=None) -> None:
     """Every row of the equal-length `columns` to the binary file `fh`,
-    one kernel pass per `ROWS_PER_PASS` rows (`format_rows`)."""
+    one kernel pass (`format_rows`) per `ROWS_PER_PASS` rows, or fewer where
+    more than eight columns would pass `CELLS_PER_PASS`."""
     n = len(columns[0])
-    for lo in range(0, n, ROWS_PER_PASS):
-        fh.write(format_rows(columns, lo, min(lo + ROWS_PER_PASS, n), after_first))
+    rows = max(1, min(ROWS_PER_PASS, CELLS_PER_PASS // len(columns)))
+    for lo in range(0, n, rows):
+        fh.write(format_rows(columns, lo, min(lo + rows, n), after_first))

@@ -73,11 +73,13 @@ wall layers, n_thermal is the bulk C bit for bit, and n_total too where
 n_cond is below half an ulp of it: a block of the x > 0 half passes
 either column as one `csvio.Constant`, made once per file from the
 centre row's value, wherever every row of the block holds the centre
-row's bits (a second vectorised test, `_bulk_blocks`), so that only x and
-n_cond go through the kernel there.  The x > 0 half comes last in the
-file, so its text waits in a spooled temporary file: in memory up to
-`_SPOOL_BYTES`, on disk past that.  It works in bytes from the `%.17g`
-kernel of `csvio`, which formats every CSV robinbec writes, to the file.
+row's bits (a second vectorised test), and a run of up to `_BULK_BLOCKS`
+mirrored blocks that hold both is one kernel pass of x and n_cond alone
+(`_passes`).  The x > 0 half comes last in the file, so the text of each
+of its passes waits as the kernel returned it: in memory while the texts
+held add up to at most `_SPOOL_BYTES`, and from the first that does not
+fit on, in a temporary file.  It works in bytes from the `%.17g` kernel
+of `csvio`, which formats every CSV robinbec writes, to the file.
 
 `localization_radius` quantifies the surface character of the wall-mode
 density: the smallest distance d from a wall such that the windows within
@@ -88,6 +90,7 @@ number grows linearly in L.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import tempfile
@@ -117,13 +120,15 @@ _U = 2.0 ** -53  # unit roundoff
 # L|sigma| up to ~1e9, where (a) is far below any cutoff_tol
 _HEIGHTS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
 _SPOOL_BYTES = 2 ** 20  # the CSV's x > 0 half waits in memory up to this size, then on disk
+_BULK_BLOCKS = csvio.CELLS_PER_PASS // (2 * csvio.ROWS_PER_PASS)  # per pass of x and n_cond alone
 # largest grid: `density_profile` peaks at 48.0 bytes per point, 32 of them
 # its four output columns (tracemalloc, 2^17 + 1 and 10^6 points, L = 800
 # and 12,800, and L = 12 on the mode-sum path); `write_profile_csv` at ~4
-# per row, its mirror and bulk tests, plus `_SPOOL_BYTES` and ~0.9 MB of one
-# block's formatting (1.7-2.0 MiB at 2^17 + 1 rows, 4.8 MiB at 10^6); the
-# CSV takes 58-83 bytes per row on disk, its x > 0 half as much again in a
-# temporary file while it is written: 0.48, 0.8 and 0.4 GB at the limit
+# per row, its mirror and bulk tests, plus `_SPOOL_BYTES` and up to ~1.8 MB
+# of one pass's formatting, a run of bulk blocks (1.7-3.2 MiB at 2^17 + 1
+# rows, 4.8 MiB at 10^6); the CSV takes 58-83 bytes per row on disk, its
+# x > 0 half as much again in a temporary file while it is written: 0.48,
+# 0.8 and 0.4 GB at the limit
 _MAX_GRID_N = 10_000_000
 
 
@@ -422,37 +427,62 @@ def _mirror_rows(columns, n) -> np.ndarray:
     return mirrored
 
 
-def _bulk_blocks(columns, n) -> list:
-    """(i, bits, whole) for n_total and n_thermal (columns 1 and 3): the bit
-    pattern of the centre row n // 2, and for each block [lo, hi) of
-    `write_profile_csv`, whether all its x > 0 rows [n - hi, n - lo) hold it."""
-    half = n // 2
+def _passes(columns, n):
+    """(lo, hi, layout, mirrored) for each kernel pass of `write_profile_csv`,
+    from the wall inwards: the x > 0 rows [n - hi, n - lo) go through the
+    kernel as the columns `layout`, and `mirrored` says whether every row of
+    [lo, hi) is the exact mirror of its partner (`_mirror_rows`).  A pass is
+    one block of `csvio.ROWS_PER_PASS` rows, in which n_total and n_thermal
+    (columns 1 and 3) are each a `csvio.Constant` of the centre row n // 2
+    where every row of the block holds that row's bits, one per bit pattern
+    and file; or a run of up to `_BULK_BLOCKS` mirrored blocks in which both
+    are, so that x and n_cond alone go through the kernel."""
+    half, size = n // 2, csvio.ROWS_PER_PASS
     if not half:
-        return []
-    starts = np.arange(0, half, csvio.ROWS_PER_PASS)
-    bulk = []
+        return
+    starts = np.arange(0, half, size)
+    mirrored = np.logical_and.reduceat(_mirror_rows(columns, n), starts).tolist()
+    layouts = [list(columns) for _ in starts]
+    bulk = list(mirrored)  # mirrored blocks that hold the centre row's bits in both columns
+    constants = {}
     for i in (1, 3):
         centre = columns[i][half:half + 1].view(np.int64)
+        bits = int(centre[0])
         same = columns[i][n - half:][::-1].view(np.int64) == centre  # from the wall inwards
-        bulk.append((i, int(centre[0]), np.logical_and.reduceat(same, starts).tolist()))
-    return bulk
+        for b, whole in enumerate(np.logical_and.reduceat(same, starts).tolist()):
+            bulk[b] &= whole
+            if whole:
+                if bits not in constants:
+                    constants[bits] = csvio.Constant(columns[i][half])
+                layouts[b][i] = constants[bits]
+    b = 0
+    while b < len(starts):
+        end = b + 1
+        if bulk[b]:
+            while end < min(b + _BULK_BLOCKS, len(starts)) and bulk[end]:
+                end += 1
+        yield b * size, min(end * size, half), layouts[b], mirrored[b]
+        b = end
 
 
 def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     """CSV rows `x,n_total,n_cond,n_thermal` at 17 significant digits.
 
     Rows j and n-1-j of a mirror-symmetric profile differ only in the sign
-    of x, so each block of `csvio.ROWS_PER_PASS` rows of the x > 0 half is
-    formatted once, in one kernel pass: where every row of the block it
-    mirrors checks out exactly (`_mirror_rows`), its lines, reversed and
-    negated, are that block's bytes, and otherwise that block is formatted
-    itself.  In a block of the x > 0 half whose every row holds the bits
-    of the centre row n // 2 in n_total, or in n_thermal (`_bulk_blocks`),
-    that column goes to the kernel as a `csvio.Constant`, one per bit
-    pattern and file; the block edges stay where they are.  Either way
-    the bytes are those of formatting every row.  The x > 0 half comes
-    last in the file, so its bytes wait in a spooled temporary file: in
-    memory up to `_SPOOL_BYTES`, on disk past that.
+    of x, so the x > 0 half is formatted once, a block of
+    `csvio.ROWS_PER_PASS` rows or a run of such blocks per kernel pass
+    (`_passes`): where every row that a block mirrors checks out exactly
+    (`_mirror_rows`), the block's lines, reversed and negated, are their
+    bytes, and otherwise those rows are formatted themselves.  In a block
+    of the x > 0 half whose every row holds the bits of the centre row
+    n // 2 in n_total, or in n_thermal, that column goes to the kernel as a
+    `csvio.Constant`, one per bit pattern and file, and a run of up to
+    `_BULK_BLOCKS` mirrored blocks that hold both is one pass of x and
+    n_cond.  Either way the bytes are those of formatting every row.  The
+    x > 0 half comes last in the file, so each of its texts waits as the
+    kernel returned it: in memory while those held add up to at most
+    `_SPOOL_BYTES`, and from the first that does not fit on, in a
+    temporary file, opened then.
     """
     columns = [np.asarray(c, dtype=float) for c in
                (profile.grid, profile.n_total, profile.n_cond, profile.n_thermal)]
@@ -460,23 +490,20 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
     if any(len(c) != n for c in columns):
         raise ValidationError("profile columns differ in length")
 
-    mirrored = _mirror_rows(columns, n)
-    bulk = _bulk_blocks(columns, n)
-    constants = {}  # one `csvio.Constant` per bit pattern
-    sizes = []  # bytes in `upper` of rows [n - hi, n - lo), per block [lo, hi)
-    with open(path, "wb") as fh, tempfile.SpooledTemporaryFile(_SPOOL_BYTES) as upper:
+    held, room = [], _SPOOL_BYTES  # texts of the x > 0 half in memory, and the bytes left
+    spill, sizes = None, []  # the temporary file of the later texts, and their sizes
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
         csvio.write_header(fh, comment_lines, "x,n_total,n_cond,n_thermal")
-        for lo in range(0, n // 2, csvio.ROWS_PER_PASS):
-            hi = min(lo + csvio.ROWS_PER_PASS, n // 2)
-            block = list(columns)
-            for i, bits, whole in bulk:
-                if whole[lo // csvio.ROWS_PER_PASS]:
-                    if bits not in constants:
-                        constants[bits] = csvio.Constant(columns[i][n // 2])
-                    block[i] = constants[bits]
-            text = csvio.format_rows(block, n - hi, n - lo)
-            sizes.append(upper.write(text))
-            if mirrored[lo:hi].all():
+        for lo, hi, layout, mirrored in _passes(columns, n):
+            text = csvio.format_rows(layout, n - hi, n - lo)
+            if spill is None and len(text) <= room:
+                held.append(text)
+                room -= len(text)
+            else:
+                if spill is None:
+                    spill = stack.enter_context(tempfile.TemporaryFile())
+                sizes.append(spill.write(text))
+            if mirrored:
                 fh.write(b"-")
                 fh.write(b"\n-".join(text.split(b"\n")[-2::-1]))
                 fh.write(b"\n")
@@ -484,8 +511,11 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
                 fh.write(csvio.format_rows(columns, lo, hi))
         if n % 2:
             fh.write(csvio.format_rows(columns, n // 2, n // 2 + 1))
-        end = upper.tell()
-        for size in reversed(sizes):
-            end -= size
-            upper.seek(end)
-            fh.write(upper.read(size))
+        if spill is not None:
+            end = spill.tell()
+            for size in reversed(sizes):
+                end -= size
+                spill.seek(end)
+                fh.write(spill.read(size))
+        for text in reversed(held):
+            fh.write(text)

@@ -1,9 +1,9 @@
+import io
 import math
 import os
 import struct
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -368,25 +368,41 @@ def test_profile_csv_broken_mirror_falls_back_per_block(tmp_path, monkeypatch,
     assert _formatted_rows(tmp_path, monkeypatch, broken) == grid_n - grid_n // 2 + 2 * block
 
 
+def _spill_files(tmp_path, monkeypatch):
+    """The temporary files `write_profile_csv` opens from here on, kept in
+    `tmp_path` so that their sizes can be read after the write."""
+    spills = []
+
+    def spill():
+        spills.append(tmp_path / f"spill{len(spills)}")
+        return open(spills[-1], "w+b")
+
+    monkeypatch.setattr(profile_module.tempfile, "TemporaryFile", spill)
+    return spills
+
+
 def test_profile_csv_upper_half_rolls_to_disk_mid_write(tmp_path, monkeypatch):
-    # past `_SPOOL_BYTES` the x > 0 half moves from memory to a file on
-    # disk; the bytes and the rows formatted do not change
+    # past `_SPOOL_BYTES` the texts of the x > 0 half go to a file on disk,
+    # opened when the first text does not fit; the bytes and the rows
+    # formatted do not change
     n = 2 * 4096 + 3
     x = _mirrored_grid(n)
     prof = Profile(grid=x, n_total=np.cosh(x) / 3.0, n_cond=np.exp(-50.0 * (1.0 - x * x)),
                    n_thermal=x * x)
-    rolled = []
-
-    class Spool(tempfile.SpooledTemporaryFile):
-        def rollover(self):
-            rolled.append(self.tell())
-            super().rollover()
-
-    monkeypatch.setattr(profile_module, "_SPOOL_BYTES", 4096)
-    monkeypatch.setattr(profile_module.tempfile, "SpooledTemporaryFile", Spool)
+    rows = _per_row_csv(prof).splitlines(keepends=True)[1:]
+    upper = len("".join(rows[n - n // 2:]))
+    spills = _spill_files(tmp_path, monkeypatch)
+    monkeypatch.setattr(profile_module, "_SPOOL_BYTES", upper // 2)
     assert _formatted_rows(tmp_path, monkeypatch, prof) == n - n // 2
-    half = len(_per_row_csv(prof).encode()) // 2
-    assert len(rolled) == 1 and 4096 < rolled[0] < half
+    assert len(spills) == 1 and 0 < spills[0].stat().st_size < upper
+
+
+def test_profile_csv_upper_half_in_memory_opens_no_file(tmp_path, monkeypatch, condensing_state):
+    # an x > 0 half within `_SPOOL_BYTES` (~0.65 MB here) stays in memory
+    prof = density_profile(*condensing_state, 4 * 4096 + 1)
+    spills = _spill_files(tmp_path, monkeypatch)
+    assert _formatted_rows(tmp_path, monkeypatch, prof) == 2 * 4096 + 1
+    assert spills == []
 
 
 def test_profile_csv_signed_zeros_are_not_mirrors(tmp_path, monkeypatch):
@@ -468,7 +484,57 @@ def test_profile_csv_makes_one_constant_per_bit_pattern(tmp_path, monkeypatch, c
     made = _counted_constants(monkeypatch)
     shapes = _kernel_blocks(tmp_path, monkeypatch, _bulk_profile(2 * 4096 + 1, 0, centre))
     assert sorted(c.text for c in made) == texts
-    assert [columns for _, columns in shapes] == [2] * 4 + [4]
+    assert shapes == [(4096, 2), (1, 4)]  # the four blocks of the x > 0 half in one pass
+
+
+def _broken_bulk_profile(n, thermal=(), cond=()):
+    """`_bulk_profile(n, 1500)` with n_thermal moved off the centre row's
+    bits at the mirrored rows i and n - 1 - i for each i in `thermal`, and
+    n_cond changed at each row i of the x < 0 half in `cond`."""
+    prof = _bulk_profile(n, 1500)
+    n_thermal, n_cond = prof.n_thermal.copy(), prof.n_cond.copy()
+    for i in thermal:
+        n_thermal[i] = n_thermal[n - 1 - i] = 0.5
+    for i in cond:
+        n_cond[i] = np.nextafter(n_cond[i], np.inf)
+    return Profile(grid=prof.grid, n_total=prof.n_total, n_cond=n_cond, n_thermal=n_thermal)
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+@pytest.mark.parametrize("blocks, broken, shapes", [
+    # blocks 2-6 of the x > 0 half hold the centre row's bits: a run of
+    # four, and the fifth alone
+    (7, {}, [(1024, 4), (1024, 4), (4096, 2), (1024, 2)]),
+    # block 4 holds them in n_total only, which ends the run
+    (9, {"thermal": [4500]},
+     [(1024, 4), (1024, 4), (2048, 2), (1024, 3), (4096, 2)]),
+    # block 4 is no mirror: its x > 0 rows pass alone, and its x < 0 rows
+    # go through the kernel too
+    (9, {"cond": [4500]},
+     [(1024, 4), (1024, 4), (2048, 2), (1024, 2), (1024, 4), (4096, 2)]),
+])
+def test_profile_csv_formats_runs_of_bulk_blocks_in_one_pass(tmp_path, monkeypatch, parity, blocks,
+                                                             broken, shapes):
+    n = 2 * blocks * 1024 + parity
+    prof = _broken_bulk_profile(n, **broken)
+    assert _kernel_blocks(tmp_path, monkeypatch, prof) == shapes + [(1, 4)] * parity
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+def test_profile_csv_spills_between_the_passes_of_a_run(tmp_path, monkeypatch, parity):
+    # nine bulk blocks take passes of 4096, 4096 and 1024 rows; the memory
+    # holds the first and would have room for the last, but once the second
+    # has gone to disk every later text follows it there
+    n = 2 * 9 * 1024 + parity
+    prof = _bulk_profile(n, 0)
+    lines = _per_row_csv(prof).splitlines(keepends=True)[1:]
+    first, second, last = (len("".join(lines[n - hi:n - lo])) for lo, hi in
+                           ((0, 4096), (4096, 8192), (8192, 9216)))
+    spills = _spill_files(tmp_path, monkeypatch)
+    monkeypatch.setattr(profile_module, "_SPOOL_BYTES", first + last)
+    shapes = _kernel_blocks(tmp_path, monkeypatch, prof)
+    assert shapes == [(4096, 2), (4096, 2), (1024, 2)] + [(1, 4)] * parity
+    assert len(spills) == 1 and spills[0].stat().st_size == second + last
 
 
 def test_profile_csv_constant_blocks_of_a_condensing_state(tmp_path, monkeypatch, condensing_state):
@@ -603,6 +669,20 @@ def test_constant_is_made_without_a_pass(monkeypatch):
     assert shapes == [(3, 2)]
 
 
+def test_write_rows_keeps_wide_tables_within_the_cell_bound(monkeypatch):
+    # nine columns take 910 rows a pass, not 1024, and print the same bytes
+    shapes = []
+    real = csvio._format_pass
+    monkeypatch.setattr(csvio, "_format_pass", lambda block, *rest: shapes.append(block.shape)
+                        or real(block, *rest))
+    table = np.random.default_rng(3).standard_normal((9, 2000))
+    out = io.BytesIO()
+    csvio.write_rows(out, table)
+    assert shapes == [(910, 9), (910, 9), (180, 9)]
+    assert out.getvalue() == "".join(",".join("%.17g" % v for v in row) + "\n"
+                                     for row in table.T.tolist()).encode()
+
+
 def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_state):
     # every cell of a condensing profile is formatted without `%`: a kernel
     # that certified nothing would still print the right bytes, slowly
@@ -629,9 +709,9 @@ def test_density_profile_memory_stays_flat():
 
 
 def test_profile_csv_memory_stays_flat(tmp_path):
-    # the x > 0 half waits in a temporary file, in memory only up to
-    # `_SPOOL_BYTES`: that and one block's text, not the 4 MB table (or
-    # 5 MB of half the CSV) of this grid, are held at a time
+    # the x > 0 half waits in memory only up to `_SPOOL_BYTES`, and in a
+    # temporary file past that: that much and one pass's text, not the 4 MB
+    # table (or 5 MB of half the CSV) of this grid, are held at a time
     x = _mirrored_grid(2**17 + 1)
     dens = np.cosh(x) / 3.0
     prof = Profile(grid=x, n_total=dens, n_cond=np.exp(-500.0 * (1.0 - x * x)),

@@ -9,11 +9,11 @@ Each tree runs, in its own interpreter with robinbec imported from that
 directory, every op of the seeded decks of all benchmark workloads
 (`bench/workloads.py`, imported and not changed), a spectrum op on each
 of `SPECTRUM_BOXES` at k_max = 2000, the wall-only spectra
-`WALL_SPECTRA` and the mode-sum-path profiles `PROFILE_BOXES`, through
-`robinbec.cli.main` with `--out` added as the benchmark adds it.
-`--tiny` runs the benchmark's tiny decks, the `SPECTRUM_BOXES` spectra at
-k_max = 1100, past the CSV writer's first 1024-row block, and the same
-profiles.
+`WALL_SPECTRA`, the mode-sum-path profiles `PROFILE_BOXES` and the
+continuum-path profile `DENSE_PROFILE`, through `robinbec.cli.main` with
+`--out` added as the benchmark adds it.  `--tiny` runs the benchmark's
+tiny decks, the `SPECTRUM_BOXES` spectra at k_max = 1100, past the CSV
+writer's first 1024-row block, and the same profiles.
 
 For each output file, and for each op's stdout with its output paths
 replaced by `OUT`, one line says `identical` or gives the largest
@@ -51,6 +51,11 @@ WALL_SPECTRA = (("-1.0", "1.5", "0"), ("-1.0", "2.000000001", "1"), ("-0.5", "16
 # (L*|sigma| ~ 20 at beta = 1), which sum modes term by term; no deck
 # reaches that path
 PROFILE_BOXES = (("-1.0", "12.0"), ("-0.5", "30.0"))
+# (sigma, L, beta, rho, grid_n) of a continuum-path profile whose x > 0
+# half holds more than four bulk blocks of the CSV writer in a row and
+# spills past the 1 MiB that it keeps in memory; the tiny decks' profiles
+# fill one or two blocks a half
+DENSE_PROFILE = ("-1.5", "800", "2", "1.5", "32001")
 
 
 def _out_name(op) -> str:
@@ -65,9 +70,13 @@ def spectrum_ops(tiny: bool) -> list[dict]:
 
 
 def profile_ops() -> list[dict]:
-    return [{"kind": "profile", "argv": ["profile", f"--sigma={sigma}", "--L", L, "--grid-n", "4001",
-                                         "--fraction", "0.9"]}
-            for sigma, L in PROFILE_BOXES]
+    ops = [{"kind": "profile", "argv": ["profile", f"--sigma={sigma}", "--L", L, "--grid-n", "4001",
+                                        "--fraction", "0.9"]}
+           for sigma, L in PROFILE_BOXES]
+    sigma, L, beta, rho, grid_n = DENSE_PROFILE
+    ops.append({"kind": "profile", "argv": ["profile", f"--sigma={sigma}", "--L", L, "--beta", beta,
+                                            "--rho", rho, "--model", "free", "--grid-n", grid_n]})
+    return ops
 
 
 # Runs in a fresh interpreter: argv[1] is the src directory, argv[2] the
