@@ -9,7 +9,11 @@ half; the symmetry then holds to the last bit.
 
 The wall pair is evaluated point by point (`eigenfunction_eval`).  The
 thermal part takes one of two paths, chosen from (box, beta, cutoff_tol)
-alone (`continuum_plan`), so before the density solve.
+alone (`continuum_plan`), so before the density solve.  The plan lives in
+`thermo` (`thermo.continuum_plan`, `thermo.Continuum`): the density solve
+reads the same nodes, its k >= 2 sum being the box integral of this
+n_thermal (the `thermo` module docstring), so where no head is given one
+predicate sends the solve and the profile down the same path.
 
 The continuum path.  With s = |sigma|, y the distance to a wall and
 tan theta_p = s/p, mode k >= 2 is phi_k^2 = 2 cos^2(p_k y + theta_k) /
@@ -30,7 +34,8 @@ there gives |J(Z, N)| <= e^{-2cZ} rho^N Q(c) for Z >= 0, with Q(c) =
 critical_density(beta, sqrt(s^2 - c^2)) as l >= s^2 (below the real axis,
 for Z < 0, without rho^N).  Four parts, each at most cutoff_tol/4 in
 absolute density at every mu' <= eps(0), as `certified_density_tail` is,
-make the certificate (each bound at the best height c of `_HEIGHTS`):
+make the certificate (each bound at the best height c of
+`thermo._HEIGHTS`):
 
   (a) |R| <= 2 Q (1 + rho) r / (1 - r), r = rho^2 e^{-2cL};
   (b) F is the trapezoid rule on p_m = m dp, m < nodes: by Poisson
@@ -42,11 +47,13 @@ make the certificate (each bound at the best height c of `_HEIGHTS`):
 
 (b) and (c) aim at the smaller of cutoff_tol/4 and `_ETA` times the
 bulk's scale S = e^{-beta s^2}/(2 sqrt(pi beta)) (not below the smallest
-normal double), which sets dp, the node count and Y.  The path is taken
-where (d) fits and (a) fits in share of S too where S < 1 (R is a
-physical truncation: fitted to cutoff_tol alone, it left n_thermal
-negative at (sigma, beta, L) = (-3, 3, 1)), from L|sigma| ~ 20 to 22 on
-at the default cutoff_tol and beta sigma^2 from 0.01 to 4.5.  F is
+normal double), which sets dp, the node count and Y; they do not depend
+on L and are planned once per (|sigma|, beta, cutoff_tol), and (a) once
+per box.  The path is taken where (d) fits and (a) fits in share of S too
+where S < 1 (R is a physical truncation: fitted to cutoff_tol alone, it
+left n_thermal negative at (sigma, beta, L) = (-3, 3, 1)), and where the
+solve's three parts fit as well, from L|sigma| ~ 20 to 22 on at the
+default cutoff_tol and beta sigma^2 from 0.01 to 4.5.  F is
 Re sum_m c_m z^m, z = e^{2i dp y}, by Horner over the layer points only;
 y = L/2 - x is exact there (Sterbenz).  Where n_thermal dips below
 C `_DIRECT_BELOW`, ~1/|sigma| from each wall at beta sigma^2 > 3 (the
@@ -91,11 +98,9 @@ number grows linearly in L.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +108,8 @@ from . import csvio
 from .errors import ValidationError
 from .spectrum import BoxParams, SpectrumTable, eigenfunction_eval
 from .thermo import (
-    CutoffTooSmall, ThermoInput, ThermoState, _gaussian_tail, _occ_free, certified_density_tail,
-    critical_density, suggest_k_max,
+    Continuum, CutoffTooSmall, ThermoInput, ThermoState, _occ_free, certified_density_tail,
+    continuum_plan, critical_density, suggest_k_max,
 )
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
@@ -112,13 +117,6 @@ _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 _CHUNK = 128  # modes (or nodes) per block of a term-by-term sum
 _POINTS = 4096  # points per block of a term-by-term sum, and 16 blocks per Horner pass
 _DIRECT_BELOW = 1.0 / 64.0  # n_thermal / C below which a layer point takes the positive sum
-_ETA = 2.0 ** -60  # (b) and (c) aim at this share of the bulk's scale
-_LOG_TINY = math.log(2.0 ** -1022)  # nor below the smallest normal double
-_MAX_NODES = 2 ** 22
-_U = 2.0 ** -53  # unit roundoff
-# the contour heights c / s at which each bound is tried: 1 - 2^-30 serves
-# L|sigma| up to ~1e9, where (a) is far below any cutoff_tol
-_HEIGHTS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
 _SPOOL_BYTES = 2 ** 20  # the CSV's x > 0 half waits in memory up to this size, then on disk
 _BULK_BLOCKS = csvio.CELLS_PER_PASS // (2 * csvio.ROWS_PER_PASS)  # per pass of x and n_cond alone
 # largest grid: `density_profile` peaks at 48.0 bytes per point, 32 of them
@@ -183,98 +181,6 @@ def _horner(coef, angle):
             acc += c
         out[j:j + len(a)] = acc.real
     return out
-
-
-class Continuum(NamedTuple):
-    """The trapezoid nodes p_m = m dp (m < nodes) and layer width of the
-    continuum path, and the four parts of its certificate (module
-    docstring); their sum is at most cutoff_tol."""
-
-    dp: float
-    nodes: int
-    layer: float
-    remainder: float  # (a)
-    quadrature: float  # (b)
-    tail: float  # (c)
-    rounding: float  # (d)
-
-    @property
-    def certificate(self) -> float:
-        return self.remainder + self.quadrature + self.tail + self.rounding
-
-
-def _log_q(s, beta, c):
-    """log of a bound on Q(c) = critical_density(beta, sqrt(s^2 - c^2)): its
-    Boltzmann series sum_n e^{-nA}/sqrt(n) <= e^{-A} + sqrt(pi/A) erfc(sqrt(A))
-    at A = beta (s^2 - c^2), over 2 sqrt(pi beta)."""
-    A = beta * (s - c) * (s + c)
-    z = np.sqrt(A)
-    # erfcx(z) = e^{z^2} erfc(z), and its bound 1/(z sqrt(pi)) once erfc underflows
-    erfcx = np.array([math.exp(v * v) * math.erfc(v) if v < 26.0 else 1.0 / (v * math.sqrt(math.pi))
-                      for v in z])
-    return -A - np.log(2.0 * np.sqrt(np.pi * beta)) + np.log1p(np.sqrt(np.pi / A) * erfcx)
-
-
-def continuum_plan(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum | None:
-    """The continuum path's plan at (box, beta, cutoff_tol), or None where
-    its certificate does not fit (module docstring) or the nodes pass
-    `_MAX_NODES`: the mode-sum path."""
-    plan = _continuum(box, beta, cutoff_tol)
-    budget = 0.25 * cutoff_tol
-    scale = math.exp(-beta * box.s * box.s) / (2.0 * math.sqrt(math.pi * beta))
-    fits = all(part <= budget for part in plan[4:]) and plan.nodes <= _MAX_NODES
-    return plan if fits and plan.remainder <= budget * min(1.0, scale) else None
-
-
-@functools.lru_cache(maxsize=64)
-def _continuum(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum:
-    """`continuum_plan`'s plan, fit or not: a part is inf or nan where beta
-    or beta s^2 overflows, or where the bounds do not resolve the bulk."""
-    s, L = box.s, box.L
-    # the bulk's scale e^{-beta s^2}/(2 sqrt(pi beta)), the Boltzmann
-    # series' first term at l = s^2
-    log_scale = -beta * s * s - math.log(2.0 * math.sqrt(math.pi * beta))
-    c = s * _HEIGHTS
-    with np.errstate(all="ignore"):
-        rho = (s + c) / (s - c)
-        log_q = _log_q(s, beta, c)
-        log_aim = min(math.log(cutoff_tol) - math.log(4.0), max(math.log(_ETA) + log_scale, _LOG_TINY))
-        # (c): 2 rho Q e^{-2cY}, both walls
-        layer = max(0.0, np.min((np.log(2.0 * rho) + log_q - log_aim) / (2.0 * c)))
-        # (b): the copies of F at both walls and of C, (4 + 2 rho) Q a / (1 - a)
-        # with a = e^{-2c (pi/dp - Y)}, take half the aim, and the cut the rest
-        gap = np.min(np.logaddexp(0.0, np.log(2.0 * (4.0 + 2.0 * rho)) + log_q - log_aim) / (2.0 * c))
-        dp = np.pi / (layer + gap)
-        # the cut at p_max = (nodes - 1) dp, at both walls and in C, below
-        # 3 (1/pi) int_{p_max}^inf b dp
-        nodes, cut = 1, math.inf
-        while not cut <= 0.5 * np.exp(log_aim) and nodes <= _MAX_NODES:
-            nodes = int(1.1 * nodes) + 1
-            cut = 3.0 * _gaussian_tail(s, beta, (nodes - 1) * dp * math.sqrt(beta), (nodes - 1) * dp)
-        log_a = -2.0 * c * (np.pi / dp - layer)
-        log_alias = np.log(4.0 + 2.0 * rho) + log_a - np.log(-np.expm1(log_a)) + log_q
-        quadrature = np.exp(np.min(log_alias)) + cut
-        tail = np.exp(np.min(np.log(2.0 * rho) + log_q - 2.0 * c * layer))
-        # (a): r = rho^2 e^{-2cL}, below 1 at some height once L|sigma| > ~1
-        log_r = 2.0 * np.log(rho) - 2.0 * c * L
-        log_rem = np.log(2.0 * (1.0 + rho)) + log_q + log_r - np.log(-np.expm1(log_r))
-        remainder = np.exp(np.min(np.where(log_r < 0.0, log_rem, np.inf)))
-        # (d): |c_m| <= (dp/pi) b(p_m) at l = s^2 (half at m = 0).  A
-        # Horner step rounds by ~4 ulp of |sum_{k >= m} c_k z^k|, and z^m
-        # carries m times the rounding of z and of its angle 2 dp y <= 2 dp
-        # Y; at the dip, each node's angle and square, and the einsum's
-        # running sum, below C/32; C + F, and critical_density's 1e-14
-        # (plus the rounding of beta l)
-        rounding = math.inf
-        if nodes <= _MAX_NODES:
-            weight = (dp / np.pi) * _occ_free((np.arange(nodes) * dp) ** 2, beta, s * s)
-            weight[0] *= 0.5
-            total = np.sum(weight)
-            moment = np.sum(np.arange(1, nodes + 1) * weight)
-            rounding = (_U * (2.0 * (2.0 * dp * layer + 8.0) * moment + nodes * total / 16.0)
-                        + 2.0 * (1e-14 + 8.0 * _U * max(1.0, beta * s * s)) * total)
-    return Continuum(float(dp), nodes, float(layer), float(remainder), float(quadrature), float(tail),
-                     float(rounding))
 
 
 def _continuum_half(plan: Continuum, state: ThermoState, xh) -> np.ndarray:

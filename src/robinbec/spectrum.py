@@ -605,7 +605,7 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
 
     The wall pair comes from one call of the wall-pair solver; the k >= 2
     modes come from one phase Newton iteration over all of them (see the
-    module docstring).
+    module docstring), which a table of the wall pair alone skips.
     """
     if not isinstance(k_max, (int, np.integer)) or not 0 <= k_max <= K_MAX_LIMIT:
         raise ValidationError(
@@ -614,7 +614,7 @@ def build_spectrum(params: BoxParams, k_max: int) -> SpectrumTable:
     k_max = int(k_max)
     walls = tuple(_wall_roots(params, k_max))
     q = [q for q, _, _ in walls]
-    p = _ladder_roots(params, np.arange(2, k_max + 1))
+    p = _ladder_roots(params, np.arange(2, k_max + 1)) if k_max >= 2 else np.empty(0)
     return SpectrumTable(
         params=params,
         epsilons=np.concatenate([[-v * v for v in q], p * p]),

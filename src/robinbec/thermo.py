@@ -63,26 +63,77 @@ of them above the 1e-10 rho residual check) to below 1e-12 rho.
 mu = eps(0) - x may round to eps(0) at large beta; x keeps full
 precision.
 
-The k >= 2 sum costs the same at every L.  Modes 2..K (the head, `k_max`)
-are summed one by one on the head table; the rest is closed by
-Euler-Maclaurin on the phase map k(p) = (pL + 2 arctan(s/p))/pi of the
-k >= 2 roots (`ladder_sum`): the integral of bose(beta (p^2 + q0^2 + x'))
-k'(p) dp from p_K, on Gauss-Legendre panels in p, plus f(K)/2 and the
-B_2..B_2m terms (m <= 3), whose Taylor coefficients come from inverting
-the phase map's series once per solve.  The remainder R is bounded a
-priori (`_em_remainders`: Cauchy estimates on disks that stay clear of
-the Bose poles and of the branch points p = +-is, Trefethen and
-Weideman, SIAM Rev. 56 (2014) 385-458), and so is the quadrature
-(`_quadrature`: Bernstein ellipses); both hold at every x' = x + lam
-rho_tilde+ >= 0.  Their sum is the certificate, unless
-`certified_density_tail`, which bounds what dropping every mode above K
-leaves out at every mu <= eps(0), is at most cutoff_tol: small boxes
-keep the truncated sum, on the same path (`plan_ladder`).
-`ThermoInput` takes the first K on the sequence 2, 6, 14, ... whose
-certificate is at most cutoff_tol unless one is given, and checks either
-(CutoffTooSmall).  One evaluation of G is one Bose vector of the head and
-the quadrature nodes, ~60 entries from L = 50 to 1e8 at beta = 1, and the
-state keeps rho_tilde as that sum gave it.
+The k >= 2 sum costs the same at every L, and takes one of two paths,
+chosen from (box, beta, cutoff_tol) alone.
+
+The continuum path, taken where `k_max` is not given and `continuum_plan`
+fits (L|sigma| past ~20 at the default cutoff_tol; `Continuum`, the same
+plan the density profile reads).  Poisson summation over the phase map
+k(p) = (pL + 2 arctan(s/p))/pi of the k >= 2 roots, s = |sigma|, gives
+
+    sum_{k>=2} b(p_k) = int_0^inf b(p) k'(p) dp - b(0)/2 + R,
+
+b(p) = bose(beta (p^2 + l)), l = q0^2 + x' >= s^2, k'(p) = (L - 2s/(p^2 +
+s^2))/pi: g(k) = b(p(k)) is even about k = 1, since k(p) - 1 is odd in p,
+so its sum over k in Z counts b(0) once and every k >= 2 twice, and the
+Euler-Maclaurin terms at k = 1 vanish.  R = sum_{j >= 1} ghat(j), the
+Fourier transform of g(1 + tau) at the integers j: the interval's round
+trips, the box integral of the profile's reflection series less that of
+its F past L at both walls (`profile`).  The integral is the trapezoid
+rule on the plan's nodes p_m = m dp, m < nodes: the k >= 2 sum is the
+`Ladder` of head 1 whose levels are p_m^2 + q0^2 and whose weights are
+dp k'(p_m), the m = 0 one halved less 1/2, with no Euler-Maclaurin
+terms, so the state's table is the wall pair alone (k_max = 1).  On the
+line Im p = -c, with 0 < c < s, every factor is bounded as in the
+profile's parts: |b| by its real value at l - c^2, |(s + ip)/(s - ip)|
+by rho = (s + c)/(s - c), |k'| by (L + 2s/(s^2 - c^2))/pi, and the
+integral of b by 2 pi Q(c), Q(c) = critical_density(beta, sqrt(s^2 -
+c^2)).  With f = 1 + 2s/(L (s^2 - c^2)) (below 1 + rho where Ls > 2), the
+solve's certificate, in density (1/L) sum at every x' >= 0, has three
+parts, each at the best height c of the plan's heights:
+
+  (e) the round trips, |R|/L <= 2 Q f r/(1 - r) with r = rho^2 e^{-2cL},
+      below the profile's (a) at every height: shifting ghat(j) to Im p =
+      -c gains e^{-2jcL} rho^{2j};
+  (f) the trapezoid rule: its aliasing, the copies of the transform of b
+      k' at multiples of 2 pi/dp, is at most 2 Q f a/(1 - a), a =
+      e^{-2 pi c/dp}, below the profile's copies in (b); and the cut past
+      p_max = (nodes - 1) dp, with k' <= L/pi and b decreasing, is at most
+      (1/pi) int_{p_max}^inf b dp, a third of (b)'s;
+  (g) the rounding: with t_m = b_m (nodes + 20 + 8 beta (p_m^2 + s^2))
+      at l = s^2, which bounds it at every l >= s^2, it is at most u
+      sum_m |w_m| t_m/L, u = 2^-53, for the einsum's running sum (nodes u),
+      each product and weight (8u, and w_0 = dp k'(0)/2 - 1/2 cancels
+      where L is near pi/dp + 2/s, so it is taken with |w|), and each
+      level and expm1 (6u (1 + beta (p^2 + l)) and 3u in b).  |w_m| <=
+      dp L/pi, and |w_0| <= dp L/(2 pi) + 1/2 with 1/(2L) < s/4, bound it
+      free of L.
+
+The plan fits where the profile's four parts and these three are each at
+most cutoff_tol/4, so the solve's certificate is at most 3/4 of it.
+
+The ladder path, everywhere else: an explicit `k_max`, and boxes below
+the switch.  Modes 2..K (the head, `k_max`) are summed one by one on the
+head table; the rest is closed by Euler-Maclaurin on the phase map
+(`ladder_sum`): the integral of bose(beta (p^2 + q0^2 + x')) k'(p) dp from
+p_K, on Gauss-Legendre panels in p, plus f(K)/2 and the B_2..B_2m terms
+(m <= 3), whose Taylor coefficients come from inverting the phase map's
+series once per solve.  The remainder R is bounded a priori
+(`_em_remainders`: Cauchy estimates on disks that stay clear of the Bose
+poles and of the branch points p = +-is, Trefethen and Weideman, SIAM Rev.
+56 (2014) 385-458), and so is the quadrature (`_quadrature`: Bernstein
+ellipses); both hold at every x' = x + lam rho_tilde+ >= 0.  Their sum is
+the certificate, unless `certified_density_tail`, which bounds what
+dropping every mode above K leaves out at every mu <= eps(0), is at most
+cutoff_tol: small boxes keep the truncated sum, on the same path
+(`plan_ladder`).  `ThermoInput` takes the first K on the sequence 2, 6,
+14, ... whose certificate is at most cutoff_tol unless one is given, and
+checks either (CutoffTooSmall).
+
+One evaluation of G is one Bose vector: the trapezoid's nodes on the
+continuum path (56 to 302 on the sweep-scf decks, the same at every L), or
+the head and the quadrature nodes on the ladder path (~60 entries from L =
+50 to 1e8 at beta = 1).  The state keeps rho_tilde as that sum gave it.
 
 Condensation diagnostics:
 
@@ -103,6 +154,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,11 +186,12 @@ class ThermoInput:
     `k_max` is the explicit head of the k >= 2 sum: modes 2..k_max are
     summed one by one and the rest is closed by `plan_ladder`'s certified
     tail, or dropped where `certified_density_tail` certifies that.  `k_max
-    = None` (the default) stands for the first head whose certificate is at
-    most cutoff_tol on a fixed search sequence (`plan`, resolved once every
-    other field has passed its check); a given head whose certificate
-    exceeds cutoff_tol raises CutoffTooSmall here, before any spectrum is
-    built.
+    = None` (the default) stands for the half-line continuum where
+    `continuum_plan` fits (k_max = 1, the wall pair; module docstring), and
+    else for the first head whose certificate is at most cutoff_tol on a
+    fixed search sequence (`plan`, resolved once every other field has
+    passed its check); a given head whose certificate exceeds cutoff_tol
+    raises CutoffTooSmall here, before any spectrum is built.
     """
 
     box: BoxParams
@@ -167,7 +220,11 @@ class ThermoInput:
         if not (0.0 < self.cutoff_tol < 1.0):
             raise ValidationError(f"cutoff_tol must be in (0, 1), got {self.cutoff_tol}")
         if self.k_max is None:
-            plan = _head_plan(self.box, self.beta, self.cutoff_tol)
+            continuum = continuum_plan(self.box, self.beta, self.cutoff_tol)
+            if continuum is not None:
+                plan = LadderPlan(1, 0, (), continuum.density_certificate, continuum)
+            else:
+                plan = _head_plan(self.box, self.beta, self.cutoff_tol)
             object.__setattr__(self, "k_max", plan.head)
         else:
             plan = plan_ladder(self.box, self.beta, self.k_max, self.cutoff_tol)
@@ -181,9 +238,10 @@ class ThermoInput:
 @dataclass(frozen=True, eq=False)
 class ThermoState:
     """One solved equilibrium point: the input, the model, the head table
-    (modes 0..k_max) it was solved on, x, the occupations of the head's
-    modes and rho_tilde = (1/L) sum_{k>=2} occ_k over every mode, head and
-    certified tail.  Everything else is read from these."""
+    (modes 0..k_max; the wall pair alone on the continuum path) it was
+    solved on, x, the occupations of the head's modes and rho_tilde = (1/L)
+    sum_{k>=2} occ_k over every mode, head and certified tail.  Everything
+    else is read from these."""
 
     params: ThermoInput
     model_tag: str
@@ -494,13 +552,16 @@ class LadderPlan:
     by one, and above them either nothing (`terms` = 0; the certificate is
     `certified_density_tail`) or the Euler-Maclaurin tail of `ladder_sum`
     with its first `terms` Bernoulli terms and its integral on Gauss-Legendre
-    `panels` ((lo, hi, nodes) in p).  `certificate` bounds what either
-    drops or misses in density, (1/L) sum, at every x' >= 0."""
+    `panels` ((lo, hi, nodes) in p); or, with head 1 and a `continuum`, the
+    trapezoid rule on its nodes (module docstring).  `certificate` bounds
+    what any of these drops or misses in density, (1/L) sum, at every x' >=
+    0."""
 
     head: int
     terms: int
     panels: tuple
     certificate: float
+    continuum: Continuum | None = None
 
 
 def plan_ladder(box: BoxParams, beta: float, head: int, cutoff_tol: float) -> LadderPlan:
@@ -603,8 +664,10 @@ class Ladder:
     modes 2..head, then of the quadrature nodes p_i (D = p_i^2 + q0^2), with
     their weights (1 for the head, 1/2 for mode `head` itself under the
     Euler-Maclaurin tail, the Gauss-Legendre weight times k'(p_i) for a
-    node), and the coefficients e_n of the derivative terms at mode head
-    (`_em_weights`; empty when the sum is truncated) with their `scale`."""
+    node, dp k'(p_m) for a trapezoid node, the first halved less 1/2), and
+    the coefficients e_n of the derivative terms at mode head
+    (`_em_weights`; empty when the sum is truncated or on the continuum)
+    with their `scale`."""
 
     plan: LadderPlan
     levels: np.ndarray
@@ -616,13 +679,20 @@ class Ladder:
 def build_ladder(spectrum: SpectrumTable, beta: float, plan: LadderPlan) -> Ladder:
     """The ladder of `plan` on `spectrum`, the table of modes 0..plan.head.
     The integral starts at the table's p(head), inside the first planned
-    panel.  Raises NumericalFailure where the derivative terms overflow."""
+    panel, or at p = 0 on the continuum's trapezoid nodes.  Raises
+    NumericalFailure where the derivative terms overflow."""
     box, K = spectrum.params, plan.head
     if spectrum.k_max != K:
         raise ValidationError(f"a ladder with head {K} needs the table of modes 0..{K}")
     s, L = box.s, box.L
     q = spectrum.wavenumbers
     q0_squared = q[0] * q[0]
+    if plan.continuum is not None:
+        dp = plan.continuum.dp
+        p = np.arange(plan.continuum.nodes) * dp
+        weights = (dp / math.pi) * (L - 2.0 * s / (p * p + s * s))
+        weights[0] = 0.5 * weights[0] - 0.5
+        return Ladder(plan, p * p + q0_squared, weights, (), 1.0)
     head = q[2:] * q[2:] + q0_squared  # eps_k - eps(0), no cancellation
     if not plan.terms:
         return Ladder(plan, head, np.ones(K - 1), (), 1.0)
@@ -653,10 +723,11 @@ def ladder_sum(ladder: Ladder, beta: float, shift: float):
 
     Under the tail, sum_{k >= K} f(k) = int_K^inf f dk + f(K)/2 - sum_j
     B_2j/(2j)! f^(2j-1)(K) + R, the integral taken in p, dk = k'(p) dp, on
-    the ladder's nodes.  With b = f(K), the terms are b sum_n (-b/scale)^n
-    e_n for S and b (1 + b) sum_n (n + 1) (-b/scale)^n e_n for S1 (their
-    y-derivative form, bose (1 + bose) = -bose').  Einsum reductions, no
-    BLAS: the sums do not depend on the thread count.
+    the ladder's nodes; on the continuum (head 1) the weighted levels are
+    the whole sum, int_1^inf f dk - f(1)/2.  With b = f(K), the terms are
+    b sum_n (-b/scale)^n e_n for S and b (1 + b) sum_n (n + 1) (-b/scale)^n
+    e_n for S1 (their y-derivative form, bose (1 + bose) = -bose').  Einsum
+    reductions, no BLAS: the sums do not depend on the thread count.
     """
     b = _occ_free(ladder.levels, beta, shift)
     total = float(np.einsum("i,i->", ladder.weights, b))
@@ -671,6 +742,157 @@ def ladder_sum(ladder: Ladder, beta: float, shift: float):
         total += bk * value
         slope += bk * (1.0 + bk) * derivative
     return total, slope, b
+
+
+# ----------------------------------------------------------------------
+# the half-line continuum, the plan the density profile shares
+# ----------------------------------------------------------------------
+
+_ETA = 2.0 ** -60  # the profile's (b) and (c) aim at this share of the bulk's scale
+_LOG_TINY = math.log(2.0 ** -1022)  # nor below the smallest normal double
+_MAX_TRAPEZOID_NODES = 2 ** 22
+_U = 2.0 ** -53  # unit roundoff
+# the contour heights c / s at which each bound is tried: 1 - 2^-30 serves
+# L|sigma| up to ~1e9, where (a) is far below any cutoff_tol
+_HEIGHTS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
+
+
+class Continuum(NamedTuple):
+    """The trapezoid nodes p_m = m dp (m < nodes) and layer width of the
+    half-line continuum, the four parts of the density profile's
+    certificate (`profile` module docstring) and the three of the density
+    solve's (module docstring).  Where `continuum_plan` fits, each part is
+    at most cutoff_tol/4, so `certificate`, the profile's, and
+    `density_certificate`, the solve's, are at most cutoff_tol."""
+
+    dp: float
+    nodes: int
+    layer: float
+    remainder: float  # (a)
+    quadrature: float  # (b)
+    tail: float  # (c)
+    rounding: float  # (d)
+    round_trips: float  # (e)
+    trapezoid: float  # (f)
+    summation: float  # (g)
+
+    @property
+    def certificate(self) -> float:
+        return self.remainder + self.quadrature + self.tail + self.rounding
+
+    @property
+    def density_certificate(self) -> float:
+        return self.round_trips + self.trapezoid + self.summation
+
+
+def _log_q(s, beta, c):
+    """log of a bound on Q(c) = critical_density(beta, sqrt(s^2 - c^2)): its
+    Boltzmann series sum_n e^{-nA}/sqrt(n) <= e^{-A} + sqrt(pi/A) erfc(sqrt(A))
+    at A = beta (s^2 - c^2), over 2 sqrt(pi beta)."""
+    A = beta * (s - c) * (s + c)
+    z = np.sqrt(A)
+    # erfcx(z) = e^{z^2} erfc(z), and its bound 1/(z sqrt(pi)) once erfc underflows
+    erfcx = np.array([math.exp(v * v) * math.erfc(v) if v < 26.0 else 1.0 / (v * math.sqrt(math.pi))
+                      for v in z])
+    return -A - np.log(2.0 * np.sqrt(np.pi * beta)) + np.log1p(np.sqrt(np.pi / A) * erfcx)
+
+
+def continuum_plan(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum | None:
+    """The half-line continuum's plan at (box, beta, cutoff_tol), or None
+    where a part of either certificate does not fit (the profile's, whose
+    (a) must also fit in share of the bulk's scale, `profile` module
+    docstring; the solve's, module docstring) or the nodes pass
+    `_MAX_TRAPEZOID_NODES`: the density profile's mode-sum path and the
+    density solve's ladder.  The one predicate of both paths."""
+    plan = _continuum(box, beta, cutoff_tol)
+    budget = 0.25 * cutoff_tol
+    scale = math.exp(-beta * box.s * box.s) / (2.0 * math.sqrt(math.pi * beta))
+    fits = all(part <= budget for part in plan[4:]) and plan.nodes <= _MAX_TRAPEZOID_NODES
+    return plan if fits and plan.remainder <= budget * min(1.0, scale) else None
+
+
+@functools.lru_cache(maxsize=64)
+def _continuum(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum:
+    """`continuum_plan`'s plan, fit or not: `_trapezoid_nodes` at (|sigma|,
+    beta, cutoff_tol), and the parts that depend on L, (a), (e) and (f)'s
+    aliasing.  A part is inf or nan where beta or beta s^2 overflows, or
+    where the bounds do not resolve the bulk."""
+    s, L = box.s, box.L
+    dp, nodes, layer, quadrature, tail, rounding, summation, cut, c, heights = (
+        _trapezoid_nodes(s, beta, cutoff_tol))
+    log_rho2, log_remainder, log_2q, log_alias, width = heights
+    with np.errstate(all="ignore"):
+        # (a): 2 Q (1 + rho) r/(1 - r), r = rho^2 e^{-2cL}, below 1 at some
+        # height once L|sigma| > ~1
+        log_r = log_rho2 - 2.0 * c * L
+        log_1r = np.log(-np.expm1(log_r))  # log(1 - r)
+        remainder = np.exp(np.min(np.where(log_r < 0.0, log_remainder + log_r - log_1r, np.inf)))
+        # (e) and (f)'s aliasing: 2 Q f x/(1 - x) at x = r and at x = a =
+        # e^{-2 pi c/dp}, f = 1 + 2s/(L (s^2 - c^2))
+        log_f = np.log1p((2.0 * s / L) / width)
+        round_trips = np.exp(np.min(np.where(log_r < 0.0, log_2q + log_f + log_r - log_1r, np.inf)))
+        trapezoid = np.exp(np.min(log_alias + log_f)) + cut
+    return Continuum(dp, nodes, layer, float(remainder), quadrature, tail, rounding, float(round_trips),
+                     float(trapezoid), summation)
+
+
+@functools.lru_cache(maxsize=64)
+def _trapezoid_nodes(s: float, beta: float, cutoff_tol: float) -> tuple:
+    """The parts of `_continuum` that do not depend on L: dp, nodes, layer,
+    (b), (c), (d), (g) and (f)'s cut, then the heights c = s `_HEIGHTS` and
+    the L-free terms of (a), (e) and (f)'s aliasing at each: log rho^2, log
+    2 Q (1 + rho), log 2 Q, log 2 Q a/(1 - a) with the solve's a = e^{-2 pi
+    c/dp}, and s^2 - c^2."""
+    # the bulk's scale e^{-beta s^2}/(2 sqrt(pi beta)), the Boltzmann
+    # series' first term at l = s^2
+    log_scale = -beta * s * s - math.log(2.0 * math.sqrt(math.pi * beta))
+    c = s * _HEIGHTS
+    with np.errstate(all="ignore"):
+        rho = (s + c) / (s - c)
+        log_q = _log_q(s, beta, c)
+        log_aim = min(math.log(cutoff_tol) - math.log(4.0), max(math.log(_ETA) + log_scale, _LOG_TINY))
+        # (c): 2 rho Q e^{-2cY}, both walls
+        layer = max(0.0, np.min((np.log(2.0 * rho) + log_q - log_aim) / (2.0 * c)))
+        # (b): the copies of F at both walls and of C, (4 + 2 rho) Q a / (1 - a)
+        # with a = e^{-2c (pi/dp - Y)}, take half the aim, and the cut the rest
+        gap = np.min(np.logaddexp(0.0, np.log(2.0 * (4.0 + 2.0 * rho)) + log_q - log_aim) / (2.0 * c))
+        dp = np.pi / (layer + gap)
+        # the cut at p_max = (nodes - 1) dp, at both walls and in C, below
+        # 3 (1/pi) int_{p_max}^inf b dp
+        nodes, cut = 1, math.inf
+        while not cut <= 0.5 * np.exp(log_aim) and nodes <= _MAX_TRAPEZOID_NODES:
+            nodes = int(1.1 * nodes) + 1
+            past = _gaussian_tail(s, beta, (nodes - 1) * dp * math.sqrt(beta), (nodes - 1) * dp)
+            cut = 3.0 * past
+        log_a = -2.0 * c * (np.pi / dp - layer)
+        log_alias = np.log(4.0 + 2.0 * rho) + log_a - np.log(-np.expm1(log_a)) + log_q
+        quadrature = np.exp(np.min(log_alias)) + cut
+        tail = np.exp(np.min(np.log(2.0 * rho) + log_q - 2.0 * c * layer))
+        # (d): |c_m| <= (dp/pi) b(p_m) at l = s^2 (half at m = 0).  A
+        # Horner step rounds by ~4 ulp of |sum_{k >= m} c_k z^k|, and z^m
+        # carries m times the rounding of z and of its angle 2 dp y <= 2 dp
+        # Y; at the dip, each node's angle and square, and the einsum's
+        # running sum, below C/32; C + F, and critical_density's 1e-14
+        # (plus the rounding of beta l).  (g): u sum_m |w_m| t_m / L, with
+        # |w_m|/L <= dp/pi, halved at m = 0 plus 1/(2L) < s/4
+        rounding = summation = math.inf
+        if nodes <= _MAX_TRAPEZOID_NODES:
+            squares = (np.arange(nodes) * dp) ** 2
+            b = _occ_free(squares, beta, s * s)
+            weight = (dp / np.pi) * b
+            weight[0] *= 0.5
+            total = np.sum(weight)
+            moment = np.sum(np.arange(1, nodes + 1) * weight)
+            rounding = (_U * (2.0 * (2.0 * dp * layer + 8.0) * moment + nodes * total / 16.0)
+                        + 2.0 * (1e-14 + 8.0 * _U * max(1.0, beta * s * s)) * total)
+            t = b * (nodes + 20.0 + 8.0 * beta * (squares + s * s))
+            summation = _U * ((dp / np.pi) * (np.sum(t) - 0.5 * t[0]) + 0.25 * s * t[0])
+        log_2q = np.log(2.0) + log_q
+        log_a = -2.0 * np.pi * c / dp
+        heights = (2.0 * np.log(rho), np.log(2.0 * (1.0 + rho)) + log_q, log_2q,
+                   log_2q + log_a - np.log(-np.expm1(log_a)), (s - c) * (s + c))
+    return (float(dp), nodes, float(layer), float(quadrature), float(tail), float(rounding),
+            float(summation), past, c, heights)
 
 
 # ----------------------------------------------------------------------
@@ -699,8 +921,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     """Solve the density equation for x = eps(0) - mu_L > 0 by one
     safeguarded Newton iteration in t = log(x / x_mid) (see the module
-    docstring) on the head table of modes 0..inp.k_max, which the state
-    keeps, and the ladder `inp.plan` lays on it; mu = eps(0) - x.
+    docstring) on the head table of modes 0..inp.k_max (the wall pair on
+    the continuum path), which the state keeps, and the ladder `inp.plan`
+    lays on it; mu = eps(0) - x.
     `ThermoInput` has certified the plan.  Each evaluation takes one
     `ladder_sum` for the k >= 2 sum and its Newton slope.
 

@@ -342,7 +342,9 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # they overflowed in suggest_k_max or asked numpy for ~80 TB
     (["thermo", "--sigma=-1", "--L", "1e-300", "--out", "{tmp}/o"], "L*|sigma| > 2"),
     (["thermo", "--sigma=-1e300", "--L", "20", "--out", "{tmp}/o"], "sigma^2"),
-    (["thermo", "--sigma=-1", "--L", "1e300", "--out", "{tmp}/o"], "L*|sigma| <= 1e+15, got 1e+300"),
+    # (the ladder's k >= 2 roots; the continuum, unset --k-max, takes L up to the wall pair's limit)
+    (["thermo", "--sigma=-1", "--L", "1e300", "--k-max", "2", "--out", "{tmp}/o"],
+     "L*|sigma| <= 1e+15, got 1e+300"),
     (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e-300", "--out", "{tmp}/o"],
      "needs k_max > 10000000"),
     (["spectrum", "--sigma=-1", "--L", "20", "--k-max", "10000000000000", "--out", "{tmp}/o"],

@@ -1,6 +1,9 @@
-"""The k >= 2 sum of the density solve: modes 2..K one by one and a certified
-Euler-Maclaurin tail (`thermo.ladder_sum`), against the explicit sum it
-replaces, taken to 3x the certified cutoff."""
+"""The k >= 2 sum of the density solve on its ladder path: modes 2..K one by
+one and a certified Euler-Maclaurin tail (`thermo.ladder_sum`), against the
+explicit sum it replaces, taken to 3x the certified cutoff.  The ladders are
+planned by the head search (`thermo._head_plan`) whether or not the box is
+past the switch to the half-line continuum, which `ThermoInput` takes there
+unless a head is given."""
 
 import importlib.util
 import math
@@ -46,8 +49,8 @@ def _levels(box, beta):
 
 
 def _ladder(box, beta, tol=1e-10):
-    inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
-    return build_ladder(build_spectrum(box, inp.k_max), beta, inp.plan)
+    plan = thermo._head_plan(box, beta, tol)
+    return build_ladder(build_spectrum(box, plan.head), beta, plan)
 
 
 def _errors(box, beta, shifts, ladder=None):
@@ -95,10 +98,10 @@ def test_ladder_sum_matches_the_explicit_sum_on_random_boxes():
     (-1.0, 1.0, 95.84), (-0.5, 0.5, 276.0), (-1.5, 2.0, 36.98),
 ])
 def test_ladder_sum_near_the_head_crossover(sigma, beta, crossover):
-    # `crossover` is the smallest L (on steps of 1.2) whose resolved head is
+    # `crossover` is the smallest L (on steps of 1.2) whose searched head is
     # 2: boxes within 4x of it on either side
-    assert ThermoInput(box=BoxParams(sigma, crossover), beta=beta, rho=1.0, lam=0.0).k_max == 2
-    assert ThermoInput(box=BoxParams(sigma, crossover / 1.2), beta=beta, rho=1.0, lam=0.0).k_max > 2
+    assert thermo._head_plan(BoxParams(sigma, crossover), beta, 1e-10).head == 2
+    assert thermo._head_plan(BoxParams(sigma, crossover / 1.2), beta, 1e-10).head > 2
     for L in crossover * np.geomspace(0.25, 4.0, 9):
         box = BoxParams(sigma, float(L))
         if box.has_second_bound_state():
@@ -123,19 +126,26 @@ def test_ladder_sum_matches_mpmath(sigma, L, beta):
 
 
 def test_one_evaluation_takes_a_vector_flat_in_L(monkeypatch):
-    # the Bose vector of one evaluation: the head plus the quadrature nodes,
-    # against the ~1.4 L modes of a certified cutoff at beta = 1
-    sizes = {}
+    # the Bose vector of one evaluation: the head plus the quadrature nodes
+    # (the searched head, given), against the ~1.4 L modes of a certified
+    # cutoff at beta = 1; and on the half-line continuum (no head given),
+    # the same trapezoid nodes at every L
+    sizes, nodes = {}, {}
     real = thermo._occ_free
     for L in (50.0, 1e3, 1e5, 1e8):
-        seen = []
-        monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: seen.append(len(d)) or real(d, *a))
-        inp = ThermoInput(box=BoxParams(-1.0, L), beta=1.0, rho=3.0, lam=0.7)
-        st = solve_mu(inp, MEAN_FIELD_SCF)
-        assert st.density_residual <= 1e-10 * 3.0
-        sizes[L] = max(seen)
+        box = BoxParams(-1.0, L)
+        for given, out in ((thermo._head_plan(box, 1.0, 1e-10).head, sizes), (None, nodes)):
+            seen = []
+            monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: seen.append(len(d)) or real(d, *a))
+            inp = ThermoInput(box=box, beta=1.0, rho=3.0, lam=0.7, k_max=given)
+            st = solve_mu(inp, MEAN_FIELD_SCF)
+            monkeypatch.undo()
+            assert st.density_residual <= 1e-10 * 3.0
+            out[L] = max(seen)
+        assert nodes[L] == inp.plan.continuum.nodes
     assert max(sizes.values()) <= 100, sizes
     assert max(sizes.values()) <= 2 * min(sizes.values()), sizes
+    assert len(set(nodes.values())) == 1, nodes
 
 
 def test_dropping_the_last_em_term_breaks_the_certificate():

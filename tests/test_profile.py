@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from robinbec import csvio
 from robinbec import profile as profile_module
+from robinbec import thermo
 from robinbec.errors import ValidationError
 from robinbec.profile import (
     EmptyCondensate,
@@ -38,8 +39,9 @@ from robinbec.thermo import (
 )
 
 
-def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0, cutoff_tol=1e-10):
-    inp = ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam, cutoff_tol=cutoff_tol)
+def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0, cutoff_tol=1e-10, k_max=None):
+    inp = ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam, k_max=k_max,
+                      cutoff_tol=cutoff_tol)
     return solve_mu(inp, model=model)
 
 
@@ -158,8 +160,9 @@ def test_profile_table_must_reach_a_certified_cutoff():
     assert profile_cutoff(st.params, k_max) == k_max
     assert density_profile(build_spectrum(st.params.box, k_max), st, 201).grid.shape == (201,)
     # on the continuum path the profile reads the wall pair alone, whatever
-    # the table holds past it: the solve's head (modes 0..2 here) will do
-    st = _state(L=200.0)
+    # the table holds past it: the head of a solve on the ladder (modes
+    # 0..2, given) will do
+    st = _state(L=200.0, k_max=2)
     assert st.params.k_max == 2 and profile_cutoff(st.params) == profile_cutoff(st.params, 100) == 1
     on_head = density_profile(st.spectrum, st, 201)
     on_pair = density_profile(build_spectrum(st.params.box, 1), st, 201)
@@ -728,7 +731,8 @@ def test_profile_csv_memory_stays_flat(tmp_path):
 def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
     # a profile on each path, and a thermo point whose Newton slope at k_max
     # ~ 34,000 took its last bits from a threaded BLAS dot (occ0
-    # 8235.916937552778 under one thread, 8235.91693755278 under two)
+    # 8235.916937552778 under one thread, 8235.91693755278 under two), on
+    # the half-line continuum and on the ladder of a given head
     src = str(Path(__file__).resolve().parents[1] / "src")
     cases = [
         ["profile", "--sigma=-1", "--L=200", "--beta=1.5", "--rho=0.6", "--grid-n=8001",
@@ -736,6 +740,8 @@ def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
         ["profile", "--sigma=-1", "--L=12", "--beta=1.5", "--rho=0.6", "--grid-n=8001"],
         ["thermo", "--model", "scf", "--sigma=-1.0", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
          "--L=8355.2748653427843"],
+        ["thermo", "--model", "scf", "--sigma=-1.0", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
+         "--L=8355.2748653427843", "--k-max=2"],
     ]
     for case in cases:
         runs = []
@@ -788,7 +794,7 @@ def test_continuum_certificate_bounds_the_error():
                 L = Ls / -sigma
                 st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta, lam=lam,
                             model=MEAN_FIELD_SCF if lam else FREE)
-                plan = profile_module._continuum(st.params.box, beta, st.params.cutoff_tol)
+                plan = thermo._continuum(st.params.box, beta, st.params.cutoff_tol)
                 sides.add(continuum_plan(st.params.box, beta, st.params.cutoff_tol) is not None)
                 grid_n = int(20 * L) + 1
                 xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]

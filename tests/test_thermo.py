@@ -325,12 +325,17 @@ def test_scf_state_is_its_own_fixed_point(L, lam, rho):
     eps, occ = st.epsilons, st.occ
     shifted = 1.0 / np.expm1(inp.beta * (eps[2:] - st.mu + lam * st.rho_tilde))
     np.testing.assert_allclose(occ[2:], shifted, rtol=1e-13, atol=0.0)
+    # the same on a table to 3x the certified cutoff, whose k >= 2 modes
+    # the head lacks on the continuum path (L >= 250 here)
+    table = build_spectrum(inp.box, 3 * suggest_k_max(inp.box, inp.beta))
+    full = st.occupations(table)
+    shifted = 1.0 / np.expm1(inp.beta * (table.epsilons[2:] - st.mu + lam * st.rho_tilde))
+    np.testing.assert_allclose(full[2:], shifted, rtol=1e-13, atol=0.0)
     # rho_tilde is the ladder's sum at the state's x, and that sum is
     # within the certificate of the explicit one to 3x the certified cutoff
     ladder = build_ladder(st.spectrum, inp.beta, inp.plan)
     shift = st.x + lam * max(rho - st.rho_cond_finite, 0.0)
     assert st.rho_tilde == ladder_sum(ladder, inp.beta, shift)[0] / L
-    full = st.occupations(build_spectrum(inp.box, 3 * suggest_k_max(inp.box, inp.beta)))
     assert abs(st.rho_tilde - full[2:].sum() / L) <= 1e-15 * st.rho_tilde + inp.plan.certificate
     walls = 1.0 / np.expm1(inp.beta * (np.array([0.0, bound_state_gap(inp.box)]) + st.x))
     np.testing.assert_array_equal(occ[:2], walls)
@@ -394,14 +399,17 @@ def test_scf_matches_gibbs_oracle_at_small_scale():
 
 
 def test_scf_never_exceeds_occupation_bound():
+    # on the solve's head (L = 15, the ladder) and on a table to the
+    # certified cutoff, which the continuum's head (L = 40) lacks
     for L in (15.0, 40.0):
         inp = _input(L=L, rho=1.0, lam=1.0)
         st = solve_mu(inp, model=MEAN_FIELD_SCF)
         beta, lam = inp.beta, inp.lam
-        eps = st.epsilons
-        c = beta * (eps[2:] - eps[0] - 0.5 * lam / inp.box.L)
-        bounds = 1.0 / np.expm1(c)
-        assert np.all(st.occ[2:] <= bounds * (1.0 + 1e-12))
+        for table in (st.spectrum, build_spectrum(inp.box, suggest_k_max(inp.box, beta))):
+            eps = table.epsilons
+            c = beta * (eps[2:] - eps[0] - 0.5 * lam / inp.box.L)
+            bounds = 1.0 / np.expm1(c)
+            assert np.all(st.occupations(table)[2:] <= bounds * (1.0 + 1e-12))
 
 
 def test_equal_distribution_gap_positive_and_stable():
@@ -549,8 +557,11 @@ def test_thermo_input_validation():
 def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
     import robinbec.thermo as thermo
 
-    box = BoxParams(-1.0, 40.0)
+    # L|sigma| = 12 is below the switch to the half-line continuum at each
+    # (beta, cutoff_tol): the head search; at 40 it is past it at each
+    box = BoxParams(-1.0, 12.0)
     for beta, tol in ((1.0, 1e-10), (0.3, 1e-6), (5.0, 1e-14)):
+        assert thermo.continuum_plan(box, beta, tol) is None
         inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
         # the first head on the search sequence whose certificate reaches tol
         heads = [2]
@@ -560,6 +571,14 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
         assert all(plan_ladder(box, beta, k, tol).certificate > tol for k in heads[:-1])
         assert inp.plan.certificate <= tol
         assert solve_mu(inp).epsilons.shape == (inp.k_max + 1,)
+        # past the switch: the continuum's trapezoid on the wall pair, certified
+        far = BoxParams(-1.0, 40.0)
+        continuum = thermo.continuum_plan(far, beta, tol)
+        inp = ThermoInput(box=far, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
+        assert inp.k_max == 1 and inp.plan == thermo.LadderPlan(1, 0, (), continuum.density_certificate,
+                                                                continuum)
+        assert inp.plan.certificate <= 0.75 * tol and continuum.certificate <= tol
+        assert solve_mu(inp).epsilons.shape == (2,)
     # an explicit head is kept as given, and checked against the same certificate
     assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=60).k_max == 60
     with pytest.raises(CutoffTooSmall, match="certified k_max tail 1.445e-02"):
@@ -568,6 +587,7 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
     # reaches the head search
     monkeypatch.setattr(thermo, "_head_plan", lambda *a: pytest.fail("head searched"))
     monkeypatch.setattr(thermo, "plan_ladder", lambda *a: pytest.fail("head planned"))
+    monkeypatch.setattr(thermo, "continuum_plan", lambda *a: pytest.fail("continuum planned"))
     for bad, needle in (({"cutoff_tol": 0.0}, "cutoff_tol must be"),
                         ({"cutoff_tol": 1.5}, "cutoff_tol must be"),
                         ({"beta": 0.0}, "beta must be"),
