@@ -57,7 +57,7 @@ from .profile import (
     Profile,
     density_profile,
     localization_radius,
-    profile_cutoff,
+    profile_input,
     profile_mass,
     write_profile_csv,
 )

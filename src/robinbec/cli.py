@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalFailure, ValidationError
 from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, run_check, truncation_for_check
-from .profile import density_profile, localization_radius, profile_cutoff, write_profile_csv
+from .profile import density_profile, localization_radius, profile_input, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
     FREE, MEAN_FIELD_SCF, ThermoInput, critical_density, equal_distribution_gap,
@@ -116,7 +116,7 @@ def _state_summary(state) -> dict:
         "beta": state.params.beta,
         "rho": state.params.rho,
         "lambda": state.params.lam,
-        "k_max": state.params.k_max,
+        "k_max": state.spectrum.k_max,
         "mu": state.mu,
         "eps0": float(state.epsilons[0]),
         "eps1": float(state.epsilons[1]),
@@ -195,20 +195,16 @@ def _cmd_thermo(cfg: dict) -> int:
 
 def _cmd_profile(cfg: dict) -> int:
     _check_writable(cfg["out"])
-    inp = _thermo_input(cfg, cfg["L"])
-    k_max = profile_cutoff(inp, cfg["k_max"])
+    inp = profile_input(_thermo_input(cfg, cfg["L"]))
     state = solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
-    # k_max = 1 is the continuum path, which reads the wall pair of the
-    # solve's head; a given --k-max is the mode-sum path's cutoff and head
-    table = state.spectrum if k_max in (1, state.spectrum.k_max) else build_spectrum(inp.box, k_max)
-    prof = density_profile(table, state, cfg["grid_n"])
+    prof = density_profile(state.spectrum, state, cfg["grid_n"])
     msg = f"wrote {cfg['out']} ({len(prof.grid)} points)"
     if cfg["fraction"] is not None:  # before the write: a rejected run leaves no file
         d = localization_radius(prof, cfg["fraction"])
         msg += f" localization_radius({cfg['fraction']})={d:.17g}"
     echo = {k: cfg[k] for k in ("sigma", "L", "beta", "rho", "model", "grid_n")}
     echo["lambda"] = cfg["lam"]
-    echo["k_max"] = table.k_max
+    echo["k_max"] = state.spectrum.k_max
     _write(write_profile_csv, prof, cfg["out"], _echo_lines("profile", echo))
     print(msg)
     return 0
@@ -271,8 +267,8 @@ _THERMO = {
     "rho": _Param(float, 1.0),
     "lam": _Param(float, 0.0, flag="--lambda"),
     "model": _Param(str, "free", choices=tuple(sorted(_MODEL_ALIASES))),
-    "k_max": _Param(int, help="explicit head of the density solve's k >= 2 sum, and the "
-                    "profile's mode cutoff where it sums modes; default auto-certified"),
+    "k_max": _Param(int, help="mode cutoff: sum modes 0..k_max one by one, whose certified "
+                    "tail must be at most --cutoff-tol; default auto-certified"),
     "cutoff_tol": _Param(float, 1e-10),
 }
 

@@ -8,12 +8,10 @@ evaluated on the x >= 0 half of the grid and mirrored onto the other
 half; the symmetry then holds to the last bit.
 
 The wall pair is evaluated point by point (`eigenfunction_eval`).  The
-thermal part takes one of two paths, chosen from (box, beta, cutoff_tol)
-alone (`continuum_plan`), so before the density solve.  The plan lives in
-`thermo` (`thermo.continuum_plan`, `thermo.Continuum`): the density solve
-reads the same nodes, its k >= 2 sum being the box integral of this
-n_thermal (the `thermo` module docstring), so where no head is given one
-predicate sends the solve and the profile down the same path.
+thermal part takes the path of the state's input, chosen once
+(`ThermoInput.plan`): the half-line continuum, whose nodes the density
+solve read too (its k >= 2 sum is the box integral of this n_thermal),
+or the mode sum over the solve's own table (`profile_input`).
 
 The continuum path.  With s = |sigma|, y the distance to a wall and
 tan theta_p = s/p, mode k >= 2 is phi_k^2 = 2 cos^2(p_k y + theta_k) /
@@ -65,7 +63,7 @@ Solids, 2nd ed. 1959; J. D. Bondurant and S. A. Fulling, J. Phys. A 38
 
 The mode-sum path sums occ_k N_k^2 cos^2(p_k y + theta_k) term by term
 (`_mode_sum`, as the dip does) over a table that reaches a certified
-cutoff (`profile_cutoff`); the phase from the nearer wall spares the dip
+cutoff (`profile_input`); the phase from the nearer wall spares the dip
 p_k's rounding times L/2.  Both paths sum with `np.einsum`, not `@`: `@`
 goes through BLAS, whose summation order follows its thread count, so the
 same input gave different last bits under OPENBLAS_NUM_THREADS=1 and =2;
@@ -100,7 +98,7 @@ from __future__ import annotations
 import contextlib
 import math
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,8 +106,7 @@ from . import csvio
 from .errors import ValidationError
 from .spectrum import BoxParams, SpectrumTable, eigenfunction_eval
 from .thermo import (
-    Continuum, CutoffTooSmall, ThermoInput, ThermoState, _occ_free, certified_density_tail,
-    continuum_plan, critical_density, suggest_k_max,
+    Continuum, ThermoInput, ThermoState, _cutoff_plan, _occ_free, critical_density, suggest_k_max,
 )
 
 _trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
@@ -210,30 +207,23 @@ def _continuum_half(plan: Continuum, state: ThermoState, xh) -> np.ndarray:
     return n
 
 
-def profile_cutoff(params: ThermoInput, k_max: int | None = None) -> int:
-    """The mode cutoff a density profile at `params` sums to.  On the
-    continuum path (`continuum_plan`) that is 1, the wall pair, whatever
-    `k_max` says (it is the density solve's head alone).  Otherwise it is
-    `k_max` if given, else `suggest_k_max`'s; raises CutoffTooSmall where
-    `certified_density_tail` past it exceeds params.cutoff_tol (the density
-    solve's own head, `params.k_max`, is usually far shorter)."""
-    if continuum_plan(params.box, params.beta, params.cutoff_tol) is not None:
-        return 1
-    if k_max is None:
-        k_max = suggest_k_max(params.box, params.beta, params.cutoff_tol)
-    tail = certified_density_tail(params.box, params.beta, k_max)
-    if not tail <= params.cutoff_tol:
-        raise CutoffTooSmall(f"certified k_max tail {tail:.3e} exceeds cutoff_tol {params.cutoff_tol:.3e}")
-    return k_max
+def profile_input(params: ThermoInput) -> ThermoInput:
+    """The input a density profile at `params` solves: `params` itself on
+    the continuum path or where `k_max` is given (`ThermoInput` has
+    certified it), and else `params` with `suggest_k_max`'s certified
+    cutoff, so that the solve's table is the one the profile sums."""
+    if params.plan.continuum is not None or params.k_max is not None:
+        return params
+    return replace(params, k_max=suggest_k_max(params.box, params.beta, params.cutoff_tol))
 
 
 def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) -> Profile:
     """occ_k |phi_k|^2 on a `grid_n`-point symmetric grid, with the
     occupations the solved state gives (`ThermoState.occupations`): the
-    wall pair from rows 0 and 1 of `spectrum`, and the k >= 2 modes from
-    the half-line continuum (`continuum_plan`) or, on the mode-sum path,
-    from the modes of `spectrum`, which must then reach a certified cutoff
-    (`profile_cutoff`).
+    wall pair from rows 0 and 1 of `spectrum`, and the k >= 2 modes on
+    the path of `state.params.plan`: the half-line continuum, or the modes
+    of `spectrum`, which must then reach a certified cutoff (as the
+    solve's table of a `profile_input` does).
 
     Raises ValidationError where a bound on the density, its value at the
     walls, overflows a float, or where the table is of another box, and
@@ -242,7 +232,9 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
         raise ValidationError(f"grid_n must be in [64, {_MAX_GRID_N}], got {grid_n}")
     occ = state.occupations(spectrum)
     params = state.params
-    profile_cutoff(params, spectrum.k_max)
+    continuum = params.plan.continuum
+    if continuum is None:
+        _cutoff_plan(params.box, params.beta, spectrum.k_max, params.cutoff_tol)
     x = _symmetric_grid(params.box.L, int(grid_n))
     half = x[len(x) // 2:]
     walls = [eigenfunction_eval(spectrum, k, half) for k in (0, 1)]
@@ -257,9 +249,8 @@ def density_profile(spectrum: SpectrumTable, state: ThermoState, grid_n: int) ->
     cond = np.zeros_like(half)
     for w, phi in zip(occ, walls):
         cond += w * phi * phi
-    plan = continuum_plan(params.box, params.beta, params.cutoff_tol)
-    if plan is not None:
-        thermal = _continuum_half(plan, state, half)
+    if continuum is not None:
+        thermal = _continuum_half(continuum, state, half)
     else:
         p = spectrum.wavenumbers[2:]
         thermal = _mode_sum(p, occ[2:] * np.exp(2.0 * spectrum.log_norms[2:]), np.arctan2(params.box.s, p),

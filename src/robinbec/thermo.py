@@ -63,8 +63,10 @@ of them above the 1e-10 rho residual check) to below 1e-12 rho.
 mu = eps(0) - x may round to eps(0) at large beta; x keeps full
 precision.
 
-The k >= 2 sum costs the same at every L, and takes one of two paths,
-chosen from (box, beta, cutoff_tol) alone.
+A given `k_max` is the mode cutoff: the k >= 2 sum is modes 2..k_max one
+by one, and `certified_density_tail` bounds what it drops.  With none
+given, the k >= 2 sum costs the same at every L, and takes one of two
+paths, chosen once in `ThermoInput` from (box, beta, cutoff_tol) alone.
 
 The continuum path, taken where `k_max` is not given and `continuum_plan`
 fits (L|sigma| past ~20 at the default cutoff_tol; `Continuum`, the same
@@ -112,13 +114,12 @@ parts, each at the best height c of the plan's heights:
 The plan fits where the profile's four parts and these three are each at
 most cutoff_tol/4, so the solve's certificate is at most 3/4 of it.
 
-The ladder path, everywhere else: an explicit `k_max`, and boxes below
-the switch.  Modes 2..K (the head, `k_max`) are summed one by one on the
-head table; the rest is closed by Euler-Maclaurin on the phase map
-(`ladder_sum`): the integral of bose(beta (p^2 + q0^2 + x')) k'(p) dp from
-p_K, on Gauss-Legendre panels in p, plus f(K)/2 and the B_2..B_2m terms
-(m <= 3), whose Taylor coefficients come from inverting the phase map's
-series once per solve.  The remainder R is bounded a priori
+The ladder path, below the switch.  Modes 2..K (the head, `plan.head`)
+are summed one by one on the head table; the rest is closed by
+Euler-Maclaurin on the phase map (`ladder_sum`): the integral of
+bose(beta (p^2 + q0^2 + x')) k'(p) dp from p_K, on Gauss-Legendre panels
+in p, plus f(K)/2 and the B_2..B_2m terms (m <= 3), whose Taylor
+coefficients come from inverting the phase map's series once per solve.  The remainder R is bounded a priori
 (`_em_remainders`: Cauchy estimates on disks that stay clear of the Bose
 poles and of the branch points p = +-is, Trefethen and Weideman, SIAM Rev.
 56 (2014) 385-458), and so is the quadrature (`_quadrature`: Bernstein
@@ -127,13 +128,13 @@ the certificate, unless `certified_density_tail`, which bounds what
 dropping every mode above K leaves out at every mu <= eps(0), is at most
 cutoff_tol: small boxes keep the truncated sum, on the same path
 (`plan_ladder`).  `ThermoInput` takes the first K on the sequence 2, 6,
-14, ... whose certificate is at most cutoff_tol unless one is given, and
-checks either (CutoffTooSmall).
+14, ... whose certificate is at most cutoff_tol.
 
 One evaluation of G is one Bose vector: the trapezoid's nodes on the
-continuum path (56 to 302 on the sweep-scf decks, the same at every L), or
+continuum path (56 to 302 on the sweep-scf decks, the same at every L),
 the head and the quadrature nodes on the ladder path (~60 entries from L =
-50 to 1e8 at beta = 1).  The state keeps rho_tilde as that sum gave it.
+50 to 1e8 at beta = 1), or modes 2..k_max of a given cutoff.  The state
+keeps rho_tilde as that sum gave it.
 
 Condensation diagnostics:
 
@@ -183,15 +184,16 @@ class NotCondensing(ValidationError):
 class ThermoInput:
     """Physical point (box, beta, rho, lam) plus mode-sum controls.
 
-    `k_max` is the explicit head of the k >= 2 sum: modes 2..k_max are
-    summed one by one and the rest is closed by `plan_ladder`'s certified
-    tail, or dropped where `certified_density_tail` certifies that.  `k_max
-    = None` (the default) stands for the half-line continuum where
-    `continuum_plan` fits (k_max = 1, the wall pair; module docstring), and
-    else for the first head whose certificate is at most cutoff_tol on a
-    fixed search sequence (`plan`, resolved once every other field has
-    passed its check); a given head whose certificate exceeds cutoff_tol
-    raises CutoffTooSmall here, before any spectrum is built.
+    `k_max` is an input and is never rewritten.  Given, it is the mode
+    cutoff: modes 0..k_max are summed one by one and every mode above is
+    dropped, which `certified_density_tail` must certify at cutoff_tol
+    (else CutoffTooSmall, raised here before any spectrum is built).
+    `None` (the default) leaves the path to `plan`: the half-line continuum
+    where `continuum_plan` fits (head 1, the wall pair; module docstring),
+    and else the first head on a fixed search sequence whose ladder
+    certificate is at most cutoff_tol (`plan_ladder`).  `plan` is made once
+    every other field has passed its check, and its `head` is the size of
+    the solve's table.
     """
 
     box: BoxParams
@@ -219,19 +221,12 @@ class ThermoInput:
             raise ValidationError(f"k_max must be an integer in [2, {K_MAX_LIMIT}], got {self.k_max}")
         if not (0.0 < self.cutoff_tol < 1.0):
             raise ValidationError(f"cutoff_tol must be in (0, 1), got {self.cutoff_tol}")
-        if self.k_max is None:
-            continuum = continuum_plan(self.box, self.beta, self.cutoff_tol)
-            if continuum is not None:
-                plan = LadderPlan(1, 0, (), continuum.density_certificate, continuum)
-            else:
-                plan = _head_plan(self.box, self.beta, self.cutoff_tol)
-            object.__setattr__(self, "k_max", plan.head)
+        if self.k_max is not None:
+            plan = _cutoff_plan(self.box, self.beta, self.k_max, self.cutoff_tol)
+        elif (continuum := continuum_plan(self.box, self.beta, self.cutoff_tol)) is not None:
+            plan = LadderPlan(1, 0, (), continuum.density_certificate, continuum)
         else:
-            plan = plan_ladder(self.box, self.beta, self.k_max, self.cutoff_tol)
-            if plan.certificate > self.cutoff_tol:
-                raise CutoffTooSmall(
-                    f"certified k_max tail {plan.certificate:.3e} exceeds cutoff_tol {self.cutoff_tol:.3e}"
-                )
+            plan = _head_plan(self.box, self.beta, self.cutoff_tol)
         object.__setattr__(self, "plan", plan)
 
 
@@ -372,11 +367,23 @@ def certified_density_tail(box: BoxParams, beta: float, k_max: int) -> float:
     return _gaussian_tail(box.s, beta, (k_max - 1) * math.pi * math.sqrt(beta) / L, k_max * math.pi / L)
 
 
+def _cutoff_plan(box: BoxParams, beta: float, k_max: int, cutoff_tol: float) -> LadderPlan:
+    """The plan of the mode cutoff k_max: modes 2..k_max one by one and
+    nothing above them.  Raises CutoffTooSmall where what that drops,
+    `certified_density_tail`, exceeds cutoff_tol."""
+    plan = LadderPlan(k_max, 0, (), certified_density_tail(box, beta, k_max))
+    if not plan.certificate <= cutoff_tol:
+        raise CutoffTooSmall(
+            f"certified k_max tail {plan.certificate:.3e} exceeds cutoff_tol {cutoff_tol:.3e}")
+    return plan
+
+
 def suggest_k_max(box: BoxParams, beta: float, cutoff_tol: float = 1e-10) -> int:
     """The first cutoff whose `certified_density_tail` is below cutoff_tol
     on the search sequence k -> int(1.3 k) + 4 from max(4, L sqrt(max(1,
-    4/beta))/pi); not always the smallest certified one.  The profile's
-    table takes it; the density solve needs only a head (`plan_ladder`).
+    4/beta))/pi); not always the smallest certified one.  A mode-sum
+    profile takes it as its `k_max` (`profile.profile_input`); the density
+    solve alone needs only a head (`plan_ladder`).
 
     Raises ValidationError once the cutoff would pass K_MAX_LIMIT, the
     largest table `build_spectrum` builds (k >= 4 * 1.3^n passes it within
@@ -565,7 +572,8 @@ class LadderPlan:
 
 
 def plan_ladder(box: BoxParams, beta: float, head: int, cutoff_tol: float) -> LadderPlan:
-    """The plan for modes 2..head: the truncated sum where its
+    """The plan for modes 2..head that the head search of an auto
+    `ThermoInput` tries below the switch: the truncated sum where its
     `certified_density_tail` is at most cutoff_tol; else the
     Euler-Maclaurin tail where its certificate, remainder plus quadrature,
     is below both cutoff_tol and that tail; else the truncated sum with its
@@ -802,8 +810,9 @@ def continuum_plan(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum 
     where a part of either certificate does not fit (the profile's, whose
     (a) must also fit in share of the bulk's scale, `profile` module
     docstring; the solve's, module docstring) or the nodes pass
-    `_MAX_TRAPEZOID_NODES`: the density profile's mode-sum path and the
-    density solve's ladder.  The one predicate of both paths."""
+    `_MAX_TRAPEZOID_NODES`.  The one predicate of both paths, asked once
+    per input by `ThermoInput`, whose `plan` the density solve and the
+    density profile read."""
     plan = _continuum(box, beta, cutoff_tol)
     budget = 0.25 * cutoff_tol
     scale = math.exp(-beta * box.s * box.s) / (2.0 * math.sqrt(math.pi * beta))
@@ -811,7 +820,6 @@ def continuum_plan(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum 
     return plan if fits and plan.remainder <= budget * min(1.0, scale) else None
 
 
-@functools.lru_cache(maxsize=64)
 def _continuum(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum:
     """`continuum_plan`'s plan, fit or not: `_trapezoid_nodes` at (|sigma|,
     beta, cutoff_tol), and the parts that depend on L, (a), (e) and (f)'s
@@ -921,9 +929,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     """Solve the density equation for x = eps(0) - mu_L > 0 by one
     safeguarded Newton iteration in t = log(x / x_mid) (see the module
-    docstring) on the head table of modes 0..inp.k_max (the wall pair on
-    the continuum path), which the state keeps, and the ladder `inp.plan`
-    lays on it; mu = eps(0) - x.
+    docstring) on the head table of modes 0..inp.plan.head (the wall pair
+    on the continuum path, the given cutoff where `inp.k_max` is set),
+    which the state keeps, and the ladder `inp.plan` lays on it; mu =
+    eps(0) - x.
     `ThermoInput` has certified the plan.  Each evaluation takes one
     `ladder_sum` for the k >= 2 sum and its Newton slope.
 
@@ -951,7 +960,7 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
             f"eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double "
             f"(beta = {beta:g}, rho*L = {rho * L:g})"
         )
-    spectrum = build_spectrum(inp.box, inp.k_max)
+    spectrum = build_spectrum(inp.box, inp.plan.head)
     ladder = build_ladder(spectrum, beta, inp.plan)
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
     wall_levels = np.array([0.0, spectrum.wall_gap])
@@ -1048,7 +1057,7 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
             break
     _, x, walls, (total, excited) = best
     state = ThermoState(params=inp, model_tag=model, spectrum=spectrum, x=x,
-                        occ=np.concatenate([walls, excited[:inp.k_max - 1]]), rho_tilde=total / L)
+                        occ=np.concatenate([walls, excited[:inp.plan.head - 1]]), rho_tilde=total / L)
     if not state.density_residual <= 1e-10 * rho:
         raise NumericalFailure(
             f"density residual {state.density_residual:.3e} above 1e-10 * rho"

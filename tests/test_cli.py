@@ -342,8 +342,9 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # they overflowed in suggest_k_max or asked numpy for ~80 TB
     (["thermo", "--sigma=-1", "--L", "1e-300", "--out", "{tmp}/o"], "L*|sigma| > 2"),
     (["thermo", "--sigma=-1e300", "--L", "20", "--out", "{tmp}/o"], "sigma^2"),
-    # (the ladder's k >= 2 roots; the continuum, unset --k-max, takes L up to the wall pair's limit)
-    (["thermo", "--sigma=-1", "--L", "1e300", "--k-max", "2", "--out", "{tmp}/o"],
+    # (the k >= 2 roots of a table; the continuum, unset --k-max, takes L up
+    # to the wall pair's limit)
+    (["spectrum", "--sigma=-1", "--L", "1e300", "--k-max", "2", "--out", "{tmp}/o"],
      "L*|sigma| <= 1e+15, got 1e+300"),
     (["thermo", "--sigma=-1", "--L", "20", "--beta", "1e-300", "--out", "{tmp}/o"],
      "needs k_max > 10000000"),
@@ -446,6 +447,13 @@ _HUGE_BETA = ["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--beta", "1e300
     # tol/3 underflows to 0: a math domain error in the cap estimate
     (["oracle", "--sigma=-1", "--L", "10", "--mu=-1.5", "--trunc-tol", "5e-324",
       "--out", "{tmp}/o"], "tol = 4.94066e-324 is too small: tol/3 underflows a float"),
+    # a given --k-max is a mode cutoff on every path, and its certified tail
+    # must reach --cutoff-tol: not at head 2 for L = 1e300, nor at 3 past
+    # the switch (the profile took the continuum there and echoed k_max = 3)
+    (["thermo", "--sigma=-1", "--L", "1e300", "--k-max", "2", "--out", "{tmp}/o"],
+     "certified k_max tail 1.642e-01 exceeds cutoff_tol 1.000e-10"),
+    (["profile", "--sigma=-1", "--L=200", "--k-max=3", "--out", "{tmp}/o"],
+     "certified k_max tail 1.582e-01 exceeds cutoff_tol 1.000e-10"),
 ])
 def test_rejected_run_leaves_no_output(tmp_path, capsys, argv, needle):
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import robinbec.thermo as thermo
-from robinbec.profile import profile_cutoff
+from robinbec.profile import profile_input
 from robinbec.spectrum import BoxParams, build_spectrum
 from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
+    LadderPlan,
     ThermoInput,
     build_ladder,
     certified_density_tail,
@@ -74,7 +75,7 @@ def test_continuum_solve_matches_the_explicit_sum(sigma, beta, L, model, lam):
     box = BoxParams(sigma, L)
     rho = 1.5 * critical_density(beta, sigma)
     inp = ThermoInput(box=box, beta=beta, rho=rho, lam=lam)
-    assert inp.k_max == 1 and inp.plan.continuum == continuum_plan(box, beta, inp.cutoff_tol)
+    assert inp.plan.head == 1 and inp.plan.continuum == continuum_plan(box, beta, inp.cutoff_tol)
     st = solve_mu(inp, model)
     assert st.spectrum.k_max == 1 and len(st.occ) == 2
     ref = _reference(st)
@@ -109,8 +110,8 @@ def test_continuum_weights_are_the_phase_map_trapezoid():
 
 def test_solve_and_profile_take_the_path_continuum_plan_takes(monkeypatch):
     # on boxes either side of the switch, the solve takes the continuum
-    # (k_max = 1, the wall pair) exactly where continuum_plan fits, and so
-    # does the profile (profile_cutoff = 1)
+    # (head 1, the wall pair) exactly where continuum_plan fits, and so
+    # does the profile (profile_input leaves the input as it is)
     for sigma, beta, tol in ((-1.0, 1.0, 1e-10), (-0.5, 2.0, 1e-10), (-1.5, 0.3, 1e-6)):
         switch = _switch(sigma, beta, tol)
         for Ls in (switch / 1.02, switch, 4.0 * switch):
@@ -118,19 +119,21 @@ def test_solve_and_profile_take_the_path_continuum_plan_takes(monkeypatch):
             fits = continuum_plan(box, beta, tol) is not None
             assert fits == (Ls >= switch)
             inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
-            assert (inp.k_max == 1) == fits == (profile_cutoff(inp) == 1)
-            assert solve_mu(inp).spectrum.k_max == inp.k_max
+            assert (inp.plan.head == 1) == fits == (profile_input(inp) is inp)
+            assert solve_mu(inp).spectrum.k_max == inp.plan.head
     # continuum_plan alone decides: a plan whose solve's rounding part does
     # not fit (patched in) sends both down the other path, at a box far past
-    # the switch; a given head keeps the solve on the ladder either way
+    # the switch; a given k_max is a plain mode cutoff either way
     box = BoxParams(-1.0, 200.0)
     real = thermo._continuum
     monkeypatch.setattr(thermo, "_continuum", lambda *a: real(*a)._replace(summation=math.inf))
     inp = ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0)
     assert continuum_plan(box, 1.0, 1e-10) is None
-    assert inp.k_max > 1 and inp.plan.continuum is None and profile_cutoff(inp) > 1
+    cutoff = suggest_k_max(box, 1.0)
+    assert inp.plan.head > 1 and inp.plan.continuum is None and profile_input(inp).k_max == cutoff
     monkeypatch.undo()
-    assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=6).plan.continuum is None
+    given = ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=cutoff)
+    assert given.plan == LadderPlan(cutoff, 0, (), certified_density_tail(box, 1.0, cutoff))
 
 
 @pytest.mark.parametrize("L", [1e16, 1e100, 1e300])
@@ -141,6 +144,6 @@ def test_continuum_solve_runs_past_the_phase_roots(L):
     # below a double), within the certificate and its own rounding
     inp = ThermoInput(box=BoxParams(-1.0, L), beta=1.0, rho=1.0, lam=0.0)
     st = solve_mu(inp, FREE)
-    assert inp.k_max == 1 and st.density_residual <= 1e-10
+    assert inp.plan.head == 1 and st.density_residual <= 1e-10
     rho_c = critical_density(1.0, -1.0)
     assert abs(st.rho_tilde - rho_c) <= inp.plan.certificate + FLOAT_FLOOR * rho_c

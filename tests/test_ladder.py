@@ -127,17 +127,20 @@ def test_ladder_sum_matches_mpmath(sigma, L, beta):
 
 def test_one_evaluation_takes_a_vector_flat_in_L(monkeypatch):
     # the Bose vector of one evaluation: the head plus the quadrature nodes
-    # (the searched head, given), against the ~1.4 L modes of a certified
-    # cutoff at beta = 1; and on the half-line continuum (no head given),
-    # the same trapezoid nodes at every L
+    # (the searched head, as below the switch: the continuum patched out),
+    # against the ~1.4 L modes of a certified cutoff at beta = 1; and on the
+    # half-line continuum, the same trapezoid nodes at every L
     sizes, nodes = {}, {}
     real = thermo._occ_free
     for L in (50.0, 1e3, 1e5, 1e8):
         box = BoxParams(-1.0, L)
-        for given, out in ((thermo._head_plan(box, 1.0, 1e-10).head, sizes), (None, nodes)):
+        for ladder, out in ((True, sizes), (False, nodes)):
             seen = []
+            if ladder:
+                monkeypatch.setattr(thermo, "continuum_plan", lambda *a: None)
+            inp = ThermoInput(box=box, beta=1.0, rho=3.0, lam=0.7)
+            assert (inp.plan.continuum is None) == ladder
             monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: seen.append(len(d)) or real(d, *a))
-            inp = ThermoInput(box=box, beta=1.0, rho=3.0, lam=0.7, k_max=given)
             st = solve_mu(inp, MEAN_FIELD_SCF)
             monkeypatch.undo()
             assert st.density_residual <= 1e-10 * 3.0

@@ -20,10 +20,9 @@ from robinbec.errors import ValidationError
 from robinbec.profile import (
     EmptyCondensate,
     Profile,
-    continuum_plan,
     density_profile,
     localization_radius,
-    profile_cutoff,
+    profile_input,
     profile_mass,
     write_profile_csv,
 )
@@ -32,7 +31,10 @@ from robinbec.thermo import (
     FREE,
     MEAN_FIELD_SCF,
     CutoffTooSmall,
+    LadderPlan,
     ThermoInput,
+    certified_density_tail,
+    continuum_plan,
     critical_density,
     solve_mu,
     suggest_k_max,
@@ -40,15 +42,12 @@ from robinbec.thermo import (
 
 
 def _state(L=30.0, rho=1.0, lam=0.0, model=FREE, sigma=-1.0, beta=1.0, cutoff_tol=1e-10, k_max=None):
+    # the state a profile solves, as the CLI solves it: its table
+    # (`spectrum`) is the wall pair on the continuum path and reaches the
+    # certified cutoff on the mode-sum path
     inp = ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam, k_max=k_max,
                       cutoff_tol=cutoff_tol)
-    return solve_mu(inp, model=model)
-
-
-def _table(state):
-    # the profile's own table, as the CLI builds it: the wall pair on the
-    # continuum path, modes to the certified cutoff on the mode-sum path
-    return build_spectrum(state.params.box, profile_cutoff(state.params))
+    return solve_mu(profile_input(inp), model=model)
 
 
 def _fake_state(state, occ):
@@ -64,7 +63,7 @@ def test_zero_occupations_zero_profile():
     st = _state()
     st0 = _fake_state(st, np.zeros_like(st.occ))
     assert st0.rho_tilde == 0.0 and st0.rho_cond_finite == 0.0
-    table = _table(st)
+    table = st.spectrum
     prof = density_profile(table, st0, 201)
     assert np.all(prof.n_total == 0.0)
     assert np.all(prof.n_cond == 0.0)
@@ -74,7 +73,7 @@ def test_single_mode_profile_integrates_to_one():
     st = _state(L=12.0)
     occ = np.zeros_like(st.occ)
     occ[0] = 1.0
-    table = _table(st)
+    table = st.spectrum
     prof = density_profile(table, _fake_state(st, occ), 3001)
     q = table.wavenumbers[0]
     ref = (np.exp(table.log_norms[0]) * np.cosh(q * prof.grid)) ** 2
@@ -86,7 +85,7 @@ def test_single_mode_profile_integrates_to_one():
 
 def test_profile_invariants_condensing_state():
     st = _state(L=60.0, rho=1.0, lam=1.0, model=MEAN_FIELD_SCF)
-    table = _table(st)
+    table = st.spectrum
     prof = density_profile(table, st, 8193)
     # pointwise split
     assert np.allclose(prof.n_cond + prof.n_thermal, prof.n_total, rtol=0, atol=1e-14)
@@ -107,7 +106,7 @@ def test_wall_contrast_grows_with_L():
     ratios = []
     for L in (40.0, 80.0, 160.0):
         st = _state(L=L, rho=1.0)
-        table = _table(st)
+        table = st.spectrum
         prof = density_profile(table, st, 2049)
         ratios.append(prof.n_cond[-1] / prof.n_cond[len(prof.grid) // 2])
     assert ratios[0] < ratios[1] < ratios[2]
@@ -123,7 +122,7 @@ def test_localization_radius_uniform_profile():
 
 def test_localization_radius_wall_hugging():
     st = _state(L=80.0, rho=1.0)
-    table = _table(st)
+    table = st.spectrum
     prof = density_profile(table, st, 16385)
     d = localization_radius(prof, 0.9)
     # cosh^2 tail: 90% of the mass within ~ln(10)/(2|sigma|) of the walls
@@ -137,7 +136,7 @@ def test_localization_radius_empty_condensate():
     from dataclasses import replace
 
     st = _state(L=20.0)
-    table = _table(st)
+    table = st.spectrum
     prof = density_profile(table, replace(st, occ=np.zeros_like(st.occ)), 501)
     with pytest.raises(EmptyCondensate):
         localization_radius(prof, 0.9)
@@ -147,39 +146,45 @@ def test_profile_table_must_reach_a_certified_cutoff():
     # on the mode-sum path (L|sigma| = 12, below the continuum's switch) a
     # table short of the certified cutoff leaves out thermal density: a
     # profile on it is rejected, as is a given cutoff whose certified tail
-    # exceeds cutoff_tol; the default is suggest_k_max's
+    # exceeds cutoff_tol; with none given, profile_input sets suggest_k_max's
+    # and the solve sums that table, which the profile reads
     st = _state(L=12.0)
-    assert continuum_plan(st.params.box, st.params.beta, st.params.cutoff_tol) is None
-    short = build_spectrum(st.params.box, 10)
+    box = st.params.box
+    k_max = suggest_k_max(box, st.params.beta)
+    assert st.params.plan.continuum is None and k_max > 10
+    assert st.params.k_max == st.spectrum.k_max == k_max
+    assert st.params.plan == LadderPlan(k_max, 0, (), certified_density_tail(box, 1.0, k_max))
+    assert density_profile(st.spectrum, st, 201).grid.shape == (201,)
+    short = build_spectrum(box, 10)
     with pytest.raises(CutoffTooSmall, match="certified k_max tail .* exceeds cutoff_tol 1.000e-10"):
         density_profile(short, st, 201)
-    with pytest.raises(CutoffTooSmall):
-        profile_cutoff(st.params, 10)
-    k_max = profile_cutoff(st.params)
-    assert k_max == suggest_k_max(st.params.box, st.params.beta) > 10
-    assert profile_cutoff(st.params, k_max) == k_max
-    assert density_profile(build_spectrum(st.params.box, k_max), st, 201).grid.shape == (201,)
+    with pytest.raises(CutoffTooSmall, match="certified k_max tail .* exceeds cutoff_tol 1.000e-10"):
+        _state(L=12.0, k_max=10)
+    assert profile_input(st.params) is st.params
     # on the continuum path the profile reads the wall pair alone, whatever
-    # the table holds past it: the head of a solve on the ladder (modes
-    # 0..2, given) will do
-    st = _state(L=200.0, k_max=2)
-    assert st.params.k_max == 2 and profile_cutoff(st.params) == profile_cutoff(st.params, 100) == 1
-    on_head = density_profile(st.spectrum, st, 201)
-    on_pair = density_profile(build_spectrum(st.params.box, 1), st, 201)
-    for a, b in zip((on_head.n_cond, on_head.n_thermal), (on_pair.n_cond, on_pair.n_thermal)):
+    # the table holds past it: the certified cutoff's table will do.  There
+    # a given k_max is a mode cutoff too, and 2 is far short of it
+    st = _state(L=200.0)
+    assert st.params.plan.continuum is not None and st.spectrum.k_max == 1
+    assert profile_input(st.params) is st.params
+    on_pair = density_profile(st.spectrum, st, 201)
+    on_cutoff = density_profile(build_spectrum(st.params.box, suggest_k_max(st.params.box, 1.0)), st, 201)
+    for a, b in zip((on_cutoff.n_cond, on_cutoff.n_thermal), (on_pair.n_cond, on_pair.n_thermal)):
         assert np.array_equal(a, b)
+    with pytest.raises(CutoffTooSmall, match="certified k_max tail .* exceeds cutoff_tol 1.000e-10"):
+        _state(L=200.0, k_max=2)
 
 
 def test_grid_validation():
     st = _state(L=20.0)
-    table = _table(st)
+    table = st.spectrum
     with pytest.raises(ValidationError):
         density_profile(table, st, 32)
 
 
 def test_profile_csv(tmp_path):
     st = _state(L=20.0)
-    table = _table(st)
+    table = st.spectrum
     prof = density_profile(table, st, 101)
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path, comment_lines=["L = 20"])
@@ -245,7 +250,7 @@ def test_profile_columns_match_longdouble_mode_sum(sigma, beta, L, grid_n, lam, 
                 model=MEAN_FIELD_SCF if lam else FREE, cutoff_tol=cutoff_tol)
     plan = continuum_plan(st.params.box, beta, cutoff_tol)
     assert (plan is None) == (L * -sigma < 20.0)
-    prof = density_profile(_table(st), st, grid_n)
+    prof = density_profile(st.spectrum, st, grid_n)
     for col in (prof.n_total, prof.n_cond, prof.n_thermal):
         assert np.array_equal(col, col[::-1])  # exact mirror symmetry
     half = prof.grid[grid_n // 2:]
@@ -274,7 +279,7 @@ def test_mode_sum_takes_one_trig_function_per_mode(monkeypatch):
     for (st, grid_n), dip in zip(cases, (True, False)):
         seen = []
         monkeypatch.setattr(profile_module, "_mode_sum", lambda *args: seen.append(args) or real(*args))
-        density_profile(_table(st), st, grid_n)
+        density_profile(st.spectrum, st, grid_n)
         monkeypatch.undo()
         (p, w, theta, y), = seen
         if dip:
@@ -347,7 +352,7 @@ def _mirrored_grid(n):
 @pytest.fixture(scope="module")
 def condensing_state():
     st = _state(L=200.0, rho=1.5 * critical_density(1.5, -1.0), beta=1.5)
-    return _table(st), st
+    return st.spectrum, st
 
 
 @pytest.mark.parametrize("grid_n", [4 * 4096 + 1, 4 * 4096 + 2])
@@ -554,7 +559,7 @@ def test_profile_csv_constant_blocks_of_a_condensing_state(tmp_path, monkeypatch
 def test_profile_csv_mode_sum_path_has_no_constant_block(tmp_path, monkeypatch):
     st = _state(L=12.0, beta=1.0)
     assert continuum_plan(st.params.box, st.params.beta, st.params.cutoff_tol) is None
-    shapes = _kernel_blocks(tmp_path, monkeypatch, density_profile(_table(st), st, 4 * 4096 + 1))
+    shapes = _kernel_blocks(tmp_path, monkeypatch, density_profile(st.spectrum, st, 4 * 4096 + 1))
     assert {columns for _, columns in shapes} == {4}
 
 
@@ -701,7 +706,7 @@ def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_sta
 
 def test_density_profile_memory_stays_flat():
     st = _state(L=800.0, rho=1.5 * critical_density(1.0, -0.55), sigma=-0.55)
-    table = _table(st)
+    table = st.spectrum
     tracemalloc.start()
     try:
         density_profile(table, st, 32001)
@@ -729,10 +734,12 @@ def test_profile_csv_memory_stays_flat(tmp_path):
 
 
 def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # a profile on each path, and a thermo point whose Newton slope at k_max
-    # ~ 34,000 took its last bits from a threaded BLAS dot (occ0
-    # 8235.916937552778 under one thread, 8235.91693755278 under two), on
-    # the half-line continuum and on the ladder of a given head
+    # a profile on each path, and a thermo point on each path of the solve:
+    # one whose Newton slope at k_max ~ 34,000 took its last bits from a
+    # threaded BLAS dot (occ0 8235.916937552778 under one thread,
+    # 8235.91693755278 under two), now on the half-line continuum, and one
+    # below the switch whose searched head (62) takes the Euler-Maclaurin
+    # tail of the ladder
     src = str(Path(__file__).resolve().parents[1] / "src")
     cases = [
         ["profile", "--sigma=-1", "--L=200", "--beta=1.5", "--rho=0.6", "--grid-n=8001",
@@ -740,9 +747,11 @@ def test_cli_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
         ["profile", "--sigma=-1", "--L=12", "--beta=1.5", "--rho=0.6", "--grid-n=8001"],
         ["thermo", "--model", "scf", "--sigma=-1.0", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
          "--L=8355.2748653427843"],
-        ["thermo", "--model", "scf", "--sigma=-1.0", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
-         "--L=8355.2748653427843", "--k-max=2"],
+        ["thermo", "--model", "scf", "--sigma=-0.1", "--beta=0.2", "--rho=3.0", "--lambda=0.7",
+         "--L=150"],
     ]
+    ladder = ThermoInput(box=BoxParams(sigma=-0.1, L=150.0), beta=0.2, rho=3.0, lam=0.7).plan
+    assert ladder.continuum is None and ladder.head == 62 and ladder.terms > 0
     for case in cases:
         runs = []
         for threads in ("1", "2"):
@@ -806,25 +815,48 @@ def test_continuum_certificate_bounds_the_error():
     assert sides == {True, False}
 
 
-def test_cli_profile_builds_only_the_head(tmp_path, monkeypatch):
-    # a continuum-path profile builds one table, the density solve's head,
-    # and echoes its k_max; a mode-sum-path profile builds the head and the
-    # certified-cutoff table it sums, and echoes that cutoff, unless a given
-    # --k-max makes the two one table
-    from robinbec import cli, thermo
+def _cli_profile(monkeypatch, out, argv):
+    """Run `robinbec profile` with `argv`; the k_max of every table it
+    builds, and the CSV's `# k_max` lines."""
+    from robinbec import cli
 
-    head = ThermoInput(box=BoxParams(sigma=-1.0, L=200.0), beta=1.0, rho=1.0, lam=0.0).k_max
-    small = ThermoInput(box=BoxParams(sigma=-1.0, L=12.0), beta=1.0, rho=1.0, lam=0.0)
-    cutoff = suggest_k_max(small.box, 1.0)
-    for L, given, builds in (("200", [], [head]), ("12", [], [small.k_max, cutoff]),
-                             ("12", ["--k-max=40"], [40])):
-        built = []
-        for module in (cli, thermo):
-            real = module.build_spectrum
-            monkeypatch.setattr(module, "build_spectrum",
-                                lambda box, k, real=real: built.append(k) or real(box, k))
-        out = tmp_path / "profile.csv"
-        assert cli.main(["profile", "--sigma=-1", f"--L={L}", "--grid-n=201", *given, "--out", str(out)]) == 0
-        monkeypatch.undo()
-        echo = [line for line in out.read_text().splitlines() if line.startswith("# k_max = ")]
+    built = []
+    for module in (cli, thermo):
+        real = module.build_spectrum
+        monkeypatch.setattr(module, "build_spectrum",
+                            lambda box, k, real=real: built.append(k) or real(box, k))
+    assert cli.main(["profile", "--sigma=-1", "--grid-n=201", *argv, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    return built, [line for line in out.read_text().splitlines() if line.startswith("# k_max = ")]
+
+
+def test_cli_profile_builds_only_the_head(tmp_path, monkeypatch):
+    # a profile op builds one table, the density solve's, and echoes its
+    # k_max: the wall pair on the continuum path, and on the mode-sum path
+    # the certified cutoff (suggest_k_max's, or a given --k-max)
+    cutoff = suggest_k_max(BoxParams(sigma=-1.0, L=12.0), 1.0)
+    for L, given, builds in (("200", [], [1]), ("12", [], [cutoff]), ("12", ["--k-max=40"], [40])):
+        built, echo = _cli_profile(monkeypatch, tmp_path / "profile.csv", [f"--L={L}", *given])
         assert built == builds and echo == [f"# k_max = {builds[-1]}"]
+
+
+def test_cli_profile_k_max_is_a_cutoff_past_the_switch(tmp_path, monkeypatch):
+    # past the switch a given --k-max is the mode cutoff as below it: the
+    # solve and the profile sum exactly modes 0..k_max, and the CSV echoes
+    # it (`test_cli` rejects one whose certified tail exceeds --cutoff-tol)
+    box = BoxParams(sigma=-1.0, L=200.0)
+    k_max = suggest_k_max(box, 1.0)
+    out = tmp_path / "profile.csv"
+    built, echo = _cli_profile(monkeypatch, out, ["--L=200", f"--k-max={k_max}"])
+    assert built == [k_max] and echo == [f"# k_max = {k_max}"]
+    st = solve_mu(ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=k_max))
+    occ = st.occupations(st.spectrum)
+    assert st.spectrum.k_max == k_max and np.array_equal(occ, st.occ)
+    assert st.rho_tilde == pytest.approx(math.fsum(occ[2:].tolist()) / box.L, rel=1e-14, abs=0.0)
+    # the CSV's n_thermal is the long-double sum over those modes (the
+    # continuum's is 2e-10 off it, relative)
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    half = rows[100:]
+    _, ref = _longdouble_columns(st.spectrum, st, half[:, 0])
+    np.testing.assert_allclose(half[:, 3], ref.astype(float), rtol=1e-13, atol=0.0)

@@ -186,7 +186,7 @@ def _solve_equation(mpmath, inp, st, model=MEAN_FIELD_SCF):
         occ = [1 / mpmath.expm1(b * (d + shift)) for d in levels]
         total = mpmath.fsum(w * o for w, o in zip(weights, occ))
         if em:
-            bk = occ[inp.k_max - 2]
+            bk = occ[inp.plan.head - 2]
             total += bk * mpmath.fsum(e * (-bk / scale) ** n for n, e in enumerate(em))
         return (rho_tilde - total / n_L) / inp.rho
 
@@ -312,7 +312,7 @@ def test_state_wall_pair_from_one_solve(monkeypatch):
         st = solve_mu(inp, model=MEAN_FIELD_SCF)
         assert calls == {"_wall_roots": 1, "_wall_columns": 0, "_ladder_columns": 0}
         table = build_spectrum(inp.box, 1)
-        assert st.spectrum.k_max == inp.k_max and st.spectrum.params == inp.box
+        assert st.spectrum.k_max == inp.plan.head and st.spectrum.params == inp.box
         assert st.spectrum.wall_gap == table.wall_gap
         assert st.spectrum.wall_level_offsets == table.wall_level_offsets
 
@@ -564,23 +564,23 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
         assert thermo.continuum_plan(box, beta, tol) is None
         inp = ThermoInput(box=box, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
         # the first head on the search sequence whose certificate reaches tol
+        head = inp.plan.head
         heads = [2]
-        while heads[-1] < inp.k_max:
+        while heads[-1] < head:
             heads.append(2 * heads[-1] + 2)
-        assert heads[-1] == inp.k_max and inp.plan == plan_ladder(box, beta, inp.k_max, tol)
+        assert inp.k_max is None and heads[-1] == head and inp.plan == plan_ladder(box, beta, head, tol)
         assert all(plan_ladder(box, beta, k, tol).certificate > tol for k in heads[:-1])
         assert inp.plan.certificate <= tol
-        assert solve_mu(inp).epsilons.shape == (inp.k_max + 1,)
+        assert solve_mu(inp).epsilons.shape == (head + 1,)
         # past the switch: the continuum's trapezoid on the wall pair, certified
         far = BoxParams(-1.0, 40.0)
         continuum = thermo.continuum_plan(far, beta, tol)
         inp = ThermoInput(box=far, beta=beta, rho=1.0, lam=0.0, cutoff_tol=tol)
-        assert inp.k_max == 1 and inp.plan == thermo.LadderPlan(1, 0, (), continuum.density_certificate,
-                                                                continuum)
+        assert inp.k_max is None and inp.plan == thermo.LadderPlan(1, 0, (), continuum.density_certificate,
+                                                                   continuum)
         assert inp.plan.certificate <= 0.75 * tol and continuum.certificate <= tol
         assert solve_mu(inp).epsilons.shape == (2,)
-    # an explicit head is kept as given, and checked against the same certificate
-    assert ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=60).k_max == 60
+    # a given k_max whose certified tail exceeds cutoff_tol is rejected
     with pytest.raises(CutoffTooSmall, match="certified k_max tail 1.445e-02"):
         ThermoInput(box=BoxParams(-1.0, 3.0), beta=1.0, rho=1.0, lam=0.0, k_max=2)
     # every other field is checked first: a bad cutoff_tol or beta never
@@ -594,6 +594,34 @@ def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
                         ({"k_max": 1}, "k_max must be")):
         with pytest.raises(ValidationError, match=needle):
             ThermoInput(**{"box": box, "beta": 1.0, "rho": 1.0, "lam": 0.0, **bad})
+    # a given k_max is kept as given and is a mode cutoff: the truncated sum
+    # alone, which plans neither a ladder nor the continuum, past the switch
+    # as below it
+    for L in (12.0, 200.0):
+        far = BoxParams(-1.0, L)
+        k_max = suggest_k_max(far, 1.0)
+        given = ThermoInput(box=far, beta=1.0, rho=1.0, lam=0.0, k_max=k_max)
+        assert given.k_max == k_max
+        assert given.plan == thermo.LadderPlan(k_max, 0, (), certified_density_tail(far, 1.0, k_max))
+
+
+def test_replace_plans_an_auto_input_again():
+    # k_max stays None on an auto input, so dataclasses.replace plans the
+    # new input as a fresh one would: the continuum input with a new rho,
+    # and the ladder's head of L = 12 moved onto the continuum of L = 400
+    from dataclasses import replace
+
+    inp = ThermoInput(box=BoxParams(-1.0, 200.0), beta=1.0, rho=1.0, lam=0.0)
+    assert inp.plan.head == 1 and inp.k_max is None
+    moved = replace(inp, rho=2.0)
+    assert moved == ThermoInput(box=BoxParams(-1.0, 200.0), beta=1.0, rho=2.0, lam=0.0)
+    assert moved.plan == inp.plan and solve_mu(moved).density_residual <= 1e-10 * 2.0
+    small = ThermoInput(box=BoxParams(-1.0, 12.0), beta=1.0, rho=1.0, lam=0.0)
+    assert small.plan.head > 1 and small.plan.continuum is None
+    moved = replace(small, box=BoxParams(-1.0, 400.0))
+    fresh = ThermoInput(box=BoxParams(-1.0, 400.0), beta=1.0, rho=1.0, lam=0.0)
+    assert moved == fresh and moved.plan == fresh.plan and moved.plan.head == 1
+    assert moved.plan.continuum is not None and solve_mu(moved).spectrum.k_max == 1
 
 
 def test_state_reads_derived_values_from_its_fields():
