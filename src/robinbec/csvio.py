@@ -2,10 +2,16 @@
 
 The spectrum, sweep and profile CSVs each start with `# ...` comment
 lines and a column-header line (`write_header`), followed by rows whose
-numbers are the bytes of CPython's `'%.17g' % v`.  Every row is made by
-one numpy kernel (`_format_pass`), in passes of at most `CELLS_PER_PASS`
-array cells (`format_rows`, and `write_rows` for a whole table, which
-takes `ROWS_PER_PASS` rows a pass, fewer past eight columns).  The
+numbers are the bytes of CPython's `'%.17g' % v`.  Rows are made in
+passes of at most `CELLS_PER_PASS` array cells (`format_rows`, and
+`write_rows` for a whole table, which takes `ROWS_PER_PASS` rows a pass,
+fewer past eight columns), each by one numpy kernel (`_format_pass`) or,
+in a pass of at most `SMALL_CELLS` cells, by `'%'` itself (`_printf`),
+cell by cell.  Besides its per-cell work, the kernel costs ~75 us a pass
+(~70 numpy calls), and `'%'` ~0.6 us a cell, joined: passes of 2, 4 and
+9 columns crossed over at 126 to 160 cells (timeit, warm tables), so a
+sweep's 45 cells, a spectrum of up to 21 rows and the odd profile
+grid's centre row take `'%'`, and every bulk pass the kernel.  The
 spectrum's `parity` text column is the one non-number: a pass takes an
 optional word per row that replaces the ',' after column 0 (`",even,"`
 or `",odd,"`).
@@ -40,20 +46,19 @@ fresh memory.  A block of `ROWS_PER_PASS` rows of four columns is one
 pass of 4096 cells: 192 kB of slots, ~0.9 MB at its peak (tracemalloc).
 
 A column that holds one value in every row of a pass may be given as a
-`Constant` instead of an array.  Its text is made once, by the kernel's
-own steps (`_round17`, `_cell_words`, and `_printf` where those do not
-certify it), compacted, followed by its separator (',' or, in the last
-column, a newline) and zero-padded to whole words: "0.25," is one word,
-not six.  A pass then formats the array columns alone, writing their
-words into their slices of one slot array, copies the constant's words
-into its slice of every row, and ends in the same `tobytes` and
-`translate`, which the shorter rows make cheaper too (144 bytes a row,
-not 192, for two array columns and two 17-digit constants; ~0.5 MB at
-the peak for 1024 rows, ~1.8 MB for the 4096 rows of the profile's
-bulk passes).  Making the words costs about one pass's fixed overhead
-(~0.1 ms), so a writer makes each constant once per file and shares it
-by the value's bit pattern: -0.0 == 0.0, but the two print differently,
-and no nan equals itself.
+`Constant` instead of an array.  Its text is made once, by `_printf`
+(~2 us; a kernel pass on its one cell takes ~80 us), followed by its
+separator (',' or, in the last column, a newline) and zero-padded to
+whole words: "0.25," is one word, not six.  A pass then formats the
+array columns alone, writing their words into their slices of one slot
+array, copies the constant's words into its slice of every row, and
+ends in the same `tobytes` and `translate`, which the shorter rows make
+cheaper too (144 bytes a row, not 192, for two array columns and two
+17-digit constants; ~0.5 MB at the peak for 1024 rows, ~1.8 MB for the
+4096 rows of the profile's bulk passes); a small pass takes its text.
+A writer makes each constant once per file and shares it by the value's
+bit pattern: -0.0 == 0.0, but the two print differently, and no nan
+equals itself.
 
 The module needs numpy only, so every writer (`spectrum`, `thermo`,
 `profile`) can import it.
@@ -69,6 +74,7 @@ import numpy as np
 
 CELLS_PER_PASS = 8192  # array cells per kernel pass at most; see the module docstring
 ROWS_PER_PASS = 1024  # CSV rows per `write_rows` pass, and the profile writer's block
+SMALL_CELLS = 128  # array cells of a pass that `_printf` formats one by one (module docstring)
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of doubles
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 _TIE_MARGIN = 2.0 ** -36  # fractional parts this close to 1/2 go to `_printf`
@@ -153,7 +159,8 @@ def _tables() -> _Tables:
 
 
 def _printf(value: float) -> bytes:
-    """One cell the vector kernel does not certify, formatted by CPython."""
+    """One cell formatted by CPython: a `Constant`, a cell of a small pass,
+    or one the vector kernel does not certify."""
     return b"%.17g" % value
 
 
@@ -259,17 +266,14 @@ def _fill_cells(v: np.ndarray, digits, xi, ok, out) -> None:
 class Constant:
     """A column that holds one value in every row of a pass: `format_rows`
     takes it in place of an array and copies its words into each row.  Its
-    text is made here, once, by the kernel (`_fill_cells`), so one object
-    serves every pass of a file; a writer shares it by the value's bit
-    pattern (-0.0 == 0.0, but they print differently)."""
+    text is made here, once, by `_printf`, so one object serves every pass
+    of a file; a writer shares it by the value's bit pattern (-0.0 == 0.0,
+    but they print differently)."""
 
     __slots__ = ("text", "_words")
 
     def __init__(self, value: float):
-        cell = np.array([value], dtype=float)
-        words = np.empty((1, _WORDS), _U64)
-        _fill_cells(cell, *_digits(cell), [words])
-        self.text = words.tobytes().translate(None, b"\0")
+        self.text = _printf(float(value))
         size = len(self.text) + 1  # and its separator, zero-padded to whole words
         self._words = tuple(np.frombuffer((self.text + sep).ljust(-(-size // 8) * 8, b"\0"), _U64)
                             for sep in (b",", b"\n"))
@@ -342,17 +346,32 @@ def format_rows(columns, lo: int, hi: int, after_first=None) -> bytes:
     """Rows lo..hi - 1 of the equal-length `columns` (arrays, or ranges,
     or a `Constant` that every row holds) as CSV lines, in one kernel pass
     over the array columns alone, whose cells (hi - lo times their number)
-    should stay within `CELLS_PER_PASS`.
+    should stay within `CELLS_PER_PASS`; a pass of at most `SMALL_CELLS`
+    cells is formatted cell by cell by `_printf` instead.
     `after_first` holds the words (`separator_words`) that follow column 0
     in place of its ',', row i taking after_first[i % len(after_first)]."""
-    arrays = [_floats(c[lo:hi]) for c in columns if not isinstance(c, Constant)]
-    block = np.column_stack(arrays)
+    arrays = [c for c in columns if not isinstance(c, Constant)]
+    if (hi - lo) * len(arrays) <= SMALL_CELLS:
+        return _printf_rows(columns, lo, hi, after_first)
+    block = np.column_stack([_floats(c[lo:hi]) for c in arrays])
     if after_first is not None:
         after_first = after_first.take(np.arange(lo, hi) % len(after_first))
     layout = None
     if len(arrays) < len(columns):
         layout = [c if isinstance(c, Constant) else None for c in columns]
     return _format_pass(block, after_first, layout)
+
+
+def _printf_rows(columns, lo: int, hi: int, after_first) -> bytes:
+    """`format_rows` of a small pass: each array cell by `_printf`, and
+    each word of `after_first` as its bytes."""
+    texts = [[c.text] * (hi - lo) if isinstance(c, Constant)
+             else list(map(_printf, _floats(c[lo:hi]).tolist())) for c in columns]
+    if after_first is None:
+        return b"".join([b",".join(row) + b"\n" for row in zip(*texts)])
+    words = [w.to_bytes(8, "little").replace(b"\0", b"") for w in after_first.tolist()]
+    return b"".join([first + words[i % len(words)] + b",".join(rest) + b"\n"
+                     for i, (first, *rest) in enumerate(zip(*texts), lo)])
 
 
 def write_header(fh, comment_lines, header: str) -> None:

@@ -76,15 +76,17 @@ vectorised test over the half grid, `_mirror_rows`), and is formatted
 itself otherwise, so the bytes never depend on the shortcut.  Past the
 wall layers, n_thermal is the bulk C bit for bit, and n_total too where
 n_cond is below half an ulp of it: a block of the x > 0 half passes
-either column as one `csvio.Constant`, made once per file from the
-centre row's value, wherever every row of the block holds the centre
-row's bits (a second vectorised test), and a run of up to `_BULK_BLOCKS`
-mirrored blocks that hold both is one kernel pass of x and n_cond alone
-(`_passes`).  The x > 0 half comes last in the file, so the text of each
-of its passes waits as the kernel returned it: in memory while the texts
-held add up to at most `_SPOOL_BYTES`, and from the first that does not
-fit on, in a temporary file.  It works in bytes from the `%.17g` kernel
-of `csvio`, which formats every CSV robinbec writes, to the file.
+either column as one `csvio.Constant`, whose text `'%'` makes once per
+file from the centre row's value, wherever every row of the block holds
+the centre row's bits (a second vectorised test), and a run of up to
+`_BULK_BLOCKS` mirrored blocks that hold both is one kernel pass of x
+and n_cond alone (`_passes`).  The x > 0 half comes last in the file, so
+the text of each of its passes waits as `csvio` returned it: in memory
+while the texts held add up to at most `_SPOOL_BYTES`, and from the
+first that does not fit on, in a temporary file.  It works in bytes from the `%.17g` passes
+of `csvio`, which formats every CSV robinbec writes, to the file: the
+kernel's, and `'%'`'s for a pass of at most `csvio.SMALL_CELLS` cells
+(the odd grid's centre row, and the blocks of a short grid).
 
 `localization_radius` quantifies the surface character of the wall-mode
 density: the smallest distance d from a wall such that the windows within
@@ -189,7 +191,8 @@ def _continuum_half(plan: Continuum, state: ThermoState, xh) -> np.ndarray:
     if ell == math.inf:
         return np.zeros(len(xh))
     p = np.arange(plan.nodes) * plan.dp
-    b = _occ_free(p * p, state.params.beta, ell)
+    with np.errstate(over="ignore"):
+        b = _occ_free(p * p, state.params.beta, ell)
     coef = (plan.dp / math.pi) * b * ((p + 1j * s) / (p - 1j * s))  # e^{2i theta_p}
     coef[0] *= 0.5
     bulk = critical_density(state.params.beta, -math.sqrt(ell))
@@ -325,10 +328,11 @@ def _mirror_rows(columns, n) -> np.ndarray:
 
 
 def _passes(columns, n):
-    """(lo, hi, layout, mirrored) for each kernel pass of `write_profile_csv`,
-    from the wall inwards: the x > 0 rows [n - hi, n - lo) go through the
-    kernel as the columns `layout`, and `mirrored` says whether every row of
-    [lo, hi) is the exact mirror of its partner (`_mirror_rows`).  A pass is
+    """(lo, hi, layout, mirrored) for each pass of `write_profile_csv`, from
+    the wall inwards: the x > 0 rows [n - hi, n - lo) go to
+    `csvio.format_rows` as the columns `layout`, and `mirrored` says
+    whether every row of [lo, hi) is the exact mirror of its partner
+    (`_mirror_rows`).  A pass is
     one block of `csvio.ROWS_PER_PASS` rows, in which n_total and n_thermal
     (columns 1 and 3) are each a `csvio.Constant` of the centre row n // 2
     where every row of the block holds that row's bits, one per bit pattern
@@ -367,17 +371,17 @@ def write_profile_csv(profile: Profile, path, comment_lines=()) -> None:
 
     Rows j and n-1-j of a mirror-symmetric profile differ only in the sign
     of x, so the x > 0 half is formatted once, a block of
-    `csvio.ROWS_PER_PASS` rows or a run of such blocks per kernel pass
+    `csvio.ROWS_PER_PASS` rows or a run of such blocks per pass
     (`_passes`): where every row that a block mirrors checks out exactly
     (`_mirror_rows`), the block's lines, reversed and negated, are their
     bytes, and otherwise those rows are formatted themselves.  In a block
     of the x > 0 half whose every row holds the bits of the centre row
-    n // 2 in n_total, or in n_thermal, that column goes to the kernel as a
+    n // 2 in n_total, or in n_thermal, that column goes to `csvio` as a
     `csvio.Constant`, one per bit pattern and file, and a run of up to
     `_BULK_BLOCKS` mirrored blocks that hold both is one pass of x and
     n_cond.  Either way the bytes are those of formatting every row.  The
-    x > 0 half comes last in the file, so each of its texts waits as the
-    kernel returned it: in memory while those held add up to at most
+    x > 0 half comes last in the file, so each of its texts waits as
+    `csvio` returned it: in memory while those held add up to at most
     `_SPOOL_BYTES`, and from the first that does not fit on, in a
     temporary file, opened then.
     """

@@ -279,7 +279,8 @@ class ThermoState:
         if table.params != self.params.box:
             raise ValidationError("spectrum and state describe different boxes")
         q = table.wavenumbers
-        excited = _occ_free(q[2:] * q[2:] + q[0] * q[0], self.params.beta, self.excited_shift)
+        with np.errstate(over="ignore"):
+            excited = _occ_free(q[2:] * q[2:] + q[0] * q[0], self.params.beta, self.excited_shift)
         return np.concatenate([self.occ[:2], excited])
 
 
@@ -712,7 +713,8 @@ def build_ladder(spectrum: SpectrumTable, beta: float, plan: LadderPlan) -> Ladd
     weights = np.ones(K - 1 + len(u))
     weights[K - 2] = 0.5
     weights[K - 1:] = half * w * (L - 2.0 * s / (u * u + s * s)) / math.pi
-    scale = float(_occ_free(head[-1:], beta, 0.0)[0])  # bose at mode head, x' = 0: the largest b
+    with np.errstate(over="ignore"):  # bose at mode head, x' = 0: the largest b
+        scale = float(_occ_free(head[-1:], beta, 0.0)[0])
     scale = scale if scale > 0.0 else 1.0
     try:
         em = _em_weights(s, L, beta, float(q[K]), scale, plan.terms)
@@ -736,7 +738,15 @@ def ladder_sum(ladder: Ladder, beta: float, shift: float):
     b sum_n (-b/scale)^n e_n for S and b (1 + b) sum_n (n + 1) (-b/scale)^n
     e_n for S1 (their y-derivative form, bose (1 + bose) = -bose').  Einsum
     reductions, no BLAS: the sums do not depend on the thread count.
+    The overflow of expm1 at levels whose occupation is 0 is silenced here;
+    `solve_mu` calls `_ladder_sum` inside its own np.errstate.
     """
+    with np.errstate(over="ignore"):
+        return _ladder_sum(ladder, beta, shift)
+
+
+def _ladder_sum(ladder: Ladder, beta: float, shift: float):
+    """`ladder_sum` where the caller silences overflow."""
     b = _occ_free(ladder.levels, beta, shift)
     total = float(np.einsum("i,i->", ladder.weights, b))
     slope = float(np.einsum("i,i,i->", ladder.weights, b, 1.0 + b))
@@ -909,9 +919,9 @@ def _trapezoid_nodes(s: float, beta: float, cutoff_tol: float) -> tuple:
 
 def _occ_free(delta, beta, x):
     """Bose occupations 1/(e^{beta (delta + x)} - 1) at levels delta + x > 0
-    above mu; expm1 -> inf gives the right limit 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / np.expm1(beta * (delta + x))
+    above mu; expm1 -> inf gives the right limit 0, and the caller silences
+    that overflow (np.errstate(over="ignore"))."""
+    return 1.0 / np.expm1(beta * (delta + x))
 
 
 _SOLVE_PASSES = 200
@@ -934,7 +944,9 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     which the state keeps, and the ladder `inp.plan` lays on it; mu =
     eps(0) - x.
     `ThermoInput` has certified the plan.  Each evaluation takes one
-    `ladder_sum` for the k >= 2 sum and its Newton slope.
+    `ladder_sum` for the k >= 2 sum and its Newton slope.  The overflow of
+    expm1 at levels whose occupation is 0 is silenced once, by one
+    np.errstate around the iteration and the walk.
 
     Raises ValidationError where 2/(rho L) overflows a float or x = eps(0)
     - mu is below the smallest double, and NumericalFailure if the
@@ -971,13 +983,13 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
         rho_tilde) (nan where rho_tilde or the sum is not positive), the
         wall pair's occupations and the ladder's sum and occupations."""
         walls = _occ_free(wall_levels, beta, x)
-        rho_tilde = rho - float(walls[0] + walls[1]) / L
-        total, slope_sum, excited = ladder_sum(ladder, beta, x + lam * max(rho_tilde, 0.0))
+        y0, y1 = walls.tolist()
+        rho_tilde = rho - (y0 + y1) / L
+        total, slope_sum, excited = _ladder_sum(ladder, beta, x + lam * max(rho_tilde, 0.0))
         density = total / L
         value = rho_tilde - density
         bx = beta * x
-        # einsum, not @: a BLAS dot's last bits follow its thread count
-        d_walls = float(np.einsum("i,i->", walls, (1.0 + walls) * bx)) / L  # x d(rho_tilde)/dx
+        d_walls = (y0 * ((1.0 + y0) * bx) + y1 * ((1.0 + y1) * bx)) / L  # x d(rho_tilde)/dx
         d_excited = slope_sum * bx / L
         log_step = math.nan
         if rho_tilde > 0.0 and d_excited > 0.0:  # 0 * inf at huge beta*lam
@@ -992,69 +1004,70 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     # tiny while |G| there is still large
     lo, hi, widen, t = math.log(x_lo / x_mid), math.inf, 4.0, 0.0
     best, from_hi, last = None, math.nan, math.inf
-    for _ in range(_SOLVE_PASSES):
-        x = x_mid * math.exp(t)
-        value, slope, log_step, walls, excited = at(x)
-        improved = best is None or abs(value) < abs(best[0])
-        if improved:
-            best = value, x, walls, excited
-        newton = 0.0 < slope < math.inf
-        new = t - value / slope if newton else math.nan
-        if value < 0.0:
-            lo = t
-            # G is concave where lam rho_tilde dominates, and the step on the
-            # log of the sum's ratio to rho_tilde goes further (module docstring)
-            if t + log_step > new:
-                new = t + log_step
-        else:
-            # the Newton step in y = bose(beta x) from here, as t (module
-            # docstring); dy/dt = -beta x y (1 + y)
-            hi, from_hi = t, math.nan
-            if newton:
-                y = float(walls[0])
-                y *= 1.0 + value * beta * x * (1.0 + y) / slope
-                if 0.0 < y < math.inf:
-                    from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
-        # after a step of at most _SETTLED Newton is quadratic, and a step of
-        # a few eps estimates the error of t to within its square: G's
-        # rounding, which another evaluation would not resolve
-        settled = abs(t - last) <= _SETTLED and abs(new - t) <= 4.0 * _STEP_TOL
-        if (improved and (abs(new - t) <= _STEP_TOL or settled)) or hi - lo <= _STEP_TOL:
-            break
-        # safeguard: until some G > 0 is seen, steps up are capped at a
-        # doubling width.  Inside the bracket, a step that leaves it is
-        # replaced by `from_hi` (raised to lo + 2 eps if it ends that close
-        # to lo: the root is then closer to lo than x resolves), and that
-        # by bisection
-        upper = hi if hi < math.inf else t + widen
-        if not lo < new < upper:
-            if hi == math.inf:
-                new, widen = upper, 2.0 * widen
+    with np.errstate(over="ignore"):
+        for _ in range(_SOLVE_PASSES):
+            x = x_mid * math.exp(t)
+            value, slope, log_step, walls, excited = at(x)
+            improved = best is None or abs(value) < abs(best[0])
+            if improved:
+                best = value, x, walls, excited
+            newton = 0.0 < slope < math.inf
+            new = t - value / slope if newton else math.nan
+            if value < 0.0:
+                lo = t
+                # G is concave where lam rho_tilde dominates, and the step on the
+                # log of the sum's ratio to rho_tilde goes further (module docstring)
+                if t + log_step > new:
+                    new = t + log_step
             else:
-                new = max(from_hi, lo + _STEP_TOL) if from_hi > lo - _STEP_TOL else math.nan
-                from_hi = math.nan  # once per hi
-                if not lo < new < hi:
-                    new = 0.5 * (lo + hi)
-                    if not lo < new < hi:  # lo and hi are adjacent doubles
-                        break
-        last, t = t, new
-    else:
-        raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
+                # the Newton step in y = bose(beta x) from here, as t (module
+                # docstring); dy/dt = -beta x y (1 + y)
+                hi, from_hi = t, math.nan
+                if newton:
+                    y = float(walls[0])
+                    y *= 1.0 + value * beta * x * (1.0 + y) / slope
+                    if 0.0 < y < math.inf:
+                        from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
+            # after a step of at most _SETTLED Newton is quadratic, and a step of
+            # a few eps estimates the error of t to within its square: G's
+            # rounding, which another evaluation would not resolve
+            settled = abs(t - last) <= _SETTLED and abs(new - t) <= 4.0 * _STEP_TOL
+            if (improved and (abs(new - t) <= _STEP_TOL or settled)) or hi - lo <= _STEP_TOL:
+                break
+            # safeguard: until some G > 0 is seen, steps up are capped at a
+            # doubling width.  Inside the bracket, a step that leaves it is
+            # replaced by `from_hi` (raised to lo + 2 eps if it ends that close
+            # to lo: the root is then closer to lo than x resolves), and that
+            # by bisection
+            upper = hi if hi < math.inf else t + widen
+            if not lo < new < upper:
+                if hi == math.inf:
+                    new, widen = upper, 2.0 * widen
+                else:
+                    new = max(from_hi, lo + _STEP_TOL) if from_hi > lo - _STEP_TOL else math.nan
+                    from_hi = math.nan  # once per hi
+                    if not lo < new < hi:
+                        new = 0.5 * (lo + hi)
+                        if not lo < new < hi:  # lo and hi are adjacent doubles
+                            break
+            last, t = t, new
+        else:
+            raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
 
-    # where beta lam rho eps >~ 1, lam rho_tilde moves the excited sum by
-    # e-folds from one double of x to the next, and a step of 2 eps in t can
-    # stop a few doubles short of the root with |G| far above its rounding:
-    # walk the doubles of x toward the root until G changes sign
-    value, x = best[:2]
-    for _ in range(_WALK):
-        if abs(best[0]) <= _G_SETTLED * rho:
-            break
-        x = math.nextafter(x, math.inf if value < 0.0 else 0.0)
-        step_value, _, _, walls, excited = at(x)
-        if abs(step_value) < abs(best[0]):
-            best = step_value, x, walls, excited
-        if (step_value < 0.0) != (value < 0.0):
-            break
+        # where beta lam rho eps >~ 1, lam rho_tilde moves the excited sum by
+        # e-folds from one double of x to the next, and a step of 2 eps in t can
+        # stop a few doubles short of the root with |G| far above its rounding:
+        # walk the doubles of x toward the root until G changes sign
+        value, x = best[:2]
+        for _ in range(_WALK):
+            if abs(best[0]) <= _G_SETTLED * rho:
+                break
+            x = math.nextafter(x, math.inf if value < 0.0 else 0.0)
+            step_value, _, _, walls, excited = at(x)
+            if abs(step_value) < abs(best[0]):
+                best = step_value, x, walls, excited
+            if (step_value < 0.0) != (value < 0.0):
+                break
     _, x, walls, (total, excited) = best
     state = ThermoState(params=inp, model_tag=model, spectrum=spectrum, x=x,
                         occ=np.concatenate([walls, excited[:inp.plan.head - 1]]), rho_tilde=total / L)

@@ -321,17 +321,18 @@ def _per_row_csv(profile):
     )
 
 
-def _kernel_blocks(tmp_path, monkeypatch, profile):
+def _formatted_blocks(tmp_path, monkeypatch, profile):
     """Write `profile`, check its bytes against the per-row format, and
-    return the (rows, columns) of each block the kernel formatted."""
+    return the (rows, array columns) of each pass `csvio.format_rows`
+    formatted, by the kernel or, within `csvio.SMALL_CELLS`, by `%`."""
     shapes = []
-    real = csvio._format_pass
+    real = csvio.format_rows
 
-    def counted(block, *rest):
-        shapes.append(block.shape)
-        return real(block, *rest)
+    def counted(columns, lo, hi, *rest):
+        shapes.append((hi - lo, sum(not isinstance(c, csvio.Constant) for c in columns)))
+        return real(columns, lo, hi, *rest)
 
-    monkeypatch.setattr(csvio, "_format_pass", counted)
+    monkeypatch.setattr(csvio, "format_rows", counted)
     path = tmp_path / "prof.csv"
     write_profile_csv(profile, path)
     assert path.read_bytes() == _per_row_csv(profile).encode()
@@ -341,7 +342,7 @@ def _kernel_blocks(tmp_path, monkeypatch, profile):
 def _formatted_rows(tmp_path, monkeypatch, profile):
     """Write `profile`, check its bytes against the per-row format, and
     return how many rows the writer formatted."""
-    return sum(rows for rows, _ in _kernel_blocks(tmp_path, monkeypatch, profile))
+    return sum(rows for rows, _ in _formatted_blocks(tmp_path, monkeypatch, profile))
 
 
 def _mirrored_grid(n):
@@ -476,7 +477,7 @@ def test_profile_csv_formats_constant_blocks_once(tmp_path, monkeypatch, n, star
     # blocks of the x > 0 half run from the wall inwards; a block passes
     # n_total and n_thermal as constants where every row of it holds the
     # centre row's bits, and all four columns otherwise, as x = 0 does
-    shapes = _kernel_blocks(tmp_path, monkeypatch, _bulk_profile(n, start))
+    shapes = _formatted_blocks(tmp_path, monkeypatch, _bulk_profile(n, start))
     half, block = n // 2, csvio.ROWS_PER_PASS
     whole = half - min(half, -(-start // block) * block)  # rows in whole constant blocks
     assert sum(rows for rows, _ in shapes) == n - half
@@ -490,7 +491,7 @@ def test_profile_csv_formats_constant_blocks_once(tmp_path, monkeypatch, n, star
 ])
 def test_profile_csv_makes_one_constant_per_bit_pattern(tmp_path, monkeypatch, centre, texts):
     made = _counted_constants(monkeypatch)
-    shapes = _kernel_blocks(tmp_path, monkeypatch, _bulk_profile(2 * 4096 + 1, 0, centre))
+    shapes = _formatted_blocks(tmp_path, monkeypatch, _bulk_profile(2 * 4096 + 1, 0, centre))
     assert sorted(c.text for c in made) == texts
     assert shapes == [(4096, 2), (1, 4)]  # the four blocks of the x > 0 half in one pass
 
@@ -525,7 +526,7 @@ def test_profile_csv_formats_runs_of_bulk_blocks_in_one_pass(tmp_path, monkeypat
                                                              broken, shapes):
     n = 2 * blocks * 1024 + parity
     prof = _broken_bulk_profile(n, **broken)
-    assert _kernel_blocks(tmp_path, monkeypatch, prof) == shapes + [(1, 4)] * parity
+    assert _formatted_blocks(tmp_path, monkeypatch, prof) == shapes + [(1, 4)] * parity
 
 
 @pytest.mark.parametrize("parity", [1, 0])
@@ -540,7 +541,7 @@ def test_profile_csv_spills_between_the_passes_of_a_run(tmp_path, monkeypatch, p
                            ((0, 4096), (4096, 8192), (8192, 9216)))
     spills = _spill_files(tmp_path, monkeypatch)
     monkeypatch.setattr(profile_module, "_SPOOL_BYTES", first + last)
-    shapes = _kernel_blocks(tmp_path, monkeypatch, prof)
+    shapes = _formatted_blocks(tmp_path, monkeypatch, prof)
     assert shapes == [(4096, 2), (4096, 2), (1024, 2)] + [(1, 4)] * parity
     assert len(spills) == 1 and spills[0].stat().st_size == second + last
 
@@ -550,7 +551,7 @@ def test_profile_csv_constant_blocks_of_a_condensing_state(tmp_path, monkeypatch
     # six of the eight blocks of the x > 0 half go through the kernel with
     # x and n_cond alone
     grid_n = 4 * 4096 + 1
-    shapes = _kernel_blocks(tmp_path, monkeypatch, density_profile(*condensing_state, grid_n))
+    shapes = _formatted_blocks(tmp_path, monkeypatch, density_profile(*condensing_state, grid_n))
     assert {columns for _, columns in shapes} == {2, 4}
     assert sum(rows for rows, _ in shapes) == grid_n - grid_n // 2
     assert sum(rows for rows, columns in shapes if columns == 2) == 6144
@@ -559,7 +560,7 @@ def test_profile_csv_constant_blocks_of_a_condensing_state(tmp_path, monkeypatch
 def test_profile_csv_mode_sum_path_has_no_constant_block(tmp_path, monkeypatch):
     st = _state(L=12.0, beta=1.0)
     assert continuum_plan(st.params.box, st.params.beta, st.params.cutoff_tol) is None
-    shapes = _kernel_blocks(tmp_path, monkeypatch, density_profile(st.spectrum, st, 4 * 4096 + 1))
+    shapes = _formatted_blocks(tmp_path, monkeypatch, density_profile(st.spectrum, st, 4 * 4096 + 1))
     assert {columns for _, columns in shapes} == {4}
 
 
@@ -622,7 +623,24 @@ def test_format_rows_matches_printf_on_edge_values():
         edge += [math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
     edge += powers + ties
     values = np.array(edge)
-    _assert_formats_like_printf(np.concatenate([values, -values]))
+    values = np.concatenate([values, -values])
+    _assert_formats_like_printf(values)
+    # one column in passes on both sides of `csvio.SMALL_CELLS`, which `%`
+    # formats cell by cell at most
+    lines = [b"%.17g\n" % v for v in values.tolist()]
+    for cells in (csvio.SMALL_CELLS - 1, csvio.SMALL_CELLS, csvio.SMALL_CELLS + 1):
+        for lo in range(0, len(values), cells):
+            hi = min(lo + cells, len(values))
+            assert csvio.format_rows([values], lo, hi) == b"".join(lines[lo:hi])
+    # and after the spectrum's k and its parity word, at SMALL_CELLS and
+    # SMALL_CELLS + 2 cells
+    k = range(len(values))
+    parity = csvio.separator_words(",even,", ",odd,")
+    lines = [b"%d,%s,%.17g\n" % (i, (b"even", b"odd")[i % 2], v) for i, v in enumerate(values.tolist())]
+    for rows in (csvio.SMALL_CELLS // 2, csvio.SMALL_CELLS // 2 + 1):
+        for lo in range(0, len(values), rows):
+            hi = min(lo + rows, len(values))
+            assert csvio.format_rows([k, values], lo, hi, parity) == b"".join(lines[lo:hi])
 
 
 @pytest.mark.parametrize("direction", [-math.inf, math.inf])
@@ -654,9 +672,11 @@ def test_constant_column_formats_like_an_array(monkeypatch, value, column):
     real = csvio._printf
     monkeypatch.setattr(csvio, "_printf", lambda x: slow.append(x) or real(x))
     columns[column] = csvio.Constant(value)
-    # the kernel certifies all but inf, nan and the tie, which `%` breaks
-    assert len(slow) == (not math.isfinite(value) or value == _NEAR_TIE)
-    for lo, hi in [(0, n), (5, 6)]:  # whole passes (one crosses the edge), and one row
+    assert len(slow) == 1  # the constant's text is `%`'s, made once
+    # whole passes (one crosses the edge), one row, and passes of 3 array
+    # columns on both sides of `csvio.SMALL_CELLS` (126 and 129 cells)
+    small = csvio.SMALL_CELLS // 3
+    for lo, hi in [(0, n), (5, 6), (0, small), (0, small + 1)]:
         for a in range(lo, hi, csvio.ROWS_PER_PASS):
             b = min(a + csvio.ROWS_PER_PASS, hi)
             assert csvio.format_rows(columns, a, b) == b"".join(lines[a:b])
@@ -665,7 +685,8 @@ def test_constant_column_formats_like_an_array(monkeypatch, value, column):
 
 def test_constant_is_made_without_a_pass(monkeypatch):
     # the constant's words are made once, outside the pass that copies them
-    # into every row; a pass formats the array columns alone
+    # into every row; a pass formats the array columns alone, by the kernel
+    # past `csvio.SMALL_CELLS` cells and by `%` up to it
     shapes = []
     real = csvio._format_pass
     monkeypatch.setattr(csvio, "_format_pass", lambda block, *rest: shapes.append(block.shape)
@@ -674,7 +695,13 @@ def test_constant_is_made_without_a_pass(monkeypatch):
     assert c.text == b"-2.5" and shapes == []
     x = np.arange(3.0)
     assert csvio.format_rows([x, c, x, c], 0, 3) == b"0,-2.5,0,-2.5\n1,-2.5,1,-2.5\n2,-2.5,2,-2.5\n"
-    assert shapes == [(3, 2)]
+    assert shapes == []
+    rows = csvio.SMALL_CELLS // 2
+    x = np.arange(rows + 1.0)
+    for hi in (rows, rows + 1):
+        assert csvio.format_rows([x, c, x, c], 0, hi) == b"".join(b"%d,-2.5,%d,-2.5\n" % (i, i)
+                                                                 for i in range(hi))
+    assert shapes == [(rows + 1, 2)]
 
 
 def test_write_rows_keeps_wide_tables_within_the_cell_bound(monkeypatch):
@@ -692,16 +719,30 @@ def test_write_rows_keeps_wide_tables_within_the_cell_bound(monkeypatch):
 
 
 def test_profile_rows_take_the_vector_path(tmp_path, monkeypatch, condensing_state):
-    # every cell of a condensing profile is formatted without `%`: a kernel
-    # that certified nothing would still print the right bytes, slowly
+    # every cell of a condensing profile that a pass of more than
+    # `csvio.SMALL_CELLS` cells formats is formatted without `%`: a kernel
+    # that certified nothing would still print the right bytes, slowly.
+    # `%` makes the constants' texts and the odd grid's centre row alone
     prof = density_profile(*condensing_state, 4 * 4096 + 1)
-    slow = []
-    real = csvio._printf
-    monkeypatch.setattr(csvio, "_printf", lambda x: slow.append(x) or real(x))
+    made = _counted_constants(monkeypatch)
+    slow, in_kernel, blocks = [], [], []
+    real_printf, real_pass = csvio._printf, csvio._format_pass
+
+    def kernel(block, *rest):
+        blocks.append(block.size)
+        in_kernel.append(True)
+        try:
+            return real_pass(block, *rest)
+        finally:
+            in_kernel.pop()
+
+    monkeypatch.setattr(csvio, "_printf", lambda x: slow.append(bool(in_kernel)) or real_printf(x))
+    monkeypatch.setattr(csvio, "_format_pass", kernel)
     path = tmp_path / "prof.csv"
     write_profile_csv(prof, path)
     assert path.read_bytes() == _per_row_csv(prof).encode()
-    assert slow == []
+    assert min(blocks) > csvio.SMALL_CELLS
+    assert slow == [False] * (len(made) + 4)
 
 
 def test_density_profile_memory_stays_flat():

@@ -684,6 +684,10 @@ def _zero_residuals(table):
     (-1.0, 20.0, 1, None),
     (-0.5, 1600.0, 2 * 1024 + 1, None),  # both parities at each 1024-row block edge
     (-1.0, 20.0, 1024 + 5, _zero_residuals),
+    # six array columns on both sides of `csvio.SMALL_CELLS`: 126 cells,
+    # formatted by `%`, and 132, by the kernel
+    (-1.0, 20.0, csvio.SMALL_CELLS // 6 - 1, None),
+    (-1.0, 20.0, csvio.SMALL_CELLS // 6, _zero_residuals),
 ])
 def test_spectrum_csv_matches_per_row_format(tmp_path, sigma, L, k_max, edit):
     table = build_spectrum(BoxParams(sigma=sigma, L=L), k_max)

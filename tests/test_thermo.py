@@ -253,16 +253,26 @@ def test_solve_mu_huge_lam_evaluations(monkeypatch, sigma, L, beta, rho, lam):
     # 3, 8 and 2 (the fourth box had a NaN slope, 0 * inf, so bisected
     # alone).  On the last, beta lam rho eps = 10: the excited sum falls by
     # e^5 per double of x, the iteration stops on a step of 1.5 eps with
-    # |G| = 3.6e-9 rho, and one more double of x, walked, ends at 6e-16 rho
+    # |G| = 3.6e-9 rho, and one more double of x, walked, ends at 6e-16 rho.
+    # On every box beta (D_k + x') overflows expm1 inside the solve, which
+    # must raise no RuntimeWarning (pyproject's filterwarnings), and nor may
+    # `ladder_sum` called alone at the largest shift the solve took
     import robinbec.thermo as thermo
 
     inp = _input(sigma=sigma, L=L, beta=beta, rho=rho, lam=lam)
-    sizes = []
+    calls = []
     real = thermo._occ_free
-    monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: sizes.append(len(d)) or real(d, *a))
+    monkeypatch.setattr(thermo, "_occ_free", lambda d, b, x: calls.append((len(d), x)) or real(d, b, x))
     st = solve_mu(inp, model=MEAN_FIELD_SCF)
-    assert sum(n > 2 for n in sizes) <= 12
+    assert sum(n > 2 for n, _ in calls) <= 12
     assert st.density_residual <= 1e-10 * rho
+    shift = max(x for n, x in calls if n != 2)  # of the ladder, not the wall pair
+    assert beta * shift > math.log(np.finfo(float).max)
+    ladder = build_ladder(st.spectrum, beta, inp.plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total, slope, b = ladder_sum(ladder, beta, shift)
+    assert total == slope == 0.0 and not b.any()
 
 
 def test_solve_mu_evaluations_where_lam_rho_tilde_dominates(monkeypatch):
