@@ -42,7 +42,7 @@ from .profile import density_profile, localization_radius, profile_input, write_
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
 from .thermo import (
     FREE, MEAN_FIELD_SCF, ThermoInput, critical_density, equal_distribution_gap,
-    fit_exponential_rate, mu_asymptotics_check, solve_mu, write_sweep_csv,
+    fit_exponential_rate, input_grid, mu_asymptotics_check, solve_grid, solve_mu, write_sweep_csv,
 )
 
 _MODEL_ALIASES = {"free": FREE, "scf": MEAN_FIELD_SCF, "mean_field_scf": MEAN_FIELD_SCF}
@@ -105,6 +105,18 @@ def _thermo_input(cfg: dict, L: float) -> ThermoInput:
 
 def _thermo_point(cfg: dict, L: float):
     return solve_mu(_thermo_input(cfg, L), model=_MODEL_ALIASES[cfg["model"]])
+
+
+def _sweep_states(cfg: dict, grid: list[float]) -> list:
+    """The states of the grid's points, solved in lockstep (`solve_grid`).
+    The first failure in grid order, of an input or of a solve, is raised,
+    as solving the points one at a time would."""
+    inputs, error = input_grid(cfg["sigma"], grid, cfg["beta"], cfg["rho"], cfg["lam"],
+                               cfg["k_max"], cfg["cutoff_tol"])
+    states = solve_grid(inputs, model=_MODEL_ALIASES[cfg["model"]])
+    if error is not None:
+        raise error
+    return states
 
 
 def _state_summary(state) -> dict:
@@ -218,7 +230,7 @@ def _cmd_sweep(cfg: dict) -> int:
                               "the fit report would overwrite the sweep CSV")
     _check_writable(cfg["out"])
     _check_writable(fit_out)
-    states = [_thermo_point(cfg, L) for L in grid]
+    states = _sweep_states(cfg, grid)
     fits: dict = {"tool": f"robinbec {__version__}", "n_states": len(states)}
     rho_c = critical_density(cfg["beta"], cfg["sigma"])
     fits["critical_density"] = rho_c

@@ -130,11 +130,18 @@ cutoff_tol: small boxes keep the truncated sum, on the same path
 (`plan_ladder`).  `ThermoInput` takes the first K on the sequence 2, 6,
 14, ... whose certificate is at most cutoff_tol.
 
-One evaluation of G is one Bose vector: the trapezoid's nodes on the
-continuum path (56 to 302 on the sweep-scf decks, the same at every L),
-the head and the quadrature nodes on the ladder path (~60 entries from L =
-50 to 1e8 at beta = 1), or modes 2..k_max of a given cutoff.  The state
-keeps rho_tilde as that sum gave it.
+One evaluation of G is one Bose vector of the k >= 2 levels: the
+trapezoid's nodes on the continuum path (56 to 302 on the sweep-scf decks,
+the same at every L), the head and the quadrature nodes on the ladder path
+(~60 entries from L = 50 to 1e8 at beta = 1), or modes 2..k_max of a given
+cutoff.  The state keeps rho_tilde as that sum gave it.  `solve_grid`
+steps the iterations of a grid's points in lockstep, and takes one
+evaluation per round for all points of a node set: one 2-D Bose vector,
+one row a point, and a row-wise einsum, which sums each row as it sums
+the row alone.  The points of a grid on the continuum path share one
+node set; points whose vectors have the same length stack alike, on
+the ladder path or with a given cutoff.  The wall pairs of all points
+are one more per round.
 
 Condensation diagnostics:
 
@@ -205,6 +212,11 @@ class ThermoInput:
     plan: LadderPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check()
+        self._take_plan(continuum_plan(self.box, self.beta, self.cutoff_tol) if self.k_max is None else None)
+
+    def _check(self):
+        """Every field but `plan`."""
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValidationError(f"beta must be finite and > 0, got {self.beta}")
         if not (math.isfinite(self.rho) and self.rho > 0.0):
@@ -221,13 +233,49 @@ class ThermoInput:
             raise ValidationError(f"k_max must be an integer in [2, {K_MAX_LIMIT}], got {self.k_max}")
         if not (0.0 < self.cutoff_tol < 1.0):
             raise ValidationError(f"cutoff_tol must be in (0, 1), got {self.cutoff_tol}")
+
+    def _take_plan(self, continuum: Continuum | None):
+        """Set `plan`, given the box's `continuum_plan` (None with a given
+        k_max)."""
         if self.k_max is not None:
             plan = _cutoff_plan(self.box, self.beta, self.k_max, self.cutoff_tol)
-        elif (continuum := continuum_plan(self.box, self.beta, self.cutoff_tol)) is not None:
+        elif continuum is not None:
             plan = LadderPlan(1, 0, (), continuum.density_certificate, continuum)
         else:
             plan = _head_plan(self.box, self.beta, self.cutoff_tol)
         object.__setattr__(self, "plan", plan)
+
+
+def input_grid(sigma: float, Ls, beta: float, rho: float, lam: float, k_max: int | None = None,
+               cutoff_tol: float = 1e-10) -> tuple[list[ThermoInput], ValidationError | None]:
+    """`ThermoInput(BoxParams(sigma, L), beta, rho, lam, k_max, cutoff_tol)`
+    for each L of Ls in order, up to the first whose box or input raises,
+    and that error (None where none does).  Without a given k_max the
+    continuum plans of all L come from one evaluation of `_continua`, the
+    same plans `continuum_plan` gives one box at a time."""
+    shared = {"beta": beta, "rho": rho, "lam": lam, "k_max": k_max, "cutoff_tol": cutoff_tol}
+    inputs, error = [], None
+    try:
+        for L in Ls:
+            # ThermoInput(...) up to its plan, which all L take below at once
+            inp = object.__new__(ThermoInput)
+            for name, value in {"box": BoxParams(sigma=sigma, L=L), **shared}.items():
+                object.__setattr__(inp, name, value)
+            inp._check()
+            inputs.append(inp)
+    except ValidationError as exc:
+        error = exc
+    continua = [None] * len(inputs)
+    if k_max is None and inputs:
+        s = inputs[0].box.s
+        continua = [_fitting(c, s, beta, cutoff_tol)
+                    for c in _continua(s, [inp.box.L for inp in inputs], beta, cutoff_tol)]
+    for i, (inp, continuum) in enumerate(zip(inputs, continua)):
+        try:
+            inp._take_plan(continuum)
+        except ValidationError as exc:
+            return inputs[:i], exc
+    return inputs, error
 
 
 @dataclass(frozen=True, eq=False)
@@ -739,17 +787,31 @@ def ladder_sum(ladder: Ladder, beta: float, shift: float):
     e_n for S1 (their y-derivative form, bose (1 + bose) = -bose').  Einsum
     reductions, no BLAS: the sums do not depend on the thread count.
     The overflow of expm1 at levels whose occupation is 0 is silenced here;
-    `solve_mu` calls `_ladder_sum` inside its own np.errstate.
+    `solve_grid` takes the same sums (`_bose_sums`, `_em_terms`) for all
+    its points inside its own np.errstate.
     """
     with np.errstate(over="ignore"):
-        return _ladder_sum(ladder, beta, shift)
+        (total,), (slope,), (b,) = _bose_sums(ladder.levels, ladder.weights, beta, shift)
+    return (*_em_terms(ladder, total, slope, b), b)
 
 
-def _ladder_sum(ladder: Ladder, beta: float, shift: float):
-    """`ladder_sum` where the caller silences overflow."""
-    b = _occ_free(ladder.levels, beta, shift)
-    total = float(np.einsum("i,i->", ladder.weights, b))
-    slope = float(np.einsum("i,i,i->", ladder.weights, b, 1.0 + b))
+def _bose_sums(levels, weights, beta, shift):
+    """(S, S1, b) of each row of a stack of levels (points x levels, beta
+    and shift columns), or of one 1-D row at float beta and shift: the
+    weighted sums of b = bose(beta (levels + shift)) and of b (1 + b), and
+    b, one entry a row.  A row of at most `_STACKED_LEVELS` levels sums as
+    the same levels alone would, bit for bit; the caller silences
+    overflow."""
+    b = _occ_free(levels, beta, shift)
+    if b.ndim == 1:
+        return [float(np.einsum("i,i->", weights, b))], [float(np.einsum("i,i,i->", weights, b, 1.0 + b))], [b]
+    return np.einsum("ij,ij->i", weights, b).tolist(), np.einsum("ij,ij,ij->i", weights, b, 1.0 + b).tolist(), b
+
+
+def _em_terms(ladder: Ladder, total: float, slope: float, b) -> tuple[float, float]:
+    """(S, S1) of `ladder_sum` from the weighted sums over the ladder's
+    levels and its occupations b: the Euler-Maclaurin terms at its head
+    added, where it has them."""
     if ladder.em:
         bk = float(b[ladder.plan.head - 2])
         ratio, power, value, derivative = -bk / ladder.scale, 1.0, 0.0, 0.0
@@ -759,7 +821,7 @@ def _ladder_sum(ladder: Ladder, beta: float, shift: float):
             power *= ratio
         total += bk * value
         slope += bk * (1.0 + bk) * derivative
-    return total, slope, b
+    return total, slope
 
 
 # ----------------------------------------------------------------------
@@ -821,42 +883,48 @@ def continuum_plan(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum 
     (a) must also fit in share of the bulk's scale, `profile` module
     docstring; the solve's, module docstring) or the nodes pass
     `_MAX_TRAPEZOID_NODES`.  The one predicate of both paths, asked once
-    per input by `ThermoInput`, whose `plan` the density solve and the
-    density profile read."""
-    plan = _continuum(box, beta, cutoff_tol)
+    per input by `ThermoInput` (for all L of a grid at once by
+    `input_grid`), whose `plan` the density solve and the density profile
+    read."""
+    return _fitting(_continua(box.s, [box.L], beta, cutoff_tol)[0], box.s, beta, cutoff_tol)
+
+
+def _fitting(plan: Continuum, s: float, beta: float, cutoff_tol: float) -> Continuum | None:
+    """`plan` where it fits (`continuum_plan`), else None."""
     budget = 0.25 * cutoff_tol
-    scale = math.exp(-beta * box.s * box.s) / (2.0 * math.sqrt(math.pi * beta))
+    scale = math.exp(-beta * s * s) / (2.0 * math.sqrt(math.pi * beta))
     fits = all(part <= budget for part in plan[4:]) and plan.nodes <= _MAX_TRAPEZOID_NODES
     return plan if fits and plan.remainder <= budget * min(1.0, scale) else None
 
 
-def _continuum(box: BoxParams, beta: float, cutoff_tol: float) -> Continuum:
-    """`continuum_plan`'s plan, fit or not: `_trapezoid_nodes` at (|sigma|,
-    beta, cutoff_tol), and the parts that depend on L, (a), (e) and (f)'s
-    aliasing.  A part is inf or nan where beta or beta s^2 overflows, or
-    where the bounds do not resolve the bulk."""
-    s, L = box.s, box.L
+def _continua(s: float, Ls, beta: float, cutoff_tol: float) -> list[Continuum]:
+    """The continuum plan, fit or not, at |sigma| = s of each L in Ls:
+    `_trapezoid_nodes` at (s, beta, cutoff_tol), and the parts that depend
+    on L, (a), (e) and (f)'s aliasing, from one (L x heights) evaluation.
+    A part is inf or nan where beta or beta s^2 overflows, or where the
+    bounds do not resolve the bulk."""
     dp, nodes, layer, quadrature, tail, rounding, summation, cut, c, heights = (
         _trapezoid_nodes(s, beta, cutoff_tol))
     log_rho2, log_remainder, log_2q, log_alias, width = heights
+    L = np.array(Ls, dtype=float)[:, None]
     with np.errstate(all="ignore"):
         # (a): 2 Q (1 + rho) r/(1 - r), r = rho^2 e^{-2cL}, below 1 at some
         # height once L|sigma| > ~1
         log_r = log_rho2 - 2.0 * c * L
         log_1r = np.log(-np.expm1(log_r))  # log(1 - r)
-        remainder = np.exp(np.min(np.where(log_r < 0.0, log_remainder + log_r - log_1r, np.inf)))
+        remainder = np.exp(np.min(np.where(log_r < 0.0, log_remainder + log_r - log_1r, np.inf), axis=1))
         # (e) and (f)'s aliasing: 2 Q f x/(1 - x) at x = r and at x = a =
         # e^{-2 pi c/dp}, f = 1 + 2s/(L (s^2 - c^2))
         log_f = np.log1p((2.0 * s / L) / width)
-        round_trips = np.exp(np.min(np.where(log_r < 0.0, log_2q + log_f + log_r - log_1r, np.inf)))
-        trapezoid = np.exp(np.min(log_alias + log_f)) + cut
-    return Continuum(dp, nodes, layer, float(remainder), quadrature, tail, rounding, float(round_trips),
-                     float(trapezoid), summation)
+        round_trips = np.exp(np.min(np.where(log_r < 0.0, log_2q + log_f + log_r - log_1r, np.inf), axis=1))
+        trapezoid = np.exp(np.min(log_alias + log_f, axis=1)) + cut
+    return [Continuum(dp, nodes, layer, a, quadrature, tail, rounding, e, f, summation)
+            for a, e, f in zip(remainder.tolist(), round_trips.tolist(), trapezoid.tolist())]
 
 
 @functools.lru_cache(maxsize=64)
 def _trapezoid_nodes(s: float, beta: float, cutoff_tol: float) -> tuple:
-    """The parts of `_continuum` that do not depend on L: dp, nodes, layer,
+    """The parts of `_continua` that do not depend on L: dp, nodes, layer,
     (b), (c), (d), (g) and (f)'s cut, then the heights c = s `_HEIGHTS` and
     the L-free terms of (a), (e) and (f)'s aliasing at each: log rho^2, log
     2 Q (1 + rho), log 2 Q, log 2 Q a/(1 - a) with the solve's a = e^{-2 pi
@@ -934,58 +1002,32 @@ _SETTLED = 2.0**-22
 _G_SETTLED = 2.0**-40
 _WALK = 64
 _FLOAT_MAX = float(np.finfo(float).max)
+# np.einsum reduces each row of a stack of rows longer than its 8192-element
+# buffer in pieces, which rounds otherwise than the row alone: longer
+# ladders are summed one point at a time
+_STACKED_LEVELS = 8192
 
 
-def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
-    """Solve the density equation for x = eps(0) - mu_L > 0 by one
-    safeguarded Newton iteration in t = log(x / x_mid) (see the module
-    docstring) on the head table of modes 0..inp.plan.head (the wall pair
-    on the continuum path, the given cutoff where `inp.k_max` is set),
-    which the state keeps, and the ladder `inp.plan` lays on it; mu =
-    eps(0) - x.
-    `ThermoInput` has certified the plan.  Each evaluation takes one
-    `ladder_sum` for the k >= 2 sum and its Newton slope.  The overflow of
-    expm1 at levels whose occupation is 0 is silenced once, by one
-    np.errstate around the iteration and the walk.
-
-    Raises ValidationError where 2/(rho L) overflows a float or x = eps(0)
-    - mu is below the smallest double, and NumericalFailure if the
-    iteration does not end in _SOLVE_PASSES evaluations.  The returned
-    state satisfies |rho_tilde + rho_cond_finite - rho| <= 1e-10 * rho, and its
-    rho_tilde is the ladder's (1/L) sum_{k>=2} occ_k, within
-    inp.plan.certificate of the sum over every mode.
-    """
-    if model not in _MODELS:
-        raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
+def _newton(inp: ThermoInput, model: str, spectrum: SpectrumTable, x_lo: float, x_mid: float):
+    """The safeguarded Newton iteration of one point (module docstring) on
+    its head table, as a coroutine that asks for its evaluations of G: for
+    each x it yields x and receives the wall pair's occupations (y0, y1)
+    there, then yields the shift x' of the k >= 2 sum and receives its (S,
+    S1, b) (`ladder_sum`).  Returns the state of the evaluated point of
+    smallest |G|, after the walk over the doubles next to it; raises
+    NumericalFailure if the iteration does not end in _SOLVE_PASSES
+    evaluations or the state's density residual is above 1e-10 rho."""
     beta, L, rho = inp.beta, inp.box.L, inp.rho
-    if not rho * L > 2.0 / _FLOAT_MAX:
-        raise ValidationError(
-            f"rho*L = {rho * L:g} is too small: 2/(rho*L) overflows a float "
-            f"(rho = {rho:g}, L = {L:g})"
-        )
-    # bose(beta x) = rho L at x_lo puts rho_tilde <= 0, so G < 0 there;
-    # bose(beta x) = rho L / 2 at x_mid puts rho_tilde >= 0
-    x_lo = math.log1p(1.0 / (rho * L)) / beta
-    x_mid = math.log1p(2.0 / (rho * L)) / beta
-    if not 0.0 < x_lo < x_mid < math.inf:
-        raise ValidationError(
-            f"eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double "
-            f"(beta = {beta:g}, rho*L = {rho * L:g})"
-        )
-    spectrum = build_spectrum(inp.box, inp.plan.head)
-    ladder = build_ladder(spectrum, beta, inp.plan)
     lam = inp.lam if model == MEAN_FIELD_SCF else 0.0
-    wall_levels = np.array([0.0, spectrum.wall_gap])
 
     def at(x):
         """G = rho_tilde - (1/L) sum_{k>=2} occ_k at x, its slope x dG/dx
         (= dG/dt), the Newton step in t on log((1/L) sum_{k>=2} occ_k /
         rho_tilde) (nan where rho_tilde or the sum is not positive), the
         wall pair's occupations and the ladder's sum and occupations."""
-        walls = _occ_free(wall_levels, beta, x)
-        y0, y1 = walls.tolist()
+        y0, y1 = walls = yield x
         rho_tilde = rho - (y0 + y1) / L
-        total, slope_sum, excited = _ladder_sum(ladder, beta, x + lam * max(rho_tilde, 0.0))
+        total, slope_sum, excited = yield x + lam * max(rho_tilde, 0.0)
         density = total / L
         value = rho_tilde - density
         bx = beta * x
@@ -1004,70 +1046,69 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
     # tiny while |G| there is still large
     lo, hi, widen, t = math.log(x_lo / x_mid), math.inf, 4.0, 0.0
     best, from_hi, last = None, math.nan, math.inf
-    with np.errstate(over="ignore"):
-        for _ in range(_SOLVE_PASSES):
-            x = x_mid * math.exp(t)
-            value, slope, log_step, walls, excited = at(x)
-            improved = best is None or abs(value) < abs(best[0])
-            if improved:
-                best = value, x, walls, excited
-            newton = 0.0 < slope < math.inf
-            new = t - value / slope if newton else math.nan
-            if value < 0.0:
-                lo = t
-                # G is concave where lam rho_tilde dominates, and the step on the
-                # log of the sum's ratio to rho_tilde goes further (module docstring)
-                if t + log_step > new:
-                    new = t + log_step
-            else:
-                # the Newton step in y = bose(beta x) from here, as t (module
-                # docstring); dy/dt = -beta x y (1 + y)
-                hi, from_hi = t, math.nan
-                if newton:
-                    y = float(walls[0])
-                    y *= 1.0 + value * beta * x * (1.0 + y) / slope
-                    if 0.0 < y < math.inf:
-                        from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
-            # after a step of at most _SETTLED Newton is quadratic, and a step of
-            # a few eps estimates the error of t to within its square: G's
-            # rounding, which another evaluation would not resolve
-            settled = abs(t - last) <= _SETTLED and abs(new - t) <= 4.0 * _STEP_TOL
-            if (improved and (abs(new - t) <= _STEP_TOL or settled)) or hi - lo <= _STEP_TOL:
-                break
-            # safeguard: until some G > 0 is seen, steps up are capped at a
-            # doubling width.  Inside the bracket, a step that leaves it is
-            # replaced by `from_hi` (raised to lo + 2 eps if it ends that close
-            # to lo: the root is then closer to lo than x resolves), and that
-            # by bisection
-            upper = hi if hi < math.inf else t + widen
-            if not lo < new < upper:
-                if hi == math.inf:
-                    new, widen = upper, 2.0 * widen
-                else:
-                    new = max(from_hi, lo + _STEP_TOL) if from_hi > lo - _STEP_TOL else math.nan
-                    from_hi = math.nan  # once per hi
-                    if not lo < new < hi:
-                        new = 0.5 * (lo + hi)
-                        if not lo < new < hi:  # lo and hi are adjacent doubles
-                            break
-            last, t = t, new
+    for _ in range(_SOLVE_PASSES):
+        x = x_mid * math.exp(t)
+        value, slope, log_step, walls, excited = yield from at(x)
+        improved = best is None or abs(value) < abs(best[0])
+        if improved:
+            best = value, x, walls, excited
+        newton = 0.0 < slope < math.inf
+        new = t - value / slope if newton else math.nan
+        if value < 0.0:
+            lo = t
+            # G is concave where lam rho_tilde dominates, and the step on the
+            # log of the sum's ratio to rho_tilde goes further (module docstring)
+            if t + log_step > new:
+                new = t + log_step
         else:
-            raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
+            # the Newton step in y = bose(beta x) from here, as t (module
+            # docstring); dy/dt = -beta x y (1 + y)
+            hi, from_hi = t, math.nan
+            if newton:
+                y = walls[0]
+                y *= 1.0 + value * beta * x * (1.0 + y) / slope
+                if 0.0 < y < math.inf:
+                    from_hi = math.log(math.log1p(1.0 / y) / (beta * x_mid))
+        # after a step of at most _SETTLED Newton is quadratic, and a step of
+        # a few eps estimates the error of t to within its square: G's
+        # rounding, which another evaluation would not resolve
+        settled = abs(t - last) <= _SETTLED and abs(new - t) <= 4.0 * _STEP_TOL
+        if (improved and (abs(new - t) <= _STEP_TOL or settled)) or hi - lo <= _STEP_TOL:
+            break
+        # safeguard: until some G > 0 is seen, steps up are capped at a
+        # doubling width.  Inside the bracket, a step that leaves it is
+        # replaced by `from_hi` (raised to lo + 2 eps if it ends that close
+        # to lo: the root is then closer to lo than x resolves), and that
+        # by bisection
+        upper = hi if hi < math.inf else t + widen
+        if not lo < new < upper:
+            if hi == math.inf:
+                new, widen = upper, 2.0 * widen
+            else:
+                new = max(from_hi, lo + _STEP_TOL) if from_hi > lo - _STEP_TOL else math.nan
+                from_hi = math.nan  # once per hi
+                if not lo < new < hi:
+                    new = 0.5 * (lo + hi)
+                    if not lo < new < hi:  # lo and hi are adjacent doubles
+                        break
+        last, t = t, new
+    else:
+        raise NumericalFailure(f"density root not found in {_SOLVE_PASSES} passes")
 
-        # where beta lam rho eps >~ 1, lam rho_tilde moves the excited sum by
-        # e-folds from one double of x to the next, and a step of 2 eps in t can
-        # stop a few doubles short of the root with |G| far above its rounding:
-        # walk the doubles of x toward the root until G changes sign
-        value, x = best[:2]
-        for _ in range(_WALK):
-            if abs(best[0]) <= _G_SETTLED * rho:
-                break
-            x = math.nextafter(x, math.inf if value < 0.0 else 0.0)
-            step_value, _, _, walls, excited = at(x)
-            if abs(step_value) < abs(best[0]):
-                best = step_value, x, walls, excited
-            if (step_value < 0.0) != (value < 0.0):
-                break
+    # where beta lam rho eps >~ 1, lam rho_tilde moves the excited sum by
+    # e-folds from one double of x to the next, and a step of 2 eps in t can
+    # stop a few doubles short of the root with |G| far above its rounding:
+    # walk the doubles of x toward the root until G changes sign
+    value, x = best[:2]
+    for _ in range(_WALK):
+        if abs(best[0]) <= _G_SETTLED * rho:
+            break
+        x = math.nextafter(x, math.inf if value < 0.0 else 0.0)
+        step_value, _, _, walls, excited = yield from at(x)
+        if abs(step_value) < abs(best[0]):
+            best = step_value, x, walls, excited
+        if (step_value < 0.0) != (value < 0.0):
+            break
     _, x, walls, (total, excited) = best
     state = ThermoState(params=inp, model_tag=model, spectrum=spectrum, x=x,
                         occ=np.concatenate([walls, excited[:inp.plan.head - 1]]), rho_tilde=total / L)
@@ -1076,6 +1117,149 @@ def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
             f"density residual {state.density_residual:.3e} above 1e-10 * rho"
         )
     return state
+
+
+class _Point(NamedTuple):
+    """One point of `solve_grid`: its beta, its wall gap eps(1) - eps(0),
+    its ladder and its `_newton` coroutine."""
+
+    beta: float
+    gap: float
+    ladder: Ladder
+    newton: object
+
+
+class _Stack:
+    """Points whose Bose vectors one round evaluates together: each point's
+    row, (levels, weights, beta), the weights None for a wall pair."""
+
+    def __init__(self, rows: dict):
+        self._rows, self.points, self._stack = rows, [], None
+
+    def take(self, asks: dict):
+        """(levels, weights, beta, shift) of the points of the set that ask
+        (`asks`, point -> shift), which become `points`: their rows stacked,
+        one a point, with beta and shift as columns, or one point's row
+        alone, 1-D at float beta and shift, as `ladder_sum` takes it.  None
+        where no point of the set asks."""
+        points = [i for i in self._rows if i in asks]
+        if points != self.points:  # a point has ended, or this is the first round
+            self.points = points
+            if len(points) == 1:
+                self._stack = self._rows[points[0]]
+            elif points:
+                levels, weights, betas = zip(*(self._rows[i] for i in points))
+                self._stack = (np.array(levels), None if weights[0] is None else np.array(weights),
+                               np.array(betas)[:, None])
+        if not points:
+            return None
+        if len(points) == 1:
+            return (*self._stack, asks[points[0]])
+        return (*self._stack, np.array([asks[i] for i in points])[:, None])
+
+
+def solve_grid(inputs, model: str = FREE) -> list[ThermoState]:
+    """`solve_mu` of each input of a sequence, in order, with the points'
+    Newton iterations (`_newton`) stepped in lockstep: each round evaluates
+    the wall pairs of all pending points as one Bose vector, one row a
+    point, and the k >= 2 sums of all pending points whose ladders have the
+    same number of levels (up to `_STACKED_LEVELS`) as another; one pending
+    point of a set evaluates its row as `ladder_sum` does.  Each point
+    takes the steps, and ends in the state, that it would alone, bit for
+    bit.  The overflow of expm1 at levels whose occupation
+    is 0 is silenced once, by one np.errstate around the lockstep.
+
+    Raises the error of the first point, in input order, whose solve fails,
+    as solving the points one at a time would; no point after a point that
+    fails to start is started.
+    """
+    if model not in _MODELS:
+        raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
+    points, failed = [], {}  # failed: point index -> its error
+    for inp in inputs:
+        try:
+            points.append(_start(inp, model))
+        except (ValidationError, NumericalFailure) as exc:
+            failed[len(points)] = exc
+            break
+    walls = _Stack({i: (np.array([0.0, point.gap]), None, point.beta) for i, point in enumerate(points)})
+    sets = {}  # length of the levels -> the rows of its points
+    for i, point in enumerate(points):
+        levels = point.ladder.levels
+        sets.setdefault(len(levels) if len(levels) <= _STACKED_LEVELS else -1 - i, {})[i] = (
+            levels, point.ladder.weights, point.beta)
+    stacks = [_Stack(rows) for rows in sets.values()]
+    states = [None] * len(points)
+    with np.errstate(over="ignore"):
+        asks = {i: next(point.newton) for i, point in enumerate(points)}  # point -> its x
+        while asks:
+            levels, _, beta, xs = walls.take(asks)
+            pairs = _occ_free(levels, beta, xs).tolist()
+            pairs = pairs if levels.ndim == 2 else [pairs]
+            asks = {i: points[i].newton.send(pair) for i, pair in zip(walls.points, pairs)}  # -> its x'
+            for stack in stacks:
+                rows = stack.take(asks)
+                if rows is None:
+                    continue
+                for i, total, slope, b in zip(stack.points, *_bose_sums(*rows)):
+                    try:
+                        asks[i] = points[i].newton.send((*_em_terms(points[i].ladder, total, slope, b), b))
+                    except StopIteration as done:
+                        states[i] = done.value
+                        del asks[i]
+                    except NumericalFailure as exc:
+                        failed[i] = exc
+                        del asks[i]
+    if failed:
+        raise failed[min(failed)]
+    return states
+
+
+def _start(inp: ThermoInput, model: str) -> _Point:
+    """The `_Point` of one input: the ladder `inp.plan` lays on the head
+    table of modes 0..inp.plan.head, and the `_newton` coroutine on that
+    table.  Raises ValidationError where 2/(rho L) overflows a float or x
+    = eps(0) - mu is below the smallest double."""
+    beta, L, rho = inp.beta, inp.box.L, inp.rho
+    if not rho * L > 2.0 / _FLOAT_MAX:
+        raise ValidationError(
+            f"rho*L = {rho * L:g} is too small: 2/(rho*L) overflows a float "
+            f"(rho = {rho:g}, L = {L:g})"
+        )
+    # bose(beta x) = rho L at x_lo puts rho_tilde <= 0, so G < 0 there;
+    # bose(beta x) = rho L / 2 at x_mid puts rho_tilde >= 0
+    x_lo = math.log1p(1.0 / (rho * L)) / beta
+    x_mid = math.log1p(2.0 / (rho * L)) / beta
+    if not 0.0 < x_lo < x_mid < math.inf:
+        raise ValidationError(
+            f"eps(0) - mu ~ 1/(beta*rho*L) is below the smallest double "
+            f"(beta = {beta:g}, rho*L = {rho * L:g})"
+        )
+    spectrum = build_spectrum(inp.box, inp.plan.head)
+    return _Point(beta, spectrum.wall_gap, build_ladder(spectrum, beta, inp.plan),
+                  _newton(inp, model, spectrum, x_lo, x_mid))
+
+
+def solve_mu(inp: ThermoInput, model: str = FREE) -> ThermoState:
+    """Solve the density equation for x = eps(0) - mu_L > 0 by one
+    safeguarded Newton iteration in t = log(x / x_mid) (see the module
+    docstring) on the head table of modes 0..inp.plan.head (the wall pair
+    on the continuum path, the given cutoff where `inp.k_max` is set),
+    which the state keeps, and the ladder `inp.plan` lays on it; mu =
+    eps(0) - x: `solve_grid` of the one input.
+    `ThermoInput` has certified the plan.  Each evaluation takes one Bose
+    vector of the wall pair and one of the ladder for the k >= 2 sum and
+    its Newton slope.  The overflow of expm1 at levels whose occupation is
+    0 is silenced once, by one np.errstate around the lockstep.
+
+    Raises ValidationError where 2/(rho L) overflows a float or x = eps(0)
+    - mu is below the smallest double, and NumericalFailure if the
+    iteration does not end in _SOLVE_PASSES evaluations.  The returned
+    state satisfies |rho_tilde + rho_cond_finite - rho| <= 1e-10 * rho, and its
+    rho_tilde is the ladder's (1/L) sum_{k>=2} occ_k, within
+    inp.plan.certificate of the sum over every mode.
+    """
+    return solve_grid([inp], model)[0]
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,11 @@ def test_traced_runs_record_their_counters(tmp_path):
     for span in tracer.spans:
         spans.setdefault(span["name"], []).append(span)
     assert all(s["modes"] > 0 for s in spans["spectrum.build_spectrum"])
-    # every solve here is on the half-line continuum, whose table is the wall pair
+    # the sweep solves its points in lockstep through thermo.solve_grid, which
+    # the tracer does not wrap, so its solves make no thermo.solve_mu span:
+    # the one left is the profile's, on the half-line continuum, whose table
+    # is the wall pair
+    assert len(spans["thermo.solve_mu"]) == 1
     assert all(s["modes"] == 2 and s["residual_rel"] <= 1e-10 for s in spans["thermo.solve_mu"])
     assert all(s["mode_points"] > 0 for s in spans["profile.density_profile"])
     assert spans["gibbs_oracle.run_check"]

@@ -10,6 +10,7 @@ import pytest
 
 import robinbec.cli as cli
 from robinbec.cli import main
+from robinbec.errors import NumericalFailure
 
 
 def run(argv):
@@ -179,6 +180,39 @@ def test_sweep_solves_each_wall_pair_once(tmp_path, monkeypatch):
     assert rc == 0
     assert "mu_asymptotics" in json.loads((tmp_path / "s.csv.fit.json").read_text())
     assert calls == {"_wall_roots": 5, "_wall_columns": 0, "_ladder_columns": 0}
+
+
+@pytest.mark.parametrize("inject", [True, False])
+def test_sweep_reports_its_first_failure_in_grid_order(tmp_path, capsys, monkeypatch, inject):
+    # the given cutoff's certified tail passes cutoff_tol at points 4 and 5
+    # of this grid (L = 30 and 35), an input error; with a NumericalFailure
+    # injected into the iteration of point 2 (L = 20), solving the points
+    # one at a time stops there.  The lockstep sweep reports the same first
+    # failure in grid order, with the same exit code and one-line message,
+    # and leaves no output file
+    import robinbec.thermo as thermo
+
+    argv = ["sweep", "--sigma=-1", "--rho=1", "--k-max", "40", "--L-grid", "15:35:linear:5",
+            "--out", str(tmp_path / "s.csv")]
+    real = thermo._newton
+
+    def newton(inp, *args):
+        if inp.box.L != 20.0:
+            return (yield from real(inp, *args))
+        yield args[-1]  # the wall pair at x_mid
+        yield args[-1]  # the k >= 2 sum
+        raise NumericalFailure(f"injected at L = {inp.box.L:g}")
+
+    if inject:
+        monkeypatch.setattr(thermo, "_newton", newton)
+    with monkeypatch.context() as one_at_a_time:
+        one_at_a_time.setattr(cli, "_sweep_states", lambda cfg, grid: [cli._thermo_point(cfg, L) for L in grid])
+        expected = run(argv), capsys.readouterr().err
+    assert (run(argv), capsys.readouterr().err) == expected
+    code, needle = (1, "numerical failure: injected at L = 20\n") if inject else (
+        2, "certified k_max tail 7.951e-10 exceeds cutoff_tol 1.000e-10\n")
+    assert expected[0] == code and expected[1].endswith(needle) and expected[1].count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -596,6 +630,7 @@ def test_unwritable_output_is_rejected_before_solving(tmp_path, capsys, monkeypa
     # a large sweep used to solve every L-grid point before it learned this
     calls = []
     monkeypatch.setattr(cli, "solve_mu", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "solve_grid", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(cli, "build_spectrum", lambda *a, **k: calls.append(a))
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
     rc = run([a.format(**paths) for a in argv])

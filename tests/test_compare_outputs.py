@@ -24,7 +24,7 @@ def test_compare_outputs_of_src_against_itself():
     *lines, summary = proc.stdout.splitlines()
     assert lines and all(line.endswith(": identical") for line in lines)
     assert summary == f"{len(lines)} of {len(lines)} files identical"
-    for name in ("spectrum op 2", "profile op 1", "sweep-scf seed 7", "oracle-checks seed 1",
+    for name in ("spectrum op 2", "profile op 1", "sweep op 3", "sweep-scf seed 7", "oracle-checks seed 1",
                  "profile-dense seed 3"):
         assert any(line.startswith(name) for line in lines), name
 

@@ -123,12 +123,15 @@ def test_solve_and_profile_take_the_path_continuum_plan_takes(monkeypatch):
             assert solve_mu(inp).spectrum.k_max == inp.plan.head
     # continuum_plan alone decides: a plan whose solve's rounding part does
     # not fit (patched in) sends both down the other path, at a box far past
-    # the switch; a given k_max is a plain mode cutoff either way
+    # the switch, and so does a grid's plan pass; a given k_max is a plain
+    # mode cutoff either way
     box = BoxParams(-1.0, 200.0)
-    real = thermo._continuum
-    monkeypatch.setattr(thermo, "_continuum", lambda *a: real(*a)._replace(summation=math.inf))
+    real = thermo._continua
+    monkeypatch.setattr(thermo, "_continua", lambda *a: [c._replace(summation=math.inf) for c in real(*a)])
     inp = ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0)
     assert continuum_plan(box, 1.0, 1e-10) is None
+    assert thermo.input_grid(-1.0, [200.0], 1.0, 1.0, 0.0) == ([inp], None)
+    assert thermo.input_grid(-1.0, [200.0], 1.0, 1.0, 0.0)[0][0].plan == inp.plan
     cutoff = suggest_k_max(box, 1.0)
     assert inp.plan.head > 1 and inp.plan.continuum is None and profile_input(inp).k_max == cutoff
     monkeypatch.undo()

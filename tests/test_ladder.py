@@ -140,7 +140,7 @@ def test_one_evaluation_takes_a_vector_flat_in_L(monkeypatch):
                 monkeypatch.setattr(thermo, "continuum_plan", lambda *a: None)
             inp = ThermoInput(box=box, beta=1.0, rho=3.0, lam=0.7)
             assert (inp.plan.continuum is None) == ladder
-            monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: seen.append(len(d)) or real(d, *a))
+            monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: seen.append(np.shape(d)[-1]) or real(d, *a))
             st = solve_mu(inp, MEAN_FIELD_SCF)
             monkeypatch.undo()
             assert st.density_residual <= 1e-10 * 3.0

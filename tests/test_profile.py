@@ -844,7 +844,7 @@ def test_continuum_certificate_bounds_the_error():
                 L = Ls / -sigma
                 st = _state(L=L, rho=1.5 * critical_density(beta, sigma), sigma=sigma, beta=beta, lam=lam,
                             model=MEAN_FIELD_SCF if lam else FREE)
-                plan = thermo._continuum(st.params.box, beta, st.params.cutoff_tol)
+                plan = thermo._continua(-sigma, [L], beta, st.params.cutoff_tol)[0]
                 sides.add(continuum_plan(st.params.box, beta, st.params.cutoff_tol) is not None)
                 grid_n = int(20 * L) + 1
                 xh = profile_module._symmetric_grid(L, grid_n)[grid_n // 2:]

@@ -1,11 +1,12 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 import robinbec.thermo as thermo
-from robinbec.errors import ValidationError
+from robinbec.errors import NumericalFailure, ValidationError
 from robinbec.gibbs_oracle import (
     DiagonalObservable,
     ModelParams,
@@ -42,6 +43,20 @@ RHO_C_BETA1_SIGMA1 = 0.14274846129686652
 def _input(sigma=-1.0, L=30.0, beta=1.0, rho=1.0, lam=0.0, k_max=None, cutoff_tol=1e-10):
     return ThermoInput(box=BoxParams(sigma=sigma, L=L), beta=beta, rho=rho, lam=lam,
                        k_max=k_max, cutoff_tol=cutoff_tol)
+
+
+def record_bose_vectors(monkeypatch, seen):
+    """Hook thermo._occ_free to append (length, shift) of each Bose vector
+    it evaluates: once per row of a lockstep stack (one row a point), so
+    each point's evaluations count as they would alone."""
+    real = thermo._occ_free
+
+    def hook(d, beta, x):
+        rows = np.atleast_2d(d)
+        seen.extend(zip([rows.shape[1]] * len(rows), np.broadcast_to(x, (len(rows), 1))[:, 0].tolist()))
+        return real(d, beta, x)
+
+    monkeypatch.setattr(thermo, "_occ_free", hook)
 
 
 # ----------------------------------------------------------------------
@@ -233,10 +248,9 @@ def test_solve_mu_occupation_evaluations(monkeypatch, model, limit):
 
     inp = _input(L=12800.0, rho=1.5 * RHO_C_BETA1_SIGMA1, lam=1.0)
     sizes = []
-    real = thermo._occ_free
-    monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: sizes.append(len(d)) or real(d, *a))
+    record_bose_vectors(monkeypatch, sizes)
     st = solve_mu(inp, model=model)
-    assert sum(n > 2 for n in sizes) <= limit
+    assert sum(n > 2 for n, _ in sizes) <= limit
     assert st.density_residual <= 1e-12 * inp.rho
 
 
@@ -261,8 +275,7 @@ def test_solve_mu_huge_lam_evaluations(monkeypatch, sigma, L, beta, rho, lam):
 
     inp = _input(sigma=sigma, L=L, beta=beta, rho=rho, lam=lam)
     calls = []
-    real = thermo._occ_free
-    monkeypatch.setattr(thermo, "_occ_free", lambda d, b, x: calls.append((len(d), x)) or real(d, b, x))
+    record_bose_vectors(monkeypatch, calls)
     st = solve_mu(inp, model=MEAN_FIELD_SCF)
     assert sum(n > 2 for n, _ in calls) <= 12
     assert st.density_residual <= 1e-10 * rho
@@ -287,8 +300,7 @@ def test_solve_mu_evaluations_where_lam_rho_tilde_dominates(monkeypatch):
 
     rng = random.Random(2021)
     counts = []
-    real = thermo._occ_free
-    monkeypatch.setattr(thermo, "_occ_free", lambda d, *a: counts.append(len(d) > 2) or real(d, *a))
+    record_bose_vectors(monkeypatch, counts)
     per_box = []
     for _ in range(400):
         sigma = -10.0 ** rng.uniform(-1.0, 0.3)
@@ -299,8 +311,156 @@ def test_solve_mu_evaluations_where_lam_rho_tilde_dominates(monkeypatch):
         counts.clear()
         st = solve_mu(inp, model=MEAN_FIELD_SCF)
         assert st.density_residual <= 1e-10 * rho
-        per_box.append(sum(counts))
+        per_box.append(sum(n > 2 for n, _ in counts))
     assert statistics.median(per_box) <= 8 and max(per_box) < 36
+
+
+def _bits(st):
+    return st.x.hex(), st.rho_tilde.hex(), st.occ.tobytes()
+
+
+# the boxes of test_solve_mu_huge_lam_evaluations, and a grid about a box on
+# the half-line continuum whose solve walks the doubles of x (found among
+# 3000 seeded boxes with lam = 1e6 to 1e16)
+HUGE_LAM_BOXES = [(-1.0, 20.0, 1.0, 1.0, 1e29), (-1.0, 800.0, 1.0, 1.0, 1e300),
+                  (-0.0196, 183.8, 735.0, 0.12, 9.5e189), (-4.0, 20.0, 1e90, 50.0, 1e245),
+                  (-0.0011886075161050285, 4152476287.149368, 1.102195228410279, 448.20366508363946,
+                   95847352772844.92)]
+WALKING_GRID = (-0.22142450825244592, (120.0, 265.14220999930734, 700.0, 2100.0), 1.6956454077491248,
+                4.149035124182118, 5719406189483521.0)
+
+
+def _random_grids(seed, count, k_max=False):
+    """(inputs, model) of seeded grids of 3 to 7 points with L|sigma| from
+    3 to 400, across the switch to the half-line continuum; with `k_max`,
+    each grid takes the certified cutoff of its largest box."""
+    rng = random.Random(seed)
+    for n in range(count):
+        sigma = -10.0 ** rng.uniform(-0.5, 0.3)
+        beta = 10.0 ** rng.uniform(-0.3, 0.3)
+        rho = critical_density(beta, sigma) * 10.0 ** rng.uniform(-0.5, 1.0)
+        lam = rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 1.0)])
+        Ls = sorted(10.0 ** rng.uniform(math.log10(3.0), math.log10(400.0)) / -sigma
+                    for _ in range(rng.randint(3, 7)))
+        cutoff = suggest_k_max(BoxParams(sigma, Ls[-1]), beta) if k_max else None
+        yield ([_input(sigma=sigma, L=L, beta=beta, rho=rho, lam=lam, k_max=cutoff) for L in Ls],
+               (FREE, MEAN_FIELD_SCF)[n % 2])
+
+
+def _grid_cases():
+    cases = [("random", inputs, model) for inputs, model in _random_grids(32, 24)]
+    cases += [("k_max", inputs, model) for inputs, model in _random_grids(33, 4, k_max=True)]
+    cases.append(("huge lam", [_input(*box) for box in HUGE_LAM_BOXES], MEAN_FIELD_SCF))
+    sigma, Ls, beta, rho, lam = WALKING_GRID
+    cases.append(("walk", [_input(sigma, L, beta, rho, lam) for L in Ls], MEAN_FIELD_SCF))
+    # a cutoff past _STACKED_LEVELS, whose occupations there still move the
+    # sums' last bits: stacked rows would end elsewhere
+    cases.append(("long", [_input(L=L, rho=2.0, lam=0.5, k_max=12000) for L in (5000.0, 6000.0, 7000.0)],
+                  MEAN_FIELD_SCF))
+    return cases
+
+
+def test_solve_grid_matches_solve_mu_bit_for_bit(monkeypatch):
+    # the lockstep changes no step of any point: each state is the one
+    # solve_mu reaches alone, bit for bit in x, rho_tilde and occ, and the
+    # grid evaluates the same Bose vectors (length and shift) as the points
+    # one at a time, counted per point; the k >= 2 sums of many of the
+    # grids, on the continuum and with a given cutoff, are stacked
+    paths, stacked = set(), []
+    real_sums = thermo._bose_sums
+
+    def sums(levels, *args):
+        if np.ndim(levels) == 2:
+            stacked.append(case)
+        return real_sums(levels, *args)
+
+    cases = _grid_cases()
+    for case, (kind, inputs, model) in enumerate(cases):
+        seen, alone_seen = [], []
+        record_bose_vectors(monkeypatch, seen)
+        monkeypatch.setattr(thermo, "_bose_sums", sums)
+        states = thermo.solve_grid(inputs, model)
+        monkeypatch.undo()
+        record_bose_vectors(monkeypatch, alone_seen)
+        alone = [solve_mu(inp, model) for inp in inputs]
+        monkeypatch.undo()
+        assert [_bits(st) for st in states] == [_bits(st) for st in alone], kind
+        assert sorted(seen) == sorted(alone_seen), kind
+        assert all(st.params is inp for st, inp in zip(states, inputs))
+        paths.update((kind, inp.plan.continuum is not None) for inp in inputs)
+    assert {("random", False), ("random", True), ("k_max", False), ("huge lam", True),
+            ("huge lam", False), ("walk", True)} <= paths
+    assert {"random", "k_max", "walk"} <= {cases[case][0] for case in stacked}
+    assert len(set(stacked)) >= 10
+
+
+def test_the_walking_grid_walks(monkeypatch):
+    # WALKING_GRID shares one continuum node set, and at least one of its
+    # points ends elsewhere, or fails, without the walk over the doubles of x
+    sigma, Ls, beta, rho, lam = WALKING_GRID
+    inputs = [_input(sigma, L, beta, rho, lam) for L in Ls]
+    assert len({(inp.plan.continuum.dp, inp.plan.continuum.nodes) for inp in inputs}) == 1
+    walked = [st.x for st in thermo.solve_grid(inputs, MEAN_FIELD_SCF)]
+    monkeypatch.setattr(thermo, "_WALK", 0)
+    unwalked = []
+    for inp in inputs:
+        try:
+            unwalked.append(solve_mu(inp, MEAN_FIELD_SCF).x)
+        except NumericalFailure:
+            unwalked.append(None)
+    assert walked != unwalked
+
+
+def test_solve_grid_raises_the_first_failure_in_input_order(monkeypatch):
+    # points 2 and 4 fail: the grid raises point 2's error, as solving the
+    # points one at a time would, though point 4 fails first in the lockstep
+    inputs = [_input(L=L, lam=1.0) for L in (40.0, 80.0, 160.0, 320.0, 640.0)]
+    real = thermo._newton
+
+    def newton(inp, model, spectrum, x_lo, x_mid):
+        evaluations = {80.0: 3, 320.0: 1}.get(inp.box.L)
+        if evaluations is None:
+            return (yield from real(inp, model, spectrum, x_lo, x_mid))
+        for _ in range(evaluations):
+            yield x_mid  # the wall pair
+            yield x_mid  # the k >= 2 sum
+        raise NumericalFailure(f"injected at L = {inp.box.L:g}")
+
+    monkeypatch.setattr(thermo, "_newton", newton)
+    with pytest.raises(NumericalFailure, match="injected at L = 80$"):
+        thermo.solve_grid(inputs, MEAN_FIELD_SCF)
+    monkeypatch.undo()
+    # so does a point that fails before its iteration starts
+    too_small = _input(L=10.0, rho=1e-310)
+    with pytest.raises(ValidationError, match="too small"):
+        thermo.solve_grid(inputs[:2] + [too_small] + inputs[2:], MEAN_FIELD_SCF)
+    states = thermo.solve_grid(inputs, MEAN_FIELD_SCF)
+    assert [_bits(st) for st in states] == [_bits(solve_mu(inp, MEAN_FIELD_SCF)) for inp in inputs]
+
+
+def test_input_grid_plans_as_thermo_input_does():
+    # one plan pass for all L gives each input the plan ThermoInput makes
+    # alone, Continuum tuple and all; the grid stops at its first input
+    # that raises and returns that error
+    for inputs, _ in _random_grids(34, 12):
+        first = inputs[0]
+        Ls = [inp.box.L for inp in inputs]
+        grid, error = thermo.input_grid(first.box.sigma, Ls, first.beta, first.rho, first.lam)
+        assert error is None and grid == inputs
+        assert [inp.plan for inp in grid] == [inp.plan for inp in inputs]
+    # L|sigma| <= 2 at the first point: nothing but its error
+    grid, error = thermo.input_grid(-1.0, [1.5, 40.0], 1.0, 1.0, 0.0)
+    assert grid == [] and isinstance(error, thermo.NoSecondBoundState)
+    # a given cutoff certified at L = 15 and 20 but not past them
+    Ls = [15.0, 20.0, 30.0, 40.0]
+    grid, error = thermo.input_grid(-1.0, Ls, 1.0, 1.0, 0.0, k_max=40)
+    assert grid == [_input(L=L, k_max=40) for L in Ls[:2]]
+    with pytest.raises(CutoffTooSmall) as alone:
+        _input(L=30.0, k_max=40)
+    assert isinstance(error, CutoffTooSmall) and str(error) == str(alone.value)
+    # a box that does not validate stops the grid as well
+    grid, error = thermo.input_grid(-1.0, [40.0, math.inf], 1.0, 1.0, 0.0)
+    assert grid == [_input(L=40.0)] and "L must be finite" in str(error)
 
 
 def test_state_wall_pair_from_one_solve(monkeypatch):

@@ -9,11 +9,12 @@ Each tree runs, in its own interpreter with robinbec imported from that
 directory, every op of the seeded decks of all benchmark workloads
 (`bench/workloads.py`, imported and not changed), a spectrum op on each
 of `SPECTRUM_BOXES` at k_max = 2000, the wall-only spectra
-`WALL_SPECTRA`, the mode-sum-path profiles `PROFILE_BOXES` and the
-continuum-path profile `DENSE_PROFILE`, through `robinbec.cli.main` with
-`--out` added as the benchmark adds it.  `--tiny` runs the benchmark's
-tiny decks, the `SPECTRUM_BOXES` spectra at k_max = 1100, past the CSV
-writer's first 1024-row block, and the same profiles.
+`WALL_SPECTRA`, the mode-sum-path profiles `PROFILE_BOXES`, the
+continuum-path profile `DENSE_PROFILE` and the sweeps `SWEEPS`, through
+`robinbec.cli.main` with `--out` added as the benchmark adds it.
+`--tiny` runs the benchmark's tiny decks, the `SPECTRUM_BOXES` spectra at
+k_max = 1100, past the CSV writer's first 1024-row block, and the same
+profiles and sweeps.
 
 For each output file, and for each op's stdout with its output paths
 replaced by `OUT`, one line says `identical` or gives the largest
@@ -57,6 +58,20 @@ PROFILE_BOXES = (("-1.0", "12.0"), ("-0.5", "30.0"), ("-0.1", "150.0"))
 # spills past the 1 MiB that it keeps in memory; the tiny decks' profiles
 # fill one or two blocks a half
 DENSE_PROFILE = ("-1.5", "800", "2", "1.5", "32001")
+# sweeps whose points the lockstep solve groups in each way: across the
+# switch to the half-line continuum (points on the ladder path, whose
+# vectors differ in length, and those past it, which share a node set), on
+# a given cutoff (one length), on the free model, and at a lam so large
+# that points walk the doubles of x next to the root
+SWEEPS = (
+    ("--model", "scf", "--sigma=-1", "--beta=1", "--rho=3", "--lambda=0.7",
+     "--L-grid", "3:400:geometric:12"),
+    ("--model", "scf", "--sigma=-1", "--beta=1", "--rho=3", "--lambda=0.7", "--k-max", "40",
+     "--L-grid", "3:25:geometric:6"),
+    ("--model", "free", "--sigma=-0.5", "--beta=2", "--rho=1.5", "--L-grid", "5:3000:geometric:8"),
+    ("--model", "scf", "--sigma=-0.22142450825244592", "--beta=1.6956454077491248",
+     "--rho=4.149035124182118", "--lambda=5719406189483521.0", "--L-grid", "100:2100:geometric:9"),
+)
 
 
 def _out_name(op) -> str:
@@ -108,6 +123,7 @@ def all_ops(seeds, tiny):
     """(label, op) for every op compared, in a fixed order."""
     ops = [(f"spectrum op {i}", op) for i, op in enumerate(spectrum_ops(tiny))]
     ops += [(f"profile op {i}", op) for i, op in enumerate(profile_ops())]
+    ops += [(f"sweep op {i}", {"kind": "sweep", "argv": ["sweep", *argv]}) for i, argv in enumerate(SWEEPS)]
     for workload in WORKLOADS:
         for seed in seeds:
             for i, op in enumerate(make_deck(workload, seed, tiny)):
