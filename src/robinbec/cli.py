@@ -21,6 +21,13 @@ subcommand one-to-one; explicit flags override the file.  Config values
 are converted and checked like the flags, and a key that is not a flag
 of the subcommand is rejected.  Exit status: 0 ok, 2 validation error or
 unwritable output file (one-line diagnostic), 1 numerical failure.
+
+A command loads only the layers it runs.  Every command loads the
+spectrum; `oracle` adds the Gibbs oracle, `thermo` and `sweep` the
+density solve (thermo), and `profile` the density solve and the
+profile.  Each command imports them when it runs, so the parser, which
+names the oracle's checks and the solve's model tags as literals, loads
+neither.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -37,15 +45,13 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFailure, ValidationError
-from .gibbs_oracle import CHECK_ARGUMENTS, CHECK_NAMES, ModelParams, run_check, truncation_for_check
-from .profile import density_profile, localization_radius, profile_input, write_profile_csv
 from .spectrum import BoxParams, build_spectrum, write_spectrum_csv
-from .thermo import (
-    FREE, MEAN_FIELD_SCF, ThermoInput, critical_density, equal_distribution_gap,
-    fit_exponential_rate, input_grid, mu_asymptotics_check, solve_grid, solve_mu, write_sweep_csv,
-)
 
-_MODEL_ALIASES = {"free": FREE, "scf": MEAN_FIELD_SCF, "mean_field_scf": MEAN_FIELD_SCF}
+# the parser's words for thermo's model tags (thermo._MODELS) and
+# gibbs_oracle.CHECK_NAMES, written out so that building it loads neither
+# layer; a test keeps them equal to the layers' own
+_MODEL_ALIASES = {"free": "free", "scf": "mean_field_scf", "mean_field_scf": "mean_field_scf"}
+CHECK_NAMES = ("exchange", "wall-occupation", "moment-inequality", "occupation-bound")
 # a sweep solves every point and keeps each state (its occupations and its
 # table's energies and wavenumbers, 24 bytes per mode) for the fits
 _MAX_SWEEP_POINTS = 10_000
@@ -76,6 +82,8 @@ def _parse_l_grid(text: str) -> list[float]:
         raise ValidationError(
             f"L-grid bounds must be numbers and count an integer, got {text!r}"
         ) from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"L-grid bounds must be finite, got {text!r}")
     if not (0.0 < start <= stop) or not 1 <= count <= _MAX_SWEEP_POINTS:
         raise ValidationError(
             f"L-grid needs 0 < start <= stop and 1 <= count <= {_MAX_SWEEP_POINTS}, got {text!r}"
@@ -96,7 +104,9 @@ def _write_json(payload: dict, path) -> None:
         fh.write(text)
 
 
-def _thermo_input(cfg: dict, L: float) -> ThermoInput:
+def _thermo_input(cfg: dict, L: float):
+    from .thermo import ThermoInput
+
     return ThermoInput(
         box=BoxParams(sigma=cfg["sigma"], L=L), beta=cfg["beta"], rho=cfg["rho"],
         lam=cfg["lam"], k_max=cfg["k_max"], cutoff_tol=cfg["cutoff_tol"],
@@ -104,6 +114,8 @@ def _thermo_input(cfg: dict, L: float) -> ThermoInput:
 
 
 def _thermo_point(cfg: dict, L: float):
+    from .thermo import solve_mu
+
     return solve_mu(_thermo_input(cfg, L), model=_MODEL_ALIASES[cfg["model"]])
 
 
@@ -111,6 +123,8 @@ def _sweep_states(cfg: dict, grid: list[float]) -> list:
     """The states of the grid's points, solved in lockstep (`solve_grid`).
     The first failure in grid order, of an input or of a solve, is raised,
     as solving the points one at a time would."""
+    from .thermo import input_grid, solve_grid
+
     inputs, error = input_grid(cfg["sigma"], grid, cfg["beta"], cfg["rho"], cfg["lam"],
                                cfg["k_max"], cfg["cutoff_tol"])
     states = solve_grid(inputs, model=_MODEL_ALIASES[cfg["model"]])
@@ -120,6 +134,8 @@ def _sweep_states(cfg: dict, grid: list[float]) -> list:
 
 
 def _state_summary(state) -> dict:
+    from .thermo import critical_density, equal_distribution_gap
+
     box = state.params.box
     return {
         "model": state.model_tag,
@@ -178,6 +194,8 @@ def _parse_target(item) -> tuple[int, int]:
 
 
 def _cmd_oracle(cfg: dict) -> int:
+    from .gibbs_oracle import CHECK_ARGUMENTS, ModelParams, run_check, truncation_for_check
+
     _check_writable(cfg["out"])
     box = BoxParams(sigma=cfg["sigma"], L=cfg["L"])
     model = ModelParams(box=box, beta=cfg["beta"], mu=cfg["mu"], lam=cfg["lam"])
@@ -206,6 +224,9 @@ def _cmd_thermo(cfg: dict) -> int:
 
 
 def _cmd_profile(cfg: dict) -> int:
+    from .profile import density_profile, localization_radius, profile_input, write_profile_csv
+    from .thermo import solve_mu
+
     _check_writable(cfg["out"])
     inp = profile_input(_thermo_input(cfg, cfg["L"]))
     state = solve_mu(inp, model=_MODEL_ALIASES[cfg["model"]])
@@ -223,6 +244,8 @@ def _cmd_profile(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
+    from .thermo import critical_density, fit_exponential_rate, mu_asymptotics_check, write_sweep_csv
+
     grid = _parse_l_grid(cfg["L_grid"])
     fit_out = cfg["fit_out"] or cfg["out"] + ".fit.json"
     if os.path.realpath(fit_out) == os.path.realpath(cfg["out"]):

@@ -407,8 +407,15 @@ class ConstrainedZ:
     log_z: np.ndarray
 
 
+def _polyval(coeffs, x):
+    """sum_i coeffs[i] x^i (coefficients low -> high) by Horner's rule:
+    np.polyval of the reversed coefficients takes the steps, and gives the
+    bits, of numpy.polynomial's polyval, without importing numpy.polynomial."""
+    return np.polyval(np.asarray(coeffs, dtype=float)[::-1], x)
+
+
 def _poly_on_range(coeffs, n: np.ndarray) -> np.ndarray:
-    vals = np.polynomial.polynomial.polyval(n, np.asarray(coeffs, dtype=float))
+    vals = _polyval(coeffs, n)
     vals = np.atleast_1d(vals)
     if np.any(vals < 0.0):
         raise ValidationError("observable factor is negative on the occupation range")
@@ -525,7 +532,7 @@ def grand_expectation(
     log_den = _logsumexp(z.log_z + logG)
     log_num = z.log_z
     for k, poly in factored.items():
-        steps = np.diff(np.polynomial.polynomial.polyval(ntil, poly), prepend=0.0)
+        steps = np.diff(_polyval(poly, ntil), prepend=0.0)
         if np.any(steps < 0.0):
             raise ValidationError(
                 f"the factor of mode {k} must be nondecreasing and >= 0 on the window "

@@ -92,7 +92,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvio
 from .errors import NumericalFailure, ValidationError
 
 EVEN = "even"
@@ -354,6 +353,16 @@ def _trig_residual(p, half, s, even):
     return np.where(even, p * sn + s * cs, p * cs - s * sn)
 
 
+def check_ladder_scale(params: BoxParams) -> None:
+    """ValidationError unless (pi/L)^2 + sigma^2, the least p^2 + s^2 of the
+    k >= 2 modes, is a normal double: `_phase` divides by p^2 + s^2, and
+    the density solve's ladder remainders by a weight that underflows with
+    it (`thermo._em_remainders`)."""
+    least = (math.pi / params.L) * (math.pi / params.L) + params.s * params.s
+    if not least >= _TINY:
+        raise ValidationError(f"modes k >= 2 need (pi/L)^2 + sigma^2 >= {_TINY:g}, got {least:g}")
+
+
 def _ladder_roots(params: BoxParams, k):
     """Wavenumbers p of the k >= 2 modes over the integer array k."""
     s, L = params.s, params.L
@@ -361,9 +370,8 @@ def _ladder_roots(params: BoxParams, k):
         raise ValidationError(
             f"modes k >= 2 need L*|sigma| <= {MAX_PHASE_LS:g}, got {L * s:g}"
         )
-    least = (math.pi / L) * (math.pi / L) + s * s  # the least p^2 + s^2 `_phase` divides by
-    if len(k) and not least >= _TINY:
-        raise ValidationError(f"modes k >= 2 need (pi/L)^2 + sigma^2 >= {_TINY:g}, got {least:g}")
+    if len(k):
+        check_ladder_scale(params)
     return _phase_roots(k, L, s, (k - 1) * math.pi / L, k * math.pi / L)
 
 
@@ -685,15 +693,17 @@ def bound_state_gap(params: BoxParams) -> float:
 # ----------------------------------------------------------------------
 
 _SPECTRUM_HEADER = "k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi"
-_PARITY_WORDS = csvio.separator_words(f",{EVEN},", f",{ODD},")  # by k % 2
+_PARITY_TEXTS = (f",{EVEN},", f",{ODD},")  # after k, by k % 2
 
 
 def write_spectrum_csv(table: SpectrumTable, path, comment_lines=()) -> None:
     """CSV rows `k,parity,epsilon,wavenumber,residual,bracket_lo,bracket_hi`
     at 17 significant digits (`csvio`); `comment_lines` go first, prefixed
     with '#'."""
+    from . import csvio  # here: a run that writes no spectrum CSV (an oracle check) need not load it
+
     columns = (range(table.k_max + 1), table.epsilons, table.wavenumbers, table.residuals,
                table.bracket_lo, table.bracket_hi)
     with open(path, "wb") as fh:
         csvio.write_header(fh, comment_lines, _SPECTRUM_HEADER)
-        csvio.write_rows(fh, columns, _PARITY_WORDS)
+        csvio.write_rows(fh, columns, csvio.separator_words(*_PARITY_TEXTS))

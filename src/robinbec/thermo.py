@@ -168,7 +168,9 @@ import numpy as np
 
 from . import csvio
 from .errors import NumericalFailure, ValidationError
-from .spectrum import K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, build_spectrum
+from .spectrum import (
+    K_MAX_LIMIT, BoxParams, NoSecondBoundState, SpectrumTable, build_spectrum, check_ladder_scale,
+)
 
 FREE = "free"
 MEAN_FIELD_SCF = "mean_field_scf"
@@ -227,6 +229,7 @@ class ThermoInput:
             raise NoSecondBoundState(
                 f"thermo needs both wall modes bound: L*|sigma| > 2, got {self.box.L * self.box.s}"
             )
+        check_ladder_scale(self.box)  # every plan bounds or sums the k >= 2 modes
         if self.k_max is not None and (
             not isinstance(self.k_max, int) or not 2 <= self.k_max <= K_MAX_LIMIT
         ):

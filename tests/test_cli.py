@@ -143,7 +143,6 @@ def test_sweep_rows_ordered_and_deterministic(tmp_path):
 
 
 def test_sweep_evaluates_each_gap_once(tmp_path, monkeypatch):
-    import robinbec.cli as cli
     import robinbec.thermo as thermo
 
     calls = []
@@ -154,7 +153,6 @@ def test_sweep_evaluates_each_gap_once(tmp_path, monkeypatch):
         return original(state)
 
     monkeypatch.setattr(thermo, "equal_distribution_gap", counted)
-    monkeypatch.setattr(cli, "equal_distribution_gap", counted)
     rc = run(["sweep", "--sigma", "-1", "--beta", "1", "--rho", "1",
               "--L-grid", "20:320:geometric:5", "--out", str(tmp_path / "s.csv")])
     assert rc == 0
@@ -323,6 +321,9 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,needle", [
     (["sweep", "--sigma", "-1", "--L-grid", "a:800:geometric:5"], "L-grid"),
+    # numpy warned, then the grid's points were reported as not distinct
+    (["sweep", "--sigma", "-1", "--L-grid", "50:inf:geometric:5"], "L-grid bounds must be finite"),
+    (["sweep", "--sigma", "-1", "--L-grid", "50:1e309:linear:3"], "L-grid bounds must be finite"),
     (["thermo", "--sigma", "-1", "--L", "20", "--config", "missing.json"], "missing.json"),
 ])
 def test_malformed_grid_or_config_file_is_validation_error(tmp_path, monkeypatch, capsys,
@@ -605,14 +606,84 @@ def test_extreme_coupling_is_solved_or_rejected(tmp_path, sigma, L, beta, lam):
     assert abs(rep["rho_tilde"] + rep["rho_cond_finite"] - rep["rho"]) <= 1e-10 * rep["rho"]
 
 
-def test_cli_import_loads_no_scipy():
-    # the runtime needs numpy only; scipy is a test dependency
+_ORACLE_RUNS = [
+    ["oracle", "--sigma=-1", "--L=10", "--mu=-1.5", "--k-top=8"],
+    # a wall-mode factor and a k >= 2 factor: both polynomial evaluations
+    ["oracle", "--check", "exchange", "--sigma=-1", "--L=10", "--mu=-1.5", "--j", "2",
+     "--target", "0:1", "--target", "3:2"],
+]
+
+
+@pytest.mark.parametrize("runs,loads,leaves_out", [
+    ([], ["spectrum"], ["gibbs_oracle", "thermo", "profile", "csvio", "numpy.polynomial"]),
+    (_ORACLE_RUNS, ["gibbs_oracle"], ["thermo", "profile", "csvio", "numpy.polynomial"]),
+    ([["sweep", "--sigma=-1", "--model", "scf", "--lambda=0.7", "--L-grid", "50:800:geometric:5"]],
+     ["thermo", "csvio"], ["gibbs_oracle", "profile"]),
+    ([["thermo", "--sigma=-1", "--L=40"]], ["thermo"], ["gibbs_oracle", "profile"]),
+    ([["profile", "--sigma=-1", "--L=40", "--grid-n=401", "--fraction=0.9"]], ["profile"],
+     ["gibbs_oracle"]),
+    ([["spectrum", "--sigma=-1", "--L=20", "--k-max=10"]], ["csvio"],
+     ["gibbs_oracle", "thermo", "profile"]),
+], ids=["import", "oracle", "sweep", "thermo", "profile", "spectrum"])
+def test_cli_import_loads_no_scipy(tmp_path, runs, loads, leaves_out):
+    # the runtime needs numpy only; scipy is a test dependency.  In a fresh
+    # interpreter, importing the CLI and running a command loads only the
+    # layers the command runs (a bare name is a robinbec module)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, robinbec.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    code = ("import json, sys, robinbec.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert robinbec.cli.main(argv + ['--out', 'out']) == 0, argv\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, check=True)
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    full = {name: name if "." in name else f"robinbec.{name}" for name in loads + leaves_out}
+    assert [name for name in loads if full[name] not in loaded] == []
+    assert [name for name in leaves_out if full[name] in loaded] == []
+
+
+def test_parser_words_are_the_layers_names():
+    # the parser names the checks and model tags without loading their layers
+    from robinbec import gibbs_oracle, thermo
+
+    assert cli.CHECK_NAMES == gibbs_oracle.CHECK_NAMES
+    assert cli._MODEL_ALIASES == {"free": thermo.FREE, "scf": thermo.MEAN_FIELD_SCF,
+                                  "mean_field_scf": thermo.MEAN_FIELD_SCF}
+    assert set(cli._MODEL_ALIASES.values()) == set(thermo._MODELS)
+
+
+def test_version_and_help_list_every_flag_and_check(capsys):
+    from robinbec import __version__
+    from robinbec.gibbs_oracle import CHECK_NAMES
+
+    with pytest.raises(SystemExit) as done:
+        run(["--version"])
+    assert done.value.code == 0 and capsys.readouterr().out == f"robinbec {__version__}\n"
+    for command, spec in cli._SCHEMA.items():
+        with pytest.raises(SystemExit) as done:
+            run([command, "--help"])
+        text = capsys.readouterr().out
+        assert done.value.code == 0
+        assert [f for f in (cli._flag(n, p) for n, p in spec.params.items()) if f not in text] == []
+        if command == "oracle":
+            assert [name for name in CHECK_NAMES if name not in text] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--L", "1e171"],
+    ["thermo", "--L", "1e171", "--k-max", "10"],
+    ["profile", "--L", "1e180", "--grid-n", "11"],
+    ["sweep", "--L-grid", "1e171:1e180:geometric:5"],
+    ["spectrum", "--L", "1e171"],
+])
+def test_box_below_the_ladder_scale_is_validation_error(tmp_path, capsys, argv):
+    # (pi/L)^2 + sigma^2 underflows: the density solve's ladder remainders
+    # divided by zero (exit 1, a traceback); spectrum already said this
+    rc = run(argv + ["--sigma=-1e-170", "--out", str(tmp_path / "o")])
+    _assert_one_line_rejection(rc, capsys, "modes k >= 2 need (pi/L)^2 + sigma^2 >= 2.22507e-308")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -628,9 +699,11 @@ def test_cli_import_loads_no_scipy():
 ])
 def test_unwritable_output_is_rejected_before_solving(tmp_path, capsys, monkeypatch, argv):
     # a large sweep used to solve every L-grid point before it learned this
+    import robinbec.thermo as thermo
+
     calls = []
-    monkeypatch.setattr(cli, "solve_mu", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(cli, "solve_grid", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(thermo, "solve_mu", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(thermo, "solve_grid", lambda *a, **k: calls.append(a))
     monkeypatch.setattr(cli, "build_spectrum", lambda *a, **k: calls.append(a))
     paths = {"missing": str(tmp_path / "no-such-dir" / "x"), "tmp": str(tmp_path)}
     rc = run([a.format(**paths) for a in argv])

@@ -374,6 +374,23 @@ def test_logsumexp_ignores_weightless_terms():
     assert gibbs_oracle._logsumexp(np.full(3, -np.inf)) == -math.inf
 
 
+def test_polyval_gives_the_bits_of_numpy_polynomial():
+    # the oracle's Horner steps are numpy.polynomial's, which it no longer
+    # imports: the same bits on integer and float ranges, at every degree
+    # the observables take and on coefficients of mixed sign and size
+    from numpy.polynomial.polynomial import polyval
+
+    rng = np.random.default_rng(7)
+    ranges = (np.arange(41), np.arange(2001, dtype=float), np.arange(3))
+    for degree in range(9):
+        for _ in range(20):
+            coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-8, 9, degree + 1)
+            for n in ranges:
+                ours, reference = gibbs_oracle._polyval(coeffs, n), polyval(n, coeffs)
+                assert ours.dtype == reference.dtype and ours.tobytes() == reference.tobytes()
+    assert gibbs_oracle._polyval((0, 1, 2), np.arange(4)).tolist() == [0.0, 3.0, 10.0, 21.0]
+
+
 # ----------------------------------------------------------------------
 # grand expectations
 # ----------------------------------------------------------------------

@@ -699,11 +699,15 @@ def test_spectrum_csv_matches_per_row_format(tmp_path, sigma, L, k_max, edit):
     assert path.read_bytes() == _per_row_spectrum_csv(table, comments)
 
 
+# the words write_spectrum_csv puts after k, by k % 2
+_PARITY_WORDS = csvio.separator_words(*spectrum._PARITY_TEXTS)
+
+
 def test_spectrum_parity_follows_the_largest_k():
     # k = 9,999,999 < K_MAX_LIMIT: its parity word takes the place of the
     # ',' after the seven digits of k
     k = range(10**7)
-    text = csvio.format_rows([k, k], 10**7 - 2, 10**7, spectrum._PARITY_WORDS)
+    text = csvio.format_rows([k, k], 10**7 - 2, 10**7, _PARITY_WORDS)
     assert text == b"9999998,even,9999998\n9999999,odd,9999999\n"
 
 
@@ -717,8 +721,8 @@ def test_range_column_formats_like_its_floats(k):
 
     x = np.random.default_rng(len(k)).standard_normal(len(k))
     as_range, as_floats = io.BytesIO(), io.BytesIO()
-    csvio.write_rows(as_range, [k, x], spectrum._PARITY_WORDS)
-    csvio.write_rows(as_floats, [np.array(list(k), dtype=float), x], spectrum._PARITY_WORDS)
+    csvio.write_rows(as_range, [k, x], _PARITY_WORDS)
+    csvio.write_rows(as_floats, [np.array(list(k), dtype=float), x], _PARITY_WORDS)
     assert len(k) > csvio.ROWS_PER_PASS and as_range.getvalue() == as_floats.getvalue()
 
 

@@ -724,6 +724,27 @@ def test_thermo_input_validation():
         solve_mu(_input(L=10.0), model="bogus")
 
 
+@pytest.mark.parametrize("k_max", [None, 10])
+def test_box_below_the_ladder_scale_is_rejected_before_its_plan(monkeypatch, k_max):
+    # (pi/L)^2 + sigma^2 = 1e-340 underflows: plan_ladder's remainders
+    # divided by a weight that underflowed to 0.  The input is rejected
+    # with spectrum's own words before any plan is made, alone and on a grid
+    import robinbec.spectrum as spectrum
+
+    box = BoxParams(-1e-170, 1e171)
+    with pytest.raises(ValidationError) as alone:
+        spectrum.check_ladder_scale(box)
+    for name in ("_cutoff_plan", "_head_plan", "continuum_plan"):
+        monkeypatch.setattr(thermo, name, lambda *a: pytest.fail("a plan was made"))
+    with pytest.raises(ValidationError) as rejected:
+        ThermoInput(box=box, beta=1.0, rho=1.0, lam=0.0, k_max=k_max)
+    assert str(rejected.value) == str(alone.value)
+    grid, error = thermo.input_grid(-1e-170, [1e171, 1e180], 1.0, 1.0, 0.0, k_max=k_max)
+    assert grid == [] and str(error) == str(alone.value)
+    # the least box that passes, L|sigma| = 2.5 at sigma = -1e-154
+    spectrum.check_ladder_scale(BoxParams(-1e-154, 2.5e154))
+
+
 def test_thermo_input_certifies_its_own_cutoff(monkeypatch):
     import robinbec.thermo as thermo
 
